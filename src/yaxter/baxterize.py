@@ -10,13 +10,15 @@ Three-eigenvalue formula (must be re-checked against the QYBE per output):
            + (lambda1 + lambda2 + lambda3 + lambda1 lambda3 / lambda2) x I
            - (x-1) b
 
-``build_R`` emits each family's conventional closed form verbatim; those
-agree with the formulas above up to one overall scalar that is constant in x.
+Each family has one displayed closed form, its x-form, which agrees with the
+formulas above up to one overall scalar that is constant in x.
 
 Spectral-parameter views: x (multiplicative), theta (x = e^{2 i theta} for the
 six-vertex families, x = e^{i theta} for eight2/3/4, x = tan theta for eight1),
 and the rational u = (1 - x)/(1 + x) with composition law
-u(xy) = (u + v)/(1 + u v).
+u(xy) = (u + v)/(1 + u v). Every view is the x-form at the point's x times a
+scalar gauge (``gauge``); ``reference_gauge`` is the scalar the x-form carries
+over the gauge in which the closed-form normalizations are stated.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import DomainError, Family, FamilySpec, build_b, eigenvalues_of
+from .catalog import EIGHT_VERTEX_FAMILIES, DomainError, Family, FamilySpec, build_b, eigenvalues_of
 from .linalg import cmat, inverse
 
 
@@ -95,9 +97,6 @@ class SpectralPoint:
 
     def u(self, convention: ThetaConvention = ThetaConvention.FULL) -> complex:
         return x_to_u(self.x(convention))
-
-    def conjugate(self) -> "SpectralPoint":
-        return SpectralPoint(self.kind, complex(self.value).conjugate())
 
 
 def x_to_u(x: complex) -> complex:
@@ -192,27 +191,56 @@ def eight4_g_factors(spec: FamilySpec, x: complex) -> tuple[complex, complex]:
     return 1 + t + x * (1 - t), 1 + t - x * (1 - t)
 
 
+def gauge(spec: FamilySpec, p: SpectralPoint, form: str = "canonical") -> complex:
+    """The scalar that ``build_R`` puts on the displayed x-form at ``family_x(spec, p)``.
+
+    The gauge table:
+
+    - 1 for every x view, the six-vertex theta and u views (the six-vertex
+      families carry no separate rational form) and the eight2/3/4 theta views;
+    - cos(theta)/sqrt(2) for the eight1 theta view, which makes it the unitary
+      combination cos(theta) b(phi) + sin(theta) b(phi)^{-1};
+    - 1/(1+x) for the eight1/2/3 u views (both eight3 orderings);
+    - 1/(1+x)^2 for the eight4 u view, or 1/(1+x) with ``form="g"``.
+
+    The g-form itself is the canonical eight4 x-form times 1/g1.
+    """
+    fam = spec.family
+    if p.kind == "theta" and fam is Family.EIGHT_I:
+        return np.cos(np.real(p.value)) / np.sqrt(2)
+    if p.kind == "u" and fam in EIGHT_VERTEX_FAMILIES:
+        power = 2 if fam is Family.EIGHT_IV and form != "g" else 1
+        return 1 / (1 + u_to_x(p.value)) ** power
+    return 1.0
+
+
+def reference_gauge(spec: FamilySpec, p: SpectralPoint, form: str = "canonical") -> complex:
+    """The scalar the displayed x-form carries over the gauge of the closed-form rho.
+
+    2 e^{i theta} for the six-vertex families (over their trigonometric form,
+    x = e^{2 i theta}), g1 for canonical eight4 (over its g view), 1 otherwise.
+    """
+    fam = spec.family
+    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
+        return 2 * np.exp(1j * p.theta(ThetaConvention.HALF))
+    if fam is Family.EIGHT_IV and form != "g":
+        return eight4_g_factors(spec, family_x(spec, p))[0]
+    return 1.0
+
+
 def build_R(
     spec: FamilySpec,
     p: SpectralPoint,
     ordering: EigOrdering | None = None,
     form: str = "canonical",
 ) -> np.ndarray:
-    """The family's R-matrix at spectral point p, in the conventional gauge.
+    """The family's R-matrix at spectral point p: ``gauge(spec, p, form)`` times
+    the displayed x-form at ``family_x(spec, p)``.
 
-    The emitted gauge follows the parametrization of ``p``:
-
-    - ``x``: the multiplicative closed forms;
-    - ``theta``: the six-vertex trigonometric form (with its 2 e^{i theta}
-      prefactor), the eight1 unitary combination cos(theta) b(phi) +
-      sin(theta) b(phi)^{-1}, and the x-forms at x = e^{i theta} for
-      eight2/3/4;
-    - ``u``: the rational forms (the x-form divided by (1+x), or (1+x)^2 for
-      eight4).
-
-    ``ordering`` is honoured for the three-eigenvalue families: eight3 takes
-    first (default) or second, eight4 takes third (default). ``form="g"``
-    selects the eight4 view with the middle block scaled by g = g2/g1.
+    An x point returns the x-form itself. ``ordering`` is honoured for the
+    three-eigenvalue families: eight3 takes first (default) or second, eight4
+    takes third (default). ``form="g"`` selects the eight4 view with the
+    middle block scaled by g = g2/g1.
     """
     fam = spec.family
     if fam is Family.BELL_PHI:
@@ -224,23 +252,16 @@ def build_R(
             raise ValueError("eight4 is the third-ordering family; use eight3 for the others")
         if fam not in (Family.EIGHT_III, Family.EIGHT_IV):
             raise ValueError(f"{fam.value} has two eigenvalues; ordering does not apply")
+    r = _x_form(spec, family_x(spec, p), ordering, form)
+    return r if p.kind == "x" else gauge(spec, p, form) * r
 
+
+def _x_form(spec: FamilySpec, x: complex, ordering: EigOrdering | None, form: str) -> np.ndarray:
+    """The paper's displayed closed form R(x) of the family."""
+    fam = spec.family
     q = complex(spec.q)
     s = spec.sign.factor
-
-    if fam is Family.EIGHT_I and p.kind == "theta":
-        th = np.real(p.value)
-        b = build_b(FamilySpec.bell(phi=spec.phi, sign=spec.sign))
-        return np.cos(th) * b + np.sin(th) * inverse(b)
-
-    if p.kind == "u":
-        return _build_R_u(spec, p.value, ordering, form)
-
-    x = family_x(spec, p)
-
     if fam is Family.SIX_NONSTD:
-        if p.kind == "theta":
-            return _six_theta(spec, np.real(p.value), standard=False)
         return cmat(
             [
                 [q - x / q, 0, 0, 0],
@@ -250,8 +271,6 @@ def build_R(
             ]
         )
     if fam is Family.SIX_STD:
-        if p.kind == "theta":
-            return _six_theta(spec, np.real(p.value), standard=True)
         return cmat(
             [
                 [q - x / q, 0, 0, 0],
@@ -331,8 +350,7 @@ def formula_R(
     no formula applies; the closed forms remain available there.
     """
     fam = spec.family
-    b = build_b(FamilySpec.bell(phi=spec.phi, sign=spec.sign)) \
-        if fam is Family.BELL_PHI else build_b(spec)
+    b = build_b(spec)
     lams = eigenvalues_of(spec)
     if fam in (Family.EIGHT_III, Family.EIGHT_IV):
         t = complex(spec.t)
@@ -347,74 +365,3 @@ def formula_R(
     if ordering is not None:
         raise ValueError(f"{fam.value} has two eigenvalues; ordering does not apply")
     return yb_two(b, lams[0], lams[1], x)
-
-
-def _six_theta(spec: FamilySpec, theta: float, standard: bool) -> np.ndarray:
-    """Trigonometric six-vertex form 2 e^{i theta} M(theta) at q = e^gamma."""
-    g = spec.gamma
-    sh = np.sinh(g)
-    corner = np.sinh(g - 1j * theta) if standard else np.sinh(g + 1j * theta)
-    m = cmat(
-        [
-            [np.sinh(g - 1j * theta), 0, 0, 0],
-            [0, np.exp(1j * theta) * sh, -1j * np.sin(theta), 0],
-            [0, -1j * np.sin(theta), np.exp(-1j * theta) * sh, 0],
-            [0, 0, 0, corner],
-        ]
-    )
-    return 2 * np.exp(1j * theta) * m
-
-
-def _build_R_u(spec, u, ordering, form):
-    q = complex(spec.q)
-    s = spec.sign.factor
-    fam = spec.family
-    if fam is Family.EIGHT_I:
-        return cmat(
-            [
-                [1, 0, 0, q * u],
-                [0, 1, s * u, 0],
-                [0, -s * u, 1, 0],
-                [-u / q, 0, 0, 1],
-            ]
-        )
-    if fam is Family.EIGHT_II:
-        t = complex(spec.t)
-        z = spec.z_value()
-        return cmat(
-            [
-                [1 + (1 - t) * u, 0, 0, q * u],
-                [0, 1, s * z * u, 0],
-                [0, s * z * u, 1, 0],
-                [u / q, 0, 0, 1 + (t - 1) * u],
-            ]
-        )
-    if fam is Family.EIGHT_III:
-        t = complex(spec.t)
-        if ordering is EigOrdering.SECOND:
-            x = u_to_x(u)
-            return build_R(spec, SpectralPoint.from_x(x), ordering=ordering) / (1 + x)
-        return cmat(
-            [
-                [t * u, 0, 0, q],
-                [0, 1, s * t * u, 0],
-                [0, s * t * u, 1, 0],
-                [1 / q, 0, 0, t * u],
-            ]
-        )
-    if fam is Family.EIGHT_IV:
-        t = complex(spec.t)
-        if form == "g":
-            x = u_to_x(u)
-            return build_R(spec, SpectralPoint.from_x(x), form="g") / (1 + x)
-        return cmat(
-            [
-                [t * (1 + t * u), 0, 0, q * u * (1 + t * u)],
-                [0, u + t, s * t * u * (u + t), 0],
-                [0, s * t * u * (u + t), u + t, 0],
-                [u * (1 + t * u) / q, 0, 0, t * (1 + t * u)],
-            ]
-        )
-    # six-vertex families carry no dedicated rational form; fall back to x.
-    x = u_to_x(u)
-    return build_R(spec, SpectralPoint.from_x(x), ordering=ordering, form=form)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,14 +59,14 @@ class FamilySpec:
 
     q is the deformation parameter (nonzero). For the six-vertex families the
     unitary domain takes q = e^gamma real; for the eight-vertex families q
-    lives on the unit circle, q = e^{-i phi}. t parametrizes eight2/3/4,
-    sign selects the +- branch.
+    lives on the unit circle, q = e^{-i phi}; q is the only stored value and
+    ``phi`` is derived from it. t parametrizes eight2/3/4, sign selects the +-
+    branch.
     """
 
     family: Family
     q: complex = 1.0
     t: complex = 2.0
-    phi: float = 0.0
     sign: Sign = Sign.PLUS
 
     def __post_init__(self):
@@ -74,8 +74,6 @@ class FamilySpec:
             z = complex(getattr(self, name))
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise ValueError(f"{name} must be finite, got {z}")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
         if self.q == 0:
             raise ValueError("deformation parameter q must be nonzero")
 
@@ -89,13 +87,13 @@ class FamilySpec:
 
     @classmethod
     def eight1(cls, q: complex = None, phi: float = None, sign: Sign = Sign.PLUS) -> "FamilySpec":
-        if q is None and phi is None:
-            raise ValueError("give q or phi")
-        if phi is None:
-            phi = -float(np.angle(complex(q)))
-        if q is None:
+        if phi is not None:
+            if q is not None:
+                raise ValueError("give q or phi, not both")
             q = np.exp(-1j * phi)
-        return cls(Family.EIGHT_I, q=complex(q), phi=float(phi), sign=sign)
+        if q is None:
+            raise ValueError("give q or phi")
+        return cls(Family.EIGHT_I, q=complex(q), sign=sign)
 
     @classmethod
     def eight2(cls, t: complex, q: complex = 1.0, sign: Sign = Sign.PLUS) -> "FamilySpec":
@@ -111,7 +109,12 @@ class FamilySpec:
 
     @classmethod
     def bell(cls, phi: float = 0.0, sign: Sign = Sign.PLUS) -> "FamilySpec":
-        return cls(Family.BELL_PHI, q=np.exp(-1j * phi), phi=float(phi), sign=sign)
+        return cls(Family.BELL_PHI, q=np.exp(-1j * phi), sign=sign)
+
+    @property
+    def phi(self) -> float:
+        """phi with q = e^{-i phi}; defined on the eight-vertex unit-circle domain."""
+        return -float(np.angle(complex(self.q)))
 
     @property
     def gamma(self) -> float:
@@ -120,15 +123,6 @@ class FamilySpec:
         if abs(q.imag) > 1e-14 * max(1.0, abs(q.real)) or q.real <= 0:
             raise DomainError(f"gamma = log q needs real positive q, got q = {q}")
         return math.log(q.real)
-
-    def conjugate(self) -> "FamilySpec":
-        """The same family at complex-conjugated parameters."""
-        return replace(
-            self,
-            q=complex(self.q).conjugate(),
-            t=complex(self.t).conjugate(),
-            phi=-self.phi,
-        )
 
     def z_value(self) -> complex:
         """Middle-block weight z = sqrt(t^2 - 2t + 2) (eight2 only), principal branch."""
@@ -198,8 +192,9 @@ def build_b(spec: FamilySpec) -> np.ndarray:
         return cmat([[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, -1 / q]])
     if fam is Family.SIX_STD:
         return cmat([[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, q]])
-    if fam is Family.EIGHT_I:
-        return cmat([[1, 0, 0, q], [0, 1, s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]])
+    if fam in (Family.EIGHT_I, Family.BELL_PHI):
+        b = cmat([[1, 0, 0, q], [0, 1, s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]])
+        return b if fam is Family.EIGHT_I else b / np.sqrt(2)
     if fam is Family.EIGHT_II:
         z = spec.z_value()
         t = complex(spec.t)
@@ -207,9 +202,6 @@ def build_b(spec: FamilySpec) -> np.ndarray:
     if fam in (Family.EIGHT_III, Family.EIGHT_IV):
         t = complex(spec.t)
         return cmat([[t, 0, 0, q], [0, 1, s * t, 0], [0, s * t, 1, 0], [1 / q, 0, 0, t]])
-    if fam is Family.BELL_PHI:
-        e = np.exp(-1j * spec.phi)
-        return cmat([[1, 0, 0, e], [0, 1, s, 0], [0, -s, 1, 0], [-1 / e, 0, 0, 1]]) / np.sqrt(2)
     raise ValueError(f"unknown family {fam}")
 
 

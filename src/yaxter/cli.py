@@ -40,14 +40,12 @@ from .gates import cnot_via_evolution, theorem1_decomposition
 from .linalg import hermiticity_defect, mat_to_json
 from .suite import run_suite
 from .verify import (
-    conjugate_partner,
     family_inverse_unitarity,
-    matrix_norm_factor,
     rho_formula,
     scan_braid,
     scan_qybe,
     scan_unitarity,
-    unitarity_residual,
+    unitarity_gap,
 )
 
 DEFAULT_TOLS = {"braid": 1e-11, "qybe": 1e-9, "unitarity": 1e-10, "inverse-unitarity": 1e-9}
@@ -138,9 +136,19 @@ def _add_point_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--form", choices=["canonical", "g"], default="canonical")
 
 
+def _count_at_least(low: int):
+    """argparse type: an integer >= low (anything else is a usage error, exit 2)."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return parse
+
+
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_count_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--output", choices=["json", "pretty"], default="json")
 
@@ -166,21 +174,14 @@ def _spec_from_args(args) -> FamilySpec:
         if q is not None:
             raise DomainError("give --q or --gamma, not both")
         q = float(np.exp(args.gamma))
-    phi = args.phi
-    if phi is not None:
+    if args.phi is not None:
         if q is not None:
             raise DomainError("give --q or --phi, not both")
-        q = complex(np.exp(-1j * phi))
-    if q is None:
-        q = 1.0
-        phi = 0.0
-    if phi is None:
-        phi = -float(np.angle(complex(q)))
+        q = complex(np.exp(-1j * args.phi))
     return FamilySpec(
         family,
-        q=q,
+        q=q if q is not None else 1.0,
         t=t if t is not None else 2.0,
-        phi=float(phi),
         sign=Sign(args.sign),
     )
 
@@ -282,14 +283,7 @@ def _cmd_check(args) -> int:
     if kind == "unitarity":
         point = _point_from_args(args, required=False)
         if point is not None:
-            x = family_x(spec, point)
-            violation = spec.domain_violation(x)
-            if violation is not None:
-                raise DomainError(violation)
-            r = build_R(spec, point)
-            rho_est, residual = unitarity_residual(r, conjugate_partner(spec, point))
-            rho_ref = matrix_norm_factor(spec, point)
-            gap = residual / rho_est + abs(rho_est - rho_ref) / rho_ref
+            gap, rho_est = unitarity_gap(spec, point)
             payload = {
                 "check": kind,
                 "family": family.value,
@@ -309,8 +303,7 @@ def _cmd_check(args) -> int:
         point = _point_from_args(args, required=False)
         if point is None:
             raise DomainError("inverse-unitarity needs a spectral point (--x)")
-        x = complex(point.x())
-        measured, expected = family_inverse_unitarity(spec, x)
+        measured, expected = family_inverse_unitarity(spec, family_x(spec, point))
         gap = abs(measured - expected)
         payload = {
             "check": kind,
@@ -439,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p)
     _add_point_args(p)
     _add_run_args(p)
-    p.add_argument("--probes", type=int, default=1000)
+    p.add_argument("--probes", type=_count_at_least(0), default=1000)
     p.add_argument("--locus", default=None,
                    help="8 comma-separated floats (re,im per one-qubit factor): "
                         "test the non-entangling locus instead of searching")

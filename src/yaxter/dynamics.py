@@ -26,12 +26,12 @@ cos(theta) b + sin(theta) b^{-1} the generator is the constant 2 H_pm
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
-from .baxterize import SpectralPoint, build_R, eight4_g_factors
+from .baxterize import SpectralPoint, build_R, eight4_g_factors, reference_gauge
 from .catalog import DomainError, Family, FamilySpec, build_b
 from .gates import PAULI, tensor
 from .linalg import dagger, expm_hermitian, frobenius, hermiticity_defect, identity
@@ -60,18 +60,21 @@ class Hamiltonian:
             raise ValueError(f"Hamiltonian is not Hermitian: defect {defect:.3e}")
 
 
+def _dynamics_gauge(spec: FamilySpec, p: SpectralPoint) -> complex:
+    """Scalar the emitted matrix carries over the dynamics gauge: the six-vertex
+    families run in their trigonometric reference gauge, the others as emitted."""
+    if spec.family not in (Family.SIX_NONSTD, Family.SIX_STD):
+        return 1.0
+    if p.kind != "theta":
+        raise ValueError("six-vertex dynamics runs along the theta curve")
+    return reference_gauge(spec, p)
+
+
 def gauge_rho(spec: FamilySpec, p: SpectralPoint) -> float:
     """Normalization factor of the dynamics gauge matrix at p (must be > 0)."""
     from .verify import matrix_norm_factor
 
-    fam = spec.family
-    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
-        theta = float(np.real(p.theta())) if p.kind == "theta" else None
-        if theta is None:
-            raise ValueError("six-vertex dynamics runs along the theta curve")
-        rho = np.sinh(spec.gamma) ** 2 + np.sin(theta) ** 2
-    else:
-        rho = matrix_norm_factor(spec, p)
+    rho = matrix_norm_factor(spec, p) / abs(_dynamics_gauge(spec, p)) ** 2
     if rho <= 1e-14:
         raise DomainError(f"normalization factor degenerates (rho = {rho:.3e}) at {p}")
     return float(rho)
@@ -79,16 +82,7 @@ def gauge_rho(spec: FamilySpec, p: SpectralPoint) -> float:
 
 def gauge_unitary(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
     """U = rho^{-1/2} R in the dynamics gauge: exactly unitary on the domain curve."""
-    fam = spec.family
-    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
-        if p.kind != "theta":
-            raise ValueError("six-vertex dynamics runs along the theta curve")
-        theta = float(np.real(p.value))
-        full = build_R(spec, SpectralPoint.from_theta(theta))
-        m = full / (2 * np.exp(1j * theta))  # drop the overall 2 e^{i theta}
-        return m / np.sqrt(gauge_rho(spec, p))
-    r = build_R(spec, p)
-    return r / np.sqrt(gauge_rho(spec, p))
+    return build_R(spec, p) / _dynamics_gauge(spec, p) / np.sqrt(gauge_rho(spec, p))
 
 
 def _fd_curve(spec: FamilySpec, p: SpectralPoint):
@@ -166,7 +160,7 @@ def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
         hmat = _six_vertex_closed(g, theta, fam is Family.SIX_STD, np.cosh(g))
         return Hamiltonian(hmat, HamiltonianSource.CLOSED_FORM, spec, point)
     if fam is Family.EIGHT_I:
-        b = build_b(FamilySpec.bell(phi=spec.phi, sign=spec.sign))
+        b = build_b(replace(spec, family=Family.BELL_PHI))
         hmat = -0.5j * (b @ b)
         return Hamiltonian(hmat, HamiltonianSource.CLOSED_FORM, spec, point)
     if fam is Family.EIGHT_II:
@@ -210,7 +204,7 @@ def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
 
 def eight1_x_hamiltonian(spec: FamilySpec, x: float) -> np.ndarray:
     """H(x) = -i b(phi)^2 / (1 + x^2): the eight1 generator along the real-x curve."""
-    b = build_b(FamilySpec.bell(phi=spec.phi, sign=spec.sign))
+    b = build_b(replace(spec, family=Family.BELL_PHI))
     return -1j / (1.0 + x * x) * (b @ b)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baxterize import SpectralPoint, ThetaConvention, build_R, family_x, x_to_u
+from .baxterize import SpectralPoint, ThetaConvention, build_R, family_x, reference_gauge, x_to_u
 from .catalog import Family, FamilySpec
 from .linalg import frobenius, identity
 
@@ -130,11 +130,8 @@ def closed_form_zero(spec: FamilySpec, p: SpectralPoint) -> bool:
 
 def classification_gauge_R(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
     """The gauge in which the closed-form determinants below are stated."""
-    fam = spec.family
-    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
-        theta = complex(p.theta(ThetaConvention.HALF)).real
-        full = build_R(spec, SpectralPoint.from_theta(theta))
-        return full / (2 * np.exp(1j * theta))
+    if spec.family in (Family.SIX_NONSTD, Family.SIX_STD):
+        return build_R(spec, p) / reference_gauge(spec, p)
     u = x_to_u(family_x(spec, p))
     return build_R(spec, SpectralPoint.from_u(u))
 

@@ -7,11 +7,11 @@ The QYBE residual is the Frobenius norm of
 on the 8-dimensional space. Unitarity is checked as R(x) R(x)^dag = rho * 1
 with rho > 0 the family's normalization factor; rho^{-1/2} R(x) is the
 physical gate. The closed-form rho per family (stated for each family's
-reference gauge) is:
+reference gauge, ``baxterize.reference_gauge``) is:
 
     six-vertex    sinh^2 gamma + sin^2 theta      (x = e^{2 i theta}, q = e^gamma;
-                                                   the emitted matrix carries an extra
-                                                   overall 2 e^{i theta}, so a factor 4)
+                                                   the x-form is 2 e^{i theta} times the
+                                                   trigonometric form, so a factor 4)
     eight1        2 (1 + x^2)                     (real x)
     eight2        4 + (t-1)^2 (2 - x - xbar)      (|x| = |q| = 1, real t)
     eight3        t^2 (2 - x - xbar) + 2 + x + xbar
@@ -23,6 +23,7 @@ reference gauge) is:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,9 +36,11 @@ from .baxterize import (
     compose_u,
     eight4_g_factors,
     family_x,
+    gauge,
+    reference_gauge,
 )
 from .catalog import DomainError, Family, FamilySpec, Sign, build_b, braid_residual
-from .linalg import frobenius, identity
+from .linalg import dagger, frobenius, identity
 
 I2 = identity(2)
 I4 = identity(4)
@@ -102,29 +105,30 @@ def unitarity_residual(r: np.ndarray, rconj: np.ndarray) -> tuple[float, float]:
     return rho, res
 
 
-def point_conjugate(spec: FamilySpec, p: SpectralPoint) -> SpectralPoint:
-    """The spectral point whose x equals conj(x(p)) under the family's convention."""
-    if p.kind == "theta":
-        if spec.family is Family.EIGHT_I:
-            return p  # x = tan(theta) is already real
-        return SpectralPoint.from_theta(-float(np.real(p.value)))
-    return p.conjugate()
-
-
 def conjugate_partner(
     spec: FamilySpec,
     p: SpectralPoint,
     ordering: EigOrdering | None = None,
     form: str = "canonical",
 ) -> np.ndarray:
-    """R^dag(xbar): rebuild at conjugated parameters and transpose.
+    """R^dag(xbar), the Hermitian adjoint of the built matrix R(x)."""
+    return dagger(build_R(spec, p, ordering=ordering, form=form))
 
-    Conjugating every parameter conjugates each matrix entry (the entries are
-    analytic in the parameters), so the transpose of the rebuilt matrix is the
-    Hermitian adjoint of R(x).
+
+def unitarity_gap(spec: FamilySpec, p: SpectralPoint) -> tuple[float, float]:
+    """(gap, rho_est) for rho^{-1/2} R at one point of the family's unitary domain.
+
+    The gap adds the relative residual of R R^dag = rho 1 and the relative
+    distance of rho_est from the closed form, and is at least the unitarity
+    defect of R / sqrt(rho_est). Off the domain a DomainError names the
+    violated constraint; a non-finite residual gives a non-finite gap.
     """
-    rebuilt = build_R(spec.conjugate(), point_conjugate(spec, p), ordering=ordering, form=form)
-    return rebuilt.T
+    rho_ref = matrix_norm_factor(spec, p)
+    r = build_R(spec, p)
+    rho_est, res = unitarity_residual(r, dagger(r))
+    gap = res / rho_est + abs(rho_est - rho_ref) / rho_ref
+    u = r / np.sqrt(rho_est)
+    return float(np.maximum(gap, frobenius(u @ dagger(u) - I4))), rho_est
 
 
 @dataclass(frozen=True)
@@ -175,17 +179,10 @@ def rho_formula(spec: FamilySpec, p: SpectralPoint) -> NormFactor:
 
 
 def matrix_norm_factor(spec: FamilySpec, p: SpectralPoint, form: str = "canonical") -> float:
-    """rho of the matrix ``build_R(spec, p)`` actually emits (gauge included)."""
-    fam = spec.family
+    """rho of the matrix ``build_R(spec, p, form=form)`` emits: the closed-form
+    rho times |gauge * reference_gauge|^2 from the gauge table."""
     base = rho_formula(spec, p).rho
-    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
-        return 4.0 * base
-    if fam is Family.EIGHT_I and p.kind == "theta":
-        return 1.0
-    if fam is Family.EIGHT_IV and form != "g":
-        g1, _ = eight4_g_factors(spec, family_x(spec, p))
-        return float(abs(g1) ** 2) * base
-    return base
+    return float(abs(gauge(spec, p, form) * reference_gauge(spec, p, form)) ** 2) * base
 
 
 def inverse_unitarity(builder: Callable[[complex], np.ndarray], x: complex,
@@ -249,7 +246,7 @@ def sample_spec(family: Family, rng: np.random.Generator) -> FamilySpec:
         return FamilySpec(family, q=float(np.exp(gamma)))
     if family in (Family.EIGHT_I, Family.BELL_PHI):
         phi = float(rng.uniform(0.0, 2 * np.pi))
-        return FamilySpec(family, q=complex(np.exp(-1j * phi)), phi=phi, sign=sign)
+        return FamilySpec(family, q=complex(np.exp(-1j * phi)), sign=sign)
     # eight2/3/4: real t clear of the eigenvalue-collapse points {0, +-1}
     t = float(rng.uniform(1.2, 2.8)) * (1 if rng.integers(2) == 0 else -1)
     phi = float(rng.uniform(0.0, 2 * np.pi))
@@ -270,14 +267,25 @@ def sample_domain_point(spec: FamilySpec, rng: np.random.Generator) -> SpectralP
     return SpectralPoint.from_x(complex(np.exp(1j * theta)))
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"a scan needs at least one sample, got {samples}")
+
+
+def _worse(res: float, worst: float) -> bool:
+    """True when res replaces worst as the scan's max; a NaN always does."""
+    return res > worst or math.isnan(res)
+
+
 def scan_braid(family: Family, samples: int, seed: int, tol: float = 1e-11) -> ResidualReport:
     """Max braid residual of build_b over seeded parameter points."""
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     worst, worst_case = -1.0, None
     for _ in range(samples):
         spec = sample_spec(family, rng)
         res = braid_residual(build_b(spec))
-        if res > worst:
+        if _worse(res, worst):
             worst, worst_case = res, {"q": _cpair(spec.q), "t": _cpair(spec.t),
                                       "sign": spec.sign.value}
     return ResidualReport(residual=worst, tolerance=tol, worst_case=worst_case)
@@ -296,6 +304,7 @@ def scan_qybe(
     kind = "x" uses multiplicative composition on the family's domain,
     kind = "theta" the additive law, kind = "u" the rational law.
     """
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     builder = family_builder(spec, kind, ordering=ordering)
     worst, worst_case = -1.0, None
@@ -316,7 +325,7 @@ def scan_qybe(
             res = qybe_residual_rational(builder, a, b)
         else:
             raise ValueError(f"unknown parametrization kind {kind!r}")
-        if res > worst:
+        if _worse(res, worst):
             worst, worst_case = res, {"first": _cpair(a), "second": _cpair(b), "kind": kind}
     return ResidualReport(residual=worst, tolerance=tol, worst_case=worst_case)
 
@@ -331,8 +340,9 @@ def scan_unitarity(
     """Max deviation of rho^{-1/2} R(x) from unitarity over seeded domain points.
 
     Also cross-checks the estimated rho against the closed formula (through
-    the documented gauge factor); the worst residual covers both gaps.
+    the gauge table); the worst residual covers both gaps.
     """
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     worst, worst_case = -1.0, None
     for _ in range(samples):
@@ -341,14 +351,8 @@ def scan_unitarity(
             spec = FamilySpec(family, q=spec.q, t=complex(0, float(np.real(spec.t))),
                               sign=spec.sign)
         p = sample_domain_point(spec, rng)
-        r = build_R(spec, p)
-        rconj = conjugate_partner(spec, p)
-        rho_est, res = unitarity_residual(r, rconj)
-        rho_ref = matrix_norm_factor(spec, p)
-        gap = res / rho_est + abs(rho_est - rho_ref) / rho_ref
-        u = r / np.sqrt(rho_est)
-        gap = max(gap, frobenius(u @ u.conj().T - I4))
-        if gap > worst:
+        gap, rho_est = unitarity_gap(spec, p)
+        if _worse(gap, worst):
             worst, worst_case = gap, {"q": _cpair(spec.q), "t": _cpair(spec.t),
                                       "x": _cpair(family_x(spec, p)),
                                       "sign": spec.sign.value, "rho": float(rho_est)}

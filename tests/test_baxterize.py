@@ -9,6 +9,7 @@ from yaxter.baxterize import (
     compose_u,
     degeneracy_note,
     eight4_g_factors,
+    family_x,
     formula_R,
     ordered_eigenvalues,
     reparam,
@@ -18,8 +19,8 @@ from yaxter.baxterize import (
     yb_two,
 )
 from yaxter.catalog import DomainError, Family, FamilySpec, Sign, build_b, eigenvalues_of
-from yaxter.linalg import frobenius, identity, inverse
-from yaxter.verify import sample_spec
+from yaxter.linalg import dagger, frobenius, identity, inverse
+from yaxter.verify import conjugate_partner, sample_spec
 
 X = SpectralPoint.from_x
 TH = SpectralPoint.from_theta
@@ -306,3 +307,49 @@ def test_degeneracy_note_at_x_one():
     spec = FamilySpec.six_nonstd(gamma=0.3)
     assert "identity" in degeneracy_note(spec, X(1.0))
     assert degeneracy_note(spec, X(0.5)) is None
+
+
+# --- the gauge table -------------------------------------------------------------
+
+def table_gauge(spec, p, form):
+    """The gauge table of ``build_R``, written out independently."""
+    fam = spec.family
+    if p.kind == "theta" and fam is Family.EIGHT_I:
+        return np.cos(p.value.real) / np.sqrt(2)
+    if p.kind == "u" and fam not in (Family.SIX_NONSTD, Family.SIX_STD):
+        power = 2 if fam is Family.EIGHT_IV and form == "canonical" else 1
+        return (1 + u_to_x(p.value)) ** -power
+    return 1.0
+
+
+VARIANTS = [(f, None, "canonical") for f in R_FAMILIES] + [
+    (Family.EIGHT_III, EigOrdering.SECOND, "canonical"),
+    (Family.EIGHT_IV, None, "g"),
+]
+
+
+@pytest.mark.parametrize("family,ordering,form", VARIANTS,
+                         ids=lambda v: getattr(v, "value", v))
+def test_every_view_is_a_scalar_gauge_on_the_x_form(family, ordering, form):
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        spec = sample_spec(family, rng)
+        points = (
+            X(complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))),
+            TH(float(rng.uniform(-1.2, 1.2))),
+            U(complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))),
+        )
+        for p in points:
+            r = build_R(spec, p, ordering=ordering, form=form)
+            x_form = build_R(spec, X(family_x(spec, p)), ordering=ordering, form=form)
+            want = table_gauge(spec, p, form) * x_form
+            assert frobenius(r - want) <= 1e-15 * frobenius(want)
+            partner = conjugate_partner(spec, p, ordering=ordering, form=form)
+            assert np.array_equal(partner, dagger(r))
+
+
+def test_eight1_theta_form_reads_q():
+    spec = FamilySpec.eight1(q=2.0)
+    th = 0.4
+    want = np.cos(th) / np.sqrt(2) * build_R(spec, X(np.tan(th)))
+    assert frobenius(build_R(spec, TH(th)) - want) <= 1e-15 * frobenius(want)

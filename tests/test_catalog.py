@@ -117,11 +117,14 @@ def test_domain_violations_are_named():
     assert "real or pure imaginary" in spec.domain_violation()
 
 
-def test_conjugate_spec():
-    spec = FamilySpec.eight2(t=1.5, q=np.exp(0.3j), sign=Sign.MINUS)
-    conj = spec.conjugate()
-    assert conj.q == np.conj(spec.q) and conj.t == np.conj(spec.t)
-    assert conj.sign is Sign.MINUS
+def test_q_is_the_only_stored_parameter():
+    with pytest.raises(TypeError):
+        FamilySpec(Family.EIGHT_I, q=2, phi=0)
+    with pytest.raises(ValueError, match="not both"):
+        FamilySpec.eight1(q=1.0, phi=0.3)
+    spec = FamilySpec.eight1(phi=0.9)
+    assert spec.q == np.exp(-0.9j) and spec.phi == pytest.approx(0.9)
+    assert FamilySpec.bell(phi=0.9).q == spec.q
 
 
 # --- eight-vertex constraint system ------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from yaxter.baxterize import EigOrdering, SpectralPoint, build_R
+from yaxter.baxterize import EigOrdering, SpectralPoint, build_R, x_to_u
 from yaxter.catalog import DomainError, Family, FamilySpec, Sign, build_b
 from yaxter.linalg import dagger, frobenius, identity
 from yaxter.verify import (
@@ -21,6 +21,7 @@ from yaxter.verify import (
     scan_braid,
     scan_qybe,
     scan_unitarity,
+    unitarity_gap,
     unitarity_residual,
 )
 
@@ -131,6 +132,22 @@ def test_conjugate_partner_equals_adjoint(family):
         spec = sample_spec(family, rng)
         p = sample_domain_point(spec, rng)
         assert frobenius(conjugate_partner(spec, p) - dagger(build_R(spec, p))) < 1e-12
+
+
+@pytest.mark.parametrize("family", R_FAMILIES)
+def test_unitarity_gap_holds_in_every_view(family):
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        spec = sample_spec(family, rng)
+        x = complex(sample_domain_point(spec, rng).value)
+        if family is Family.EIGHT_I:
+            theta = np.arctan(x.real)
+        else:
+            theta = np.angle(x) / (2 if family in (Family.SIX_NONSTD, Family.SIX_STD) else 1)
+        for p in (X(x), TH(theta), SpectralPoint.from_u(x_to_u(x))):
+            gap, rho = unitarity_gap(spec, p)
+            assert gap < 1e-12
+            assert abs(rho - matrix_norm_factor(spec, p)) < 1e-12 * rho
 
 
 def test_conjugate_partner_eight1_theta_form():
@@ -274,3 +291,43 @@ def test_scan_unitarity_passes(family):
 def test_scan_unitarity_imaginary_branch():
     report = scan_unitarity(Family.EIGHT_IV, samples=30, seed=14, imaginary_t=True)
     assert report.passed
+
+
+# --- fail-closed scans --------------------------------------------------------------
+
+SCANS = {
+    "braid": lambda samples: scan_braid(Family.EIGHT_II, samples=samples, seed=3),
+    "qybe": lambda samples: scan_qybe(FamilySpec.eight3(t=2.1, q=np.exp(0.33j)),
+                                      samples=samples, seed=3),
+    "unitarity": lambda samples: scan_unitarity(Family.EIGHT_IV, samples=samples, seed=3),
+}
+
+
+@pytest.mark.parametrize("what", SCANS)
+@pytest.mark.parametrize("samples", [0, -2])
+def test_scan_without_samples_is_rejected(what, samples):
+    with pytest.raises(ValueError, match="at least one sample"):
+        SCANS[what](samples)
+
+
+@pytest.mark.parametrize("what,kernel", [("braid", "braid_residual"),
+                                         ("qybe", "qybe_residual"),
+                                         ("unitarity", "unitarity_residual")])
+def test_scan_with_a_nan_sample_fails(what, kernel, monkeypatch):
+    import yaxter.verify as verify
+
+    real = getattr(verify, kernel)
+    calls = []
+
+    def poisoned(*args):
+        calls.append(None)
+        out = real(*args)
+        if len(calls) != 4:
+            return out
+        return (out[0], float("nan")) if kernel == "unitarity_residual" else float("nan")
+
+    monkeypatch.setattr(verify, kernel, poisoned)
+    report = SCANS[what](10)
+    assert len(calls) == 10
+    assert np.isnan(report.residual)
+    assert not report.passed
