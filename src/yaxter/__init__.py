@@ -55,7 +55,6 @@ from .gates import (
 from .linalg import expm_hermitian, inverse, mat_from_json, mat_to_json, spectral_projectors, tensor
 from .suite import run_suite
 from .verify import (
-    NormFactor,
     ResidualReport,
     conjugate_partner,
     inverse_unitarity,

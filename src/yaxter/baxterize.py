@@ -67,6 +67,8 @@ class SpectralPoint:
     def __post_init__(self):
         if self.kind not in ("x", "theta", "u"):
             raise ValueError(f"unknown spectral kind {self.kind!r}")
+        if not cmath.isfinite(self.value):
+            raise ValueError(f"spectral {self.kind} must be finite, got {self.value}")
 
     @classmethod
     def from_x(cls, x: complex) -> "SpectralPoint":

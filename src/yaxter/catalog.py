@@ -17,6 +17,7 @@ Unitary-domain conventions per family are exposed by
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -51,6 +52,24 @@ THREE_EIGENVALUE_FAMILIES = (Family.EIGHT_III, Family.EIGHT_IV)
 
 class DomainError(ValueError):
     """A parameter point violates a family's unitary-domain constraint."""
+
+
+#: tolerance of the unitary-domain predicates below; a NaN is in no domain.
+DOMAIN_TOL = 1e-12
+
+
+def is_real(z) -> bool:
+    z = complex(z)
+    return cmath.isfinite(z) and abs(z.imag) < DOMAIN_TOL * max(1.0, abs(z))
+
+
+def is_imag(z) -> bool:
+    z = complex(z)
+    return cmath.isfinite(z) and abs(z.real) < DOMAIN_TOL * max(1.0, abs(z))
+
+
+def on_unit_circle(z) -> bool:
+    return abs(abs(complex(z)) - 1.0) < DOMAIN_TOL
 
 
 @dataclass(frozen=True)
@@ -138,35 +157,32 @@ class FamilySpec:
         eight4 needs |q| = 1 and either (real t, |x| = 1) or (imaginary t, real x).
         """
         q, t = complex(self.q), complex(self.t)
-        on_circle = lambda z: abs(abs(z) - 1.0) < 1e-12
-        is_real = lambda z: abs(z.imag) < 1e-12 * max(1.0, abs(z))
-        is_imag = lambda z: abs(z.real) < 1e-12 * max(1.0, abs(z))
         fam = self.family
         if fam in (Family.SIX_NONSTD, Family.SIX_STD):
             if not is_real(q):
                 return f"six-vertex unitarity needs real q, got q = {q}"
-            if x is not None and not on_circle(complex(x)):
+            if x is not None and not on_unit_circle(x):
                 return f"six-vertex unitarity needs |x| = 1, got |x| = {abs(x):.6g}"
         elif fam in (Family.EIGHT_I, Family.BELL_PHI):
-            if not on_circle(q):
+            if not on_unit_circle(q):
                 return f"{fam.value} unitarity needs |q| = 1, got |q| = {abs(q):.6g}"
-            if fam is Family.EIGHT_I and x is not None and not is_real(complex(x)):
+            if fam is Family.EIGHT_I and x is not None and not is_real(x):
                 return f"eight1 unitarity needs real x, got x = {x}"
         elif fam in (Family.EIGHT_II, Family.EIGHT_III):
-            if not on_circle(q):
+            if not on_unit_circle(q):
                 return f"{fam.value} unitarity needs |q| = 1, got |q| = {abs(q):.6g}"
             if not is_real(t):
                 return f"{fam.value} unitarity needs real t, got t = {t}"
-            if x is not None and not on_circle(complex(x)):
+            if x is not None and not on_unit_circle(x):
                 return f"{fam.value} unitarity needs |x| = 1, got |x| = {abs(x):.6g}"
         elif fam is Family.EIGHT_IV:
-            if not on_circle(q):
+            if not on_unit_circle(q):
                 return f"eight4 unitarity needs |q| = 1, got |q| = {abs(q):.6g}"
             if is_real(t):
-                if x is not None and not on_circle(complex(x)):
+                if x is not None and not on_unit_circle(x):
                     return f"eight4 with real t needs |x| = 1, got |x| = {abs(x):.6g}"
             elif is_imag(t):
-                if x is not None and not is_real(complex(x)):
+                if x is not None and not is_real(x):
                     return f"eight4 with imaginary t needs real x, got x = {x}"
             else:
                 return f"eight4 unitarity needs t real or pure imaginary, got t = {t}"

@@ -6,8 +6,11 @@ classify, hamiltonian, evolve, cnot, suite. JSON goes to stdout (floats with
 diagnostics to stderr. Exit codes: 0 all checks pass, 1 a residual or
 classification check failed, 2 usage or domain error.
 
-The default tolerance is 1e-10, overridable per run with --tol or globally
-with the YAXTER_TOL environment variable.
+Each check passes below its own threshold, from ``verify.TOLERANCES`` (and
+``entangle.ENTANGLING_TOL`` for classify). ``check`` and ``classify`` take
+--tol, else the YAXTER_TOL environment variable, in place of that threshold;
+a tolerance must be finite and > 0. Each command accepts only the options it
+reads.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ from .dynamics import (
     hamiltonian_fd,
     pauli_decompose,
 )
-from .entangle import Classification, classify, nonentangling_locus_check
-from .gates import cnot_via_evolution, theorem1_decomposition
+from .entangle import ENTANGLING_TOL, Classification, classify, nonentangling_locus_check
+from .gates import CNOT_TOL, cnot_via_evolution, theorem1_decomposition
 from .linalg import hermiticity_defect, mat_to_json
 from .suite import run_suite
 from .verify import (
+    TOLERANCES,
     family_inverse_unitarity,
     rho_formula,
     scan_braid,
@@ -47,8 +51,6 @@ from .verify import (
     scan_unitarity,
     unitarity_gap,
 )
-
-DEFAULT_TOLS = {"braid": 1e-11, "qybe": 1e-9, "unitarity": 1e-10, "inverse-unitarity": 1e-9}
 
 
 def dumps_17g(obj) -> str:
@@ -132,8 +134,6 @@ def _add_point_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--u", type=float, default=None)
     p.add_argument("--u-re", type=float, default=None)
     p.add_argument("--u-im", type=float, default=None)
-    p.add_argument("--ordering", choices=[o.value for o in EigOrdering], default=None)
-    p.add_argument("--form", choices=["canonical", "g"], default="canonical")
 
 
 def _count_at_least(low: int):
@@ -146,10 +146,22 @@ def _count_at_least(low: int):
     return parse
 
 
-def _add_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--samples", type=_count_at_least(1), default=50)
-    p.add_argument("--seed", type=int, default=42)
+def _tolerance(text: str) -> float:
+    """argparse type: a finite tolerance > 0 (anything else is a usage error, exit 2)."""
+    tol = float(text)
+    if not 0 < tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {text!r}")
+    return tol
+
+
+def _add_run_args(p: argparse.ArgumentParser, *reads: str) -> None:
+    """--output, plus those of --tol, --samples and --seed that the command reads."""
+    if "tol" in reads:
+        p.add_argument("--tol", type=_tolerance, default=None)
+    if "samples" in reads:
+        p.add_argument("--samples", type=_count_at_least(1), default=50)
+    if "seed" in reads:
+        p.add_argument("--seed", type=int, default=42)
     p.add_argument("--output", choices=["json", "pretty"], default="json")
 
 
@@ -201,30 +213,26 @@ def _point_from_args(args, required: bool = True) -> SpectralPoint | None:
     return SpectralPoint(kind, complex(value))
 
 
-def _tol(args, check: str | None = None) -> float:
+def _tol(args, name: str) -> float:
+    """--tol, else YAXTER_TOL, else the threshold of check ``name`` (or "classify")."""
     if args.tol is not None:
         return args.tol
     env = os.environ.get("YAXTER_TOL")
     if env:
-        return float(env)
-    if check is not None:
-        return DEFAULT_TOLS[check]
-    return 1e-10
+        try:
+            return _tolerance(env)
+        except (argparse.ArgumentTypeError, ValueError) as err:
+            raise DomainError(f"YAXTER_TOL: {err}") from None
+    return ENTANGLING_TOL if name == "classify" else TOLERANCES[name]
 
 
-def _report_payload(kind: str, family: str, report) -> dict:
-    rho = None
-    if isinstance(report.worst_case, dict):
-        rho = report.worst_case.get("rho")
-    return {
-        "check": kind,
-        "family": family,
-        "residual": float(report.residual),
-        "rho": rho,
-        "tolerance": float(report.tolerance),
-        "pass": bool(report.passed),
-        "worst_case": report.worst_case,
-    }
+def _verdict(args, residual: float, tol: float, rho=None, worst_case=None, **extra) -> int:
+    """Emit one check's report; it passes when residual < tol, so a NaN fails."""
+    payload = {"check": args.what, "family": args.family, "residual": float(residual),
+               "rho": rho, **extra, "tolerance": float(tol), "pass": bool(residual < tol),
+               "worst_case": worst_case}
+    _emit(args, payload)
+    return 0 if payload["pass"] else 1
 
 
 def _cmd_catalog(args) -> int:
@@ -267,56 +275,29 @@ def _cmd_build(args) -> int:
 
 def _cmd_check(args) -> int:
     spec = _spec_from_args(args)
-    family = Family(args.family)
     kind = args.what
     tol = _tol(args, kind)
     if kind == "braid":
-        report = scan_braid(family, samples=args.samples, seed=args.seed, tol=tol)
-        _emit(args, _report_payload(kind, family.value, report))
-        return 0 if report.passed else 1
-    if kind == "qybe":
+        report = scan_braid(spec.family, samples=args.samples, seed=args.seed, tol=tol)
+    elif kind == "qybe":
         ordering = EigOrdering(args.ordering) if args.ordering else None
         report = scan_qybe(spec, kind=args.parametrization, samples=args.samples,
                            seed=args.seed, tol=tol, ordering=ordering)
-        _emit(args, _report_payload(kind, family.value, report))
-        return 0 if report.passed else 1
-    if kind == "unitarity":
+    elif kind == "unitarity":
         point = _point_from_args(args, required=False)
         if point is not None:
             gap, rho_est = unitarity_gap(spec, point)
-            payload = {
-                "check": kind,
-                "family": family.value,
-                "residual": float(gap),
-                "rho": float(rho_est),
-                "rho_formula": float(rho_formula(spec, point).rho),
-                "tolerance": tol,
-                "pass": bool(gap < tol),
-                "worst_case": None,
-            }
-            _emit(args, payload)
-            return 0 if payload["pass"] else 1
-        report = scan_unitarity(family, samples=args.samples, seed=args.seed, tol=tol)
-        _emit(args, _report_payload(kind, family.value, report))
-        return 0 if report.passed else 1
-    if kind == "inverse-unitarity":
+            return _verdict(args, gap, tol, rho=float(rho_est),
+                            rho_formula=float(rho_formula(spec, point)))
+        report = scan_unitarity(spec.family, samples=args.samples, seed=args.seed, tol=tol)
+    else:
         point = _point_from_args(args, required=False)
         if point is None:
             raise DomainError("inverse-unitarity needs a spectral point (--x)")
         measured, expected = family_inverse_unitarity(spec, family_x(spec, point))
-        gap = abs(measured - expected)
-        payload = {
-            "check": kind,
-            "family": family.value,
-            "residual": float(gap),
-            "rho": float(measured.real),
-            "tolerance": tol,
-            "pass": bool(gap < tol),
-            "worst_case": None,
-        }
-        _emit(args, payload)
-        return 0 if payload["pass"] else 1
-    raise DomainError(f"unknown check {kind!r}")
+        return _verdict(args, abs(measured - expected), tol, rho=float(measured.real))
+    return _verdict(args, report.residual, tol, rho=report.worst_case.get("rho"),
+                    worst_case=report.worst_case)
 
 
 def _cmd_classify(args) -> int:
@@ -331,7 +312,7 @@ def _cmd_classify(args) -> int:
         _emit(args, {"family": spec.family.value, "on_nonentangling_locus": bool(on_locus)})
         return 0
     result = classify(spec, point, probes=args.probes, seed=args.seed,
-                      tol=_tol(args) if args.tol is not None else 1e-8)
+                      tol=_tol(args, "classify"))
     witness = None
     if result.witness is not None:
         witness = [[float(z.real), float(z.imag)] for z in result.witness]
@@ -367,8 +348,7 @@ def _cmd_hamiltonian(args) -> int:
 
 def _cmd_evolve(args) -> int:
     spec = _spec_from_args(args)
-    theta = args.theta if args.theta is not None else 0.0
-    ham = hamiltonian_closed(spec, theta)
+    ham = hamiltonian_closed(spec, args.theta)
     u = evolve(ham, args.time)
     _emit(args, mat_to_json(u))
     return 0
@@ -377,15 +357,13 @@ def _cmd_evolve(args) -> int:
 def _cmd_cnot(args) -> int:
     if args.route == "theorem1":
         dec = theorem1_decomposition()
-        tol = 1e-12
     else:
         dec = cnot_via_evolution(args.phi)
-        tol = 1e-11
     payload = {
         "route": args.route,
         "residual": float(dec.residual),
         "residual_phase_aligned": float(dec.residual_phase_aligned),
-        "pass": bool(dec.residual < tol),
+        "pass": bool(dec.residual < CNOT_TOL[args.route]),
         "factors": [{"label": label, "matrix": mat_to_json(m)} for label, m in dec.factors],
     }
     _emit(args, payload)
@@ -415,23 +393,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="emit an R-matrix at a spectral point")
     _add_family_args(p)
     _add_point_args(p)
+    p.add_argument("--ordering", choices=[o.value for o in EigOrdering], default=None)
+    p.add_argument("--form", choices=["canonical", "g"], default="canonical")
     _add_run_args(p)
     p.add_argument("--via", choices=["closed", "formula"], default="closed",
                    help="conventional closed form or the raw eigenvalue formula")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("check", help="run a residual check")
-    p.add_argument("what", choices=["braid", "qybe", "unitarity", "inverse-unitarity"])
+    p.add_argument("what", choices=list(TOLERANCES))
     _add_family_args(p)
     _add_point_args(p)
-    _add_run_args(p)
+    p.add_argument("--ordering", choices=[o.value for o in EigOrdering], default=None)
+    _add_run_args(p, "tol", "samples", "seed")
     p.add_argument("--parametrization", choices=["x", "theta", "u"], default="x")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("classify", help="Brylinski classification of the gate at a point")
     _add_family_args(p)
     _add_point_args(p)
-    _add_run_args(p)
+    _add_run_args(p, "tol", "seed")
     p.add_argument("--probes", type=_count_at_least(0), default=1000)
     p.add_argument("--locus", default=None,
                    help="8 comma-separated floats (re,im per one-qubit factor): "
@@ -448,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="time-evolution operator exp(-i H time)")
     _add_family_args(p)
-    _add_point_args(p)
+    p.add_argument("--theta", type=float, default=0.0)
     _add_run_args(p)
     p.add_argument("--time", type=float, required=True)
     p.set_defaults(func=_cmd_evolve)
@@ -460,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cnot)
 
     p = sub.add_parser("suite", help="run the full verification battery")
-    _add_run_args(p)
+    _add_run_args(p, "seed")
     p.set_defaults(func=_cmd_suite)
 
     return parser

@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from .baxterize import SpectralPoint, build_R, eight4_g_factors, reference_gauge
-from .catalog import DomainError, Family, FamilySpec, build_b
+from .catalog import DomainError, Family, FamilySpec, build_b, is_imag, is_real
 from .gates import PAULI, tensor
 from .linalg import dagger, expm_hermitian, frobenius, hermiticity_defect, identity
 
@@ -56,7 +56,7 @@ class Hamiltonian:
 
     def __post_init__(self):
         defect = hermiticity_defect(self.matrix)
-        if defect > self.herm_tol * max(1.0, frobenius(self.matrix)):
+        if not defect <= self.herm_tol * max(1.0, frobenius(self.matrix)):
             raise ValueError(f"Hamiltonian is not Hermitian: defect {defect:.3e}")
 
 
@@ -94,11 +94,9 @@ def _fd_curve(spec: FamilySpec, p: SpectralPoint):
         return float(np.real(p.value)), lambda s: gauge_unitary(spec, SpectralPoint.from_theta(s))
     if p.kind == "x":
         x0 = complex(p.value)
-        if abs(x0.imag) > 1e-12:
+        if not is_real(x0):
             raise DomainError(f"real-x dynamics needs real x, got {x0}")
-        if fam is Family.EIGHT_I or (
-            fam is Family.EIGHT_IV and abs(complex(spec.t).real) < 1e-12
-        ):
+        if fam is Family.EIGHT_I or (fam is Family.EIGHT_IV and is_imag(spec.t)):
             return float(x0.real), lambda s: gauge_unitary(spec, SpectralPoint.from_x(s))
         raise ValueError(f"{fam.value} is not parametrized by real x on its unitary domain")
     raise ValueError(f"dynamics expects an x or theta point, got kind {p.kind!r}")
@@ -126,7 +124,7 @@ def hamiltonian_fd(
 
 def _real_t(spec: FamilySpec) -> float:
     t = complex(spec.t)
-    if abs(t.imag) > 1e-12 * max(1.0, abs(t)):
+    if not is_real(t):
         raise DomainError(f"{spec.family.value} closed-form Hamiltonian needs real t, got {t}")
     return float(t.real)
 

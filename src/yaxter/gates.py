@@ -34,6 +34,9 @@ I2 = np.eye(2, dtype=complex)
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
+#: pass threshold of each CNOT synthesis route on its residual from CNOT.
+CNOT_TOL = {"theorem1": 1e-12, "evolution": 1e-11}
+
 PAULI = {"i": I2, "x": SX, "y": SY, "z": SZ}
 
 
@@ -57,14 +60,14 @@ class OneQubitGate:
 
     def __post_init__(self):
         u = np.asarray(self.matrix, dtype=complex)
-        if frobenius(u @ dagger(u) - I2) > 1e-12:
+        if not frobenius(u @ dagger(u) - I2) <= 1e-12:
             raise ValueError(f"gate {self.label!r} is not unitary")
 
 
 def rotation(axis, theta: float) -> OneQubitGate:
     """D_n(theta) = exp(-i (sigma . n) theta / 2) about a unit axis n."""
     n = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(n) - 1.0) <= 1e-12:
         raise ValueError(f"rotation axis must be a unit vector, got |n| = {np.linalg.norm(n)}")
     sn = n[0] * SX + n[1] * SY + n[2] * SZ
     u = np.cos(theta / 2.0) * I2 - 1j * np.sin(theta / 2.0) * sn

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_ATOL = 1e-10
-DEFAULT_RTOL = 1e-10
 
 # Scale-aware singularity threshold: |det A| < SINGULAR_EPS * max|A_ij|**dim.
 SINGULAR_EPS = 1e-12
@@ -79,11 +78,11 @@ def spectral_projectors(
     """
     b = np.asarray(b, dtype=complex)
     scale = max(1.0, float(np.abs(b).max())) ** 2
-    if abs(lam1 - lam2) <= tol * max(1.0, abs(lam1), abs(lam2)):
+    if not abs(lam1 - lam2) > tol * max(1.0, abs(lam1), abs(lam2)):
         raise DegenerateSpectrumError(f"eigenvalues coincide: {lam1} ~ {lam2}")
     eye = identity(b.shape[0])
     minimal = (b - lam1 * eye) @ (b - lam2 * eye)
-    if frobenius(minimal) > tol * scale:
+    if not frobenius(minimal) <= tol * scale:
         raise NotTwoEigenvalueError(
             f"(b - {lam1})(b - {lam2}) has norm {frobenius(minimal):.3e}; "
             "matrix is not annihilated by the two-eigenvalue polynomial"
@@ -96,9 +95,10 @@ def spectral_projectors(
 def inverse(a: np.ndarray, context: str = "") -> np.ndarray:
     """Matrix inverse with a scale-aware singularity guard."""
     a = np.asarray(a, dtype=complex)
-    det = np.linalg.det(a)
+    with np.errstate(invalid="ignore"):  # a NaN det fails the comparison below
+        det = np.linalg.det(a)
     scale = float(np.abs(a).max()) ** a.shape[0]
-    if abs(det) < SINGULAR_EPS * max(scale, 1e-300):
+    if not abs(det) >= SINGULAR_EPS * max(scale, 1e-300):
         where = f" at {context}" if context else ""
         raise SingularMatrixError(f"matrix is singular{where}: |det| = {abs(det):.3e}")
     return np.linalg.inv(a)

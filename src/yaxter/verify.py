@@ -39,11 +39,14 @@ from .baxterize import (
     gauge,
     reference_gauge,
 )
-from .catalog import DomainError, Family, FamilySpec, Sign, build_b, braid_residual
+from .catalog import DomainError, Family, FamilySpec, Sign, build_b, braid_residual, is_imag
 from .linalg import dagger, frobenius, identity
 
 I2 = identity(2)
 I4 = identity(4)
+
+#: pass thresholds of the residual checks, shared by the scans, the suite and the CLI.
+TOLERANCES = {"braid": 1e-11, "qybe": 1e-9, "unitarity": 1e-10, "inverse-unitarity": 1e-9}
 
 
 class DegenerateNormalizationError(ValueError):
@@ -121,9 +124,12 @@ def unitarity_gap(spec: FamilySpec, p: SpectralPoint) -> tuple[float, float]:
     The gap adds the relative residual of R R^dag = rho 1 and the relative
     distance of rho_est from the closed form, and is at least the unitarity
     defect of R / sqrt(rho_est). Off the domain a DomainError names the
-    violated constraint; a non-finite residual gives a non-finite gap.
+    violated constraint, and a closed-form rho that overflows raises a
+    DomainError before R is built; a non-finite residual gives a non-finite gap.
     """
     rho_ref = matrix_norm_factor(spec, p)
+    if not math.isfinite(rho_ref):
+        raise DomainError(f"closed-form rho = {rho_ref} is not finite at x = {family_x(spec, p)}")
     r = build_R(spec, p)
     rho_est, res = unitarity_residual(r, dagger(r))
     gap = res / rho_est + abs(rho_est - rho_ref) / rho_ref
@@ -131,15 +137,12 @@ def unitarity_gap(spec: FamilySpec, p: SpectralPoint) -> tuple[float, float]:
     return float(np.maximum(gap, frobenius(u @ dagger(u) - I4))), rho_est
 
 
-@dataclass(frozen=True)
-class NormFactor:
-    rho: float
-    spec: FamilySpec
-    domain_note: str
+def rho_formula(spec: FamilySpec, p: SpectralPoint) -> float:
+    """Closed-form normalization factor on the family's unitary domain.
 
-
-def rho_formula(spec: FamilySpec, p: SpectralPoint) -> NormFactor:
-    """Closed-form normalization factor on the family's unitary domain."""
+    Squares are written as products so that an overflow gives inf, not an
+    OverflowError.
+    """
     x = family_x(spec, p)
     violation = spec.domain_violation(x)
     if violation is not None:
@@ -147,53 +150,40 @@ def rho_formula(spec: FamilySpec, p: SpectralPoint) -> NormFactor:
     fam = spec.family
     rex = float(np.real(x))
     if fam in (Family.SIX_NONSTD, Family.SIX_STD):
-        g = spec.gamma
-        sin2 = (2.0 - 2.0 * rex) / 4.0  # sin^2 theta for x = e^{2 i theta}
-        rho = np.sinh(g) ** 2 + sin2
-        note = "six-vertex; emitted matrix carries overall 2 e^{i theta}, gauge factor 4"
-    elif fam is Family.EIGHT_I:
-        rho = 2.0 * (1.0 + rex * rex)
-        note = "eight1 on real x; gauge factor 1 for the x-form, rho = 1 for the theta-form"
-    elif fam is Family.EIGHT_II:
+        sh = float(np.sinh(spec.gamma))
+        return sh * sh + (2.0 - 2.0 * rex) / 4.0  # sin^2 theta for x = e^{2 i theta}
+    if fam is Family.EIGHT_I:
+        return 2.0 * (1.0 + rex * rex)
+    if fam is Family.EIGHT_II:
         t = float(np.real(spec.t))
-        rho = 4.0 + (t - 1.0) ** 2 * (2.0 - 2.0 * rex)
-        note = "eight2 on the unit circle, real t; gauge factor 1"
-    elif fam is Family.EIGHT_III:
+        return 4.0 + (t - 1.0) * (t - 1.0) * (2.0 - 2.0 * rex)
+    if fam is Family.EIGHT_III:
         t = float(np.real(spec.t))
-        rho = t * t * (2.0 - 2.0 * rex) + 2.0 + 2.0 * rex
-        note = "eight3 on the unit circle, real t; gauge factor 1"
-    elif fam is Family.EIGHT_IV:
-        t = complex(spec.t)
-        g1, g2 = eight4_g_factors(spec, x)
-        rho = abs(g2) ** 2
-        if abs(t.imag) < 1e-12 * max(1.0, abs(t)):
-            note = "eight4, real t on the unit circle: rho = |g2|^2; canonical gauge factor |g1|^2"
-        else:
-            note = "eight4, imaginary t on real x: rho = |g2|^2; canonical gauge factor |g1|^2"
-    elif fam is Family.BELL_PHI:
-        rho = 1.0
-        note = "bell-phi braid matrices are exactly unitary"
-    else:
-        raise ValueError(f"unknown family {fam}")
-    return NormFactor(rho=float(rho), spec=spec, domain_note=note)
+        return t * t * (2.0 - 2.0 * rex) + 2.0 + 2.0 * rex
+    if fam is Family.EIGHT_IV:
+        g2 = abs(eight4_g_factors(spec, x)[1])
+        return g2 * g2
+    if fam is Family.BELL_PHI:
+        return 1.0  # bell-phi braid matrices are exactly unitary
+    raise ValueError(f"unknown family {fam}")
 
 
 def matrix_norm_factor(spec: FamilySpec, p: SpectralPoint, form: str = "canonical") -> float:
     """rho of the matrix ``build_R(spec, p, form=form)`` emits: the closed-form
     rho times |gauge * reference_gauge|^2 from the gauge table."""
-    base = rho_formula(spec, p).rho
-    return float(abs(gauge(spec, p, form) * reference_gauge(spec, p, form)) ** 2) * base
+    g = abs(gauge(spec, p, form) * reference_gauge(spec, p, form))
+    return float(g * g) * rho_formula(spec, p)
 
 
 def inverse_unitarity(builder: Callable[[complex], np.ndarray], x: complex,
-                      tol: float = 1e-9) -> complex:
+                      tol: float = TOLERANCES["inverse-unitarity"]) -> complex:
     """Proportionality scalar of R(x) R(1/x), which must be a multiple of 1."""
     if x == 0:
         raise DomainError("inverse unitarity needs x != 0")
     prod = builder(x) @ builder(1 / x)
     scalar = complex(np.trace(prod) / 4.0)
     gap = frobenius(prod - scalar * I4)
-    if gap > tol * max(1.0, abs(scalar)):
+    if not gap <= tol * max(1.0, abs(scalar)):
         raise NotProportionalError(f"R(x) R(1/x) is not proportional to 1: gap {gap:.3e}")
     return scalar
 
@@ -261,34 +251,35 @@ def sample_domain_point(spec: FamilySpec, rng: np.random.Generator) -> SpectralP
         return SpectralPoint.from_x(complex(np.exp(2j * theta)))
     if fam is Family.EIGHT_I:
         return SpectralPoint.from_x(float(rng.uniform(-2.5, 2.5)))
-    if fam is Family.EIGHT_IV and abs(complex(spec.t).real) < 1e-12:
+    if fam is Family.EIGHT_IV and is_imag(spec.t):
         return SpectralPoint.from_x(float(rng.uniform(-2.5, 2.5)))
     theta = float(rng.uniform(0.05, 2 * np.pi - 0.05))
     return SpectralPoint.from_x(complex(np.exp(1j * theta)))
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError(f"a scan needs at least one sample, got {samples}")
+def worst(values, cases=None):
+    """The largest of ``values``; with ``cases``, the pair (largest, its case).
+
+    The one reduction behind every scan and suite criterion. A NaN counts as
+    larger than any number, so it wins and then fails every ``< tol`` test;
+    ties keep the first; an empty input raises ValueError, so no check (a
+    scan with zero samples included) passes without a value.
+    """
+    a = np.asarray(values, dtype=float)
+    if a.size == 0:
+        raise ValueError("nothing to reduce: a check needs at least one sample")
+    k = int(np.argmax(a))
+    return float(a[k]) if cases is None else (float(a[k]), cases[k])
 
 
-def _worse(res: float, worst: float) -> bool:
-    """True when res replaces worst as the scan's max; a NaN always does."""
-    return res > worst or math.isnan(res)
-
-
-def scan_braid(family: Family, samples: int, seed: int, tol: float = 1e-11) -> ResidualReport:
+def scan_braid(family: Family, samples: int, seed: int,
+               tol: float = TOLERANCES["braid"]) -> ResidualReport:
     """Max braid residual of build_b over seeded parameter points."""
-    _check_samples(samples)
     rng = np.random.default_rng(seed)
-    worst, worst_case = -1.0, None
-    for _ in range(samples):
-        spec = sample_spec(family, rng)
-        res = braid_residual(build_b(spec))
-        if _worse(res, worst):
-            worst, worst_case = res, {"q": _cpair(spec.q), "t": _cpair(spec.t),
-                                      "sign": spec.sign.value}
-    return ResidualReport(residual=worst, tolerance=tol, worst_case=worst_case)
+    specs = [sample_spec(family, rng) for _ in range(samples)]
+    residual, spec = worst([braid_residual(build_b(s)) for s in specs], specs)
+    return ResidualReport(residual=residual, tolerance=tol, worst_case={
+        "q": _cpair(spec.q), "t": _cpair(spec.t), "sign": spec.sign.value})
 
 
 def scan_qybe(
@@ -296,7 +287,7 @@ def scan_qybe(
     kind: str = "x",
     samples: int = 50,
     seed: int = 42,
-    tol: float = 1e-9,
+    tol: float = TOLERANCES["qybe"],
     ordering: EigOrdering | None = None,
 ) -> ResidualReport:
     """Max QYBE residual over seeded spectral-parameter pairs.
@@ -304,10 +295,9 @@ def scan_qybe(
     kind = "x" uses multiplicative composition on the family's domain,
     kind = "theta" the additive law, kind = "u" the rational law.
     """
-    _check_samples(samples)
     rng = np.random.default_rng(seed)
     builder = family_builder(spec, kind, ordering=ordering)
-    worst, worst_case = -1.0, None
+    residuals, pairs = [], []
     for _ in range(samples):
         if kind == "x":
             a = family_x(spec, sample_domain_point(spec, rng))
@@ -325,16 +315,18 @@ def scan_qybe(
             res = qybe_residual_rational(builder, a, b)
         else:
             raise ValueError(f"unknown parametrization kind {kind!r}")
-        if _worse(res, worst):
-            worst, worst_case = res, {"first": _cpair(a), "second": _cpair(b), "kind": kind}
-    return ResidualReport(residual=worst, tolerance=tol, worst_case=worst_case)
+        residuals.append(res)
+        pairs.append((a, b))
+    residual, (a, b) = worst(residuals, pairs)
+    return ResidualReport(residual=residual, tolerance=tol, worst_case={
+        "first": _cpair(a), "second": _cpair(b), "kind": kind})
 
 
 def scan_unitarity(
     family: Family,
     samples: int = 100,
     seed: int = 42,
-    tol: float = 1e-10,
+    tol: float = TOLERANCES["unitarity"],
     imaginary_t: bool = False,
 ) -> ResidualReport:
     """Max deviation of rho^{-1/2} R(x) from unitarity over seeded domain points.
@@ -342,9 +334,8 @@ def scan_unitarity(
     Also cross-checks the estimated rho against the closed formula (through
     the gauge table); the worst residual covers both gaps.
     """
-    _check_samples(samples)
     rng = np.random.default_rng(seed)
-    worst, worst_case = -1.0, None
+    gaps, cases = [], []
     for _ in range(samples):
         spec = sample_spec(family, rng)
         if imaginary_t and family is Family.EIGHT_IV:
@@ -352,11 +343,12 @@ def scan_unitarity(
                               sign=spec.sign)
         p = sample_domain_point(spec, rng)
         gap, rho_est = unitarity_gap(spec, p)
-        if _worse(gap, worst):
-            worst, worst_case = gap, {"q": _cpair(spec.q), "t": _cpair(spec.t),
-                                      "x": _cpair(family_x(spec, p)),
-                                      "sign": spec.sign.value, "rho": float(rho_est)}
-    return ResidualReport(residual=worst, tolerance=tol, worst_case=worst_case)
+        gaps.append(gap)
+        cases.append((spec, p, rho_est))
+    residual, (spec, p, rho_est) = worst(gaps, cases)
+    return ResidualReport(residual=residual, tolerance=tol, worst_case={
+        "q": _cpair(spec.q), "t": _cpair(spec.t), "x": _cpair(family_x(spec, p)),
+        "sign": spec.sign.value, "rho": float(rho_est)})
 
 
 def _cpair(z) -> list[float]:

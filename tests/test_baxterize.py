@@ -45,6 +45,12 @@ def test_u_on_unit_circle_is_minus_i_tan_half():
     assert abs(u2 - u) < 1e-15
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(0.5, float("-inf"))])
+def test_spectral_point_rejects_non_finite_values(value):
+    with pytest.raises(ValueError, match="finite"):
+        SpectralPoint("x", value)
+
+
 def test_reparam_round_trips():
     p = X(0.3 + 0.4j)
     for conv in ThetaConvention:

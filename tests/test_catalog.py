@@ -11,6 +11,9 @@ from yaxter.catalog import (
     build_b,
     eigenvalues_of,
     eight_vertex_residuals,
+    is_imag,
+    is_real,
+    on_unit_circle,
 )
 from yaxter.linalg import frobenius, identity
 from yaxter.verify import sample_spec
@@ -115,6 +118,14 @@ def test_domain_violations_are_named():
     assert spec.domain_violation(x=0.5) is None
     spec = FamilySpec.eight4(t=1 + 1j, q=1.0)
     assert "real or pure imaginary" in spec.domain_violation()
+
+
+def test_domain_predicates_are_relative_and_reject_nan():
+    assert is_real(1e6 + 1e-8j) and not is_real(1 + 1e-8j)
+    assert is_imag(1e-8 + 1e6j) and not is_imag(1e-8 + 1j)
+    assert on_unit_circle(np.exp(0.3j)) and not on_unit_circle(1 + 1e-9)
+    nan = complex(float("nan"), 0.0)
+    assert not (is_real(nan) or is_imag(nan) or on_unit_circle(nan))
 
 
 def test_q_is_the_only_stored_parameter():

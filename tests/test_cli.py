@@ -5,6 +5,7 @@ import pytest
 
 from yaxter.cli import dumps_17g, main
 from yaxter.linalg import mat_from_json
+from yaxter.verify import TOLERANCES
 
 
 def run_cli(capsys, *argv):
@@ -284,3 +285,91 @@ def test_inverse_unitarity_theta_uses_the_family_x(capsys):
     rho_theta, rho_x = json.loads(by_theta)["rho"], json.loads(by_x)["rho"]
     assert rho_theta == pytest.approx(1.2903, abs=1e-4)
     assert rho_theta == pytest.approx(rho_x, rel=1e-14)
+
+
+# --- tolerances and accepted options -------------------------------------------
+
+CHECK_ARGV = {
+    "braid": ("check", "braid", "--family", "eight1", "--samples", "2"),
+    "qybe": ("check", "qybe", "--family", "eight1", "--phi", "0.3", "--samples", "2"),
+    "unitarity": ("check", "unitarity", "--family", "eight1", "--samples", "2"),
+    "inverse-unitarity": ("check", "inverse-unitarity", "--family", "eight3",
+                          "--t", "1", "--q", "1", "--x", "0.7"),
+}
+CLASSIFY_ARGV = ("classify", "--family", "eight1", "--q", "1", "--x", "0.5", "--probes", "0")
+
+
+@pytest.mark.parametrize("what", TOLERANCES)
+def test_check_defaults_to_its_own_threshold(capsys, what):
+    code, out, _ = run_cli(capsys, *CHECK_ARGV[what])
+    assert code == 0
+    assert json.loads(out)["tolerance"] == TOLERANCES[what]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("argv", [CHECK_ARGV["braid"], CLASSIFY_ARGV], ids=["check", "classify"])
+def test_bad_tolerance_is_usage_error(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", value])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "abc"])
+def test_bad_env_tolerance_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("YAXTER_TOL", value)
+    code, out, err = run_cli(capsys, *CLASSIFY_ARGV)
+    assert code == 2 and out == ""
+    assert err.startswith("error: YAXTER_TOL")
+
+
+def test_classify_reads_the_env_tolerance(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, *CLASSIFY_ARGV)
+    assert code == 0 and json.loads(out)["classification"] == "entangling"
+    _, by_flag, _ = run_cli(capsys, *CLASSIFY_ARGV, "--tol", "10")
+    monkeypatch.setenv("YAXTER_TOL", "10")
+    code, by_env, _ = run_cli(capsys, *CLASSIFY_ARGV)
+    assert code == 1 and json.loads(by_env)["classification"] == "unknown"
+    assert by_env == by_flag
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "eight1", "--phi", "0.3", "--x", "1e200"),
+    ("--family", "eight2", "--t", "1e200", "--q", "1", "--theta", "0.3"),
+    ("--family", "eight4", "--t", "1e200", "--q", "1", "--theta", "0.3"),
+    ("--family", "six-std", "--gamma", "700", "--theta", "0.3"),
+])
+def test_overflowing_rho_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, "check", "unitarity", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not finite" in err
+
+
+# Options that these commands accepted and never read.
+MINIMAL_ARGV = {
+    "catalog": ("catalog", "--family", "eight1", "--phi", "0.3"),
+    "build": ("build", "--family", "eight1", "--phi", "0.3", "--x", "0.5"),
+    "check": ("check", "unitarity", "--family", "six-nonstd", "--gamma", "0.3", "--theta", "0.6"),
+    "classify": CLASSIFY_ARGV,
+    "hamiltonian": ("hamiltonian", "--family", "eight2", "--t", "1", "--q", "1", "--theta", "0.3"),
+    "evolve": ("evolve", "--family", "eight1", "--phi", "0", "--time", "1"),
+    "cnot": ("cnot",),
+    "suite": ("suite",),
+}
+IGNORED = [
+    ("evolve", "--x", "0.5"), ("cnot", "--tol", "1e-30"),
+    ("suite", "--tol", "1e-3"), ("suite", "--samples", "5"),
+    *((command, option, value) for command in ("catalog", "build", "hamiltonian")
+      for option, value in (("--tol", "1e-3"), ("--samples", "5"), ("--seed", "3"))),
+    ("hamiltonian", "--ordering", "third"), ("hamiltonian", "--form", "g"),
+    ("classify", "--samples", "5"), ("check", "--form", "g"),
+]
+
+
+@pytest.mark.parametrize("command,option,value", IGNORED)
+def test_option_the_command_does_not_read_is_usage_error(capsys, command, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*MINIMAL_ARGV[command], option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
