@@ -39,6 +39,7 @@ from .entangle import (
     classify,
     concurrence_det,
     det_b_closed,
+    is_local,
     nonentangling_locus_check,
     product_state,
     state,

@@ -72,6 +72,13 @@ def on_unit_circle(z) -> bool:
     return abs(abs(complex(z)) - 1.0) < DOMAIN_TOL
 
 
+def finite_rho(rho: float, where: str = "") -> float:
+    """A closed-form rho; one that overflowed to inf or NaN is a DomainError."""
+    if not math.isfinite(rho):
+        raise DomainError(f"closed-form rho = {rho} is not finite{where}")
+    return rho
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A braid family together with its parameter point.

@@ -2,15 +2,16 @@
 
 Commands: catalog, build, check {braid, qybe, unitarity, inverse-unitarity},
 classify, hamiltonian, evolve, cnot, suite. JSON goes to stdout (floats with
-17 significant digits, so identical argv + seed give byte-identical output),
-diagnostics to stderr. Exit codes: 0 all checks pass, 1 a residual or
-classification check failed, 2 usage or domain error.
+17 significant digits, non-finite ones as "nan", "inf" or "-inf"; identical
+argv + seed give byte-identical output), diagnostics to stderr. Exit codes:
+0 all checks pass, 1 a residual check failed, 2 usage or domain error.
 
 Each check passes below its own threshold, from ``verify.TOLERANCES`` (and
-``entangle.ENTANGLING_TOL`` for classify). ``check`` and ``classify`` take
---tol, else the YAXTER_TOL environment variable, in place of that threshold;
-a tolerance must be finite and > 0. Each command accepts only the options it
-reads.
+``entangle.ENTANGLING_TOL`` for classify, where it is both the threshold of
+``entangle.is_local`` and the |Det| floor of the witness). ``check`` and
+``classify`` take --tol, else the YAXTER_TOL environment variable, in place of
+that threshold; a tolerance must be finite and > 0. Each command accepts only
+the options it reads.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .dynamics import (
     hamiltonian_fd,
     pauli_decompose,
 )
-from .entangle import ENTANGLING_TOL, Classification, classify, nonentangling_locus_check
+from .entangle import ENTANGLING_TOL, classify, nonentangling_locus_check
 from .gates import CNOT_TOL, cnot_via_evolution, theorem1_decomposition
 from .linalg import hermiticity_defect, mat_to_json
 from .suite import run_suite
@@ -66,9 +67,7 @@ def _write_json(obj, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        if not np.isfinite(obj):
-            raise ValueError(f"cannot serialize non-finite float {obj}")
-        out.append(f"{obj:.17g}")
+        out.append(f"{obj:.17g}" if np.isfinite(obj) else json.dumps(str(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -309,20 +308,18 @@ def _cmd_classify(args) -> int:
             raise DomainError("--locus takes 8 comma-separated floats: re,im per factor")
         factors = tuple(complex(vals[2 * k], vals[2 * k + 1]) for k in range(4))
         on_locus = nonentangling_locus_check(spec, point, factors)
-        _emit(args, {"family": spec.family.value, "on_nonentangling_locus": bool(on_locus)})
-        return 0
-    result = classify(spec, point, probes=args.probes, seed=args.seed,
-                      tol=_tol(args, "classify"))
-    witness = None
-    if result.witness is not None:
-        witness = [[float(z.real), float(z.imag)] for z in result.witness]
-    payload = {
-        "classification": result.classification.value,
-        "witness": witness,
-        "det": [float(result.det.real), float(result.det.imag)],
-    }
+        payload = {"family": spec.family.value, "on_nonentangling_locus": bool(on_locus)}
+    else:
+        result = classify(spec, point, probes=args.probes, seed=args.seed,
+                          tol=_tol(args, "classify"))
+        w = result.witness
+        payload = {
+            "classification": result.classification.value,
+            "witness": None if w is None else [[float(z.real), float(z.imag)] for z in w],
+            "det": [float(result.det.real), float(result.det.imag)],
+        }
     _emit(args, payload)
-    return 0 if result.classification is not Classification.UNKNOWN else 1
+    return 0
 
 
 def _cmd_hamiltonian(args) -> int:

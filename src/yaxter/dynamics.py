@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from .baxterize import SpectralPoint, build_R, eight4_g_factors, reference_gauge
-from .catalog import DomainError, Family, FamilySpec, build_b, is_imag, is_real
+from .catalog import DomainError, Family, FamilySpec, build_b, finite_rho, is_imag, is_real
 from .gates import PAULI, tensor
 from .linalg import dagger, expm_hermitian, frobenius, hermiticity_defect, identity
 
@@ -130,8 +130,10 @@ def _real_t(spec: FamilySpec) -> float:
 
 
 def _six_vertex_closed(gamma: float, theta: float, standard: bool, corner) -> np.ndarray:
-    sh = np.sinh(gamma)
-    rho = sh * sh + np.sin(theta) ** 2
+    sh, sn = float(np.sinh(gamma)), float(np.sin(theta))
+    rho = finite_rho(sh * sh + sn * sn)
+    if rho < 1e-14:
+        raise DomainError("rho = sinh^2 gamma + sin^2 theta vanishes at gamma = theta = 0")
     lower = corner if standard else -corner
     return (sh / rho) * np.array(
         [[corner, 0, 0, 0], [0, -sh, 1, 0], [0, 1, sh, 0], [0, 0, 0, lower]], dtype=complex
@@ -146,15 +148,14 @@ def six_vertex_hamiltonian_coth_variant(spec: FamilySpec, theta: float) -> np.nd
 
 
 def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
-    """Closed-form H(theta), in the variant confirmed by finite differences."""
+    """Closed-form H(theta), in the variant confirmed by finite differences; each
+    rho is a product of Python floats, so an overflow is a DomainError."""
     fam = spec.family
     q = complex(spec.q)
     s = spec.sign.factor
     point = SpectralPoint.from_theta(theta)
     if fam in (Family.SIX_NONSTD, Family.SIX_STD):
         g = spec.gamma
-        if np.sinh(g) ** 2 + np.sin(theta) ** 2 < 1e-14:
-            raise DomainError("rho = sinh^2 gamma + sin^2 theta vanishes at gamma = theta = 0")
         hmat = _six_vertex_closed(g, theta, fam is Family.SIX_STD, np.cosh(g))
         return Hamiltonian(hmat, HamiltonianSource.CLOSED_FORM, spec, point)
     if fam is Family.EIGHT_I:
@@ -163,8 +164,9 @@ def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
         return Hamiltonian(hmat, HamiltonianSource.CLOSED_FORM, spec, point)
     if fam is Family.EIGHT_II:
         t = _real_t(spec)
+        sn = float(np.sin(theta / 2.0))
+        rho = finite_rho(4.0 + 4.0 * ((t - 1.0) * (t - 1.0)) * (sn * sn))
         z = complex(spec.z_value())
-        rho = 4.0 + 4.0 * (t - 1.0) ** 2 * np.sin(theta / 2.0) ** 2
         core = np.array(
             [[1 - t, 0, 0, q], [0, 0, s * z, 0], [0, s * z, 0, 0], [1 / q, 0, 0, t - 1]],
             dtype=complex,
@@ -173,7 +175,8 @@ def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
                            HamiltonianSource.CLOSED_FORM, spec, point)
     if fam is Family.EIGHT_III:
         t = _real_t(spec)
-        rho = 4.0 + 4.0 * (t * t - 1.0) * np.sin(theta / 2.0) ** 2
+        sn = float(np.sin(theta / 2.0))
+        rho = finite_rho(4.0 + 4.0 * (t * t - 1.0) * (sn * sn))
         core = np.array(
             [[0, 0, 0, q], [0, 0, s, 0], [0, s, 0, 0], [1 / q, 0, 0, 0]], dtype=complex
         )
@@ -184,8 +187,8 @@ def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
         if abs(t) < 1e-12:
             raise DomainError("eight4 closed form needs real nonzero t")
         g1, g2 = eight4_g_factors(spec, complex(np.exp(1j * theta)))
-        a1, a2 = abs(g1) ** 2, abs(g2) ** 2
-        rho = a1 * a2
+        a1, a2 = abs(g1) * abs(g1), abs(g2) * abs(g2)
+        rho = finite_rho(a1 * a2)
         core = np.array(
             [
                 [a2, 0, 0, q * a1],

@@ -1,10 +1,12 @@
 """Two-qubit states, the concurrence determinant, and entangling-gate classification.
 
 A pure state a = (a00, a01, a10, a11) is a tensor product of one-qubit states
-exactly when Det(A) = a00 a11 - a01 a10 vanishes. A unitary two-qubit gate is
+exactly when Det(A) = a00 a11 - a01 a10 vanishes. A two-qubit gate is
 universal (with local unitaries) iff it is entangling, i.e. maps some product
-state to a state with Det != 0; the witness search below decides this by
-probing a fixed set of product states and then seeded random ones.
+state to a state with Det != 0. An invertible map keeps every product state a
+product iff it is A x B or SWAP (A x B); ``is_local`` decides this exactly,
+and the witness search (fixed probes, then seeded random product states) only
+finds an example state for an entangling gate.
 
 Closed-form determinants after one application of an R-matrix are provided
 per family in the family's rational (u) gauge, and in the trigonometric
@@ -15,16 +17,17 @@ matching matrix.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baxterize import SpectralPoint, ThetaConvention, build_R, family_x, reference_gauge, x_to_u
 from .catalog import Family, FamilySpec
-from .linalg import frobenius, identity
+from .linalg import inverse
 
 ENTANGLING_TOL = 1e-8
+
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 _KET = {
     "0": np.array([1, 0], dtype=complex),
@@ -70,17 +73,9 @@ def brylinski_witness(
     probes: int = 1000,
     seed: int = 42,
 ) -> np.ndarray | None:
-    """A product state that r maps to an entangled one, or None after the budget.
-
-    Deterministic probes run first, then seeded random product states. The
-    gate criterion is stated for unitaries; a matrix far from a scalar
-    multiple of a unitary triggers a warning but is still classified.
-    """
+    """A product state that r maps to an entangled one (|Det| > tol), or None
+    after the budget: deterministic probes first, then seeded random product states."""
     r = np.asarray(r, dtype=complex)
-    gram = r @ r.conj().T
-    rho = max(float(np.real(np.trace(gram))) / 4.0, 1e-300)
-    if frobenius(gram - rho * identity(4)) > 1e-6 * rho:
-        warnings.warn("matrix is not proportional to a unitary; classification is heuristic")
     for label in PROBE_LABELS:
         psi = probe_state(label)
         if abs(concurrence_det(apply(r, psi))) > tol:
@@ -101,7 +96,6 @@ def brylinski_witness(
 class Classification(str, enum.Enum):
     ENTANGLING = "entangling"
     NOT_ENTANGLING = "not-entangling"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -109,23 +103,6 @@ class ClassificationResult:
     classification: Classification
     witness: np.ndarray | None
     det: complex
-
-
-def closed_form_zero(spec: FamilySpec, p: SpectralPoint) -> bool:
-    """True where the family's closed-form output determinant vanishes identically.
-
-    Excluded loci: x = 1 (u = 0) for every family, q = 1 additionally for the
-    standard six-vertex representation, t = 0 additionally for eight3/4.
-    """
-    x = family_x(spec, p)
-    if abs(x - 1) < 1e-12:
-        return True
-    fam = spec.family
-    if fam is Family.SIX_STD and abs(complex(spec.q) - 1) < 1e-12:
-        return True
-    if fam in (Family.EIGHT_III, Family.EIGHT_IV) and abs(complex(spec.t)) < 1e-12:
-        return True
-    return False
 
 
 def classification_gauge_R(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
@@ -136,6 +113,16 @@ def classification_gauge_R(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
     return build_R(spec, SpectralPoint.from_u(u))
 
 
+def is_local(r: np.ndarray, tol: float = ENTANGLING_TOL) -> bool:
+    """True iff r = A x B or r = SWAP (A x B) within tol: the realignment
+    m[(i,k),(j,l)] -> m[(i,j),(k,l)] of r or of r SWAP, rank 1 exactly for a
+    product, has its second singular value below tol times its first."""
+    r = np.asarray(r, dtype=complex)
+    m = np.stack([r, r @ SWAP]).reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
+    s = np.linalg.svd(m.reshape(2, 4, 4), compute_uv=False)
+    return bool(np.any(s[:, 1] < tol * s[:, 0]))
+
+
 def classify(
     spec: FamilySpec,
     p: SpectralPoint,
@@ -143,21 +130,19 @@ def classify(
     seed: int = 42,
     tol: float = ENTANGLING_TOL,
 ) -> ClassificationResult:
-    """Three-valued Brylinski classification of the family's gate at p.
+    """Brylinski classification of the family's gate at p, decided by ``is_local``.
 
-    A witness proves Entangling; absence of a witness proves NotEntangling
-    only where the closed-form determinant vanishes identically, and yields
-    Unknown otherwise.
+    A singular R raises ``SingularMatrixError``: the criterion needs an
+    invertible map. An entangling gate carries the first witness the search
+    finds within ``probes`` (with its output Det), or None and Det 0.
     """
     r = classification_gauge_R(spec, p)
-    witness = brylinski_witness(r, tol=tol, probes=probes, seed=seed)
-    if witness is not None:
-        return ClassificationResult(
-            Classification.ENTANGLING, witness, concurrence_det(apply(r, witness))
-        )
-    if closed_form_zero(spec, p):
+    inverse(r, context=f"{spec.family.value}, {p.kind} = {p.value}")
+    if is_local(r, tol):
         return ClassificationResult(Classification.NOT_ENTANGLING, None, 0j)
-    return ClassificationResult(Classification.UNKNOWN, None, 0j)
+    witness = brylinski_witness(r, tol=tol, probes=probes, seed=seed)
+    det = 0j if witness is None else concurrence_det(apply(r, witness))
+    return ClassificationResult(Classification.ENTANGLING, witness, det)
 
 
 def det_b_closed(spec: FamilySpec, p: SpectralPoint, psi: np.ndarray) -> complex:

@@ -15,7 +15,7 @@ import numpy as np
 
 DEFAULT_ATOL = 1e-10
 
-# Scale-aware singularity threshold: |det A| < SINGULAR_EPS * max|A_ij|**dim.
+# Scale-aware singularity threshold: |det(A / max|A_ij|)| < SINGULAR_EPS.
 SINGULAR_EPS = 1e-12
 
 
@@ -95,12 +95,12 @@ def spectral_projectors(
 def inverse(a: np.ndarray, context: str = "") -> np.ndarray:
     """Matrix inverse with a scale-aware singularity guard."""
     a = np.asarray(a, dtype=complex)
-    with np.errstate(invalid="ignore"):  # a NaN det fails the comparison below
-        det = np.linalg.det(a)
-    scale = float(np.abs(a).max()) ** a.shape[0]
-    if not abs(det) >= SINGULAR_EPS * max(scale, 1e-300):
+    with np.errstate(invalid="ignore"):  # a zero or non-finite a gives a NaN det, which fails below
+        det = np.linalg.det(a / np.abs(a).max())
+    if not abs(det) >= SINGULAR_EPS:
         where = f" at {context}" if context else ""
-        raise SingularMatrixError(f"matrix is singular{where}: |det| = {abs(det):.3e}")
+        raise SingularMatrixError(
+            f"matrix is singular{where}: |det(a / max|a_ij|)| = {abs(det):.3e}")
     return np.linalg.inv(a)
 
 

@@ -23,7 +23,6 @@ reference gauge, ``baxterize.reference_gauge``) is:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,7 +38,8 @@ from .baxterize import (
     gauge,
     reference_gauge,
 )
-from .catalog import DomainError, Family, FamilySpec, Sign, build_b, braid_residual, is_imag
+from .catalog import (DomainError, Family, FamilySpec, Sign, build_b, braid_residual,
+                      finite_rho, is_imag)
 from .linalg import dagger, frobenius, identity
 
 I2 = identity(2)
@@ -127,9 +127,7 @@ def unitarity_gap(spec: FamilySpec, p: SpectralPoint) -> tuple[float, float]:
     violated constraint, and a closed-form rho that overflows raises a
     DomainError before R is built; a non-finite residual gives a non-finite gap.
     """
-    rho_ref = matrix_norm_factor(spec, p)
-    if not math.isfinite(rho_ref):
-        raise DomainError(f"closed-form rho = {rho_ref} is not finite at x = {family_x(spec, p)}")
+    rho_ref = finite_rho(matrix_norm_factor(spec, p), f" at x = {family_x(spec, p)}")
     r = build_R(spec, p)
     rho_est, res = unitarity_residual(r, dagger(r))
     gap = res / rho_est + abs(rho_est - rho_ref) / rho_ref

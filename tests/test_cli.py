@@ -21,6 +21,28 @@ def test_dumps_17g_is_round_trip_exact():
     assert float(json.loads(dumps_17g(x))) == x
 
 
+def test_dumps_17g_writes_non_finite_floats_as_strings():
+    got = dumps_17g([float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    assert got == '["nan","inf","-inf","nan"]'
+
+
+def test_suite_with_a_nan_criterion_prints_the_failing_report(capsys, monkeypatch):
+    from yaxter import suite
+    from yaxter.verify import ResidualReport
+
+    def nan_scan(*args, **kwargs):
+        return ResidualReport(residual=float("nan"), tolerance=kwargs["tol"], worst_case={})
+
+    monkeypatch.setattr(suite, "scan_braid", nan_scan)
+    code, out, err = run_cli(capsys, "suite")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["all_pass"] is False
+    braid = report["criteria"][0]
+    assert braid["max_residual"] == "nan" and braid["pass"] is False
+    assert all(entry["pass"] for entry in report["criteria"][1:])
+
+
 def test_build_emits_b_at_x_zero(capsys):
     code, out, _ = run_cli(capsys, "build", "--family", "six-nonstd", "--q", "1", "--x", "0")
     assert code == 0
@@ -329,8 +351,15 @@ def test_classify_reads_the_env_tolerance(capsys, monkeypatch):
     _, by_flag, _ = run_cli(capsys, *CLASSIFY_ARGV, "--tol", "10")
     monkeypatch.setenv("YAXTER_TOL", "10")
     code, by_env, _ = run_cli(capsys, *CLASSIFY_ARGV)
-    assert code == 1 and json.loads(by_env)["classification"] == "unknown"
+    assert code == 0 and json.loads(by_env)["classification"] == "not-entangling"
     assert by_env == by_flag
+
+
+def test_classify_singular_gate_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "classify", "--family", "six-nonstd", "--gamma", "0.5",
+                             "--x", repr(float(np.e)))
+    assert code == 2 and out == ""
+    assert err.startswith("error: matrix is singular")
 
 
 @pytest.mark.parametrize("argv", [
@@ -344,6 +373,29 @@ def test_overflowing_rho_is_one_error_line(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "eight2", "--t", "1e200", "--q", "1", "--theta", "0.3"),
+    ("--family", "eight3", "--t", "1e200", "--q", "1", "--theta", "0.3"),
+    ("--family", "eight4", "--t", "1e200", "--q", "1", "--theta", "0.3"),
+    ("--family", "six-std", "--gamma", "700", "--theta", "0.3"),
+])
+def test_closed_hamiltonian_with_overflowing_rho_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, "hamiltonian", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not finite" in err
+
+
+def test_build_with_huge_entries_is_not_called_singular(capsys):
+    # b has entries of order t = 1e100; the singularity guard of b^{-1} divides
+    # by max|b_ij| instead of raising it to the 4th power, which overflows
+    code, out, _ = run_cli(capsys, "build", "--family", "eight3", "--t", "1e100", "--q", "1",
+                           "--x", "0.5", "--ordering", "second")
+    assert code == 0
+    m = mat_from_json(json.loads(out))
+    assert m[0, 0] == pytest.approx(1.5e100, rel=1e-15) and m[0, 3] == pytest.approx(0.5)
 
 
 # Options that these commands accepted and never read.

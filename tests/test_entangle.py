@@ -6,20 +6,21 @@ from hypothesis import strategies as st
 from yaxter.baxterize import SpectralPoint
 from yaxter.catalog import Family, FamilySpec, Sign, build_b
 from yaxter.entangle import (
+    SWAP,
     Classification,
     apply,
     brylinski_witness,
     classification_gauge_R,
     classify,
-    closed_form_zero,
     concurrence_det,
     det_b_closed,
+    is_local,
     nonentangling_locus_check,
     probe_state,
     product_state,
     state,
 )
-from yaxter.linalg import identity
+from yaxter.linalg import SingularMatrixError, identity
 
 X = SpectralPoint.from_x
 TH = SpectralPoint.from_theta
@@ -78,8 +79,7 @@ def test_det_scale_covariance(lr, li):
 
 
 def test_swap_has_no_witness():
-    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
-    assert brylinski_witness(swap, probes=300, seed=1) is None
+    assert brylinski_witness(SWAP, probes=300, seed=1) is None
 
 
 def test_theorem_matrix_has_witness():
@@ -93,12 +93,6 @@ def test_six_nonstd_probe_from_the_construction():
     r = classification_gauge_R(spec, TH(0.6))
     out = apply(r, probe_state("01"))
     assert abs(concurrence_det(out)) > 1e-3
-
-
-def test_non_unitary_matrix_warns():
-    bad = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    with pytest.warns(UserWarning, match="not proportional"):
-        brylinski_witness(bad, probes=10, seed=0)
 
 
 ENTANGLING_CASES = [
@@ -133,15 +127,33 @@ def test_classify_entangling(spec, p):
 def test_classify_not_entangling_on_excluded_loci(spec, p):
     result = classify(spec, p, seed=2)
     assert result.classification is Classification.NOT_ENTANGLING
-    assert closed_form_zero(spec, p)
+    assert result.witness is None and result.det == 0
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        z = rng.standard_normal(8)
+        psi = product_state(z[0] + 1j * z[1], z[2] + 1j * z[3],
+                            z[4] + 1j * z[5], z[6] + 1j * z[7])
+        assert abs(det_b_closed(spec, p, psi / np.linalg.norm(psi))) < 1e-12
 
 
-def test_unknown_when_budget_finds_nothing_off_the_zero_locus():
-    # generic point (closed form not identically zero) with an impossible
-    # detection bar: no witness, no proof of non-entanglement
-    spec = FamilySpec.six_std(gamma=0.45)
-    result = classify(spec, TH(0.6), probes=0, tol=1e6)
-    assert result.classification is Classification.UNKNOWN
+def _complex_matrix(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def test_is_local_exactly_on_products_and_swapped_products():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        ab = np.kron(_complex_matrix(rng, 2), _complex_matrix(rng, 2))
+        assert is_local(ab) and is_local(SWAP @ ab)
+        assert not is_local(_complex_matrix(rng, 4))
+
+
+def test_singular_gate_is_an_error():
+    # six-nonstd at x = q^2 = e: q - x/q = 0, so R is singular and the
+    # criterion, stated for invertible maps, does not apply
+    spec = FamilySpec.six_nonstd(gamma=0.5)
+    with pytest.raises(SingularMatrixError, match="six-nonstd"):
+        classify(spec, X(np.e))
 
 
 @pytest.mark.parametrize(
