@@ -60,8 +60,6 @@ from .verify import (
     conjugate_partner,
     inverse_unitarity,
     qybe_residual,
-    qybe_residual_additive,
-    qybe_residual_rational,
     rho_formula,
     unitarity_residual,
 )

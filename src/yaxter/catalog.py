@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import cmat, frobenius, identity
+from .linalg import cmat, strand_gap
 
 
 class Family(str, enum.Enum):
@@ -254,11 +254,7 @@ def eigenvalues_of(spec: FamilySpec) -> list[complex]:
 
 def braid_residual(b: np.ndarray) -> float:
     """Frobenius norm of (b x I)(I x b)(b x I) - (I x b)(b x I)(I x b) on C^8."""
-    b = np.asarray(b, dtype=complex)
-    eye = identity(2)
-    b1 = np.kron(b, eye)
-    b2 = np.kron(eye, b)
-    return frobenius(b1 @ b2 @ b1 - b2 @ b1 @ b2)
+    return strand_gap(b, b, b)
 
 
 @dataclass(frozen=True)

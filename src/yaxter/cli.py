@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -184,7 +185,13 @@ def _spec_from_args(args) -> FamilySpec:
     if args.gamma is not None:
         if q is not None:
             raise DomainError("give --q or --gamma, not both")
-        q = float(np.exp(args.gamma))
+        try:
+            q = math.exp(args.gamma)
+        except OverflowError:
+            q = math.inf
+        if not 0.0 < q < math.inf:  # exp overflows above gamma ~ 709.8, underflows to 0
+            raise DomainError(f"--gamma {args.gamma} puts q = exp(gamma) at {q}; "
+                              "q must be finite and nonzero")
     if args.phi is not None:
         if q is not None:
             raise DomainError("give --q or --phi, not both")

@@ -52,7 +52,7 @@ class Hamiltonian:
     source: HamiltonianSource
     spec: FamilySpec
     point: SpectralPoint
-    herm_tol: float = 1e-9  # finite differences widen this to 10 h^2 + 1e-10
+    herm_tol: float = 1e-9  # finite differences widen this to their error budget
 
     def __post_init__(self):
         defect = hermiticity_defect(self.matrix)
@@ -119,7 +119,7 @@ def hamiltonian_fd(
     du = (4.0 * diff(h / 2) - diff(h)) / 3.0 if richardson else diff(h)
     hmat = 1j * du @ dagger(curve(s0))
     return Hamiltonian(hmat, HamiltonianSource.FINITE_DIFFERENCE, spec, p,
-                       herm_tol=10.0 * h * h + 1e-10)
+                       herm_tol=10.0 * h * h + 1e-10)  # the error budget at step h
 
 
 def _real_t(spec: FamilySpec) -> float:
@@ -217,12 +217,12 @@ def six_vertex_erratum_report(
     The finite-difference result is authoritative; the report records which
     variant it confirms.
     """
-    fd = hamiltonian_fd(spec, SpectralPoint.from_theta(theta), h=h).matrix
+    fd = hamiltonian_fd(spec, SpectralPoint.from_theta(theta), h=h)
     cosh_variant = hamiltonian_closed(spec, theta).matrix
     coth_variant = six_vertex_hamiltonian_coth_variant(spec, theta)
-    fd_error = 10.0 * h * h + 1e-10
-    dev_cosh = frobenius(fd - cosh_variant)
-    dev_coth = frobenius(fd - coth_variant)
+    fd_error = fd.herm_tol
+    dev_cosh = frobenius(fd.matrix - cosh_variant)
+    dev_coth = frobenius(fd.matrix - coth_variant)
     return {
         "family": spec.family.value,
         "gamma": spec.gamma,

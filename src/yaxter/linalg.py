@@ -57,12 +57,27 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a x b)[i*n+k][j*n+l] = a[i][j] * b[k][l] by broadcasting; bitwise equal to np.kron."""
+    mn = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(mn, mn)
+
+
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product (a x b)[i*n+k][j*n+l] = a[i][j] * b[k][l], capped at dim 4."""
     m, n = a.shape[0], b.shape[0]
     if m * n > 4:
         raise ValueError(f"tensor product dim {m}*{n} exceeds the dim-4 carrier")
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return _kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
+    """||(a x 1)(1 x c)(d x 1) - (1 x d)(c x 1)(1 x a)||_F on C^8 for 4x4 a, c, d: the
+    braid relation at (b, b, b), the QYBE at (R(x), R(x o y), R(y))."""
+    e = identity(2)
+    lhs = _kron(a, e) @ _kron(e, c) @ _kron(d, e)
+    rhs = _kron(e, d) @ _kron(c, e) @ _kron(e, a)
+    return frobenius(lhs - rhs)
 
 
 def spectral_projectors(

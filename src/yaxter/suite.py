@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import dynamics, entangle, gates, verify
+from . import dynamics, entangle, gates
 from .baxterize import RZERO_EQUALS_B, EigOrdering, SpectralPoint, build_R
 from .catalog import Family, FamilySpec, Sign, build_b
 from .dynamics import (
@@ -20,7 +20,7 @@ from .dynamics import (
 )
 from .entangle import Classification, classify, concurrence_det, det_b_closed
 from .gates import SIGMA_MINUS, SIGMA_PLUS, SX, SY, tensor
-from .linalg import expm_hermitian, frobenius, hermiticity_defect, identity
+from .linalg import dagger, expm_hermitian, frobenius, hermiticity_defect, identity
 from .verify import (
     TOLERANCES,
     family_inverse_unitarity,
@@ -140,9 +140,8 @@ def criterion_unitarity(seed: int) -> dict:
         (FamilySpec.eight4(t=1.9, q=np.exp(0.33j)), SpectralPoint.from_x(0.5)),
     ]
     # np.min propagates a NaN, as worst does
-    min_off = float(np.min([
-        unitarity_residual(build_R(spec, p), verify.conjugate_partner(spec, p))[1]
-        for spec, p in off]))
+    min_off = float(np.min([unitarity_residual(r, dagger(r))[1]
+                            for r in (build_R(spec, p) for spec, p in off)]))
     passed = residual < tol and min_off > 1e-3
     return _entry(4, "unitarity of rho^{-1/2} R(x) on stated domains", passed,
                   max_residual=residual, tolerance=tol, worst_family=worst_family,

@@ -1,10 +1,10 @@
-"""Residual checkers: QYBE in three parametrizations, unitarity, normalization factors.
+"""Residual checkers: braid relation, QYBE in three parametrizations, unitarity, rho.
 
-The QYBE residual is the Frobenius norm of
-
-    R_1(x) R_2(xy) R_1(y) - R_2(y) R_1(xy) R_2(x),      R_1 = R x I, R_2 = I x R,
-
-on the 8-dimensional space. Unitarity is checked as R(x) R(x)^dag = rho * 1
+The braid relation and the QYBE are one three-strand identity on C^8 with one
+kernel, ``linalg.strand_gap(a, c, d)``: the braid residual is (b, b, b), the
+QYBE residual R_1(x) R_2(x o y) R_1(y) - R_2(y) R_1(x o y) R_2(x) is
+(R(x), R(x o y), R(y)), where x o y is xy, theta1 + theta2 or (u + v)/(1 + uv).
+Unitarity is checked as R(x) R(x)^dag = rho * 1
 with rho > 0 the family's normalization factor; rho^{-1/2} R(x) is the
 physical gate. The closed-form rho per family (stated for each family's
 reference gauge, ``baxterize.reference_gauge``) is:
@@ -23,6 +23,7 @@ reference gauge, ``baxterize.reference_gauge``) is:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,9 +41,8 @@ from .baxterize import (
 )
 from .catalog import (DomainError, Family, FamilySpec, Sign, build_b, braid_residual,
                       finite_rho, is_imag)
-from .linalg import dagger, frobenius, identity
+from .linalg import dagger, frobenius, identity, strand_gap
 
-I2 = identity(2)
 I4 = identity(4)
 
 #: pass thresholds of the residual checks, shared by the scans, the suite and the CLI.
@@ -57,34 +57,16 @@ class NotProportionalError(ValueError):
     """A product expected to be a multiple of the identity is not."""
 
 
-def _triple_gap(ra, rab, rb, rb2, rab2, ra2) -> float:
-    lhs = np.kron(ra, I2) @ np.kron(I2, rab) @ np.kron(rb, I2)
-    rhs = np.kron(I2, rb2) @ np.kron(rab2, I2) @ np.kron(I2, ra2)
-    return frobenius(lhs - rhs)
+def qybe_residual(builder: Callable[[complex], np.ndarray], a: complex, b: complex,
+                  compose: Callable[[complex, complex], complex] = operator.mul) -> float:
+    """QYBE R1(a) R2(a o b) R1(b) = R2(b) R1(a o b) R2(a), with each R built once.
 
-
-def qybe_residual(builder: Callable[[complex], np.ndarray], x: complex, y: complex) -> float:
-    """Multiplicative QYBE: R1(x) R2(xy) R1(y) = R2(y) R1(xy) R2(x)."""
-    return _triple_gap(builder(x), builder(x * y), builder(y),
-                       builder(y), builder(x * y), builder(x))
-
-
-def qybe_residual_additive(builder: Callable[[float], np.ndarray], t1: float, t2: float) -> float:
-    """Additive QYBE: R1(t1) R2(t1+t2) R1(t2) = R2(t2) R1(t1+t2) R2(t1).
-
-    This is the multiplicative equation at x = e^{i k t}; the right-hand side
-    must carry the swapped arguments (the variant with t1 and t2 in display
-    order fails by O(1) for every family here).
+    ``compose`` is the parametrization's composition law o: ``operator.mul``
+    for x, ``operator.add`` for theta (the multiplicative law at x = e^{i k theta})
+    and ``compose_u`` for u. The right-hand side carries the swapped arguments;
+    the variant with a and b in display order fails by O(1) for every family here.
     """
-    return _triple_gap(builder(t1), builder(t1 + t2), builder(t2),
-                       builder(t2), builder(t1 + t2), builder(t1))
-
-
-def qybe_residual_rational(builder: Callable[[complex], np.ndarray], u: complex, v: complex) -> float:
-    """Rational QYBE: R1(u) R2((u+v)/(1+uv)) R1(v) = R2(v) R1((u+v)/(1+uv)) R2(u)."""
-    w = compose_u(u, v)
-    return _triple_gap(builder(u), builder(w), builder(v),
-                       builder(v), builder(w), builder(u))
+    return strand_gap(builder(a), builder(compose(a, b)), builder(b))
 
 
 def family_builder(
@@ -280,6 +262,23 @@ def scan_braid(family: Family, samples: int, seed: int,
         "q": _cpair(spec.q), "t": _cpair(spec.t), "sign": spec.sign.value})
 
 
+def _draw_u(spec: FamilySpec, rng: np.random.Generator) -> tuple[complex, complex]:
+    while True:
+        a = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
+        b = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
+        if abs(1 + a * b) > 0.3:  # keep clear of the composition pole
+            return a, b
+
+
+#: per parametrization kind: the seeded draw of one spectral pair and its composition law.
+_QYBE_LAWS = {
+    "x": (lambda spec, rng: [family_x(spec, sample_domain_point(spec, rng)) for _ in range(2)],
+          operator.mul),
+    "theta": (lambda spec, rng: rng.uniform(-1.2, 1.2, size=2), operator.add),
+    "u": (_draw_u, compose_u),
+}
+
+
 def scan_qybe(
     spec: FamilySpec,
     kind: str = "x",
@@ -288,34 +287,15 @@ def scan_qybe(
     tol: float = TOLERANCES["qybe"],
     ordering: EigOrdering | None = None,
 ) -> ResidualReport:
-    """Max QYBE residual over seeded spectral-parameter pairs.
-
-    kind = "x" uses multiplicative composition on the family's domain,
-    kind = "theta" the additive law, kind = "u" the rational law.
-    """
+    """Max QYBE residual over seeded spectral-parameter pairs, drawn and composed
+    by the law of ``kind``: "x" (on the family's domain), "theta" or "u"."""
+    if kind not in _QYBE_LAWS:
+        raise ValueError(f"unknown parametrization kind {kind!r}")
+    draw, compose = _QYBE_LAWS[kind]
     rng = np.random.default_rng(seed)
     builder = family_builder(spec, kind, ordering=ordering)
-    residuals, pairs = [], []
-    for _ in range(samples):
-        if kind == "x":
-            a = family_x(spec, sample_domain_point(spec, rng))
-            b = family_x(spec, sample_domain_point(spec, rng))
-            res = qybe_residual(builder, a, b)
-        elif kind == "theta":
-            a, b = rng.uniform(-1.2, 1.2, size=2)
-            res = qybe_residual_additive(builder, float(a), float(b))
-        elif kind == "u":
-            while True:
-                a = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-                b = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-                if abs(1 + a * b) > 0.3:  # keep clear of the composition pole
-                    break
-            res = qybe_residual_rational(builder, a, b)
-        else:
-            raise ValueError(f"unknown parametrization kind {kind!r}")
-        residuals.append(res)
-        pairs.append((a, b))
-    residual, (a, b) = worst(residuals, pairs)
+    pairs = [draw(spec, rng) for _ in range(samples)]
+    residual, (a, b) = worst([qybe_residual(builder, a, b, compose) for a, b in pairs], pairs)
     return ResidualReport(residual=residual, tolerance=tol, worst_case={
         "first": _cpair(a), "second": _cpair(b), "kind": kind})
 

@@ -15,7 +15,7 @@ from yaxter.catalog import (
     is_real,
     on_unit_circle,
 )
-from yaxter.linalg import frobenius, identity
+from yaxter.linalg import frobenius, identity, strand_gap
 from yaxter.verify import sample_spec
 
 
@@ -84,6 +84,12 @@ def test_braid_residual_across_families(family):
     rng = np.random.default_rng(23)
     for _ in range(25):
         assert braid_residual(build_b(sample_spec(family, rng))) < 1e-11
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_braid_residual_is_the_three_strand_gap(family):
+    b = build_b(sample_spec(family, np.random.default_rng(31)))
+    assert braid_residual(b) == strand_gap(b, b, b)
 
 
 def test_braid_residual_detects_broken_matrix():

@@ -388,6 +388,15 @@ def test_closed_hamiltonian_with_overflowing_rho_is_one_error_line(capsys, argv)
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("gamma", ["712", "-800", "nan"])
+def test_gamma_outside_the_exp_range_is_one_error_line(capsys, gamma):
+    # exp(712) overflows and exp(-800) underflows to q = 0; both name the option
+    code, out, err = run_cli(capsys, "hamiltonian", "--family", "six-std", "--gamma", gamma,
+                             "--theta", "0.3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --gamma ") and err.count("\n") == 1
+
+
 def test_build_with_huge_entries_is_not_called_singular(capsys):
     # b has entries of order t = 1e100; the singularity guard of b^{-1} divides
     # by max|b_ij| instead of raising it to the 4th power, which overflows

@@ -16,6 +16,7 @@ from yaxter.linalg import (
     mat_from_json,
     mat_to_json,
     spectral_projectors,
+    strand_gap,
     tensor,
 )
 
@@ -73,6 +74,35 @@ def test_tensor_matches_index_oracle():
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     assert np.allclose(tensor(a, b), kron_oracle(a, b), atol=0)
     assert np.array_equal(tensor(SZ, SZ), np.diag([1, -1, -1, 1]).astype(complex))
+
+
+def complex_matrices(n, count):
+    """``count`` complex n x n matrices drawn from 2 n^2 floats each."""
+    size = 2 * n * n * count
+    return st.lists(finite, min_size=size, max_size=size).map(
+        lambda vals: [(v[0::2] + 1j * v[1::2]).reshape(n, n)
+                      for v in np.array(vals).reshape(count, 2 * n * n)])
+
+
+def strand_gap_reference(a, c, d):
+    e = np.eye(2, dtype=complex)
+    lhs = np.kron(a, e) @ np.kron(e, c) @ np.kron(d, e)
+    rhs = np.kron(e, d) @ np.kron(c, e) @ np.kron(e, a)
+    return float(np.linalg.norm(lhs - rhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_matrices(2, 2))
+def test_tensor_is_bitwise_kron(mats):
+    a, b = mats
+    assert np.array_equal(tensor(a, b), np.kron(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_matrices(4, 3))
+def test_strand_gap_is_bitwise_the_kron_reference(mats):
+    a, c, d = mats
+    assert strand_gap(a, c, d) == strand_gap_reference(a, c, d)
 
 
 def test_tensor_rejects_overflow():

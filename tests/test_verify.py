@@ -1,9 +1,11 @@
+import operator
+
 import numpy as np
 import pytest
 
-from yaxter.baxterize import EigOrdering, SpectralPoint, build_R, x_to_u
+from yaxter.baxterize import EigOrdering, SpectralPoint, build_R, compose_u, x_to_u
 from yaxter.catalog import DomainError, Family, FamilySpec, Sign, build_b
-from yaxter.linalg import dagger, frobenius, identity
+from yaxter.linalg import dagger, frobenius, identity, strand_gap
 from yaxter.verify import (
     DegenerateNormalizationError,
     NotProportionalError,
@@ -13,8 +15,6 @@ from yaxter.verify import (
     inverse_unitarity,
     matrix_norm_factor,
     qybe_residual,
-    qybe_residual_additive,
-    qybe_residual_rational,
     rho_formula,
     sample_domain_point,
     sample_spec,
@@ -39,6 +39,22 @@ def test_qybe_identity_builder_is_exact():
     assert qybe_residual(builder, 0.3 + 0.1j, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("compose", [operator.mul, operator.add, compose_u])
+def test_qybe_residual_builds_each_matrix_once(compose):
+    spec = FamilySpec.eight3(t=2.1, q=np.exp(0.33j))
+    build = family_builder(spec, "u")
+    calls = []
+
+    def builder(value):
+        calls.append(value)
+        return build(value)
+
+    a, b = 0.3 + 0.1j, -0.2 + 0.4j
+    res = qybe_residual(builder, a, b, compose)
+    assert calls == [a, compose(a, b), b]
+    assert res == strand_gap(build(a), build(compose(a, b)), build(b))
+
+
 def test_qybe_six_nonstd_unit_circle():
     spec = FamilySpec.six_nonstd(q=np.exp(0.3))
     builder = family_builder(spec, "x")
@@ -60,11 +76,11 @@ def test_qybe_eight1_real_x():
 def test_qybe_additive_six_nonstd():
     spec = FamilySpec.six_nonstd(gamma=0.3)
     builder = family_builder(spec, "theta")
-    assert qybe_residual_additive(builder, 0.0, 0.0) < 1e-12
+    assert qybe_residual(builder, 0.0, 0.0, operator.add) < 1e-12
     rng = np.random.default_rng(2)
     for _ in range(50):
         t1, t2 = rng.uniform(-1.2, 1.2, 2)
-        assert qybe_residual_additive(builder, t1, t2) < 1e-10
+        assert qybe_residual(builder, t1, t2, operator.add) < 1e-10
 
 
 def test_qybe_rational_eight1():
@@ -76,7 +92,7 @@ def test_qybe_rational_eight1():
         v = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
         if abs(1 + u * v) < 0.3:
             continue
-        assert qybe_residual_rational(builder, u, v) < 1e-10
+        assert qybe_residual(builder, u, v, compose_u) < 1e-10
 
 
 @pytest.mark.parametrize("ordering", [EigOrdering.FIRST, EigOrdering.SECOND])
