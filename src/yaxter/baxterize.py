@@ -108,7 +108,7 @@ def x_to_u(x: complex) -> complex:
 
 
 def u_to_x(u: complex) -> complex:
-    if u == -1:
+    if np.any(np.equal(u, -1)):
         raise DomainError("x = (1-u)/(1+u) is undefined at u = -1")
     return (1 - u) / (1 + u)
 
@@ -170,10 +170,17 @@ def ordered_eigenvalues(spec: FamilySpec, ordering: EigOrdering) -> tuple[comple
 
 def family_x(spec: FamilySpec, p: SpectralPoint) -> complex:
     """Convert a spectral point to the multiplicative x using the family's convention."""
-    if p.kind == "theta" and spec.family is Family.EIGHT_I:
-        return complex(np.tan(np.real(p.value)))
-    conv = FAMILY_THETA_CONVENTION.get(spec.family, ThetaConvention.FULL)
-    return p.x(conv)
+    return complex(_view_x(spec, p.kind, p.value))
+
+
+def _view_x(spec: FamilySpec, kind: str, value):
+    """``family_x`` of a view value or of an array of them."""
+    if kind == "theta" and spec.family is Family.EIGHT_I:
+        return np.tan(np.real(value))
+    if kind == "theta":
+        k = 2.0 if FAMILY_THETA_CONVENTION.get(spec.family) is ThetaConvention.HALF else 1.0
+        return np.exp(1j * k * value)
+    return u_to_x(value) if kind == "u" else value
 
 
 def degeneracy_note(spec: FamilySpec, p: SpectralPoint) -> str | None:
@@ -207,12 +214,17 @@ def gauge(spec: FamilySpec, p: SpectralPoint, form: str = "canonical") -> comple
 
     The g-form itself is the canonical eight4 x-form times 1/g1.
     """
+    return _view_gauge(spec, p.kind, p.value, form)
+
+
+def _view_gauge(spec: FamilySpec, kind: str, value, form: str):
+    """``gauge`` at a view value or at an array of them."""
     fam = spec.family
-    if p.kind == "theta" and fam is Family.EIGHT_I:
-        return np.cos(np.real(p.value)) / np.sqrt(2)
-    if p.kind == "u" and fam in EIGHT_VERTEX_FAMILIES:
+    if kind == "theta" and fam is Family.EIGHT_I:
+        return np.cos(np.real(value)) / np.sqrt(2)
+    if kind == "u" and fam in EIGHT_VERTEX_FAMILIES:
         power = 2 if fam is Family.EIGHT_IV and form != "g" else 1
-        return 1 / (1 + u_to_x(p.value)) ** power
+        return 1 / (1 + u_to_x(value)) ** power
     return 1.0
 
 
@@ -256,6 +268,38 @@ def build_R(
             raise ValueError(f"{fam.value} has two eigenvalues; ordering does not apply")
     r = _x_form(spec, family_x(spec, p), ordering, form)
     return r if p.kind == "x" else gauge(spec, p, form) * r
+
+
+def coefficients(spec: FamilySpec, ordering: EigOrdering | None = None) -> np.ndarray:
+    """The displayed x-form as a matrix polynomial: the (3, 4, 4) stack (A, B, C) with
+    R(x) = A + B x + C x^2, read off the x-form at x = 0, 1 and -1.
+
+    Every x-form has degree at most 2 in x; C is nonzero only for canonical eight4.
+    """
+    r0, r1, rm = (build_R(spec, SpectralPoint.from_x(x), ordering) for x in (0.0, 1.0, -1.0))
+    return np.stack([r0, (r1 - rm) / 2, (r1 + rm) / 2 - r0])
+
+
+def build_R_stack(
+    spec: FamilySpec,
+    kind: str,
+    values,
+    ordering: EigOrdering | None = None,
+    form: str = "canonical",
+) -> np.ndarray:
+    """``build_R`` at every one of ``values`` in the ``kind`` view, as an (n, 4, 4) stack:
+    the gauge times A + B x + C x^2 from ``coefficients``, in one broadcast pass.
+
+    Agrees with ``build_R`` at each value to rounding; ``build_R`` stays the
+    single-point evaluation.
+    """
+    values = np.asarray(values, dtype=complex)[:, None, None]
+    x = _view_x(spec, kind, values)
+    scale = _view_gauge(spec, kind, values, form)
+    if form == "g" and spec.family is Family.EIGHT_IV:  # the g form is the canonical one over g1
+        scale = scale / eight4_g_factors(spec, x)[0]
+    a, b, c = coefficients(spec, ordering)
+    return scale * (a + b * x + c * (x * x))
 
 
 def _x_form(spec: FamilySpec, x: complex, ordering: EigOrdering | None, form: str) -> np.ndarray:

@@ -10,8 +10,9 @@ Each check passes below its own threshold, from ``verify.TOLERANCES`` (and
 ``entangle.ENTANGLING_TOL`` for classify, where it is both the threshold of
 ``entangle.is_local`` and the |Det| floor of the witness). ``check`` and
 ``classify`` take --tol, else the YAXTER_TOL environment variable, in place of
-that threshold; a tolerance must be finite and > 0. Each command accepts only
-the options it reads.
+that threshold; a tolerance must be finite and > 0. Each command, and each
+check of ``check``, accepts only the options it reads: ``check braid`` scans
+seeded points of --family and reads no other family option.
 """
 
 from __future__ import annotations
@@ -280,12 +281,13 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    spec = _spec_from_args(args)
     kind = args.what
     tol = _tol(args, kind)
     if kind == "braid":
-        report = scan_braid(spec.family, samples=args.samples, seed=args.seed, tol=tol)
-    elif kind == "qybe":
+        report = scan_braid(Family(args.family), samples=args.samples, seed=args.seed, tol=tol)
+        return _verdict(args, report.residual, tol, worst_case=report.worst_case)
+    spec = _spec_from_args(args)
+    if kind == "qybe":
         ordering = EigOrdering(args.ordering) if args.ordering else None
         report = scan_qybe(spec, kind=args.parametrization, samples=args.samples,
                            seed=args.seed, tol=tol, ordering=ordering)
@@ -405,13 +407,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("check", help="run a residual check")
-    p.add_argument("what", choices=list(TOLERANCES))
-    _add_family_args(p)
-    _add_point_args(p)
-    p.add_argument("--ordering", choices=[o.value for o in EigOrdering], default=None)
-    _add_run_args(p, "tol", "samples", "seed")
-    p.add_argument("--parametrization", choices=["x", "theta", "u"], default="x")
     p.set_defaults(func=_cmd_check)
+    checks = p.add_subparsers(dest="what", required=True)
+    # no abbreviations: check braid would read --t as --tol
+    c = checks.add_parser("braid", help="braid relation of b over seeded parameter points",
+                          allow_abbrev=False)
+    c.add_argument("--family", required=True, choices=[f.value for f in Family])
+    _add_run_args(c, "tol", "samples", "seed")
+    c = checks.add_parser("qybe", help="QYBE over seeded spectral-parameter pairs",
+                          allow_abbrev=False)
+    _add_family_args(c)
+    c.add_argument("--ordering", choices=[o.value for o in EigOrdering], default=None)
+    c.add_argument("--parametrization", choices=["x", "theta", "u"], default="x")
+    _add_run_args(c, "tol", "samples", "seed")
+    c = checks.add_parser("unitarity", help="unitarity at a point, else over seeded points",
+                          allow_abbrev=False)
+    _add_family_args(c)
+    _add_point_args(c)
+    _add_run_args(c, "tol", "samples", "seed")
+    c = checks.add_parser("inverse-unitarity", help="R(x) R(1/x) scalar at a point",
+                          allow_abbrev=False)
+    _add_family_args(c)
+    _add_point_args(c)
+    _add_run_args(c, "tol")
 
     p = sub.add_parser("classify", help="Brylinski classification of the gate at a point")
     _add_family_args(p)

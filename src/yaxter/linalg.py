@@ -3,6 +3,8 @@
 Everything in this package lives on 2x2 or 4x4 complex matrices stored as
 numpy ``complex128`` arrays, row-major, in the computational basis order
 |00>, |01>, |10>, |11| (first tensor factor = control/left strand).
+``dagger``, ``frobenius`` and ``strand_gap`` also take (..., n, n) stacks and
+work matrix by matrix; a single matrix gives the single-matrix result.
 
 The JSON wire format for a matrix, shared by the whole package and the CLI, is
 
@@ -17,6 +19,12 @@ DEFAULT_ATOL = 1e-10
 
 # Scale-aware singularity threshold: |det(A / max|A_ij|)| < SINGULAR_EPS.
 SINGULAR_EPS = 1e-12
+
+#: largest |entry| of a 4x4 matrix that the residual products take: with |entries| <= M, an
+#: entry of a triple product on C^8 is at most 64 M^3, a difference of two at most 128 M^3,
+#: and the squared Frobenius norm of that difference at most 64 * 128^2 M^6 = 2^20 M^6, so
+#: every intermediate of ``strand_gap`` (and of any shorter product) stays finite.
+MAX_ENTRY = (np.finfo(float).max / 2.0**20) ** (1 / 6)
 
 
 class DegenerateSpectrumError(ValueError):
@@ -40,17 +48,19 @@ def cmat(rows) -> np.ndarray:
     a = np.asarray(rows, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 4):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a.view(float)).all():
         raise ValueError("matrix entries must be finite")
     return a
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    return np.swapaxes(a.conj(), -1, -2)
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+def frobenius(a: np.ndarray):
+    """||a||_F as a float for one matrix; one norm per matrix of a (..., n, n) stack."""
+    a = np.asarray(a)
+    return float(np.linalg.norm(a)) if a.ndim == 2 else np.linalg.norm(a, axis=(-2, -1))
 
 
 def identity(dim: int) -> np.ndarray:
@@ -58,9 +68,11 @@ def identity(dim: int) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a x b)[i*n+k][j*n+l] = a[i][j] * b[k][l] by broadcasting; bitwise equal to np.kron."""
-    mn = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(mn, mn)
+    """(a x b)[i*n+k][j*n+l] = a[i][j] * b[k][l] by broadcasting over leading axes; for two
+    matrices bitwise equal to np.kron."""
+    mn = a.shape[-1] * b.shape[-1]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], mn, mn)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,9 +83,12 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
+def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray):
     """||(a x 1)(1 x c)(d x 1) - (1 x d)(c x 1)(1 x a)||_F on C^8 for 4x4 a, c, d: the
-    braid relation at (b, b, b), the QYBE at (R(x), R(x o y), R(y))."""
+    braid relation at (b, b, b), the QYBE at (R(x), R(x o y), R(y)).
+
+    (..., 4, 4) stacks broadcast and give one gap per triple; three matrices give a float.
+    """
     e = identity(2)
     lhs = _kron(a, e) @ _kron(e, c) @ _kron(d, e)
     rhs = _kron(e, d) @ _kron(c, e) @ _kron(e, a)

@@ -22,6 +22,7 @@ from .entangle import Classification, classify, concurrence_det, det_b_closed
 from .gates import SIGMA_MINUS, SIGMA_PLUS, SX, SY, tensor
 from .linalg import dagger, expm_hermitian, frobenius, hermiticity_defect, identity
 from .verify import (
+    QYBE_PARAMETRIZATIONS,
     TOLERANCES,
     family_inverse_unitarity,
     rho_formula,
@@ -56,16 +57,6 @@ def representative_spec(family: Family) -> FamilySpec:
         Family.EIGHT_IV: FamilySpec.eight4(t=1.6, q=np.exp(0.25j)),
         Family.BELL_PHI: FamilySpec.bell(phi=0.9, sign=Sign.MINUS),
     }[family]
-
-
-QYBE_PARAMETRIZATIONS = {
-    Family.SIX_NONSTD: ("x", "theta"),
-    Family.SIX_STD: ("x", "theta"),
-    Family.EIGHT_I: ("x", "u"),
-    Family.EIGHT_II: ("x", "theta", "u"),
-    Family.EIGHT_III: ("x", "theta", "u"),
-    Family.EIGHT_IV: ("x", "theta", "u"),
-}
 
 
 def _entry(cid: int, name: str, passed: bool, **detail) -> dict:

@@ -19,6 +19,14 @@ reference gauge, ``baxterize.reference_gauge``) is:
                   |g2|^2 = (1-x)^2 + |t|^2 (1+x)^2        for imaginary t, real x
                   (stated for the g-normalized view; the canonical matrix
                    carries the extra factor |g1|^2)
+
+The seeded scans draw their samples one at a time, in a fixed RNG order, then
+evaluate all of them in one call of the same kernels on (n, 4, 4) stacks:
+``scan_qybe`` builds R(x), R(x o y) and R(y) as three stacks through
+``family_builder`` (the gauge times the x-form polynomial of
+``baxterize.coefficients``), ``scan_braid`` stacks ``build_b`` and
+``scan_unitarity`` stacks ``build_R``. The single-point checks run the same
+kernels on one matrix.
 """
 
 from __future__ import annotations
@@ -33,15 +41,16 @@ from .baxterize import (
     EigOrdering,
     SpectralPoint,
     build_R,
+    build_R_stack,
     compose_u,
     eight4_g_factors,
     family_x,
     gauge,
     reference_gauge,
 )
-from .catalog import (DomainError, Family, FamilySpec, Sign, build_b, braid_residual,
-                      finite_rho, is_imag)
-from .linalg import dagger, frobenius, identity, strand_gap
+from .catalog import (THREE_EIGENVALUE_FAMILIES, DomainError, Family, FamilySpec, Sign, build_b,
+                      braid_residual, finite_rho, is_imag)
+from .linalg import MAX_ENTRY, dagger, frobenius, identity, strand_gap
 
 I4 = identity(4)
 
@@ -58,13 +67,14 @@ class NotProportionalError(ValueError):
 
 
 def qybe_residual(builder: Callable[[complex], np.ndarray], a: complex, b: complex,
-                  compose: Callable[[complex, complex], complex] = operator.mul) -> float:
+                  compose: Callable[[complex, complex], complex] = operator.mul):
     """QYBE R1(a) R2(a o b) R1(b) = R2(b) R1(a o b) R2(a), with each R built once.
 
     ``compose`` is the parametrization's composition law o: ``operator.mul``
     for x, ``operator.add`` for theta (the multiplicative law at x = e^{i k theta})
     and ``compose_u`` for u. The right-hand side carries the swapped arguments;
     the variant with a and b in display order fails by O(1) for every family here.
+    Arrays a and b give one residual per pair from three builder calls.
     """
     return strand_gap(builder(a), builder(compose(a, b)), builder(b))
 
@@ -75,19 +85,46 @@ def family_builder(
     ordering: EigOrdering | None = None,
     form: str = "canonical",
 ) -> Callable[[complex], np.ndarray]:
-    """R-matrix builder for one family, parametrized by x, theta or u."""
+    """R-matrix builder for one family, parametrized by x, theta or u.
+
+    A scalar value gives ``build_R`` at that point, an array of values the
+    (n, 4, 4) stack of ``build_R_stack``. An entry above ``linalg.MAX_ENTRY``,
+    where the residual products would overflow, is a DomainError.
+    """
     def build(value):
-        return build_R(spec, SpectralPoint(kind, complex(value)), ordering=ordering, form=form)
+        if np.ndim(value) == 0:
+            r = build_R(spec, SpectralPoint(kind, complex(value)), ordering=ordering, form=form)
+        else:
+            r = build_R_stack(spec, kind, value, ordering=ordering, form=form)
+        return _bounded(r, spec, kind, value)
     return build
 
 
-def unitarity_residual(r: np.ndarray, rconj: np.ndarray) -> tuple[float, float]:
-    """(rho_est, residual) for R(x) R^dag(xbar) = rho * 1 with rconj = R^dag(xbar)."""
-    rho = float(np.real(np.trace(r @ rconj)) / 4.0)
-    if rho <= 0:
-        raise DegenerateNormalizationError(f"estimated rho = {rho:.3e} is not positive")
-    res = frobenius(r @ rconj - rho * I4) + frobenius(rconj @ r - rho * I4)
-    return rho, res
+def _bounded(r: np.ndarray, spec: FamilySpec, kind: str, value) -> np.ndarray:
+    """``r``, one matrix or a stack, if no entry exceeds ``MAX_ENTRY``; else a DomainError
+    naming the parameters of the first matrix that does."""
+    peaks = np.abs(r).max(axis=(-2, -1), initial=0.0).ravel()
+    over = np.flatnonzero(~(peaks <= MAX_ENTRY))  # a NaN entry is over, too
+    if over.size == 0:
+        return r
+    k = over[0]
+    names = ("q", "t") if spec.family in (Family.EIGHT_II, *THREE_EIGENVALUE_FAMILIES) else ("q",)
+    params = [f"{name} = {_cstr(getattr(spec, name))}" for name in names]
+    params.append(f"{kind} = {_cstr(np.ravel(value)[k])}")
+    raise DomainError(f"{spec.family.value} at {', '.join(params)}: an R-matrix entry reaches "
+                      f"{peaks[k]:.3g}, above the {MAX_ENTRY:.3g} up to which the residual "
+                      "products stay finite")
+
+
+def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
+    """(rho_est, residual) for R(x) R^dag(xbar) = rho * 1 with rconj = R^dag(xbar);
+    (..., 4, 4) stacks give one pair of arrays."""
+    prod = r @ rconj
+    rho = np.real(np.trace(prod, axis1=-2, axis2=-1)) / 4.0
+    if np.any(rho <= 0):
+        raise DegenerateNormalizationError(f"estimated rho = {np.nanmin(rho):.3e} is not positive")
+    eye = rho[..., None, None] * I4
+    return rho, frobenius(prod - eye) + frobenius(rconj @ r - eye)
 
 
 def conjugate_partner(
@@ -110,11 +147,18 @@ def unitarity_gap(spec: FamilySpec, p: SpectralPoint) -> tuple[float, float]:
     DomainError before R is built; a non-finite residual gives a non-finite gap.
     """
     rho_ref = finite_rho(matrix_norm_factor(spec, p), f" at x = {family_x(spec, p)}")
-    r = build_R(spec, p)
+    gap, rho_est = _unitarity_gaps(build_R(spec, p), rho_ref)
+    return float(gap), rho_est
+
+
+def _unitarity_gaps(r: np.ndarray, rho_ref):
+    """(gap, rho_est) of ``unitarity_gap`` for one matrix, or arrays of them for an
+    (n, 4, 4) stack, with ``rho_ref`` the closed-form rho of each matrix; a
+    non-finite ``rho_ref`` gives a NaN gap."""
     rho_est, res = unitarity_residual(r, dagger(r))
     gap = res / rho_est + abs(rho_est - rho_ref) / rho_ref
-    u = r / np.sqrt(rho_est)
-    return float(np.maximum(gap, frobenius(u @ dagger(u) - I4))), rho_est
+    u = r / np.sqrt(rho_est)[..., None, None]
+    return np.maximum(gap, frobenius(u @ dagger(u) - I4)), rho_est
 
 
 def rho_formula(spec: FamilySpec, p: SpectralPoint) -> float:
@@ -252,12 +296,17 @@ def worst(values, cases=None):
     return float(a[k]) if cases is None else (float(a[k]), cases[k])
 
 
+def _stack(matrices: list) -> np.ndarray:
+    """The (n, 4, 4) stack of a list of n matrices; n = 0 gives an empty stack."""
+    return np.array(matrices, dtype=complex).reshape(-1, 4, 4)
+
+
 def scan_braid(family: Family, samples: int, seed: int,
                tol: float = TOLERANCES["braid"]) -> ResidualReport:
     """Max braid residual of build_b over seeded parameter points."""
     rng = np.random.default_rng(seed)
     specs = [sample_spec(family, rng) for _ in range(samples)]
-    residual, spec = worst([braid_residual(build_b(s)) for s in specs], specs)
+    residual, spec = worst(braid_residual(_stack([build_b(s) for s in specs])), specs)
     return ResidualReport(residual=residual, tolerance=tol, worst_case={
         "q": _cpair(spec.q), "t": _cpair(spec.t), "sign": spec.sign.value})
 
@@ -269,6 +318,17 @@ def _draw_u(spec: FamilySpec, rng: np.random.Generator) -> tuple[complex, comple
         if abs(1 + a * b) > 0.3:  # keep clear of the composition pole
             return a, b
 
+
+#: the parametrizations in which each R family has a QYBE composition law. The eight1
+#: theta view is x = tan(theta), for which theta1 + theta2 is not one.
+QYBE_PARAMETRIZATIONS = {
+    Family.SIX_NONSTD: ("x", "theta"),
+    Family.SIX_STD: ("x", "theta"),
+    Family.EIGHT_I: ("x", "u"),
+    Family.EIGHT_II: ("x", "theta", "u"),
+    Family.EIGHT_III: ("x", "theta", "u"),
+    Family.EIGHT_IV: ("x", "theta", "u"),
+}
 
 #: per parametrization kind: the seeded draw of one spectral pair and its composition law.
 _QYBE_LAWS = {
@@ -288,14 +348,19 @@ def scan_qybe(
     ordering: EigOrdering | None = None,
 ) -> ResidualReport:
     """Max QYBE residual over seeded spectral-parameter pairs, drawn and composed
-    by the law of ``kind``: "x" (on the family's domain), "theta" or "u"."""
-    if kind not in _QYBE_LAWS:
-        raise ValueError(f"unknown parametrization kind {kind!r}")
+    by the law of ``kind``: "x" (on the family's domain), "theta" or "u".
+
+    A (family, kind) pair outside ``QYBE_PARAMETRIZATIONS`` is a ValueError.
+    """
+    kinds = QYBE_PARAMETRIZATIONS.get(spec.family, ())
+    if kind not in kinds:
+        raise ValueError(f"{spec.family.value} has no QYBE composition law in the {kind!r} "
+                         f"parametrization; it has {', '.join(kinds) or 'none'}")
     draw, compose = _QYBE_LAWS[kind]
     rng = np.random.default_rng(seed)
     builder = family_builder(spec, kind, ordering=ordering)
-    pairs = [draw(spec, rng) for _ in range(samples)]
-    residual, (a, b) = worst([qybe_residual(builder, a, b, compose) for a, b in pairs], pairs)
+    pairs = np.array([draw(spec, rng) for _ in range(samples)], dtype=complex).reshape(-1, 2)
+    residual, (a, b) = worst(qybe_residual(builder, pairs[:, 0], pairs[:, 1], compose), pairs)
     return ResidualReport(residual=residual, tolerance=tol, worst_case={
         "first": _cpair(a), "second": _cpair(b), "kind": kind})
 
@@ -313,17 +378,18 @@ def scan_unitarity(
     the gauge table); the worst residual covers both gaps.
     """
     rng = np.random.default_rng(seed)
-    gaps, cases = [], []
+    specs, points = [], []
     for _ in range(samples):
         spec = sample_spec(family, rng)
         if imaginary_t and family is Family.EIGHT_IV:
             spec = FamilySpec(family, q=spec.q, t=complex(0, float(np.real(spec.t))),
                               sign=spec.sign)
-        p = sample_domain_point(spec, rng)
-        gap, rho_est = unitarity_gap(spec, p)
-        gaps.append(gap)
-        cases.append((spec, p, rho_est))
-    residual, (spec, p, rho_est) = worst(gaps, cases)
+        specs.append(spec)
+        points.append(sample_domain_point(spec, rng))
+    rho_ref = np.array([matrix_norm_factor(s, p) for s, p in zip(specs, points)])
+    gaps, rho_est = _unitarity_gaps(_stack([build_R(s, p) for s, p in zip(specs, points)]),
+                                    rho_ref)
+    residual, (spec, p, rho_est) = worst(gaps, list(zip(specs, points, rho_est)))
     return ResidualReport(residual=residual, tolerance=tol, worst_case={
         "q": _cpair(spec.q), "t": _cpair(spec.t), "x": _cpair(family_x(spec, p)),
         "sign": spec.sign.value, "rho": float(rho_est)})
@@ -332,3 +398,8 @@ def scan_unitarity(
 def _cpair(z) -> list[float]:
     z = complex(z)
     return [float(z.real), float(z.imag)]
+
+
+def _cstr(z) -> str:
+    z = complex(z)
+    return f"{z.real:.6g}" if z.imag == 0 else f"{z:.6g}"

@@ -6,6 +6,8 @@ from yaxter.baxterize import (
     SpectralPoint,
     ThetaConvention,
     build_R,
+    build_R_stack,
+    coefficients,
     compose_u,
     degeneracy_note,
     eight4_g_factors,
@@ -359,3 +361,51 @@ def test_eight1_theta_form_reads_q():
     th = 0.4
     want = np.cos(th) / np.sqrt(2) * build_R(spec, X(np.tan(th)))
     assert frobenius(build_R(spec, TH(th)) - want) <= 1e-15 * frobenius(want)
+
+
+# --- the x-form polynomial and its stacks ------------------------------------------
+
+@pytest.mark.parametrize("family,ordering,form", VARIANTS,
+                         ids=lambda v: getattr(v, "value", v))
+def test_coefficients_reproduce_the_x_form(family, ordering, form):
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        spec = sample_spec(family, rng)
+        a, b, c = coefficients(spec, ordering)
+        if family is not Family.EIGHT_IV:  # only canonical eight4 is quadratic in x
+            assert frobenius(c) <= 1e-15 * frobenius(a)
+        xs = rng.uniform(-2.5, 2.5, 8) + 1j * rng.uniform(-2.5, 2.5, 8)
+        stack = build_R_stack(spec, "x", xs, ordering=ordering, form=form)
+        assert stack.shape == (8, 4, 4)
+        for x, r in zip(xs, stack):
+            want = build_R(spec, X(x), ordering=ordering, form=form)
+            assert frobenius(r - want) <= 4e-15 * frobenius(want)
+            if form == "canonical":
+                assert frobenius(a + b * x + c * x * x - want) <= 4e-15 * frobenius(want)
+
+
+@pytest.mark.parametrize("family,ordering,form", VARIANTS,
+                         ids=lambda v: getattr(v, "value", v))
+def test_stack_in_every_view_matches_build_R(family, ordering, form):
+    rng = np.random.default_rng(29)
+    spec = sample_spec(family, rng)
+    values = {
+        "x": rng.uniform(-0.8, 0.8, 6) + 1j * rng.uniform(-0.8, 0.8, 6),
+        "theta": rng.uniform(-1.2, 1.2, 6),
+        "u": rng.uniform(-0.8, 0.8, 6) + 1j * rng.uniform(-0.8, 0.8, 6),
+    }
+    for kind, vals in values.items():
+        stack = build_R_stack(spec, kind, vals, ordering=ordering, form=form)
+        for v, r in zip(vals, stack):
+            want = build_R(spec, SpectralPoint(kind, complex(v)), ordering=ordering, form=form)
+            assert frobenius(r - want) <= 4e-15 * frobenius(want)
+
+
+def test_stack_of_no_values_is_empty():
+    spec = FamilySpec.eight3(t=2.1, q=np.exp(0.33j))
+    assert build_R_stack(spec, "u", []).shape == (0, 4, 4)
+
+
+def test_stack_rejects_u_at_minus_one():
+    with pytest.raises(DomainError, match="undefined at u = -1"):
+        build_R_stack(FamilySpec.eight2(t=1.5), "u", [0.2, -1.0])

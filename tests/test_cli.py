@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -432,5 +433,43 @@ IGNORED = [
 def test_option_the_command_does_not_read_is_usage_error(capsys, command, option, value):
     with pytest.raises(SystemExit) as exc:
         main([*MINIMAL_ARGV[command], option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+# --- each check its own subcommand; overflow rejected before any product ----------
+
+@pytest.mark.parametrize("argv", [
+    ("check", "qybe", "--family", "eight3", "--t", "1e200", "--q", "1", "--samples", "3"),
+    ("check", "inverse-unitarity", "--family", "eight3", "--t", "1e200", "--q", "1",
+     "--x", "0.7"),
+    ("check", "qybe", "--family", "six-std", "--q", "1e-200", "--samples", "3"),
+])
+def test_overflowing_check_is_one_error_line_naming_the_parameter(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{argv[4][2:]} = {float(argv[5]):g}" in err
+
+
+def test_eight1_theta_qybe_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "check", "qybe", "--family", "eight1", "--phi", "0.9",
+                             "--parametrization", "theta")
+    assert code == 2 and out == ""
+    assert err.startswith("error: eight1 has no QYBE composition law in the 'theta'")
+
+
+@pytest.mark.parametrize("what,option,value", [
+    ("braid", "--phi", "0.9"), ("braid", "--x", "0.3"), ("braid", "--t", "1e200"),
+    ("braid", "--ordering", "second"), ("braid", "--parametrization", "u"),
+    ("qybe", "--x", "0.3"), ("qybe", "--theta", "0.3"), ("qybe", "--u", "0.3"),
+    ("inverse-unitarity", "--samples", "5"), ("inverse-unitarity", "--seed", "3"),
+    ("inverse-unitarity", "--parametrization", "u"), ("unitarity", "--ordering", "second"),
+])
+def test_check_rejects_an_option_it_does_not_read(capsys, what, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*CHECK_ARGV[what], option, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err

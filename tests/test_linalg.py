@@ -9,6 +9,7 @@ from yaxter.linalg import (
     NotTwoEigenvalueError,
     SingularMatrixError,
     cmat,
+    dagger,
     expm_hermitian,
     frobenius,
     identity,
@@ -103,6 +104,28 @@ def test_tensor_is_bitwise_kron(mats):
 def test_strand_gap_is_bitwise_the_kron_reference(mats):
     a, c, d = mats
     assert strand_gap(a, c, d) == strand_gap_reference(a, c, d)
+
+
+def test_stacked_strand_gap_agrees_with_per_item_calls():
+    rng = np.random.default_rng(31)
+    a, c, d = (rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+               for _ in range(3))
+    gaps = strand_gap(a, c, d)
+    assert gaps.shape == (5,)
+    for k in range(5):
+        assert gaps[k] == pytest.approx(strand_gap(a[k], c[k], d[k]), rel=1e-14)
+    # a single matrix broadcasts against a stack
+    assert np.allclose(strand_gap(a[0], c, d[0]),
+                       [strand_gap(a[0], ck, d[0]) for ck in c], rtol=1e-14, atol=0)
+
+
+def test_stacked_frobenius_and_dagger_work_matrix_by_matrix():
+    rng = np.random.default_rng(37)
+    m = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    assert np.array_equal(dagger(m), np.array([dagger(mk) for mk in m]))
+    assert np.allclose(frobenius(m), [frobenius(mk) for mk in m], rtol=1e-15, atol=0)
+    assert isinstance(frobenius(m[0]), float)
+    assert frobenius(m[:0]).shape == (0,)
 
 
 def test_tensor_rejects_overflow():

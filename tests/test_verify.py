@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from yaxter.baxterize import EigOrdering, SpectralPoint, build_R, compose_u, x_to_u
-from yaxter.catalog import DomainError, Family, FamilySpec, Sign, build_b
+from yaxter.catalog import DomainError, Family, FamilySpec, Sign, braid_residual, build_b
 from yaxter.linalg import dagger, frobenius, identity, strand_gap
 from yaxter.verify import (
+    QYBE_PARAMETRIZATIONS,
     DegenerateNormalizationError,
     NotProportionalError,
     conjugate_partner,
@@ -336,14 +337,122 @@ def test_scan_with_a_nan_sample_fails(what, kernel, monkeypatch):
     calls = []
 
     def poisoned(*args):
+        # one batched call per scan: turn sample 4 of its residual stack into NaN
         calls.append(None)
         out = real(*args)
-        if len(calls) != 4:
-            return out
-        return (out[0], float("nan")) if kernel == "unitarity_residual" else float("nan")
+        residuals = np.array(out[1] if kernel == "unitarity_residual" else out)
+        assert residuals.shape == (10,)
+        residuals[3] = float("nan")
+        return (out[0], residuals) if kernel == "unitarity_residual" else residuals
 
     monkeypatch.setattr(verify, kernel, poisoned)
     report = SCANS[what](10)
-    assert len(calls) == 10
+    assert len(calls) == 1
     assert np.isnan(report.residual)
     assert not report.passed
+
+
+# --- batched scans against the per-sample loop --------------------------------------
+
+def _scale3(*mats):
+    return max(frobenius(m) for m in mats) ** 3
+
+
+QYBE_PAIRS = [(family, kind, None) for family, kinds in QYBE_PARAMETRIZATIONS.items()
+              for kind in kinds] + [(Family.EIGHT_III, "x", EigOrdering.SECOND)]
+
+
+@pytest.mark.parametrize("family,kind,ordering", QYBE_PAIRS,
+                         ids=lambda v: getattr(v, "value", v))
+def test_batched_qybe_residuals_match_the_per_sample_loop(family, kind, ordering):
+    from yaxter.suite import representative_spec
+    from yaxter.verify import _QYBE_LAWS
+
+    spec = representative_spec(family)
+    draw, compose = _QYBE_LAWS[kind]
+    rng = np.random.default_rng(41)
+    pairs = np.array([draw(spec, rng) for _ in range(50)], dtype=complex)
+    builder = family_builder(spec, kind, ordering=ordering)
+    batched = qybe_residual(builder, pairs[:, 0], pairs[:, 1], compose)
+    assert batched.shape == (50,)
+    for (a, b), got in zip(pairs, batched):
+        mats = (builder(a), builder(compose(a, b)), builder(b))
+        assert abs(got - strand_gap(*mats)) <= 1e-14 * _scale3(*mats)
+    report = scan_qybe(spec, kind=kind, samples=50, seed=41, ordering=ordering)
+    assert report.residual == batched.max() and report.passed
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_batched_braid_scan_matches_the_per_sample_loop(family):
+    rng = np.random.default_rng(43)
+    loop = [(braid_residual(b), _scale3(b)) for b in
+            (build_b(sample_spec(family, rng)) for _ in range(40))]
+    worst_loop, scale = max(loop)
+    assert abs(scan_braid(family, samples=40, seed=43).residual - worst_loop) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("family", R_FAMILIES)
+def test_batched_unitarity_scan_matches_the_per_sample_loop(family):
+    rng = np.random.default_rng(47)
+    loop = []
+    for _ in range(40):
+        spec = sample_spec(family, rng)
+        loop.append(unitarity_gap(spec, sample_domain_point(spec, rng))[0])
+    assert abs(scan_unitarity(family, samples=40, seed=47).residual - max(loop)) <= 1e-14
+
+
+def test_stacked_unitarity_residual_agrees_with_per_item_calls():
+    rng = np.random.default_rng(53)
+    specs = [sample_spec(Family.EIGHT_II, rng) for _ in range(6)]
+    r = np.array([build_R(s, sample_domain_point(s, rng)) for s in specs])
+    rho, res = unitarity_residual(r, dagger(r))
+    assert rho.shape == res.shape == (6,)
+    for k in range(6):
+        rho_k, res_k = unitarity_residual(r[k], dagger(r[k]))
+        assert rho[k] == pytest.approx(rho_k, rel=1e-15)
+        assert abs(res[k] - res_k) <= 1e-14 * rho_k
+
+
+def test_stacked_unitarity_residual_rejects_a_degenerate_matrix():
+    r = np.array([identity(4), np.zeros((4, 4), dtype=complex)])
+    with pytest.raises(DegenerateNormalizationError):
+        unitarity_residual(r, dagger(r))
+
+
+# --- parametrization table and entry bound ------------------------------------------
+
+def test_suite_reads_the_parametrization_table():
+    from yaxter import suite
+
+    assert suite.QYBE_PARAMETRIZATIONS is QYBE_PARAMETRIZATIONS
+
+
+@pytest.mark.parametrize("spec,kind", [(FamilySpec.eight1(phi=0.9), "theta"),
+                                       (FamilySpec.bell(phi=0.9), "x")])
+def test_scan_qybe_rejects_a_pair_outside_the_table(spec, kind):
+    with pytest.raises(ValueError, match="no QYBE composition law"):
+        scan_qybe(spec, kind=kind, samples=3)
+
+
+@pytest.mark.parametrize("value", [0.5, np.array([0.5, 0.7])])
+def test_entries_beyond_the_product_bound_are_a_domain_error(value):
+    builder = family_builder(FamilySpec.eight3(t=1e60, q=1.0), "x")
+    with pytest.raises(DomainError, match=r"t = 1e\+60, x = 0\.5: an R-matrix entry"):
+        builder(value)
+
+
+def test_entries_below_the_product_bound_give_finite_residuals():
+    spec = FamilySpec.eight3(t=1e50, q=1.0)
+    report = scan_qybe(spec, samples=5, seed=3)
+    assert np.isfinite(report.residual)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: scan_qybe(FamilySpec.eight3(t=1e200, q=1.0), samples=3),
+    lambda: family_inverse_unitarity(FamilySpec.eight3(t=1e200, q=1.0), 0.7),
+    lambda: family_inverse_unitarity(FamilySpec.eight3(t=2.0, q=1.0), 1e-200),
+])
+def test_overflowing_checks_raise_before_any_product(check):
+    with np.errstate(all="raise"):
+        with pytest.raises(DomainError, match="residual products stay finite"):
+            check()
