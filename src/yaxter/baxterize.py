@@ -108,7 +108,7 @@ def x_to_u(x: complex) -> complex:
 
 
 def u_to_x(u: complex) -> complex:
-    if np.any(np.equal(u, -1)):
+    if (u == -1).any() if isinstance(u, np.ndarray) else u == -1:
         raise DomainError("x = (1-u)/(1+u) is undefined at u = -1")
     return (1 - u) / (1 + u)
 

@@ -54,7 +54,7 @@ def cmat(rows) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a.conj(), -1, -2)
+    return a.conj().swapaxes(-1, -2)
 
 
 def frobenius(a: np.ndarray):

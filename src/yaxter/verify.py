@@ -121,7 +121,7 @@ def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
     (..., 4, 4) stacks give one pair of arrays."""
     prod = r @ rconj
     rho = np.real(np.trace(prod, axis1=-2, axis2=-1)) / 4.0
-    if np.any(rho <= 0):
+    if (rho <= 0).any():
         raise DegenerateNormalizationError(f"estimated rho = {np.nanmin(rho):.3e} is not positive")
     eye = rho[..., None, None] * I4
     return rho, frobenius(prod - eye) + frobenius(rconj @ r - eye)
