@@ -148,7 +148,7 @@ def unitarity_gap(spec: FamilySpec, p: SpectralPoint) -> tuple[float, float]:
     """
     rho_ref = finite_rho(matrix_norm_factor(spec, p), f" at x = {family_x(spec, p)}")
     gap, rho_est = _unitarity_gaps(build_R(spec, p), rho_ref)
-    return float(gap), rho_est
+    return float(gap), float(rho_est)
 
 
 def _unitarity_gaps(r: np.ndarray, rho_ref):
