@@ -10,8 +10,9 @@ Three-eigenvalue formula (must be re-checked against the QYBE per output):
            + (lambda1 + lambda2 + lambda3 + lambda1 lambda3 / lambda2) x I
            - (x-1) b
 
-Each family has one displayed closed form, its x-form, which agrees with the
-formulas above up to one overall scalar that is constant in x.
+Each family has one displayed closed form, its x-form (``x_form``, which takes
+q, t, the sign factor and x as scalars or as arrays that broadcast), which
+agrees with the formulas above up to one overall scalar that is constant in x.
 
 Spectral-parameter views: x (multiplicative), theta (x = e^{2 i theta} for the
 six-vertex families, x = e^{i theta} for eight2/3/4, x = tan theta for eight1),
@@ -29,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import EIGHT_VERTEX_FAMILIES, DomainError, Family, FamilySpec, build_b, eigenvalues_of
-from .linalg import cmat, inverse
+from .catalog import (EIGHT_VERTEX_FAMILIES, DomainError, Family, FamilySpec, build_b,
+                      eigenvalues_of, z_of)
+from .linalg import cmat, cmat_stack, inverse
 
 
 class ThetaConvention(str, enum.Enum):
@@ -170,17 +172,19 @@ def ordered_eigenvalues(spec: FamilySpec, ordering: EigOrdering) -> tuple[comple
 
 def family_x(spec: FamilySpec, p: SpectralPoint) -> complex:
     """Convert a spectral point to the multiplicative x using the family's convention."""
-    return complex(_view_x(spec, p.kind, p.value))
+    return view_x(spec.family, p.kind, p.value)
 
 
-def _view_x(spec: FamilySpec, kind: str, value):
-    """``family_x`` of a view value or of an array of them."""
-    if kind == "theta" and spec.family is Family.EIGHT_I:
-        return np.tan(np.real(value))
-    if kind == "theta":
-        k = 2.0 if FAMILY_THETA_CONVENTION.get(spec.family) is ThetaConvention.HALF else 1.0
-        return np.exp(1j * k * value)
-    return u_to_x(value) if kind == "u" else value
+def view_x(family: Family, kind: str, value):
+    """``family_x`` of a view value (a complex) or of an array of them."""
+    if kind == "theta" and family is Family.EIGHT_I:
+        x = np.tan(np.real(value))
+    elif kind == "theta":
+        k = 2.0 if FAMILY_THETA_CONVENTION.get(family) is ThetaConvention.HALF else 1.0
+        x = np.exp(1j * k * value)
+    else:
+        x = u_to_x(value) if kind == "u" else value
+    return x if isinstance(x, np.ndarray) else complex(x)
 
 
 def degeneracy_note(spec: FamilySpec, p: SpectralPoint) -> str | None:
@@ -196,7 +200,11 @@ def degeneracy_note(spec: FamilySpec, p: SpectralPoint) -> str | None:
 
 def eight4_g_factors(spec: FamilySpec, x: complex) -> tuple[complex, complex]:
     """g1 = 1 + t + x(1 - t), g2 = 1 + t - x(1 - t)."""
-    t = complex(spec.t)
+    return g_factors(complex(spec.t), x)
+
+
+def g_factors(t, x):
+    """``eight4_g_factors`` at t and x, which broadcast."""
     return 1 + t + x * (1 - t), 1 + t - x * (1 - t)
 
 
@@ -214,12 +222,12 @@ def gauge(spec: FamilySpec, p: SpectralPoint, form: str = "canonical") -> comple
 
     The g-form itself is the canonical eight4 x-form times 1/g1.
     """
-    return _view_gauge(spec, p.kind, p.value, form)
+    return view_gauge(spec.family, p.kind, p.value, form)
 
 
-def _view_gauge(spec: FamilySpec, kind: str, value, form: str):
+def view_gauge(family: Family, kind: str, value, form: str):
     """``gauge`` at a view value or at an array of them."""
-    fam = spec.family
+    fam = family
     if kind == "theta" and fam is Family.EIGHT_I:
         return np.cos(np.real(value)) / np.sqrt(2)
     if kind == "u" and fam in EIGHT_VERTEX_FAMILIES:
@@ -234,11 +242,20 @@ def reference_gauge(spec: FamilySpec, p: SpectralPoint, form: str = "canonical")
     2 e^{i theta} for the six-vertex families (over their trigonometric form,
     x = e^{2 i theta}), g1 for canonical eight4 (over its g view), 1 otherwise.
     """
-    fam = spec.family
-    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
-        return 2 * np.exp(1j * p.theta(ThetaConvention.HALF))
-    if fam is Family.EIGHT_IV and form != "g":
-        return eight4_g_factors(spec, family_x(spec, p))[0]
+    return view_reference_gauge(spec.family, complex(spec.t), p.kind, p.value, form)
+
+
+def view_reference_gauge(family: Family, t, kind: str, value, form: str):
+    """``reference_gauge`` at t and a view value, or at arrays of them."""
+    if family in (Family.SIX_NONSTD, Family.SIX_STD):
+        if kind == "theta":
+            theta = value
+        else:
+            x = view_x(family, kind, value)
+            theta = (np.log(x) if isinstance(x, np.ndarray) else cmath.log(x)) / (1j * 2.0)
+        return 2 * np.exp(1j * theta)
+    if family is Family.EIGHT_IV and form != "g":
+        return g_factors(t, view_x(family, kind, value))[0]
     return 1.0
 
 
@@ -257,8 +274,6 @@ def build_R(
     middle block scaled by g = g2/g1.
     """
     fam = spec.family
-    if fam is Family.BELL_PHI:
-        raise ValueError("bell-phi is a braid-matrix family; use eight1 for its R(theta)")
     if ordering is not None:
         if fam is Family.EIGHT_III and ordering is EigOrdering.THIRD:
             raise ValueError("the third ordering of this braid matrix is the eight4 family")
@@ -266,7 +281,13 @@ def build_R(
             raise ValueError("eight4 is the third-ordering family; use eight3 for the others")
         if fam not in (Family.EIGHT_III, Family.EIGHT_IV):
             raise ValueError(f"{fam.value} has two eigenvalues; ordering does not apply")
-    r = _x_form(spec, family_x(spec, p), ordering, form)
+    x = family_x(spec, p)
+    if fam is Family.EIGHT_III and ordering is EigOrdering.SECOND:
+        t = complex(spec.t)
+        b = build_b(spec)
+        r = np.asarray(b) - x * (1 - t * t) * inverse(b, context=f"t = {t}")
+    else:
+        r = x_form(fam, complex(spec.q), complex(spec.t), spec.sign.factor, x, form)
     return r if p.kind == "x" else gauge(spec, p, form) * r
 
 
@@ -294,92 +315,76 @@ def build_R_stack(
     single-point evaluation.
     """
     values = np.asarray(values, dtype=complex)[:, None, None]
-    x = _view_x(spec, kind, values)
-    scale = _view_gauge(spec, kind, values, form)
+    x = view_x(spec.family, kind, values)
+    scale = view_gauge(spec.family, kind, values, form)
     if form == "g" and spec.family is Family.EIGHT_IV:  # the g form is the canonical one over g1
         scale = scale / eight4_g_factors(spec, x)[0]
     a, b, c = coefficients(spec, ordering)
     return scale * (a + b * x + c * (x * x))
 
 
-def _x_form(spec: FamilySpec, x: complex, ordering: EigOrdering | None, form: str) -> np.ndarray:
-    """The paper's displayed closed form R(x) of the family."""
-    fam = spec.family
-    q = complex(spec.q)
-    s = spec.sign.factor
+def x_form(family: Family, q, t, s, x, form: str = "canonical") -> np.ndarray:
+    """The paper's displayed closed form R(x) at q, t, sign factor s and x; an array q or
+    x (the parameters broadcast) gives the (n, 4, 4) stack. eight3 is its first ordering;
+    ``build_R`` builds the second from b."""
+    fam = family
     if fam is Family.SIX_NONSTD:
-        return cmat(
-            [
-                [q - x / q, 0, 0, 0],
-                [0, (q - 1 / q) * x, 1 - x, 0],
-                [0, 1 - x, q - 1 / q, 0],
-                [0, 0, 0, q * x - 1 / q],
-            ]
-        )
-    if fam is Family.SIX_STD:
-        return cmat(
-            [
-                [q - x / q, 0, 0, 0],
-                [0, (q - 1 / q) * x, 1 - x, 0],
-                [0, 1 - x, q - 1 / q, 0],
-                [0, 0, 0, q - x / q],
-            ]
-        )
-    if fam is Family.EIGHT_I:
-        return cmat(
-            [
-                [1 + x, 0, 0, q * (1 - x)],
-                [0, 1 + x, s * (1 - x), 0],
-                [0, -s * (1 - x), 1 + x, 0],
-                [-(1 - x) / q, 0, 0, 1 + x],
-            ]
-        )
-    if fam is Family.EIGHT_II:
-        t = complex(spec.t)
-        z = spec.z_value()
-        return cmat(
-            [
-                [2 - t * (1 - x), 0, 0, q * (1 - x)],
-                [0, 1 + x, s * z * (1 - x), 0],
-                [0, s * z * (1 - x), 1 + x, 0],
-                [(1 - x) / q, 0, 0, 2 * x + t * (1 - x)],
-            ]
-        )
-    if fam is Family.EIGHT_III:
-        t = complex(spec.t)
-        if ordering is EigOrdering.SECOND:
-            b = build_b(spec)
-            return np.asarray(b) - x * (1 - t * t) * inverse(b, context=f"t = {t}")
-        return cmat(
-            [
-                [t * (1 - x), 0, 0, q * (1 + x)],
-                [0, 1 + x, s * t * (1 - x), 0],
-                [0, s * t * (1 - x), 1 + x, 0],
-                [(1 + x) / q, 0, 0, t * (1 - x)],
-            ]
-        )
-    if fam is Family.EIGHT_IV:
-        t = complex(spec.t)
-        g1, g2 = eight4_g_factors(spec, x)
-        if form == "g":
-            g = g2 / g1
-            return cmat(
-                [
-                    [t * (1 + x), 0, 0, q * (1 - x)],
-                    [0, (1 + x) * g, s * t * (1 - x) * g, 0],
-                    [0, s * t * (1 - x) * g, (1 + x) * g, 0],
-                    [(1 - x) / q, 0, 0, t * (1 + x)],
-                ]
-            )
-        return cmat(
-            [
-                [t * (1 + x) * g1, 0, 0, q * (1 - x) * g1],
-                [0, (1 + x) * g2, s * t * (1 - x) * g2, 0],
-                [0, s * t * (1 - x) * g2, (1 + x) * g2, 0],
-                [(1 - x) * g1 / q, 0, 0, t * (1 + x) * g1],
-            ]
-        )
-    raise ValueError(f"unknown family {fam}")
+        rows = [
+            [q - x / q, 0, 0, 0],
+            [0, (q - 1 / q) * x, 1 - x, 0],
+            [0, 1 - x, q - 1 / q, 0],
+            [0, 0, 0, q * x - 1 / q],
+        ]
+    elif fam is Family.SIX_STD:
+        rows = [
+            [q - x / q, 0, 0, 0],
+            [0, (q - 1 / q) * x, 1 - x, 0],
+            [0, 1 - x, q - 1 / q, 0],
+            [0, 0, 0, q - x / q],
+        ]
+    elif fam is Family.EIGHT_I:
+        rows = [
+            [1 + x, 0, 0, q * (1 - x)],
+            [0, 1 + x, s * (1 - x), 0],
+            [0, -s * (1 - x), 1 + x, 0],
+            [-(1 - x) / q, 0, 0, 1 + x],
+        ]
+    elif fam is Family.EIGHT_II:
+        z = z_of(t)
+        rows = [
+            [2 - t * (1 - x), 0, 0, q * (1 - x)],
+            [0, 1 + x, s * z * (1 - x), 0],
+            [0, s * z * (1 - x), 1 + x, 0],
+            [(1 - x) / q, 0, 0, 2 * x + t * (1 - x)],
+        ]
+    elif fam is Family.EIGHT_III:
+        rows = [
+            [t * (1 - x), 0, 0, q * (1 + x)],
+            [0, 1 + x, s * t * (1 - x), 0],
+            [0, s * t * (1 - x), 1 + x, 0],
+            [(1 + x) / q, 0, 0, t * (1 - x)],
+        ]
+    elif fam is Family.EIGHT_IV and form == "g":
+        g1, g2 = g_factors(t, x)
+        g = g2 / g1
+        rows = [
+            [t * (1 + x), 0, 0, q * (1 - x)],
+            [0, (1 + x) * g, s * t * (1 - x) * g, 0],
+            [0, s * t * (1 - x) * g, (1 + x) * g, 0],
+            [(1 - x) / q, 0, 0, t * (1 + x)],
+        ]
+    elif fam is Family.EIGHT_IV:
+        g1, g2 = g_factors(t, x)
+        rows = [
+            [t * (1 + x) * g1, 0, 0, q * (1 - x) * g1],
+            [0, (1 + x) * g2, s * t * (1 - x) * g2, 0],
+            [0, s * t * (1 - x) * g2, (1 + x) * g2, 0],
+            [(1 - x) * g1 / q, 0, 0, t * (1 + x) * g1],
+        ]
+    else:
+        raise ValueError("bell-phi is a braid-matrix family; use eight1 for its R(theta)")
+    stacked = isinstance(q, np.ndarray) or isinstance(x, np.ndarray)
+    return cmat_stack(rows) if stacked else cmat(rows)
 
 
 def formula_R(

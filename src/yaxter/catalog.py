@@ -10,21 +10,23 @@ Seven families of 4x4 braid matrices b, each satisfying
     eight3/4     corners t; middle +-t (shared b, two baxterizations) eigenvalues 1+t, 1-t, t-1
     bell-phi     eight1 with q = e^{-i phi}, rescaled by 1/sqrt(2)   eigenvalues e^{+-i pi/4}
 
-Unitary-domain conventions per family are exposed by
-``FamilySpec.domain_violation``; construction outside the domain is allowed
-(the braid relation is an algebraic identity) but flagged.
+Unitary-domain conventions per family are exposed by ``domain_violation``
+(and ``FamilySpec.domain_violation``); construction outside the domain is
+allowed (the braid relation is an algebraic identity) but flagged. The
+kernels (``braid_matrix``, the predicates, ``domain_violation``) take their
+parameters as scalars or as arrays that broadcast, one entry per sample;
+``FamilySpecs`` holds n samples of one family as arrays.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import cmat, strand_gap
+from .linalg import MAX_ENTRY, cmat, cmat_stack, strand_gap
 
 
 class Family(str, enum.Enum):
@@ -57,19 +59,35 @@ class DomainError(ValueError):
 #: tolerance of the unitary-domain predicates below; a NaN is in no domain.
 DOMAIN_TOL = 1e-12
 
-
-def is_real(z) -> bool:
-    z = complex(z)
-    return cmath.isfinite(z) and abs(z.imag) < DOMAIN_TOL * max(1.0, abs(z))
+# The predicates and kernels below take scalars or arrays that broadcast: a scalar
+# gives one verdict or value, an array one per entry (one per sample of a scan).
 
 
-def is_imag(z) -> bool:
-    z = complex(z)
-    return cmath.isfinite(z) and abs(z.real) < DOMAIN_TOL * max(1.0, abs(z))
+def _finite(z):
+    return (abs(z.real) < math.inf) & (abs(z.imag) < math.inf)
 
 
-def on_unit_circle(z) -> bool:
-    return abs(abs(complex(z)) - 1.0) < DOMAIN_TOL
+def is_real(z):
+    return _finite(z) & ((abs(z.imag) < DOMAIN_TOL) | (abs(z.imag) < DOMAIN_TOL * abs(z)))
+
+
+def is_imag(z):
+    return _finite(z) & ((abs(z.real) < DOMAIN_TOL) | (abs(z.real) < DOMAIN_TOL * abs(z)))
+
+
+def on_unit_circle(z):
+    return abs(abs(z) - 1.0) < DOMAIN_TOL
+
+
+def _first_failure(holds, message: str, value, **names) -> str | None:
+    """None where ``holds`` is true everywhere, else ``message`` formatted with ``value``
+    at the first entry where it is false (and with ``names``)."""
+    if not isinstance(holds, np.ndarray):
+        return None if holds else message.format(value, **names)
+    bad = np.flatnonzero(~holds)
+    if bad.size == 0:
+        return None
+    return message.format(np.broadcast_to(value, holds.shape).flat[bad[0]].item(), **names)
 
 
 def finite_rho(rho: float, where: str = "") -> float:
@@ -77,6 +95,63 @@ def finite_rho(rho: float, where: str = "") -> float:
     if not math.isfinite(rho):
         raise DomainError(f"closed-form rho = {rho} is not finite{where}")
     return rho
+
+
+def gamma_of(q):
+    """gamma = log q for real positive q, the six-vertex domain; else a DomainError."""
+    real = (abs(q.imag) <= 1e-14) | (abs(q.imag) <= 1e-14 * abs(q.real))
+    failure = _first_failure(real & (q.real > 0),
+                             "gamma = log q needs real positive q, got q = {}", q)
+    if failure:
+        raise DomainError(failure)
+    return np.log(q.real) if isinstance(q, np.ndarray) else math.log(q.real)
+
+
+def z_of(t):
+    """Middle-block weight z = sqrt(t^2 - 2t + 2) of eight2, principal branch."""
+    z = np.sqrt(t * t - 2 * t + 2)
+    return z if z.ndim else complex(z)
+
+
+def domain_violation(family: Family, q, t, x=None) -> str | None:
+    """The first unitary-domain constraint that (q, t) and, when given, x violate, or None.
+
+    Conventions: six-vertex needs real q and |x| = 1; eight1 needs |q| = 1 and
+    real x; eight2/3 need real t, |q| = 1, |x| = 1; eight4 needs |q| = 1 and
+    either (real t, |x| = 1) or (imaginary t, real x). For arrays the message
+    names the first sample that violates the first failing constraint.
+    """
+    for holds, message, value in _domain_constraints(family, q, t, x):
+        if holds is not True:
+            failure = _first_failure(holds, message, value, family=family.value)
+            if failure:
+                return failure
+    return None
+
+
+def _domain_constraints(fam: Family, q, t, x):
+    """(holds, message, value) per constraint of ``domain_violation``, in the order checked;
+    lazy, so a scalar check stops at its first failure."""
+    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
+        yield is_real(q), "six-vertex unitarity needs real q, got q = {}", q
+        if x is not None:
+            yield on_unit_circle(x), "six-vertex unitarity needs |x| = 1, got |x| = {:.6g}", abs(x)
+        return
+    yield on_unit_circle(q), "{family} unitarity needs |q| = 1, got |q| = {:.6g}", abs(q)
+    if fam is Family.EIGHT_I:
+        if x is not None:
+            yield is_real(x), "eight1 unitarity needs real x, got x = {}", x
+    elif fam is Family.EIGHT_IV:
+        real_t = is_real(t)
+        yield real_t | is_imag(t), "eight4 unitarity needs t real or pure imaginary, got t = {}", t
+        if x is not None:  # every t here is real or imaginary; b ^ True is "not b"
+            yield (on_unit_circle(x) | (real_t ^ True),
+                   "eight4 with real t needs |x| = 1, got |x| = {:.6g}", abs(x))
+            yield is_real(x) | real_t, "eight4 with imaginary t needs real x, got x = {}", x
+    elif fam is not Family.BELL_PHI:  # eight2, eight3
+        yield is_real(t), "{family} unitarity needs real t, got t = {}", t
+        if x is not None:
+            yield on_unit_circle(x), "{family} unitarity needs |x| = 1, got |x| = {:.6g}", abs(x)
 
 
 @dataclass(frozen=True)
@@ -145,55 +220,45 @@ class FamilySpec:
     @property
     def gamma(self) -> float:
         """gamma with q = e^gamma; defined for the six-vertex real-q domain."""
-        q = complex(self.q)
-        if abs(q.imag) > 1e-14 * max(1.0, abs(q.real)) or q.real <= 0:
-            raise DomainError(f"gamma = log q needs real positive q, got q = {q}")
-        return math.log(q.real)
+        return gamma_of(complex(self.q))
 
     def z_value(self) -> complex:
         """Middle-block weight z = sqrt(t^2 - 2t + 2) (eight2 only), principal branch."""
-        t = complex(self.t)
-        return complex(np.sqrt(t * t - 2 * t + 2))
+        return z_of(complex(self.t))
 
     def domain_violation(self, x: complex = None) -> str | None:
-        """Return the violated unitary-domain constraint, or None if inside.
+        """The violated unitary-domain constraint (see ``domain_violation``), or None if
+        inside; x is checked when given, family parameters always."""
+        return domain_violation(self.family, complex(self.q), complex(self.t), x)
 
-        The spectral parameter x is checked when given; family parameters are
-        always checked. Conventions: six-vertex needs real q and |x| = 1;
-        eight1 needs |q| = 1 and real x; eight2/3 need real t, |q| = 1, |x| = 1;
-        eight4 needs |q| = 1 and either (real t, |x| = 1) or (imaginary t, real x).
-        """
-        q, t = complex(self.q), complex(self.t)
-        fam = self.family
-        if fam in (Family.SIX_NONSTD, Family.SIX_STD):
-            if not is_real(q):
-                return f"six-vertex unitarity needs real q, got q = {q}"
-            if x is not None and not on_unit_circle(x):
-                return f"six-vertex unitarity needs |x| = 1, got |x| = {abs(x):.6g}"
-        elif fam in (Family.EIGHT_I, Family.BELL_PHI):
-            if not on_unit_circle(q):
-                return f"{fam.value} unitarity needs |q| = 1, got |q| = {abs(q):.6g}"
-            if fam is Family.EIGHT_I and x is not None and not is_real(x):
-                return f"eight1 unitarity needs real x, got x = {x}"
-        elif fam in (Family.EIGHT_II, Family.EIGHT_III):
-            if not on_unit_circle(q):
-                return f"{fam.value} unitarity needs |q| = 1, got |q| = {abs(q):.6g}"
-            if not is_real(t):
-                return f"{fam.value} unitarity needs real t, got t = {t}"
-            if x is not None and not on_unit_circle(x):
-                return f"{fam.value} unitarity needs |x| = 1, got |x| = {abs(x):.6g}"
-        elif fam is Family.EIGHT_IV:
-            if not on_unit_circle(q):
-                return f"eight4 unitarity needs |q| = 1, got |q| = {abs(q):.6g}"
-            if is_real(t):
-                if x is not None and not on_unit_circle(x):
-                    return f"eight4 with real t needs |x| = 1, got |x| = {abs(x):.6g}"
-            elif is_imag(t):
-                if x is not None and not is_real(x):
-                    return f"eight4 with imaginary t needs real x, got x = {x}"
-            else:
-                return f"eight4 unitarity needs t real or pure imaginary, got t = {t}"
-        return None
+
+@dataclass(frozen=True)
+class FamilySpecs:
+    """n parameter points of one family: q, t and the sign factor s (+1 or -1) as (n,)
+    arrays, which the kernels (``braid_matrix`` and the R-matrix and rho closed forms)
+    take as they are; ``specs[k]`` is the k-th point as a FamilySpec. A non-finite q or
+    t, or q = 0, is a ValueError that names the first such sample."""
+
+    family: Family
+    q: np.ndarray
+    t: np.ndarray
+    s: np.ndarray
+
+    def __post_init__(self):
+        for holds, message, value in ((_finite(self.q), "q must be finite, got {}", self.q),
+                                      (_finite(self.t), "t must be finite, got {}", self.t),
+                                      (self.q != 0, "deformation parameter q must be nonzero",
+                                       self.q)):
+            failure = _first_failure(holds, message, value)
+            if failure:
+                raise ValueError(failure)
+
+    def __len__(self) -> int:
+        return len(self.q)
+
+    def __getitem__(self, k: int) -> FamilySpec:
+        return FamilySpec(self.family, q=self.q[k].item(), t=self.t[k].item(),
+                          sign=Sign.PLUS if self.s[k] > 0 else Sign.MINUS)
 
 
 def _q_from(q, gamma):
@@ -208,24 +273,28 @@ def _q_from(q, gamma):
 
 def build_b(spec: FamilySpec) -> np.ndarray:
     """The family's braid matrix at the spec's parameter point."""
-    q = complex(spec.q)
-    s = spec.sign.factor
-    fam = spec.family
+    return braid_matrix(spec.family, complex(spec.q), complex(spec.t), spec.sign.factor)
+
+
+def braid_matrix(family: Family, q, t, s) -> np.ndarray:
+    """The braid matrix b at q, t and sign factor s; an array q (the parameters broadcast)
+    gives the (n, 4, 4) stack."""
+    fam = family
     if fam is Family.SIX_NONSTD:
-        return cmat([[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, -1 / q]])
-    if fam is Family.SIX_STD:
-        return cmat([[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, q]])
-    if fam in (Family.EIGHT_I, Family.BELL_PHI):
-        b = cmat([[1, 0, 0, q], [0, 1, s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]])
-        return b if fam is Family.EIGHT_I else b / np.sqrt(2)
-    if fam is Family.EIGHT_II:
-        z = spec.z_value()
-        t = complex(spec.t)
-        return cmat([[2 - t, 0, 0, q], [0, 1, s * z, 0], [0, s * z, 1, 0], [1 / q, 0, 0, t]])
-    if fam in (Family.EIGHT_III, Family.EIGHT_IV):
-        t = complex(spec.t)
-        return cmat([[t, 0, 0, q], [0, 1, s * t, 0], [0, s * t, 1, 0], [1 / q, 0, 0, t]])
-    raise ValueError(f"unknown family {fam}")
+        rows = [[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, -1 / q]]
+    elif fam is Family.SIX_STD:
+        rows = [[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, q]]
+    elif fam in (Family.EIGHT_I, Family.BELL_PHI):
+        rows = [[1, 0, 0, q], [0, 1, s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]]
+    elif fam is Family.EIGHT_II:
+        z = z_of(t)
+        rows = [[2 - t, 0, 0, q], [0, 1, s * z, 0], [0, s * z, 1, 0], [1 / q, 0, 0, t]]
+    elif fam in (Family.EIGHT_III, Family.EIGHT_IV):
+        rows = [[t, 0, 0, q], [0, 1, s * t, 0], [0, s * t, 1, 0], [1 / q, 0, 0, t]]
+    else:
+        raise ValueError(f"unknown family {fam}")
+    b = cmat_stack(rows) if isinstance(q, np.ndarray) else cmat(rows)
+    return b / np.sqrt(2) if fam is Family.BELL_PHI else b
 
 
 def eigenvalues_of(spec: FamilySpec) -> list[complex]:
@@ -312,16 +381,20 @@ def eight_vertex_residuals(w: BoltzmannWeights, branch_tol: float = 1e-9) -> np.
                    w2^2 - w3^2 + w1 w5 - w2 w5 = 0
 
     The last entry is the braid residual of the assembled matrix, so an
-    all-zero vector certifies an actual braid-relation solution.
+    all-zero vector certifies an actual braid-relation solution. A weight above
+    ``linalg.MAX_ENTRY``, where the products would overflow, is a DomainError.
     """
     w1, w2, w3, w4 = w.w1, w.w2, w.w3, w.w4
     w5, w6, w7, w8 = w.w5, w.w6, w.w7, w.w8
+    scale = max(abs(v) for v in (w1, w2, w3, w4, w5, w6, w7, w8))
+    if not scale <= MAX_ENTRY:
+        raise DomainError(f"an eight-vertex weight reaches {scale:.3g}, above the "
+                          f"{MAX_ENTRY:.3g} up to which the constraint products stay finite")
     out = [
         (w5 - w6) * w7 * w8,
         (w3 - w4) * (w1 - w5) * w8,
         (w3 - w4) * (w2 - w5) * w7,
     ]
-    scale = max(abs(v) for v in (w1, w2, w3, w4, w5, w6, w7, w8))
     if abs(w3 - w4) > branch_tol * scale:
         out += [
             w1 - w5, w2 - w5, w6 - w5,

@@ -11,8 +11,10 @@ Each check passes below its own threshold, from ``verify.TOLERANCES`` (and
 ``entangle.is_local`` and the |Det| floor of the witness). ``check`` and
 ``classify`` take --tol, else the YAXTER_TOL environment variable, in place of
 that threshold; a tolerance must be finite and > 0. Each command, and each
-check of ``check``, accepts only the options it reads: ``check braid`` scans
-seeded points of --family and reads no other family option.
+check of ``check``, accepts only the options it reads: ``check braid``, and
+``check unitarity`` without a spectral point, scan seeded points of --family
+and read no other family option (``check unitarity`` rejects one as a usage
+error). ``catalog --weights`` rejects a weight above ``linalg.MAX_ENTRY``.
 """
 
 from __future__ import annotations
@@ -124,7 +126,11 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-re", type=float, default=None)
     p.add_argument("--t-im", type=float, default=None)
     p.add_argument("--phi", type=float, default=None, help="q = exp(-i phi)")
-    p.add_argument("--sign", choices=["plus", "minus"], default="plus")
+    p.add_argument("--sign", choices=["plus", "minus"], default=None, help="default plus")
+
+
+#: the options of ``_add_family_args`` after --family, as argparse dests.
+_FAMILY_OPTIONS = ("q", "q_re", "q_im", "gamma", "t", "t_re", "t_im", "phi", "sign")
 
 
 def _add_point_args(p: argparse.ArgumentParser) -> None:
@@ -201,7 +207,7 @@ def _spec_from_args(args) -> FamilySpec:
         family,
         q=q if q is not None else 1.0,
         t=t if t is not None else 2.0,
-        sign=Sign(args.sign),
+        sign=Sign(args.sign or "plus"),
     )
 
 
@@ -280,32 +286,41 @@ def _cmd_build(args) -> int:
     return 0
 
 
+def _scanned_family(args) -> Family:
+    """--family of a check that scans seeded parameter points of the family; a family
+    option, which the scan would not read, is a usage error."""
+    given = [f"--{name.replace('_', '-')}" for name in _FAMILY_OPTIONS
+             if getattr(args, name, None) is not None]
+    if given:
+        raise DomainError(f"check {args.what} without a spectral point scans seeded parameter "
+                          f"points of --family and reads no {', '.join(given)}; give --x, "
+                          "--theta or --u to check one point")
+    return Family(args.family)
+
+
 def _cmd_check(args) -> int:
     kind = args.what
     tol = _tol(args, kind)
-    if kind == "braid":
-        report = scan_braid(Family(args.family), samples=args.samples, seed=args.seed, tol=tol)
-        return _verdict(args, report.residual, tol, worst_case=report.worst_case)
+    point = None if kind in ("braid", "qybe") else _point_from_args(args, required=False)
+    if kind == "braid" or (kind == "unitarity" and point is None):
+        scan = scan_braid if kind == "braid" else scan_unitarity
+        report = scan(_scanned_family(args), samples=args.samples, seed=args.seed, tol=tol)
+        return _verdict(args, report.residual, tol, rho=report.worst_case.get("rho"),
+                        worst_case=report.worst_case)
     spec = _spec_from_args(args)
     if kind == "qybe":
         ordering = EigOrdering(args.ordering) if args.ordering else None
         report = scan_qybe(spec, kind=args.parametrization, samples=args.samples,
                            seed=args.seed, tol=tol, ordering=ordering)
-    elif kind == "unitarity":
-        point = _point_from_args(args, required=False)
-        if point is not None:
-            gap, rho_est = unitarity_gap(spec, point)
-            return _verdict(args, gap, tol, rho=float(rho_est),
-                            rho_formula=float(rho_formula(spec, point)))
-        report = scan_unitarity(spec.family, samples=args.samples, seed=args.seed, tol=tol)
-    else:
-        point = _point_from_args(args, required=False)
-        if point is None:
-            raise DomainError("inverse-unitarity needs a spectral point (--x)")
-        measured, expected = family_inverse_unitarity(spec, family_x(spec, point))
-        return _verdict(args, abs(measured - expected), tol, rho=float(measured.real))
-    return _verdict(args, report.residual, tol, rho=report.worst_case.get("rho"),
-                    worst_case=report.worst_case)
+        return _verdict(args, report.residual, tol, worst_case=report.worst_case)
+    if kind == "unitarity":
+        gap, rho_est = unitarity_gap(spec, point)
+        return _verdict(args, gap, tol, rho=float(rho_est),
+                        rho_formula=float(rho_formula(spec, point)))
+    if point is None:
+        raise DomainError("inverse-unitarity needs a spectral point (--x)")
+    measured, expected = family_inverse_unitarity(spec, family_x(spec, point))
+    return _verdict(args, abs(measured - expected), tol, rho=float(measured.real))
 
 
 def _cmd_classify(args) -> int:

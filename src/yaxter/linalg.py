@@ -5,6 +5,7 @@ numpy ``complex128`` arrays, row-major, in the computational basis order
 |00>, |01>, |10>, |11| (first tensor factor = control/left strand).
 ``dagger``, ``frobenius`` and ``strand_gap`` also take (..., n, n) stacks and
 work matrix by matrix; a single matrix gives the single-matrix result.
+``cmat_stack`` assembles such a stack from entries that broadcast.
 
 The JSON wire format for a matrix, shared by the whole package and the CLI, is
 
@@ -48,6 +49,19 @@ def cmat(rows) -> np.ndarray:
     a = np.asarray(rows, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 4):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {a.shape}")
+    if not np.isfinite(a.view(float)).all():
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
+def cmat_stack(rows) -> np.ndarray:
+    """The (..., n, n) stack of matrices whose entries, laid out as for ``cmat``, are
+    scalars or arrays that broadcast against each other; the checks of ``cmat``."""
+    n = len(rows)
+    if n not in (2, 4) or any(len(row) != n for row in rows):
+        raise ValueError(f"expected 2x2 or 4x4 rows, got {[len(row) for row in rows]}")
+    entries = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for row in rows for v in row))
+    a = np.stack(entries, axis=-1).reshape(*entries[0].shape, n, n)
     if not np.isfinite(a.view(float)).all():
         raise ValueError("matrix entries must be finite")
     return a

@@ -20,13 +20,18 @@ reference gauge, ``baxterize.reference_gauge``) is:
                   (stated for the g-normalized view; the canonical matrix
                    carries the extra factor |g1|^2)
 
-The seeded scans draw their samples one at a time, in a fixed RNG order, then
-evaluate all of them in one call of the same kernels on (n, 4, 4) stacks:
-``scan_qybe`` builds R(x), R(x o y) and R(y) as three stacks through
-``family_builder`` (the gauge times the x-form polynomial of
-``baxterize.coefficients``), ``scan_braid`` stacks ``build_b`` and
-``scan_unitarity`` stacks ``build_R``. The single-point checks run the same
-kernels on one matrix.
+The seeded scans draw each parameter for all of their samples at once, in a
+fixed RNG order (``sample_specs``: the sign, then gamma or t with its sign,
+then phi; ``sample_x``; ``sample_spec`` and ``sample_domain_point`` are their
+n = 1 cases), then evaluate every sample in one call of the same kernels on
+(n, 4, 4) stacks: ``scan_qybe`` builds R(x), R(x o y) and R(y) as three
+stacks through ``family_builder`` (the gauge times the x-form polynomial of
+``baxterize.coefficients``), ``scan_braid`` builds one ``braid_matrix`` stack
+and ``scan_unitarity`` one ``x_form`` stack with its closed-form rho from
+``norm_factor``. The closed forms take q, t, the sign factor and x as scalars
+or as arrays; ``build_b``, ``build_R``, ``rho_formula`` and
+``matrix_norm_factor`` are their single-point calls, and the single-point
+checks run the same kernels on one matrix.
 """
 
 from __future__ import annotations
@@ -43,13 +48,16 @@ from .baxterize import (
     build_R,
     build_R_stack,
     compose_u,
-    eight4_g_factors,
     family_x,
-    gauge,
-    reference_gauge,
+    g_factors,
+    view_gauge,
+    view_reference_gauge,
+    view_x,
+    x_form,
 )
-from .catalog import (THREE_EIGENVALUE_FAMILIES, DomainError, Family, FamilySpec, Sign, build_b,
-                      braid_residual, finite_rho, is_imag)
+from .catalog import (THREE_EIGENVALUE_FAMILIES, DomainError, Family, FamilySpec, FamilySpecs, Sign,
+                      braid_matrix, braid_residual, domain_violation, finite_rho, gamma_of,
+                      is_imag)
 from .linalg import MAX_ENTRY, dagger, frobenius, identity, strand_gap
 
 I4 = identity(4)
@@ -162,30 +170,36 @@ def _unitarity_gaps(r: np.ndarray, rho_ref):
 
 
 def rho_formula(spec: FamilySpec, p: SpectralPoint) -> float:
-    """Closed-form normalization factor on the family's unitary domain.
+    """Closed-form normalization factor on the family's unitary domain (``rho_closed``)."""
+    return float(rho_closed(spec.family, complex(spec.q), complex(spec.t), family_x(spec, p)))
+
+
+def rho_closed(family: Family, q, t, x):
+    """The closed-form rho of the module docstring at q, t and x, which broadcast; off
+    the domain a DomainError names the violated constraint (at the first violating sample).
 
     Squares are written as products so that an overflow gives inf, not an
     OverflowError.
     """
-    x = family_x(spec, p)
-    violation = spec.domain_violation(x)
+    violation = domain_violation(family, q, t, x)
     if violation is not None:
         raise DomainError(violation)
-    fam = spec.family
-    rex = float(np.real(x))
+    fam = family
+    rex = x.real
     if fam in (Family.SIX_NONSTD, Family.SIX_STD):
-        sh = float(np.sinh(spec.gamma))
+        sh = np.sinh(gamma_of(q))
+        sh = sh if sh.ndim else float(sh)  # a float square overflows to inf without a warning
         return sh * sh + (2.0 - 2.0 * rex) / 4.0  # sin^2 theta for x = e^{2 i theta}
     if fam is Family.EIGHT_I:
         return 2.0 * (1.0 + rex * rex)
     if fam is Family.EIGHT_II:
-        t = float(np.real(spec.t))
-        return 4.0 + (t - 1.0) * (t - 1.0) * (2.0 - 2.0 * rex)
+        tr = t.real
+        return 4.0 + (tr - 1.0) * (tr - 1.0) * (2.0 - 2.0 * rex)
     if fam is Family.EIGHT_III:
-        t = float(np.real(spec.t))
-        return t * t * (2.0 - 2.0 * rex) + 2.0 + 2.0 * rex
+        tr = t.real
+        return tr * tr * (2.0 - 2.0 * rex) + 2.0 + 2.0 * rex
     if fam is Family.EIGHT_IV:
-        g2 = abs(eight4_g_factors(spec, x)[1])
+        g2 = abs(g_factors(t, x)[1])
         return g2 * g2
     if fam is Family.BELL_PHI:
         return 1.0  # bell-phi braid matrices are exactly unitary
@@ -194,9 +208,15 @@ def rho_formula(spec: FamilySpec, p: SpectralPoint) -> float:
 
 def matrix_norm_factor(spec: FamilySpec, p: SpectralPoint, form: str = "canonical") -> float:
     """rho of the matrix ``build_R(spec, p, form=form)`` emits: the closed-form
-    rho times |gauge * reference_gauge|^2 from the gauge table."""
-    g = abs(gauge(spec, p, form) * reference_gauge(spec, p, form))
-    return float(g * g) * rho_formula(spec, p)
+    rho times |gauge * reference_gauge|^2 from the gauge table (``norm_factor``)."""
+    return float(norm_factor(spec.family, complex(spec.q), complex(spec.t), p.kind, p.value, form))
+
+
+def norm_factor(family: Family, q, t, kind: str, value, form: str = "canonical"):
+    """``matrix_norm_factor`` at q, t and a view value, or at arrays of them."""
+    g = abs(view_gauge(family, kind, value, form)
+            * view_reference_gauge(family, t, kind, value, form))
+    return g * g * rho_closed(family, q, t, view_x(family, kind, value))
 
 
 def inverse_unitarity(builder: Callable[[complex], np.ndarray], x: complex,
@@ -252,33 +272,55 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 # Seeded domain scans.
 
-def sample_spec(family: Family, rng: np.random.Generator) -> FamilySpec:
-    """A random parameter point inside the family's unitary domain."""
-    sign = Sign.PLUS if rng.integers(2) == 0 else Sign.MINUS
-    if family in (Family.SIX_NONSTD, Family.SIX_STD):
-        gamma = float(rng.uniform(0.2, 1.5)) * (1 if rng.integers(2) == 0 else -1)
-        return FamilySpec(family, q=float(np.exp(gamma)))
+def _draw_spec(family: Family, rng: np.random.Generator, size):
+    """(q, t, sign factor) of random parameter points inside the family's unitary domain,
+    each parameter drawn in one call of numpy's ``size``: the sign, then gamma or t with
+    its sign, then phi. size None gives scalars, with the stream of size 1."""
+    sign = 1 - 2 * rng.integers(2, size=size)
+    if family in (Family.SIX_NONSTD, Family.SIX_STD):  # no sign, the default t
+        gamma = rng.uniform(0.2, 1.5, size=size) * (1 - 2 * rng.integers(2, size=size))
+        return np.exp(gamma), 2.0, 1
     if family in (Family.EIGHT_I, Family.BELL_PHI):
-        phi = float(rng.uniform(0.0, 2 * np.pi))
-        return FamilySpec(family, q=complex(np.exp(-1j * phi)), sign=sign)
+        return np.exp(-1j * rng.uniform(0.0, 2 * np.pi, size=size)), 2.0, sign
     # eight2/3/4: real t clear of the eigenvalue-collapse points {0, +-1}
-    t = float(rng.uniform(1.2, 2.8)) * (1 if rng.integers(2) == 0 else -1)
-    phi = float(rng.uniform(0.0, 2 * np.pi))
-    return FamilySpec(family, q=complex(np.exp(-1j * phi)), t=t, sign=sign)
+    t = rng.uniform(1.2, 2.8, size=size) * (1 - 2 * rng.integers(2, size=size))
+    return np.exp(-1j * rng.uniform(0.0, 2 * np.pi, size=size)), t, sign
+
+
+def sample_specs(family: Family, rng: np.random.Generator, n: int,
+                 imaginary_t: bool = False) -> FamilySpecs:
+    """n random parameter points inside the family's unitary domain (``_draw_spec``).
+
+    ``imaginary_t`` turns eight4's t = +-(1.2 .. 2.8) into i t. A count below
+    one gives no points.
+    """
+    q, t, sign = _draw_spec(family, rng, max(n, 0))
+    if imaginary_t and family is Family.EIGHT_IV:
+        t = 1j * t
+    return FamilySpecs(family, q, np.broadcast_to(t, q.shape), np.broadcast_to(sign, q.shape))
+
+
+def sample_x(family: Family, rng: np.random.Generator, size,
+             imaginary_t: bool = False) -> np.ndarray:
+    """Random x inside the family's unitary domain, in numpy's ``size`` (None: one scalar);
+    ``imaginary_t`` selects eight4's real-x branch."""
+    if family in (Family.SIX_NONSTD, Family.SIX_STD):
+        return np.exp(2j * rng.uniform(0.1, np.pi - 0.1, size=size))
+    if family is Family.EIGHT_I or (imaginary_t and family is Family.EIGHT_IV):
+        return rng.uniform(-2.5, 2.5, size=size)
+    return np.exp(1j * rng.uniform(0.05, 2 * np.pi - 0.05, size=size))
+
+
+def sample_spec(family: Family, rng: np.random.Generator) -> FamilySpec:
+    """A random parameter point inside the family's unitary domain: the scalar draw of
+    ``_draw_spec``, equal to ``sample_specs(family, rng, 1)[0]``."""
+    q, t, sign = _draw_spec(family, rng, None)
+    return FamilySpec(family, q=q.item(), t=float(t), sign=Sign.PLUS if sign > 0 else Sign.MINUS)
 
 
 def sample_domain_point(spec: FamilySpec, rng: np.random.Generator) -> SpectralPoint:
-    """A random spectral point inside the family's unitary domain."""
-    fam = spec.family
-    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
-        theta = float(rng.uniform(0.1, np.pi - 0.1))
-        return SpectralPoint.from_x(complex(np.exp(2j * theta)))
-    if fam is Family.EIGHT_I:
-        return SpectralPoint.from_x(float(rng.uniform(-2.5, 2.5)))
-    if fam is Family.EIGHT_IV and is_imag(spec.t):
-        return SpectralPoint.from_x(float(rng.uniform(-2.5, 2.5)))
-    theta = float(rng.uniform(0.05, 2 * np.pi - 0.05))
-    return SpectralPoint.from_x(complex(np.exp(1j * theta)))
+    """A random spectral point inside the family's unitary domain (``sample_x``)."""
+    return SpectralPoint.from_x(complex(sample_x(spec.family, rng, None, is_imag(spec.t))))
 
 
 def worst(values, cases=None):
@@ -296,27 +338,31 @@ def worst(values, cases=None):
     return float(a[k]) if cases is None else (float(a[k]), cases[k])
 
 
-def _stack(matrices: list) -> np.ndarray:
-    """The (n, 4, 4) stack of a list of n matrices; n = 0 gives an empty stack."""
-    return np.array(matrices, dtype=complex).reshape(-1, 4, 4)
-
-
 def scan_braid(family: Family, samples: int, seed: int,
                tol: float = TOLERANCES["braid"]) -> ResidualReport:
-    """Max braid residual of build_b over seeded parameter points."""
-    rng = np.random.default_rng(seed)
-    specs = [sample_spec(family, rng) for _ in range(samples)]
-    residual, spec = worst(braid_residual(_stack([build_b(s) for s in specs])), specs)
+    """Max braid residual of the braid matrix over seeded parameter points."""
+    specs = sample_specs(family, np.random.default_rng(seed), samples)
+    b = braid_matrix(family, specs.q, specs.t, specs.s)
+    residual, k = worst(braid_residual(b), range(len(specs)))
+    spec = specs[k]
     return ResidualReport(residual=residual, tolerance=tol, worst_case={
         "q": _cpair(spec.q), "t": _cpair(spec.t), "sign": spec.sign.value})
 
 
-def _draw_u(spec: FamilySpec, rng: np.random.Generator) -> tuple[complex, complex]:
-    while True:
-        a = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        b = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        if abs(1 + a * b) > 0.3:  # keep clear of the composition pole
-            return a, b
+def _pairs(n: int | None) -> tuple:
+    """The shape of n spectral pairs; None is one pair."""
+    return (2,) if n is None else (max(n, 0), 2)
+
+
+def _draw_u(spec: FamilySpec, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """u pairs (a, b) with Re and Im in [-0.8, 0.8], drawn as rows (Re a, Im a, Re b, Im b)
+    and kept clear of the composition pole 1 + ab = 0: the first n accepted rows."""
+    want = 1 if n is None else max(n, 0)
+    pairs = np.empty((0, 2), dtype=complex)
+    while len(pairs) < want:  # draw only the rows still missing: the stream of one-by-one draws
+        rows = rng.uniform(-0.8, 0.8, size=(want - len(pairs), 4)).view(complex)
+        pairs = np.concatenate([pairs, rows[np.abs(1 + rows[:, 0] * rows[:, 1]) > 0.3]])
+    return pairs.reshape(_pairs(n))
 
 
 #: the parametrizations in which each R family has a QYBE composition law. The eight1
@@ -330,11 +376,12 @@ QYBE_PARAMETRIZATIONS = {
     Family.EIGHT_IV: ("x", "theta", "u"),
 }
 
-#: per parametrization kind: the seeded draw of one spectral pair and its composition law.
+#: per parametrization kind: the seeded draw of n spectral pairs, an (n, 2) array (one
+#: pair for n = None; n pairs continue the stream of n draws of one), and the composition law.
 _QYBE_LAWS = {
-    "x": (lambda spec, rng: [family_x(spec, sample_domain_point(spec, rng)) for _ in range(2)],
+    "x": (lambda spec, rng, n=None: sample_x(spec.family, rng, _pairs(n), is_imag(spec.t)),
           operator.mul),
-    "theta": (lambda spec, rng: rng.uniform(-1.2, 1.2, size=2), operator.add),
+    "theta": (lambda spec, rng, n=None: rng.uniform(-1.2, 1.2, size=_pairs(n)), operator.add),
     "u": (_draw_u, compose_u),
 }
 
@@ -359,7 +406,7 @@ def scan_qybe(
     draw, compose = _QYBE_LAWS[kind]
     rng = np.random.default_rng(seed)
     builder = family_builder(spec, kind, ordering=ordering)
-    pairs = np.array([draw(spec, rng) for _ in range(samples)], dtype=complex).reshape(-1, 2)
+    pairs = np.asarray(draw(spec, rng, samples), dtype=complex)
     residual, (a, b) = worst(qybe_residual(builder, pairs[:, 0], pairs[:, 1], compose), pairs)
     return ResidualReport(residual=residual, tolerance=tol, worst_case={
         "first": _cpair(a), "second": _cpair(b), "kind": kind})
@@ -378,21 +425,15 @@ def scan_unitarity(
     the gauge table); the worst residual covers both gaps.
     """
     rng = np.random.default_rng(seed)
-    specs, points = [], []
-    for _ in range(samples):
-        spec = sample_spec(family, rng)
-        if imaginary_t and family is Family.EIGHT_IV:
-            spec = FamilySpec(family, q=spec.q, t=complex(0, float(np.real(spec.t))),
-                              sign=spec.sign)
-        specs.append(spec)
-        points.append(sample_domain_point(spec, rng))
-    rho_ref = np.array([matrix_norm_factor(s, p) for s, p in zip(specs, points)])
-    gaps, rho_est = _unitarity_gaps(_stack([build_R(s, p) for s, p in zip(specs, points)]),
-                                    rho_ref)
-    residual, (spec, p, rho_est) = worst(gaps, list(zip(specs, points, rho_est)))
+    specs = sample_specs(family, rng, samples, imaginary_t)
+    x = sample_x(family, rng, len(specs), imaginary_t)
+    rho_ref = norm_factor(family, specs.q, specs.t, "x", x)
+    gaps, rho_est = _unitarity_gaps(x_form(family, specs.q, specs.t, specs.s, x), rho_ref)
+    residual, k = worst(gaps, range(len(specs)))
+    spec = specs[k]
     return ResidualReport(residual=residual, tolerance=tol, worst_case={
-        "q": _cpair(spec.q), "t": _cpair(spec.t), "x": _cpair(family_x(spec, p)),
-        "sign": spec.sign.value, "rho": float(rho_est)})
+        "q": _cpair(spec.q), "t": _cpair(spec.t), "x": _cpair(x[k]),
+        "sign": spec.sign.value, "rho": float(rho_est[k])})
 
 
 def _cpair(z) -> list[float]:

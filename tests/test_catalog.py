@@ -10,6 +10,7 @@ from yaxter.catalog import (
     braid_residual,
     build_b,
     eigenvalues_of,
+    domain_violation,
     eight_vertex_residuals,
     is_imag,
     is_real,
@@ -186,3 +187,34 @@ def test_broken_weights_fail_the_system():
 def test_vanishing_weight_rejected():
     with pytest.raises(ValueError, match="w3"):
         BoltzmannWeights(1, 1, 0, 1, 1, 1, 1, 1)
+
+
+def test_predicates_broadcast_over_arrays():
+    z = np.array([1e6 + 1e-8j, 1 + 1e-8j, np.nan, np.exp(0.3j), 1e-8 + 1e6j])
+    assert is_real(z).tolist() == [is_real(v) for v in z]
+    assert is_imag(z).tolist() == [is_imag(v) for v in z]
+    assert on_unit_circle(z).tolist() == [on_unit_circle(v) for v in z]
+
+
+@pytest.mark.parametrize("family,q,t,x,bad", [
+    (Family.SIX_STD, [1.2, 1.3 + 0.1j, 1.4 + 0.2j], 2.0, None, 1),
+    (Family.EIGHT_II, np.exp([0.1j, 0.2j, 0.3j]), [1.5, 1.6, 1.7 + 1j], None, 2),
+    (Family.EIGHT_IV, np.exp([0.1j, 0.2j, 0.3j]), [1.5j, 1.5j, 1.5j], [0.5, 0.5j, 0.7], 1),
+    (Family.EIGHT_IV, np.exp([0.1j, 0.2j, 0.3j]), [1.5, 1.5, 1.5], np.exp([0.1j, 0.2j, 0.4]), 2),
+    (Family.EIGHT_I, [1.0, 1.0, 1.0], 2.0, [0.5, 1.5, 0.5], None),
+])
+def test_domain_violation_of_arrays_names_the_first_violating_sample(family, q, t, x, bad):
+    q, t = np.asarray(q, dtype=complex), np.broadcast_to(np.asarray(t, dtype=complex), (3,))
+    xs = None if x is None else np.asarray(x, dtype=complex)
+    got = domain_violation(family, q, t, xs)
+    want = [FamilySpec(family, q=q[k], t=t[k]).domain_violation(None if x is None else xs[k])
+            for k in range(3)]
+    assert got == (None if bad is None else want[bad])
+    assert all(w is None for w in want[:bad])
+
+
+def test_weights_beyond_the_product_bound_are_a_domain_error():
+    w = BoltzmannWeights.from_matrix(build_b(FamilySpec.eight3(t=1e200, q=1.0)))
+    with np.errstate(all="raise"):
+        with pytest.raises(DomainError, match="weight reaches 1e\\+200"):
+            eight_vertex_residuals(w)

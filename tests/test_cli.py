@@ -473,3 +473,32 @@ def test_check_rejects_an_option_it_does_not_read(capsys, what, option, value):
         main([*CHECK_ARGV[what], option, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+# --- scan-mode family options and overflowing weights ------------------------------
+
+@pytest.mark.parametrize("options,named", [(("--t", "1e200", "--q", "1"), "--q, --t"),
+                                          (("--sign", "minus"), "--sign"),
+                                          (("--phi", "0.3"), "--phi")])
+def test_unitarity_scan_rejects_the_family_options_it_would_not_read(capsys, options, named):
+    code, out, err = run_cli(capsys, "check", "unitarity", "--family", "eight3", *options,
+                             "--samples", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"reads no {named};" in err
+
+
+def test_unitarity_at_a_point_still_reads_the_family_options(capsys):
+    code, out, _ = run_cli(capsys, "check", "unitarity", "--family", "eight3", "--t", "1.5",
+                           "--q", "1", "--sign", "minus", "--theta", "0.3")
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_overflowing_weights_are_one_error_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "catalog", "--family", "eight3", "--t", "1e200",
+                                 "--q", "1", "--weights")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "weight reaches 1e+200" in err

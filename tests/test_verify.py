@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from yaxter.baxterize import EigOrdering, SpectralPoint, build_R, compose_u, x_to_u
-from yaxter.catalog import DomainError, Family, FamilySpec, Sign, braid_residual, build_b
+from yaxter.catalog import (DomainError, Family, FamilySpec, FamilySpecs, Sign, braid_matrix,
+                            braid_residual, build_b)
 from yaxter.linalg import dagger, frobenius, identity, strand_gap
 from yaxter.verify import (
     QYBE_PARAMETRIZATIONS,
@@ -19,6 +20,8 @@ from yaxter.verify import (
     rho_formula,
     sample_domain_point,
     sample_spec,
+    sample_specs,
+    sample_x,
     scan_braid,
     scan_qybe,
     scan_unitarity,
@@ -384,21 +387,153 @@ def test_batched_qybe_residuals_match_the_per_sample_loop(family, kind, ordering
 
 @pytest.mark.parametrize("family", list(Family))
 def test_batched_braid_scan_matches_the_per_sample_loop(family):
-    rng = np.random.default_rng(43)
-    loop = [(braid_residual(b), _scale3(b)) for b in
-            (build_b(sample_spec(family, rng)) for _ in range(40))]
+    specs = sample_specs(family, np.random.default_rng(43), 40)
+    loop = [(braid_residual(b), _scale3(b)) for b in (build_b(specs[k]) for k in range(40))]
     worst_loop, scale = max(loop)
     assert abs(scan_braid(family, samples=40, seed=43).residual - worst_loop) <= 1e-14 * scale
 
 
+def _unitarity_scan_against_the_loop(family, imaginary_t=False):
+    rng = np.random.default_rng(47)
+    specs = sample_specs(family, rng, 40, imaginary_t)
+    xs = sample_x(family, rng, 40, imaginary_t)
+    loop = [unitarity_gap(specs[k], X(xs[k]))[0] for k in range(40)]
+    report = scan_unitarity(family, samples=40, seed=47, imaginary_t=imaginary_t)
+    assert abs(report.residual - max(loop)) <= 1e-14
+
+
 @pytest.mark.parametrize("family", R_FAMILIES)
 def test_batched_unitarity_scan_matches_the_per_sample_loop(family):
-    rng = np.random.default_rng(47)
-    loop = []
-    for _ in range(40):
-        spec = sample_spec(family, rng)
-        loop.append(unitarity_gap(spec, sample_domain_point(spec, rng))[0])
-    assert abs(scan_unitarity(family, samples=40, seed=47).residual - max(loop)) <= 1e-14
+    _unitarity_scan_against_the_loop(family)
+
+
+def test_batched_imaginary_t_unitarity_scan_matches_the_per_sample_loop():
+    _unitarity_scan_against_the_loop(Family.EIGHT_IV, imaginary_t=True)
+
+
+def _sample_spec_one_at_a_time(family, rng):
+    """The scalar sampler that ``sample_specs`` replaced: one draw per call."""
+    sign = Sign.PLUS if rng.integers(2) == 0 else Sign.MINUS
+    if family in (Family.SIX_NONSTD, Family.SIX_STD):
+        gamma = float(rng.uniform(0.2, 1.5)) * (1 if rng.integers(2) == 0 else -1)
+        return FamilySpec(family, q=float(np.exp(gamma)))
+    if family in (Family.EIGHT_I, Family.BELL_PHI):
+        phi = float(rng.uniform(0.0, 2 * np.pi))
+        return FamilySpec(family, q=complex(np.exp(-1j * phi)), sign=sign)
+    t = float(rng.uniform(1.2, 2.8)) * (1 if rng.integers(2) == 0 else -1)
+    phi = float(rng.uniform(0.0, 2 * np.pi))
+    return FamilySpec(family, q=complex(np.exp(-1j * phi)), t=t, sign=sign)
+
+
+def _domain_point_one_at_a_time(spec, rng):
+    fam = spec.family
+    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
+        return X(complex(np.exp(2j * float(rng.uniform(0.1, np.pi - 0.1)))))
+    if fam is Family.EIGHT_I or (fam is Family.EIGHT_IV and spec.t.imag != 0):
+        return X(float(rng.uniform(-2.5, 2.5)))
+    return X(complex(np.exp(1j * float(rng.uniform(0.05, 2 * np.pi - 0.05)))))
+
+
+def _bits(spec):
+    return [(type(v), np.float64(v.real).tobytes(), np.float64(v.imag).tobytes())
+            for v in (spec.q, spec.t)] + [spec.family, spec.sign]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_sampler_at_one_draw_is_bitwise_the_scalar_sampler(family):
+    for seed in range(150):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        spec, want = sample_spec(family, new), _sample_spec_one_at_a_time(family, old)
+        assert _bits(spec) == _bits(want)
+        assert new.bit_generator.state == old.bit_generator.state
+        batched = np.random.default_rng(seed)
+        assert _bits(sample_specs(family, batched, 1)[0]) == _bits(want)
+        assert batched.bit_generator.state == old.bit_generator.state
+        if family is not Family.BELL_PHI:
+            p, p_want = sample_domain_point(spec, new), _domain_point_one_at_a_time(want, old)
+            assert np.float64(p.value.real).tobytes() == np.float64(p_want.value.real).tobytes()
+            assert np.float64(p.value.imag).tobytes() == np.float64(p_want.value.imag).tobytes()
+            assert new.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_sampled_specs_are_in_the_domain_and_index_as_specs(family):
+    specs = sample_specs(family, np.random.default_rng(5), 25)
+    assert len(specs) == 25
+    assert all(specs[k].domain_violation() is None for k in range(25))
+    b = braid_matrix(family, specs.q, specs.t, specs.s)
+    for k in (0, 13, 24):
+        assert np.allclose(b[k], build_b(specs[k]), rtol=0, atol=1e-15 * np.abs(b[k]).max())
+
+
+@pytest.mark.parametrize("kind", ["x", "theta", "u"])
+def test_qybe_pair_draws_continue_the_one_pair_stream(kind):
+    from yaxter.verify import _QYBE_LAWS
+
+    spec = FamilySpec.eight2(t=1.7, q=np.exp(-0.4j))
+    draw, _ = _QYBE_LAWS[kind]
+    rng = np.random.default_rng(9)
+    one_by_one = np.array([draw(spec, rng) for _ in range(60)])
+    batched = draw(spec, np.random.default_rng(9), 60)
+    assert batched.shape == (60, 2) and np.array_equal(batched, one_by_one)
+    assert draw(spec, rng, -2).shape == (0, 2)
+
+
+# --- forced bad samples -------------------------------------------------------------
+
+def _forcing(monkeypatch, name, change):
+    """Replace verify's sampler ``name`` by one whose output sample 4 ``change`` edits."""
+    import yaxter.verify as verify
+
+    real = getattr(verify, name)
+
+    def forced(*args):
+        return change(real(*args))
+
+    monkeypatch.setattr(verify, name, forced)
+
+
+def _with_q4(specs, q4):
+    q = specs.q.astype(complex)
+    q[4] = q4
+    return FamilySpecs(specs.family, q, specs.t, specs.s)
+
+
+def test_scan_with_a_forced_off_domain_spec_is_a_domain_error(monkeypatch):
+    _forcing(monkeypatch, "sample_specs", lambda specs: _with_q4(specs, 2.0))
+    with pytest.raises(DomainError, match=r"eight4 unitarity needs \|q\| = 1, got \|q\| = 2"):
+        scan_unitarity(Family.EIGHT_IV, samples=10, seed=3)
+
+
+@pytest.mark.parametrize("x4,match", [(1.5, r"\|x\| = 1, got \|x\| = 1\.5"),
+                                      (np.nan, r"\|x\| = 1, got \|x\| = nan")])
+def test_scan_with_a_forced_off_domain_or_nan_x_is_a_domain_error(monkeypatch, x4, match):
+    def change(x):
+        x = x.copy()
+        x[4] = x4
+        return x
+
+    _forcing(monkeypatch, "sample_x", change)
+    with pytest.raises(DomainError, match=match):
+        scan_unitarity(Family.EIGHT_II, samples=10, seed=3)
+
+
+@pytest.mark.parametrize("scan", [
+    lambda: scan_braid(Family.EIGHT_III, samples=10, seed=3),
+    lambda: scan_unitarity(Family.EIGHT_III, samples=10, seed=3),
+])
+def test_scan_with_a_forced_nan_spec_is_a_value_error(monkeypatch, scan):
+    _forcing(monkeypatch, "sample_specs", lambda specs: _with_q4(specs, complex(np.nan, 0)))
+    with pytest.raises(ValueError, match=r"q must be finite, got \(nan\+0j\)"):
+        scan()
+
+
+def test_kernels_reject_a_non_finite_sample():
+    specs = sample_specs(Family.EIGHT_III, np.random.default_rng(3), 10)
+    t = specs.t.copy()
+    t[4] = np.inf
+    with pytest.raises(ValueError, match="entries must be finite"):
+        braid_matrix(Family.EIGHT_III, specs.q, t, specs.s)
 
 
 def test_stacked_unitarity_residual_agrees_with_per_item_calls():
