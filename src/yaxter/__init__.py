@@ -28,6 +28,7 @@ from .dynamics import (
     PauliDecomp,
     braiding_evolution_residual,
     evolve,
+    hamiltonian,
     hamiltonian_closed,
     hamiltonian_fd,
     pauli_decompose,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (EIGHT_VERTEX_FAMILIES, DomainError, Family, FamilySpec, build_b,
-                      eigenvalues_of, z_of)
+                      eigenvalues_of, reject_non_finite, z_of)
 from .linalg import cmat, cmat_stack, inverse
 
 
@@ -325,8 +325,12 @@ def build_R_stack(
 
 def x_form(family: Family, q, t, s, x, form: str = "canonical") -> np.ndarray:
     """The paper's displayed closed form R(x) at q, t, sign factor s and x; an array q or
-    x (the parameters broadcast) gives the (n, 4, 4) stack. eight3 is its first ordering;
+    x (the parameters broadcast) gives the (n, 4, 4) stack, and a non-finite entry of
+    q, t or x then is a ValueError that names it. eight3 is its first ordering;
     ``build_R`` builds the second from b."""
+    stacked = isinstance(q, np.ndarray) or isinstance(x, np.ndarray)
+    if stacked:  # numpy warns on 1 / nan; the scalar path is Python arithmetic, which does not
+        reject_non_finite(q=q, t=t, x=x)
     fam = family
     if fam is Family.SIX_NONSTD:
         rows = [
@@ -383,7 +387,6 @@ def x_form(family: Family, q, t, s, x, form: str = "canonical") -> np.ndarray:
         ]
     else:
         raise ValueError("bell-phi is a braid-matrix family; use eight1 for its R(theta)")
-    stacked = isinstance(q, np.ndarray) or isinstance(x, np.ndarray)
     return cmat_stack(rows) if stacked else cmat(rows)
 
 

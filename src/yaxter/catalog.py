@@ -90,6 +90,15 @@ def _first_failure(holds, message: str, value, **names) -> str | None:
     return message.format(np.broadcast_to(value, holds.shape).flat[bad[0]].item(), **names)
 
 
+def reject_non_finite(**params) -> None:
+    """A ValueError naming the first entry that is not finite of the first such parameter
+    (a scalar or an array) in the order given."""
+    for name, value in params.items():
+        failure = _first_failure(_finite(value), f"{name} must be finite, got {{}}", value)
+        if failure:
+            raise ValueError(failure)
+
+
 def finite_rho(rho: float, where: str = "") -> float:
     """A closed-form rho; one that overflowed to inf or NaN is a DomainError."""
     if not math.isfinite(rho):
@@ -171,10 +180,7 @@ class FamilySpec:
     sign: Sign = Sign.PLUS
 
     def __post_init__(self):
-        for name in ("q", "t"):
-            z = complex(getattr(self, name))
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError(f"{name} must be finite, got {z}")
+        reject_non_finite(q=complex(self.q), t=complex(self.t))
         if self.q == 0:
             raise ValueError("deformation parameter q must be nonzero")
 
@@ -245,13 +251,10 @@ class FamilySpecs:
     s: np.ndarray
 
     def __post_init__(self):
-        for holds, message, value in ((_finite(self.q), "q must be finite, got {}", self.q),
-                                      (_finite(self.t), "t must be finite, got {}", self.t),
-                                      (self.q != 0, "deformation parameter q must be nonzero",
-                                       self.q)):
-            failure = _first_failure(holds, message, value)
-            if failure:
-                raise ValueError(failure)
+        reject_non_finite(q=self.q, t=self.t)
+        failure = _first_failure(self.q != 0, "deformation parameter q must be nonzero", self.q)
+        if failure:
+            raise ValueError(failure)
 
     def __len__(self) -> int:
         return len(self.q)
@@ -278,7 +281,10 @@ def build_b(spec: FamilySpec) -> np.ndarray:
 
 def braid_matrix(family: Family, q, t, s) -> np.ndarray:
     """The braid matrix b at q, t and sign factor s; an array q (the parameters broadcast)
-    gives the (n, 4, 4) stack."""
+    gives the (n, 4, 4) stack, and a non-finite entry of it is a ValueError that names it."""
+    stacked = isinstance(q, np.ndarray)
+    if stacked:  # numpy warns on 1 / nan; the scalar path is Python arithmetic, which does not
+        reject_non_finite(q=q, t=t)
     fam = family
     if fam is Family.SIX_NONSTD:
         rows = [[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, -1 / q]]
@@ -293,7 +299,7 @@ def braid_matrix(family: Family, q, t, s) -> np.ndarray:
         rows = [[t, 0, 0, q], [0, 1, s * t, 0], [0, s * t, 1, 0], [1 / q, 0, 0, t]]
     else:
         raise ValueError(f"unknown family {fam}")
-    b = cmat_stack(rows) if isinstance(q, np.ndarray) else cmat(rows)
+    b = cmat_stack(rows) if stacked else cmat(rows)
     return b / np.sqrt(2) if fam is Family.BELL_PHI else b
 
 

@@ -39,8 +39,8 @@ from .catalog import (
 )
 from .dynamics import (
     evolve,
+    hamiltonian,
     hamiltonian_closed,
-    hamiltonian_fd,
     pauli_decompose,
 )
 from .entangle import ENTANGLING_TOL, classify, nonentangling_locus_check
@@ -353,8 +353,7 @@ def _cmd_hamiltonian(args) -> int:
             raise DomainError("closed-form Hamiltonians are parametrized by --theta")
         ham = hamiltonian_closed(spec, args.theta)
     else:
-        point = _point_from_args(args)
-        ham = hamiltonian_fd(spec, point, h=args.step)
+        ham = hamiltonian(spec, _point_from_args(args))
     decomp = pauli_decompose(ham.matrix)
     payload = {
         "family": spec.family.value,
@@ -460,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p)
     _add_point_args(p)
     _add_run_args(p)
-    p.add_argument("--method", choices=["fd", "closed"], default="closed")
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--method", choices=["exact", "closed"], default="closed",
+                   help="exact derivative at --x or --theta, or the closed form at --theta")
     p.set_defaults(func=_cmd_hamiltonian)
 
     p = sub.add_parser("evolve", help="time-evolution operator exp(-i H time)")

@@ -6,13 +6,17 @@ The generator along the family's unitary domain curve is
     H(s) = i (dU/ds) U(s)^dag,     U(s) = rho(s)^{-1/2} R(s),
 
 differentiated in theta for the circle families (six-vertex, eight2/3/4) and
-in x for the real-x families (eight1, eight4 with imaginary t). Closed forms
-are validated against finite differences rather than trusted:
-``hamiltonian_closed`` returns the variant the oracle confirms. The
-six-vertex closed form also circulates in a coth-gamma variant that the
-derivative contradicts (the corner entries come out as sinh cosh / rho);
-both variants are kept so the discrepancy can be measured and reported
-(see ``six_vertex_erratum_report``).
+in x for the real-x families (eight1, eight4 with imaginary t). ``hamiltonian``
+takes it exactly from the x-form polynomial R = A + B x + C x^2: with
+K = i R' R^dag / rho, unitarity along the curve makes K = H + i rho'/(2 rho) 1,
+so H is K less i Im(tr K)/4 1. A real gauge only moves rho; the six-vertex
+dynamics gauge 1/(2 e^{i theta}) turns the phase by -theta and adds 1 to H.
+Closed forms are validated against it rather than trusted:
+``hamiltonian_closed`` returns the variant it confirms. The six-vertex closed
+form also circulates in a coth-gamma variant that the derivative contradicts
+(the corner entries come out as sinh cosh / rho); both variants are kept so
+the discrepancy can be measured and reported (see ``six_vertex_erratum_report``).
+``hamiltonian_fd`` takes central differences instead, as a cross-check.
 
 For eight1 the evolution is generated by the time-independent
 
@@ -31,17 +35,22 @@ from itertools import product
 
 import numpy as np
 
-from .baxterize import SpectralPoint, build_R, eight4_g_factors, reference_gauge
-from .catalog import DomainError, Family, FamilySpec, build_b, finite_rho, is_imag, is_real
+from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, build_R,
+                        build_R_stack, coefficients, eight4_g_factors, view_reference_gauge,
+                        view_x)
+from .catalog import DomainError, Family, FamilySpec, build_b, finite_rho, is_real
 from .gates import PAULI, tensor
-from .linalg import dagger, expm_hermitian, frobenius, hermiticity_defect, identity
+from .linalg import MAX_ENTRY, dagger, expm_hermitian, frobenius, hermiticity_defect, identity
+from .verify import norm_factor
 
 I4 = identity(4)
-MIN_FD_STEP = 1e-8
-DEFAULT_FD_STEP = 1e-5
+SIX_VERTEX = (Family.SIX_NONSTD, Family.SIX_STD)
+HERM_TOL = 1e-9  # relative Hermiticity defect allowed: above the FD's rounding (~3e-10)
+RHO_FLOOR = 1e-14  # rho at or below which R vanishes and U = rho^{-1/2} R is not formed
 
 
 class HamiltonianSource(str, enum.Enum):
+    EXACT = "exact"
     FINITE_DIFFERENCE = "fd"
     CLOSED_FORM = "closed"
 
@@ -52,74 +61,86 @@ class Hamiltonian:
     source: HamiltonianSource
     spec: FamilySpec
     point: SpectralPoint
-    herm_tol: float = 1e-9  # finite differences widen this to their error budget
 
     def __post_init__(self):
         defect = hermiticity_defect(self.matrix)
-        if not defect <= self.herm_tol * max(1.0, frobenius(self.matrix)):
+        if not defect <= HERM_TOL * max(1.0, frobenius(self.matrix)):
             raise ValueError(f"Hamiltonian is not Hermitian: defect {defect:.3e}")
 
 
-def _dynamics_gauge(spec: FamilySpec, p: SpectralPoint) -> complex:
-    """Scalar the emitted matrix carries over the dynamics gauge: the six-vertex
-    families run in their trigonometric reference gauge, the others as emitted."""
-    if spec.family not in (Family.SIX_NONSTD, Family.SIX_STD):
-        return 1.0
-    if p.kind != "theta":
-        raise ValueError("six-vertex dynamics runs along the theta curve")
-    return reference_gauge(spec, p)
-
-
-def gauge_rho(spec: FamilySpec, p: SpectralPoint) -> float:
-    """Normalization factor of the dynamics gauge matrix at p (must be > 0)."""
-    from .verify import matrix_norm_factor
-
-    rho = matrix_norm_factor(spec, p) / abs(_dynamics_gauge(spec, p)) ** 2
-    if rho <= 1e-14:
-        raise DomainError(f"normalization factor degenerates (rho = {rho:.3e}) at {p}")
-    return float(rho)
-
-
 def gauge_unitary(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
-    """U = rho^{-1/2} R in the dynamics gauge: exactly unitary on the domain curve."""
-    return build_R(spec, p) / _dynamics_gauge(spec, p) / np.sqrt(gauge_rho(spec, p))
+    """U = rho^{-1/2} R in the dynamics gauge, exactly unitary on the domain curve: the
+    six-vertex families run over their trigonometric reference gauge, the others as built."""
+    return _gauge_unitaries(spec, p.kind, p.value)
 
 
-def _fd_curve(spec: FamilySpec, p: SpectralPoint):
-    """The 1-d unitary curve s -> U(s) through p along the family's domain."""
+def _gauge_unitaries(spec: FamilySpec, kind: str, values):
+    """``gauge_unitary`` at a ``kind`` view value, or the (n, 4, 4) stack at an array of
+    values from the broadcasting kernels, with one domain check for all of them."""
+    fam, t = spec.family, complex(spec.t)
+    with np.errstate(over="ignore", invalid="ignore"):  # a rho that overflows fails below
+        rho = norm_factor(fam, complex(spec.q), t, kind, values)
+    gauge = view_reference_gauge(fam, t, kind, values, "canonical") if fam in SIX_VERTEX else 1.0
+    rho = rho / np.abs(gauge) ** 2
+    bad = np.flatnonzero(~(np.isfinite(rho) & (rho > RHO_FLOOR)))
+    if bad.size:
+        raise DomainError(f"normalization factor rho = {np.ravel(rho)[bad[0]]:.3e} at {kind} = "
+                          f"{np.ravel(values)[bad[0]]:.6g} is degenerate or not finite")
+    if np.ndim(values) == 0:
+        return build_R(spec, SpectralPoint(kind, values)) / gauge / np.sqrt(rho)
+    return build_R_stack(spec, kind, values) / (gauge * np.sqrt(rho))[:, None, None]
+
+
+def _curve(spec: FamilySpec, p: SpectralPoint) -> tuple[str, float]:
+    """(kind, s0): p sits at s = s0 on the curve s -> SpectralPoint(kind, s). Whether that
+    curve lies in the family's unitary domain is left to the domain check of the callers."""
+    if p.kind not in ("theta", "x") or not is_real(p.value):
+        raise DomainError(f"dynamics runs along real theta or real x, got {p.kind} = {p.value}")
+    return p.kind, float(p.value.real)
+
+
+def hamiltonian(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
+    """H = i (dU/ds) U(s)^dag at a theta point of an R family or a real-x point of eight1 or
+    imaginary-t eight4, exactly (module docstring). Off the unitary domain, above
+    ``linalg.MAX_ENTRY`` or where R vanishes it raises a DomainError. Where U is not unitary
+    along the curve, K less its trace part i rho'/(2 rho) 1 is not Hermitian, and the
+    Hamiltonian's Hermiticity check raises a ValueError.
+    """
+    kind, s = _curve(spec, p)
     fam = spec.family
-    if p.kind == "theta":
-        if fam is Family.BELL_PHI:
-            raise ValueError("bell-phi has no spectral parameter; use eight1")
-        return float(np.real(p.value)), lambda s: gauge_unitary(spec, SpectralPoint.from_theta(s))
-    if p.kind == "x":
-        x0 = complex(p.value)
-        if not is_real(x0):
-            raise DomainError(f"real-x dynamics needs real x, got {x0}")
-        if fam is Family.EIGHT_I or (fam is Family.EIGHT_IV and is_imag(spec.t)):
-            return float(x0.real), lambda s: gauge_unitary(spec, SpectralPoint.from_x(s))
-        raise ValueError(f"{fam.value} is not parametrized by real x on its unitary domain")
-    raise ValueError(f"dynamics expects an x or theta point, got kind {p.kind!r}")
+    x = view_x(fam, kind, s)
+    violation = spec.domain_violation(x)
+    if violation is not None:
+        raise DomainError(violation)
+    a, b, c = coefficients(spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the bound below
+        if kind == "theta" and fam is Family.EIGHT_I:  # x = tan(s) in the gauge cos(s); C = 0
+            r, dr = a * np.cos(s) + b * np.sin(s), b * np.cos(s) - a * np.sin(s)
+        else:
+            half = FAMILY_THETA_CONVENTION.get(fam) is ThetaConvention.HALF
+            dxds = 1.0 if kind == "x" else (2j if half else 1j) * x
+            r, dr = a + b * x + c * (x * x), (b + 2.0 * c * x) * dxds
+    peak = np.abs((r, dr)).max()
+    if not peak <= MAX_ENTRY:
+        raise DomainError(f"{fam.value} at {p}: an entry of R or dR/ds reaches {peak:.3g}, "
+                          f"above the {MAX_ENTRY:.3g} up to which the products stay finite")
+    rho = float(np.trace(r @ dagger(r)).real) / 4.0
+    if not rho > RHO_FLOOR:
+        raise DomainError(f"normalization factor degenerates (rho = {rho:.3e}) at {p}")
+    k = 1j * dr @ dagger(r) / rho
+    omega = 1.0 if fam in SIX_VERTEX else 0.0
+    return Hamiltonian(k + (omega - 0.25j * np.trace(k).imag) * I4, HamiltonianSource.EXACT,
+                       spec, p)
 
 
-def hamiltonian_fd(
-    spec: FamilySpec,
-    p: SpectralPoint,
-    h: float = DEFAULT_FD_STEP,
-    richardson: bool = True,
-) -> Hamiltonian:
-    """H = i (dU/ds) U(s)^dag by central differences along the domain curve."""
-    if h < MIN_FD_STEP:
-        raise ValueError(f"step {h} rejected: catastrophic cancellation below {MIN_FD_STEP}")
-    s0, curve = _fd_curve(spec, p)
-
-    def diff(step):
-        return (curve(s0 + step) - curve(s0 - step)) / (2.0 * step)
-
-    du = (4.0 * diff(h / 2) - diff(h)) / 3.0 if richardson else diff(h)
-    hmat = 1j * du @ dagger(curve(s0))
-    return Hamiltonian(hmat, HamiltonianSource.FINITE_DIFFERENCE, spec, p,
-                       herm_tol=10.0 * h * h + 1e-10)  # the error budget at step h
+def hamiltonian_fd(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
+    """H = i (dU/ds) U(s)^dag at the points ``hamiltonian`` takes, by Richardson-extrapolated
+    central differences at step h = 1e-5: truncation O(h^4), rounding about 1e-10."""
+    kind, s0 = _curve(spec, p)
+    h = 1e-5
+    u0, up, um, uph, umh = _gauge_unitaries(spec, kind, s0 + np.array([0.0, h, -h, h / 2, -h / 2]))
+    du = (4.0 * (uph - umh) / h - (up - um) / (2.0 * h)) / 3.0
+    return Hamiltonian(1j * du @ dagger(u0), HamiltonianSource.FINITE_DIFFERENCE, spec, p)
 
 
 def _real_t(spec: FamilySpec) -> float:
@@ -142,13 +163,13 @@ def _six_vertex_closed(gamma: float, theta: float, standard: bool, corner) -> np
 
 def six_vertex_hamiltonian_coth_variant(spec: FamilySpec, theta: float) -> np.ndarray:
     """The coth-gamma variant of the six-vertex closed form (kept for comparison;
-    the finite-difference oracle selects the cosh variant)."""
+    the exact derivative selects the cosh variant)."""
     g = spec.gamma
     return _six_vertex_closed(g, theta, spec.family is Family.SIX_STD, 1.0 / np.tanh(g))
 
 
 def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
-    """Closed-form H(theta), in the variant confirmed by finite differences; each
+    """Closed-form H(theta), in the variant confirmed by the exact derivative; each
     rho is a product of Python floats, so an overflow is a DomainError."""
     fam = spec.family
     q = complex(spec.q)
@@ -209,28 +230,26 @@ def eight1_x_hamiltonian(spec: FamilySpec, x: float) -> np.ndarray:
     return -1j / (1.0 + x * x) * (b @ b)
 
 
-def six_vertex_erratum_report(
-    spec: FamilySpec, theta: float, h: float = DEFAULT_FD_STEP
-) -> dict:
-    """Compare both six-vertex closed-form variants against finite differences.
+def six_vertex_erratum_report(spec: FamilySpec, theta: float) -> dict:
+    """Compare both six-vertex closed-form variants against the exact Hamiltonian.
 
-    The finite-difference result is authoritative; the report records which
-    variant it confirms.
+    The exact result is authoritative: a variant within 1e-12 of it (relative to
+    max(1, ||H||)) is confirmed, one more than 1e-3 away discrepant.
     """
-    fd = hamiltonian_fd(spec, SpectralPoint.from_theta(theta), h=h)
+    exact = hamiltonian(spec, SpectralPoint.from_theta(theta)).matrix
     cosh_variant = hamiltonian_closed(spec, theta).matrix
     coth_variant = six_vertex_hamiltonian_coth_variant(spec, theta)
-    fd_error = fd.herm_tol
-    dev_cosh = frobenius(fd.matrix - cosh_variant)
-    dev_coth = frobenius(fd.matrix - coth_variant)
+    tol = 1e-12 * max(1.0, frobenius(exact))
+    dev_cosh = frobenius(exact - cosh_variant)
+    dev_coth = frobenius(exact - coth_variant)
     return {
         "family": spec.family.value,
         "gamma": spec.gamma,
         "theta": theta,
         "deviation_cosh_variant": dev_cosh,
         "deviation_coth_variant": dev_coth,
-        "fd_error_budget": fd_error,
-        "cosh_variant_confirmed": bool(dev_cosh < fd_error),
+        "tolerance": tol,
+        "cosh_variant_confirmed": bool(dev_cosh < tol),
         "coth_variant_discrepant": bool(dev_coth > 1e-3),
     }
 
@@ -292,15 +311,3 @@ def braiding_evolution_residual(spec: FamilySpec, theta: float) -> float:
     h = hamiltonian_closed(spec, theta).matrix
     return frobenius(r_theta - evolve(h, -(np.pi / 2.0 - 2.0 * theta)))
 
-
-def schroedinger_residual(
-    spec: FamilySpec,
-    p: SpectralPoint,
-    psi0: np.ndarray,
-    h: float = DEFAULT_FD_STEP,
-) -> float:
-    """|| i d psi/ds - H(s) psi(s) || for psi(s) = U(s) psi0 along the domain curve."""
-    s0, curve = _fd_curve(spec, p)
-    dpsi = (curve(s0 + h) @ psi0 - curve(s0 - h) @ psi0) / (2.0 * h)
-    hmat = hamiltonian_fd(spec, p, h=h).matrix
-    return float(np.linalg.norm(1j * dpsi - hmat @ (curve(s0) @ psi0)))

@@ -14,8 +14,8 @@ from .baxterize import RZERO_EQUALS_B, EigOrdering, SpectralPoint, build_R
 from .catalog import Family, FamilySpec, Sign, build_b
 from .dynamics import (
     braiding_evolution_residual,
+    hamiltonian,
     hamiltonian_closed,
-    hamiltonian_fd,
     six_vertex_erratum_report,
 )
 from .entangle import Classification, classify, concurrence_det, det_b_closed
@@ -219,26 +219,26 @@ def criterion_universality(seed: int) -> dict:
 
 
 def criterion_hamiltonians(seed: int) -> dict:
-    herm_tol, close_tol = 1e-9, 1e-7
+    tol = 1e-12
     herm, close = [], []
     th = SpectralPoint.from_theta
     for family in (Family.SIX_NONSTD, Family.SIX_STD, Family.EIGHT_II,
                    Family.EIGHT_III, Family.EIGHT_IV):
         spec = representative_spec(family)
         for theta in (0.25, 0.8, 1.3):
-            fd = hamiltonian_fd(spec, th(theta))
-            herm.append(hermiticity_defect(fd.matrix))
+            exact = hamiltonian(spec, th(theta))
+            herm.append(hermiticity_defect(exact.matrix))
             closed = hamiltonian_closed(spec, theta)
-            close.append(frobenius(fd.matrix - closed.matrix))
+            close.append(frobenius(exact.matrix - closed.matrix))
     # eight1: closed form is -(i/2) b(phi)^2, theta-independent
     spec1 = representative_spec(Family.EIGHT_I)
     b = build_b(FamilySpec.bell(phi=spec1.phi, sign=spec1.sign))
     target = -0.5j * (b @ b)
     eight1_exact = frobenius(hamiltonian_closed(spec1, 0.3).matrix - target)
-    fd_x1 = hamiltonian_fd(spec1, SpectralPoint.from_x(1.0))
-    herm.append(hermiticity_defect(fd_x1.matrix))
-    eight1_fd_gap = frobenius(fd_x1.matrix - target)
-    theta_probes = [hamiltonian_fd(spec1, th(t)).matrix for t in (0.2, 0.7, 1.1)]
+    exact_x1 = hamiltonian(spec1, SpectralPoint.from_x(1.0))
+    herm.append(hermiticity_defect(exact_x1.matrix))
+    eight1_x_gap = frobenius(exact_x1.matrix - target)
+    theta_probes = [hamiltonian(spec1, th(t)).matrix for t in (0.2, 0.7, 1.1)]
     theta_indep = worst([frobenius(hm - theta_probes[0]) for hm in theta_probes])
     theta_scale = worst([frobenius(hm - 2.0 * target) for hm in theta_probes])
     # theta = 0 and t = 1 special forms for eight2/3/4
@@ -253,8 +253,8 @@ def criterion_hamiltonians(seed: int) -> dict:
         spec0 = representative_spec(family)
         special += [
             frobenius(closed_t1 - v2h1),
-            frobenius(hamiltonian_fd(spec_t1, th(0.9)).matrix - closed_t1),
-            frobenius(hamiltonian_fd(spec0, th(0.0)).matrix
+            frobenius(hamiltonian(spec_t1, th(0.9)).matrix - closed_t1),
+            frobenius(hamiltonian(spec0, th(0.0)).matrix
                       - hamiltonian_closed(spec0, 0.0).matrix),
         ]
     # six-vertex closed forms: confirmed-or-reported per the erratum protocol
@@ -265,13 +265,12 @@ def criterion_hamiltonians(seed: int) -> dict:
     six_ok = all(r["cosh_variant_confirmed"] and r["coth_variant_discrepant"]
                  for r in reports)
     worst_herm, worst_close, worst_special = worst(herm), worst(close), worst(special)
-    passed = (worst_herm < herm_tol and eight1_exact < 1e-12
-              and eight1_fd_gap < close_tol and theta_indep < close_tol
-              and theta_scale < close_tol and worst_special < close_tol
-              and worst_close < close_tol and six_ok)
-    return _entry(7, "Hamiltonian extraction (FD oracle, closed forms, erratum report)",
+    passed = (worst_herm < tol and eight1_exact < tol and eight1_x_gap < tol
+              and theta_indep < tol and theta_scale < tol and worst_special < tol
+              and worst_close < tol and six_ok)
+    return _entry(7, "Hamiltonian extraction (exact derivative, closed forms, erratum report)",
                   passed, max_hermiticity_defect=worst_herm,
-                  max_closed_vs_fd=worst_close, eight1_exact_gap=eight1_exact,
+                  max_closed_vs_exact=worst_close, eight1_exact_gap=eight1_exact,
                   eight1_theta_independence=theta_indep,
                   max_special_form_gap=worst_special,
                   six_vertex_coth_printed_deviation=reports[0]["deviation_coth_variant"],

@@ -61,9 +61,12 @@ def test_criterion_06_universality(suite_result):
 
 def test_criterion_07_hamiltonians(suite_result):
     entry = _check(suite_result, 7)
-    assert entry["max_hermiticity_defect"] < 1e-9
+    assert entry["max_hermiticity_defect"] < 1e-12
     assert entry["eight1_exact_gap"] < 1e-12
-    assert entry["max_special_form_gap"] < 1e-7
+    # the exact extractor agrees with every closed form to rounding
+    assert entry["max_closed_vs_exact"] < 1e-12
+    assert entry["eight1_theta_independence"] < 1e-12
+    assert entry["max_special_form_gap"] < 1e-12
     assert entry["six_vertex_cosh_confirmed"]
     # the printed coth variant is discrepant and reported, not silently fixed
     assert entry["six_vertex_coth_printed_deviation"] > 1e-3

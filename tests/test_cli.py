@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from yaxter.catalog import FamilySpec
 from yaxter.cli import dumps_17g, main
+from yaxter.dynamics import hamiltonian_closed
 from yaxter.linalg import mat_from_json
 from yaxter.verify import TOLERANCES
 
@@ -149,12 +151,28 @@ def test_hamiltonian_closed_and_fd(capsys):
     assert blob["pauli"]["coeffs"]["ii"][0] == pytest.approx(-0.5)
     code, out2, _ = run_cli(
         capsys, "hamiltonian", "--family", "eight2", "--t", "1", "--q", "1",
-        "--theta", "0.3", "--method", "fd",
+        "--theta", "0.3", "--method", "exact",
     )
     assert code == 0
+    blob2 = json.loads(out2)
+    assert blob2["source"] == "exact" and blob2["hermiticity_defect"] < 1e-15
     m1 = mat_from_json(blob["matrix"])
-    m2 = mat_from_json(json.loads(out2)["matrix"])
-    assert np.abs(m1 - m2).max() < 1e-7
+    m2 = mat_from_json(blob2["matrix"])
+    assert np.abs(m1 - m2).max() < 1e-12
+    # the finite-difference method and its step are gone
+    for extra in (("--method", "fd"), ("--method", "exact", "--step", "1e-5")):
+        with pytest.raises(SystemExit) as exc:
+            main(["hamiltonian", "--family", "eight2", "--t", "1", "--q", "1",
+                  "--theta", "0.3", *extra])
+        assert exc.value.code == 2
+
+
+def test_exact_hamiltonian_along_real_x(capsys):
+    code, out, _ = run_cli(capsys, "hamiltonian", "--family", "eight1", "--phi", "0.9",
+                           "--x", "1", "--method", "exact")
+    assert code == 0
+    closed = hamiltonian_closed(FamilySpec.eight1(phi=0.9), 0.0).matrix
+    assert np.abs(mat_from_json(json.loads(out)["matrix"]) - closed).max() < 1e-15
 
 
 def test_evolve_emits_unitary(capsys):
@@ -387,6 +405,18 @@ def test_closed_hamiltonian_with_overflowing_rho_is_one_error_line(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "eight2", "--t", "1e200", "--q", "1", "--theta", "0.3"),
+    ("--family", "eight3", "--t", "1e200", "--q", "1", "--theta", "0.3"),
+    ("--family", "six-std", "--gamma", "700", "--theta", "0.3"),
+    ("--family", "eight1", "--phi", "0.3", "--x", "1e200"),
+])
+def test_exact_hamiltonian_with_huge_entries_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, "hamiltonian", "--method", "exact", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("gamma", ["712", "-800", "nan"])

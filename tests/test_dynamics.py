@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from yaxter import dynamics
 from yaxter.baxterize import SpectralPoint
 from yaxter.catalog import DomainError, Family, FamilySpec, Sign
 from yaxter.dynamics import (
@@ -9,15 +10,16 @@ from yaxter.dynamics import (
     eight1_x_hamiltonian,
     evolve,
     gauge_unitary,
+    hamiltonian,
     hamiltonian_closed,
     hamiltonian_fd,
     pauli_decompose,
-    schroedinger_residual,
     six_vertex_erratum_report,
     six_vertex_hamiltonian_coth_variant,
 )
 from yaxter.gates import PAULI, SIGMA_MINUS, SIGMA_PLUS, SX, SZ, sigma_xy, tensor
 from yaxter.linalg import expm_hermitian, frobenius, hermiticity_defect, identity
+from yaxter.verify import sample_spec
 
 X = SpectralPoint.from_x
 TH = SpectralPoint.from_theta
@@ -33,7 +35,7 @@ THETA_FAMILIES = [
 
 
 def central_difference_generator(curve, s0, h=1e-5):
-    """Plain O(h^2) oracle without Richardson acceleration."""
+    """Plain O(h^2) generator i U'(s0) U(s0)^dag, without Richardson acceleration."""
     du = (curve(s0 + h) - curve(s0 - h)) / (2 * h)
     return 1j * du @ curve(s0).conj().T
 
@@ -53,25 +55,107 @@ def test_fd_of_constant_curve_vanishes():
     assert frobenius(h) < 1e-11
 
 
-def test_fd_step_guard():
-    with pytest.raises(ValueError, match="cancellation"):
-        hamiltonian_fd(FamilySpec.six_nonstd(gamma=0.5), TH(0.3), h=1e-9)
-
-
 def test_fd_degenerate_normalization():
-    with pytest.raises(DomainError):
-        hamiltonian_fd(FamilySpec.six_nonstd(q=1.0), TH(0.0))
+    for extract in (hamiltonian_fd, hamiltonian):
+        with pytest.raises(DomainError):
+            extract(FamilySpec.six_nonstd(q=1.0), TH(0.0))
 
 
 def test_fd_richardson_is_second_order():
     spec = FamilySpec.eight2(t=1.7, q=np.exp(-0.4j))
-    exact = hamiltonian_closed(spec, 0.8).matrix
+    exact = hamiltonian(spec, TH(0.8)).matrix
     errs = []
     for h in (1e-3, 5e-4):
-        fd = hamiltonian_fd(spec, TH(0.8), h=h, richardson=False).matrix
+        fd = central_difference_generator(lambda s: gauge_unitary(spec, TH(s)), 0.8, h)
         errs.append(frobenius(fd - exact))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0  # halving h divides an O(h^2) error by ~4
+
+
+# --- the exact extractor ------------------------------------------------------------
+
+R_FAMILIES = [Family.SIX_NONSTD, Family.SIX_STD, Family.EIGHT_I, Family.EIGHT_II,
+              Family.EIGHT_III, Family.EIGHT_IV]
+
+
+@pytest.mark.parametrize("family", R_FAMILIES, ids=lambda f: f.value)
+def test_exact_matches_the_closed_forms_over_seeded_specs(family):
+    # the eight1 theta curve x = tan(theta) runs at twice the closed-form (x = 1) generator
+    scale = 2.0 if family is Family.EIGHT_I else 1.0
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        spec = sample_spec(family, rng)
+        theta = float(rng.uniform(-1.5, 1.5))
+        want = scale * hamiltonian_closed(spec, theta).matrix
+        got = hamiltonian(spec, TH(theta))
+        assert got.source is HamiltonianSource.EXACT
+        assert frobenius(got.matrix - want) <= 1e-14 * max(1.0, frobenius(want))
+
+
+@pytest.mark.parametrize("theta", [1.57, np.pi / 2 - 1e-9, -np.pi / 2 + 1e-12])
+def test_exact_eight1_theta_curve_stays_exact_where_tan_theta_is_huge(theta):
+    spec = FamilySpec.eight1(phi=0.9, sign=Sign.MINUS)
+    want = 2 * hamiltonian_closed(spec, 0.0).matrix
+    assert frobenius(hamiltonian(spec, TH(theta)).matrix - want) < 1e-14
+
+
+def test_exact_real_x_curves():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        spec = sample_spec(Family.EIGHT_I, rng)
+        x = float(rng.uniform(-2.5, 2.5))
+        want = eight1_x_hamiltonian(spec, x)
+        assert frobenius(hamiltonian(spec, X(x)).matrix - want) <= 1e-14 * frobenius(want)
+        other = sample_spec(Family.EIGHT_IV, rng)
+        spec4 = FamilySpec.eight4(t=1j * other.t, q=other.q, sign=other.sign)
+        fd = hamiltonian_fd(spec4, X(x)).matrix
+        assert frobenius(hamiltonian(spec4, X(x)).matrix - fd) < 1e-9
+
+
+@pytest.mark.parametrize("family", R_FAMILIES, ids=lambda f: f.value)
+def test_exact_matches_the_fd_cross_check(family):
+    rng = np.random.default_rng(99)
+    for _ in range(20):
+        spec = sample_spec(family, rng)
+        p = TH(float(rng.uniform(-1.4, 1.4)))
+        assert frobenius(hamiltonian(spec, p).matrix - hamiltonian_fd(spec, p).matrix) < 1e-9
+
+
+@pytest.mark.parametrize("spec,p,error", [
+    (FamilySpec.six_nonstd(q=1.1 + 0.4j), TH(0.3), DomainError),
+    (FamilySpec.eight2(t=1.5 + 0.2j, q=np.exp(0.3j)), TH(0.3), DomainError),
+    (FamilySpec.eight3(t=1.5, q=1.2), TH(0.3), DomainError),
+    (FamilySpec.eight4(t=1.5j, q=1.0), TH(0.3), DomainError),
+    (FamilySpec.eight1(phi=0.9), X(0.5 + 0.5j), DomainError),
+    (FamilySpec.eight2(t=1.5, q=np.exp(0.3j)), SpectralPoint("theta", 0.3 + 0.1j), DomainError),
+    (FamilySpec.eight4(t=1.5, q=1.0), X(0.5), DomainError),
+    (FamilySpec.eight1(phi=0.9), SpectralPoint.from_u(0.5), DomainError),
+    (FamilySpec.bell(phi=0.9), TH(0.3), ValueError),
+    (FamilySpec.eight3(t=1e60, q=1.0), TH(0.3), DomainError),  # entries above MAX_ENTRY
+    # in the domain, but the real line is not the unitary curve: U fails the Hermiticity check
+    (FamilySpec.six_nonstd(gamma=0.3), X(-1.0), ValueError),
+    (FamilySpec.eight4(t=1.5j, q=1.0), TH(0.0), ValueError),
+], ids=["six-complex-q", "eight2-complex-t", "eight3-q-off-circle", "eight4-imag-t-theta",
+        "eight1-complex-x", "complex-theta", "eight4-real-t-x", "u-point", "bell-phi",
+        "eight3-huge-t", "six-real-x-line", "eight4-imag-t-circle"])
+def test_exact_rejects_points_off_the_unitary_curves(spec, p, error):
+    with pytest.raises(error):
+        hamiltonian(spec, p)
+
+
+def test_exact_fails_closed_where_r_is_not_unitary_along_the_curve(monkeypatch):
+    spec = FamilySpec.eight2(t=1.7, q=np.exp(-0.4j))
+    real = dynamics.coefficients
+
+    def flipped(spec, ordering=None):
+        a, b, c = real(spec, ordering)
+        b = b.copy()
+        b[0, 3] = -b[0, 3]
+        return np.stack([a, b, c])
+
+    monkeypatch.setattr(dynamics, "coefficients", flipped)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hamiltonian(spec, TH(0.4))
 
 
 # --- six-vertex closed forms and the printed-variant discrepancy -------------------
@@ -97,9 +181,11 @@ def test_six_vertex_coth_variant_is_discrepant():
     report = six_vertex_erratum_report(spec, 0.3)
     assert report["cosh_variant_confirmed"]
     assert report["coth_variant_discrepant"]
+    assert report["deviation_cosh_variant"] < 1e-14
     assert report["deviation_coth_variant"] > 1e-1
-    fd = hamiltonian_fd(spec, TH(0.3)).matrix
-    assert frobenius(fd - six_vertex_hamiltonian_coth_variant(spec, 0.3)) > 1e-1
+    for extract in (hamiltonian, hamiltonian_fd):
+        h = extract(spec, TH(0.3)).matrix
+        assert frobenius(h - six_vertex_hamiltonian_coth_variant(spec, 0.3)) > 1e-1
 
 
 def test_six_vertex_matrix_is_theta_independent_up_to_rho():
@@ -307,11 +393,16 @@ def test_braiding_evolution_requires_eight1():
     "spec", THETA_FAMILIES + [FamilySpec.eight1(phi=0.9)], ids=lambda s: s.family.value
 )
 def test_schroedinger_consistency(spec):
+    # psi(s) = U(s) psi0 solves i dpsi/ds = H psi: a central difference of psi against H psi
+    h = 1e-5
+    hmat = hamiltonian(spec, TH(0.6)).matrix
+    u0, up, um = (gauge_unitary(spec, TH(s)) for s in (0.6, 0.6 + h, 0.6 - h))
     rng = np.random.default_rng(47)
     for _ in range(10):
         psi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi0 /= np.linalg.norm(psi0)
-        assert schroedinger_residual(spec, TH(0.6), psi0) < 1e-6
+        dpsi = (up @ psi0 - um @ psi0) / (2 * h)
+        assert np.linalg.norm(1j * dpsi - hmat @ (u0 @ psi0)) < 1e-6
 
 
 def test_closed_form_source_tags():
@@ -319,3 +410,5 @@ def test_closed_form_source_tags():
     assert ham.source is HamiltonianSource.CLOSED_FORM
     ham = hamiltonian_fd(FamilySpec.eight2(t=1.3, q=1.0), TH(0.2))
     assert ham.source is HamiltonianSource.FINITE_DIFFERENCE
+    ham = hamiltonian(FamilySpec.eight2(t=1.3, q=1.0), TH(0.2))
+    assert ham.source is HamiltonianSource.EXACT

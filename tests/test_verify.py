@@ -3,7 +3,7 @@ import operator
 import numpy as np
 import pytest
 
-from yaxter.baxterize import EigOrdering, SpectralPoint, build_R, compose_u, x_to_u
+from yaxter.baxterize import EigOrdering, SpectralPoint, build_R, compose_u, x_form, x_to_u
 from yaxter.catalog import (DomainError, Family, FamilySpec, FamilySpecs, Sign, braid_matrix,
                             braid_residual, build_b)
 from yaxter.linalg import dagger, frobenius, identity, strand_gap
@@ -532,8 +532,20 @@ def test_kernels_reject_a_non_finite_sample():
     specs = sample_specs(Family.EIGHT_III, np.random.default_rng(3), 10)
     t = specs.t.copy()
     t[4] = np.inf
-    with pytest.raises(ValueError, match="entries must be finite"):
+    with pytest.raises(ValueError, match="t must be finite, got inf"):
         braid_matrix(Family.EIGHT_III, specs.q, t, specs.s)
+
+
+def test_stacked_kernels_name_a_non_finite_sample_before_computing():
+    # numpy warns on 1 / nan, and the warning config turns that into an error: the
+    # kernels must reject the sample before any arithmetic on it
+    q = np.array([1.0, np.exp(0.3j), complex(np.nan, 0.0)])
+    with pytest.raises(ValueError, match=r"q must be finite, got \(nan\+0j\)"):
+        braid_matrix(Family.SIX_NONSTD, q, 2.0, 1)
+    with pytest.raises(ValueError, match=r"q must be finite, got \(nan\+0j\)"):
+        x_form(Family.EIGHT_II, q, 1.5, 1, 0.5)
+    with pytest.raises(ValueError, match="x must be finite, got inf"):
+        x_form(Family.EIGHT_I, np.ones(3, dtype=complex), 2.0, 1, np.array([0.5, np.inf, np.nan]))
 
 
 def test_stacked_unitarity_residual_agrees_with_per_item_calls():
