@@ -7,8 +7,8 @@ argv + seed give byte-identical output), diagnostics to stderr. Exit codes:
 0 all checks pass, 1 a residual check failed, 2 usage or domain error.
 
 Each check passes below its own threshold, from ``verify.TOLERANCES`` (and
-``entangle.ENTANGLING_TOL`` for classify, where it is both the threshold of
-``entangle.is_local`` and the |Det| floor of the witness). ``check`` and
+``entangle.ENTANGLING_TOL`` for classify, where it bounds max |Det| / ||R||_F^2
+over the product grid of ``entangle.brylinski_witness``). ``check`` and
 ``classify`` take --tol, else the YAXTER_TOL environment variable, in place of
 that threshold; a tolerance must be finite and > 0. Each command, and each
 check of ``check``, accepts only the options it reads: ``check braid``, and
@@ -334,8 +334,7 @@ def _cmd_classify(args) -> int:
         on_locus = nonentangling_locus_check(spec, point, factors)
         payload = {"family": spec.family.value, "on_nonentangling_locus": bool(on_locus)}
     else:
-        result = classify(spec, point, probes=args.probes, seed=args.seed,
-                          tol=_tol(args, "classify"))
+        result = classify(spec, point, tol=_tol(args, "classify"))
         w = result.witness
         payload = {
             "classification": result.classification.value,
@@ -348,12 +347,13 @@ def _cmd_classify(args) -> int:
 
 def _cmd_hamiltonian(args) -> int:
     spec = _spec_from_args(args)
+    point = _point_from_args(args)
     if args.method == "closed":
-        if args.theta is None:
+        if point.kind != "theta":
             raise DomainError("closed-form Hamiltonians are parametrized by --theta")
         ham = hamiltonian_closed(spec, args.theta)
     else:
-        ham = hamiltonian(spec, _point_from_args(args))
+        ham = hamiltonian(spec, point)
     decomp = pauli_decompose(ham.matrix)
     payload = {
         "family": spec.family.value,
@@ -448,11 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="Brylinski classification of the gate at a point")
     _add_family_args(p)
     _add_point_args(p)
-    _add_run_args(p, "tol", "seed")
-    p.add_argument("--probes", type=_count_at_least(0), default=1000)
+    _add_run_args(p, "tol")
     p.add_argument("--locus", default=None,
                    help="8 comma-separated floats (re,im per one-qubit factor): "
-                        "test the non-entangling locus instead of searching")
+                        "test the non-entangling locus instead of classifying")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("hamiltonian", help="extract the evolution generator")

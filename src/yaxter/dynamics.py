@@ -170,7 +170,14 @@ def six_vertex_hamiltonian_coth_variant(spec: FamilySpec, theta: float) -> np.nd
 
 def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
     """Closed-form H(theta), in the variant confirmed by the exact derivative; each
-    rho is a product of Python floats, so an overflow is a DomainError."""
+    rho is a product of Python floats, so an overflow is a DomainError.
+
+    For eight1 this is -(i/2) b(phi)^2 at every theta: the generator of the x
+    curve at x = 1. ``hamiltonian`` at a theta point differentiates the theta
+    curve x = tan(theta) instead and returns twice it, because that generator
+    does not depend on theta and dx/dtheta = 1 + x^2 is 2 at x = 1
+    (theta = pi/4).
+    """
     fam = spec.family
     q = complex(spec.q)
     s = spec.sign.factor

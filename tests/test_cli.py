@@ -167,6 +167,15 @@ def test_hamiltonian_closed_and_fd(capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("point", [("--theta", "0.3", "--x", "0.5"), ("--x", "0.5"),
+                                   ("--u", "0.2"), ()])
+def test_closed_hamiltonian_takes_theta_and_no_other_point(capsys, point):
+    code, out, err = run_cli(capsys, "hamiltonian", "--family", "eight2", "--t", "1", "--q", "1",
+                             *point, "--method", "closed")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_exact_hamiltonian_along_real_x(capsys):
     code, out, _ = run_cli(capsys, "hamiltonian", "--family", "eight1", "--phi", "0.9",
                            "--x", "1", "--method", "exact")
@@ -310,12 +319,14 @@ def test_check_without_samples_is_usage_error(capsys, what, samples):
     assert "--samples" in capsys.readouterr().err
 
 
-def test_negative_probe_count_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "--family", "six-nonstd", "--gamma", "0.5", "--theta", "0.6",
-              "--probes", "-3"])
-    assert exc.value.code == 2
-    assert "--probes" in capsys.readouterr().err
+def test_probes_and_seed_are_usage_errors(capsys):
+    # the grid test is exact and seed-free: there is no search to bound or seed
+    for option, value in (("--probes", "1000"), ("--seed", "3")):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--family", "six-nonstd", "--gamma", "0.5", "--theta", "0.6",
+                  option, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_inverse_unitarity_theta_uses_the_family_x(capsys):
@@ -337,7 +348,7 @@ CHECK_ARGV = {
     "inverse-unitarity": ("check", "inverse-unitarity", "--family", "eight3",
                           "--t", "1", "--q", "1", "--x", "0.7"),
 }
-CLASSIFY_ARGV = ("classify", "--family", "eight1", "--q", "1", "--x", "0.5", "--probes", "0")
+CLASSIFY_ARGV = ("classify", "--family", "eight1", "--q", "1", "--x", "0.5")
 
 
 @pytest.mark.parametrize("what", TOLERANCES)

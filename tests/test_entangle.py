@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yaxter import suite, verify
 from yaxter.baxterize import SpectralPoint
 from yaxter.catalog import Family, FamilySpec, Sign, build_b
 from yaxter.entangle import (
+    ENTANGLING_TOL,
+    GRID,
     SWAP,
     Classification,
     apply,
@@ -14,9 +17,7 @@ from yaxter.entangle import (
     classify,
     concurrence_det,
     det_b_closed,
-    is_local,
     nonentangling_locus_check,
-    probe_state,
     product_state,
     state,
 )
@@ -79,7 +80,7 @@ def test_det_scale_covariance(lr, li):
 
 
 def test_swap_has_no_witness():
-    assert brylinski_witness(SWAP, probes=300, seed=1) is None
+    assert brylinski_witness(SWAP) is None
 
 
 def test_theorem_matrix_has_witness():
@@ -91,7 +92,7 @@ def test_six_nonstd_probe_from_the_construction():
     # a00 = a10 = 0, a01 != 0 with gamma != 0 witnesses the entanglement
     spec = FamilySpec.six_nonstd(gamma=0.5)
     r = classification_gauge_R(spec, TH(0.6))
-    out = apply(r, probe_state("01"))
+    out = apply(r, state(0, 1, 0, 0))
     assert abs(concurrence_det(out)) > 1e-3
 
 
@@ -115,17 +116,28 @@ EXCLUDED_CASES = [
 ]
 
 
+def _assert_grid_witness(spec, p, result):
+    """An ENTANGLING result carries a grid product state whose image has |Det| > tol ||R||_F^2."""
+    r = classification_gauge_R(spec, p)
+    assert result.classification is Classification.ENTANGLING
+    assert any(np.array_equal(result.witness, g) for g in GRID)
+    assert concurrence_det(result.witness) == pytest.approx(0, abs=1e-14)
+    assert result.det == concurrence_det(r @ result.witness)
+    assert abs(result.det) > ENTANGLING_TOL * np.linalg.norm(r) ** 2
+
+
 @pytest.mark.parametrize("spec,p", ENTANGLING_CASES)
 def test_classify_entangling(spec, p):
-    result = classify(spec, p, seed=2)
-    assert result.classification is Classification.ENTANGLING
-    assert abs(result.det) > 1e-8
-    assert concurrence_det(result.witness) == pytest.approx(0, abs=1e-14)
+    result = classify(spec, p)
+    _assert_grid_witness(spec, p, result)
+    # probes and seed are accepted for old callers and change nothing
+    ignored = classify(spec, p, probes=0, seed=7)
+    assert np.array_equal(ignored.witness, result.witness) and ignored.det == result.det
 
 
 @pytest.mark.parametrize("spec,p", EXCLUDED_CASES)
 def test_classify_not_entangling_on_excluded_loci(spec, p):
-    result = classify(spec, p, seed=2)
+    result = classify(spec, p)
     assert result.classification is Classification.NOT_ENTANGLING
     assert result.witness is None and result.det == 0
     rng = np.random.default_rng(41)
@@ -136,8 +148,38 @@ def test_classify_not_entangling_on_excluded_loci(spec, p):
         assert abs(det_b_closed(spec, p, psi / np.linalg.norm(psi))) < 1e-12
 
 
+CLOSED_FORM_CASES = [
+    (FamilySpec.six_nonstd(gamma=0.3), TH(0.7)),
+    (FamilySpec.six_std(gamma=0.45), TH(0.7)),
+    (FamilySpec.eight1(phi=0.9), X(0.6)),
+    (FamilySpec.eight2(t=1.7, q=np.exp(-0.4j), sign=Sign.MINUS), TH(0.7)),
+    (FamilySpec.eight3(t=2.1, q=np.exp(0.33j)), TH(0.7)),
+    (FamilySpec.eight4(t=1.6, q=np.exp(0.25j), sign=Sign.MINUS), TH(0.7)),
+]
+
+
 def _complex_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(_complex_matrix(rng, n))
+    return q
+
+
+def is_local(r: np.ndarray, tol: float = ENTANGLING_TOL) -> bool:
+    """Reference for the grid test: an invertible map keeps every product state a
+    product iff it is A x B or SWAP (A x B). The realignment
+    m[(i,k),(j,l)] -> m[(i,j),(k,l)] of r or of r SWAP is rank 1 exactly for a
+    product, so r is local iff its second singular value is below tol times its first."""
+    r = np.asarray(r, dtype=complex)
+    m = np.stack([r, r @ SWAP]).reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
+    s = np.linalg.svd(m.reshape(2, 4, 4), compute_uv=False)
+    return bool(np.any(s[:, 1] < tol * s[:, 0]))
+
+
+def _grid_is_local(r: np.ndarray) -> bool:
+    return brylinski_witness(r) is None
 
 
 def test_is_local_exactly_on_products_and_swapped_products():
@@ -148,6 +190,73 @@ def test_is_local_exactly_on_products_and_swapped_products():
         assert not is_local(_complex_matrix(rng, 4))
 
 
+def test_grid_agrees_with_realignment_on_random_and_local_gates():
+    rng = np.random.default_rng(47)
+    for _ in range(2000):
+        r = _complex_matrix(rng, 4)
+        assert _grid_is_local(r) == is_local(r)
+    for _ in range(200):
+        ab = np.kron(_complex_matrix(rng, 2), _complex_matrix(rng, 2))
+        for r in (ab, SWAP @ ab):
+            assert _grid_is_local(r) and is_local(r)
+            out = GRID @ r.T
+            dets = out[:, 0] * out[:, 3] - out[:, 1] * out[:, 2]
+            assert np.abs(dets).max() < 1e-15 * np.linalg.norm(r) ** 2
+
+
+@pytest.mark.parametrize("eps,local", [(1e-3, False), (1e-6, False), (1e-11, True)])
+def test_grid_agrees_with_realignment_near_local_gates(eps, local):
+    # a local unitary gate moved by eps in a random direction of unit norm
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        ab = np.kron(_unitary(rng, 2), _unitary(rng, 2))
+        e = _complex_matrix(rng, 4)
+        for r in (ab, SWAP @ ab):
+            r = r + eps * e / np.linalg.norm(e)
+            assert _grid_is_local(r) == is_local(r) == local
+
+
+def _fixed_points():
+    cases = ENTANGLING_CASES + EXCLUDED_CASES + CLOSED_FORM_CASES
+    return cases + suite._universality_points() + suite._excluded_points()
+
+
+def test_grid_agrees_with_realignment_at_every_fixed_point():
+    for spec, p in _fixed_points():
+        r = classification_gauge_R(spec, p)
+        assert _grid_is_local(r) == is_local(r), (spec, p)
+
+
+@pytest.mark.parametrize("family", suite.R_FAMILIES, ids=lambda f: f.value)
+def test_grid_agrees_with_realignment_on_seeded_curve_points(family):
+    # sweep-style points: seeded specs, 0.1 <= |offset| <= 1.4 from the
+    # non-entangling locus (theta = 0, or x = 1 for eight1), and the locus itself
+    rng = np.random.default_rng(59)
+    eight1 = family is Family.EIGHT_I
+    on_locus = 1.0 if eight1 else 0.0
+    for _ in range(20):
+        spec = verify.sample_spec(family, rng)
+        offsets = rng.uniform(0.1, 1.4, 7) * rng.choice((-1.0, 1.0), 7)
+        for value in (on_locus, *(on_locus + offsets)):
+            p = X(value) if eight1 else TH(value)
+            r = classification_gauge_R(spec, p)
+            result = classify(spec, p)
+            assert _grid_is_local(r) == is_local(r) == (value == on_locus)
+            if value != on_locus:
+                _assert_grid_witness(spec, p, result)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e6])
+def test_grid_test_is_scale_invariant(lam):
+    rng = np.random.default_rng(61)
+    gates = [classification_gauge_R(spec, p) for spec, p in _fixed_points()]
+    gates += [_complex_matrix(rng, 4) for _ in range(50)]
+    for r in gates:
+        w, w_scaled = brylinski_witness(r), brylinski_witness(lam * r)
+        assert (w is None) == (w_scaled is None)
+        assert w is None or np.array_equal(w, w_scaled)
+
+
 def test_singular_gate_is_an_error():
     # six-nonstd at x = q^2 = e: q - x/q = 0, so R is singular and the
     # criterion, stated for invertible maps, does not apply
@@ -156,17 +265,7 @@ def test_singular_gate_is_an_error():
         classify(spec, X(np.e))
 
 
-@pytest.mark.parametrize(
-    "spec,p",
-    [
-        (FamilySpec.six_nonstd(gamma=0.3), TH(0.7)),
-        (FamilySpec.six_std(gamma=0.45), TH(0.7)),
-        (FamilySpec.eight1(phi=0.9), X(0.6)),
-        (FamilySpec.eight2(t=1.7, q=np.exp(-0.4j), sign=Sign.MINUS), TH(0.7)),
-        (FamilySpec.eight3(t=2.1, q=np.exp(0.33j)), TH(0.7)),
-        (FamilySpec.eight4(t=1.6, q=np.exp(0.25j), sign=Sign.MINUS), TH(0.7)),
-    ],
-)
+@pytest.mark.parametrize("spec,p", CLOSED_FORM_CASES)
 def test_closed_form_det_matches_apply(spec, p):
     rng = np.random.default_rng(29)
     r = classification_gauge_R(spec, p)
