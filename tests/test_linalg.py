@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yaxter.linalg import (
+    _BLOCK,
+    MAX_ENTRY,
     DegenerateSpectrumError,
     NotHermitianError,
     NotTwoEigenvalueError,
@@ -21,6 +25,7 @@ from yaxter.linalg import (
     strand_gap,
     tensor,
 )
+from yaxter.verify import worst
 
 SP = np.array([[0, 1], [0, 0]], dtype=complex)
 SM = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -57,6 +62,7 @@ def expm_series_oracle(a):
 
 
 finite = st.floats(min_value=-3, max_value=3, allow_nan=False)
+EPS = np.finfo(float).eps
 
 
 def test_tensor_identity():
@@ -100,11 +106,31 @@ def test_tensor_is_bitwise_kron(mats):
     assert np.array_equal(tensor(a, b), np.kron(a, b))
 
 
+def gaussian_integer_matrices(count):
+    """``count`` 4x4 matrices with entries in {-3..3} + i{-3..3}: every sum of the gap is exact."""
+    return st.lists(st.integers(-3, 3), min_size=32 * count, max_size=32 * count).map(
+        lambda vals: [(v[0::2] + 1j * v[1::2]).reshape(4, 4)
+                      for v in np.array(vals, dtype=float).reshape(count, 32)])
+
+
 @settings(max_examples=60, deadline=None)
-@given(complex_matrices(4, 3))
-def test_strand_gap_is_bitwise_the_kron_reference(mats):
+@given(gaussian_integer_matrices(3))
+def test_strand_gap_on_gaussian_integers_is_bitwise_the_kron_reference(mats):
     a, c, d = mats
     assert strand_gap(a, c, d) == strand_gap_reference(a, c, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_matrices(4, 3))
+def test_strand_gap_is_the_kron_reference_to_rounding(mats):
+    a, c, d = mats
+    scale = frobenius(a) * frobenius(c) * frobenius(d)
+    assert abs(strand_gap(a, c, d) - strand_gap_reference(a, c, d)) <= 8 * EPS * scale
+
+
+def random_matrices(rng, *shape):
+    """A (*shape, 4, 4) stack of complex Gaussian matrices."""
+    return rng.standard_normal((*shape, 4, 4)) + 1j * rng.standard_normal((*shape, 4, 4))
 
 
 def test_stacked_strand_gap_agrees_with_per_item_calls():
@@ -118,6 +144,69 @@ def test_stacked_strand_gap_agrees_with_per_item_calls():
     # a single matrix broadcasts against a stack
     assert np.allclose(strand_gap(a[0], c, d[0]),
                        [strand_gap(a[0], ck, d[0]) for ck in c], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_strand_gap_blocks_agree_with_per_item_calls(n):
+    rng = np.random.default_rng(n)
+    a, c, d = (random_matrices(rng, n) for _ in range(3))
+    gaps = strand_gap(a, c, d)
+    assert gaps.shape == (n,)
+    assert np.allclose(gaps, [strand_gap(*abc) for abc in zip(a, c, d)], rtol=1e-14, atol=0)
+
+
+def test_strand_gap_broadcasts_leading_axes_and_single_matrices_across_blocks():
+    rng = np.random.default_rng(41)
+    a, c, d = (random_matrices(rng, 2, 3) for _ in range(3))
+    gaps = strand_gap(a, c, d)
+    assert gaps.shape == (2, 3)
+    assert np.allclose(gaps, [[strand_gap(a[i, j], c[i, j], d[i, j]) for j in range(3)]
+                              for i in range(2)], rtol=1e-14, atol=0)
+    a1, c, d1 = random_matrices(rng), random_matrices(rng, 2 * _BLOCK + 5), random_matrices(rng)
+    assert np.allclose(strand_gap(a1, c, d1), [strand_gap(a1, ck, d1) for ck in c],
+                       rtol=1e-14, atol=0)
+
+
+def test_a_nan_in_one_triple_is_nan_in_that_gap_only():
+    rng = np.random.default_rng(43)
+    a, c, d = (random_matrices(rng, _BLOCK + 3) for _ in range(3))
+    want = strand_gap(a, c, d)
+    c[_BLOCK + 1, 2, 3] = np.nan
+    gaps = strand_gap(a, c, d)
+    assert np.isnan(gaps[_BLOCK + 1])
+    assert np.array_equal(np.delete(gaps, _BLOCK + 1), np.delete(want, _BLOCK + 1))
+
+
+def test_an_empty_stack_gives_no_gaps_and_no_worst_case():
+    a = np.zeros((0, 4, 4), dtype=complex)
+    gaps = strand_gap(a, a, a)
+    assert gaps.shape == (0,)
+    with pytest.raises(ValueError, match="at least one sample"):
+        worst(gaps)
+
+
+def test_strand_gap_memory_does_not_grow_with_the_stack():
+    rng = np.random.default_rng(47)
+    a, c, d = (random_matrices(rng, 3000) for _ in range(3))
+    tracemalloc.start()
+    try:
+        strand_gap(a, c, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_entries_at_the_product_bound_give_finite_gaps():
+    # |entries| = MAX_ENTRY with random phases, and all-equal entries, where every sum adds up
+    rng = np.random.default_rng(53)
+    a, c, d = (MAX_ENTRY * np.exp(2j * np.pi * rng.random((3 * _BLOCK + 7, 4, 4)))
+               for _ in range(3))
+    a[0] = c[0] = MAX_ENTRY
+    d[0] = -MAX_ENTRY
+    with np.errstate(all="raise"):
+        gaps = strand_gap(a, c, d)
+    assert np.isfinite(gaps).all()
 
 
 def test_stacked_frobenius_and_dagger_work_matrix_by_matrix():

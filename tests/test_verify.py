@@ -590,7 +590,8 @@ def test_entries_beyond_the_product_bound_are_a_domain_error(value):
 
 def test_entries_below_the_product_bound_give_finite_residuals():
     spec = FamilySpec.eight3(t=1e50, q=1.0)
-    report = scan_qybe(spec, samples=5, seed=3)
+    with np.errstate(all="raise"):  # 200 samples span several blocks of the kernel
+        report = scan_qybe(spec, samples=200, seed=3)
     assert np.isfinite(report.residual)
 
 
