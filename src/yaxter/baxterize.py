@@ -287,7 +287,7 @@ def build_R(
         b = build_b(spec)
         r = np.asarray(b) - x * (1 - t * t) * inverse(b, context=f"t = {t}")
     else:
-        r = x_form(fam, complex(spec.q), complex(spec.t), spec.sign.factor, x, form)
+        r = x_form(fam, *spec.parameters(), x, form)
     return r if p.kind == "x" else gauge(spec, p, form) * r
 
 
@@ -307,9 +307,13 @@ def build_R_stack(
     values,
     ordering: EigOrdering | None = None,
     form: str = "canonical",
+    *,
+    coeffs: np.ndarray | None = None,
 ) -> np.ndarray:
     """``build_R`` at every one of ``values`` in the ``kind`` view, as an (n, 4, 4) stack:
     the gauge times A + B x + C x^2 from ``coefficients``, in one broadcast pass.
+    ``coeffs`` is ``coefficients(spec, ordering)`` where the caller has read it already,
+    so that several stacks of one spec read it once.
 
     Agrees with ``build_R`` at each value to rounding; ``build_R`` stays the
     single-point evaluation.
@@ -319,7 +323,7 @@ def build_R_stack(
     scale = view_gauge(spec.family, kind, values, form)
     if form == "g" and spec.family is Family.EIGHT_IV:  # the g form is the canonical one over g1
         scale = scale / eight4_g_factors(spec, x)[0]
-    a, b, c = coefficients(spec, ordering)
+    a, b, c = coefficients(spec, ordering) if coeffs is None else coeffs
     return scale * (a + b * x + c * (x * x))
 
 

@@ -237,6 +237,10 @@ class FamilySpec:
         inside; x is checked when given, family parameters always."""
         return domain_violation(self.family, complex(self.q), complex(self.t), x)
 
+    def parameters(self) -> tuple[complex, complex, int]:
+        """(q, t, sign factor), the arguments of the closed-form kernels."""
+        return complex(self.q), complex(self.t), self.sign.factor
+
 
 @dataclass(frozen=True)
 class FamilySpecs:
@@ -259,6 +263,10 @@ class FamilySpecs:
     def __len__(self) -> int:
         return len(self.q)
 
+    def parameters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(q, t, s), the arguments of the closed-form kernels, as ``FamilySpec.parameters``."""
+        return self.q, self.t, self.s
+
     def __getitem__(self, k: int) -> FamilySpec:
         return FamilySpec(self.family, q=self.q[k].item(), t=self.t[k].item(),
                           sign=Sign.PLUS if self.s[k] > 0 else Sign.MINUS)
@@ -276,7 +284,7 @@ def _q_from(q, gamma):
 
 def build_b(spec: FamilySpec) -> np.ndarray:
     """The family's braid matrix at the spec's parameter point."""
-    return braid_matrix(spec.family, complex(spec.q), complex(spec.t), spec.sign.factor)
+    return braid_matrix(spec.family, *spec.parameters())
 
 
 def braid_matrix(family: Family, q, t, s) -> np.ndarray:

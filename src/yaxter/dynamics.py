@@ -36,9 +36,10 @@ from itertools import product
 import numpy as np
 
 from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, build_R,
-                        build_R_stack, coefficients, eight4_g_factors, view_reference_gauge,
-                        view_x)
-from .catalog import DomainError, Family, FamilySpec, build_b, finite_rho, is_real
+                        build_R_stack, coefficients, eight4_g_factors, view_gauge,
+                        view_reference_gauge, view_x, x_form)
+from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix, build_b,
+                      finite_rho, is_real)
 from .gates import PAULI, tensor
 from .linalg import MAX_ENTRY, dagger, expm_hermitian, frobenius, hermiticity_defect, identity
 from .verify import norm_factor
@@ -63,9 +64,17 @@ class Hamiltonian:
     point: SpectralPoint
 
     def __post_init__(self):
-        defect = hermiticity_defect(self.matrix)
-        if not defect <= HERM_TOL * max(1.0, frobenius(self.matrix)):
-            raise ValueError(f"Hamiltonian is not Hermitian: defect {defect:.3e}")
+        _require_hermitian(self.matrix)
+
+
+def _require_hermitian(h: np.ndarray) -> None:
+    """A ValueError unless H, or every matrix of an (n, 4, 4) stack, is Hermitian within
+    ``HERM_TOL`` relative to max(1, ||H||_F)."""
+    defect = hermiticity_defect(h)
+    hermitian = defect <= HERM_TOL * np.maximum(1.0, frobenius(h))
+    if not hermitian.all():
+        k = np.argmin(hermitian)  # the first False
+        raise ValueError(f"Hamiltonian is not Hermitian: defect {np.ravel(defect)[k]:.3e}")
 
 
 def gauge_unitary(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
@@ -74,18 +83,27 @@ def gauge_unitary(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
     return _gauge_unitaries(spec, p.kind, p.value)
 
 
-def _gauge_unitaries(spec: FamilySpec, kind: str, values):
-    """``gauge_unitary`` at a ``kind`` view value, or the (n, 4, 4) stack at an array of
-    values from the broadcasting kernels, with one domain check for all of them."""
-    fam, t = spec.family, complex(spec.t)
+def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values):
+    """``gauge_unitary`` at a ``kind`` view value, or the (n, 4, 4) stack at an (n,) array
+    of values, with the domain check and the rho floor applied to each. A FamilySpec
+    builds with ``build_R`` or ``build_R_stack``; FamilySpecs, one sample per value, with
+    one ``x_form`` stack."""
+    fam = spec.family
+    q, t, s = spec.parameters()
     with np.errstate(over="ignore", invalid="ignore"):  # a rho that overflows fails below
-        rho = norm_factor(fam, complex(spec.q), t, kind, values)
+        rho = norm_factor(fam, q, t, kind, values)
     gauge = view_reference_gauge(fam, t, kind, values, "canonical") if fam in SIX_VERTEX else 1.0
     rho = rho / np.abs(gauge) ** 2
     bad = np.flatnonzero(~(np.isfinite(rho) & (rho > RHO_FLOOR)))
     if bad.size:
-        raise DomainError(f"normalization factor rho = {np.ravel(rho)[bad[0]]:.3e} at {kind} = "
-                          f"{np.ravel(values)[bad[0]]:.6g} is degenerate or not finite")
+        k = bad[0]
+        raise DomainError(f"normalization factor rho = {np.ravel(rho)[k]:.3e} at {kind} = "
+                          f"{np.broadcast_to(values, np.shape(rho)).flat[k]:.6g} "
+                          "is degenerate or not finite")
+    if isinstance(spec, FamilySpecs):  # build_R's gauge times the x-form, per sample
+        r = x_form(fam, q, t, s, view_x(fam, kind, values))
+        scale = view_gauge(fam, kind, values, "canonical") / (gauge * np.sqrt(rho))
+        return r * scale[:, None, None]
     if np.ndim(values) == 0:
         return build_R(spec, SpectralPoint(kind, values)) / gauge / np.sqrt(rho)
     return build_R_stack(spec, kind, values) / (gauge * np.sqrt(rho))[:, None, None]
@@ -310,11 +328,19 @@ def evolve(h: Hamiltonian | np.ndarray, theta: float) -> np.ndarray:
     return expm_hermitian(hmat, theta)
 
 
-def braiding_evolution_residual(spec: FamilySpec, theta: float) -> float:
-    """|| R_pm(theta) - exp(i (pi/2 - 2 theta) H_pm) || for the eight1 family."""
+def braiding_evolution_residual(spec: FamilySpec | FamilySpecs, theta):
+    """|| R_pm(theta) - exp(i (pi/2 - 2 theta) H_pm) || for the eight1 family, with
+    H_pm = -(i/2) b_pm(phi)^2 the closed form of ``hamiltonian_closed``.
+
+    FamilySpecs with an (n,) array of theta give one residual per sample, from one
+    stack each of R(theta), b(phi) and the exponentials (one batched eigh); the
+    domain, rho-floor and Hermiticity checks apply to every sample.
+    """
     if spec.family is not Family.EIGHT_I:
         raise ValueError("the braiding evolution identity is specific to eight1")
-    r_theta = gauge_unitary(spec, SpectralPoint.from_theta(theta))
-    h = hamiltonian_closed(spec, theta).matrix
-    return frobenius(r_theta - evolve(h, -(np.pi / 2.0 - 2.0 * theta)))
+    r_theta = _gauge_unitaries(spec, "theta", theta)
+    b = braid_matrix(Family.BELL_PHI, *spec.parameters())
+    h = -0.5j * (b @ b)
+    _require_hermitian(h)
+    return frobenius(r_theta - expm_hermitian(h, -(np.pi / 2.0 - 2.0 * np.asarray(theta))))
 

@@ -38,15 +38,19 @@ GRID = np.array([np.kron(a, b) for a in _KETS for b in _KETS])
 GRID.flags.writeable = False
 
 
-def state(a00: complex, a01: complex, a10: complex, a11: complex) -> np.ndarray:
-    psi = np.array([a00, a01, a10, a11], dtype=complex)
-    if not psi.any():
+def state(a00, a01, a10, a11) -> np.ndarray:
+    """The state (a00, a01, a10, a11); amplitude arrays that broadcast give the (..., 4)
+    stack of states. The amplitudes of no state may all vanish."""
+    psi = np.stack(np.broadcast_arrays(*(np.asarray(a, dtype=complex)
+                                         for a in (a00, a01, a10, a11))), axis=-1)
+    if not psi.any(axis=-1).all():
         raise ValueError("state amplitudes must not all vanish")
     return psi
 
 
-def product_state(a: complex, b: complex, c: complex, d: complex) -> np.ndarray:
-    """The product (a|0> + b|1>) x (c|0> + d|1>); its determinant is exactly 0."""
+def product_state(a, b, c, d) -> np.ndarray:
+    """The product (a|0> + b|1>) x (c|0> + d|1>), or the stack of them; its determinant
+    is exactly 0."""
     return state(a * c, a * d, b * c, b * d)
 
 
@@ -55,9 +59,12 @@ def apply(r: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.asarray(r, dtype=complex) @ np.asarray(psi, dtype=complex)
 
 
-def concurrence_det(psi: np.ndarray) -> complex:
-    """Det(A) = a00 a11 - a01 a10; scale-covariant: Det(l psi) = l^2 Det(psi)."""
-    return complex(psi[0] * psi[3] - psi[1] * psi[2])
+def concurrence_det(psi: np.ndarray):
+    """Det(A) = a00 a11 - a01 a10; scale-covariant: Det(l psi) = l^2 Det(psi). A (..., 4)
+    stack of states gives one Det per state."""
+    psi = np.asarray(psi)
+    det = psi[..., 0] * psi[..., 3] - psi[..., 1] * psi[..., 2]
+    return det if det.ndim else complex(det)
 
 
 def brylinski_witness(r: np.ndarray, tol: float = ENTANGLING_TOL) -> np.ndarray | None:
@@ -121,11 +128,11 @@ def classify(
     return ClassificationResult(Classification.ENTANGLING, witness, concurrence_det(r @ witness))
 
 
-def det_b_closed(spec: FamilySpec, p: SpectralPoint, psi: np.ndarray) -> complex:
-    """Closed-form Det of (classification_gauge_R(spec, p) @ psi) for any input state."""
-    a0, a1, a2, a3 = (complex(z) for z in psi)
-    q = complex(spec.q)
-    s = spec.sign.factor
+def det_b_closed(spec: FamilySpec, p: SpectralPoint, psi: np.ndarray):
+    """Closed-form Det of (classification_gauge_R(spec, p) @ psi) for any input state; a
+    (..., 4) stack of states gives one Det per state."""
+    a0, a1, a2, a3 = np.moveaxis(np.asarray(psi, dtype=complex), -1, 0)
+    q, t, s = spec.parameters()
     fam = spec.family
     if fam in (Family.SIX_NONSTD, Family.SIX_STD):
         g = spec.gamma
@@ -136,7 +143,6 @@ def det_b_closed(spec: FamilySpec, p: SpectralPoint, psi: np.ndarray) -> complex
             return (sh * sh + sn * sn) * a0 * a3 - (sh * sh - sn * sn) * a1 * a2 + cross
         return np.sinh(g - 1j * theta) ** 2 * a0 * a3 - (sh * sh - sn * sn) * a1 * a2 + cross
     u = x_to_u(family_x(spec, p))
-    t = complex(spec.t)
     if fam is Family.EIGHT_I:
         return (1 - u * u) * (a0 * a3 - a1 * a2) + u * (
             q * a3 * a3 - a0 * a0 / q + s * (a1 * a1 - a2 * a2)

@@ -26,12 +26,14 @@ then phi; ``sample_x``; ``sample_spec`` and ``sample_domain_point`` are their
 n = 1 cases), then evaluate every sample in one call of the same kernels on
 (n, 4, 4) stacks: ``scan_qybe`` builds R(x), R(x o y) and R(y) as three
 stacks through ``family_builder`` (the gauge times the x-form polynomial of
-``baxterize.coefficients``), ``scan_braid`` builds one ``braid_matrix`` stack
-and ``scan_unitarity`` one ``x_form`` stack with its closed-form rho from
-``norm_factor``. The closed forms take q, t, the sign factor and x as scalars
-or as arrays; ``build_b``, ``build_R``, ``rho_formula`` and
-``matrix_norm_factor`` are their single-point calls, and the single-point
-checks run the same kernels on one matrix.
+``baxterize.coefficients``, read once per builder), ``scan_braid`` builds one
+``braid_matrix`` stack and ``scan_unitarity`` one ``x_form`` stack with its
+closed-form rho from ``norm_factor``. ``inverse_unitarity`` and
+``family_inverse_unitarity`` take an array of x and build R(x) and R(1/x) as
+two stacks. The closed forms take q, t, the sign factor and x as scalars or as
+arrays; ``build_b``, ``build_R``, ``rho_formula`` and ``matrix_norm_factor``
+are their single-point calls, and the single-point checks run the same kernels
+on one matrix.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .baxterize import (
     SpectralPoint,
     build_R,
     build_R_stack,
+    coefficients,
     compose_u,
     family_x,
     g_factors,
@@ -96,14 +99,20 @@ def family_builder(
     """R-matrix builder for one family, parametrized by x, theta or u.
 
     A scalar value gives ``build_R`` at that point, an array of values the
-    (n, 4, 4) stack of ``build_R_stack``. An entry above ``linalg.MAX_ENTRY``,
-    where the residual products would overflow, is a DomainError.
+    (n, 4, 4) stack of ``build_R_stack``; the builder reads ``coefficients`` at
+    its first stack and reuses them for the others. An entry above
+    ``linalg.MAX_ENTRY``, where the residual products would overflow, is a DomainError.
     """
+    coeffs = None
+
     def build(value):
+        nonlocal coeffs
         if np.ndim(value) == 0:
             r = build_R(spec, SpectralPoint(kind, complex(value)), ordering=ordering, form=form)
         else:
-            r = build_R_stack(spec, kind, value, ordering=ordering, form=form)
+            if coeffs is None:
+                coeffs = coefficients(spec, ordering)
+            r = build_R_stack(spec, kind, value, ordering=ordering, form=form, coeffs=coeffs)
         return _bounded(r, spec, kind, value)
     return build
 
@@ -219,17 +228,23 @@ def norm_factor(family: Family, q, t, kind: str, value, form: str = "canonical")
     return g * g * rho_closed(family, q, t, view_x(family, kind, value))
 
 
-def inverse_unitarity(builder: Callable[[complex], np.ndarray], x: complex,
-                      tol: float = TOLERANCES["inverse-unitarity"]) -> complex:
-    """Proportionality scalar of R(x) R(1/x), which must be a multiple of 1."""
-    if x == 0:
+def inverse_unitarity(builder: Callable[[complex], np.ndarray], x,
+                      tol: float = TOLERANCES["inverse-unitarity"]):
+    """Proportionality scalar of R(x) R(1/x), which must be a multiple of 1.
+
+    An array of x gives one scalar per x from two builder stacks, R(x) and R(1/x);
+    an x = 0, or a product not proportional to 1, at any entry is an error.
+    """
+    if np.any(x == 0):
         raise DomainError("inverse unitarity needs x != 0")
     prod = builder(x) @ builder(1 / x)
-    scalar = complex(np.trace(prod) / 4.0)
-    gap = frobenius(prod - scalar * I4)
-    if not gap <= tol * max(1.0, abs(scalar)):
-        raise NotProportionalError(f"R(x) R(1/x) is not proportional to 1: gap {gap:.3e}")
-    return scalar
+    scalar = np.trace(prod, axis1=-2, axis2=-1) / 4.0
+    gap = frobenius(prod - scalar[..., None, None] * I4)
+    proportional = gap <= tol * np.maximum(1.0, abs(scalar))
+    if not proportional.all():
+        raise NotProportionalError("R(x) R(1/x) is not proportional to 1: "
+                                   f"gap {np.ravel(gap)[np.argmin(proportional)]:.3e}")
+    return scalar if scalar.ndim else complex(scalar)
 
 
 def inverse_unitarity_expected(spec: FamilySpec, x: complex) -> complex:
@@ -251,8 +266,9 @@ def inverse_unitarity_expected(spec: FamilySpec, x: complex) -> complex:
     raise ValueError(f"no inverse-unitarity closed form for {fam}")
 
 
-def family_inverse_unitarity(spec: FamilySpec, x: complex) -> tuple[complex, complex]:
-    """(measured, expected) inverse-unitarity scalar in the family's reference view."""
+def family_inverse_unitarity(spec: FamilySpec, x) -> tuple:
+    """(measured, expected) inverse-unitarity scalar in the family's reference view; an
+    array of x gives a pair of arrays, measured from one stack each of R(x) and R(1/x)."""
     form = "g" if spec.family is Family.EIGHT_IV else "canonical"
     measured = inverse_unitarity(family_builder(spec, "x", form=form), x)
     return measured, inverse_unitarity_expected(spec, x)

@@ -19,7 +19,7 @@ from yaxter.dynamics import (
 )
 from yaxter.gates import PAULI, SIGMA_MINUS, SIGMA_PLUS, SX, SZ, sigma_xy, tensor
 from yaxter.linalg import expm_hermitian, frobenius, hermiticity_defect, identity
-from yaxter.verify import sample_spec
+from yaxter.verify import sample_spec, sample_specs, worst
 
 X = SpectralPoint.from_x
 TH = SpectralPoint.from_theta
@@ -387,6 +387,51 @@ def test_theta_zero_minus_branch_is_the_xy_exponential():
 def test_braiding_evolution_requires_eight1():
     with pytest.raises(ValueError, match="eight1"):
         braiding_evolution_residual(FamilySpec.eight2(t=1.5), 0.3)
+
+
+def _eight1_samples(seed, n):
+    rng = np.random.default_rng(seed)
+    return sample_specs(Family.EIGHT_I, rng, n), rng.uniform(-1.2, 1.2, n)
+
+
+def test_stacked_braiding_evolution_agrees_with_the_single_point_call():
+    specs, theta = _eight1_samples(71, 60)
+    stack = braiding_evolution_residual(specs, theta)
+    assert stack.shape == (60,) and stack.max() < 1e-10
+    # R and the exponential are unitary, ||.||_F = 2: agreement relative to that norm
+    for k in range(60):
+        assert abs(stack[k] - braiding_evolution_residual(specs[k], theta[k])) <= 2e-14
+
+
+def test_single_point_braiding_evolution_is_the_closed_form_generator():
+    # the 0-d call is bitwise gauge_unitary against evolve(hamiltonian_closed)
+    specs, theta = _eight1_samples(73, 10)
+    for k in range(10):
+        spec, t = specs[k], float(theta[k])
+        want = frobenius(gauge_unitary(spec, TH(t))
+                         - evolve(hamiltonian_closed(spec, t), -(np.pi / 2.0 - 2.0 * t)))
+        assert braiding_evolution_residual(spec, t) == want
+
+
+def test_empty_braiding_evolution_stack_is_a_usage_error():
+    specs, theta = _eight1_samples(79, 0)
+    assert braiding_evolution_residual(specs, theta).shape == (0,)
+    with pytest.raises(ValueError, match="at least one sample"):
+        worst(braiding_evolution_residual(specs, theta))
+
+
+def test_a_nan_theta_in_a_braiding_evolution_stack_is_a_domain_error():
+    specs, theta = _eight1_samples(83, 5)
+    theta[2] = np.nan
+    with pytest.raises(DomainError, match="real x, got x = nan"):
+        braiding_evolution_residual(specs, theta)
+
+
+def test_stacked_hermiticity_check_names_the_one_failing_matrix():
+    h = np.stack([I4, tensor(SIGMA_PLUS, SX), I4])
+    dynamics._require_hermitian(h[[0, 2]])
+    with pytest.raises(ValueError, match="not Hermitian: defect 2"):
+        dynamics._require_hermitian(h)
 
 
 @pytest.mark.parametrize(

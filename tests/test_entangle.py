@@ -59,7 +59,7 @@ def test_bell_braid_action_on_basis(sign):
 @given(amp, amp, amp, amp, amp, amp, amp, amp)
 def test_product_state_det_vanishes(ar, ai, br, bi, cr, ci, dr, di):
     a, b, c, d = ar + 1j * ai, br + 1j * bi, cr + 1j * ci, dr + 1j * di
-    if abs(a) + abs(b) == 0 or abs(c) + abs(d) == 0:
+    if not any((a * c, a * d, b * c, b * d)):  # a zero factor, or products that underflow
         return
     scale = max(abs(z) for z in (a, b, c, d)) ** 4 + 1.0
     assert abs(concurrence_det(product_state(a, b, c, d))) < 1e-14 * scale
@@ -279,6 +279,54 @@ def test_closed_form_det_matches_apply(spec, p):
                         z[4] + 1j * z[5], z[6] + 1j * z[7])
         want = concurrence_det(apply(r, psi))
         assert abs(det_b_closed(spec, p, psi) - want) < 1e-12
+
+
+def _random_states(seed, n):
+    """n states with standard normal amplitudes; the even ones are products."""
+    g = np.random.default_rng(seed).standard_normal((n, 8))
+    amps = (g[:, 0::2] + 1j * g[:, 1::2]).T
+    psi = state(*amps)
+    psi[0::2] = product_state(*amps[:, 0::2])
+    return psi
+
+
+def test_state_stacks_are_the_per_state_calls():
+    amps = np.random.default_rng(89).standard_normal((4, 6)) * (1 + 0.5j)
+    assert np.array_equal(state(*amps), [state(*a) for a in amps.T])
+    # products of amplitudes: numpy's array and scalar loops may round differently
+    np.testing.assert_allclose(product_state(*amps), [product_state(*a) for a in amps.T],
+                               rtol=1e-15, atol=0)
+    assert state(*np.empty((4, 0))).shape == (0, 4)
+    amps[:, 4] = 0
+    with pytest.raises(ValueError, match="must not all vanish"):
+        state(*amps)
+
+
+@pytest.mark.parametrize("spec,p", CLOSED_FORM_CASES)
+def test_stacked_dets_agree_with_the_single_state_calls(spec, p):
+    psi = _random_states(97, 40)
+    closed, measured = det_b_closed(spec, p, psi), concurrence_det(psi)
+    assert closed.shape == measured.shape == (40,)
+    for k in range(40):
+        want = det_b_closed(spec, p, psi[k])
+        assert abs(closed[k] - want) <= 1e-14 * max(1.0, abs(want))
+        assert measured[k] == concurrence_det(psi[k])
+
+
+def test_empty_det_stacks_are_a_usage_error():
+    spec, p = CLOSED_FORM_CASES[0]
+    for dets in (det_b_closed(spec, p, np.empty((0, 4))), concurrence_det(np.empty((0, 4)))):
+        assert dets.shape == (0,)
+        with pytest.raises(ValueError, match="at least one sample"):
+            verify.worst(abs(dets))
+
+
+def test_a_nan_state_gives_nan_for_that_state_only():
+    spec, p = CLOSED_FORM_CASES[0]
+    psi = _random_states(101, 6)
+    psi[3, 1] = np.nan
+    for dets in (det_b_closed(spec, p, psi), concurrence_det(psi)):
+        assert np.isnan(dets[3]) and np.isfinite(np.delete(dets, 3)).all()
 
 
 def test_six_nonstd_displayed_det_for_product_inputs():

@@ -345,6 +345,40 @@ def test_expm_rejects_non_hermitian():
         expm_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (2, 3)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+def test_expm_rejects_a_non_finite_matrix_before_eigh(entry, value):
+    # the guard fails on a NaN defect and on an infinite norm, so no eigh warning or error
+    h = np.zeros((4, 4), dtype=complex)
+    h[entry] = value
+    with pytest.raises(NotHermitianError):
+        expm_hermitian(h, 0.5)
+
+
+def _hermitian_stack(rng, n):
+    a = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+    return (a + dagger(a)) / 2
+
+
+def test_stacked_expm_is_bitwise_the_single_matrix_call():
+    rng = np.random.default_rng(61)
+    h, theta = _hermitian_stack(rng, 30), rng.uniform(-2.0, 2.0, 30)
+    stack = expm_hermitian(h, theta)
+    assert stack.shape == (30, 4, 4)
+    assert np.array_equal(stack, [expm_hermitian(h[k], theta[k]) for k in range(30)])
+    # a scalar theta broadcasts over the stack, an array of theta over one matrix
+    assert np.array_equal(expm_hermitian(h, 0.7), [expm_hermitian(m, 0.7) for m in h])
+    assert np.array_equal(expm_hermitian(h[0], theta), [expm_hermitian(h[0], t) for t in theta])
+
+
+def test_stacked_expm_rejects_the_one_non_hermitian_matrix():
+    h = _hermitian_stack(np.random.default_rng(67), 5)
+    h[3, 0, 0] = np.nan
+    with pytest.raises(NotHermitianError, match="index 3 of the stack"):
+        expm_hermitian(h, 0.5)
+    assert expm_hermitian(h[:0], np.empty(0)).shape == (0, 4, 4)
+
+
 def test_json_round_trip():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

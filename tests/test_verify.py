@@ -27,6 +27,7 @@ from yaxter.verify import (
     scan_unitarity,
     unitarity_gap,
     unitarity_residual,
+    worst,
 )
 
 X = SpectralPoint.from_x
@@ -285,6 +286,56 @@ def test_compatibility_split():
     measured, expected = family_inverse_unitarity(spec, 2.0)
     assert abs(measured - expected) < 1e-12
     assert abs(measured - rho_formula(spec, X(2.0))) > 1.0
+
+
+@pytest.mark.parametrize("family", R_FAMILIES)
+def test_stacked_inverse_unitarity_agrees_with_the_single_point_call(family):
+    rng = np.random.default_rng(103)
+    spec = sample_spec(family, rng)
+    xs = sample_x(family, rng, 30)
+    measured, expected = family_inverse_unitarity(spec, xs)
+    assert measured.shape == expected.shape == (30,)
+    for x, got, want in zip(xs, measured, expected):
+        one = family_inverse_unitarity(spec, x)
+        assert abs(got - one[0]) <= 1e-14 * max(1.0, abs(one[0]))
+        assert want == one[1]
+
+
+def test_empty_inverse_unitarity_stack_is_a_usage_error():
+    measured, _ = family_inverse_unitarity(FamilySpec.eight3(t=2.0, q=1.0), np.empty(0, complex))
+    assert measured.shape == (0,)
+    with pytest.raises(ValueError, match="at least one sample"):
+        worst(abs(measured))
+
+
+@pytest.mark.parametrize("bad,error", [(np.nan, DomainError), (0.0, DomainError)])
+def test_a_bad_x_in_an_inverse_unitarity_stack_raises(bad, error):
+    xs = np.exp(1j * np.linspace(0.3, 2.0, 5))
+    xs[3] = bad
+    with pytest.raises(error):
+        family_inverse_unitarity(FamilySpec.eight3(t=2.0, q=1.0), xs)
+
+
+def test_a_stack_with_one_product_not_proportional_to_1_is_rejected():
+    def builder(x):
+        r = np.broadcast_to(identity(4), (len(x), 4, 4)).copy()
+        r[1] = np.diag([1, 2, 3, 4])
+        return r
+    with pytest.raises(NotProportionalError):
+        inverse_unitarity(builder, np.array([0.5, 0.7, 0.9]))
+
+
+@pytest.mark.parametrize("family,kind,ordering", [
+    (Family.EIGHT_IV, "u", None), (Family.EIGHT_III, "x", EigOrdering.SECOND)])
+def test_a_qybe_scan_reads_the_coefficients_once(monkeypatch, family, kind, ordering):
+    import yaxter.verify as verify
+
+    reads = []
+    real = verify.coefficients
+    monkeypatch.setattr(verify, "coefficients", lambda *a: reads.append(a) or real(*a))
+    spec = sample_spec(family, np.random.default_rng(107))
+    assert scan_qybe(spec, kind=kind, samples=20, seed=107, ordering=ordering).passed
+    assert reads == [(spec, ordering)]
 
 
 # --- scans -----------------------------------------------------------------------
