@@ -260,6 +260,15 @@ class FamilySpecs:
         if failure:
             raise ValueError(failure)
 
+    @classmethod
+    def from_specs(cls, specs) -> "FamilySpecs":
+        """The points of a non-empty sequence of FamilySpecs of one family, in order."""
+        families = {spec.family for spec in specs}
+        if len(families) != 1:
+            raise ValueError(f"expected points of one family, got {len(families)} families")
+        q, t, s = np.array([spec.parameters() for spec in specs]).T
+        return cls(families.pop(), q, t, s.real.astype(int))
+
     def __len__(self) -> int:
         return len(self.q)
 

@@ -30,7 +30,7 @@ cos(theta) b + sin(theta) b^{-1} the generator is the constant 2 H_pm
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -38,10 +38,10 @@ import numpy as np
 from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, build_R,
                         build_R_stack, coefficients, eight4_g_factors, view_gauge,
                         view_reference_gauge, view_x, x_form)
-from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix, build_b,
+from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix,
                       finite_rho, is_real)
 from .gates import PAULI, tensor
-from .linalg import MAX_ENTRY, dagger, expm_hermitian, frobenius, hermiticity_defect, identity
+from .linalg import MAX_ENTRY, dagger, expm_hermitian, frobenius, identity, require_hermitian
 from .verify import norm_factor
 
 I4 = identity(4)
@@ -64,17 +64,7 @@ class Hamiltonian:
     point: SpectralPoint
 
     def __post_init__(self):
-        _require_hermitian(self.matrix)
-
-
-def _require_hermitian(h: np.ndarray) -> None:
-    """A ValueError unless H, or every matrix of an (n, 4, 4) stack, is Hermitian within
-    ``HERM_TOL`` relative to max(1, ||H||_F)."""
-    defect = hermiticity_defect(h)
-    hermitian = defect <= HERM_TOL * np.maximum(1.0, frobenius(h))
-    if not hermitian.all():
-        k = np.argmin(hermitian)  # the first False
-        raise ValueError(f"Hamiltonian is not Hermitian: defect {np.ravel(defect)[k]:.3e}")
+        require_hermitian(self.matrix, HERM_TOL, "Hamiltonian")
 
 
 def gauge_unitary(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
@@ -205,8 +195,7 @@ def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
         hmat = _six_vertex_closed(g, theta, fam is Family.SIX_STD, np.cosh(g))
         return Hamiltonian(hmat, HamiltonianSource.CLOSED_FORM, spec, point)
     if fam is Family.EIGHT_I:
-        b = build_b(replace(spec, family=Family.BELL_PHI))
-        hmat = -0.5j * (b @ b)
+        hmat = _eight1_generator(spec)
         return Hamiltonian(hmat, HamiltonianSource.CLOSED_FORM, spec, point)
     if fam is Family.EIGHT_II:
         t = _real_t(spec)
@@ -251,8 +240,14 @@ def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
 
 def eight1_x_hamiltonian(spec: FamilySpec, x: float) -> np.ndarray:
     """H(x) = -i b(phi)^2 / (1 + x^2): the eight1 generator along the real-x curve."""
-    b = build_b(replace(spec, family=Family.BELL_PHI))
-    return -1j / (1.0 + x * x) * (b @ b)
+    return 2.0 / (1.0 + x * x) * _eight1_generator(spec)
+
+
+def _eight1_generator(spec: FamilySpec | FamilySpecs) -> np.ndarray:
+    """H_pm = -(i/2) b_pm(phi)^2, the eight1 generator of the x curve at x = 1; FamilySpecs
+    give the (n, 4, 4) stack."""
+    b = braid_matrix(Family.BELL_PHI, *spec.parameters())
+    return -0.5j * (b @ b)
 
 
 def six_vertex_erratum_report(spec: FamilySpec, theta: float) -> dict:
@@ -339,8 +334,7 @@ def braiding_evolution_residual(spec: FamilySpec | FamilySpecs, theta):
     if spec.family is not Family.EIGHT_I:
         raise ValueError("the braiding evolution identity is specific to eight1")
     r_theta = _gauge_unitaries(spec, "theta", theta)
-    b = braid_matrix(Family.BELL_PHI, *spec.parameters())
-    h = -0.5j * (b @ b)
-    _require_hermitian(h)
+    h = _eight1_generator(spec)
+    require_hermitian(h, HERM_TOL, "Hamiltonian")
     return frobenius(r_theta - expm_hermitian(h, -(np.pi / 2.0 - 2.0 * np.asarray(theta))))
 

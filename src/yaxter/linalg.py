@@ -3,8 +3,8 @@
 Everything in this package lives on 2x2 or 4x4 complex matrices stored as
 numpy ``complex128`` arrays, row-major, in the computational basis order
 |00>, |01>, |10>, |11| (first tensor factor = control/left strand).
-``dagger``, ``frobenius``, ``strand_gap`` and ``expm_hermitian`` also take
-(..., n, n) stacks and work matrix by matrix; a single matrix gives the
+``dagger``, ``frobenius``, ``strand_gap``, ``require_hermitian`` and ``expm_hermitian``
+also take (..., n, n) stacks and work matrix by matrix; a single matrix gives the
 single-matrix result.
 ``cmat_stack`` assembles such a stack from entries that broadcast. ``strand_gap``, the
 braid and QYBE kernel, forms no 8x8 lift and runs a stack in fixed blocks of 64
@@ -183,23 +183,30 @@ def hermiticity_defect(h: np.ndarray) -> float:
     return frobenius(h - dagger(h))
 
 
-def expm_hermitian(h: np.ndarray, theta, tol: float = DEFAULT_ATOL) -> np.ndarray:
-    """U = exp(-i H theta) for Hermitian H, via eigendecomposition.
-
-    An (..., n, n) stack of H, with theta a scalar or an array that broadcasts against
-    the stack, gives the stack of U from one batched eigh. Every H must be Hermitian
-    within tol relative to max(1, ||H||_F); a non-finite H fails that guard, so it
-    raises NotHermitianError before eigh sees it.
-    """
-    h = np.asarray(h, dtype=complex)
+def require_hermitian(h: np.ndarray, tol: float, what: str = "matrix") -> None:
+    """NotHermitianError unless H, or every matrix of an (..., n, n) stack, is finite and
+    Hermitian within tol relative to max(1, ||H||_F); the error names the first failing
+    matrix of a stack. A NaN or infinite entry fails: its defect is NaN or its norm inf."""
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite H is NaN, which fails below
         defect, scale = hermiticity_defect(h), frobenius(h)
     hermitian = (defect <= tol * np.maximum(1.0, scale)) & (scale < np.inf)
     if not hermitian.all():
         k = np.argmin(hermitian)  # the first False
         where = f" at index {k} of the stack" if np.ndim(defect) else ""
-        raise NotHermitianError(f"matrix is not Hermitian{where}: "
+        raise NotHermitianError(f"{what} is not Hermitian{where}: "
                                 f"||H - H^dag|| = {np.ravel(defect)[k]:.3e}")
+
+
+def expm_hermitian(h: np.ndarray, theta, tol: float = DEFAULT_ATOL) -> np.ndarray:
+    """U = exp(-i H theta) for Hermitian H, via eigendecomposition.
+
+    An (..., n, n) stack of H, with theta a scalar or an array that broadcasts against
+    the stack, gives the stack of U from one batched eigh. Every H must pass
+    ``require_hermitian`` at tol, so a non-finite H raises NotHermitianError before eigh
+    sees it.
+    """
+    h = np.asarray(h, dtype=complex)
+    require_hermitian(h, tol)
     w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
     phase = np.exp(-1j * w * np.asarray(theta)[..., None])
     return (v * phase[..., None, :]) @ dagger(v)

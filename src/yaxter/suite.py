@@ -285,9 +285,11 @@ def criterion_evolution(seed: int) -> dict:
     tol = 1e-10
     rng = np.random.default_rng(seed + 500)
     # (phi, theta, sign bit) per sample, drawn in that order
-    phi, theta, bit = np.array([(rng.uniform(0, 2 * np.pi), rng.uniform(-1.2, 1.2),
-                                 rng.integers(2)) for _ in range(50)]).T
-    specs = FamilySpecs(Family.EIGHT_I, np.exp(-1j * phi), np.full(50, 2.0), 1 - 2 * bit)
+    draws = [(rng.uniform(0, 2 * np.pi), rng.uniform(-1.2, 1.2), rng.integers(2))
+             for _ in range(50)]
+    specs = FamilySpecs.from_specs([FamilySpec.eight1(phi=phi, sign=(Sign.PLUS, Sign.MINUS)[bit])
+                                    for phi, _, bit in draws])
+    theta = np.array([theta for _, theta, _ in draws])
     residual = worst(braiding_evolution_residual(specs, theta))
     spec0 = FamilySpec.eight1(phi=0.0, sign=Sign.MINUS)
     r0 = dynamics.gauge_unitary(spec0, SpectralPoint.from_theta(0.0))

@@ -6,7 +6,9 @@ from yaxter.catalog import (
     DomainError,
     Family,
     FamilySpec,
+    FamilySpecs,
     Sign,
+    braid_matrix,
     braid_residual,
     build_b,
     eigenvalues_of,
@@ -218,3 +220,17 @@ def test_weights_beyond_the_product_bound_are_a_domain_error():
     with np.errstate(all="raise"):
         with pytest.raises(DomainError, match="weight reaches 1e\\+200"):
             eight_vertex_residuals(w)
+
+
+def test_family_specs_from_specs_round_trips_each_point():
+    points = [FamilySpec.eight3(t=1.4, q=np.exp(0.2j), sign=Sign.MINUS),
+              FamilySpec.eight3(t=-2.5, q=np.exp(-1.1j))]
+    specs = FamilySpecs.from_specs(points)
+    assert specs.family is Family.EIGHT_III and len(specs) == 2
+    assert [specs[k] for k in range(2)] == points
+    assert np.array_equal(braid_matrix(Family.EIGHT_III, *specs.parameters())[0],
+                          build_b(points[0]))
+    with pytest.raises(ValueError, match="one family, got 2 families"):
+        FamilySpecs.from_specs(points + [FamilySpec.eight1(phi=0.3)])
+    with pytest.raises(ValueError, match="one family, got 0 families"):
+        FamilySpecs.from_specs([])

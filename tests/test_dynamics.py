@@ -5,6 +5,7 @@ from yaxter import dynamics
 from yaxter.baxterize import SpectralPoint
 from yaxter.catalog import DomainError, Family, FamilySpec, Sign
 from yaxter.dynamics import (
+    Hamiltonian,
     HamiltonianSource,
     braiding_evolution_residual,
     eight1_x_hamiltonian,
@@ -18,7 +19,8 @@ from yaxter.dynamics import (
     six_vertex_hamiltonian_coth_variant,
 )
 from yaxter.gates import PAULI, SIGMA_MINUS, SIGMA_PLUS, SX, SZ, sigma_xy, tensor
-from yaxter.linalg import expm_hermitian, frobenius, hermiticity_defect, identity
+from yaxter.linalg import (expm_hermitian, frobenius, hermiticity_defect, identity,
+                           require_hermitian)
 from yaxter.verify import sample_spec, sample_specs, worst
 
 X = SpectralPoint.from_x
@@ -429,9 +431,19 @@ def test_a_nan_theta_in_a_braiding_evolution_stack_is_a_domain_error():
 
 def test_stacked_hermiticity_check_names_the_one_failing_matrix():
     h = np.stack([I4, tensor(SIGMA_PLUS, SX), I4])
-    dynamics._require_hermitian(h[[0, 2]])
-    with pytest.raises(ValueError, match="not Hermitian: defect 2"):
-        dynamics._require_hermitian(h)
+    require_hermitian(h[[0, 2]], dynamics.HERM_TOL)
+    with pytest.raises(ValueError, match="not Hermitian at index 1 of the stack: .* = 2"):
+        require_hermitian(h, dynamics.HERM_TOL)
+
+
+@pytest.mark.parametrize("value", [np.inf, complex(0, -np.inf), np.nan])
+def test_hamiltonian_rejects_a_non_finite_off_diagonal_entry(value):
+    # an infinite entry makes both the defect and ||H|| infinite; the finite-norm term fails it
+    h = I4.copy()
+    h[0, 3] = h[3, 0] = value
+    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
+        Hamiltonian(h, HamiltonianSource.EXACT, FamilySpec.eight1(phi=0.0),
+                    SpectralPoint.from_theta(0.0))
 
 
 @pytest.mark.parametrize(

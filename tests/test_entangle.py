@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yaxter import suite, verify
@@ -57,9 +57,14 @@ def test_bell_braid_action_on_basis(sign):
 
 @settings(max_examples=50, deadline=None)
 @given(amp, amp, amp, amp, amp, amp, amp, amp)
+@example(1e-200, 0.0, 0.0, 0.0, 1e-200, 0.0, 0.0, 0.0)  # a c underflows, b = d = 0
 def test_product_state_det_vanishes(ar, ai, br, bi, cr, ci, dr, di):
     a, b, c, d = ar + 1j * ai, br + 1j * bi, cr + 1j * ci, dr + 1j * di
-    if not any((a * c, a * d, b * c, b * d)):  # a zero factor, or products that underflow
+    if abs(a) + abs(b) == 0 or abs(c) + abs(d) == 0:
+        return
+    if not any((a * c, a * d, b * c, b * d)):  # nonzero factors whose products underflow
+        with pytest.raises(ValueError, match="must not all vanish"):
+            product_state(a, b, c, d)
         return
     scale = max(abs(z) for z in (a, b, c, d)) ** 4 + 1.0
     assert abs(concurrence_det(product_state(a, b, c, d))) < 1e-14 * scale
