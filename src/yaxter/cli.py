@@ -15,6 +15,11 @@ check of ``check``, accepts only the options it reads: ``check braid``, and
 ``check unitarity`` without a spectral point, scan seeded points of --family
 and read no other family option (``check unitarity`` rejects one as a usage
 error). ``catalog --weights`` rejects a weight above ``linalg.MAX_ENTRY``.
+
+The parser is built per command: ``main`` reads the command from argv and
+``build_parser`` adds only its subparser, from the one table ``COMMANDS``; with no
+command, -h first or an unknown name it adds them all. Help and usage errors are
+the same either way.
 """
 
 from __future__ import annotations
@@ -150,6 +155,7 @@ def _count_at_least(low: int):
         if n < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
         return n
+    parse.__name__ = "int"  # argparse reports a non-integer as an "invalid int value"
     return parse
 
 
@@ -168,7 +174,7 @@ def _add_run_args(p: argparse.ArgumentParser, *reads: str) -> None:
     if "samples" in reads:
         p.add_argument("--samples", type=_count_at_least(1), default=50)
     if "seed" in reads:
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=_count_at_least(0), default=42)
     p.add_argument("--output", choices=["json", "pretty"], default="json")
 
 
@@ -376,9 +382,11 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_cnot(args) -> int:
     if args.route == "theorem1":
+        if args.phi is not None:
+            raise DomainError("--phi is read only by --route evolution")
         dec = theorem1_decomposition()
     else:
-        dec = cnot_via_evolution(args.phi)
+        dec = cnot_via_evolution(0.0 if args.phi is None else args.phi)
     payload = {
         "route": args.route,
         "residual": float(dec.residual),
@@ -396,21 +404,14 @@ def _cmd_suite(args) -> int:
     return 0 if result["all_pass"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="yaxter",
-        description="Braid matrices, Yang-Baxterized R(x) families, and their gate theory.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("catalog", help="emit a braid matrix")
+def _catalog_args(p: argparse.ArgumentParser) -> None:
     _add_family_args(p)
     _add_run_args(p)
     p.add_argument("--weights", action="store_true",
                    help="also report the eight-vertex weights and their constraint residuals")
-    p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("build", help="emit an R-matrix at a spectral point")
+
+def _build_args(p: argparse.ArgumentParser) -> None:
     _add_family_args(p)
     _add_point_args(p)
     p.add_argument("--ordering", choices=[o.value for o in EigOrdering], default=None)
@@ -418,10 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_args(p)
     p.add_argument("--via", choices=["closed", "formula"], default="closed",
                    help="conventional closed form or the raw eigenvalue formula")
-    p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("check", help="run a residual check")
-    p.set_defaults(func=_cmd_check)
+
+def _check_args(p: argparse.ArgumentParser) -> None:
     checks = p.add_subparsers(dest="what", required=True)
     # no abbreviations: check braid would read --t as --tol
     c = checks.add_parser("braid", help="braid relation of b over seeded parameter points",
@@ -445,46 +445,78 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_args(c)
     _add_run_args(c, "tol")
 
-    p = sub.add_parser("classify", help="Brylinski classification of the gate at a point")
+
+def _classify_args(p: argparse.ArgumentParser) -> None:
     _add_family_args(p)
     _add_point_args(p)
     _add_run_args(p, "tol")
     p.add_argument("--locus", default=None,
                    help="8 comma-separated floats (re,im per one-qubit factor): "
                         "test the non-entangling locus instead of classifying")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("hamiltonian", help="extract the evolution generator")
+
+def _hamiltonian_args(p: argparse.ArgumentParser) -> None:
     _add_family_args(p)
     _add_point_args(p)
     _add_run_args(p)
     p.add_argument("--method", choices=["exact", "closed"], default="closed",
                    help="exact derivative at --x or --theta, or the closed form at --theta")
-    p.set_defaults(func=_cmd_hamiltonian)
 
-    p = sub.add_parser("evolve", help="time-evolution operator exp(-i H time)")
+
+def _evolve_args(p: argparse.ArgumentParser) -> None:
     _add_family_args(p)
     p.add_argument("--theta", type=float, default=0.0)
     _add_run_args(p)
     p.add_argument("--time", type=float, required=True)
-    p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("cnot", help="CNOT synthesis routes")
+
+def _cnot_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--route", choices=["theorem1", "evolution"], default="theorem1")
-    p.add_argument("--phi", type=float, default=0.0)
+    p.add_argument("--phi", type=float, default=None)  # the evolution route's; default 0
     _add_run_args(p)
-    p.set_defaults(func=_cmd_cnot)
 
-    p = sub.add_parser("suite", help="run the full verification battery")
-    _add_run_args(p, "seed")
-    p.set_defaults(func=_cmd_suite)
 
+#: every command: (help, the function that adds its arguments, the function that runs it)
+COMMANDS = {
+    "catalog": ("emit a braid matrix", _catalog_args, _cmd_catalog),
+    "build": ("emit an R-matrix at a spectral point", _build_args, _cmd_build),
+    "check": ("run a residual check", _check_args, _cmd_check),
+    "classify": ("Brylinski classification of the gate at a point", _classify_args,
+                 _cmd_classify),
+    "hamiltonian": ("extract the evolution generator", _hamiltonian_args, _cmd_hamiltonian),
+    "evolve": ("time-evolution operator exp(-i H time)", _evolve_args, _cmd_evolve),
+    "cnot": ("CNOT synthesis routes", _cnot_args, _cmd_cnot),
+    "suite": ("run the full verification battery", lambda p: _add_run_args(p, "seed"),
+              _cmd_suite),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only ``command``'s subparser when it names one, else with all of
+    them. Help and usage errors read the same either way: a lone subparser's usage line
+    lists every command through the metavar, which the full parser leaves unset so that
+    its errors name the argument ``command``."""
+    parser = argparse.ArgumentParser(
+        prog="yaxter",
+        description="Braid matrices, Yang-Baxterized R(x) families, and their gate theory.",
+    )
+    if command in COMMANDS:
+        names = [command]
+        metavar = "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = list(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_args, run = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, ValueError) as err:

@@ -6,8 +6,9 @@ The generator along the family's unitary domain curve is
     H(s) = i (dU/ds) U(s)^dag,     U(s) = rho(s)^{-1/2} R(s),
 
 differentiated in theta for the circle families (six-vertex, eight2/3/4) and
-in x for the real-x families (eight1, eight4 with imaginary t). ``hamiltonian``
-takes it exactly from the x-form polynomial R = A + B x + C x^2: with
+in x for the real-x families (eight1, eight4 with imaginary t).
+``exact_generators`` takes it exactly from the x-form polynomial R = A + B x + C x^2,
+at one point or a stack of them: with
 K = i R' R^dag / rho, unitarity along the curve makes K = H + i rho'/(2 rho) 1,
 so H is K less i Im(tr K)/4 1. A real gauge only moves rho; the six-vertex
 dynamics gauge 1/(2 e^{i theta}) turns the phase by -theta and adds 1 to H.
@@ -42,7 +43,7 @@ from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix
                       finite_rho, is_real)
 from .gates import PAULI, tensor
 from .linalg import MAX_ENTRY, dagger, expm_hermitian, frobenius, identity, require_hermitian
-from .verify import norm_factor
+from .verify import norm_factor, worst
 
 I4 = identity(4)
 SIX_VERTEX = (Family.SIX_NONSTD, Family.SIX_STD)
@@ -99,45 +100,88 @@ def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values):
     return build_R_stack(spec, kind, values) / (gauge * np.sqrt(rho))[:, None, None]
 
 
+def _curve_failure(kind: str, value) -> str | None:
+    """Why the dynamics cannot run along the ``kind`` curve at value, or None."""
+    if kind not in ("theta", "x") or not is_real(value):
+        return f"dynamics runs along real theta or real x, got {kind} = {value}"
+    return None
+
+
 def _curve(spec: FamilySpec, p: SpectralPoint) -> tuple[str, float]:
     """(kind, s0): p sits at s = s0 on the curve s -> SpectralPoint(kind, s). Whether that
     curve lies in the family's unitary domain is left to the domain check of the callers."""
-    if p.kind not in ("theta", "x") or not is_real(p.value):
-        raise DomainError(f"dynamics runs along real theta or real x, got {p.kind} = {p.value}")
+    failure = _curve_failure(p.kind, p.value)
+    if failure:
+        raise DomainError(failure)
     return p.kind, float(p.value.real)
+
+
+def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
+    """H = i (dU/ds) U(s)^dag along the ``kind`` curve (theta, or real x for eight1 and
+    imaginary-t eight4) at s, a number or an (n,) array, exactly (module docstring): the
+    (..., 4, 4) generators from one ``coefficients`` read.
+
+    Every check applies to each item, and an error names the first failing item of a stack
+    by its index. Off the unitary domain, above ``linalg.MAX_ENTRY`` or where R vanishes it
+    raises a DomainError; where U is not unitary along the curve, K less its trace part
+    i rho'/(2 rho) 1 is not Hermitian and ``require_hermitian`` raises a ValueError. An
+    empty stack is ``verify.worst``'s usage error.
+    """
+    fam = spec.family
+    stack = np.ndim(s) > 0
+    values = np.ravel(s).tolist() if stack else [s]
+    if stack and not values:
+        worst(values)  # raises: a check needs at least one sample
+
+    def fail(message: str, i: int):
+        raise DomainError(f"{message} at index {i} of the stack" if stack else message)
+
+    def point(i: int) -> SpectralPoint:
+        return SpectralPoint(kind, complex(values[i]))
+
+    for i, value in enumerate(values):  # _curve's check and the domain check
+        violation = _curve_failure(kind, value) or spec.domain_violation(
+            view_x(fam, kind, float(value.real)))
+        if violation is not None:
+            fail(violation, i)
+    s = np.real(s) if stack else float(s.real)
+    x = view_x(fam, kind, s)
+    a, b, c = coefficients(spec)
+
+    def col(v):  # one scalar per matrix of a stack
+        return np.asarray(v)[..., None, None] if stack else v
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the bound below
+        if kind == "theta" and fam is Family.EIGHT_I:  # x = tan(s) in the gauge cos(s); C = 0
+            cs, sn = col(np.cos(s)), col(np.sin(s))
+            r, dr = a * cs + b * sn, b * cs - a * sn
+        else:
+            half = FAMILY_THETA_CONVENTION.get(fam) is ThetaConvention.HALF
+            dxds = 1.0 if kind == "x" else (2j if half else 1j) * x
+            r, dr = a + b * col(x) + c * col(x * x), (b + 2.0 * c * col(x)) * col(dxds)
+    peak = np.abs((r, dr)).max(axis=(0, -2, -1))
+    ok = peak <= MAX_ENTRY
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
+        fail(f"{fam.value} at {point(i)}: an entry of R or dR/ds reaches "
+             f"{np.ravel(peak)[i]:.3g}, above the {MAX_ENTRY:.3g} up to which the products "
+             "stay finite", i)
+    rho = np.trace(r @ dagger(r), axis1=-2, axis2=-1).real / 4.0
+    ok = rho > RHO_FLOOR
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
+        fail(f"normalization factor degenerates (rho = {np.ravel(rho)[i]:.3e}) at {point(i)}", i)
+    k = 1j * dr @ dagger(r) / col(rho)
+    omega = 1.0 if fam in SIX_VERTEX else 0.0
+    h = k + col(omega - 0.25j * np.trace(k, axis1=-2, axis2=-1).imag) * I4
+    require_hermitian(h, HERM_TOL, "Hamiltonian")
+    return h
 
 
 def hamiltonian(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
     """H = i (dU/ds) U(s)^dag at a theta point of an R family or a real-x point of eight1 or
-    imaginary-t eight4, exactly (module docstring). Off the unitary domain, above
-    ``linalg.MAX_ENTRY`` or where R vanishes it raises a DomainError. Where U is not unitary
-    along the curve, K less its trace part i rho'/(2 rho) 1 is not Hermitian, and the
-    Hamiltonian's Hermiticity check raises a ValueError.
-    """
-    kind, s = _curve(spec, p)
-    fam = spec.family
-    x = view_x(fam, kind, s)
-    violation = spec.domain_violation(x)
-    if violation is not None:
-        raise DomainError(violation)
-    a, b, c = coefficients(spec)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the bound below
-        if kind == "theta" and fam is Family.EIGHT_I:  # x = tan(s) in the gauge cos(s); C = 0
-            r, dr = a * np.cos(s) + b * np.sin(s), b * np.cos(s) - a * np.sin(s)
-        else:
-            half = FAMILY_THETA_CONVENTION.get(fam) is ThetaConvention.HALF
-            dxds = 1.0 if kind == "x" else (2j if half else 1j) * x
-            r, dr = a + b * x + c * (x * x), (b + 2.0 * c * x) * dxds
-    peak = np.abs((r, dr)).max()
-    if not peak <= MAX_ENTRY:
-        raise DomainError(f"{fam.value} at {p}: an entry of R or dR/ds reaches {peak:.3g}, "
-                          f"above the {MAX_ENTRY:.3g} up to which the products stay finite")
-    rho = float(np.trace(r @ dagger(r)).real) / 4.0
-    if not rho > RHO_FLOOR:
-        raise DomainError(f"normalization factor degenerates (rho = {rho:.3e}) at {p}")
-    k = 1j * dr @ dagger(r) / rho
-    omega = 1.0 if fam in SIX_VERTEX else 0.0
-    return Hamiltonian(k + (omega - 0.25j * np.trace(k).imag) * I4, HamiltonianSource.EXACT,
+    imaginary-t eight4, exactly: ``exact_generators`` at p, with its checks."""
+    return Hamiltonian(exact_generators(spec, p.kind, p.value), HamiltonianSource.EXACT,
                        spec, p)
 
 

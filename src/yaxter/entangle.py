@@ -179,7 +179,8 @@ def nonentangling_locus(spec: FamilySpec, a: complex, b: complex, c: complex, d:
         return (d * d - s * c * c / q) * (q * b * b + s * a * a)
     if spec.family is Family.EIGHT_III:
         return (a * a - s * q * b * b) * (c * c / q - s * d * d)
-    raise ValueError(f"non-entangling locus is catalogued only for eight1/eight3, not {spec.family}")
+    raise ValueError("non-entangling locus is catalogued only for eight1/eight3, "
+                     f"not {spec.family.value}")
 
 
 def nonentangling_locus_check(

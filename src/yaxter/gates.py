@@ -16,6 +16,7 @@ Both CNOT routes land on the same matrix:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,8 +182,10 @@ def cnot_via_evolution(phi: float = 0.0) -> GateDecomposition:
 
     (D_x(pi/2) D_z(-phi/2) x D_z(-phi/2)) U_+(pi/2) (D_z(phi/2) D_x(-pi/2) x D_z(phi/2))
     equals exp(-i pi/4 sigma_z x sigma_x); then
-    (delta_phase x exp(i pi/4 sigma_x)) finishes the job.
+    (delta_phase x exp(i pi/4 sigma_x)) finishes the job. A non-finite phi is a ValueError.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     u_plus = expm_hermitian(evolution_hamiltonian(phi, Sign.PLUS), np.pi / 2.0)
     dx, dzm = d_x(np.pi / 2).matrix, d_z(-phi / 2).matrix
     left = tensor(dx @ dzm, dzm)

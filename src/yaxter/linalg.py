@@ -203,10 +203,13 @@ def expm_hermitian(h: np.ndarray, theta, tol: float = DEFAULT_ATOL) -> np.ndarra
     An (..., n, n) stack of H, with theta a scalar or an array that broadcasts against
     the stack, gives the stack of U from one batched eigh. Every H must pass
     ``require_hermitian`` at tol, so a non-finite H raises NotHermitianError before eigh
-    sees it.
+    sees it, and a non-finite theta raises a ValueError.
     """
     h = np.asarray(h, dtype=complex)
     require_hermitian(h, tol)
+    if not np.isfinite(theta).all():
+        raise ValueError("exp(-i H theta) needs a finite theta (the evolution time), "
+                         f"got {theta}")
     w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
     phase = np.exp(-1j * w * np.asarray(theta)[..., None])
     return (v * phase[..., None, :]) @ dagger(v)

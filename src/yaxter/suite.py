@@ -6,7 +6,8 @@ identical seeds give byte-identical output. A criterion that samples evaluates
 its samples as stacks, with one build and one kernel call per family: the
 scans of criteria 1, 2 and 4, the inverse-unitarity scalars of criterion 5,
 the closed-form determinants of criterion 6 (20 states per family from one
-draw) and the braiding evolution residuals of criterion 8.
+draw), the exact generators of criterion 7 (three theta points per family) and the
+braiding evolution residuals of criterion 8.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .baxterize import RZERO_EQUALS_B, EigOrdering, SpectralPoint, build_R
 from .catalog import Family, FamilySpec, FamilySpecs, Sign, build_b, is_imag
 from .dynamics import (
     braiding_evolution_residual,
+    exact_generators,
     hamiltonian,
     hamiltonian_closed,
     six_vertex_erratum_report,
@@ -225,16 +227,16 @@ def criterion_universality(seed: int) -> dict:
 
 def criterion_hamiltonians(seed: int) -> dict:
     tol = 1e-12
+    thetas = np.array([0.25, 0.8, 1.3])
     herm, close = [], []
     th = SpectralPoint.from_theta
     for family in (Family.SIX_NONSTD, Family.SIX_STD, Family.EIGHT_II,
                    Family.EIGHT_III, Family.EIGHT_IV):
         spec = representative_spec(family)
-        for theta in (0.25, 0.8, 1.3):
-            exact = hamiltonian(spec, th(theta))
-            herm.append(hermiticity_defect(exact.matrix))
-            closed = hamiltonian_closed(spec, theta)
-            close.append(frobenius(exact.matrix - closed.matrix))
+        exact = exact_generators(spec, "theta", thetas)
+        herm.append(hermiticity_defect(exact))
+        closed = np.stack([hamiltonian_closed(spec, theta).matrix for theta in thetas])
+        close.append(frobenius(exact - closed))
     # eight1: the closed form -(i/2) b(phi)^2 is the x-curve generator at x = 1;
     # the theta curve x = tan(theta) runs at twice it, theta-independently
     spec1 = representative_spec(Family.EIGHT_I)
@@ -242,9 +244,9 @@ def criterion_hamiltonians(seed: int) -> dict:
     exact_x1 = hamiltonian(spec1, SpectralPoint.from_x(1.0))
     herm.append(hermiticity_defect(exact_x1.matrix))
     eight1_x_gap = frobenius(exact_x1.matrix - target)
-    theta_probes = [hamiltonian(spec1, th(t)).matrix for t in (0.2, 0.7, 1.1)]
-    theta_indep = worst([frobenius(hm - theta_probes[0]) for hm in theta_probes])
-    theta_scale = worst([frobenius(hm - 2.0 * target) for hm in theta_probes])
+    theta_probes = exact_generators(spec1, "theta", np.array([0.2, 0.7, 1.1]))
+    theta_indep = worst(frobenius(theta_probes - theta_probes[0]))
+    theta_scale = worst(frobenius(theta_probes - 2.0 * target))
     # theta = 0 and t = 1 special forms for eight2/3/4
     q = np.exp(-0.4j)
     v2h1 = 0.5 * (-I4 + q * tensor(SIGMA_PLUS, SIGMA_PLUS)
@@ -268,7 +270,8 @@ def criterion_hamiltonians(seed: int) -> dict:
     ]
     six_ok = all(r["cosh_variant_confirmed"] and r["coth_variant_discrepant"]
                  for r in reports)
-    worst_herm, worst_close, worst_special = worst(herm), worst(close), worst(special)
+    worst_herm, worst_close = worst(np.hstack(herm)), worst(np.hstack(close))
+    worst_special = worst(special)
     passed = (worst_herm < tol and eight1_x_gap < tol
               and theta_indep < tol and theta_scale < tol and worst_special < tol
               and worst_close < tol and six_ok)

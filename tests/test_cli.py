@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from yaxter.catalog import FamilySpec
-from yaxter.cli import dumps_17g, main
+from yaxter.cli import COMMANDS, build_parser, dumps_17g, main
 from yaxter.dynamics import hamiltonian_closed
 from yaxter.linalg import mat_from_json
 from yaxter.verify import TOLERANCES
@@ -543,3 +543,109 @@ def test_overflowing_weights_are_one_error_line(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "weight reaches 1e+200" in err
+
+
+# --- one subparser per run: the same help and usage errors as the full parser -----
+
+PARSER_PATHS = [(command,) for command in COMMANDS] + [("check", what) for what in CHECK_ARGV]
+VALID_ARGV = {**MINIMAL_ARGV, **{("check", what): argv for what, argv in CHECK_ARGV.items()}}
+
+
+def _parse(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("path", PARSER_PATHS, ids=" ".join)
+def test_the_parser_of_one_command_reads_as_the_full_parser(capsys, monkeypatch, path):
+    monkeypatch.setenv("COLUMNS", "80")
+    valid = VALID_ARGV[path if len(path) > 1 else path[0]]
+    for argv in ([*path, "--help"], [*valid, "--bogus"], [*valid, "extra"], [*path, "--bogus"]):
+        one = _parse(capsys, build_parser(path[0]), argv)
+        every = _parse(capsys, build_parser(), argv)
+        assert one == every
+        assert one[0] == (0 if "--help" in argv else 2)
+    assert list(build_parser(path[0])._subparsers._group_actions[0].choices) == [path[0]]
+    assert list(build_parser()._subparsers._group_actions[0].choices) == list(COMMANDS)
+
+
+USAGE = ("usage: yaxter [-h]\n"
+         "              {catalog,build,check,classify,hamiltonian,evolve,cnot,suite} ...\n")
+TOP_LEVEL = {
+    (): (2, "", USAGE + "yaxter: error: the following arguments are required: command\n"),
+    ("--help",): (0, USAGE + """
+Braid matrices, Yang-Baxterized R(x) families, and their gate theory.
+
+positional arguments:
+  {catalog,build,check,classify,hamiltonian,evolve,cnot,suite}
+    catalog             emit a braid matrix
+    build               emit an R-matrix at a spectral point
+    check               run a residual check
+    classify            Brylinski classification of the gate at a point
+    hamiltonian         extract the evolution generator
+    evolve              time-evolution operator exp(-i H time)
+    cnot                CNOT synthesis routes
+    suite               run the full verification battery
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ("bogus",): (2, "", USAGE + "yaxter: error: argument command: invalid choice: 'bogus' "
+                 "(choose from 'catalog', 'build', 'check', 'classify', 'hamiltonian', "
+                 "'evolve', 'cnot', 'suite')\n"),
+    ("suite", "--bogus"): (2, "", USAGE + "yaxter: error: unrecognized arguments: --bogus\n"),
+}
+
+
+@pytest.mark.parametrize("argv", TOP_LEVEL, ids=lambda argv: " ".join(argv) or "no-args")
+def test_top_level_output_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == TOP_LEVEL[argv]
+
+
+# --- non-finite evolution inputs, option misuse and named usage errors ------------
+
+EVOLVE_ARGV = ("evolve", "--family", "eight2", "--t", "1.5", "--q-re", "0.6", "--q-im", "0.8",
+               "--theta", "0.3")
+
+
+@pytest.mark.parametrize("argv", [
+    (*EVOLVE_ARGV, "--time", "nan"), (*EVOLVE_ARGV, "--time", "inf"),
+    ("cnot", "--route", "evolution", "--phi", "inf"),
+    ("cnot", "--route", "evolution", "--phi", "nan"),
+], ids=["time-nan", "time-inf", "phi-inf", "phi-nan"])
+def test_non_finite_evolution_input_is_one_error_line(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite" in err and err.rstrip().endswith(f"got {argv[-1]}")
+
+
+def test_theorem1_route_reads_no_phi(capsys):
+    code, out, err = run_cli(capsys, "cnot", "--route", "theorem1", "--phi", "0.4")
+    assert code == 2 and out == ""
+    assert err == "error: --phi is read only by --route evolution\n"
+
+
+@pytest.mark.parametrize("argv", [("suite", "--seed", "-1"),
+                                  (*CHECK_ARGV["braid"], "--seed", "-5")])
+def test_negative_seed_is_a_usage_error_naming_the_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --seed: must be at least 0, got {argv[-1]}\n")
+
+
+def test_locus_of_an_uncatalogued_family_names_it_by_value(capsys):
+    code, out, err = run_cli(capsys, "classify", "--family", "eight2", "--t", "1.5", "--q", "1",
+                             "--theta", "0.3", "--locus", "1,0,0,0,0,0,1,0")
+    assert code == 2 and out == ""
+    assert err == "error: non-entangling locus is catalogued only for eight1/eight3, not eight2\n"

@@ -469,3 +469,43 @@ def test_closed_form_source_tags():
     assert ham.source is HamiltonianSource.FINITE_DIFFERENCE
     ham = hamiltonian(FamilySpec.eight2(t=1.3, q=1.0), TH(0.2))
     assert ham.source is HamiltonianSource.EXACT
+
+
+# --- the stacked exact generator --------------------------------------------------
+
+CRITERION7_STACKS = [(spec, "theta", (0.25, 0.8, 1.3)) for spec in THETA_FAMILIES] + [
+    (FamilySpec.eight1(phi=0.9), "theta", (0.2, 0.7, 1.1)),
+    (FamilySpec.eight1(phi=0.9), "x", (1.0, -0.4, 2.5)),
+]
+
+
+@pytest.mark.parametrize("spec,kind,values", CRITERION7_STACKS,
+                         ids=lambda v: getattr(getattr(v, "family", None), "value", str(v)))
+def test_stacked_exact_generators_agree_with_their_single_calls(spec, kind, values):
+    stack = dynamics.exact_generators(spec, kind, np.array(values))
+    assert stack.shape == (len(values), 4, 4)
+    for h, value in zip(stack, values):
+        single = dynamics.exact_generators(spec, kind, value)
+        assert single.shape == (4, 4)
+        assert frobenius(h - single) <= 1e-14 * frobenius(single)
+        assert np.array_equal(single, hamiltonian(spec, SpectralPoint(kind, value)).matrix)
+
+
+@pytest.mark.parametrize("spec,kind,values,named", [
+    (THETA_FAMILIES[2], "theta", (0.25, float("nan"), 1.3),
+     "got theta = nan at index 1 of the stack"),
+    (THETA_FAMILIES[2], "theta", (0.25, 0.8, 0.3 + 0.1j),
+     r"got theta = \(0.3\+0.1j\) at index 2 of the stack"),
+    (FamilySpec.eight4(t=1.5, q=1.0), "x", (-1.0, 0.5),  # real t: |x| = 1 only
+     r"needs \|x\| = 1, got \|x\| = 0.5 at index 1 of the stack"),
+    (FamilySpec.six_nonstd(q=1.0), "theta", (0.3, 0.0, 0.0),  # R vanishes at theta = 0
+     r"rho = 0.000e\+00\) at SpectralPoint\(kind='theta', value=0j\) at index 1 of the stack"),
+], ids=["nan", "complex", "off-domain", "rho-floor"])
+def test_stacked_exact_generators_name_the_first_failing_index(spec, kind, values, named):
+    with pytest.raises(DomainError, match=named):
+        dynamics.exact_generators(spec, kind, np.array(values))
+
+
+def test_empty_exact_generator_stack_is_a_usage_error():
+    with pytest.raises(ValueError, match="nothing to reduce"):
+        dynamics.exact_generators(THETA_FAMILIES[0], "theta", np.array([]))

@@ -109,6 +109,7 @@ GUARDS = {
     "OneQubitGate": lambda: OneQubitGate(np.full((2, 2), NAN, dtype=complex), "nan"),
     "rotation": lambda: rotation((NAN, 0.0, 0.0), 1.0),
     "expm_hermitian": lambda: expm_hermitian(NAN4, 0.5),
+    "expm_hermitian_theta": lambda: expm_hermitian(np.eye(4, dtype=complex), NAN),
 }
 
 
