@@ -8,7 +8,6 @@ from .baxterize import (
     ThetaConvention,
     build_R,
     compose_u,
-    reparam,
     yb_three,
     yb_two,
 )

@@ -10,16 +10,22 @@ Three-eigenvalue formula (must be re-checked against the QYBE per output):
            + (lambda1 + lambda2 + lambda3 + lambda1 lambda3 / lambda2) x I
            - (x-1) b
 
-Each family has one displayed closed form, its x-form (``x_form``, which takes
-q, t, the sign factor and x as scalars or as arrays that broadcast), which
+Each family has one displayed closed form, its x-form (``x_form``), which
 agrees with the formulas above up to one overall scalar that is constant in x.
+As a matrix polynomial it is R(x) = A + B x + C x^2 with the exact coefficients
+of ``coefficients``: A is b (times 1 + t for eight4), and C vanishes for every
+family but eight4. ``build_R`` evaluates the displayed rows at one point;
+``build_R_stack`` evaluates the polynomial at a stack of points, for one
+parameter point or for ``FamilySpecs``.
 
 Spectral-parameter views: x (multiplicative), theta (x = e^{2 i theta} for the
 six-vertex families, x = e^{i theta} for eight2/3/4, x = tan theta for eight1),
 and the rational u = (1 - x)/(1 + x) with composition law
-u(xy) = (u + v)/(1 + u v). Every view is the x-form at the point's x times a
-scalar gauge (``gauge``); ``reference_gauge`` is the scalar the x-form carries
-over the gauge in which the closed-form normalizations are stated.
+u(xy) = (u + v)/(1 + u v). Every view is the x-form at the point's x
+(``family_x``) times a scalar gauge (``gauge``); ``reference_gauge`` is the
+scalar the x-form carries over the gauge in which the closed-form
+normalizations are stated. These closed forms take (spec, kind, value): a
+FamilySpec or FamilySpecs, the view, and a number or an array.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (EIGHT_VERTEX_FAMILIES, DomainError, Family, FamilySpec, build_b,
-                      eigenvalues_of, reject_non_finite, z_of)
+from .catalog import (EIGHT_VERTEX_FAMILIES, DomainError, Family, FamilySpec, FamilySpecs,
+                      braid_matrix, build_b, eigenvalues_of, reject_non_finite, z_of)
 from .linalg import cmat, cmat_stack, inverse
 
 
@@ -61,7 +67,8 @@ RZERO_EQUALS_B = (Family.SIX_NONSTD, Family.SIX_STD, Family.EIGHT_I)
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """One authoritative spectral coordinate; the other views are derived."""
+    """One spectral coordinate in the x, theta or u view; ``family_x`` gives its x in a
+    family's convention."""
 
     kind: str  # "x" | "theta" | "u"
     value: complex
@@ -84,24 +91,6 @@ class SpectralPoint:
     def from_u(cls, u: complex) -> "SpectralPoint":
         return cls("u", complex(u))
 
-    def x(self, convention: ThetaConvention = ThetaConvention.FULL) -> complex:
-        if self.kind == "x":
-            return self.value
-        if self.kind == "theta":
-            k = 2.0 if convention is ThetaConvention.HALF else 1.0
-            return cmath.exp(1j * k * self.value)
-        return u_to_x(self.value)
-
-    def theta(self, convention: ThetaConvention = ThetaConvention.FULL) -> complex:
-        if self.kind == "theta":
-            return self.value
-        x = self.x(convention)
-        k = 2.0 if convention is ThetaConvention.HALF else 1.0
-        return cmath.log(x) / (1j * k)
-
-    def u(self, convention: ThetaConvention = ThetaConvention.FULL) -> complex:
-        return x_to_u(self.x(convention))
-
 
 def x_to_u(x: complex) -> complex:
     if x == -1:
@@ -118,21 +107,6 @@ def u_to_x(u: complex) -> complex:
 def compose_u(u: complex, v: complex) -> complex:
     """u(x y) = (u + v)/(1 + u v) for u = u(x), v = u(y)."""
     return (u + v) / (1 + u * v)
-
-
-def reparam(
-    p: SpectralPoint,
-    target: str,
-    convention: ThetaConvention = ThetaConvention.FULL,
-) -> SpectralPoint:
-    """Re-express a spectral point in the x, theta or u view."""
-    if target == "x":
-        return SpectralPoint.from_x(p.x(convention))
-    if target == "theta":
-        return SpectralPoint("theta", p.theta(convention))
-    if target == "u":
-        return SpectralPoint.from_u(p.u(convention))
-    raise ValueError(f"unknown reparam target {target!r}")
 
 
 def yb_two(b: np.ndarray, lam1: complex, lam2: complex, x: complex) -> np.ndarray:
@@ -170,17 +144,15 @@ def ordered_eigenvalues(spec: FamilySpec, ordering: EigOrdering) -> tuple[comple
     return bb, a, c
 
 
-def family_x(spec: FamilySpec, p: SpectralPoint) -> complex:
-    """Convert a spectral point to the multiplicative x using the family's convention."""
-    return view_x(spec.family, p.kind, p.value)
-
-
-def view_x(family: Family, kind: str, value):
-    """``family_x`` of a view value (a complex) or of an array of them."""
-    if kind == "theta" and family is Family.EIGHT_I:
+def family_x(spec: FamilySpec | FamilySpecs, kind: str, value):
+    """The multiplicative x of a ``kind`` view value (a number or an array) in the family's
+    convention: x = tan(theta) for eight1, e^{2 i theta} (six-vertex) or e^{i theta}
+    (eight2/3/4) for theta, and (1 - u)/(1 + u) for u."""
+    fam = spec.family
+    if kind == "theta" and fam is Family.EIGHT_I:
         x = np.tan(np.real(value))
     elif kind == "theta":
-        k = 2.0 if FAMILY_THETA_CONVENTION.get(family) is ThetaConvention.HALF else 1.0
+        k = 2.0 if FAMILY_THETA_CONVENTION.get(fam) is ThetaConvention.HALF else 1.0
         x = np.exp(1j * k * value)
     else:
         x = u_to_x(value) if kind == "u" else value
@@ -190,7 +162,7 @@ def view_x(family: Family, kind: str, value):
 def degeneracy_note(spec: FamilySpec, p: SpectralPoint) -> str | None:
     """Flag spectral points where R(x) is proportional to the identity."""
     try:
-        x = family_x(spec, p)
+        x = family_x(spec, p.kind, p.value)
     except DomainError as err:
         return str(err)
     if abs(x - 1) < 1e-12:
@@ -198,18 +170,15 @@ def degeneracy_note(spec: FamilySpec, p: SpectralPoint) -> str | None:
     return None
 
 
-def eight4_g_factors(spec: FamilySpec, x: complex) -> tuple[complex, complex]:
-    """g1 = 1 + t + x(1 - t), g2 = 1 + t - x(1 - t)."""
-    return g_factors(complex(spec.t), x)
-
-
-def g_factors(t, x):
-    """``eight4_g_factors`` at t and x, which broadcast."""
+def g_factors(spec: FamilySpec | FamilySpecs, x):
+    """eight4's g1 = 1 + t + x(1 - t) and g2 = 1 + t - x(1 - t) at the spec's t and x,
+    which broadcast."""
+    t = spec.parameters()[1]
     return 1 + t + x * (1 - t), 1 + t - x * (1 - t)
 
 
-def gauge(spec: FamilySpec, p: SpectralPoint, form: str = "canonical") -> complex:
-    """The scalar that ``build_R`` puts on the displayed x-form at ``family_x(spec, p)``.
+def gauge(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonical"):
+    """The scalar that ``build_R`` puts on the displayed x-form at a ``kind`` view value.
 
     The gauge table:
 
@@ -222,12 +191,7 @@ def gauge(spec: FamilySpec, p: SpectralPoint, form: str = "canonical") -> comple
 
     The g-form itself is the canonical eight4 x-form times 1/g1.
     """
-    return view_gauge(spec.family, p.kind, p.value, form)
-
-
-def view_gauge(family: Family, kind: str, value, form: str):
-    """``gauge`` at a view value or at an array of them."""
-    fam = family
+    fam = spec.family
     if kind == "theta" and fam is Family.EIGHT_I:
         return np.cos(np.real(value)) / np.sqrt(2)
     if kind == "u" and fam in EIGHT_VERTEX_FAMILIES:
@@ -236,27 +200,36 @@ def view_gauge(family: Family, kind: str, value, form: str):
     return 1.0
 
 
-def reference_gauge(spec: FamilySpec, p: SpectralPoint, form: str = "canonical") -> complex:
+def reference_gauge(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonical"):
     """The scalar the displayed x-form carries over the gauge of the closed-form rho.
 
     2 e^{i theta} for the six-vertex families (over their trigonometric form,
     x = e^{2 i theta}), g1 for canonical eight4 (over its g view), 1 otherwise.
     """
-    return view_reference_gauge(spec.family, complex(spec.t), p.kind, p.value, form)
-
-
-def view_reference_gauge(family: Family, t, kind: str, value, form: str):
-    """``reference_gauge`` at t and a view value, or at arrays of them."""
-    if family in (Family.SIX_NONSTD, Family.SIX_STD):
+    fam = spec.family
+    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
         if kind == "theta":
             theta = value
         else:
-            x = view_x(family, kind, value)
+            x = family_x(spec, kind, value)
             theta = (np.log(x) if isinstance(x, np.ndarray) else cmath.log(x)) / (1j * 2.0)
         return 2 * np.exp(1j * theta)
-    if family is Family.EIGHT_IV and form != "g":
-        return g_factors(t, view_x(family, kind, value))[0]
+    if fam is Family.EIGHT_IV and form != "g":
+        return g_factors(spec, family_x(spec, kind, value))[0]
     return 1.0
+
+
+def _check_ordering(fam: Family, ordering: EigOrdering | None) -> None:
+    """A ValueError unless ``ordering`` is None or one the family takes: eight3 takes first
+    or second, eight4 third."""
+    if ordering is None:
+        return
+    if fam is Family.EIGHT_III and ordering is EigOrdering.THIRD:
+        raise ValueError("the third ordering of this braid matrix is the eight4 family")
+    if fam is Family.EIGHT_IV and ordering is not EigOrdering.THIRD:
+        raise ValueError("eight4 is the third-ordering family; use eight3 for the others")
+    if fam not in (Family.EIGHT_III, Family.EIGHT_IV):
+        raise ValueError(f"{fam.value} has two eigenvalues; ordering does not apply")
 
 
 def build_R(
@@ -265,8 +238,8 @@ def build_R(
     ordering: EigOrdering | None = None,
     form: str = "canonical",
 ) -> np.ndarray:
-    """The family's R-matrix at spectral point p: ``gauge(spec, p, form)`` times
-    the displayed x-form at ``family_x(spec, p)``.
+    """The family's R-matrix at spectral point p: ``gauge`` times the displayed x-form
+    at ``family_x``.
 
     An x point returns the x-form itself. ``ordering`` is honoured for the
     three-eigenvalue families: eight3 takes first (default) or second, eight4
@@ -274,68 +247,92 @@ def build_R(
     middle block scaled by g = g2/g1.
     """
     fam = spec.family
-    if ordering is not None:
-        if fam is Family.EIGHT_III and ordering is EigOrdering.THIRD:
-            raise ValueError("the third ordering of this braid matrix is the eight4 family")
-        if fam is Family.EIGHT_IV and ordering is not EigOrdering.THIRD:
-            raise ValueError("eight4 is the third-ordering family; use eight3 for the others")
-        if fam not in (Family.EIGHT_III, Family.EIGHT_IV):
-            raise ValueError(f"{fam.value} has two eigenvalues; ordering does not apply")
-    x = family_x(spec, p)
+    _check_ordering(fam, ordering)
+    x = family_x(spec, p.kind, p.value)
     if fam is Family.EIGHT_III and ordering is EigOrdering.SECOND:
         t = complex(spec.t)
         b = build_b(spec)
         r = np.asarray(b) - x * (1 - t * t) * inverse(b, context=f"t = {t}")
     else:
-        r = x_form(fam, *spec.parameters(), x, form)
-    return r if p.kind == "x" else gauge(spec, p, form) * r
+        r = x_form(spec, x, form)
+    return r if p.kind == "x" else gauge(spec, p.kind, p.value, form) * r
 
 
-def coefficients(spec: FamilySpec, ordering: EigOrdering | None = None) -> np.ndarray:
-    """The displayed x-form as a matrix polynomial: the (3, 4, 4) stack (A, B, C) with
-    R(x) = A + B x + C x^2, read off the x-form at x = 0, 1 and -1.
+def coefficients(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = None) -> tuple:
+    """The x-form as a matrix polynomial R(x) = A + B x + C x^2, exactly: (A, B, C), each
+    4x4 for a FamilySpec and an (n, 4, 4) stack for FamilySpecs.
 
-    Every x-form has degree at most 2 in x; C is nonzero only for canonical eight4.
+    A is the braid matrix (``braid_matrix``, bitwise) for every family but canonical
+    eight4, whose A is (1 + t) b; C is exactly 0 for every family but canonical eight4.
+    eight3's second ordering b - x (1 - t^2) b^{-1} has the inverse written out. The
+    arithmetic is the braid matrix's: Python's for a FamilySpec, numpy's for FamilySpecs.
     """
-    r0, r1, rm = (build_R(spec, SpectralPoint.from_x(x), ordering) for x in (0.0, 1.0, -1.0))
-    return np.stack([r0, (r1 - rm) / 2, (r1 + rm) / 2 - r0])
+    fam = spec.family
+    _check_ordering(fam, ordering)
+    q, t, s = spec.parameters()
+    # lin is B, the coefficient of x, except for eight4, whose C is (1 - t) lin
+    if fam is Family.SIX_NONSTD:
+        lin = [[-1 / q, 0, 0, 0], [0, q - 1 / q, -1, 0], [0, -1, 0, 0], [0, 0, 0, q]]
+    elif fam is Family.SIX_STD:
+        lin = [[-1 / q, 0, 0, 0], [0, q - 1 / q, -1, 0], [0, -1, 0, 0], [0, 0, 0, -1 / q]]
+    elif fam is Family.EIGHT_I:
+        lin = [[1, 0, 0, -q], [0, 1, -s, 0], [0, s, 1, 0], [1 / q, 0, 0, 1]]
+    elif fam is Family.EIGHT_II:
+        z = z_of(t)
+        lin = [[t, 0, 0, -q], [0, 1, -s * z, 0], [0, -s * z, 1, 0], [-1 / q, 0, 0, 2 - t]]
+    elif fam is Family.EIGHT_III and ordering is not EigOrdering.SECOND:
+        lin = [[-t, 0, 0, q], [0, 1, -s * t, 0], [0, -s * t, 1, 0], [1 / q, 0, 0, -t]]
+    elif fam is Family.BELL_PHI:
+        raise ValueError("bell-phi is a braid-matrix family; use eight1 for its R(theta)")
+    else:  # eight3's second ordering, and eight4
+        lin = [[t, 0, 0, -q], [0, -1, s * t, 0], [0, s * t, -1, 0], [-1 / q, 0, 0, t]]
+    mat = cmat_stack if isinstance(q, np.ndarray) else cmat
+    a, lin = braid_matrix(fam, q, t, s), mat(lin)
+    if fam is not Family.EIGHT_IV:
+        return a, lin, np.zeros_like(a)
+    b_over_2t = mat([[1, 0, 0, -q], [0, 1, -s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]])
+    return _col(1 + t) * a, _col(2 * t) * b_over_2t, _col(1 - t) * lin
+
+
+def _col(v) -> np.ndarray:
+    """v with two trailing axes: one scalar per matrix of a stack."""
+    return np.asarray(v)[..., None, None]
 
 
 def build_R_stack(
-    spec: FamilySpec,
+    spec: FamilySpec | FamilySpecs,
     kind: str,
     values,
     ordering: EigOrdering | None = None,
     form: str = "canonical",
-    *,
-    coeffs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``build_R`` at every one of ``values`` in the ``kind`` view, as an (n, 4, 4) stack:
-    the gauge times A + B x + C x^2 from ``coefficients``, in one broadcast pass.
-    ``coeffs`` is ``coefficients(spec, ordering)`` where the caller has read it already,
-    so that several stacks of one spec read it once.
+    """``build_R`` at each of ``values`` in the ``kind`` view: the gauge times
+    A + x (B + x C) from ``coefficients``, in one broadcast pass. A FamilySpec gives a
+    (..., 4, 4) stack in the shape of ``values``; FamilySpecs take one value per sample.
 
-    Agrees with ``build_R`` at each value to rounding; ``build_R`` stays the
-    single-point evaluation.
+    A non-finite value lies in no unitary domain: a DomainError names it before any
+    arithmetic. Agrees with ``build_R`` at each value to rounding; ``build_R`` stays the
+    single-point evaluation of the displayed rows.
     """
-    values = np.asarray(values, dtype=complex)[:, None, None]
-    x = view_x(spec.family, kind, values)
-    scale = view_gauge(spec.family, kind, values, form)
+    values = np.asarray(values)
+    try:
+        reject_non_finite(**{kind: values})
+    except ValueError as err:
+        raise DomainError(err) from None
+    x = family_x(spec, kind, values)
+    scale = gauge(spec, kind, values, form)
     if form == "g" and spec.family is Family.EIGHT_IV:  # the g form is the canonical one over g1
-        scale = scale / eight4_g_factors(spec, x)[0]
-    a, b, c = coefficients(spec, ordering) if coeffs is None else coeffs
-    return scale * (a + b * x + c * (x * x))
+        scale = scale / g_factors(spec, x)[0]
+    a, b, c = coefficients(spec, ordering)
+    x = _col(x)
+    return _col(scale) * (a + x * (b + x * c))
 
 
-def x_form(family: Family, q, t, s, x, form: str = "canonical") -> np.ndarray:
-    """The paper's displayed closed form R(x) at q, t, sign factor s and x; an array q or
-    x (the parameters broadcast) gives the (n, 4, 4) stack, and a non-finite entry of
-    q, t or x then is a ValueError that names it. eight3 is its first ordering;
-    ``build_R`` builds the second from b."""
-    stacked = isinstance(q, np.ndarray) or isinstance(x, np.ndarray)
-    if stacked:  # numpy warns on 1 / nan; the scalar path is Python arithmetic, which does not
-        reject_non_finite(q=q, t=t, x=x)
-    fam = family
+def x_form(spec: FamilySpec, x: complex, form: str = "canonical") -> np.ndarray:
+    """The paper's displayed closed form R(x) at the spec's q, t and sign factor and at x.
+    eight3 is its first ordering; ``build_R`` builds the second from b."""
+    q, t, s = spec.parameters()
+    fam = spec.family
     if fam is Family.SIX_NONSTD:
         rows = [
             [q - x / q, 0, 0, 0],
@@ -373,7 +370,7 @@ def x_form(family: Family, q, t, s, x, form: str = "canonical") -> np.ndarray:
             [(1 + x) / q, 0, 0, t * (1 - x)],
         ]
     elif fam is Family.EIGHT_IV and form == "g":
-        g1, g2 = g_factors(t, x)
+        g1, g2 = g_factors(spec, x)
         g = g2 / g1
         rows = [
             [t * (1 + x), 0, 0, q * (1 - x)],
@@ -382,7 +379,7 @@ def x_form(family: Family, q, t, s, x, form: str = "canonical") -> np.ndarray:
             [(1 - x) / q, 0, 0, t * (1 + x)],
         ]
     elif fam is Family.EIGHT_IV:
-        g1, g2 = g_factors(t, x)
+        g1, g2 = g_factors(spec, x)
         rows = [
             [t * (1 + x) * g1, 0, 0, q * (1 - x) * g1],
             [0, (1 + x) * g2, s * t * (1 - x) * g2, 0],
@@ -391,7 +388,7 @@ def x_form(family: Family, q, t, s, x, form: str = "canonical") -> np.ndarray:
         ]
     else:
         raise ValueError("bell-phi is a braid-matrix family; use eight1 for its R(theta)")
-    return cmat_stack(rows) if stacked else cmat(rows)
+    return cmat(rows)
 
 
 def formula_R(

@@ -94,9 +94,9 @@ def reject_non_finite(**params) -> None:
     """A ValueError naming the first entry that is not finite of the first such parameter
     (a scalar or an array) in the order given."""
     for name, value in params.items():
-        failure = _first_failure(_finite(value), f"{name} must be finite, got {{}}", value)
-        if failure:
-            raise ValueError(failure)
+        if not np.isfinite(value).all():  # one pass; the search for the entry only on failure
+            raise ValueError(_first_failure(_finite(value), f"{name} must be finite, got {{}}",
+                                            value))
 
 
 def finite_rho(rho: float, where: str = "") -> float:
@@ -315,7 +315,7 @@ def braid_matrix(family: Family, q, t, s) -> np.ndarray:
     elif fam in (Family.EIGHT_III, Family.EIGHT_IV):
         rows = [[t, 0, 0, q], [0, 1, s * t, 0], [0, s * t, 1, 0], [1 / q, 0, 0, t]]
     else:
-        raise ValueError(f"unknown family {fam}")
+        raise ValueError(f"unknown family {fam.value}")
     b = cmat_stack(rows) if stacked else cmat(rows)
     return b / np.sqrt(2) if fam is Family.BELL_PHI else b
 
@@ -341,7 +341,7 @@ def eigenvalues_of(spec: FamilySpec) -> list[complex]:
         return [1 + t, 1 - t, -1 + t]
     if fam is Family.BELL_PHI:
         return [complex(np.exp(-1j * np.pi / 4)), complex(np.exp(1j * np.pi / 4))]
-    raise ValueError(f"unknown family {fam}")
+    raise ValueError(f"unknown family {fam.value}")
 
 
 def braid_residual(b: np.ndarray) -> float:

@@ -281,7 +281,7 @@ def _cmd_build(args) -> int:
     point = _point_from_args(args)
     ordering = EigOrdering(args.ordering) if args.ordering else None
     if args.via == "formula":
-        r = formula_R(spec, family_x(spec, point), ordering=ordering)
+        r = formula_R(spec, family_x(spec, point.kind, point.value), ordering=ordering)
     else:
         r = build_R(spec, point, ordering=ordering, form=args.form)
     payload = mat_to_json(r)
@@ -322,10 +322,10 @@ def _cmd_check(args) -> int:
     if kind == "unitarity":
         gap, rho_est = unitarity_gap(spec, point)
         return _verdict(args, gap, tol, rho=float(rho_est),
-                        rho_formula=float(rho_formula(spec, point)))
+                        rho_formula=float(rho_formula(spec, point.kind, point.value)))
     if point is None:
         raise DomainError("inverse-unitarity needs a spectral point (--x)")
-    measured, expected = family_inverse_unitarity(spec, family_x(spec, point))
+    measured, expected = family_inverse_unitarity(spec, family_x(spec, point.kind, point.value))
     return _verdict(args, abs(measured - expected), tol, rho=float(measured.real))
 
 

@@ -7,8 +7,9 @@ The generator along the family's unitary domain curve is
 
 differentiated in theta for the circle families (six-vertex, eight2/3/4) and
 in x for the real-x families (eight1, eight4 with imaginary t).
-``exact_generators`` takes it exactly from the x-form polynomial R = A + B x + C x^2,
-at one point or a stack of them: with
+``exact_generators`` takes it exactly, at one point or a stack of them, from the
+stack of R (``baxterize.build_R_stack``) and R' = B + 2 C x, with A, B, C the exact
+coefficients of ``baxterize.coefficients``: with
 K = i R' R^dag / rho, unitarity along the curve makes K = H + i rho'/(2 rho) 1,
 so H is K less i Im(tr K)/4 1. A real gauge only moves rho; the six-vertex
 dynamics gauge 1/(2 e^{i theta}) turns the phase by -theta and adds 1 to H.
@@ -36,9 +37,8 @@ from itertools import product
 
 import numpy as np
 
-from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, build_R,
-                        build_R_stack, coefficients, eight4_g_factors, view_gauge,
-                        view_reference_gauge, view_x, x_form)
+from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, build_R_stack,
+                        coefficients, family_x, g_factors, reference_gauge)
 from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix,
                       finite_rho, is_real)
 from .gates import PAULI, tensor
@@ -76,14 +76,12 @@ def gauge_unitary(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
 
 def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values):
     """``gauge_unitary`` at a ``kind`` view value, or the (n, 4, 4) stack at an (n,) array
-    of values, with the domain check and the rho floor applied to each. A FamilySpec
-    builds with ``build_R`` or ``build_R_stack``; FamilySpecs, one sample per value, with
-    one ``x_form`` stack."""
+    of values (one per sample for FamilySpecs), with the domain check and the rho floor
+    applied to each: the ``build_R_stack`` matrices over their gauge and sqrt(rho)."""
     fam = spec.family
-    q, t, s = spec.parameters()
     with np.errstate(over="ignore", invalid="ignore"):  # a rho that overflows fails below
-        rho = norm_factor(fam, q, t, kind, values)
-    gauge = view_reference_gauge(fam, t, kind, values, "canonical") if fam in SIX_VERTEX else 1.0
+        rho = norm_factor(spec, kind, values)
+    gauge = reference_gauge(spec, kind, values) if fam in SIX_VERTEX else 1.0
     rho = rho / np.abs(gauge) ** 2
     bad = np.flatnonzero(~(np.isfinite(rho) & (rho > RHO_FLOOR)))
     if bad.size:
@@ -91,13 +89,7 @@ def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values):
         raise DomainError(f"normalization factor rho = {np.ravel(rho)[k]:.3e} at {kind} = "
                           f"{np.broadcast_to(values, np.shape(rho)).flat[k]:.6g} "
                           "is degenerate or not finite")
-    if isinstance(spec, FamilySpecs):  # build_R's gauge times the x-form, per sample
-        r = x_form(fam, q, t, s, view_x(fam, kind, values))
-        scale = view_gauge(fam, kind, values, "canonical") / (gauge * np.sqrt(rho))
-        return r * scale[:, None, None]
-    if np.ndim(values) == 0:
-        return build_R(spec, SpectralPoint(kind, values)) / gauge / np.sqrt(rho)
-    return build_R_stack(spec, kind, values) / (gauge * np.sqrt(rho))[:, None, None]
+    return build_R_stack(spec, kind, values) / np.asarray(gauge * np.sqrt(rho))[..., None, None]
 
 
 def _curve_failure(kind: str, value) -> str | None:
@@ -119,7 +111,7 @@ def _curve(spec: FamilySpec, p: SpectralPoint) -> tuple[str, float]:
 def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
     """H = i (dU/ds) U(s)^dag along the ``kind`` curve (theta, or real x for eight1 and
     imaginary-t eight4) at s, a number or an (n,) array, exactly (module docstring): the
-    (..., 4, 4) generators from one ``coefficients`` read.
+    (..., 4, 4) generators from one ``build_R_stack`` and R' from ``coefficients``.
 
     Every check applies to each item, and an error names the first failing item of a stack
     by its index. Off the unitary domain, above ``linalg.MAX_ENTRY`` or where R vanishes it
@@ -141,24 +133,24 @@ def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
 
     for i, value in enumerate(values):  # _curve's check and the domain check
         violation = _curve_failure(kind, value) or spec.domain_violation(
-            view_x(fam, kind, float(value.real)))
+            family_x(spec, kind, float(value.real)))
         if violation is not None:
             fail(violation, i)
     s = np.real(s) if stack else float(s.real)
-    x = view_x(fam, kind, s)
+    x = family_x(spec, kind, s)
     a, b, c = coefficients(spec)
 
     def col(v):  # one scalar per matrix of a stack
         return np.asarray(v)[..., None, None] if stack else v
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the bound below
-        if kind == "theta" and fam is Family.EIGHT_I:  # x = tan(s) in the gauge cos(s); C = 0
-            cs, sn = col(np.cos(s)), col(np.sin(s))
-            r, dr = a * cs + b * sn, b * cs - a * sn
+        r = build_R_stack(spec, kind, s)
+        if kind == "theta" and fam is Family.EIGHT_I:  # R = cos(s) (A + B tan(s)) / sqrt(2)
+            dr = (b * col(np.cos(s)) - a * col(np.sin(s))) / np.sqrt(2)
         else:
             half = FAMILY_THETA_CONVENTION.get(fam) is ThetaConvention.HALF
             dxds = 1.0 if kind == "x" else (2j if half else 1j) * x
-            r, dr = a + b * col(x) + c * col(x * x), (b + 2.0 * c * col(x)) * col(dxds)
+            dr = (b + 2.0 * c * col(x)) * col(dxds)
     peak = np.abs((r, dr)).max(axis=(0, -2, -1))
     ok = peak <= MAX_ENTRY
     if not ok.all():
@@ -265,7 +257,7 @@ def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
         t = _real_t(spec)
         if abs(t) < 1e-12:
             raise DomainError("eight4 closed form needs real nonzero t")
-        g1, g2 = eight4_g_factors(spec, complex(np.exp(1j * theta)))
+        g1, g2 = g_factors(spec, complex(np.exp(1j * theta)))
         a1, a2 = abs(g1) * abs(g1), abs(g2) * abs(g2)
         rho = finite_rho(a1 * a2)
         core = np.array(
@@ -279,7 +271,7 @@ def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
         )
         return Hamiltonian(-I4 + (2.0 * t / rho) * core,
                            HamiltonianSource.CLOSED_FORM, spec, point)
-    raise ValueError(f"no closed-form Hamiltonian for {fam}")
+    raise ValueError(f"no closed-form Hamiltonian for {fam.value}")
 
 
 def eight1_x_hamiltonian(spec: FamilySpec, x: float) -> np.ndarray:

@@ -18,12 +18,13 @@ matching matrix.
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baxterize import SpectralPoint, ThetaConvention, build_R, family_x, reference_gauge, x_to_u
+from .baxterize import SpectralPoint, build_R, family_x, reference_gauge, x_to_u
 from .catalog import Family, FamilySpec
 from .linalg import inverse
 
@@ -99,8 +100,8 @@ class ClassificationResult:
 def classification_gauge_R(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
     """The gauge in which the closed-form determinants below are stated."""
     if spec.family in (Family.SIX_NONSTD, Family.SIX_STD):
-        return build_R(spec, p) / reference_gauge(spec, p)
-    u = x_to_u(family_x(spec, p))
+        return build_R(spec, p) / reference_gauge(spec, p.kind, p.value)
+    u = x_to_u(family_x(spec, p.kind, p.value))
     return build_R(spec, SpectralPoint.from_u(u))
 
 
@@ -136,13 +137,14 @@ def det_b_closed(spec: FamilySpec, p: SpectralPoint, psi: np.ndarray):
     fam = spec.family
     if fam in (Family.SIX_NONSTD, Family.SIX_STD):
         g = spec.gamma
-        theta = complex(p.theta(ThetaConvention.HALF)).real
+        theta = (p.value.real if p.kind == "theta"  # else x = e^{2 i theta}
+                 else cmath.phase(family_x(spec, p.kind, p.value)) / 2)
         sh, sn = np.sinh(g), np.sin(theta)
         cross = 1j * sn * sh * (a1 * a1 * np.exp(1j * theta) + a2 * a2 * np.exp(-1j * theta))
         if fam is Family.SIX_NONSTD:
             return (sh * sh + sn * sn) * a0 * a3 - (sh * sh - sn * sn) * a1 * a2 + cross
         return np.sinh(g - 1j * theta) ** 2 * a0 * a3 - (sh * sh - sn * sn) * a1 * a2 + cross
-    u = x_to_u(family_x(spec, p))
+    u = x_to_u(family_x(spec, p.kind, p.value))
     if fam is Family.EIGHT_I:
         return (1 - u * u) * (a0 * a3 - a1 * a2) + u * (
             q * a3 * a3 - a0 * a0 / q + s * (a1 * a1 - a2 * a2)
@@ -162,7 +164,7 @@ def det_b_closed(spec: FamilySpec, p: SpectralPoint, psi: np.ndarray):
         b00b11 = (1 + t * u) ** 2 * ((t * t + u * u) * a0 * a3 + u * t * (a0 * a0 / q + q * a3 * a3))
         b01b10 = (u + t) ** 2 * ((1 + t * t * u * u) * a1 * a2 + s * u * t * (a1 * a1 + a2 * a2))
         return b00b11 - b01b10
-    raise ValueError(f"no closed-form determinant for {fam}")
+    raise ValueError(f"no closed-form determinant for {fam.value}")
 
 
 def nonentangling_locus(spec: FamilySpec, a: complex, b: complex, c: complex, d: complex) -> complex:
@@ -203,7 +205,7 @@ def nonentangling_locus_check(
     on_locus = abs(nonentangling_locus(spec, a, b, c, d)) < tol
     r = classification_gauge_R(spec, p)
     det = concurrence_det(apply(r, product_state(a, b, c, d)))
-    u = x_to_u(family_x(spec, p))
+    u = x_to_u(family_x(spec, p.kind, p.value))
     prefactor = u if spec.family is Family.EIGHT_I else u * complex(spec.t)
     det_zero = abs(det) < tol * max(abs(prefactor), 1e-30)
     if abs(prefactor) > tol and on_locus != det_zero:

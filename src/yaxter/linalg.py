@@ -64,8 +64,12 @@ def cmat_stack(rows) -> np.ndarray:
     n = len(rows)
     if n not in (2, 4) or any(len(row) != n for row in rows):
         raise ValueError(f"expected 2x2 or 4x4 rows, got {[len(row) for row in rows]}")
-    entries = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for row in rows for v in row))
-    a = np.stack(entries, axis=-1).reshape(*entries[0].shape, n, n)
+    entries = [v for row in rows for v in row]
+    shape = np.broadcast(*entries).shape
+    a = np.empty((n * n, *shape), dtype=complex)
+    for k, v in enumerate(entries):  # entry-major: each entry is one contiguous write
+        a[k] = v
+    a = np.ascontiguousarray(np.moveaxis(a, 0, -1)).reshape(*shape, n, n)
     if not np.isfinite(a.view(float)).all():
         raise ValueError("matrix entries must be finite")
     return a

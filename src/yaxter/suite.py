@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dynamics, entangle, gates
 from .baxterize import RZERO_EQUALS_B, EigOrdering, SpectralPoint, build_R
-from .catalog import Family, FamilySpec, FamilySpecs, Sign, build_b, is_imag
+from .catalog import Family, FamilySpec, FamilySpecs, Sign, build_b
 from .dynamics import (
     braiding_evolution_residual,
     exact_generators,
@@ -31,7 +31,6 @@ from .verify import (
     QYBE_PARAMETRIZATIONS,
     TOLERANCES,
     family_inverse_unitarity,
-    rho_closed,
     rho_formula,
     sample_x,
     scan_braid,
@@ -156,14 +155,13 @@ def criterion_inverse_unitarity(seed: int) -> dict:
     gaps = []
     for family in (Family.EIGHT_II, Family.EIGHT_III, Family.EIGHT_IV):
         spec = representative_spec(family)
-        q, t, _ = spec.parameters()
-        x = sample_x(family, rng, 10, is_imag(t))
+        x = sample_x(spec, rng, 10)
         measured, _ = family_inverse_unitarity(spec, x)
-        gaps.append(abs(measured - rho_closed(family, q, t, x)))
+        gaps.append(abs(measured - rho_formula(spec, "x", x)))
     compatible = worst(np.concatenate(gaps))
     spec1 = representative_spec(Family.EIGHT_I)
     measured, expected = family_inverse_unitarity(spec1, 2.0)
-    gap_eight1 = abs(measured - rho_formula(spec1, SpectralPoint.from_x(2.0)))
+    gap_eight1 = abs(measured - rho_formula(spec1, "x", 2.0))
     passed = compatible < tol and abs(measured - expected) < tol and gap_eight1 > 1e-3
     return _entry(5, "inverse-unitarity scalar vs rho (compatibility)", passed,
                   max_gap_compatible=compatible, eight1_gap_at_x2=float(gap_eight1),

@@ -22,18 +22,18 @@ reference gauge, ``baxterize.reference_gauge``) is:
 
 The seeded scans draw each parameter for all of their samples at once, in a
 fixed RNG order (``sample_specs``: the sign, then gamma or t with its sign,
-then phi; ``sample_x``; ``sample_spec`` and ``sample_domain_point`` are their
-n = 1 cases), then evaluate every sample in one call of the same kernels on
-(n, 4, 4) stacks: ``scan_qybe`` builds R(x), R(x o y) and R(y) as three
-stacks through ``family_builder`` (the gauge times the x-form polynomial of
-``baxterize.coefficients``, read once per builder), ``scan_braid`` builds one
-``braid_matrix`` stack and ``scan_unitarity`` one ``x_form`` stack with its
-closed-form rho from ``norm_factor``. ``inverse_unitarity`` and
-``family_inverse_unitarity`` take an array of x and build R(x) and R(1/x) as
-two stacks. The closed forms take q, t, the sign factor and x as scalars or as
-arrays; ``build_b``, ``build_R``, ``rho_formula`` and ``matrix_norm_factor``
-are their single-point calls, and the single-point checks run the same kernels
-on one matrix.
+then phi; ``sample_x``; ``sample_spec`` is the n = 1 case), then evaluate
+every sample in one call of the same kernels on (n, 4, 4) stacks. Every
+stacked R(x) is ``baxterize.build_R_stack``, the gauge times the exact
+polynomial A + x (B + x C) of ``baxterize.coefficients``: ``scan_qybe`` builds
+R(x), R(x o y) and R(y) as three stacks through ``family_builder``,
+``scan_unitarity`` one stack over ``FamilySpecs`` with its closed-form rho from
+``norm_factor``, and ``inverse_unitarity`` and ``family_inverse_unitarity``
+take an array of x and build R(x) and R(1/x) as two stacks; ``scan_braid``
+builds one ``braid_matrix`` stack. The closed forms take (spec, kind, value),
+with a FamilySpec or FamilySpecs and a number or an array; ``build_b``,
+``build_R`` and ``matrix_norm_factor`` are the single-point calls, and the
+single-point checks run the same kernels on one matrix.
 """
 
 from __future__ import annotations
@@ -49,14 +49,11 @@ from .baxterize import (
     SpectralPoint,
     build_R,
     build_R_stack,
-    coefficients,
     compose_u,
     family_x,
     g_factors,
-    view_gauge,
-    view_reference_gauge,
-    view_x,
-    x_form,
+    gauge,
+    reference_gauge,
 )
 from .catalog import (THREE_EIGENVALUE_FAMILIES, DomainError, Family, FamilySpec, FamilySpecs, Sign,
                       braid_matrix, braid_residual, domain_violation, finite_rho, gamma_of,
@@ -99,20 +96,14 @@ def family_builder(
     """R-matrix builder for one family, parametrized by x, theta or u.
 
     A scalar value gives ``build_R`` at that point, an array of values the
-    (n, 4, 4) stack of ``build_R_stack``; the builder reads ``coefficients`` at
-    its first stack and reuses them for the others. An entry above
-    ``linalg.MAX_ENTRY``, where the residual products would overflow, is a DomainError.
+    (n, 4, 4) stack of ``build_R_stack``. An entry above ``linalg.MAX_ENTRY``,
+    where the residual products would overflow, is a DomainError.
     """
-    coeffs = None
-
     def build(value):
-        nonlocal coeffs
         if np.ndim(value) == 0:
             r = build_R(spec, SpectralPoint(kind, complex(value)), ordering=ordering, form=form)
         else:
-            if coeffs is None:
-                coeffs = coefficients(spec, ordering)
-            r = build_R_stack(spec, kind, value, ordering=ordering, form=form, coeffs=coeffs)
+            r = build_R_stack(spec, kind, value, ordering=ordering, form=form)
         return _bounded(r, spec, kind, value)
     return build
 
@@ -163,7 +154,7 @@ def unitarity_gap(spec: FamilySpec, p: SpectralPoint) -> tuple[float, float]:
     violated constraint, and a closed-form rho that overflows raises a
     DomainError before R is built; a non-finite residual gives a non-finite gap.
     """
-    rho_ref = finite_rho(matrix_norm_factor(spec, p), f" at x = {family_x(spec, p)}")
+    rho_ref = finite_rho(matrix_norm_factor(spec, p), f" at x = {family_x(spec, p.kind, p.value)}")
     gap, rho_est = _unitarity_gaps(build_R(spec, p), rho_ref)
     return float(gap), float(rho_est)
 
@@ -178,22 +169,20 @@ def _unitarity_gaps(r: np.ndarray, rho_ref):
     return np.maximum(gap, frobenius(u @ dagger(u) - I4)), rho_est
 
 
-def rho_formula(spec: FamilySpec, p: SpectralPoint) -> float:
-    """Closed-form normalization factor on the family's unitary domain (``rho_closed``)."""
-    return float(rho_closed(spec.family, complex(spec.q), complex(spec.t), family_x(spec, p)))
-
-
-def rho_closed(family: Family, q, t, x):
-    """The closed-form rho of the module docstring at q, t and x, which broadcast; off
-    the domain a DomainError names the violated constraint (at the first violating sample).
+def rho_formula(spec: FamilySpec | FamilySpecs, kind: str, value):
+    """The closed-form rho of the module docstring at the spec's parameters and a ``kind``
+    view value; FamilySpecs or an array of values give one rho per sample. Off the domain
+    a DomainError names the violated constraint (at the first violating sample).
 
     Squares are written as products so that an overflow gives inf, not an
     OverflowError.
     """
-    violation = domain_violation(family, q, t, x)
+    fam = spec.family
+    q, t, _ = spec.parameters()
+    x = family_x(spec, kind, value)
+    violation = domain_violation(fam, q, t, x)
     if violation is not None:
         raise DomainError(violation)
-    fam = family
     rex = x.real
     if fam in (Family.SIX_NONSTD, Family.SIX_STD):
         sh = np.sinh(gamma_of(q))
@@ -208,24 +197,24 @@ def rho_closed(family: Family, q, t, x):
         tr = t.real
         return tr * tr * (2.0 - 2.0 * rex) + 2.0 + 2.0 * rex
     if fam is Family.EIGHT_IV:
-        g2 = abs(g_factors(t, x)[1])
+        g2 = abs(g_factors(spec, x)[1])
         return g2 * g2
     if fam is Family.BELL_PHI:
         return 1.0  # bell-phi braid matrices are exactly unitary
-    raise ValueError(f"unknown family {fam}")
+    raise ValueError(f"unknown family {fam.value}")
 
 
 def matrix_norm_factor(spec: FamilySpec, p: SpectralPoint, form: str = "canonical") -> float:
     """rho of the matrix ``build_R(spec, p, form=form)`` emits: the closed-form
     rho times |gauge * reference_gauge|^2 from the gauge table (``norm_factor``)."""
-    return float(norm_factor(spec.family, complex(spec.q), complex(spec.t), p.kind, p.value, form))
+    return float(norm_factor(spec, p.kind, p.value, form))
 
 
-def norm_factor(family: Family, q, t, kind: str, value, form: str = "canonical"):
-    """``matrix_norm_factor`` at q, t and a view value, or at arrays of them."""
-    g = abs(view_gauge(family, kind, value, form)
-            * view_reference_gauge(family, t, kind, value, form))
-    return g * g * rho_closed(family, q, t, view_x(family, kind, value))
+def norm_factor(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonical"):
+    """``matrix_norm_factor`` at a ``kind`` view value, or one per sample of FamilySpecs or
+    of an array of values."""
+    g = abs(gauge(spec, kind, value, form) * reference_gauge(spec, kind, value, form))
+    return g * g * rho_formula(spec, kind, value)
 
 
 def inverse_unitarity(builder: Callable[[complex], np.ndarray], x,
@@ -263,7 +252,7 @@ def inverse_unitarity_expected(spec: FamilySpec, x: complex) -> complex:
         return 2 * (1 + t * t) + (1 - t * t) * s
     if fam is Family.EIGHT_IV:
         return 2 * (1 + t * t) + (t * t - 1) * s
-    raise ValueError(f"no inverse-unitarity closed form for {fam}")
+    raise ValueError(f"no inverse-unitarity closed form for {fam.value}")
 
 
 def family_inverse_unitarity(spec: FamilySpec, x) -> tuple:
@@ -316,13 +305,14 @@ def sample_specs(family: Family, rng: np.random.Generator, n: int,
     return FamilySpecs(family, q, np.broadcast_to(t, q.shape), np.broadcast_to(sign, q.shape))
 
 
-def sample_x(family: Family, rng: np.random.Generator, size,
-             imaginary_t: bool = False) -> np.ndarray:
-    """Random x inside the family's unitary domain, in numpy's ``size`` (None: one scalar);
-    ``imaginary_t`` selects eight4's real-x branch."""
+def sample_x(spec: FamilySpec | FamilySpecs, rng: np.random.Generator, size=None):
+    """Random x inside the unitary domain of the spec's family, in numpy's ``size`` (None:
+    one scalar). eight4 with imaginary t (every t of FamilySpecs) takes its real-x branch."""
+    family = spec.family
     if family in (Family.SIX_NONSTD, Family.SIX_STD):
         return np.exp(2j * rng.uniform(0.1, np.pi - 0.1, size=size))
-    if family is Family.EIGHT_I or (imaginary_t and family is Family.EIGHT_IV):
+    if family is Family.EIGHT_I or (family is Family.EIGHT_IV
+                                    and np.all(is_imag(spec.parameters()[1]))):
         return rng.uniform(-2.5, 2.5, size=size)
     return np.exp(1j * rng.uniform(0.05, 2 * np.pi - 0.05, size=size))
 
@@ -332,11 +322,6 @@ def sample_spec(family: Family, rng: np.random.Generator) -> FamilySpec:
     ``_draw_spec``, equal to ``sample_specs(family, rng, 1)[0]``."""
     q, t, sign = _draw_spec(family, rng, None)
     return FamilySpec(family, q=q.item(), t=float(t), sign=Sign.PLUS if sign > 0 else Sign.MINUS)
-
-
-def sample_domain_point(spec: FamilySpec, rng: np.random.Generator) -> SpectralPoint:
-    """A random spectral point inside the family's unitary domain (``sample_x``)."""
-    return SpectralPoint.from_x(complex(sample_x(spec.family, rng, None, is_imag(spec.t))))
 
 
 def worst(values, cases=None):
@@ -395,8 +380,7 @@ QYBE_PARAMETRIZATIONS = {
 #: per parametrization kind: the seeded draw of n spectral pairs, an (n, 2) array (one
 #: pair for n = None; n pairs continue the stream of n draws of one), and the composition law.
 _QYBE_LAWS = {
-    "x": (lambda spec, rng, n=None: sample_x(spec.family, rng, _pairs(n), is_imag(spec.t)),
-          operator.mul),
+    "x": (lambda spec, rng, n=None: sample_x(spec, rng, _pairs(n)), operator.mul),
     "theta": (lambda spec, rng, n=None: rng.uniform(-1.2, 1.2, size=_pairs(n)), operator.add),
     "u": (_draw_u, compose_u),
 }
@@ -442,9 +426,9 @@ def scan_unitarity(
     """
     rng = np.random.default_rng(seed)
     specs = sample_specs(family, rng, samples, imaginary_t)
-    x = sample_x(family, rng, len(specs), imaginary_t)
-    rho_ref = norm_factor(family, specs.q, specs.t, "x", x)
-    gaps, rho_est = _unitarity_gaps(x_form(family, specs.q, specs.t, specs.s, x), rho_ref)
+    x = sample_x(specs, rng, len(specs))
+    rho_ref = norm_factor(specs, "x", x)
+    gaps, rho_est = _unitarity_gaps(build_R_stack(specs, "x", x), rho_ref)
     residual, k = worst(gaps, range(len(specs)))
     spec = specs[k]
     return ResidualReport(residual=residual, tolerance=tol, worst_case={

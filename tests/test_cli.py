@@ -418,6 +418,13 @@ def test_closed_hamiltonian_with_overflowing_rho_is_one_error_line(capsys, argv)
     assert "not finite" in err
 
 
+def test_a_family_without_a_closed_form_is_named_as_on_the_command_line(capsys):
+    code, out, err = run_cli(capsys, "hamiltonian", "--family", "bell-phi", "--phi", "0.3",
+                             "--theta", "0.3")
+    assert code == 2 and out == ""
+    assert err == "error: no closed-form Hamiltonian for bell-phi\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--family", "eight2", "--t", "1e200", "--q", "1", "--theta", "0.3"),
     ("--family", "eight3", "--t", "1e200", "--q", "1", "--theta", "0.3"),

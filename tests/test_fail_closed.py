@@ -1,17 +1,20 @@
 """No check passes vacuously: NaN wins every reduction and trips every guard."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from yaxter import suite
 from yaxter.baxterize import SpectralPoint
-from yaxter.catalog import FamilySpec
+from yaxter.catalog import FamilySpec, braid_matrix, eigenvalues_of
 from yaxter.dynamics import Hamiltonian, HamiltonianSource
+from yaxter.entangle import det_b_closed
 from yaxter.gates import OneQubitGate, rotation
 from yaxter.linalg import expm_hermitian, inverse, spectral_projectors
-from yaxter.verify import ResidualReport, inverse_unitarity, worst
+from yaxter.verify import (ResidualReport, inverse_unitarity, inverse_unitarity_expected,
+                           rho_formula, worst)
 
 NAN = float("nan")
 
@@ -119,3 +122,27 @@ def test_guard_rejects_nan_input(guard):
         GUARDS[guard]()
     # the guard's own error, not numpy's failure on the NaN it let through
     assert not isinstance(err.value, np.linalg.LinAlgError)
+
+
+class _Unlisted:
+    """A family value that no table lists, as a new Family member would be."""
+
+    value = "unlisted"
+
+
+UNLISTED = SimpleNamespace(family=_Unlisted(), q=1.0, t=2.0, parameters=lambda: (1j, 2.0, 1))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: det_b_closed(FamilySpec.bell(0.3), SpectralPoint.from_x(0.5), np.eye(4)[0]),
+     "no closed-form determinant for bell-phi"),
+    (lambda: inverse_unitarity_expected(FamilySpec.bell(0.3), 0.5),
+     "no inverse-unitarity closed form for bell-phi"),
+    (lambda: braid_matrix(UNLISTED.family, 1.0, 2.0, 1), "unknown family unlisted"),
+    (lambda: eigenvalues_of(UNLISTED), "unknown family unlisted"),
+    (lambda: rho_formula(UNLISTED, "x", 1.0), "unknown family unlisted"),
+], ids=["det_b_closed", "inverse_unitarity_expected", "braid_matrix", "eigenvalues_of",
+        "rho_formula"])
+def test_a_family_is_named_by_its_value_in_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

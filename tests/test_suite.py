@@ -12,8 +12,7 @@ from yaxter.dynamics import evolve, gauge_unitary, hamiltonian_closed
 from yaxter.entangle import (classification_gauge_R, concurrence_det, det_b_closed,
                              product_state, state)
 from yaxter.linalg import frobenius
-from yaxter.verify import (TOLERANCES, family_inverse_unitarity, rho_formula,
-                           sample_domain_point, worst)
+from yaxter.verify import TOLERANCES, family_inverse_unitarity, rho_formula, sample_x, worst
 
 SEEDS = [42, 1, 7, 123]
 
@@ -25,9 +24,9 @@ def inverse_unitarity_loop(seed: int) -> tuple[float, float]:
     for family in (Family.EIGHT_II, Family.EIGHT_III, Family.EIGHT_IV):
         spec = suite.representative_spec(family)
         for _ in range(10):
-            p = sample_domain_point(spec, rng)
-            measured, _ = family_inverse_unitarity(spec, p.value)
-            rhos.append(rho_formula(spec, p))
+            x = sample_x(spec, rng)
+            measured, _ = family_inverse_unitarity(spec, x)
+            rhos.append(rho_formula(spec, "x", x))
             gaps.append(abs(measured - rhos[-1]))
     return worst(gaps), max(rhos)
 

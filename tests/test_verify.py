@@ -3,7 +3,7 @@ import operator
 import numpy as np
 import pytest
 
-from yaxter.baxterize import EigOrdering, SpectralPoint, build_R, compose_u, x_form, x_to_u
+from yaxter.baxterize import EigOrdering, SpectralPoint, build_R, build_R_stack, compose_u, x_to_u
 from yaxter.catalog import (DomainError, Family, FamilySpec, FamilySpecs, Sign, braid_matrix,
                             braid_residual, build_b)
 from yaxter.linalg import dagger, frobenius, identity, strand_gap
@@ -18,7 +18,6 @@ from yaxter.verify import (
     matrix_norm_factor,
     qybe_residual,
     rho_formula,
-    sample_domain_point,
     sample_spec,
     sample_specs,
     sample_x,
@@ -137,7 +136,7 @@ def test_unitarity_eight2_matches_formula():
     r = build_R(spec, p)
     rho, res = unitarity_residual(r, conjugate_partner(spec, p))
     assert res < 1e-11
-    assert abs(rho - rho_formula(spec, p)) < 1e-11
+    assert abs(rho - rho_formula(spec, p.kind, p.value)) < 1e-11
 
 
 def test_unitarity_degenerate_rho_rejected():
@@ -151,7 +150,7 @@ def test_conjugate_partner_equals_adjoint(family):
     rng = np.random.default_rng(7)
     for _ in range(5):
         spec = sample_spec(family, rng)
-        p = sample_domain_point(spec, rng)
+        p = X(sample_x(spec, rng))
         assert frobenius(conjugate_partner(spec, p) - dagger(build_R(spec, p))) < 1e-12
 
 
@@ -160,7 +159,7 @@ def test_unitarity_gap_holds_in_every_view(family):
     rng = np.random.default_rng(11)
     for _ in range(5):
         spec = sample_spec(family, rng)
-        x = complex(sample_domain_point(spec, rng).value)
+        x = complex(sample_x(spec, rng))
         if family is Family.EIGHT_I:
             theta = np.arctan(x.real)
         else:
@@ -180,19 +179,19 @@ def test_conjugate_partner_eight1_theta_form():
 # --- rho closed forms ------------------------------------------------------------
 
 def test_rho_values_from_formulas():
-    assert rho_formula(FamilySpec.six_nonstd(gamma=0.0), TH(np.pi / 2)) == pytest.approx(1.0)
-    assert rho_formula(FamilySpec.eight2(t=1.0, q=1.0), TH(0.9)) == pytest.approx(4.0)
+    assert rho_formula(FamilySpec.six_nonstd(gamma=0.0), "theta", np.pi / 2) == pytest.approx(1.0)
+    assert rho_formula(FamilySpec.eight2(t=1.0, q=1.0), "theta", 0.9) == pytest.approx(4.0)
     spec = FamilySpec.eight4(t=2.0, q=1.0)
-    assert rho_formula(spec, X(1j)) == pytest.approx(10.0)
+    assert rho_formula(spec, "x", 1j) == pytest.approx(10.0)
 
 
 def test_rho_domain_errors_name_the_constraint():
     with pytest.raises(DomainError, match=r"\|x\| = 1"):
-        rho_formula(FamilySpec.six_nonstd(gamma=0.3), X(2.0))
+        rho_formula(FamilySpec.six_nonstd(gamma=0.3), "x", 2.0)
     with pytest.raises(DomainError, match="real x"):
-        rho_formula(FamilySpec.eight1(phi=0.3), X(np.exp(0.4j)))
+        rho_formula(FamilySpec.eight1(phi=0.3), "x", np.exp(0.4j))
     with pytest.raises(DomainError, match="real t"):
-        rho_formula(FamilySpec.eight2(t=1 + 0.5j, q=1.0), TH(0.4))
+        rho_formula(FamilySpec.eight2(t=1 + 0.5j, q=1.0), "theta", 0.4)
 
 
 def test_matrix_norm_factor_eight4_gauge():
@@ -206,7 +205,7 @@ def test_matrix_norm_factor_eight4_gauge():
     rg = build_R(spec, p, form="g")
     rho_g, res_g = unitarity_residual(rg, conjugate_partner(spec, p, form="g"))
     assert res_g / rho_g < 1e-12
-    assert abs(rho_g - rho_formula(spec, p)) < 1e-12
+    assert abs(rho_g - rho_formula(spec, p.kind, p.value)) < 1e-12
 
 
 def test_unitarity_on_imaginary_t_branch():
@@ -216,7 +215,7 @@ def test_unitarity_on_imaginary_t_branch():
     rho, res = unitarity_residual(r, conjugate_partner(spec, p))
     assert res / rho < 1e-12
     g2sq = (1 - 1.3) ** 2 + 0.49 * (1 + 1.3) ** 2
-    assert abs(rho_formula(spec, p) - g2sq) < 1e-12
+    assert abs(rho_formula(spec, p.kind, p.value) - g2sq) < 1e-12
 
 
 def test_eight4_rho_branches_agree_on_the_domain_overlap():
@@ -280,19 +279,19 @@ def test_compatibility_split():
         spec = sample_spec(family, np.random.default_rng(23))
         p = X(np.exp(0.9j))
         measured, _ = family_inverse_unitarity(spec, p.value)
-        assert abs(measured - rho_formula(spec, p)) < 1e-10
+        assert abs(measured - rho_formula(spec, p.kind, p.value)) < 1e-10
     # ... but differs for eight1 away from x = 1
     spec = FamilySpec.eight1(phi=0.8)
     measured, expected = family_inverse_unitarity(spec, 2.0)
     assert abs(measured - expected) < 1e-12
-    assert abs(measured - rho_formula(spec, X(2.0))) > 1.0
+    assert abs(measured - rho_formula(spec, "x", 2.0)) > 1.0
 
 
 @pytest.mark.parametrize("family", R_FAMILIES)
 def test_stacked_inverse_unitarity_agrees_with_the_single_point_call(family):
     rng = np.random.default_rng(103)
     spec = sample_spec(family, rng)
-    xs = sample_x(family, rng, 30)
+    xs = sample_x(spec, rng, 30)
     measured, expected = family_inverse_unitarity(spec, xs)
     assert measured.shape == expected.shape == (30,)
     for x, got, want in zip(xs, measured, expected):
@@ -323,19 +322,6 @@ def test_a_stack_with_one_product_not_proportional_to_1_is_rejected():
         return r
     with pytest.raises(NotProportionalError):
         inverse_unitarity(builder, np.array([0.5, 0.7, 0.9]))
-
-
-@pytest.mark.parametrize("family,kind,ordering", [
-    (Family.EIGHT_IV, "u", None), (Family.EIGHT_III, "x", EigOrdering.SECOND)])
-def test_a_qybe_scan_reads_the_coefficients_once(monkeypatch, family, kind, ordering):
-    import yaxter.verify as verify
-
-    reads = []
-    real = verify.coefficients
-    monkeypatch.setattr(verify, "coefficients", lambda *a: reads.append(a) or real(*a))
-    spec = sample_spec(family, np.random.default_rng(107))
-    assert scan_qybe(spec, kind=kind, samples=20, seed=107, ordering=ordering).passed
-    assert reads == [(spec, ordering)]
 
 
 # --- scans -----------------------------------------------------------------------
@@ -447,7 +433,7 @@ def test_batched_braid_scan_matches_the_per_sample_loop(family):
 def _unitarity_scan_against_the_loop(family, imaginary_t=False):
     rng = np.random.default_rng(47)
     specs = sample_specs(family, rng, 40, imaginary_t)
-    xs = sample_x(family, rng, 40, imaginary_t)
+    xs = sample_x(specs, rng, 40)
     loop = [unitarity_gap(specs[k], X(xs[k]))[0] for k in range(40)]
     report = scan_unitarity(family, samples=40, seed=47, imaginary_t=imaginary_t)
     assert abs(report.residual - max(loop)) <= 1e-14
@@ -501,7 +487,7 @@ def test_sampler_at_one_draw_is_bitwise_the_scalar_sampler(family):
         assert _bits(sample_specs(family, batched, 1)[0]) == _bits(want)
         assert batched.bit_generator.state == old.bit_generator.state
         if family is not Family.BELL_PHI:
-            p, p_want = sample_domain_point(spec, new), _domain_point_one_at_a_time(want, old)
+            p, p_want = X(sample_x(spec, new)), _domain_point_one_at_a_time(want, old)
             assert np.float64(p.value.real).tobytes() == np.float64(p_want.value.real).tobytes()
             assert np.float64(p.value.imag).tobytes() == np.float64(p_want.value.imag).tobytes()
             assert new.bit_generator.state == old.bit_generator.state
@@ -594,15 +580,19 @@ def test_stacked_kernels_name_a_non_finite_sample_before_computing():
     with pytest.raises(ValueError, match=r"q must be finite, got \(nan\+0j\)"):
         braid_matrix(Family.SIX_NONSTD, q, 2.0, 1)
     with pytest.raises(ValueError, match=r"q must be finite, got \(nan\+0j\)"):
-        x_form(Family.EIGHT_II, q, 1.5, 1, 0.5)
+        FamilySpecs(Family.EIGHT_II, q, np.full(3, 1.5), np.ones(3, dtype=int))
+    # the stacked evaluator takes q and t from a spec, which has checked them, and its values
+    spec = FamilySpec.eight1(phi=0.3)
     with pytest.raises(ValueError, match="x must be finite, got inf"):
-        x_form(Family.EIGHT_I, np.ones(3, dtype=complex), 2.0, 1, np.array([0.5, np.inf, np.nan]))
+        build_R_stack(spec, "x", np.array([0.5, np.inf, np.nan]))
+    with pytest.raises(ValueError, match="theta must be finite, got nan"):
+        build_R_stack(spec, "theta", np.array([0.5, np.nan]))
 
 
 def test_stacked_unitarity_residual_agrees_with_per_item_calls():
     rng = np.random.default_rng(53)
     specs = [sample_spec(Family.EIGHT_II, rng) for _ in range(6)]
-    r = np.array([build_R(s, sample_domain_point(s, rng)) for s in specs])
+    r = np.array([build_R(s, X(sample_x(s, rng))) for s in specs])
     rho, res = unitarity_residual(r, dagger(r))
     assert rho.shape == res.shape == (6,)
     for k in range(6):
