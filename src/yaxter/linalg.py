@@ -7,8 +7,10 @@ numpy ``complex128`` arrays, row-major, in the computational basis order
 also take (..., n, n) stacks and work matrix by matrix; a single matrix gives the
 single-matrix result.
 ``cmat_stack`` assembles such a stack from entries that broadcast. ``strand_gap``, the
-braid and QYBE kernel, forms no 8x8 lift and runs a stack in fixed blocks of 64
-triples, so its temporaries stay about 64 KB each for any stack size.
+braid and QYBE kernel, takes eight-vertex matrices (nonzero only where the row and
+column bits have equal parity, as every braid matrix and R(x) here is), computes only
+the entries their eight weights reach, and runs a stack in fixed blocks of 128 triples,
+so its temporaries stay 64 KB each for any stack size.
 
 The JSON wire format for a matrix, shared by the whole package and the CLI, is
 
@@ -25,10 +27,10 @@ DEFAULT_ATOL = 1e-10
 SINGULAR_EPS = 1e-12
 
 #: largest |entry| of a 4x4 matrix that the residual products take: with |entries| <= M, an
-#: entry of the two-term strand sums of ``strand_gap`` is at most 2 M^2, one of either side
-#: at most 8 M^3, a difference at most 16 M^3 and the squared norm of the 64 differences at
-#: most 2^14 M^6. The bound keeps a conservative 2^20 M^6 <= max float, so every
-#: intermediate of ``strand_gap`` (and of any shorter product) stays finite.
+#: entry of Z or S in ``strand_gap`` is one product, at most M^2, one of either side at most
+#: 2 M^3, a difference at most 4 M^3 and the squared norm of the 32 differences at most
+#: 2^9 M^6. The bound keeps a conservative 2^20 M^6 <= max float, so every intermediate of
+#: ``strand_gap`` (and of any shorter product) stays finite.
 MAX_ENTRY = (np.finfo(float).max / 2.0**20) ** (1 / 6)
 
 
@@ -105,42 +107,124 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-#: triples per block of ``strand_gap``; a block temporary holds 64 x 64 complex = 64 KB
-_BLOCK = 64
+#: the eight-vertex pattern, in the order w1..w8 of ``catalog.BoltzmannWeights``: the entries
+#: (r, c) of a 4x4 matrix whose row and column bits have equal parity. ``strand_gap`` takes
+#: matrices that are 0 at the other eight entries, ``_OFF_PATTERN``.
+_WEIGHTS = ((0, 0), (3, 3), (1, 2), (2, 1), (1, 1), (2, 2), (0, 3), (3, 0))
+_OFF_PATTERN = tuple((r, c) for r in range(4) for c in range(4) if (r, c) not in _WEIGHTS)
+#: the flat entries ``strand_gap`` reads of each matrix: the eight weights, then the other eight
+_READ = np.array([4 * r + c for r, c in _WEIGHTS + _OFF_PATTERN])
+
+
+def _strand_tables() -> tuple:
+    """The index tables of ``strand_gap``, from the index formula of its docstring with only
+    the terms whose two factors lie in the pattern.
+
+    Every entry of Z and of S is one product, both sides have the same 32 nonzero entries
+    (the C^8 entries whose row and column have equal total parity) of two terms each, and
+    the other 32 entries are 0 on both sides. Z, S and the sides share one order of the 32
+    entries, and each side's first term takes the Z or S entry at its own place. Returns
+    (ZC, ZD, SC, SA, LA0, LA1, LZ1, RD0, RD1, RS1): Z = c[ZC] d[ZD], S = c[SC] a[SA],
+    lhs = a[LA0] Z + a[LA1] Z[LZ1] and rhs = d[RD0] S + d[RD1] S[RS1] on weight rows.
+    """
+    weight = {rc: n for n, rc in enumerate(_WEIGHTS)}
+
+    def w(row, col):  # the weight at two strand-bit pairs of a 4x4 matrix, or None
+        return weight.get((2 * row[0] + row[1], 2 * col[0] + col[1]))
+
+    def kept(terms):  # the terms whose two factors are both nonzero
+        return [t for t in terms if None not in t]
+
+    bits = [(x, y) for x in (0, 1) for y in (0, 1)]
+    strands = [(i, j, k) for i, j in bits for k in (0, 1)]
+    cells = [(row, col) for row in strands for col in strands]
+    z, s = {}, {}
+    for cell in cells:
+        (i, j, k), (i2, j2, k2) = cell
+        zt = kept((w((j, k), (m, k2)), w((i, m), (i2, j2))) for m in (0, 1))
+        st = kept((w((i, j), (i2, m)), w((m, k), (j2, k2))) for m in (0, 1))
+        assert len(zt) <= 1 and len(st) <= 1
+        z.update((cell, t) for t in zt)
+        s.update((cell, t) for t in st)
+    assert z.keys() == s.keys() and len(z) == 32
+    at = {cell: n for n, cell in enumerate(z)}
+    lhs, rhs = [], []
+    for cell in cells:
+        (i, j, k), col = cell
+        lt = kept((w((i, j), (x, y)), at.get(((x, y, k), col))) for x, y in bits)
+        rt = kept((w((j, k), (y, v)), at.get(((i, y, v), col))) for y, v in bits)
+        assert len(lt) == len(rt) == (2 if cell in at else 0)
+        if cell in at:  # the term at the entry's own place first
+            lhs.append(sorted(lt, key=lambda t: t[1] != at[cell]))
+            rhs.append(sorted(rt, key=lambda t: t[1] != at[cell]))
+            assert lhs[-1][0][1] == rhs[-1][0][1] == at[cell]
+    z, s = np.array(list(z.values())).T, np.array(list(s.values())).T
+    lhs, rhs = np.array(lhs), np.array(rhs)
+    return (z[0], z[1], s[0], s[1], lhs[:, 0, 0], lhs[:, 1, 0], lhs[:, 1, 1],
+            rhs[:, 0, 0], rhs[:, 1, 0], rhs[:, 1, 1])
+
+
+_ZC, _ZD, _SC, _SA, _LA0, _LA1, _LZ1, _RD0, _RD1, _RS1 = _strand_tables()
+
+#: triples per block of ``strand_gap``; a block temporary holds 32 x 128 complex = 64 KB
+_BLOCK = 128
 
 
 def _block_gaps(a: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``strand_gap`` of an (n, 4, 4) block of triples; C^8 indices are bits ijk, one per strand."""
-    n = len(a)
-    cz, d2 = c.reshape(n, 4, 2, 2), d.reshape(n, 2, 2, 4)
-    # Z = (1 x c)(d x 1): Z[p, qk, i'j', k'] = sum_m c[qk, mk'] d[pm, i'j']
-    z = (cz[:, None, :, 0, None, :] * d2[:, :, None, 0, :, None]
-         + cz[:, None, :, 1, None, :] * d2[:, :, None, 1, :, None])
-    cs, a2 = c.reshape(n, 2, 2, 2, 2), a.reshape(n, 2, 2, 4)
-    # S = (c x 1)(1 x a): S[i, q, r, i', j'k'] = sum_m c[iq, i'm] a[mr, j'k']
-    s = (cs[:, :, :, None, :, 0, None] * a2[:, None, None, 0, :, None, :]
-         + cs[:, :, :, None, :, 1, None] * a2[:, None, None, 1, :, None, :])
-    # (a x 1) Z = a @ Z over the rows pq; (1 x d) S = d @ S over the rows qr of each i
-    lhs = a @ z.reshape(n, 4, 16)
-    rhs = d[:, None] @ s.reshape(n, 2, 4, 8)
-    return np.linalg.norm(lhs.reshape(n, 64) - rhs.reshape(n, 64), axis=-1)
+    """``strand_gap`` of a block from the (8, n) weights of a, c and d: Z, S and the
+    difference of the sides as (32, n) arrays, one row per nonzero entry."""
+    z = c.take(_ZC, 0) * d.take(_ZD, 0)  # take: the row gather of x[idx], with less overhead
+    gap = a.take(_LA0, 0) * z
+    gap += a.take(_LA1, 0) * z.take(_LZ1, 0)
+    s = c.take(_SC, 0) * a.take(_SA, 0)
+    gap -= d.take(_RD0, 0) * s
+    gap -= d.take(_RD1, 0) * s.take(_RS1, 0)
+    return np.linalg.norm(gap, axis=0)
+
+
+def _off_pattern_error(reads: list, start: int, stacked: bool) -> ValueError:
+    """The error for the first nonzero off-pattern entry of a block's (16, n) reads of a, c
+    and d: the lowest stack index, then a, c, d, then the entry in row-major order."""
+    bad = np.array([m[8:] != 0 for m in reads])  # (3, 8, n); a NaN is nonzero
+    k = np.flatnonzero(bad.any(axis=(0, 1)))[0]
+    name = np.flatnonzero(bad[:, :, k].any(axis=1))[0]
+    entry = np.flatnonzero(bad[name, :, k])[0]
+    where = f" at index {start + k} of the stack" if stacked else ""
+    return ValueError(f"strand_gap takes eight-vertex matrices, nonzero only where the row and "
+                      f"column bits have equal parity: {'acd'[name]}{where} has "
+                      f"{reads[name][8 + entry, k]} at entry {_OFF_PATTERN[entry]}")
 
 
 def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray):
-    """||(a x 1)(1 x c)(d x 1) - (1 x d)(c x 1)(1 x a)||_F on C^8 for 4x4 a, c, d: the
-    braid relation at (b, b, b), the QYBE at (R(x), R(x o y), R(y)).
+    """||(a x 1)(1 x c)(d x 1) - (1 x d)(c x 1)(1 x a)||_F on C^8 for eight-vertex 4x4 a, c,
+    d: the braid relation at (b, b, b), the QYBE at (R(x), R(x o y), R(y)).
 
     (..., 4, 4) stacks broadcast and give one gap per triple; three matrices give a float.
-    Two-term sums over the middle strand, then a and d as 4x4 matrices on them: 768 complex
-    multiply-adds a triple, not the 2,048 of four 8x8 products. Blocks of ``_BLOCK`` keep a
-    300-triple call at 0 minor page faults (386 with whole-stack lifts), 0.5 MB traced peak.
+    Every matrix must be eight-vertex, 0 off the pattern of ``_WEIGHTS`` (the w1..w8 of
+    ``catalog.BoltzmannWeights``); a nonzero or NaN entry there is a ValueError naming the
+    matrix, its stack index and the entry, raised before any gap is returned.
+
+    With C^8 indices ijk, one bit per strand, and 4x4 indices as bit pairs, the two sides are
+    (a x 1) Z and (1 x d) S with Z = (1 x c)(d x 1) and S = (c x 1)(1 x a):
+
+        Z[ijk, i'j'k'] = sum_m c[jk, mk'] d[im, i'j'],   lhs[ijk, .] = sum_xy a[ij, xy] Z[xyk, .]
+        S[ijk, i'j'k'] = sum_m c[ij, i'm] a[mk, j'k'],   rhs[ijk, .] = sum_yz d[jk, yz] S[iyz, .]
+
+    Kept to the terms inside the pattern (``_strand_tables``), every entry of Z and S is one
+    product and each side has 32 nonzero entries of two terms: 192 complex multiplies and
+    96 additions a triple, against the 768 multiply-adds of the general 4x4 contraction,
+    and a norm over 32 differences instead of 64. Stacks run in blocks of ``_BLOCK``
+    triples on (8, n) weight rows, so the temporaries stay 64 KB each.
     """
     a, c, d = np.broadcast_arrays(*(np.asarray(m, dtype=complex) for m in (a, c, d)))
     shape = a.shape[:-2]
-    a, c, d = (m.reshape(-1, 4, 4) for m in (a, c, d))
+    a, c, d = (m.reshape(-1, 16) for m in (a, c, d))
     gaps = np.empty(len(a))
     for k in range(0, len(a), _BLOCK):
-        gaps[k:k + _BLOCK] = _block_gaps(a[k:k + _BLOCK], c[k:k + _BLOCK], d[k:k + _BLOCK])
+        reads = [m[k:k + _BLOCK].T.take(_READ, 0) for m in (a, c, d)]  # (16, n): weights first
+        if any(m[8:].any() for m in reads):
+            raise _off_pattern_error(reads, k, bool(shape))
+        gaps[k:k + _BLOCK] = _block_gaps(*(m[:8] for m in reads))
     return gaps.reshape(shape) if shape else float(gaps[0])
 
 

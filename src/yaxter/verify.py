@@ -26,7 +26,7 @@ then phi; ``sample_x``; ``sample_spec`` is the n = 1 case), then evaluate
 every sample in one call of the same kernels on (n, 4, 4) stacks. Every
 stacked R(x) is ``baxterize.build_R_stack``, the gauge times the exact
 polynomial A + x (B + x C) of ``baxterize.coefficients``: ``scan_qybe`` builds
-R(x), R(x o y) and R(y) as three stacks through ``family_builder``,
+R(x), R(x o y) and R(y) as one (3, n) stack through ``family_builder``,
 ``scan_unitarity`` one stack over ``FamilySpecs`` with its closed-form rho from
 ``norm_factor``, and ``inverse_unitarity`` and ``family_inverse_unitarity``
 take an array of x and build R(x) and R(1/x) as two stacks; ``scan_braid``
@@ -82,9 +82,12 @@ def qybe_residual(builder: Callable[[complex], np.ndarray], a: complex, b: compl
     for x, ``operator.add`` for theta (the multiplicative law at x = e^{i k theta})
     and ``compose_u`` for u. The right-hand side carries the swapped arguments;
     the variant with a and b in display order fails by O(1) for every family here.
-    Arrays a and b give one residual per pair from three builder calls.
+    Arrays a and b give one residual per pair from one builder call on the stacked
+    values (a, a o b, b).
     """
-    return strand_gap(builder(a), builder(compose(a, b)), builder(b))
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        return strand_gap(builder(a), builder(compose(a, b)), builder(b))
+    return strand_gap(*builder(np.stack(np.broadcast_arrays(a, compose(a, b), b))))
 
 
 def family_builder(

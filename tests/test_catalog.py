@@ -97,9 +97,16 @@ def test_braid_residual_is_the_three_strand_gap(family):
 
 def test_braid_residual_detects_broken_matrix():
     broken = identity(4)
+    broken[1, 2] = 1.0  # eight-vertex, but no braid matrix
+    assert braid_residual(broken) > 0.1
+
+
+def test_braid_residual_rejects_a_matrix_off_the_eight_vertex_pattern():
+    broken = identity(4)
     broken[0, 1] = 1.0
     broken[1, 2] = 1.0
-    assert braid_residual(broken) > 0.1
+    with pytest.raises(ValueError, match=r"eight-vertex.* at entry \(0, 1\)"):
+        braid_residual(broken)
 
 
 def test_q_zero_rejected():

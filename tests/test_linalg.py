@@ -92,6 +92,19 @@ def complex_matrices(n, count):
                       for v in np.array(vals).reshape(count, 2 * n * n)])
 
 
+#: the entries an eight-vertex matrix may have nonzero: row and column bits of equal parity
+PATTERN = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=bool)
+
+
+def eight_vertex(weights):
+    """The (..., 4, 4) matrices with the (..., 8) ``weights`` at the entries of PATTERN,
+    row-major, and 0 elsewhere."""
+    weights = np.asarray(weights, dtype=complex)
+    m = np.zeros((*weights.shape[:-1], 4, 4), dtype=complex)
+    m[..., PATTERN] = weights
+    return m
+
+
 def strand_gap_reference(a, c, d):
     e = np.eye(2, dtype=complex)
     lhs = np.kron(a, e) @ np.kron(e, c) @ np.kron(d, e)
@@ -107,10 +120,18 @@ def test_tensor_is_bitwise_kron(mats):
 
 
 def gaussian_integer_matrices(count):
-    """``count`` 4x4 matrices with entries in {-3..3} + i{-3..3}: every sum of the gap is exact."""
-    return st.lists(st.integers(-3, 3), min_size=32 * count, max_size=32 * count).map(
-        lambda vals: [(v[0::2] + 1j * v[1::2]).reshape(4, 4)
-                      for v in np.array(vals, dtype=float).reshape(count, 32)])
+    """``count`` eight-vertex 4x4 matrices with weights in {-3..3} + i{-3..3}: every sum of
+    the gap is exact."""
+    return st.lists(st.integers(-3, 3), min_size=16 * count, max_size=16 * count).map(
+        lambda vals: [eight_vertex(v[0::2] + 1j * v[1::2])
+                      for v in np.array(vals, dtype=float).reshape(count, 16)])
+
+
+def eight_vertex_matrices(count):
+    """``count`` eight-vertex 4x4 matrices with weights drawn from 16 floats each."""
+    return st.lists(finite, min_size=16 * count, max_size=16 * count).map(
+        lambda vals: [eight_vertex(v[0::2] + 1j * v[1::2])
+                      for v in np.array(vals).reshape(count, 16)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,22 +142,21 @@ def test_strand_gap_on_gaussian_integers_is_bitwise_the_kron_reference(mats):
 
 
 @settings(max_examples=60, deadline=None)
-@given(complex_matrices(4, 3))
+@given(eight_vertex_matrices(3))
 def test_strand_gap_is_the_kron_reference_to_rounding(mats):
     a, c, d = mats
     scale = frobenius(a) * frobenius(c) * frobenius(d)
     assert abs(strand_gap(a, c, d) - strand_gap_reference(a, c, d)) <= 8 * EPS * scale
 
 
-def random_matrices(rng, *shape):
-    """A (*shape, 4, 4) stack of complex Gaussian matrices."""
-    return rng.standard_normal((*shape, 4, 4)) + 1j * rng.standard_normal((*shape, 4, 4))
+def random_eight_vertex(rng, *shape):
+    """A (*shape, 4, 4) stack of eight-vertex matrices with complex Gaussian weights."""
+    return eight_vertex(rng.standard_normal((*shape, 8)) + 1j * rng.standard_normal((*shape, 8)))
 
 
 def test_stacked_strand_gap_agrees_with_per_item_calls():
     rng = np.random.default_rng(31)
-    a, c, d = (rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
-               for _ in range(3))
+    a, c, d = (random_eight_vertex(rng, 5) for _ in range(3))
     gaps = strand_gap(a, c, d)
     assert gaps.shape == (5,)
     for k in range(5):
@@ -146,10 +166,12 @@ def test_stacked_strand_gap_agrees_with_per_item_calls():
                        [strand_gap(a[0], ck, d[0]) for ck in c], rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+# sizes inside one block (63, 64, 65), at its edges, and over several blocks with a partial tail
+@pytest.mark.parametrize("n", sorted({0, 1, 63, 64, 65, 199,
+                                      _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7}))
 def test_strand_gap_blocks_agree_with_per_item_calls(n):
     rng = np.random.default_rng(n)
-    a, c, d = (random_matrices(rng, n) for _ in range(3))
+    a, c, d = (random_eight_vertex(rng, n) for _ in range(3))
     gaps = strand_gap(a, c, d)
     assert gaps.shape == (n,)
     assert np.allclose(gaps, [strand_gap(*abc) for abc in zip(a, c, d)], rtol=1e-14, atol=0)
@@ -157,24 +179,50 @@ def test_strand_gap_blocks_agree_with_per_item_calls(n):
 
 def test_strand_gap_broadcasts_leading_axes_and_single_matrices_across_blocks():
     rng = np.random.default_rng(41)
-    a, c, d = (random_matrices(rng, 2, 3) for _ in range(3))
+    a, c, d = (random_eight_vertex(rng, 2, 3) for _ in range(3))
     gaps = strand_gap(a, c, d)
     assert gaps.shape == (2, 3)
     assert np.allclose(gaps, [[strand_gap(a[i, j], c[i, j], d[i, j]) for j in range(3)]
                               for i in range(2)], rtol=1e-14, atol=0)
-    a1, c, d1 = random_matrices(rng), random_matrices(rng, 2 * _BLOCK + 5), random_matrices(rng)
+    a1, c = random_eight_vertex(rng), random_eight_vertex(rng, 2 * _BLOCK + 5)
+    d1 = random_eight_vertex(rng)
     assert np.allclose(strand_gap(a1, c, d1), [strand_gap(a1, ck, d1) for ck in c],
                        rtol=1e-14, atol=0)
 
 
 def test_a_nan_in_one_triple_is_nan_in_that_gap_only():
     rng = np.random.default_rng(43)
-    a, c, d = (random_matrices(rng, _BLOCK + 3) for _ in range(3))
+    a, c, d = (random_eight_vertex(rng, _BLOCK + 3) for _ in range(3))
     want = strand_gap(a, c, d)
-    c[_BLOCK + 1, 2, 3] = np.nan
+    c[_BLOCK + 1, 2, 1] = np.nan  # a weight, inside the pattern
     gaps = strand_gap(a, c, d)
     assert np.isnan(gaps[_BLOCK + 1])
     assert np.array_equal(np.delete(gaps, _BLOCK + 1), np.delete(want, _BLOCK + 1))
+
+
+def test_a_nan_off_the_pattern_is_a_value_error():
+    rng = np.random.default_rng(43)
+    a, c, d = (random_eight_vertex(rng, _BLOCK + 3) for _ in range(3))
+    c[_BLOCK + 1, 2, 3] = np.nan
+    with pytest.raises(ValueError, match=rf"c at index {_BLOCK + 1} of the stack .*\(2, 3\)"):
+        strand_gap(a, c, d)
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)])
+def test_a_nonzero_entry_off_the_pattern_names_its_matrix_index_and_entry(entry):
+    rng = np.random.default_rng(59)
+    a, c, d = (random_eight_vertex(rng, 2 * _BLOCK + 9) for _ in range(3))
+    d[_BLOCK + 4][entry] = 1e-300  # any nonzero value, however small
+    a[2 * _BLOCK + 1][entry] = 1.0  # a later index: the first one is reported
+    with pytest.raises(ValueError, match=rf"d at index {_BLOCK + 4} of the stack .*"
+                                         rf"at entry \({entry[0]}, {entry[1]}\)"):
+        strand_gap(a, c, d)
+    with pytest.raises(ValueError, match=rf"a has .* at entry \({entry[0]}, {entry[1]}\)"):
+        strand_gap(a[2 * _BLOCK + 1], c[0], d[0])  # three matrices: no stack index
+    b = identity(4)
+    b[entry] = 0.5
+    with pytest.raises(ValueError, match="eight-vertex"):
+        strand_gap(b, b, b)
 
 
 def test_an_empty_stack_gives_no_gaps_and_no_worst_case():
@@ -187,7 +235,7 @@ def test_an_empty_stack_gives_no_gaps_and_no_worst_case():
 
 def test_strand_gap_memory_does_not_grow_with_the_stack():
     rng = np.random.default_rng(47)
-    a, c, d = (random_matrices(rng, 3000) for _ in range(3))
+    a, c, d = (random_eight_vertex(rng, 3000) for _ in range(3))
     tracemalloc.start()
     try:
         strand_gap(a, c, d)
@@ -200,10 +248,10 @@ def test_strand_gap_memory_does_not_grow_with_the_stack():
 def test_entries_at_the_product_bound_give_finite_gaps():
     # |entries| = MAX_ENTRY with random phases, and all-equal entries, where every sum adds up
     rng = np.random.default_rng(53)
-    a, c, d = (MAX_ENTRY * np.exp(2j * np.pi * rng.random((3 * _BLOCK + 7, 4, 4)))
+    a, c, d = (eight_vertex(MAX_ENTRY * np.exp(2j * np.pi * rng.random((3 * _BLOCK + 7, 8))))
                for _ in range(3))
-    a[0] = c[0] = MAX_ENTRY
-    d[0] = -MAX_ENTRY
+    a[0] = c[0] = MAX_ENTRY * PATTERN
+    d[0] = -MAX_ENTRY * PATTERN
     with np.errstate(all="raise"):
         gaps = strand_gap(a, c, d)
     assert np.isfinite(gaps).all()

@@ -645,3 +645,82 @@ def test_overflowing_checks_raise_before_any_product(check):
     with np.errstate(all="raise"):
         with pytest.raises(DomainError, match="residual products stay finite"):
             check()
+
+
+# --- the eight-vertex contract of the three-strand kernel ----------------------------
+
+def test_batched_qybe_residual_builds_one_stack_of_a_composed_and_b():
+    spec = FamilySpec.eight2(t=1.7, q=np.exp(0.4j))
+    build = family_builder(spec, "u")
+    calls = []
+
+    def builder(value):
+        calls.append(value)
+        return build(value)
+
+    rng = np.random.default_rng(67)
+    a, b = (rng.uniform(-0.5, 0.5, (2, 40)) + 1j * rng.uniform(-0.5, 0.5, (2, 40)))
+    res = qybe_residual(builder, a, b, compose_u)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], [a, compose_u(a, b), b])
+    assert np.array_equal(res, strand_gap(build(a), build(compose_u(a, b)), build(b)))
+
+
+def test_batched_qybe_bound_names_the_first_value_in_a_composed_b_order():
+    # sample 0 fails only at b (x = 6), sample 1 only at a o b (x = 5): a o b comes first
+    builder = family_builder(FamilySpec.eight3(t=1e50, q=1.0), "x")
+    with pytest.raises(DomainError, match=r"x = 5: an R-matrix entry"):
+        qybe_residual(builder, np.array([0.1, 2.5]), np.array([6.0, 2.0]))
+
+
+#: the entries an eight-vertex matrix may have nonzero: row and column bits of equal parity
+EIGHT_VERTEX = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=bool)
+
+
+def _off_pattern(m):
+    return np.asarray(m)[..., ~EIGHT_VERTEX]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_every_braid_matrix_stack_is_eight_vertex(family):
+    specs = sample_specs(family, np.random.default_rng(71), 50)
+    b = braid_matrix(family, specs.q, specs.t, specs.s)
+    assert b.shape == (50, 4, 4) and np.count_nonzero(_off_pattern(b)) == 0
+
+
+@pytest.mark.parametrize("family,kind,ordering", QYBE_PAIRS,
+                         ids=lambda v: getattr(v, "value", v))
+def test_every_R_stack_and_coefficient_is_eight_vertex(family, kind, ordering):
+    from yaxter.baxterize import coefficients
+    from yaxter.suite import representative_spec
+    from yaxter.verify import _QYBE_LAWS
+
+    spec = representative_spec(family)
+    draw, compose = _QYBE_LAWS[kind]
+    rng = np.random.default_rng(73)
+    pairs = np.asarray(draw(spec, rng, 50), dtype=complex)
+    a, b = pairs[:, 0], pairs[:, 1]
+    r = build_R_stack(spec, kind, np.stack([a, compose(a, b), b]), ordering=ordering)
+    assert r.shape == (3, 50, 4, 4) and np.count_nonzero(_off_pattern(r)) == 0
+    for matrices in (coefficients(spec, ordering),
+                     coefficients(sample_specs(family, rng, 50), ordering)):
+        assert all(np.count_nonzero(_off_pattern(m)) == 0 for m in matrices)
+
+
+def test_a_sign_flipped_in_eight2s_linear_coefficient_fails_the_qybe_scan(monkeypatch):
+    from yaxter import baxterize
+    from yaxter.suite import representative_spec
+
+    spec = representative_spec(Family.EIGHT_II)
+    assert scan_qybe(spec, "x", samples=50, seed=5).passed
+    exact = baxterize.coefficients
+
+    def flipped(spec, ordering=None):
+        a, b, c = exact(spec, ordering)
+        b = b.copy()
+        b[..., 0, 3] *= -1  # the -q of B, still inside the pattern
+        return a, b, c
+
+    monkeypatch.setattr(baxterize, "coefficients", flipped)
+    report = scan_qybe(spec, "x", samples=50, seed=5)
+    assert not report.passed and report.residual > 0.1
