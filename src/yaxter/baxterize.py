@@ -325,7 +325,13 @@ def build_R_stack(
         scale = scale / g_factors(spec, x)[0]
     a, b, c = coefficients(spec, ordering)
     x = _col(x)
-    return _col(scale) * (a + x * (b + x * c))
+    # scale * (a + x * (b + x * c)) in one buffer, each operation with its operands in
+    # this order: swapping them (r += b, r *= x) changes results in the last bit
+    r = x * c
+    np.add(b, r, out=r)
+    np.multiply(x, r, out=r)
+    np.add(a, r, out=r)
+    return np.multiply(_col(scale), r, out=r)
 
 
 def x_form(spec: FamilySpec, x: complex, form: str = "canonical") -> np.ndarray:

@@ -10,7 +10,8 @@ single-matrix result.
 braid and QYBE kernel, takes eight-vertex matrices (nonzero only where the row and
 column bits have equal parity, as every braid matrix and R(x) here is), computes only
 the entries their eight weights reach, and runs a stack in fixed blocks of 128 triples,
-so its temporaries stay 64 KB each for any stack size.
+so its temporaries stay 64 KB each for any stack size. ``verify.unitarity_residual`` reads
+the same pattern and reports an entry off it through the same error.
 
 The JSON wire format for a matrix, shared by the whole package and the CLI, is
 
@@ -108,8 +109,8 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 #: the eight-vertex pattern, in the order w1..w8 of ``catalog.BoltzmannWeights``: the entries
-#: (r, c) of a 4x4 matrix whose row and column bits have equal parity. ``strand_gap`` takes
-#: matrices that are 0 at the other eight entries, ``_OFF_PATTERN``.
+#: (r, c) of a 4x4 matrix whose row and column bits have equal parity. ``strand_gap`` and
+#: ``verify.unitarity_residual`` take matrices that are 0 at the other eight, ``_OFF_PATTERN``.
 _WEIGHTS = ((0, 0), (3, 3), (1, 2), (2, 1), (1, 1), (2, 2), (0, 3), (3, 0))
 _OFF_PATTERN = tuple((r, c) for r in range(4) for c in range(4) if (r, c) not in _WEIGHTS)
 #: the flat entries ``strand_gap`` reads of each matrix: the eight weights, then the other eight
@@ -182,16 +183,18 @@ def _block_gaps(a: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.linalg.norm(gap, axis=0)
 
 
-def _off_pattern_error(reads: list, start: int, stacked: bool) -> ValueError:
-    """The error for the first nonzero off-pattern entry of a block's (16, n) reads of a, c
-    and d: the lowest stack index, then a, c, d, then the entry in row-major order."""
-    bad = np.array([m[8:] != 0 for m in reads])  # (3, 8, n); a NaN is nonzero
+def _off_pattern_error(kernel: str, names, reads: list, start: int,
+                       stacked: bool) -> ValueError:
+    """The error of ``kernel`` for the first nonzero off-pattern entry of the (16, n) reads of
+    the matrices ``names``, whose rows 8 to 15 hold the ``_OFF_PATTERN`` entries: the lowest
+    stack index, then the matrices in order, then the entry in row-major order."""
+    bad = np.array([m[8:] != 0 for m in reads])  # (matrices, 8, n); a NaN is nonzero
     k = np.flatnonzero(bad.any(axis=(0, 1)))[0]
     name = np.flatnonzero(bad[:, :, k].any(axis=1))[0]
     entry = np.flatnonzero(bad[name, :, k])[0]
     where = f" at index {start + k} of the stack" if stacked else ""
-    return ValueError(f"strand_gap takes eight-vertex matrices, nonzero only where the row and "
-                      f"column bits have equal parity: {'acd'[name]}{where} has "
+    return ValueError(f"{kernel} takes eight-vertex matrices, nonzero only where the row and "
+                      f"column bits have equal parity: {names[name]}{where} has "
                       f"{reads[name][8 + entry, k]} at entry {_OFF_PATTERN[entry]}")
 
 
@@ -223,7 +226,7 @@ def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray):
     for k in range(0, len(a), _BLOCK):
         reads = [m[k:k + _BLOCK].T.take(_READ, 0) for m in (a, c, d)]  # (16, n): weights first
         if any(m[8:].any() for m in reads):
-            raise _off_pattern_error(reads, k, bool(shape))
+            raise _off_pattern_error("strand_gap", "acd", reads, k, bool(shape))
         gaps[k:k + _BLOCK] = _block_gaps(*(m[:8] for m in reads))
     return gaps.reshape(shape) if shape else float(gaps[0])
 

@@ -4,10 +4,11 @@ The braid relation and the QYBE are one three-strand identity on C^8 with one
 kernel, ``linalg.strand_gap(a, c, d)``: the braid residual is (b, b, b), the
 QYBE residual R_1(x) R_2(x o y) R_1(y) - R_2(y) R_1(x o y) R_2(x) is
 (R(x), R(x o y), R(y)), where x o y is xy, theta1 + theta2 or (u + v)/(1 + uv).
-Unitarity is checked as R(x) R(x)^dag = rho * 1
-with rho > 0 the family's normalization factor; rho^{-1/2} R(x) is the
-physical gate. The closed-form rho per family (stated for each family's
-reference gauge, ``baxterize.reference_gauge``) is:
+Unitarity is checked as R(x) R(x)^dag = rho * 1 with rho > 0 the family's
+normalization factor; rho^{-1/2} R(x) is the physical gate. Its kernel,
+``unitarity_residual``, takes eight-vertex matrices too and forms R R^dag and
+R^dag R from their two 2x2 blocks. The closed-form rho per family (stated for
+each family's reference gauge, ``baxterize.reference_gauge``) is:
 
     six-vertex    sinh^2 gamma + sin^2 theta      (x = e^{2 i theta}, q = e^gamma;
                                                    the x-form is 2 e^{i theta} times the
@@ -38,6 +39,7 @@ single-point checks run the same kernels on one matrix.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -58,7 +60,8 @@ from .baxterize import (
 from .catalog import (THREE_EIGENVALUE_FAMILIES, DomainError, Family, FamilySpec, FamilySpecs, Sign,
                       braid_matrix, braid_residual, domain_violation, finite_rho, gamma_of,
                       is_imag)
-from .linalg import MAX_ENTRY, dagger, frobenius, identity, strand_gap
+from .linalg import (_READ, _WEIGHTS, MAX_ENTRY, _off_pattern_error, dagger, frobenius, identity,
+                     strand_gap)
 
 I4 = identity(4)
 
@@ -127,15 +130,76 @@ def _bounded(r: np.ndarray, spec: FamilySpec, kind: str, value) -> np.ndarray:
                       "products stay finite")
 
 
+#: ``linalg._READ`` with the eight weights reordered into the entry rows p, q, r, s of the
+#: 2x2 blocks [[p, q], [r, s]] of an eight-vertex matrix, each row the pair (outer block on
+#: |00>, |11>, inner block on |01>, |10>), and the off-pattern entries left in places 8 to 15;
+#: as flat entries, as (row, col) pairs and as a getter of a flat list.
+_BLOCK_READ = _READ[[_WEIGHTS.index((b[i], b[j])) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
+                     for b in ((0, 3), (1, 2))] + list(range(8, 16))]
+_BLOCK_ROW, _BLOCK_COL = np.divmod(_BLOCK_READ, 4)
+_read_blocks = operator.itemgetter(*_BLOCK_READ.tolist())
+
+
+def _block_product(x, y) -> tuple:
+    """The entry rows (p, q, r, s) of the 2x2 block product x y, with x and y given as their
+    entry rows: Python complex numbers for one block, or arrays that hold many blocks."""
+    p, q, r, s = x
+    e, f, g, h = y
+    return p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h
+
+
+def _defect(m: tuple, rho):
+    """||m - rho 1||_F^2 of 2x2 blocks given as entry rows, as in ``_block_product``."""
+    p, q, r, s = m
+    p, s = p - rho, s - rho
+    return ((p * p.conjugate()).real + (q * q.conjugate()).real
+            + (r * r.conjugate()).real + (s * s.conjugate()).real)
+
+
 def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
-    """(rho_est, residual) for R(x) R^dag(xbar) = rho * 1 with rconj = R^dag(xbar);
-    (..., 4, 4) stacks give one pair of arrays."""
-    prod = r @ rconj
-    rho = np.real(np.trace(prod, axis1=-2, axis2=-1)) / 4.0
-    if (rho <= 0).any():
+    """(rho_est, residual) for R(x) R^dag(xbar) = rho * 1 with rconj = R^dag(xbar): rho_est
+    = tr(R rconj) / 4 and residual = ||R rconj - rho_est 1||_F + ||rconj R - rho_est 1||_F.
+    Two matrices give two floats; (..., 4, 4) stacks broadcast and give two arrays.
+
+    R and rconj must be eight-vertex, as in ``linalg.strand_gap``: each is the direct sum of
+    a 2x2 block on |00>, |11> and one on |01>, |10>, and so is each product, whose 8 entries
+    off the blocks are exactly 0. So a product costs 8 complex multiplies a block and its
+    norm runs over the 8 entries inside the blocks. A nonzero or NaN entry off the pattern is
+    a ValueError naming the matrix, its stack index and the entry; a NaN weight gives a NaN
+    residual. A rho_est that is not positive is a DegenerateNormalizationError.
+
+    One formula, ``_block_product`` and ``_defect``, in two arithmetics: Python complex
+    numbers block by block for one matrix, and for a stack (4, block, side, n) entry rows
+    that hold both blocks of R rconj and of rconj R at once.
+    """
+    r, rconj = np.asarray(r, dtype=complex), np.asarray(rconj, dtype=complex)
+    if r.ndim == rconj.ndim == 2:
+        reads = [_read_blocks(m.ravel().tolist()) for m in (r, rconj)]
+        if any(any(m[8:]) for m in reads):  # a NaN is nonzero
+            raise _off_pattern_error("unitarity_residual", ("r", "rconj"),
+                                     [np.array(m)[:, None] for m in reads], 0, False)
+        (xo, xi), (yo, yi) = ((m[0:8:2], m[1:8:2]) for m in reads)
+        mo, mi = _block_product(xo, yo), _block_product(xi, yi)
+        rho = ((mo[0] + mo[3]) + (mi[0] + mi[3])).real / 4.0
+        res = (math.sqrt(_defect(mo, rho) + _defect(mi, rho))
+               + math.sqrt(_defect(_block_product(yo, xo), rho)
+                           + _defect(_block_product(yi, xi), rho)))
+    else:
+        r, rconj = np.broadcast_arrays(r, rconj)
+        shape = r.shape[:-2]
+        reads = np.stack([m.reshape(-1, 4, 4).transpose(1, 2, 0)[_BLOCK_ROW, _BLOCK_COL]
+                          for m in (r, rconj)], axis=1)  # (16, side, n)
+        if reads[8:].any():
+            raise _off_pattern_error("unitarity_residual", ("r", "rconj"),
+                                     [reads[:, 0], reads[:, 1]], 0, True)
+        x = reads[:8].reshape(4, 2, 2, -1)  # (entry, block, side, n)
+        m = _block_product(x, x[:, :, ::-1])  # side 0 is R rconj, side 1 rconj R
+        rho = (m[0][:, 0] + m[3][:, 0]).sum(axis=0).real / 4.0
+        res = np.sqrt(_defect(m, rho).sum(axis=0)).sum(axis=0)
+        rho, res = rho.reshape(shape), res.reshape(shape)
+    if np.any(rho <= 0):
         raise DegenerateNormalizationError(f"estimated rho = {np.nanmin(rho):.3e} is not positive")
-    eye = rho[..., None, None] * I4
-    return rho, frobenius(prod - eye) + frobenius(rconj @ r - eye)
+    return rho, res
 
 
 def conjugate_partner(
@@ -153,7 +217,8 @@ def unitarity_gap(spec: FamilySpec, p: SpectralPoint) -> tuple[float, float]:
 
     The gap adds the relative residual of R R^dag = rho 1 and the relative
     distance of rho_est from the closed form, and is at least the unitarity
-    defect of R / sqrt(rho_est). Off the domain a DomainError names the
+    defect of U = R / sqrt(rho_est): ||U U^dag - 1|| = ||R R^dag - rho_est 1|| / rho_est,
+    a part of the relative residual. Off the domain a DomainError names the
     violated constraint, and a closed-form rho that overflows raises a
     DomainError before R is built; a non-finite residual gives a non-finite gap.
     """
@@ -167,9 +232,7 @@ def _unitarity_gaps(r: np.ndarray, rho_ref):
     (n, 4, 4) stack, with ``rho_ref`` the closed-form rho of each matrix; a
     non-finite ``rho_ref`` gives a NaN gap."""
     rho_est, res = unitarity_residual(r, dagger(r))
-    gap = res / rho_est + abs(rho_est - rho_ref) / rho_ref
-    u = r / np.sqrt(rho_est)[..., None, None]
-    return np.maximum(gap, frobenius(u @ dagger(u) - I4)), rho_est
+    return res / rho_est + abs(rho_est - rho_ref) / rho_ref, rho_est
 
 
 def rho_formula(spec: FamilySpec | FamilySpecs, kind: str, value):

@@ -12,6 +12,7 @@ from yaxter.baxterize import (
     family_x,
     formula_R,
     g_factors,
+    gauge,
     ordered_eigenvalues,
     u_to_x,
     x_to_u,
@@ -389,6 +390,29 @@ def test_stack_in_every_view_matches_build_R(family, ordering, form):
         for v, r in zip(vals, stack):
             want = build_R(spec, SpectralPoint(kind, complex(v)), ordering=ordering, form=form)
             assert frobenius(r - want) <= 4e-15 * frobenius(want)
+
+
+@pytest.mark.parametrize("family,ordering,form", VARIANTS,
+                         ids=lambda v: getattr(v, "value", v))
+def test_stack_is_bitwise_the_nested_polynomial(family, ordering, form):
+    # the one-buffer evaluation keeps every operand order of scale * (a + x * (b + x * c))
+    rng = np.random.default_rng(37)
+    specs = sample_specs(family, rng, 6)
+    values = {
+        "x": rng.uniform(-2.5, 2.5, 6) + 1j * rng.uniform(-2.5, 2.5, 6),
+        "theta": rng.uniform(-1.2, 1.2, 6),
+        "u": rng.uniform(-0.8, 0.8, 6) + 1j * rng.uniform(-0.8, 0.8, 6),
+    }
+    for spec in (specs[0], specs):
+        a, b, c = coefficients(spec, ordering)
+        for kind, vals in values.items():
+            x = family_x(spec, kind, vals)
+            scale = gauge(spec, kind, vals, form)
+            if form == "g":
+                scale = scale / g_factors(spec, x)[0]
+            x, scale = x[:, None, None], np.asarray(scale)[..., None, None]
+            want = scale * (a + x * (b + x * c))
+            assert np.array_equal(build_R_stack(spec, kind, vals, ordering, form), want)
 
 
 def test_stack_of_no_values_is_empty():

@@ -724,3 +724,124 @@ def test_a_sign_flipped_in_eight2s_linear_coefficient_fails_the_qybe_scan(monkey
     monkeypatch.setattr(baxterize, "coefficients", flipped)
     report = scan_qybe(spec, "x", samples=50, seed=5)
     assert not report.passed and report.residual > 0.1
+
+
+# --- the eight-vertex unitarity kernel against the dense products ---------------------
+
+EPS = np.finfo(float).eps
+OFF_PATTERN_ENTRIES = [tuple(int(i) for i in rc) for rc in np.argwhere(~EIGHT_VERTEX)]
+
+
+def _eight_vertex(weights):
+    """The (..., 4, 4) matrices with the (..., 8) ``weights`` on the pattern, row-major."""
+    weights = np.asarray(weights, dtype=complex)
+    m = np.zeros((*weights.shape[:-1], 4, 4), dtype=complex)
+    m[..., EIGHT_VERTEX] = weights
+    return m
+
+
+def unitarity_residual_reference(r, rconj):
+    """The dense formula for two 4x4 matrices: rho = Re tr(r rconj) / 4 and
+    ||r rconj - rho 1||_F + ||rconj r - rho 1||_F from two full products."""
+    prod = r @ rconj
+    rho = np.real(np.trace(prod)) / 4.0
+    eye = rho * identity(4)
+    return rho, float(np.linalg.norm(prod - eye)) + float(np.linalg.norm(rconj @ r - eye))
+
+
+def _pairs(rng, n, draw):
+    """n pairs (r, rconj) of eight-vertex matrices with a positive reference rho: the first
+    half with rconj = r^dag, the rest with rconj drawn independently of r."""
+    r, other = _eight_vertex(draw((2 * n, 8))), _eight_vertex(draw((2 * n, 8)))
+    rconj = np.where((np.arange(2 * n) < n // 2)[:, None, None], dagger(r), other)
+    keep = [k for k in range(2 * n) if unitarity_residual_reference(r[k], rconj[k])[0] > 0]
+    return r[keep[:n]], rconj[keep[:n]]
+
+
+def test_unitarity_residual_on_gaussian_integers_is_bitwise_the_dense_reference():
+    # weights in {-3..3} + i{-3..3}: every product, rho and sum of squares is exact
+    rng = np.random.default_rng(79)
+    r, rconj = _pairs(rng, 300, lambda s: rng.integers(-3, 4, s) + 1j * rng.integers(-3, 4, s))
+    rho, res = unitarity_residual(r, rconj)
+    for k in range(len(r)):
+        want = unitarity_residual_reference(r[k], rconj[k])
+        assert unitarity_residual(r[k], rconj[k]) == want
+        assert (rho[k], res[k]) == want
+
+
+def test_unitarity_residual_is_the_dense_reference_to_rounding():
+    rng = np.random.default_rng(83)
+    r, rconj = _pairs(rng, 300, lambda s: rng.standard_normal(s) + 1j * rng.standard_normal(s))
+    rho, res = unitarity_residual(r, rconj)
+    for k in range(len(r)):
+        want_rho, want_res = unitarity_residual_reference(r[k], rconj[k])
+        scale = frobenius(r[k]) * frobenius(rconj[k])
+        one_rho, one_res = unitarity_residual(r[k], rconj[k])
+        assert isinstance(one_rho, float) and isinstance(one_res, float)
+        for got_rho, got_res in ((one_rho, one_res), (rho[k], res[k])):
+            assert abs(got_rho - want_rho) <= 2 * EPS * scale
+            assert abs(got_res - want_res) <= 8 * EPS * scale
+        # a single matrix and its stack item: the same formula, both arithmetics
+        assert abs(one_rho - rho[k]) <= 2 * EPS * scale
+        assert abs(one_res - res[k]) <= 8 * EPS * scale
+
+
+def test_stacked_unitarity_residual_broadcasts_a_single_matrix_and_leading_axes():
+    # positive weights, so that rho is positive for any pairing
+    r = _eight_vertex(np.random.default_rng(89).uniform(0.5, 1.5, (2, 3, 8)))
+    rho, res = unitarity_residual(r, dagger(r))
+    assert rho.shape == res.shape == (2, 3)
+    one = r[1, 2]
+    rho1, res1 = unitarity_residual(one, dagger(r))  # one r against a stack of rconj
+    assert rho1.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            want = unitarity_residual(one, dagger(r[i, j]))
+            assert rho1[i, j] == pytest.approx(want[0], rel=1e-14)
+            assert res1[i, j] == pytest.approx(want[1], rel=1e-14)
+
+
+@pytest.mark.parametrize("entry", OFF_PATTERN_ENTRIES)
+def test_unitarity_residual_off_the_pattern_names_the_matrix_index_and_entry(entry):
+    rng = np.random.default_rng(97)
+    r = _eight_vertex(rng.standard_normal((9, 8)) + 1j * rng.standard_normal((9, 8)))
+    rconj = dagger(r).copy()
+    rconj[4][entry] = 1e-300  # any nonzero value, however small
+    r[7][entry] = 1.0  # a later index: the first one is reported
+    with pytest.raises(ValueError, match=r"^unitarity_residual takes eight-vertex matrices.*"
+                                         rf": rconj at index 4 of the stack has .* at entry "
+                                         rf"\({entry[0]}, {entry[1]}\)$"):
+        unitarity_residual(r, rconj)
+    with pytest.raises(ValueError, match=rf": r has .* at entry \({entry[0]}, {entry[1]}\)$"):
+        unitarity_residual(r[7], rconj[7])  # two matrices: no stack index
+    rconj[4][entry] = np.nan  # a NaN off the pattern is no weight either
+    with pytest.raises(ValueError, match=r"rconj at index 4 of the stack has \(nan\+0j\)"):
+        unitarity_residual(r, rconj)
+
+
+def test_a_nan_weight_gives_a_nan_residual_in_that_item_only():
+    rng = np.random.default_rng(101)
+    r = _eight_vertex(rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8)))
+    want_rho, want_res = unitarity_residual(r, dagger(r))
+    r[2, 2, 1] = np.nan  # a weight, inside the pattern
+    rho, res = unitarity_residual(r, dagger(r))
+    assert np.isnan(res[2]) and np.isnan(rho[2])
+    assert np.array_equal(np.delete(res, 2), np.delete(want_res, 2))
+    assert np.array_equal(np.delete(rho, 2), np.delete(want_rho, 2))
+    assert np.isnan(unitarity_residual(r[2], dagger(r[2]))[1])
+
+
+def test_the_unitarity_gap_bounds_the_defect_of_the_normalized_matrix():
+    # ||U U^dag - 1|| = ||R R^dag - rho_est 1|| / rho_est, a part of the gap, on matrices
+    # far from unitary and with a rho_ref that is off
+    from yaxter.verify import _unitarity_gaps
+
+    rng = np.random.default_rng(103)
+    r = _eight_vertex(rng.standard_normal((200, 8)) + 1j * rng.standard_normal((200, 8)))
+    gaps, rho_est = _unitarity_gaps(r, rng.uniform(0.5, 20.0, 200))
+    u = r / np.sqrt(rho_est)[:, None, None]
+    defect = frobenius(u @ dagger(u) - identity(4))
+    assert np.all(defect <= gaps * (1 + 1e-14))
+    for k in range(0, 200, 40):
+        gap, rho = _unitarity_gaps(r[k], 3.0)
+        assert frobenius(u[k] @ dagger(u[k]) - identity(4)) <= gap * (1 + 1e-14)
