@@ -158,7 +158,7 @@ def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
         fail(f"{fam.value} at {point(i)}: an entry of R or dR/ds reaches "
              f"{np.ravel(peak)[i]:.3g}, above the {MAX_ENTRY:.3g} up to which the products "
              "stay finite", i)
-    rho = np.trace(r @ dagger(r), axis1=-2, axis2=-1).real / 4.0
+    rho = (r * r.conj()).real.sum(axis=(-2, -1)) / 4.0  # tr(R R^dag) / 4 = ||R||_F^2 / 4
     ok = rho > RHO_FLOOR
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])

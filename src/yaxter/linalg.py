@@ -6,12 +6,13 @@ numpy ``complex128`` arrays, row-major, in the computational basis order
 ``dagger``, ``frobenius``, ``strand_gap``, ``require_hermitian`` and ``expm_hermitian``
 also take (..., n, n) stacks and work matrix by matrix; a single matrix gives the
 single-matrix result.
-``cmat_stack`` assembles such a stack from entries that broadcast. ``strand_gap``, the
-braid and QYBE kernel, takes eight-vertex matrices (nonzero only where the row and
-column bits have equal parity, as every braid matrix and R(x) here is), computes only
-the entries their eight weights reach, and runs a stack in fixed blocks of 128 triples,
-so its temporaries stay 64 KB each for any stack size. ``verify.unitarity_residual`` reads
-the same pattern and reports an entry off it through the same error.
+``cmat_stack`` assembles such a stack from entries that broadcast.
+
+Every braid matrix and R(x) here is eight-vertex: nonzero only where the row and column
+bits have equal parity, so the direct sum of a 2x2 block on |00>, |11> and one on |01>,
+|10>. Only this module knows that layout: ``weights`` reads and checks it for every
+kernel, ``block_product`` and ``defect`` multiply such matrices block by block, and
+``strand_gap``, the braid and QYBE kernel, computes only the entries the weights reach.
 
 The JSON wire format for a matrix, shared by the whole package and the CLI, is
 
@@ -19,6 +20,8 @@ The JSON wire format for a matrix, shared by the whole package and the CLI, is
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -108,13 +111,14 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-#: the eight-vertex pattern, in the order w1..w8 of ``catalog.BoltzmannWeights``: the entries
-#: (r, c) of a 4x4 matrix whose row and column bits have equal parity. ``strand_gap`` and
-#: ``verify.unitarity_residual`` take matrices that are 0 at the other eight, ``_OFF_PATTERN``.
-_WEIGHTS = ((0, 0), (3, 3), (1, 2), (2, 1), (1, 1), (2, 2), (0, 3), (3, 0))
+#: the eight-vertex pattern in block order: the entries (r, c) of p, q, r and s of the 2x2
+#: blocks [[p, q], [r, s]] on |00>, |11> (outer) and on |01>, |10> (inner), each outer then
+#: inner. An eight-vertex matrix is 0 at the other eight, ``_OFF_PATTERN``, in row-major order.
+_WEIGHTS = ((0, 0), (1, 1), (0, 3), (1, 2), (3, 0), (2, 1), (3, 3), (2, 2))
 _OFF_PATTERN = tuple((r, c) for r in range(4) for c in range(4) if (r, c) not in _WEIGHTS)
-#: the flat entries ``strand_gap`` reads of each matrix: the eight weights, then the other eight
-_READ = np.array([4 * r + c for r, c in _WEIGHTS + _OFF_PATTERN])
+#: what ``weights`` reads, the weights then the other eight: (row, col) pairs, a flat getter
+_ROW, _COL = np.array(_WEIGHTS + _OFF_PATTERN).T
+_read = operator.itemgetter(*(4 * _ROW + _COL).tolist())
 
 
 def _strand_tables() -> tuple:
@@ -183,19 +187,46 @@ def _block_gaps(a: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.linalg.norm(gap, axis=0)
 
 
-def _off_pattern_error(kernel: str, names, reads: list, start: int,
-                       stacked: bool) -> ValueError:
-    """The error of ``kernel`` for the first nonzero off-pattern entry of the (16, n) reads of
-    the matrices ``names``, whose rows 8 to 15 hold the ``_OFF_PATTERN`` entries: the lowest
-    stack index, then the matrices in order, then the entry in row-major order."""
-    bad = np.array([m[8:] != 0 for m in reads])  # (matrices, 8, n); a NaN is nonzero
-    k = np.flatnonzero(bad.any(axis=(0, 1)))[0]
-    name = np.flatnonzero(bad[:, :, k].any(axis=1))[0]
-    entry = np.flatnonzero(bad[name, :, k])[0]
+def weights(kernel: str, names, *matrices, start: int = 0) -> list:
+    """The weights of eight-vertex 4x4 matrices in the block order of ``_WEIGHTS``, one item
+    per matrix: a tuple of eight Python complex numbers for a matrix, and (8, n) rows for a
+    (..., 4, 4) stack of n matrices, all stacks of one shape.
+
+    Every matrix must be 0 off the pattern. A nonzero or NaN entry there is a ValueError of
+    ``kernel`` naming the first one: the lowest stack index (counted from ``start``), then
+    the matrix, by its name in ``names``, then the entry in row-major order.
+    """
+    stacked = matrices[0].ndim > 2
+    if stacked:  # (row, col) pairs: a flat read would copy a strided stack such as a dagger
+        reads = [m.reshape(-1, 4, 4).transpose(1, 2, 0)[_ROW, _COL] for m in matrices]
+        clean = not any(m[8:].any() for m in reads)
+    else:
+        reads = [_read(m.ravel().tolist()) for m in matrices]
+        clean = not any(any(m[8:]) for m in reads)  # a NaN is nonzero
+    if clean:
+        return [m[:8] for m in reads]
+    reads = np.array(reads).reshape(len(reads), 16, -1)  # (matrix, entry, n)
+    k, name, entry = np.argwhere(reads[:, 8:].transpose(2, 0, 1) != 0)[0]
     where = f" at index {start + k} of the stack" if stacked else ""
-    return ValueError(f"{kernel} takes eight-vertex matrices, nonzero only where the row and "
-                      f"column bits have equal parity: {names[name]}{where} has "
-                      f"{reads[name][8 + entry, k]} at entry {_OFF_PATTERN[entry]}")
+    raise ValueError(f"{kernel} takes eight-vertex matrices, nonzero only where the row and "
+                     f"column bits have equal parity: {names[name]}{where} has "
+                     f"{reads[name, 8 + entry, k]} at entry {_OFF_PATTERN[entry]}")
+
+
+def block_product(x, y) -> tuple:
+    """The entry rows (p, q, r, s) of the 2x2 block product x y, with x and y given as their
+    entry rows: Python complex numbers for one block, or arrays that hold many blocks."""
+    p, q, r, s = x
+    e, f, g, h = y
+    return p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h
+
+
+def defect(m: tuple, rho):
+    """||m - rho 1||_F^2 of 2x2 blocks given as entry rows, as in ``block_product``."""
+    p, q, r, s = m
+    p, s = p - rho, s - rho
+    return ((p * p.conjugate()).real + (q * q.conjugate()).real
+            + (r * r.conjugate()).real + (s * s.conjugate()).real)
 
 
 def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray):
@@ -203,9 +234,8 @@ def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray):
     d: the braid relation at (b, b, b), the QYBE at (R(x), R(x o y), R(y)).
 
     (..., 4, 4) stacks broadcast and give one gap per triple; three matrices give a float.
-    Every matrix must be eight-vertex, 0 off the pattern of ``_WEIGHTS`` (the w1..w8 of
-    ``catalog.BoltzmannWeights``); a nonzero or NaN entry there is a ValueError naming the
-    matrix, its stack index and the entry, raised before any gap is returned.
+    Every matrix must be eight-vertex: ``weights`` reads it, and raises on an entry off the
+    pattern before any gap is returned.
 
     With C^8 indices ijk, one bit per strand, and 4x4 indices as bit pairs, the two sides are
     (a x 1) Z and (1 x d) S with Z = (1 x c)(d x 1) and S = (c x 1)(1 x a):
@@ -221,14 +251,14 @@ def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray):
     """
     a, c, d = np.broadcast_arrays(*(np.asarray(m, dtype=complex) for m in (a, c, d)))
     shape = a.shape[:-2]
-    a, c, d = (m.reshape(-1, 16) for m in (a, c, d))
+    if not shape:
+        return float(_block_gaps(*np.array(weights("strand_gap", "acd", a, c, d))[..., None])[0])
+    a, c, d = (m.reshape(-1, 4, 4) for m in (a, c, d))
     gaps = np.empty(len(a))
     for k in range(0, len(a), _BLOCK):
-        reads = [m[k:k + _BLOCK].T.take(_READ, 0) for m in (a, c, d)]  # (16, n): weights first
-        if any(m[8:].any() for m in reads):
-            raise _off_pattern_error("strand_gap", "acd", reads, k, bool(shape))
-        gaps[k:k + _BLOCK] = _block_gaps(*(m[:8] for m in reads))
-    return gaps.reshape(shape) if shape else float(gaps[0])
+        gaps[k:k + _BLOCK] = _block_gaps(*weights("strand_gap", "acd", *(
+            m[k:k + _BLOCK] for m in (a, c, d)), start=k))
+    return gaps.reshape(shape)
 
 
 def spectral_projectors(

@@ -6,9 +6,10 @@ QYBE residual R_1(x) R_2(x o y) R_1(y) - R_2(y) R_1(x o y) R_2(x) is
 (R(x), R(x o y), R(y)), where x o y is xy, theta1 + theta2 or (u + v)/(1 + uv).
 Unitarity is checked as R(x) R(x)^dag = rho * 1 with rho > 0 the family's
 normalization factor; rho^{-1/2} R(x) is the physical gate. Its kernel,
-``unitarity_residual``, takes eight-vertex matrices too and forms R R^dag and
-R^dag R from their two 2x2 blocks. The closed-form rho per family (stated for
-each family's reference gauge, ``baxterize.reference_gauge``) is:
+``unitarity_residual``, and ``inverse_unitarity`` read eight-vertex matrices with
+``linalg.weights`` and multiply them with ``linalg.block_product``, block by block.
+The closed-form rho per family (stated for each family's reference gauge,
+``baxterize.reference_gauge``) is:
 
     six-vertex    sinh^2 gamma + sin^2 theta      (x = e^{2 i theta}, q = e^gamma;
                                                    the x-form is 2 e^{i theta} times the
@@ -60,10 +61,7 @@ from .baxterize import (
 from .catalog import (THREE_EIGENVALUE_FAMILIES, DomainError, Family, FamilySpec, FamilySpecs, Sign,
                       braid_matrix, braid_residual, domain_violation, finite_rho, gamma_of,
                       is_imag)
-from .linalg import (_READ, _WEIGHTS, MAX_ENTRY, _off_pattern_error, dagger, frobenius, identity,
-                     strand_gap)
-
-I4 = identity(4)
+from .linalg import MAX_ENTRY, block_product, dagger, defect, strand_gap, weights
 
 #: pass thresholds of the residual checks, shared by the scans, the suite and the CLI.
 TOLERANCES = {"braid": 1e-11, "qybe": 1e-9, "unitarity": 1e-10, "inverse-unitarity": 1e-9}
@@ -130,72 +128,37 @@ def _bounded(r: np.ndarray, spec: FamilySpec, kind: str, value) -> np.ndarray:
                       "products stay finite")
 
 
-#: ``linalg._READ`` with the eight weights reordered into the entry rows p, q, r, s of the
-#: 2x2 blocks [[p, q], [r, s]] of an eight-vertex matrix, each row the pair (outer block on
-#: |00>, |11>, inner block on |01>, |10>), and the off-pattern entries left in places 8 to 15;
-#: as flat entries, as (row, col) pairs and as a getter of a flat list.
-_BLOCK_READ = _READ[[_WEIGHTS.index((b[i], b[j])) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
-                     for b in ((0, 3), (1, 2))] + list(range(8, 16))]
-_BLOCK_ROW, _BLOCK_COL = np.divmod(_BLOCK_READ, 4)
-_read_blocks = operator.itemgetter(*_BLOCK_READ.tolist())
-
-
-def _block_product(x, y) -> tuple:
-    """The entry rows (p, q, r, s) of the 2x2 block product x y, with x and y given as their
-    entry rows: Python complex numbers for one block, or arrays that hold many blocks."""
-    p, q, r, s = x
-    e, f, g, h = y
-    return p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h
-
-
-def _defect(m: tuple, rho):
-    """||m - rho 1||_F^2 of 2x2 blocks given as entry rows, as in ``_block_product``."""
-    p, q, r, s = m
-    p, s = p - rho, s - rho
-    return ((p * p.conjugate()).real + (q * q.conjugate()).real
-            + (r * r.conjugate()).real + (s * s.conjugate()).real)
-
-
 def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
     """(rho_est, residual) for R(x) R^dag(xbar) = rho * 1 with rconj = R^dag(xbar): rho_est
     = tr(R rconj) / 4 and residual = ||R rconj - rho_est 1||_F + ||rconj R - rho_est 1||_F.
     Two matrices give two floats; (..., 4, 4) stacks broadcast and give two arrays.
 
-    R and rconj must be eight-vertex, as in ``linalg.strand_gap``: each is the direct sum of
-    a 2x2 block on |00>, |11> and one on |01>, |10>, and so is each product, whose 8 entries
-    off the blocks are exactly 0. So a product costs 8 complex multiplies a block and its
-    norm runs over the 8 entries inside the blocks. A nonzero or NaN entry off the pattern is
-    a ValueError naming the matrix, its stack index and the entry; a NaN weight gives a NaN
-    residual. A rho_est that is not positive is a DegenerateNormalizationError.
+    R and rconj must be eight-vertex (``linalg.weights`` raises on an entry off the pattern),
+    and so is each product: 8 complex multiplies a 2x2 block, and a norm over the 8 entries
+    inside the blocks. A NaN weight gives a NaN residual. A rho_est that is not positive is
+    a DegenerateNormalizationError.
 
-    One formula, ``_block_product`` and ``_defect``, in two arithmetics: Python complex
-    numbers block by block for one matrix, and for a stack (4, block, side, n) entry rows
-    that hold both blocks of R rconj and of rconj R at once.
+    One formula, ``linalg.block_product`` and ``linalg.defect``, in two arithmetics: Python
+    complex numbers block by block for one matrix, and for a stack (4, block, side, n) entry
+    rows that hold both blocks of R rconj and of rconj R at once.
     """
     r, rconj = np.asarray(r, dtype=complex), np.asarray(rconj, dtype=complex)
     if r.ndim == rconj.ndim == 2:
-        reads = [_read_blocks(m.ravel().tolist()) for m in (r, rconj)]
-        if any(any(m[8:]) for m in reads):  # a NaN is nonzero
-            raise _off_pattern_error("unitarity_residual", ("r", "rconj"),
-                                     [np.array(m)[:, None] for m in reads], 0, False)
-        (xo, xi), (yo, yi) = ((m[0:8:2], m[1:8:2]) for m in reads)
-        mo, mi = _block_product(xo, yo), _block_product(xi, yi)
+        (xo, xi), (yo, yi) = ((m[0::2], m[1::2]) for m in weights(
+            "unitarity_residual", ("r", "rconj"), r, rconj))
+        mo, mi = block_product(xo, yo), block_product(xi, yi)
         rho = ((mo[0] + mo[3]) + (mi[0] + mi[3])).real / 4.0
-        res = (math.sqrt(_defect(mo, rho) + _defect(mi, rho))
-               + math.sqrt(_defect(_block_product(yo, xo), rho)
-                           + _defect(_block_product(yi, xi), rho)))
+        res = (math.sqrt(defect(mo, rho) + defect(mi, rho))
+               + math.sqrt(defect(block_product(yo, xo), rho)
+                           + defect(block_product(yi, xi), rho)))
     else:
         r, rconj = np.broadcast_arrays(r, rconj)
         shape = r.shape[:-2]
-        reads = np.stack([m.reshape(-1, 4, 4).transpose(1, 2, 0)[_BLOCK_ROW, _BLOCK_COL]
-                          for m in (r, rconj)], axis=1)  # (16, side, n)
-        if reads[8:].any():
-            raise _off_pattern_error("unitarity_residual", ("r", "rconj"),
-                                     [reads[:, 0], reads[:, 1]], 0, True)
-        x = reads[:8].reshape(4, 2, 2, -1)  # (entry, block, side, n)
-        m = _block_product(x, x[:, :, ::-1])  # side 0 is R rconj, side 1 rconj R
+        x = np.stack(weights("unitarity_residual", ("r", "rconj"), r, rconj), axis=1)
+        x = x.reshape(4, 2, 2, -1)  # (entry, block, side, n)
+        m = block_product(x, x[:, :, ::-1])  # side 0 is R rconj, side 1 rconj R
         rho = (m[0][:, 0] + m[3][:, 0]).sum(axis=0).real / 4.0
-        res = np.sqrt(_defect(m, rho).sum(axis=0)).sum(axis=0)
+        res = np.sqrt(defect(m, rho).sum(axis=0)).sum(axis=0)
         rho, res = rho.reshape(shape), res.reshape(shape)
     if np.any(rho <= 0):
         raise DegenerateNormalizationError(f"estimated rho = {np.nanmin(rho):.3e} is not positive")
@@ -288,18 +251,24 @@ def inverse_unitarity(builder: Callable[[complex], np.ndarray], x,
     """Proportionality scalar of R(x) R(1/x), which must be a multiple of 1.
 
     An array of x gives one scalar per x from two builder stacks, R(x) and R(1/x);
-    an x = 0, or a product not proportional to 1, at any entry is an error.
+    an x = 0, or a product not proportional to 1, at any entry is an error. Both must
+    be eight-vertex (``linalg.weights``); their product is ``linalg.block_product``, block
+    by block, on Python complex numbers for one x and on (n,) entry rows for a stack.
     """
+    x = np.asarray(x)
     if np.any(x == 0):
         raise DomainError("inverse unitarity needs x != 0")
-    prod = builder(x) @ builder(1 / x)
-    scalar = np.trace(prod, axis1=-2, axis2=-1) / 4.0
-    gap = frobenius(prod - scalar[..., None, None] * I4)
+    r, rinv = np.broadcast_arrays(*(np.asarray(m, dtype=complex)
+                                    for m in (builder(x), builder(1 / x))))
+    x, y = weights("inverse_unitarity", ("R(x)", "R(1/x)"), r, rinv)
+    mo, mi = block_product(x[0::2], y[0::2]), block_product(x[1::2], y[1::2])
+    scalar = ((mo[0] + mo[3]) + (mi[0] + mi[3])) / 4.0
+    gap = np.sqrt(defect(mo, scalar) + defect(mi, scalar))
     proportional = gap <= tol * np.maximum(1.0, abs(scalar))
     if not proportional.all():
         raise NotProportionalError("R(x) R(1/x) is not proportional to 1: "
                                    f"gap {np.ravel(gap)[np.argmin(proportional)]:.3e}")
-    return scalar if scalar.ndim else complex(scalar)
+    return scalar.reshape(r.shape[:-2]) if r.ndim > 2 else scalar
 
 
 def inverse_unitarity_expected(spec: FamilySpec, x: complex) -> complex:
@@ -326,7 +295,7 @@ def family_inverse_unitarity(spec: FamilySpec, x) -> tuple:
     array of x gives a pair of arrays, measured from one stack each of R(x) and R(1/x)."""
     form = "g" if spec.family is Family.EIGHT_IV else "canonical"
     measured = inverse_unitarity(family_builder(spec, "x", form=form), x)
-    return measured, inverse_unitarity_expected(spec, x)
+    return measured, inverse_unitarity_expected(spec, np.asarray(x) if np.ndim(x) else x)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -322,6 +323,21 @@ def test_a_stack_with_one_product_not_proportional_to_1_is_rejected():
         return r
     with pytest.raises(NotProportionalError):
         inverse_unitarity(builder, np.array([0.5, 0.7, 0.9]))
+
+
+@pytest.mark.parametrize("sequence", [list, tuple])
+def test_inverse_unitarity_takes_a_list_or_tuple_of_x(sequence):
+    spec = FamilySpec.eight3(t=2.0, q=np.exp(0.4j))
+    builder = family_builder(spec, "x")
+    xs = np.exp(1j * np.linspace(0.3, 2.0, 5))
+    assert np.array_equal(inverse_unitarity(builder, sequence(xs.tolist())),
+                          inverse_unitarity(builder, xs))
+    got = family_inverse_unitarity(spec, sequence(xs.tolist()))
+    assert all(map(np.array_equal, got, family_inverse_unitarity(spec, xs)))
+    with pytest.raises(DomainError, match="x != 0"):
+        inverse_unitarity(builder, sequence([0.5, 0.0]))
+    with pytest.raises(DomainError, match="x != 0"):
+        family_inverse_unitarity(spec, sequence([0.5, 0.0]))
 
 
 # --- scans -----------------------------------------------------------------------
@@ -801,22 +817,82 @@ def test_stacked_unitarity_residual_broadcasts_a_single_matrix_and_leading_axes(
             assert res1[i, j] == pytest.approx(want[1], rel=1e-14)
 
 
+def inverse_unitarity_reference(r, rinv):
+    """The dense formula for two 4x4 matrices: scalar = tr(r rinv) / 4 and the gap
+    ||r rinv - scalar 1||_F of one full product."""
+    prod = r @ rinv
+    scalar = np.trace(prod) / 4.0
+    return complex(scalar), float(np.linalg.norm(prod - scalar * identity(4)))
+
+
+def _inverse_unitarity_of(r, rinv, tol=np.inf):
+    """``inverse_unitarity`` with R(x) = r and R(1/x) = rinv, two matrices or two stacks: the
+    builder gives r at x = 2 and rinv at 1/2."""
+    return inverse_unitarity(lambda x: r if np.all(x == 2) else rinv,
+                             np.full(r.shape[:-2], 2.0), tol)
+
+
+def test_inverse_unitarity_on_gaussian_integers_is_bitwise_the_dense_reference():
+    # weights in {-2..2} + i{-2..2}: every product, scalar and sum of squares is exact
+    rng = np.random.default_rng(107)
+    r, rinv = (_eight_vertex(rng.integers(-2, 3, (600, 8)) + 1j * rng.integers(-2, 3, (600, 8)))
+               for _ in range(2))
+    scalars = _inverse_unitarity_of(r, rinv)
+    pinned = 0
+    for k in range(len(r)):
+        want, gap = inverse_unitarity_reference(r[k], rinv[k])
+        assert scalars[k] == want and _inverse_unitarity_of(r[k], rinv[k]) == want
+        if abs(want) <= 1 and gap > 0:  # the bound tol * max(1, |scalar|) is tol itself
+            _inverse_unitarity_of(r[k], rinv[k], tol=gap)  # so the gap is exactly the reference
+            with pytest.raises(NotProportionalError):
+                _inverse_unitarity_of(r[k], rinv[k], tol=np.nextafter(gap, 0))
+            pinned += 1
+    assert pinned >= 20
+
+
+@pytest.mark.parametrize("family", R_FAMILIES)
+def test_inverse_unitarity_is_the_dense_reference_to_rounding(family):
+    rng = np.random.default_rng(109)
+    spec = sample_spec(family, rng)
+    builder = family_builder(spec, "x", form="g" if family is Family.EIGHT_IV else "canonical")
+    xs = rng.uniform(0.3, 1.8, 40) + 1j * rng.uniform(-0.5, 0.5, 40)
+    r, rinv = builder(xs), builder(1 / xs)
+    scalars = inverse_unitarity(builder, xs)
+    for k, x in enumerate(xs):
+        want, gap = inverse_unitarity_reference(r[k], rinv[k])
+        scale = frobenius(r[k]) * frobenius(rinv[k])
+        for got in (scalars[k], inverse_unitarity(builder, x)):
+            assert abs(got - want) <= 4 * EPS * scale
+        # the kernel's gap is at most the reference gap plus rounding
+        inverse_unitarity(builder, x, tol=(gap + 8 * EPS * scale) / max(1.0, abs(want)))
+
+
+#: the kernels that read two eight-vertex matrices, or two stacks, and their names for the two
+PAIR_KERNELS = [(unitarity_residual, "unitarity_residual", ("r", "rconj")),
+                (lambda a, c: strand_gap(a, c, a), "strand_gap", ("a", "c")),
+                (_inverse_unitarity_of, "inverse_unitarity", ("R(x)", "R(1/x)"))]
+
+
 @pytest.mark.parametrize("entry", OFF_PATTERN_ENTRIES)
 def test_unitarity_residual_off_the_pattern_names_the_matrix_index_and_entry(entry):
+    # every kernel names the same matrix, stack index and entry of the same bad stacks
     rng = np.random.default_rng(97)
     r = _eight_vertex(rng.standard_normal((9, 8)) + 1j * rng.standard_normal((9, 8)))
     rconj = dagger(r).copy()
     rconj[4][entry] = 1e-300  # any nonzero value, however small
     r[7][entry] = 1.0  # a later index: the first one is reported
-    with pytest.raises(ValueError, match=r"^unitarity_residual takes eight-vertex matrices.*"
-                                         rf": rconj at index 4 of the stack has .* at entry "
-                                         rf"\({entry[0]}, {entry[1]}\)$"):
-        unitarity_residual(r, rconj)
-    with pytest.raises(ValueError, match=rf": r has .* at entry \({entry[0]}, {entry[1]}\)$"):
-        unitarity_residual(r[7], rconj[7])  # two matrices: no stack index
-    rconj[4][entry] = np.nan  # a NaN off the pattern is no weight either
-    with pytest.raises(ValueError, match=r"rconj at index 4 of the stack has \(nan\+0j\)"):
-        unitarity_residual(r, rconj)
+    nan = rconj.copy()
+    nan[4][entry] = np.nan  # a NaN off the pattern is no weight either
+    at = rf"at entry \({entry[0]}, {entry[1]}\)$"
+    for kernel, name, (first, second) in PAIR_KERNELS:
+        first, second = re.escape(first), re.escape(second)
+        with pytest.raises(ValueError, match=rf"^{name} takes eight-vertex matrices.*"
+                                             rf": {second} at index 4 of the stack has .* {at}"):
+            kernel(r, rconj)
+        with pytest.raises(ValueError, match=rf": {first} has .* {at}"):
+            kernel(r[7], rconj[7])  # two matrices: no stack index
+        with pytest.raises(ValueError, match=rf"{second} at index 4 of the stack has \(nan\+0j\)"):
+            kernel(r, nan)
 
 
 def test_a_nan_weight_gives_a_nan_residual_in_that_item_only():
