@@ -260,8 +260,8 @@ def inverse_unitarity(builder: Callable[[complex], np.ndarray], x,
         raise DomainError("inverse unitarity needs x != 0")
     r, rinv = np.broadcast_arrays(*(np.asarray(m, dtype=complex)
                                     for m in (builder(x), builder(1 / x))))
-    x, y = weights("inverse_unitarity", ("R(x)", "R(1/x)"), r, rinv)
-    mo, mi = block_product(x[0::2], y[0::2]), block_product(x[1::2], y[1::2])
+    wr, wi = weights("inverse_unitarity", ("R(x)", "R(1/x)"), r, rinv)
+    mo, mi = block_product(wr[0::2], wi[0::2]), block_product(wr[1::2], wi[1::2])
     scalar = ((mo[0] + mo[3]) + (mi[0] + mi[3])) / 4.0
     gap = np.sqrt(defect(mo, scalar) + defect(mi, scalar))
     proportional = gap <= tol * np.maximum(1.0, abs(scalar))
