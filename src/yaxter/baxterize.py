@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (EIGHT_VERTEX_FAMILIES, DomainError, Family, FamilySpec, FamilySpecs,
-                      braid_matrix, build_b, eigenvalues_of, reject_non_finite, z_of)
+                      _braid_rows, build_b, eigenvalues_of, reject_non_finite, z_of)
 from .linalg import cmat, cmat_stack, inverse
 
 
@@ -266,6 +266,7 @@ def coefficients(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = 
     eight4, whose A is (1 + t) b; C is exactly 0 for every family but canonical eight4.
     eight3's second ordering b - x (1 - t^2) b^{-1} has the inverse written out. The
     arithmetic is the braid matrix's: Python's for a FamilySpec, numpy's for FamilySpecs.
+    The matrices with entries are assembled in one call, under one finiteness check.
     """
     fam = spec.family
     _check_ordering(fam, ordering)
@@ -286,12 +287,15 @@ def coefficients(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = 
         raise ValueError("bell-phi is a braid-matrix family; use eight1 for its R(theta)")
     else:  # eight3's second ordering, and eight4
         lin = [[t, 0, 0, -q], [0, -1, s * t, 0], [0, s * t, -1, 0], [-1 / q, 0, 0, t]]
-    mat = cmat_stack if isinstance(q, np.ndarray) else cmat
-    a, lin = braid_matrix(fam, q, t, s), mat(lin)
+    mats = [_braid_rows(fam, q, t, s), lin]
+    if fam is Family.EIGHT_IV:
+        mats.insert(1, [[1, 0, 0, -q], [0, 1, -s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]])  # B/(2t)
+    # one assembly and one check at a point; one stack each for FamilySpecs: a block of all
+    # three, 230 KB at 300 samples, is above malloc's mmap threshold and faults on every call
+    mats = [cmat_stack(m) for m in mats] if isinstance(q, np.ndarray) else cmat(mats)
     if fam is not Family.EIGHT_IV:
-        return a, lin, np.zeros_like(a)
-    b_over_2t = mat([[1, 0, 0, -q], [0, 1, -s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]])
-    return _col(1 + t) * a, _col(2 * t) * b_over_2t, _col(1 - t) * lin
+        return mats[0], mats[1], np.zeros_like(mats[0])
+    return tuple(_col(k) * m for k, m in zip((1 + t, 2 * t, 1 - t), mats))
 
 
 def _col(v) -> np.ndarray:

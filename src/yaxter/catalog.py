@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .linalg import MAX_ENTRY, cmat, cmat_stack, strand_gap
+from .linalg import MAX_ENTRY, cmat, cmat_stack, strand_gap, weights
 
 
 class Family(str, enum.Enum):
@@ -84,10 +84,10 @@ def _first_failure(holds, message: str, value, **names) -> str | None:
     at the first entry where it is false (and with ``names``)."""
     if not isinstance(holds, np.ndarray):
         return None if holds else message.format(value, **names)
-    bad = np.flatnonzero(~holds)
-    if bad.size == 0:
+    if holds.all():  # one pass; the search for the entry only on failure
         return None
-    return message.format(np.broadcast_to(value, holds.shape).flat[bad[0]].item(), **names)
+    k = np.argmin(holds)  # the first False
+    return message.format(np.broadcast_to(value, holds.shape).flat[k].item(), **names)
 
 
 def reject_non_finite(**params) -> None:
@@ -302,22 +302,26 @@ def braid_matrix(family: Family, q, t, s) -> np.ndarray:
     stacked = isinstance(q, np.ndarray)
     if stacked:  # numpy warns on 1 / nan; the scalar path is Python arithmetic, which does not
         reject_non_finite(q=q, t=t)
-    fam = family
-    if fam is Family.SIX_NONSTD:
-        rows = [[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, -1 / q]]
-    elif fam is Family.SIX_STD:
-        rows = [[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, q]]
-    elif fam in (Family.EIGHT_I, Family.BELL_PHI):
-        rows = [[1, 0, 0, q], [0, 1, s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]]
-    elif fam is Family.EIGHT_II:
-        z = z_of(t)
-        rows = [[2 - t, 0, 0, q], [0, 1, s * z, 0], [0, s * z, 1, 0], [1 / q, 0, 0, t]]
-    elif fam in (Family.EIGHT_III, Family.EIGHT_IV):
-        rows = [[t, 0, 0, q], [0, 1, s * t, 0], [0, s * t, 1, 0], [1 / q, 0, 0, t]]
-    else:
-        raise ValueError(f"unknown family {fam.value}")
+    rows = _braid_rows(family, q, t, s)
     b = cmat_stack(rows) if stacked else cmat(rows)
-    return b / np.sqrt(2) if fam is Family.BELL_PHI else b
+    return b / np.sqrt(2) if family is Family.BELL_PHI else b
+
+
+def _braid_rows(fam: Family, q, t, s) -> list:
+    """The rows of ``braid_matrix`` before its checks (and bell-phi's 1/sqrt(2)): Python
+    numbers for scalar parameters, arrays where they are arrays."""
+    if fam is Family.SIX_NONSTD:
+        return [[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, -1 / q]]
+    if fam is Family.SIX_STD:
+        return [[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, q]]
+    if fam in (Family.EIGHT_I, Family.BELL_PHI):
+        return [[1, 0, 0, q], [0, 1, s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]]
+    if fam is Family.EIGHT_II:
+        z = z_of(t)
+        return [[2 - t, 0, 0, q], [0, 1, s * z, 0], [0, s * z, 1, 0], [1 / q, 0, 0, t]]
+    if fam in (Family.EIGHT_III, Family.EIGHT_IV):
+        return [[t, 0, 0, q], [0, 1, s * t, 0], [0, s * t, 1, 0], [1 / q, 0, 0, t]]
+    raise ValueError(f"unknown family {fam.value}")
 
 
 def eigenvalues_of(spec: FamilySpec) -> list[complex]:
@@ -349,6 +353,10 @@ def braid_residual(b: np.ndarray) -> float:
     return strand_gap(b, b, b)
 
 
+#: the eight-vertex ansatz: entry (r, c) is w_k for k = _ANSATZ[r, c] >= 1, and 0 where k = 0
+_ANSATZ = np.array([[1, 0, 0, 7], [0, 5, 3, 0], [0, 4, 6, 0], [8, 0, 0, 2]])
+
+
 @dataclass(frozen=True)
 class BoltzmannWeights:
     """The eight nonzero entries of the general eight-vertex matrix ansatz.
@@ -371,22 +379,15 @@ class BoltzmannWeights:
                 raise ValueError(f"w{i} vanishes; all eight weights must be nonzero")
 
     def as_matrix(self) -> np.ndarray:
-        return cmat(
-            [
-                [self.w1, 0, 0, self.w7],
-                [0, self.w5, self.w3, 0],
-                [0, self.w4, self.w6, 0],
-                [self.w8, 0, 0, self.w2],
-            ]
-        )
+        return cmat(np.array((0, *astuple(self)), dtype=complex)[_ANSATZ])
 
     @classmethod
     def from_matrix(cls, b: np.ndarray) -> "BoltzmannWeights":
-        b = np.asarray(b, dtype=complex)
-        return cls(
-            w1=b[0, 0], w2=b[3, 3], w3=b[1, 2], w4=b[2, 1],
-            w5=b[1, 1], w6=b[2, 2], w7=b[0, 3], w8=b[3, 0],
-        )
+        """The weights of b, read by ``linalg.weights``: an entry of b off the ansatz is a
+        ValueError that names it, so no weight is dropped."""
+        w, k = weights("BoltzmannWeights.from_matrix", ("b", "ansatz"),
+                       np.asarray(b, dtype=complex), _ANSATZ)
+        return cls(**{f"w{i}": v for i, v in zip(k, w)})
 
 
 def eight_vertex_residuals(w: BoltzmannWeights, branch_tol: float = 1e-9) -> np.ndarray:

@@ -83,9 +83,9 @@ def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values):
         rho = norm_factor(spec, kind, values)
     gauge = reference_gauge(spec, kind, values) if fam in SIX_VERTEX else 1.0
     rho = rho / np.abs(gauge) ** 2
-    bad = np.flatnonzero(~(np.isfinite(rho) & (rho > RHO_FLOOR)))
-    if bad.size:
-        k = bad[0]
+    ok = np.isfinite(rho) & (rho > RHO_FLOOR)
+    if not ok.all():  # the search for the entry only on failure
+        k = np.argmin(ok)  # the first False
         raise DomainError(f"normalization factor rho = {np.ravel(rho)[k]:.3e} at {kind} = "
                           f"{np.broadcast_to(values, np.shape(rho)).flat[k]:.6g} "
                           "is degenerate or not finite")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .baxterize import SpectralPoint, build_R, family_x, reference_gauge, x_to_u
 from .catalog import Family, FamilySpec
-from .linalg import inverse
+from .linalg import require_invertible
 
 ENTANGLING_TOL = 1e-8
 
@@ -122,7 +122,7 @@ def classify(
     workload of ``bench/`` still passes them.
     """
     r = classification_gauge_R(spec, p)
-    inverse(r, context=f"{spec.family.value}, {p.kind} = {p.value}")
+    require_invertible(r, context=f"{spec.family.value}, {p.kind} = {p.value}")
     witness = brylinski_witness(r, tol)
     if witness is None:
         return ClassificationResult(Classification.NOT_ENTANGLING, None, 0j)

@@ -5,8 +5,12 @@ numpy ``complex128`` arrays, row-major, in the computational basis order
 |00>, |01>, |10>, |11| (first tensor factor = control/left strand).
 ``dagger``, ``frobenius``, ``strand_gap``, ``require_hermitian`` and ``expm_hermitian``
 also take (..., n, n) stacks and work matrix by matrix; a single matrix gives the
-single-matrix result.
-``cmat_stack`` assembles such a stack from entries that broadcast.
+single-matrix result. For one matrix, ``weights`` reads Python complex numbers and
+``require_hermitian`` decides on Python floats, so a single-point check pays no numpy
+per-call cost on 0-d arrays. ``cmat_stack`` assembles such a stack from entries that
+broadcast, and ``cmat`` a list of matrices under one finiteness check.
+``require_invertible`` is the scale-aware singularity guard of ``inverse``, for a check
+that needs no inverse.
 
 Every braid matrix and R(x) here is eight-vertex: nonzero only where the row and column
 bits have equal parity, so the direct sum of a 2x2 block on |00>, |11> and one on |01>,
@@ -21,6 +25,7 @@ The JSON wire format for a matrix, shared by the whole package and the CLI, is
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -55,9 +60,10 @@ class NotHermitianError(ValueError):
 
 
 def cmat(rows) -> np.ndarray:
-    """Build a complex matrix, validating squareness, dim in {2, 4} and finiteness."""
+    """Build a complex matrix, validating squareness, dim in {2, 4} and finiteness. A list
+    of m matrices' rows gives the (m, n, n) stack of them, with one check."""
     a = np.asarray(rows, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 4):
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1] or a.shape[-1] not in (2, 4):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {a.shape}")
     if not np.isfinite(a.view(float)).all():
         raise ValueError("matrix entries must be finite")
@@ -288,8 +294,9 @@ def spectral_projectors(
     return p1, p2
 
 
-def inverse(a: np.ndarray, context: str = "") -> np.ndarray:
-    """Matrix inverse with a scale-aware singularity guard."""
+def require_invertible(a: np.ndarray, context: str = "") -> None:
+    """SingularMatrixError, naming ``context`` when given, unless |det(a / max|a_ij|)| is at
+    least ``SINGULAR_EPS``: the scale-aware singularity guard of ``inverse``."""
     a = np.asarray(a, dtype=complex)
     with np.errstate(invalid="ignore"):  # a zero or non-finite a gives a NaN det, which fails below
         det = np.linalg.det(a / np.abs(a).max())
@@ -297,6 +304,12 @@ def inverse(a: np.ndarray, context: str = "") -> np.ndarray:
         where = f" at {context}" if context else ""
         raise SingularMatrixError(
             f"matrix is singular{where}: |det(a / max|a_ij|)| = {abs(det):.3e}")
+
+
+def inverse(a: np.ndarray, context: str = "") -> np.ndarray:
+    """Matrix inverse with the scale-aware singularity guard of ``require_invertible``."""
+    a = np.asarray(a, dtype=complex)
+    require_invertible(a, context)
     return np.linalg.inv(a)
 
 
@@ -307,15 +320,21 @@ def hermiticity_defect(h: np.ndarray) -> float:
 def require_hermitian(h: np.ndarray, tol: float, what: str = "matrix") -> None:
     """NotHermitianError unless H, or every matrix of an (..., n, n) stack, is finite and
     Hermitian within tol relative to max(1, ||H||_F); the error names the first failing
-    matrix of a stack. A NaN or infinite entry fails: its defect is NaN or its norm inf."""
-    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite H is NaN, which fails below
+    matrix of a stack. A NaN or infinite entry fails: its defect is NaN or its norm inf.
+    One matrix is judged on Python floats, without numpy's per-call cost on 0-d arrays."""
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf norms fail below
         defect, scale = hermiticity_defect(h), frobenius(h)
-    hermitian = (defect <= tol * np.maximum(1.0, scale)) & (scale < np.inf)
-    if not hermitian.all():
+    if isinstance(defect, float):  # one matrix: ``frobenius`` gave Python floats
+        if defect <= tol * max(1.0, scale) and scale < math.inf:
+            return
+        where = ""
+    else:
+        hermitian = (defect <= tol * np.maximum(1.0, scale)) & (scale < np.inf)
+        if hermitian.all():
+            return
         k = np.argmin(hermitian)  # the first False
-        where = f" at index {k} of the stack" if np.ndim(defect) else ""
-        raise NotHermitianError(f"{what} is not Hermitian{where}: "
-                                f"||H - H^dag|| = {np.ravel(defect)[k]:.3e}")
+        where, defect = f" at index {k} of the stack", defect.flat[k]
+    raise NotHermitianError(f"{what} is not Hermitian{where}: ||H - H^dag|| = {defect:.3e}")
 
 
 def expm_hermitian(h: np.ndarray, theta, tol: float = DEFAULT_ATOL) -> np.ndarray:

@@ -187,6 +187,28 @@ def test_all_ones_weights_solve_the_system():
     assert braid_residual(w.as_matrix()) == 0.0
 
 
+def test_weights_of_a_matrix_off_the_ansatz_are_an_error_naming_the_entry():
+    # an all-ones b is not eight-vertex: reading its eight ansatz entries alone would certify
+    # the braid relation of a different matrix
+    with pytest.raises(ValueError, match=r"b has \(1\+0j\) at entry \(0, 1\)"):
+        BoltzmannWeights.from_matrix(np.ones((4, 4)))
+    b = build_b(FamilySpec.eight2(t=1.5, q=np.exp(0.4j)))
+    b[2, 0] = 1e-300
+    with pytest.raises(ValueError, match=r"at entry \(2, 0\)"):
+        BoltzmannWeights.from_matrix(b)
+
+
+def test_weights_round_trip_through_the_matrix():
+    rng = np.random.default_rng(7)
+    for family in (Family.EIGHT_I, Family.EIGHT_II, Family.EIGHT_III, Family.EIGHT_IV):
+        b = build_b(sample_spec(family, rng))
+        assert np.array_equal(BoltzmannWeights.from_matrix(b).as_matrix(), b)
+    w = BoltzmannWeights(*(1 + k + 0.5j * k for k in range(8)))
+    assert BoltzmannWeights.from_matrix(w.as_matrix()) == w
+    assert w.as_matrix().tolist() == [[w.w1, 0, 0, w.w7], [0, w.w5, w.w3, 0],
+                                      [0, w.w4, w.w6, 0], [w.w8, 0, 0, w.w2]]
+
+
 def test_broken_weights_fail_the_system():
     w = BoltzmannWeights(1, 1, 2, 2, 1, 1, 1, 1)
     res = eight_vertex_residuals(w)
@@ -220,6 +242,20 @@ def test_domain_violation_of_arrays_names_the_first_violating_sample(family, q, 
             for k in range(3)]
     assert got == (None if bad is None else want[bad])
     assert all(w is None for w in want[:bad])
+
+
+@pytest.mark.parametrize("family,x,message", [
+    (Family.EIGHT_II, np.exp(1j * np.array([0.1, 0.2, 0.3, 0.4, 0.5])) * [1, 1, 1, 1.5, 1],
+     "eight2 unitarity needs |x| = 1, got |x| = 1.5"),
+    (Family.EIGHT_IV, np.exp(1j * np.array([0.1, 0.2, 0.3, 0.4, 0.5])) * [1, 1, 1, 0.25, 1],
+     "eight4 with real t needs |x| = 1, got |x| = 0.25"),
+    (Family.EIGHT_I, np.array([0.5, 1.5, 2.5, 3.5j, 4.5]), "eight1 unitarity needs real x, "
+                                                           "got x = 3.5j"),
+])
+def test_domain_violation_names_the_one_failing_sample(family, x, message):
+    q, t = np.full(5, np.exp(0.3j)), np.full(5, 1.6 + 0j)
+    assert domain_violation(family, q, t, np.where(np.arange(5) == 3, x[2], x)) is None
+    assert domain_violation(family, q, t, x) == message
 
 
 def test_weights_beyond_the_product_bound_are_a_domain_error():

@@ -429,6 +429,15 @@ def test_a_nan_theta_in_a_braiding_evolution_stack_is_a_domain_error():
         braiding_evolution_residual(specs, theta)
 
 
+def test_a_degenerate_rho_at_one_sample_of_a_stack_names_that_sample():
+    # gamma = 0 makes rho = sin^2 theta, which vanishes at theta = 0 only
+    spec = FamilySpec.six_nonstd(gamma=0.0)
+    values = np.array([0.3, 0.5, 0.7, 0.0, 0.9])
+    assert dynamics._gauge_unitaries(spec, "theta", np.delete(values, 3)).shape == (4, 4, 4)
+    with pytest.raises(DomainError, match=r"rho = 0\.000e\+00 at theta = 0 is degenerate"):
+        dynamics._gauge_unitaries(spec, "theta", values)
+
+
 def test_stacked_hermiticity_check_names_the_one_failing_matrix():
     h = np.stack([I4, tensor(SIGMA_PLUS, SX), I4])
     require_hermitian(h[[0, 2]], dynamics.HERM_TOL)

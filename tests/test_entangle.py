@@ -270,6 +270,16 @@ def test_singular_gate_is_an_error():
         classify(spec, X(np.e))
 
 
+def test_classify_guards_with_the_singularity_rule_of_inverse():
+    # classify runs linalg.require_invertible, the guard of linalg.inverse, without forming
+    # the inverse; the message is the guard's, with the family and point as its context
+    spec = FamilySpec.six_nonstd(gamma=0.5)
+    want = (r"^matrix is singular at six-nonstd, x = \(2\.718281828459045\+0j\): "
+            r"\|det\(a / max\|a_ij\|\)\| = \d\.\d{3}e-\d+$")
+    with pytest.raises(SingularMatrixError, match=want):
+        classify(spec, X(np.e))
+
+
 @pytest.mark.parametrize("spec,p", CLOSED_FORM_CASES)
 def test_closed_form_det_matches_apply(spec, p):
     rng = np.random.default_rng(29)

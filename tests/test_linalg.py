@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from yaxter.linalg import (
     inverse,
     mat_from_json,
     mat_to_json,
+    require_hermitian,
+    require_invertible,
     spectral_projectors,
     strand_gap,
     tensor,
@@ -353,6 +356,66 @@ def test_inverse_singular_names_context():
     ones = np.ones((4, 4), dtype=complex)
     with pytest.raises(SingularMatrixError, match="t = 1"):
         inverse(ones, context="t = 1")
+
+
+def test_the_guard_split_from_inverse_keeps_its_rule_and_message():
+    b = six_nonstd_b(2.0)
+    assert require_invertible(b) is None and require_invertible(b, context="t = 1") is None
+    ones = np.ones((4, 4), dtype=complex)
+    for guard in (require_invertible, inverse):
+        with pytest.raises(SingularMatrixError, match=r"^matrix is singular at t = 1: "
+                                                      r"\|det\(a / max\|a_ij\|\)\| = "):
+            guard(ones, context="t = 1")
+        with pytest.raises(SingularMatrixError, match=r"^matrix is singular: "):
+            guard(ones)
+
+
+def _hermitian_case(kind: str, tol: float) -> np.ndarray:
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = a + dagger(a)
+    if kind.startswith("small"):  # ||H|| < 1, so the bound is tol itself
+        h = h / (4 * frobenius(h))
+    if kind.endswith("-below") or kind.endswith("-above"):
+        factor = 1 - 1e-3 if kind.endswith("-below") else 1 + 1e-3
+        h[0, 1] += factor * tol * max(1.0, frobenius(h)) / np.sqrt(2)  # defect sqrt(2) |dh|
+    elif kind == "nan-offdiag":
+        h[0, 1] = np.nan
+    elif kind == "nan-diag":
+        h[2, 2] = np.nan
+    elif kind == "inf-diag":
+        h[1, 1] = np.inf
+    elif kind == "inf-offdiag":
+        h[0, 3] = h[3, 0] = np.inf
+    elif kind == "huge":  # Hermitian, but its norm overflows
+        h = np.full((4, 4), 1e200, dtype=complex)
+    return h
+
+
+@pytest.mark.parametrize("kind,passes", [
+    ("hermitian", True), ("small", True),
+    ("large-below", True), ("large-above", False), ("small-below", True), ("small-above", False),
+    ("nan-offdiag", False), ("nan-diag", False), ("inf-diag", False), ("inf-offdiag", False),
+    ("huge", False),
+])
+def test_one_matrix_hermiticity_verdict_is_the_stack_verdict(kind, passes):
+    tol = 1e-9
+    h = _hermitian_case(kind, tol)
+    verdicts, messages = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning, no OverflowError on either path
+        for m in (h, h[None]):
+            try:
+                require_hermitian(m, tol, "H")
+                verdicts.append(True)
+            except NotHermitianError as err:
+                verdicts.append(False)
+                messages.append(str(err))
+    assert verdicts == [passes, passes]
+    if not passes:
+        one, stack = messages
+        assert stack == one.replace("H is not Hermitian", "H is not Hermitian at index 0 of "
+                                    "the stack")
 
 
 def test_expm_zero_is_identity():
