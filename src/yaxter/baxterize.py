@@ -15,8 +15,10 @@ agrees with the formulas above up to one overall scalar that is constant in x.
 As a matrix polynomial it is R(x) = A + B x + C x^2 with the exact coefficients
 of ``coefficients``: A is b (times 1 + t for eight4), and C vanishes for every
 family but eight4. ``build_R`` evaluates the displayed rows at one point;
-``build_R_stack`` evaluates the polynomial at a stack of points, for one
-parameter point or for ``FamilySpecs``.
+``R_rows`` evaluates the polynomial at a stack of points, for one parameter
+point or for ``FamilySpecs``, on the (8, ...) weight rows of ``linalg.WeightRows``
+that the stacked kernels take, and ``build_R_stack``, the dense edge, on the
+dense coefficients, bitwise the same weights.
 
 Spectral-parameter views: x (multiplicative), theta (x = e^{2 i theta} for the
 six-vertex families, x = e^{i theta} for eight2/3/4, x = tan theta for eight1),
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (EIGHT_VERTEX_FAMILIES, DomainError, Family, FamilySpec, FamilySpecs,
-                      _braid_rows, build_b, eigenvalues_of, reject_non_finite, z_of)
-from .linalg import cmat, cmat_stack, inverse
+                      _braid_table, build_b, eigenvalues_of, reject_non_finite, z_of)
+from .linalg import WeightRows, cmat, inverse, pattern_rows, weights
 
 
 class ThetaConvention(str, enum.Enum):
@@ -266,7 +268,7 @@ def coefficients(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = 
     eight4, whose A is (1 + t) b; C is exactly 0 for every family but canonical eight4.
     eight3's second ordering b - x (1 - t^2) b^{-1} has the inverse written out. The
     arithmetic is the braid matrix's: Python's for a FamilySpec, numpy's for FamilySpecs.
-    The matrices with entries are assembled in one call, under one finiteness check.
+    The tables are assembled in one call, under one finiteness check.
     """
     fam = spec.family
     _check_ordering(fam, ordering)
@@ -287,12 +289,16 @@ def coefficients(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = 
         raise ValueError("bell-phi is a braid-matrix family; use eight1 for its R(theta)")
     else:  # eight3's second ordering, and eight4
         lin = [[t, 0, 0, -q], [0, -1, s * t, 0], [0, s * t, -1, 0], [-1 / q, 0, 0, t]]
-    mats = [_braid_rows(fam, q, t, s), lin]
+    tables = [_braid_table(fam, q, t, s), lin]
     if fam is Family.EIGHT_IV:
-        mats.insert(1, [[1, 0, 0, -q], [0, 1, -s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]])  # B/(2t)
-    # one assembly and one check at a point; one stack each for FamilySpecs: a block of all
-    # three, 230 KB at 300 samples, is above malloc's mmap threshold and faults on every call
-    mats = [cmat_stack(m) for m in mats] if isinstance(q, np.ndarray) else cmat(mats)
+        tables.insert(1, [[1, 0, 0, -q], [0, 1, -s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]])  # B/(2t)
+    # one assembly and one check: at a point the matrices, for FamilySpecs their weight rows,
+    # then one stack each (a block of all three, 230 KB at 300 samples, is above malloc's
+    # mmap threshold and faults on every call)
+    if isinstance(q, np.ndarray):
+        mats = [WeightRows(w).dense() for w in pattern_rows(tables)]
+    else:
+        mats = cmat(tables)
     if fam is not Family.EIGHT_IV:
         return mats[0], mats[1], np.zeros_like(mats[0])
     return tuple(_col(k) * m for k, m in zip((1 + t, 2 * t, 1 - t), mats))
@@ -301,6 +307,18 @@ def coefficients(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = 
 def _col(v) -> np.ndarray:
     """v with two trailing axes: one scalar per matrix of a stack."""
     return np.asarray(v)[..., None, None]
+
+
+def _polynomial(a, b, c, x, scale):
+    """scale * (a + x * (b + x * c)) in one buffer, each operation with its operands in
+    this order: swapping them (r += b, r *= x) changes results in the last bit. One
+    polynomial for both layouts: (8, ...) weight rows against x and scale as they are, or
+    4x4 matrices against x and scale with two trailing axes (``_col``)."""
+    r = x * c
+    np.add(b, r, out=r)
+    np.multiply(x, r, out=r)
+    np.add(a, r, out=r)
+    return np.multiply(scale, r, out=r)
 
 
 def build_R_stack(
@@ -316,8 +334,34 @@ def build_R_stack(
 
     A non-finite value lies in no unitary domain: a DomainError names it before any
     arithmetic. Agrees with ``build_R`` at each value to rounding; ``build_R`` stays the
-    single-point evaluation of the displayed rows.
+    single-point evaluation of the displayed rows. The dense edge of ``R_rows``: the same
+    polynomial on the dense coefficients, so its weights are bitwise those of ``R_rows``.
     """
+    x, scale = _view(spec, kind, values, form)
+    a, b, c = coefficients(spec, ordering)
+    return _polynomial(a, b, c, _col(x), _col(scale))
+
+
+def R_rows(
+    spec: FamilySpec | FamilySpecs,
+    kind: str,
+    values,
+    ordering: EigOrdering | None = None,
+    form: str = "canonical",
+) -> WeightRows:
+    """``build_R_stack`` as weight rows, the form the stacked kernels take: the polynomial
+    on (8, ...) rows, with A, B and C read through ``linalg.weights`` once, as the dense
+    matrices from outside that ``coefficients`` returns."""
+    x, scale = _view(spec, kind, values, form)
+    a, b, c = weights("R_rows", "ABC", *coefficients(spec, ordering))
+    if isinstance(spec, FamilySpec):  # eight Python numbers each, as rows against every value
+        a, b, c = np.array((a, b, c)).reshape(3, 8, *(1,) * np.ndim(x))
+    return WeightRows(_polynomial(a, b, c, x, scale))
+
+
+def _view(spec: FamilySpec | FamilySpecs, kind: str, values, form: str) -> tuple:
+    """(x, scale) of the ``kind`` view values: ``family_x`` and the gauge (over g1 for the
+    eight4 g form), after a DomainError for a non-finite value."""
     values = np.asarray(values)
     try:
         reject_non_finite(**{kind: values})
@@ -327,15 +371,7 @@ def build_R_stack(
     scale = gauge(spec, kind, values, form)
     if form == "g" and spec.family is Family.EIGHT_IV:  # the g form is the canonical one over g1
         scale = scale / g_factors(spec, x)[0]
-    a, b, c = coefficients(spec, ordering)
-    x = _col(x)
-    # scale * (a + x * (b + x * c)) in one buffer, each operation with its operands in
-    # this order: swapping them (r += b, r *= x) changes results in the last bit
-    r = x * c
-    np.add(b, r, out=r)
-    np.multiply(x, r, out=r)
-    np.add(a, r, out=r)
-    return np.multiply(_col(scale), r, out=r)
+    return x, scale
 
 
 def x_form(spec: FamilySpec, x: complex, form: str = "canonical") -> np.ndarray:

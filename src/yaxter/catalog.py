@@ -15,18 +15,20 @@ Unitary-domain conventions per family are exposed by ``domain_violation``
 allowed (the braid relation is an algebraic identity) but flagged. The
 kernels (``braid_matrix``, the predicates, ``domain_violation``) take their
 parameters as scalars or as arrays that broadcast, one entry per sample;
-``FamilySpecs`` holds n samples of one family as arrays.
+``FamilySpecs`` holds n samples of one family as arrays, and ``braid_rows``
+builds their braid matrices as the weight rows the stacked kernels take.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .linalg import MAX_ENTRY, cmat, cmat_stack, strand_gap, weights
+from .linalg import MAX_ENTRY, WeightRows, cmat, pattern_rows, strand_gap, weights
 
 
 class Family(str, enum.Enum):
@@ -64,15 +66,17 @@ DOMAIN_TOL = 1e-12
 
 
 def _finite(z):
-    return (abs(z.real) < math.inf) & (abs(z.imag) < math.inf)
+    return np.isfinite(z) if isinstance(z, np.ndarray) else cmath.isfinite(z)
 
 
 def is_real(z):
-    return _finite(z) & ((abs(z.imag) < DOMAIN_TOL) | (abs(z.imag) < DOMAIN_TOL * abs(z)))
+    im = abs(z.imag)
+    return _finite(z) & ((im < DOMAIN_TOL) | (im < DOMAIN_TOL * abs(z)))
 
 
 def is_imag(z):
-    return _finite(z) & ((abs(z.real) < DOMAIN_TOL) | (abs(z.real) < DOMAIN_TOL * abs(z)))
+    re = abs(z.real)
+    return _finite(z) & ((re < DOMAIN_TOL) | (re < DOMAIN_TOL * abs(z)))
 
 
 def on_unit_circle(z):
@@ -131,36 +135,39 @@ def domain_violation(family: Family, q, t, x=None) -> str | None:
     names the first sample that violates the first failing constraint.
     """
     for holds, message, value in _domain_constraints(family, q, t, x):
-        if holds is not True:
-            failure = _first_failure(holds, message, value, family=family.value)
-            if failure:
-                return failure
+        if not (holds.all() if isinstance(holds, np.ndarray) else holds):
+            return _first_failure(holds, message, value(), family=family.value)
     return None
 
 
 def _domain_constraints(fam: Family, q, t, x):
-    """(holds, message, value) per constraint of ``domain_violation``, in the order checked;
-    lazy, so a scalar check stops at its first failure."""
+    """(holds, message, value) per constraint of ``domain_violation``, in the order checked,
+    with the message's value as a function, called only when the constraint fails; lazy, so
+    a scalar check stops at its first failure."""
     if fam in (Family.SIX_NONSTD, Family.SIX_STD):
-        yield is_real(q), "six-vertex unitarity needs real q, got q = {}", q
+        yield is_real(q), "six-vertex unitarity needs real q, got q = {}", lambda: q
         if x is not None:
-            yield on_unit_circle(x), "six-vertex unitarity needs |x| = 1, got |x| = {:.6g}", abs(x)
+            yield (on_unit_circle(x), "six-vertex unitarity needs |x| = 1, got |x| = {:.6g}",
+                   lambda: abs(x))
         return
-    yield on_unit_circle(q), "{family} unitarity needs |q| = 1, got |q| = {:.6g}", abs(q)
+    yield on_unit_circle(q), "{family} unitarity needs |q| = 1, got |q| = {:.6g}", lambda: abs(q)
     if fam is Family.EIGHT_I:
         if x is not None:
-            yield is_real(x), "eight1 unitarity needs real x, got x = {}", x
+            yield is_real(x), "eight1 unitarity needs real x, got x = {}", lambda: x
     elif fam is Family.EIGHT_IV:
         real_t = is_real(t)
-        yield real_t | is_imag(t), "eight4 unitarity needs t real or pure imaginary, got t = {}", t
+        yield (real_t | is_imag(t), "eight4 unitarity needs t real or pure imaginary, got t = {}",
+               lambda: t)
         if x is not None:  # every t here is real or imaginary; b ^ True is "not b"
             yield (on_unit_circle(x) | (real_t ^ True),
-                   "eight4 with real t needs |x| = 1, got |x| = {:.6g}", abs(x))
-            yield is_real(x) | real_t, "eight4 with imaginary t needs real x, got x = {}", x
+                   "eight4 with real t needs |x| = 1, got |x| = {:.6g}", lambda: abs(x))
+            yield (is_real(x) | real_t, "eight4 with imaginary t needs real x, got x = {}",
+                   lambda: x)
     elif fam is not Family.BELL_PHI:  # eight2, eight3
-        yield is_real(t), "{family} unitarity needs real t, got t = {}", t
+        yield is_real(t), "{family} unitarity needs real t, got t = {}", lambda: t
         if x is not None:
-            yield on_unit_circle(x), "{family} unitarity needs |x| = 1, got |x| = {:.6g}", abs(x)
+            yield (on_unit_circle(x), "{family} unitarity needs |x| = 1, got |x| = {:.6g}",
+                   lambda: abs(x))
 
 
 @dataclass(frozen=True)
@@ -298,16 +305,23 @@ def build_b(spec: FamilySpec) -> np.ndarray:
 
 def braid_matrix(family: Family, q, t, s) -> np.ndarray:
     """The braid matrix b at q, t and sign factor s; an array q (the parameters broadcast)
-    gives the (n, 4, 4) stack, and a non-finite entry of it is a ValueError that names it."""
-    stacked = isinstance(q, np.ndarray)
-    if stacked:  # numpy warns on 1 / nan; the scalar path is Python arithmetic, which does not
-        reject_non_finite(q=q, t=t)
-    rows = _braid_rows(family, q, t, s)
-    b = cmat_stack(rows) if stacked else cmat(rows)
+    gives the (n, 4, 4) stack of ``braid_rows``."""
+    if isinstance(q, np.ndarray):
+        return braid_rows(family, q, t, s).dense()
+    b = cmat(_braid_table(family, q, t, s))
     return b / np.sqrt(2) if family is Family.BELL_PHI else b
 
 
-def _braid_rows(fam: Family, q, t, s) -> list:
+def braid_rows(family: Family, q, t, s) -> WeightRows:
+    """The braid matrices at arrays q, t and s (which broadcast) as weight rows, the form
+    the stacked kernels take; a non-finite q or t is a ValueError that names its first
+    sample, and a non-finite entry that of ``linalg.pattern_rows``."""
+    reject_non_finite(q=q, t=t)  # numpy warns on 1 / nan
+    w = pattern_rows([_braid_table(family, q, t, s)])[0]
+    return WeightRows(w / np.sqrt(2) if family is Family.BELL_PHI else w)
+
+
+def _braid_table(fam: Family, q, t, s) -> list:
     """The rows of ``braid_matrix`` before its checks (and bell-phi's 1/sqrt(2)): Python
     numbers for scalar parameters, arrays where they are arrays."""
     if fam is Family.SIX_NONSTD:

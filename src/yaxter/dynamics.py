@@ -7,9 +7,9 @@ The generator along the family's unitary domain curve is
 
 differentiated in theta for the circle families (six-vertex, eight2/3/4) and
 in x for the real-x families (eight1, eight4 with imaginary t).
-``exact_generators`` takes it exactly, at one point or a stack of them, from the
-stack of R (``baxterize.build_R_stack``) and R' = B + 2 C x, with A, B, C the exact
-coefficients of ``baxterize.coefficients``: with
+``exact_generators`` takes it exactly, at one point or a stack of them, from
+R = A + x (B + x C) times the gauge and R' = B + 2 C x, with A, B, C the exact
+coefficients of ``baxterize.coefficients``, read once: with
 K = i R' R^dag / rho, unitarity along the curve makes K = H + i rho'/(2 rho) 1,
 so H is K less i Im(tr K)/4 1. A real gauge only moves rho; the six-vertex
 dynamics gauge 1/(2 e^{i theta}) turns the phase by -theta and adds 1 to H.
@@ -37,8 +37,8 @@ from itertools import product
 
 import numpy as np
 
-from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, build_R_stack,
-                        coefficients, family_x, g_factors, reference_gauge)
+from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, _polynomial,
+                        build_R_stack, coefficients, family_x, g_factors, gauge, reference_gauge)
 from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix,
                       finite_rho, is_real)
 from .gates import PAULI, tensor
@@ -111,7 +111,8 @@ def _curve(spec: FamilySpec, p: SpectralPoint) -> tuple[str, float]:
 def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
     """H = i (dU/ds) U(s)^dag along the ``kind`` curve (theta, or real x for eight1 and
     imaginary-t eight4) at s, a number or an (n,) array, exactly (module docstring): the
-    (..., 4, 4) generators from one ``build_R_stack`` and R' from ``coefficients``.
+    (..., 4, 4) generators from one read of ``coefficients``, which gives R through the
+    polynomial of ``build_R_stack`` (bitwise its matrices) and R'.
 
     Every check applies to each item, and an error names the first failing item of a stack
     by its index. Off the unitary domain, above ``linalg.MAX_ENTRY`` or where R vanishes it
@@ -144,7 +145,7 @@ def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
         return np.asarray(v)[..., None, None] if stack else v
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the bound below
-        r = build_R_stack(spec, kind, s)
+        r = _polynomial(a, b, c, col(x), col(gauge(spec, kind, s)))
         if kind == "theta" and fam is Family.EIGHT_I:  # R = cos(s) (A + B tan(s)) / sqrt(2)
             dr = (b * col(np.cos(s)) - a * col(np.sin(s))) / np.sqrt(2)
         else:

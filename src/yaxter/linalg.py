@@ -7,16 +7,20 @@ numpy ``complex128`` arrays, row-major, in the computational basis order
 also take (..., n, n) stacks and work matrix by matrix; a single matrix gives the
 single-matrix result. For one matrix, ``weights`` reads Python complex numbers and
 ``require_hermitian`` decides on Python floats, so a single-point check pays no numpy
-per-call cost on 0-d arrays. ``cmat_stack`` assembles such a stack from entries that
-broadcast, and ``cmat`` a list of matrices under one finiteness check.
-``require_invertible`` is the scale-aware singularity guard of ``inverse``, for a check
-that needs no inverse.
+per-call cost on 0-d arrays. ``cmat`` builds a matrix, or a list of them, under one
+finiteness check. ``require_invertible`` is the scale-aware singularity guard of
+``inverse``, for a check that needs no inverse.
 
 Every braid matrix and R(x) here is eight-vertex: nonzero only where the row and column
 bits have equal parity, so the direct sum of a 2x2 block on |00>, |11> and one on |01>,
-|10>. Only this module knows that layout: ``weights`` reads and checks it for every
-kernel, ``block_product`` and ``defect`` multiply such matrices block by block, and
-``strand_gap``, the braid and QYBE kernel, computes only the entries the weights reach.
+|10>. Only this module knows that layout. A stack of such matrices travels as
+``WeightRows``, its (8, ...) weight rows in the block order of ``_WEIGHTS``: ``pattern_rows``
+assembles them from tables written as 4x4 rows, under one finiteness check, and
+``WeightRows.dense`` scatters them to the (..., 4, 4) stack only at the API edges. The
+kernels read their operands through ``weights``, which passes weight rows through and
+gathers and checks a dense matrix once, where it enters: ``strand_gap``, the braid and
+QYBE kernel, computes only the entries the weights reach, and ``block_product`` and
+``defect`` multiply such matrices block by block.
 
 The JSON wire format for a matrix, shared by the whole package and the CLI, is
 
@@ -70,24 +74,12 @@ def cmat(rows) -> np.ndarray:
     return a
 
 
-def cmat_stack(rows) -> np.ndarray:
-    """The (..., n, n) stack of matrices whose entries, laid out as for ``cmat``, are
-    scalars or arrays that broadcast against each other; the checks of ``cmat``."""
-    n = len(rows)
-    if n not in (2, 4) or any(len(row) != n for row in rows):
-        raise ValueError(f"expected 2x2 or 4x4 rows, got {[len(row) for row in rows]}")
-    entries = [v for row in rows for v in row]
-    shape = np.broadcast(*entries).shape
-    a = np.empty((n * n, *shape), dtype=complex)
-    for k, v in enumerate(entries):  # entry-major: each entry is one contiguous write
-        a[k] = v
-    a = np.ascontiguousarray(np.moveaxis(a, 0, -1)).reshape(*shape, n, n)
-    if not np.isfinite(a.view(float)).all():
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
+def dagger(a):
+    """The conjugate transpose of a matrix or a (..., n, n) stack, or of ``WeightRows``:
+    the conjugate rows with q and r swapped in each block."""
+    if isinstance(a, WeightRows):
+        w = a.w.take(_ADJOINT, 0)
+        return WeightRows(np.conjugate(w, out=w))
     return a.conj().swapaxes(-1, -2)
 
 
@@ -125,6 +117,68 @@ _OFF_PATTERN = tuple((r, c) for r in range(4) for c in range(4) if (r, c) not in
 #: what ``weights`` reads, the weights then the other eight: (row, col) pairs, a flat getter
 _ROW, _COL = np.array(_WEIGHTS + _OFF_PATTERN).T
 _read = operator.itemgetter(*(4 * _ROW + _COL).tolist())
+#: the row-major places of the weights, where ``WeightRows.dense`` writes them
+_PLACES = 4 * _ROW[:8] + _COL[:8]
+#: the weight order of the adjoint: (p, q, r, s) -> (p, r, q, s) in each block
+_ADJOINT = np.array([0, 1, 4, 5, 2, 3, 6, 7])
+
+
+class WeightRows:
+    """A stack of eight-vertex 4x4 matrices as its weights: ``w`` holds (8, ...) rows in the
+    block order of ``_WEIGHTS``, one axis after the first per axis of the stack.
+
+    The internal form of a stack, eight-vertex by construction: ``weights`` passes it to
+    the kernels unread and ``dense`` scatters it to the (..., 4, 4) stack at the API edges.
+    Indexing and ``len``, and so iteration, run over the first axis of the stack, as on the
+    dense stack: ``strand_gap(*rows)`` takes the three matrices of a (3, n) stack.
+    """
+
+    __slots__ = ("w",)
+
+    def __init__(self, w: np.ndarray):
+        self.w = w
+
+    def __len__(self) -> int:
+        return self.w.shape[1]
+
+    def __getitem__(self, k) -> "WeightRows":
+        return WeightRows(self.w[:, k])
+
+    def dense(self) -> np.ndarray:
+        """The (..., 4, 4) stack: the weights at their places, 0 at the other eight."""
+        w = self.w
+        m = np.zeros((16, *w.shape[1:]), dtype=complex)
+        m[_PLACES] = w  # entry-major, then one transposing copy
+        return m.transpose(*range(1, w.ndim), 0).reshape(*w.shape[1:], 4, 4)
+
+
+def pattern_rows(tables) -> np.ndarray:
+    """The (k, 8, ...) weight rows of k eight-vertex 4x4 tables written as rows of entries,
+    which are numbers or arrays that broadcast against each other: the entries on the
+    pattern in the block order of ``_WEIGHTS``, under one finiteness check. The tables'
+    other entries must be 0; they are not read."""
+    entries = [table[r][c] for table in tables for r, c in _WEIGHTS]
+    shape = np.broadcast(*entries).shape
+    rows = np.empty((len(entries), *shape), dtype=complex)
+    for k, v in enumerate(entries):  # weight-major: each entry is one contiguous write
+        rows[k] = v
+    if not np.isfinite(rows).all():
+        raise ValueError("matrix entries must be finite")
+    return rows.reshape(len(tables), 8, *shape)
+
+
+def stacks(*matrices) -> tuple:
+    """(matrices, shape): the operands of a kernel with one stack axis, and the shape of
+    their stack, () for single matrices. ``WeightRows`` of one shape come as (8, n) rows,
+    dense matrices broadcast against each other and, for a stack, as an (n, 4, 4) one."""
+    if isinstance(matrices[0], WeightRows):
+        shape = matrices[0].w.shape[1:]
+        return [WeightRows(m.w.reshape(8, -1)) for m in matrices], shape
+    matrices = [np.asarray(m, dtype=complex) for m in matrices]
+    if all(m.ndim == 2 for m in matrices):  # broadcast_arrays costs a one-matrix check 4 us
+        return matrices, ()
+    matrices = np.broadcast_arrays(*matrices)
+    return [m.reshape(-1, 4, 4) for m in matrices], matrices[0].shape[:-2]
 
 
 def _strand_tables() -> tuple:
@@ -196,12 +250,15 @@ def _block_gaps(a: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
 def weights(kernel: str, names, *matrices, start: int = 0) -> list:
     """The weights of eight-vertex 4x4 matrices in the block order of ``_WEIGHTS``, one item
     per matrix: a tuple of eight Python complex numbers for a matrix, and (8, n) rows for a
-    (..., 4, 4) stack of n matrices, all stacks of one shape.
+    (..., 4, 4) stack of n matrices, all stacks of one shape. ``WeightRows`` are weights
+    already: they come back as their rows, unread.
 
-    Every matrix must be 0 off the pattern. A nonzero or NaN entry there is a ValueError of
-    ``kernel`` naming the first one: the lowest stack index (counted from ``start``), then
-    the matrix, by its name in ``names``, then the entry in row-major order.
+    Every dense matrix must be 0 off the pattern. A nonzero or NaN entry there is a
+    ValueError of ``kernel`` naming the first one: the lowest stack index (counted from
+    ``start``), then the matrix, by its name in ``names``, then the entry in row-major order.
     """
+    if isinstance(matrices[0], WeightRows):
+        return [m.w for m in matrices]
     stacked = matrices[0].ndim > 2
     if stacked:  # (row, col) pairs: a flat read would copy a strided stack such as a dagger
         reads = [m.reshape(-1, 4, 4).transpose(1, 2, 0)[_ROW, _COL] for m in matrices]
@@ -239,9 +296,10 @@ def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray):
     """||(a x 1)(1 x c)(d x 1) - (1 x d)(c x 1)(1 x a)||_F on C^8 for eight-vertex 4x4 a, c,
     d: the braid relation at (b, b, b), the QYBE at (R(x), R(x o y), R(y)).
 
-    (..., 4, 4) stacks broadcast and give one gap per triple; three matrices give a float.
-    Every matrix must be eight-vertex: ``weights`` reads it, and raises on an entry off the
-    pattern before any gap is returned.
+    (..., 4, 4) stacks broadcast and give one gap per triple; three matrices give a float;
+    ``WeightRows`` of one shape give one gap per triple. Every dense matrix must be
+    eight-vertex: ``weights`` reads it, and raises on an entry off the pattern before any gap
+    is returned.
 
     With C^8 indices ijk, one bit per strand, and 4x4 indices as bit pairs, the two sides are
     (a x 1) Z and (1 x d) S with Z = (1 x c)(d x 1) and S = (c x 1)(1 x a):
@@ -253,13 +311,12 @@ def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray):
     product and each side has 32 nonzero entries of two terms: 192 complex multiplies and
     96 additions a triple, against the 768 multiply-adds of the general 4x4 contraction,
     and a norm over 32 differences instead of 64. Stacks run in blocks of ``_BLOCK``
-    triples on (8, n) weight rows, so the temporaries stay 64 KB each.
+    triples on (8, n) weight rows, so the temporaries stay 64 KB each; a dense stack is
+    read block by block.
     """
-    a, c, d = np.broadcast_arrays(*(np.asarray(m, dtype=complex) for m in (a, c, d)))
-    shape = a.shape[:-2]
+    (a, c, d), shape = stacks(a, c, d)
     if not shape:
         return float(_block_gaps(*np.array(weights("strand_gap", "acd", a, c, d))[..., None])[0])
-    a, c, d = (m.reshape(-1, 4, 4) for m in (a, c, d))
     gaps = np.empty(len(a))
     for k in range(0, len(a), _BLOCK):
         gaps[k:k + _BLOCK] = _block_gaps(*weights("strand_gap", "acd", *(

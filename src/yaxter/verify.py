@@ -8,6 +8,8 @@ Unitarity is checked as R(x) R(x)^dag = rho * 1 with rho > 0 the family's
 normalization factor; rho^{-1/2} R(x) is the physical gate. Its kernel,
 ``unitarity_residual``, and ``inverse_unitarity`` read eight-vertex matrices with
 ``linalg.weights`` and multiply them with ``linalg.block_product``, block by block.
+Every kernel takes a dense matrix from outside, read and checked once, or a stack
+as ``linalg.WeightRows``.
 The closed-form rho per family (stated for each family's reference gauge,
 ``baxterize.reference_gauge``) is:
 
@@ -25,14 +27,17 @@ The closed-form rho per family (stated for each family's reference gauge,
 The seeded scans draw each parameter for all of their samples at once, in a
 fixed RNG order (``sample_specs``: the sign, then gamma or t with its sign,
 then phi; ``sample_x``; ``sample_spec`` is the n = 1 case), then evaluate
-every sample in one call of the same kernels on (n, 4, 4) stacks. Every
-stacked R(x) is ``baxterize.build_R_stack``, the gauge times the exact
-polynomial A + x (B + x C) of ``baxterize.coefficients``: ``scan_qybe`` builds
-R(x), R(x o y) and R(y) as one (3, n) stack through ``family_builder``,
-``scan_unitarity`` one stack over ``FamilySpecs`` with its closed-form rho from
-``norm_factor``, and ``inverse_unitarity`` and ``family_inverse_unitarity``
-take an array of x and build R(x) and R(1/x) as two stacks; ``scan_braid``
-builds one ``braid_matrix`` stack. The closed forms take (spec, kind, value),
+every sample in one call of the same kernels. The stacks travel as weight rows,
+eight-vertex by construction, from the builders to the kernels, with no dense
+stack, gather or pattern check between: every stacked R(x) is
+``baxterize.R_rows``, the gauge times the exact polynomial A + x (B + x C) on the
+weights of ``baxterize.coefficients``, read once. ``scan_qybe`` builds R(x),
+R(x o y) and R(y) as one (3, n) stack, ``scan_unitarity`` one stack over
+``FamilySpecs`` with its closed-form rho from ``norm_factor`` and R^dag as the
+adjoint rows (``linalg.dagger``), and ``family_inverse_unitarity`` takes an array
+of x and builds R(x) and R(1/x) as two stacks; ``scan_braid`` builds one
+``catalog.braid_rows`` stack. ``family_builder`` returns the dense edge of the
+same builds. The closed forms take (spec, kind, value),
 with a FamilySpec or FamilySpecs and a number or an array; ``build_b``,
 ``build_R`` and ``matrix_norm_factor`` are the single-point calls, and the
 single-point checks run the same kernels on one matrix.
@@ -49,9 +54,9 @@ import numpy as np
 
 from .baxterize import (
     EigOrdering,
+    R_rows,
     SpectralPoint,
     build_R,
-    build_R_stack,
     compose_u,
     family_x,
     g_factors,
@@ -59,9 +64,9 @@ from .baxterize import (
     reference_gauge,
 )
 from .catalog import (THREE_EIGENVALUE_FAMILIES, DomainError, Family, FamilySpec, FamilySpecs, Sign,
-                      braid_matrix, braid_residual, domain_violation, finite_rho, gamma_of,
-                      is_imag)
-from .linalg import MAX_ENTRY, block_product, dagger, defect, strand_gap, weights
+                      braid_residual, braid_rows, domain_violation, finite_rho, gamma_of, is_imag)
+from .linalg import (MAX_ENTRY, WeightRows, block_product, dagger, defect, stacks, strand_gap,
+                     weights)
 
 #: pass thresholds of the residual checks, shared by the scans, the suite and the CLI.
 TOLERANCES = {"braid": 1e-11, "qybe": 1e-9, "unitarity": 1e-10, "inverse-unitarity": 1e-9}
@@ -103,19 +108,30 @@ def family_builder(
     (n, 4, 4) stack of ``build_R_stack``. An entry above ``linalg.MAX_ENTRY``,
     where the residual products would overflow, is a DomainError.
     """
+    build = _row_builder(spec, kind, ordering, form)
+    return lambda value: build(value) if np.ndim(value) == 0 else build(value).dense()
+
+
+def _row_builder(spec: FamilySpec, kind: str, ordering: EigOrdering | None = None,
+                 form: str = "canonical") -> Callable:
+    """``family_builder`` with an array of values built as ``WeightRows``, the form the
+    stacked kernels take: the builder of the scans."""
     def build(value):
         if np.ndim(value) == 0:
             r = build_R(spec, SpectralPoint(kind, complex(value)), ordering=ordering, form=form)
         else:
-            r = build_R_stack(spec, kind, value, ordering=ordering, form=form)
+            r = R_rows(spec, kind, value, ordering=ordering, form=form)
         return _bounded(r, spec, kind, value)
     return build
 
 
-def _bounded(r: np.ndarray, spec: FamilySpec, kind: str, value) -> np.ndarray:
-    """``r``, one matrix or a stack, if no entry exceeds ``MAX_ENTRY``; else a DomainError
-    naming the parameters of the first matrix that does."""
-    peaks = np.abs(r).max(axis=(-2, -1), initial=0.0).ravel()
+def _bounded(r, spec: FamilySpec, kind: str, value):
+    """``r``, one matrix or ``WeightRows``, if no entry exceeds ``MAX_ENTRY``; else a
+    DomainError naming the parameters of the first matrix that does."""
+    if isinstance(r, WeightRows):
+        peaks = np.abs(r.w).max(axis=0, initial=0.0).ravel()
+    else:
+        peaks = np.abs(r).max(axis=(-2, -1), initial=0.0).ravel()
     over = np.flatnonzero(~(peaks <= MAX_ENTRY))  # a NaN entry is over, too
     if over.size == 0:
         return r
@@ -131,19 +147,20 @@ def _bounded(r: np.ndarray, spec: FamilySpec, kind: str, value) -> np.ndarray:
 def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
     """(rho_est, residual) for R(x) R^dag(xbar) = rho * 1 with rconj = R^dag(xbar): rho_est
     = tr(R rconj) / 4 and residual = ||R rconj - rho_est 1||_F + ||rconj R - rho_est 1||_F.
-    Two matrices give two floats; (..., 4, 4) stacks broadcast and give two arrays.
+    Two matrices give two floats; (..., 4, 4) stacks broadcast and give two arrays, and so
+    do ``WeightRows`` of one shape.
 
-    R and rconj must be eight-vertex (``linalg.weights`` raises on an entry off the pattern),
-    and so is each product: 8 complex multiplies a 2x2 block, and a norm over the 8 entries
-    inside the blocks. A NaN weight gives a NaN residual. A rho_est that is not positive is
-    a DegenerateNormalizationError.
+    A dense R and rconj must be eight-vertex (``linalg.weights`` raises on an entry off the
+    pattern), and so is each product: 8 complex multiplies a 2x2 block, and a norm over the
+    8 entries inside the blocks. A NaN weight gives a NaN residual. A rho_est that is not
+    positive is a DegenerateNormalizationError.
 
     One formula, ``linalg.block_product`` and ``linalg.defect``, in two arithmetics: Python
     complex numbers block by block for one matrix, and for a stack (4, block, side, n) entry
     rows that hold both blocks of R rconj and of rconj R at once.
     """
-    r, rconj = np.asarray(r, dtype=complex), np.asarray(rconj, dtype=complex)
-    if r.ndim == rconj.ndim == 2:
+    (r, rconj), shape = stacks(r, rconj)
+    if not shape:
         (xo, xi), (yo, yi) = ((m[0::2], m[1::2]) for m in weights(
             "unitarity_residual", ("r", "rconj"), r, rconj))
         mo, mi = block_product(xo, yo), block_product(xi, yi)
@@ -152,8 +169,6 @@ def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
                + math.sqrt(defect(block_product(yo, xo), rho)
                            + defect(block_product(yi, xi), rho)))
     else:
-        r, rconj = np.broadcast_arrays(r, rconj)
-        shape = r.shape[:-2]
         x = np.stack(weights("unitarity_residual", ("r", "rconj"), r, rconj), axis=1)
         x = x.reshape(4, 2, 2, -1)  # (entry, block, side, n)
         m = block_product(x, x[:, :, ::-1])  # side 0 is R rconj, side 1 rconj R
@@ -192,8 +207,8 @@ def unitarity_gap(spec: FamilySpec, p: SpectralPoint) -> tuple[float, float]:
 
 def _unitarity_gaps(r: np.ndarray, rho_ref):
     """(gap, rho_est) of ``unitarity_gap`` for one matrix, or arrays of them for an
-    (n, 4, 4) stack, with ``rho_ref`` the closed-form rho of each matrix; a
-    non-finite ``rho_ref`` gives a NaN gap."""
+    (n, 4, 4) stack or ``WeightRows``, with ``rho_ref`` the closed-form rho of each matrix;
+    a non-finite ``rho_ref`` gives a NaN gap."""
     rho_est, res = unitarity_residual(r, dagger(r))
     return res / rho_est + abs(rho_est - rho_ref) / rho_ref, rho_est
 
@@ -250,16 +265,15 @@ def inverse_unitarity(builder: Callable[[complex], np.ndarray], x,
                       tol: float = TOLERANCES["inverse-unitarity"]):
     """Proportionality scalar of R(x) R(1/x), which must be a multiple of 1.
 
-    An array of x gives one scalar per x from two builder stacks, R(x) and R(1/x);
-    an x = 0, or a product not proportional to 1, at any entry is an error. Both must
-    be eight-vertex (``linalg.weights``); their product is ``linalg.block_product``, block
-    by block, on Python complex numbers for one x and on (n,) entry rows for a stack.
+    An array of x gives one scalar per x from two builder stacks, R(x) and R(1/x), dense or
+    ``WeightRows``; an x = 0, or a product not proportional to 1, at any entry is an error.
+    Both must be eight-vertex (``linalg.weights``); their product is ``linalg.block_product``,
+    block by block, on Python complex numbers for one x and on (n,) entry rows for a stack.
     """
     x = np.asarray(x)
     if np.any(x == 0):
         raise DomainError("inverse unitarity needs x != 0")
-    r, rinv = np.broadcast_arrays(*(np.asarray(m, dtype=complex)
-                                    for m in (builder(x), builder(1 / x))))
+    (r, rinv), shape = stacks(builder(x), builder(1 / x))
     wr, wi = weights("inverse_unitarity", ("R(x)", "R(1/x)"), r, rinv)
     mo, mi = block_product(wr[0::2], wi[0::2]), block_product(wr[1::2], wi[1::2])
     scalar = ((mo[0] + mo[3]) + (mi[0] + mi[3])) / 4.0
@@ -268,7 +282,7 @@ def inverse_unitarity(builder: Callable[[complex], np.ndarray], x,
     if not proportional.all():
         raise NotProportionalError("R(x) R(1/x) is not proportional to 1: "
                                    f"gap {np.ravel(gap)[np.argmin(proportional)]:.3e}")
-    return scalar.reshape(r.shape[:-2]) if r.ndim > 2 else scalar
+    return scalar.reshape(shape) if shape else scalar
 
 
 def inverse_unitarity_expected(spec: FamilySpec, x: complex) -> complex:
@@ -294,7 +308,7 @@ def family_inverse_unitarity(spec: FamilySpec, x) -> tuple:
     """(measured, expected) inverse-unitarity scalar in the family's reference view; an
     array of x gives a pair of arrays, measured from one stack each of R(x) and R(1/x)."""
     form = "g" if spec.family is Family.EIGHT_IV else "canonical"
-    measured = inverse_unitarity(family_builder(spec, "x", form=form), x)
+    measured = inverse_unitarity(_row_builder(spec, "x", form=form), x)
     return measured, inverse_unitarity_expected(spec, np.asarray(x) if np.ndim(x) else x)
 
 
@@ -378,7 +392,7 @@ def scan_braid(family: Family, samples: int, seed: int,
                tol: float = TOLERANCES["braid"]) -> ResidualReport:
     """Max braid residual of the braid matrix over seeded parameter points."""
     specs = sample_specs(family, np.random.default_rng(seed), samples)
-    b = braid_matrix(family, specs.q, specs.t, specs.s)
+    b = braid_rows(family, specs.q, specs.t, specs.s)
     residual, k = worst(braid_residual(b), range(len(specs)))
     spec = specs[k]
     return ResidualReport(residual=residual, tolerance=tol, worst_case={
@@ -440,7 +454,7 @@ def scan_qybe(
                          f"parametrization; it has {', '.join(kinds) or 'none'}")
     draw, compose = _QYBE_LAWS[kind]
     rng = np.random.default_rng(seed)
-    builder = family_builder(spec, kind, ordering=ordering)
+    builder = _row_builder(spec, kind, ordering)
     pairs = np.asarray(draw(spec, rng, samples), dtype=complex)
     residual, (a, b) = worst(qybe_residual(builder, pairs[:, 0], pairs[:, 1], compose), pairs)
     return ResidualReport(residual=residual, tolerance=tol, worst_case={
@@ -463,7 +477,7 @@ def scan_unitarity(
     specs = sample_specs(family, rng, samples, imaginary_t)
     x = sample_x(specs, rng, len(specs))
     rho_ref = norm_factor(specs, "x", x)
-    gaps, rho_est = _unitarity_gaps(build_R_stack(specs, "x", x), rho_ref)
+    gaps, rho_est = _unitarity_gaps(R_rows(specs, "x", x), rho_ref)
     residual, k = worst(gaps, range(len(specs)))
     spec = specs[k]
     return ResidualReport(residual=residual, tolerance=tol, worst_case={

@@ -14,7 +14,6 @@ from yaxter.linalg import (
     NotTwoEigenvalueError,
     SingularMatrixError,
     cmat,
-    cmat_stack,
     dagger,
     expm_hermitian,
     frobenius,
@@ -267,19 +266,6 @@ def test_stacked_frobenius_and_dagger_work_matrix_by_matrix():
     assert np.allclose(frobenius(m), [frobenius(mk) for mk in m], rtol=1e-15, atol=0)
     assert isinstance(frobenius(m[0]), float)
     assert frobenius(m[:0]).shape == (0,)
-
-
-def test_cmat_stack_broadcasts_entries_into_matrices():
-    a = np.array([1.0, 2.0, 3.0])
-    stack = cmat_stack([[a, 0], [1j * a, 2]])
-    assert stack.shape == (3, 2, 2) and stack.dtype == complex
-    for k in range(3):
-        assert np.array_equal(stack[k], cmat([[a[k], 0], [1j * a[k], 2]]))
-    assert cmat_stack([[a[:0], 0], [0, 1]]).shape == (0, 2, 2)
-    with pytest.raises(ValueError, match="finite"):
-        cmat_stack([[a, np.inf], [0, 1]])
-    with pytest.raises(ValueError, match="rows"):
-        cmat_stack([[a, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_tensor_rejects_overflow():
