@@ -12,13 +12,12 @@ Three-eigenvalue formula (must be re-checked against the QYBE per output):
 
 Each family has one displayed closed form, its x-form (``x_form``), which
 agrees with the formulas above up to one overall scalar that is constant in x.
-As a matrix polynomial it is R(x) = A + B x + C x^2 with the exact coefficients
-of ``coefficients``: A is b (times 1 + t for eight4), and C vanishes for every
-family but eight4. ``build_R`` evaluates the displayed rows at one point;
-``R_rows`` evaluates the polynomial at a stack of points, for one parameter
-point or for ``FamilySpecs``, on the (8, ...) weight rows of ``linalg.WeightRows``
-that the stacked kernels take, and ``build_R_stack``, the dense edge, on the
-dense coefficients, bitwise the same weights.
+As a matrix polynomial it is R(x) = A + B x + C x^2, with one table of exact
+coefficients, written as weight rows (``_coefficient_rows``): A is b (times 1 + t for
+eight4), and C vanishes for every family but eight4. ``build_R`` evaluates the
+displayed rows at one point; ``R_rows``, the one evaluator of every stacked R(x),
+evaluates the polynomial on those rows at a stack of points, for one parameter point
+or for ``FamilySpecs``. ``coefficients`` and ``build_R_stack`` are their dense edges.
 
 Spectral-parameter views: x (multiplicative), theta (x = e^{2 i theta} for the
 six-vertex families, x = e^{i theta} for eight2/3/4, x = tan theta for eight1),
@@ -40,7 +39,7 @@ import numpy as np
 
 from .catalog import (EIGHT_VERTEX_FAMILIES, DomainError, Family, FamilySpec, FamilySpecs,
                       _braid_table, build_b, eigenvalues_of, reject_non_finite, z_of)
-from .linalg import WeightRows, cmat, inverse, pattern_rows, weights
+from .linalg import WeightRows, cmat, inverse, pattern_rows
 
 
 class ThetaConvention(str, enum.Enum):
@@ -266,10 +265,19 @@ def coefficients(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = 
 
     A is the braid matrix (``braid_matrix``, bitwise) for every family but canonical
     eight4, whose A is (1 + t) b; C is exactly 0 for every family but canonical eight4.
-    eight3's second ordering b - x (1 - t^2) b^{-1} has the inverse written out. The
-    arithmetic is the braid matrix's: Python's for a FamilySpec, numpy's for FamilySpecs.
-    The tables are assembled in one call, under one finiteness check.
+    eight3's second ordering b - x (1 - t^2) b^{-1} has the inverse written out. The dense
+    edge of ``_coefficient_rows``.
     """
+    mats = [WeightRows(w).dense() for w in _coefficient_rows(spec, ordering)]
+    return (*mats, np.zeros_like(mats[0])) if len(mats) == 2 else tuple(mats)
+
+
+def _coefficient_rows(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = None):
+    """The weight rows of (A, B, C), (3, 8) for a FamilySpec and (3, 8, n) for FamilySpecs,
+    or of (A, B), (2, 8, ...), where C is 0: the one place that writes the table. Python's
+    arithmetic for a FamilySpec, numpy's for FamilySpecs, as the braid matrix's, with
+    eight4's 1 + t, 2 t and 1 - t on the rows; one assembly and finiteness check. A
+    (3, 8, n) block is 115 KB at 300 samples, under glibc's 128 KiB mmap threshold."""
     fam = spec.family
     _check_ordering(fam, ordering)
     q, t, s = spec.parameters()
@@ -289,35 +297,23 @@ def coefficients(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = 
         raise ValueError("bell-phi is a braid-matrix family; use eight1 for its R(theta)")
     else:  # eight3's second ordering, and eight4
         lin = [[t, 0, 0, -q], [0, -1, s * t, 0], [0, s * t, -1, 0], [-1 / q, 0, 0, t]]
-    tables = [_braid_table(fam, q, t, s), lin]
-    if fam is Family.EIGHT_IV:
-        tables.insert(1, [[1, 0, 0, -q], [0, 1, -s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]])  # B/(2t)
-    # one assembly and one check: at a point the matrices, for FamilySpecs their weight rows,
-    # then one stack each (a block of all three, 230 KB at 300 samples, is above malloc's
-    # mmap threshold and faults on every call)
-    if isinstance(q, np.ndarray):
-        mats = [WeightRows(w).dense() for w in pattern_rows(tables)]
-    else:
-        mats = cmat(tables)
     if fam is not Family.EIGHT_IV:
-        return mats[0], mats[1], np.zeros_like(mats[0])
-    return tuple(_col(k) * m for k, m in zip((1 + t, 2 * t, 1 - t), mats))
+        return pattern_rows([_braid_table(fam, q, t, s), lin])
+    b_2t = [[1, 0, 0, -q], [0, 1, -s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]]  # B / (2 t)
+    rows = pattern_rows([_braid_table(fam, q, t, s), b_2t, lin])
+    return np.multiply(np.array((1 + t, 2 * t, 1 - t))[:, None], rows, out=rows)
 
 
-def _col(v) -> np.ndarray:
-    """v with two trailing axes: one scalar per matrix of a stack."""
-    return np.asarray(v)[..., None, None]
-
-
-def _polynomial(a, b, c, x, scale):
-    """scale * (a + x * (b + x * c)) in one buffer, each operation with its operands in
-    this order: swapping them (r += b, r *= x) changes results in the last bit. One
-    polynomial for both layouts: (8, ...) weight rows against x and scale as they are, or
-    4x4 matrices against x and scale with two trailing axes (``_col``)."""
-    r = x * c
-    np.add(b, r, out=r)
-    np.multiply(x, r, out=r)
-    np.add(a, r, out=r)
+def _polynomial(rows, x, scale):
+    """scale * (a + x * (b + x * c)), or scale * (a + x * b), on the (k, 8, ...) weight rows
+    of (a, b, c) or (a, b), against x and scale as they are: in one buffer, each operation
+    with its operands in this order, for swapping them (r += b, r *= x) changes results in
+    the last bit."""
+    r = x * rows[-1]
+    if len(rows) == 3:
+        np.add(rows[1], r, out=r)
+        np.multiply(x, r, out=r)
+    np.add(rows[0], r, out=r)
     return np.multiply(scale, r, out=r)
 
 
@@ -329,17 +325,14 @@ def build_R_stack(
     form: str = "canonical",
 ) -> np.ndarray:
     """``build_R`` at each of ``values`` in the ``kind`` view: the gauge times
-    A + x (B + x C) from ``coefficients``, in one broadcast pass. A FamilySpec gives a
+    A + x (B + x C) of ``coefficients``, in one broadcast pass. A FamilySpec gives a
     (..., 4, 4) stack in the shape of ``values``; FamilySpecs take one value per sample.
 
     A non-finite value lies in no unitary domain: a DomainError names it before any
     arithmetic. Agrees with ``build_R`` at each value to rounding; ``build_R`` stays the
-    single-point evaluation of the displayed rows. The dense edge of ``R_rows``: the same
-    polynomial on the dense coefficients, so its weights are bitwise those of ``R_rows``.
+    single-point evaluation of the displayed rows. The dense edge of ``R_rows``.
     """
-    x, scale = _view(spec, kind, values, form)
-    a, b, c = coefficients(spec, ordering)
-    return _polynomial(a, b, c, _col(x), _col(scale))
+    return R_rows(spec, kind, values, ordering, form).dense()
 
 
 def R_rows(
@@ -349,19 +342,9 @@ def R_rows(
     ordering: EigOrdering | None = None,
     form: str = "canonical",
 ) -> WeightRows:
-    """``build_R_stack`` as weight rows, the form the stacked kernels take: the polynomial
-    on (8, ...) rows, with A, B and C read through ``linalg.weights`` once, as the dense
-    matrices from outside that ``coefficients`` returns."""
-    x, scale = _view(spec, kind, values, form)
-    a, b, c = weights("R_rows", "ABC", *coefficients(spec, ordering))
-    if isinstance(spec, FamilySpec):  # eight Python numbers each, as rows against every value
-        a, b, c = np.array((a, b, c)).reshape(3, 8, *(1,) * np.ndim(x))
-    return WeightRows(_polynomial(a, b, c, x, scale))
-
-
-def _view(spec: FamilySpec | FamilySpecs, kind: str, values, form: str) -> tuple:
-    """(x, scale) of the ``kind`` view values: ``family_x`` and the gauge (over g1 for the
-    eight4 g form), after a DomainError for a non-finite value."""
+    """``build_R_stack`` as weight rows, the form the stacked kernels take: the gauge (over
+    g1 for the eight4 g form) times the polynomial on the rows of ``_coefficient_rows`` at
+    ``family_x``, after a DomainError for a non-finite value."""
     values = np.asarray(values)
     try:
         reject_non_finite(**{kind: values})
@@ -371,7 +354,10 @@ def _view(spec: FamilySpec | FamilySpecs, kind: str, values, form: str) -> tuple
     scale = gauge(spec, kind, values, form)
     if form == "g" and spec.family is Family.EIGHT_IV:  # the g form is the canonical one over g1
         scale = scale / g_factors(spec, x)[0]
-    return x, scale
+    rows = _coefficient_rows(spec, ordering)
+    if isinstance(spec, FamilySpec):  # its (k, 8) rows against every value
+        rows = rows.reshape(*rows.shape, *(1,) * np.ndim(x))
+    return WeightRows(_polynomial(rows, x, scale))
 
 
 def x_form(spec: FamilySpec, x: complex, form: str = "canonical") -> np.ndarray:

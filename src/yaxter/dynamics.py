@@ -8,10 +8,11 @@ The generator along the family's unitary domain curve is
 differentiated in theta for the circle families (six-vertex, eight2/3/4) and
 in x for the real-x families (eight1, eight4 with imaginary t).
 ``exact_generators`` takes it exactly, at one point or a stack of them, from
-R = A + x (B + x C) times the gauge and R' = B + 2 C x, with A, B, C the exact
-coefficients of ``baxterize.coefficients``, read once: with
-K = i R' R^dag / rho, unitarity along the curve makes K = H + i rho'/(2 rho) 1,
-so H is K less i Im(tr K)/4 1. A real gauge only moves rho; the six-vertex
+R = A + x (B + x C) times the gauge and R' = B + 2 C x, both on the weight
+rows of ``baxterize._coefficient_rows``, read once: with K = i R' R^dag / rho
+(``linalg.block_product`` on the rows), unitarity along the curve makes
+K = H + i rho'/(2 rho) 1, so H is K, scattered to a dense matrix once, less
+i Im(tr K)/4 1. A real gauge only moves rho; the six-vertex
 dynamics gauge 1/(2 e^{i theta}) turns the phase by -theta and adds 1 to H.
 Closed forms are validated against it rather than trusted:
 ``hamiltonian_closed`` returns the variant it confirms. The six-vertex closed
@@ -37,12 +38,13 @@ from itertools import product
 
 import numpy as np
 
-from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, _polynomial,
-                        build_R_stack, coefficients, family_x, g_factors, gauge, reference_gauge)
+from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, _coefficient_rows,
+                        _polynomial, build_R_stack, family_x, g_factors, gauge, reference_gauge)
 from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix,
                       finite_rho, is_real)
 from .gates import PAULI, tensor
-from .linalg import MAX_ENTRY, dagger, expm_hermitian, frobenius, identity, require_hermitian
+from .linalg import (MAX_ENTRY, WeightRows, block_product, dagger, expm_hermitian, frobenius,
+                     identity, require_hermitian)
 from .verify import norm_factor, worst
 
 I4 = identity(4)
@@ -111,8 +113,8 @@ def _curve(spec: FamilySpec, p: SpectralPoint) -> tuple[str, float]:
 def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
     """H = i (dU/ds) U(s)^dag along the ``kind`` curve (theta, or real x for eight1 and
     imaginary-t eight4) at s, a number or an (n,) array, exactly (module docstring): the
-    (..., 4, 4) generators from one read of ``coefficients``, which gives R through the
-    polynomial of ``build_R_stack`` (bitwise its matrices) and R'.
+    (..., 4, 4) generators from one read of the coefficient rows, R by ``R_rows``' polynomial
+    and R'.
 
     Every check applies to each item, and an error names the first failing item of a stack
     by its index. Off the unitary domain, above ``linalg.MAX_ENTRY`` or where R vanishes it
@@ -139,34 +141,33 @@ def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
             fail(violation, i)
     s = np.real(s) if stack else float(s.real)
     x = family_x(spec, kind, s)
-    a, b, c = coefficients(spec)
-
-    def col(v):  # one scalar per matrix of a stack
-        return np.asarray(v)[..., None, None] if stack else v
-
+    rows = _coefficient_rows(spec).reshape(-1, 8, *(1,) * np.ndim(x))  # against every s
+    a, b, *c = rows
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the bound below
-        r = _polynomial(a, b, c, col(x), col(gauge(spec, kind, s)))
+        r = _polynomial(rows, x, gauge(spec, kind, s))
         if kind == "theta" and fam is Family.EIGHT_I:  # R = cos(s) (A + B tan(s)) / sqrt(2)
-            dr = (b * col(np.cos(s)) - a * col(np.sin(s))) / np.sqrt(2)
+            dr = (b * np.cos(s) - a * np.sin(s)) / np.sqrt(2)
         else:
             half = FAMILY_THETA_CONVENTION.get(fam) is ThetaConvention.HALF
             dxds = 1.0 if kind == "x" else (2j if half else 1j) * x
-            dr = (b + 2.0 * c * col(x)) * col(dxds)
-    peak = np.abs((r, dr)).max(axis=(0, -2, -1))
+            dr = (b + 2.0 * c[0] * x if c else b) * dxds
+    peak = np.maximum(abs(r).max(axis=0), abs(dr).max(axis=0))  # dR may be one row against all s
     ok = peak <= MAX_ENTRY
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         fail(f"{fam.value} at {point(i)}: an entry of R or dR/ds reaches "
              f"{np.ravel(peak)[i]:.3g}, above the {MAX_ENTRY:.3g} up to which the products "
              "stay finite", i)
-    rho = (r * r.conj()).real.sum(axis=(-2, -1)) / 4.0  # tr(R R^dag) / 4 = ||R||_F^2 / 4
+    rho = (r * r.conj()).real.sum(axis=0) / 4.0  # tr(R R^dag) / 4 = ||R||_F^2 / 4
     ok = rho > RHO_FLOOR
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         fail(f"normalization factor degenerates (rho = {np.ravel(rho)[i]:.3e}) at {point(i)}", i)
-    k = 1j * dr @ dagger(r) / col(rho)
+    blocks = (m.reshape(4, 2, *m.shape[1:]) for m in (1j * dr, dagger(WeightRows(r)).w))
+    k = np.array(block_product(*blocks)).reshape(r.shape) / rho  # K = i R' R^dag / rho
     omega = 1.0 if fam in SIX_VERTEX else 0.0
-    h = k + col(omega - 0.25j * np.trace(k, axis1=-2, axis2=-1).imag) * I4
+    h = WeightRows(k).dense()  # the one scatter
+    h += np.asarray(omega - 0.25j * np.trace(h, axis1=-2, axis2=-1).imag)[..., None, None] * I4
     require_hermitian(h, HERM_TOL, "Hamiltonian")
     return h
 

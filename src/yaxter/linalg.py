@@ -7,9 +7,9 @@ numpy ``complex128`` arrays, row-major, in the computational basis order
 also take (..., n, n) stacks and work matrix by matrix; a single matrix gives the
 single-matrix result. For one matrix, ``weights`` reads Python complex numbers and
 ``require_hermitian`` decides on Python floats, so a single-point check pays no numpy
-per-call cost on 0-d arrays. ``cmat`` builds a matrix, or a list of them, under one
-finiteness check. ``require_invertible`` is the scale-aware singularity guard of
-``inverse``, for a check that needs no inverse.
+per-call cost on 0-d arrays. ``cmat`` builds one matrix under one finiteness check.
+``require_invertible`` is the scale-aware singularity guard of ``inverse``, for a
+check that needs no inverse.
 
 Every braid matrix and R(x) here is eight-vertex: nonzero only where the row and column
 bits have equal parity, so the direct sum of a 2x2 block on |00>, |11> and one on |01>,
@@ -64,10 +64,9 @@ class NotHermitianError(ValueError):
 
 
 def cmat(rows) -> np.ndarray:
-    """Build a complex matrix, validating squareness, dim in {2, 4} and finiteness. A list
-    of m matrices' rows gives the (m, n, n) stack of them, with one check."""
+    """Build a complex matrix, validating squareness, dim in {2, 4} and finiteness."""
     a = np.asarray(rows, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1] or a.shape[-1] not in (2, 4):
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 4):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {a.shape}")
     if not np.isfinite(a.view(float)).all():
         raise ValueError("matrix entries must be finite")
@@ -158,13 +157,15 @@ def pattern_rows(tables) -> np.ndarray:
     pattern in the block order of ``_WEIGHTS``, under one finiteness check. The tables'
     other entries must be 0; they are not read."""
     entries = [table[r][c] for table in tables for r, c in _WEIGHTS]
-    shape = np.broadcast(*entries).shape
-    rows = np.empty((len(entries), *shape), dtype=complex)
-    for k, v in enumerate(entries):  # weight-major: each entry is one contiguous write
-        rows[k] = v
+    if np.ndarray in map(type, entries):
+        rows = np.empty((len(entries), *np.broadcast(*entries).shape), dtype=complex)
+        for k, v in enumerate(entries):  # weight-major: each entry is one contiguous write
+            rows[k] = v
+    else:  # numbers only: one conversion
+        rows = np.array(entries, dtype=complex)
     if not np.isfinite(rows).all():
         raise ValueError("matrix entries must be finite")
-    return rows.reshape(len(tables), 8, *shape)
+    return rows.reshape(len(tables), 8, *rows.shape[1:])
 
 
 def stacks(*matrices) -> tuple:

@@ -31,7 +31,7 @@ every sample in one call of the same kernels. The stacks travel as weight rows,
 eight-vertex by construction, from the builders to the kernels, with no dense
 stack, gather or pattern check between: every stacked R(x) is
 ``baxterize.R_rows``, the gauge times the exact polynomial A + x (B + x C) on the
-weights of ``baxterize.coefficients``, read once. ``scan_qybe`` builds R(x),
+weight rows of the one coefficient table. ``scan_qybe`` builds R(x),
 R(x o y) and R(y) as one (3, n) stack, ``scan_unitarity`` one stack over
 ``FamilySpecs`` with its closed-form rho from ``norm_factor`` and R^dag as the
 adjoint rows (``linalg.dagger``), and ``family_inverse_unitarity`` takes an array

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from yaxter import dynamics
-from yaxter.baxterize import SpectralPoint
+from yaxter.baxterize import SpectralPoint, coefficients, family_x, gauge
 from yaxter.catalog import DomainError, Family, FamilySpec, Sign
 from yaxter.dynamics import (
     Hamiltonian,
@@ -147,15 +147,14 @@ def test_exact_rejects_points_off_the_unitary_curves(spec, p, error):
 
 def test_exact_fails_closed_where_r_is_not_unitary_along_the_curve(monkeypatch):
     spec = FamilySpec.eight2(t=1.7, q=np.exp(-0.4j))
-    real = dynamics.coefficients
+    real = dynamics._coefficient_rows
 
     def flipped(spec, ordering=None):
-        a, b, c = real(spec, ordering)
-        b = b.copy()
-        b[0, 3] = -b[0, 3]
-        return np.stack([a, b, c])
+        rows = real(spec, ordering).copy()
+        rows[1, 2] = -rows[1, 2]  # B's entry (0, 3): row 2 in the block order of _WEIGHTS
+        return rows
 
-    monkeypatch.setattr(dynamics, "coefficients", flipped)
+    monkeypatch.setattr(dynamics, "_coefficient_rows", flipped)
     with pytest.raises(ValueError, match="not Hermitian"):
         hamiltonian(spec, TH(0.4))
 
@@ -518,3 +517,35 @@ def test_stacked_exact_generators_name_the_first_failing_index(spec, kind, value
 def test_empty_exact_generator_stack_is_a_usage_error():
     with pytest.raises(ValueError, match="nothing to reduce"):
         dynamics.exact_generators(THETA_FAMILIES[0], "theta", np.array([]))
+
+
+def _dense_generator_reference(spec, kind, s):
+    """The exact generator the dense way: R and R' from ``coefficients`` as 4x4 matrices,
+    K = i R' R^dag / rho with one matmul per matrix, less i Im(tr K)/4 1 (plus 1 for the
+    six-vertex dynamics gauge)."""
+    def col(v):  # one scalar per matrix
+        return np.asarray(v)[..., None, None]
+
+    a, b, c = coefficients(spec)
+    six = spec.family in (Family.SIX_NONSTD, Family.SIX_STD)
+    s = np.asarray(s, dtype=float)
+    x = col(family_x(spec, kind, s))
+    r = col(gauge(spec, kind, s)) * (a + x * (b + x * c))
+    if kind == "theta" and spec.family is Family.EIGHT_I:
+        dr = (b * np.cos(col(s)) - a * np.sin(col(s))) / np.sqrt(2)
+    else:
+        dr = (b + 2.0 * c * x) * (1.0 if kind == "x" else (2j if six else 1j) * x)
+    k = 1j * dr @ r.conj().swapaxes(-1, -2) / col(np.linalg.norm(r, axis=(-2, -1)) ** 2 / 4.0)
+    return k + col((1.0 if six else 0.0) - 0.25j * np.trace(k, axis1=-2, axis2=-1).imag) * I4
+
+
+@pytest.mark.parametrize("spec,kind,values", CRITERION7_STACKS + [
+    (FamilySpec.eight4(t=1.6j, q=1.0), "x", (0.5, -0.3, 1.7)),
+], ids=lambda v: getattr(getattr(v, "family", None), "value", str(v)))
+def test_exact_generators_match_the_dense_matmul_reference(spec, kind, values):
+    eps = np.finfo(float).eps
+    for s in (values[0], np.array(values)):
+        h = dynamics.exact_generators(spec, kind, s)
+        want = _dense_generator_reference(spec, kind, s)
+        assert h.shape == want.shape
+        assert np.all(frobenius(h - want) <= 8 * eps * np.maximum(1.0, frobenius(want)))

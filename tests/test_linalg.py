@@ -489,3 +489,5 @@ def test_cmat_validation():
         cmat(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         cmat([[np.inf, 0], [0, 0]])
+    with pytest.raises(ValueError):
+        cmat(np.zeros((2, 4, 4)))

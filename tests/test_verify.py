@@ -729,15 +729,14 @@ def test_a_sign_flipped_in_eight2s_linear_coefficient_fails_the_qybe_scan(monkey
 
     spec = representative_spec(Family.EIGHT_II)
     assert scan_qybe(spec, "x", samples=50, seed=5).passed
-    exact = baxterize.coefficients
+    exact = baxterize._coefficient_rows
 
     def flipped(spec, ordering=None):
-        a, b, c = exact(spec, ordering)
-        b = b.copy()
-        b[..., 0, 3] *= -1  # the -q of B, still inside the pattern
-        return a, b, c
+        rows = exact(spec, ordering).copy()
+        rows[1, 2] *= -1  # the -q of B at (0, 3), row 2 in the block order of _WEIGHTS
+        return rows
 
-    monkeypatch.setattr(baxterize, "coefficients", flipped)
+    monkeypatch.setattr(baxterize, "_coefficient_rows", flipped)
     report = scan_qybe(spec, "x", samples=50, seed=5)
     assert not report.passed and report.residual > 0.1
 
