@@ -10,14 +10,15 @@ Three-eigenvalue formula (must be re-checked against the QYBE per output):
            + (lambda1 + lambda2 + lambda3 + lambda1 lambda3 / lambda2) x I
            - (x-1) b
 
-Each family has one displayed closed form, its x-form (``x_form``), which
-agrees with the formulas above up to one overall scalar that is constant in x.
-As a matrix polynomial it is R(x) = A + B x + C x^2, with one table of exact
-coefficients, written as weight rows (``_coefficient_rows``): A is b (times 1 + t for
-eight4), and C vanishes for every family but eight4. ``build_R`` evaluates the
-displayed rows at one point; ``R_rows``, the one evaluator of every stacked R(x),
-evaluates the polynomial on those rows at a stack of points, for one parameter point
-or for ``FamilySpecs``. ``coefficients`` and ``build_R_stack`` are their dense edges.
+Each family has one displayed closed form, its x-form (``x_form``): ``formula_R``
+times 1 (two eigenvalues), 1/(1 - x) (eight3) or 1 + t (eight4). As a matrix
+polynomial it is R(x) = A + B x + C x^2, with one table of exact coefficients, written
+as weight rows (``_coefficient_rows``): A is b (times 1 + t for eight4), the two-eigenvalue
+B is lambda1 lambda2 b^{-1} = (lambda1 + lambda2) 1 - b, and C vanishes for every family
+but eight4. ``build_R`` evaluates the displayed rows at one point; ``R_rows``, the one
+evaluator of every stacked R(x), evaluates the polynomial on those rows at a stack of
+points, for one parameter point or for ``FamilySpecs``. ``coefficients`` and
+``build_R_stack`` are their dense edges.
 
 Spectral-parameter views: x (multiplicative), theta (x = e^{2 i theta} for the
 six-vertex families, x = e^{i theta} for eight2/3/4, x = tan theta for eight1),
@@ -37,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (EIGHT_VERTEX_FAMILIES, DomainError, Family, FamilySpec, FamilySpecs,
-                      _braid_table, build_b, eigenvalues_of, reject_non_finite, z_of)
-from .linalg import WeightRows, cmat, inverse, pattern_rows
+from .catalog import (EIGHT_VERTEX_FAMILIES, THREE_EIGENVALUE_FAMILIES, DomainError, Family,
+                      FamilySpec, FamilySpecs, _braid_table, build_b, eigenvalues_of,
+                      reject_non_finite, z_of)
+from .linalg import WeightRows, cmat, inverse, pattern_rows, spectral_projectors
 
 
 class ThetaConvention(str, enum.Enum):
@@ -112,8 +114,6 @@ def compose_u(u: complex, v: complex) -> complex:
 
 def yb_two(b: np.ndarray, lam1: complex, lam2: complex, x: complex) -> np.ndarray:
     """R(x) = b + lambda1 lambda2 x b^{-1} for a two-eigenvalue braid matrix."""
-    from .linalg import spectral_projectors
-
     spectral_projectors(b, lam1, lam2)  # validates distinctness and annihilation
     return np.asarray(b, dtype=complex) + lam1 * lam2 * x * inverse(b)
 
@@ -135,14 +135,10 @@ def yb_three(
 
 
 def ordered_eigenvalues(spec: FamilySpec, ordering: EigOrdering) -> tuple[complex, complex, complex]:
-    """The three eight3/4 eigenvalues 1+t, 1-t, t-1 in the requested ordering."""
-    t = complex(spec.t)
-    a, bb, c = 1 + t, 1 - t, -1 + t
-    if ordering is EigOrdering.FIRST:
-        return a, bb, c
-    if ordering is EigOrdering.SECOND:
-        return a, c, bb
-    return bb, a, c
+    """The three eight3/4 eigenvalues 1+t, 1-t, t-1 of ``eigenvalues_of`` in the requested
+    ordering."""
+    a, bb, c = eigenvalues_of(spec)
+    return {EigOrdering.FIRST: (a, bb, c), EigOrdering.SECOND: (a, c, bb)}.get(ordering, (bb, a, c))
 
 
 def family_x(spec: FamilySpec | FamilySpecs, kind: str, value):
@@ -274,33 +270,31 @@ def coefficients(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = 
 
 def _coefficient_rows(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = None):
     """The weight rows of (A, B, C), (3, 8) for a FamilySpec and (3, 8, n) for FamilySpecs,
-    or of (A, B), (2, 8, ...), where C is 0: the one place that writes the table. Python's
-    arithmetic for a FamilySpec, numpy's for FamilySpecs, as the braid matrix's, with
-    eight4's 1 + t, 2 t and 1 - t on the rows; one assembly and finiteness check. A
-    (3, 8, n) block is 115 KB at 300 samples, under glibc's 128 KiB mmap threshold."""
+    or of (A, B), (2, 8, ...), where C is 0: the one place that writes the table, with the
+    two-eigenvalue B generated from b. Python's arithmetic for a FamilySpec, numpy's for
+    FamilySpecs, as the braid matrix's, with eight4's 1 + t, 2 t and 1 - t on the rows;
+    one assembly and finiteness check. A (3, 8, n) block is 115 KB at 300 samples, under
+    glibc's 128 KiB mmap threshold."""
     fam = spec.family
     _check_ordering(fam, ordering)
-    q, t, s = spec.parameters()
-    # lin is B, the coefficient of x, except for eight4, whose C is (1 - t) lin
-    if fam is Family.SIX_NONSTD:
-        lin = [[-1 / q, 0, 0, 0], [0, q - 1 / q, -1, 0], [0, -1, 0, 0], [0, 0, 0, q]]
-    elif fam is Family.SIX_STD:
-        lin = [[-1 / q, 0, 0, 0], [0, q - 1 / q, -1, 0], [0, -1, 0, 0], [0, 0, 0, -1 / q]]
-    elif fam is Family.EIGHT_I:
-        lin = [[1, 0, 0, -q], [0, 1, -s, 0], [0, s, 1, 0], [1 / q, 0, 0, 1]]
-    elif fam is Family.EIGHT_II:
-        z = z_of(t)
-        lin = [[t, 0, 0, -q], [0, 1, -s * z, 0], [0, -s * z, 1, 0], [-1 / q, 0, 0, 2 - t]]
-    elif fam is Family.EIGHT_III and ordering is not EigOrdering.SECOND:
-        lin = [[-t, 0, 0, q], [0, 1, -s * t, 0], [0, -s * t, 1, 0], [1 / q, 0, 0, -t]]
-    elif fam is Family.BELL_PHI:
+    if fam is Family.BELL_PHI:
         raise ValueError("bell-phi is a braid-matrix family; use eight1 for its R(theta)")
+    q, t, s = spec.parameters()
+    b = _braid_table(fam, q, t, s)
+    if fam not in THREE_EIGENVALUE_FAMILIES:
+        lam1, lam2 = eigenvalues_of(spec)  # lambda1 lambda2 b^{-1} = (lambda1 + lambda2) 1 - b
+        total = lam1 + lam2
+        return pattern_rows([b, [[total - v if r == c else -v for c, v in enumerate(row)]
+                                 for r, row in enumerate(b)]])
+    # lin is B, the coefficient of x, except for eight4, whose C is (1 - t) lin
+    if fam is Family.EIGHT_III and ordering is not EigOrdering.SECOND:
+        lin = [[-t, 0, 0, q], [0, 1, -s * t, 0], [0, -s * t, 1, 0], [1 / q, 0, 0, -t]]
     else:  # eight3's second ordering, and eight4
         lin = [[t, 0, 0, -q], [0, -1, s * t, 0], [0, s * t, -1, 0], [-1 / q, 0, 0, t]]
     if fam is not Family.EIGHT_IV:
-        return pattern_rows([_braid_table(fam, q, t, s), lin])
+        return pattern_rows([b, lin])
     b_2t = [[1, 0, 0, -q], [0, 1, -s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]]  # B / (2 t)
-    rows = pattern_rows([_braid_table(fam, q, t, s), b_2t, lin])
+    rows = pattern_rows([b, b_2t, lin])
     return np.multiply(np.array((1 + t, 2 * t, 1 - t))[:, None], rows, out=rows)
 
 
@@ -423,32 +417,27 @@ def x_form(spec: FamilySpec, x: complex, form: str = "canonical") -> np.ndarray:
     return cmat(rows)
 
 
-def formula_R(
-    spec: FamilySpec,
-    x: complex,
-    ordering: EigOrdering | None = None,
-) -> np.ndarray:
-    """R(x) straight from the eigenvalue formulas rather than the closed forms.
+def formula_R(spec: FamilySpec, x, ordering: EigOrdering | None = None) -> np.ndarray:
+    """R(x) straight from the eigenvalue formulas rather than the closed forms: a 4x4
+    matrix, or an (..., 4, 4) stack for an array x from one b and one inverse.
 
-    Two-eigenvalue families run through the proved formula; eight3/4 run
-    through the three-eigenvalue candidate in the requested ordering. Output
-    may differ from ``build_R`` by one overall scalar constant in x. At the
-    eigenvalue-collapse points t in {0, +-1} the braid matrix degenerates and
-    no formula applies; the closed forms remain available there.
+    Two-eigenvalue families run through the proved formula; eight3/4 run through the
+    three-eigenvalue candidate in the ordering, validated as ``build_R`` does. ``build_R``
+    is this times 1 (two eigenvalues), 1/(1 - x) (eight3) or 1 + t (eight4). At the
+    eigenvalue-collapse points t in {0, +-1} the braid matrix degenerates and no formula
+    applies; the closed forms remain available there.
     """
     fam = spec.family
+    _check_ordering(fam, ordering)
     b = build_b(spec)
-    lams = eigenvalues_of(spec)
-    if fam in (Family.EIGHT_III, Family.EIGHT_IV):
-        t = complex(spec.t)
-        if min(abs(t), abs(t - 1), abs(t + 1)) < 1e-9:
-            raise DomainError(
-                f"eigenvalues 1+t, 1-t, t-1 collapse at t = {t}; the braid matrix "
-                "is singular there and neither eigenvalue formula applies"
-            )
-        if ordering is None:
-            ordering = EigOrdering.THIRD if fam is Family.EIGHT_IV else EigOrdering.FIRST
-        return yb_three(b, ordered_eigenvalues(spec, ordering), x)
-    if ordering is not None:
-        raise ValueError(f"{fam.value} has two eigenvalues; ordering does not apply")
-    return yb_two(b, lams[0], lams[1], x)
+    if isinstance(x, np.ndarray):
+        x = x[..., None, None]
+    if fam not in THREE_EIGENVALUE_FAMILIES:
+        return yb_two(b, *eigenvalues_of(spec), x)
+    t = complex(spec.t)
+    if min(abs(t), abs(t - 1), abs(t + 1)) < 1e-9:
+        raise DomainError(f"eigenvalues 1+t, 1-t, t-1 collapse at t = {t}; the braid matrix "
+                          "is singular there and neither eigenvalue formula applies")
+    if ordering is None:
+        ordering = EigOrdering.THIRD if fam is Family.EIGHT_IV else EigOrdering.FIRST
+    return yb_three(b, ordered_eigenvalues(spec, ordering), x)

@@ -235,10 +235,6 @@ class FamilySpec:
         """gamma with q = e^gamma; defined for the six-vertex real-q domain."""
         return gamma_of(complex(self.q))
 
-    def z_value(self) -> complex:
-        """Middle-block weight z = sqrt(t^2 - 2t + 2) (eight2 only), principal branch."""
-        return z_of(complex(self.t))
-
     def domain_violation(self, x: complex = None) -> str | None:
         """The violated unitary-domain constraint (see ``domain_violation``), or None if
         inside; x is checked when given, family parameters always."""
@@ -338,24 +334,23 @@ def _braid_table(fam: Family, q, t, s) -> list:
     raise ValueError(f"unknown family {fam.value}")
 
 
-def eigenvalues_of(spec: FamilySpec) -> list[complex]:
-    """Eigenvalue list annihilating b: prod_i (b - lambda_i) = 0.
+def eigenvalues_of(spec: FamilySpec | FamilySpecs) -> list:
+    """Eigenvalue list annihilating b, prod_i (b - lambda_i) = 0, of a FamilySpec or FamilySpecs.
 
     For eight3/4 the three values 1+t, 1-t, t-1 are returned even at the
     collapse points t in {0, +-1}, where repeats appear; the annihilation
     property still holds there.
     """
     fam = spec.family
-    q = complex(spec.q)
+    q, t, _ = spec.parameters()
     if fam in (Family.SIX_NONSTD, Family.SIX_STD):
         return [q, -1 / q]
     if fam is Family.EIGHT_I:
         return [1 - 1j, 1 + 1j]
     if fam is Family.EIGHT_II:
-        z = spec.z_value()
+        z = z_of(t)
         return [1 + z, 1 - z]
-    if fam in (Family.EIGHT_III, Family.EIGHT_IV):
-        t = complex(spec.t)
+    if fam in THREE_EIGENVALUE_FAMILIES:
         return [1 + t, 1 - t, -1 + t]
     if fam is Family.BELL_PHI:
         return [complex(np.exp(-1j * np.pi / 4)), complex(np.exp(1j * np.pi / 4))]

@@ -41,7 +41,7 @@ import numpy as np
 from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, _coefficient_rows,
                         _polynomial, build_R_stack, family_x, g_factors, gauge, reference_gauge)
 from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix,
-                      finite_rho, is_real)
+                      finite_rho, is_real, z_of)
 from .gates import PAULI, tensor
 from .linalg import (MAX_ENTRY, WeightRows, block_product, dagger, expm_hermitian, frobenius,
                      identity, require_hermitian)
@@ -239,7 +239,7 @@ def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
         t = _real_t(spec)
         sn = float(np.sin(theta / 2.0))
         rho = finite_rho(4.0 + 4.0 * ((t - 1.0) * (t - 1.0)) * (sn * sn))
-        z = complex(spec.z_value())
+        z = z_of(complex(spec.t))
         core = np.array(
             [[1 - t, 0, 0, q], [0, 0, s * z, 0], [0, s * z, 0, 0], [1 / q, 0, 0, t - 1]],
             dtype=complex,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dynamics, entangle, gates
-from .baxterize import RZERO_EQUALS_B, EigOrdering, SpectralPoint, build_R
+from .baxterize import RZERO_EQUALS_B, EigOrdering, SpectralPoint, build_R, build_R_stack, formula_R
 from .catalog import Family, FamilySpec, FamilySpecs, Sign, build_b
 from .dynamics import (
     braiding_evolution_residual,
@@ -105,22 +105,35 @@ def criterion_qybe(seed: int) -> dict:
 def criterion_asymptotics(seed: int) -> dict:
     tol = 1e-12
     zero = SpectralPoint.from_x(0.0)
+    specs = {family: representative_spec(family) for family in R_FAMILIES}
     gaps = []
     for family in RZERO_EQUALS_B:
-        spec = representative_spec(family)
+        spec = specs[family]
         gaps.append(frobenius(build_R(spec, zero) - build_b(spec)))
     for family in (Family.EIGHT_II, Family.EIGHT_III, Family.EIGHT_IV):
-        spec = representative_spec(family)
+        spec = specs[family]
         r0, b = build_R(spec, zero), build_b(spec)
         idx = np.unravel_index(np.abs(r0).argmax(), r0.shape)
         gaps.append(frobenius(r0 - (r0[idx] / b[idx]) * b))
     # third-ordering family at x = 1: proportional to the identity
-    spec = representative_spec(Family.EIGHT_IV)
-    r1 = build_R(spec, SpectralPoint.from_x(1.0))
+    r1 = build_R(specs[Family.EIGHT_IV], SpectralPoint.from_x(1.0))
     gaps.append(frobenius(r1 - (np.trace(r1) / 4.0) * I4))
     residual = worst(gaps)
-    return _entry(3, "asymptotics R(0) = b and R(1) prop. identity", residual < tol,
-                  max_residual=residual, tolerance=tol)
+    # the table against the eigenvalue formulas, to one least-squares scalar per point
+    rng = np.random.default_rng(seed + 150)
+    table, formula = [], []
+    pairs = [(f, None) for f in R_FAMILIES] + [(Family.EIGHT_III, EigOrdering.SECOND)]
+    for family, ordering in pairs:
+        spec = specs[family]
+        x = sample_x(spec, rng, 3)
+        table.append(build_R_stack(spec, "x", x, ordering))
+        formula.append(formula_R(spec, x, ordering))
+    t, f = (np.concatenate(m).reshape(-1, 16) for m in (table, formula))
+    c = (f.conj() * t).sum(axis=1) / (f.conj() * f).sum(axis=1)
+    formula_gap = worst(np.linalg.norm(t - c[:, None] * f, axis=1) / np.linalg.norm(t, axis=1))
+    return _entry(3, "asymptotics R(0) = b and R(1) prop. identity",
+                  residual < tol and formula_gap < tol,
+                  max_residual=residual, max_formula_gap=formula_gap, tolerance=tol)
 
 
 def criterion_unitarity(seed: int) -> dict:

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from yaxter import baxterize, cli
 from yaxter.baxterize import (
     EigOrdering,
     SpectralPoint,
@@ -20,7 +23,7 @@ from yaxter.baxterize import (
     yb_two,
 )
 from yaxter.catalog import (DomainError, Family, FamilySpec, FamilySpecs, Sign, build_b,
-                            eigenvalues_of)
+                            eigenvalues_of, z_of)
 from yaxter.linalg import dagger, frobenius, identity, inverse
 from yaxter.verify import conjugate_partner, sample_spec, sample_specs
 
@@ -472,6 +475,87 @@ def test_coefficients_of_a_stack_are_the_stack_of_coefficients(family, ordering)
             assert np.array_equal(stacked[:, k], one)
         else:
             assert np.all(np.abs(stacked[:, k] - one) <= 2.0**-52 * np.abs(one))
+
+
+def written_B(family, q, t, s):
+    """The two-eigenvalue families' B as written out row by row, before it was generated
+    from b: the reference for the generated rows."""
+    if family is Family.SIX_NONSTD:
+        return [[-1 / q, 0, 0, 0], [0, q - 1 / q, -1, 0], [0, -1, 0, 0], [0, 0, 0, q]]
+    if family is Family.SIX_STD:
+        return [[-1 / q, 0, 0, 0], [0, q - 1 / q, -1, 0], [0, -1, 0, 0], [0, 0, 0, -1 / q]]
+    if family is Family.EIGHT_I:
+        return [[1, 0, 0, -q], [0, 1, -s, 0], [0, s, 1, 0], [1 / q, 0, 0, 1]]
+    z = z_of(t)
+    return [[t, 0, 0, -q], [0, 1, -s * z, 0], [0, -s * z, 1, 0], [-1 / q, 0, 0, 2 - t]]
+
+
+def dense_table(rows):
+    """A 4x4 table of numbers or of (n,) arrays as a (4, 4) or (n, 4, 4) complex array."""
+    entries = np.broadcast_arrays(*(v for row in rows for v in row))
+    table = np.array(entries, dtype=complex).reshape(4, 4, *entries[0].shape)
+    return np.moveaxis(table, (0, 1), (-2, -1))
+
+
+@pytest.mark.parametrize("family", [Family.SIX_NONSTD, Family.SIX_STD, Family.EIGHT_I,
+                                    Family.EIGHT_II], ids=lambda f: f.value)
+def test_generated_B_is_the_written_table(family):
+    rng = np.random.default_rng(71)
+    points = [sample_spec(family, rng) for _ in range(50)] + [sample_specs(family, rng, 50)]
+    for spec in points:
+        got = coefficients(spec)[1]
+        want = dense_table(written_B(family, *spec.parameters()))
+        if family is Family.EIGHT_I:  # sum 2 and entries 1, +-q, +-s, +-1/q: no rounding
+            assert np.array_equal(got, want)
+        # within 4 ulp of the largest entry of each point's B, its weight row: a single
+        # entry can cancel, as six-nonstd's (q - 1/q) + 1/q = q at q < 1
+        largest = np.abs(want).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(largest))
+
+
+@pytest.mark.parametrize("family", R_FAMILIES, ids=lambda f: f.value)
+def test_formula_R_of_an_array_is_the_stack_of_its_points(family):
+    spec = sample_spec(family, np.random.default_rng(73))
+    xs = np.array([0.3 + 0.4j, -1.1 + 0.2j, 2.0])
+    stack = formula_R(spec, xs)
+    assert stack.shape == (3, 4, 4)
+    for x, got in zip(xs, stack):
+        want = formula_R(spec, complex(x))
+        assert frobenius(got - want) <= 4e-16 * frobenius(want)
+
+
+@pytest.mark.parametrize("family,ordering,message", [
+    (Family.EIGHT_III, EigOrdering.THIRD, "the third ordering of this braid matrix is the eight4"),
+    (Family.EIGHT_IV, EigOrdering.FIRST, "eight4 is the third-ordering family"),
+    (Family.SIX_STD, EigOrdering.FIRST, "two eigenvalues"),
+])
+def test_formula_R_takes_the_orderings_build_R_takes(family, ordering, message):
+    spec = sample_spec(family, np.random.default_rng(79))
+    with pytest.raises(ValueError, match=message):
+        formula_R(spec, 0.5, ordering)
+
+
+def yb_two_mutant(b, lam1, lam2, x):
+    """``yb_two`` with lambda1 lambda2 -> -lambda1 lambda2."""
+    return np.asarray(b, dtype=complex) - lam1 * lam2 * x * inverse(b)
+
+
+def yb_three_mutant(b, lams, x):
+    """``yb_three`` with the sign of its -(x - 1) b term flipped."""
+    lam1, lam2, lam3 = lams
+    coeff = lam1 + lam2 + lam3 + lam1 * lam3 / lam2
+    return lam1 * lam3 * x * (x - 1) * inverse(b) + coeff * x * identity(4) + (x - 1) * b
+
+
+@pytest.mark.parametrize("name,mutant", [("yb_two", yb_two_mutant),
+                                         ("yb_three", yb_three_mutant)])
+def test_a_formula_mutant_fails_the_suite_in_criterion_3_alone(capsys, monkeypatch, name,
+                                                               mutant):
+    monkeypatch.setattr(baxterize, name, mutant)
+    assert cli.main(["suite"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [c["id"] for c in report["criteria"] if not c["pass"]] == [3]
+    assert report["criteria"][2]["max_formula_gap"] > 1e-3
 
 
 def test_a_stack_over_specs_is_the_stack_of_its_items():

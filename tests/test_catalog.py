@@ -19,7 +19,7 @@ from yaxter.catalog import (
     on_unit_circle,
 )
 from yaxter.linalg import frobenius, identity, strand_gap
-from yaxter.verify import sample_spec
+from yaxter.verify import sample_spec, sample_specs
 
 
 def test_six_nonstd_at_q1_display():
@@ -64,6 +64,15 @@ def test_eigenvalues_displayed():
     assert eigenvalues_of(FamilySpec(Family.SIX_NONSTD, q=q)) == [q, -1 / q]
     assert eigenvalues_of(FamilySpec.eight1(q=1.0)) == [1 - 1j, 1 + 1j]
     assert eigenvalues_of(FamilySpec.eight3(t=3.0)) == [4, -2, 2]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_eigenvalues_of_a_stack_are_those_of_its_items(family):
+    specs = sample_specs(family, np.random.default_rng(19), 30)
+    stacked = eigenvalues_of(specs)
+    for k in range(len(specs)):
+        item = [np.broadcast_to(lam, (len(specs),))[k].item() for lam in stacked]
+        assert item == eigenvalues_of(specs[k])
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -249,6 +249,19 @@ def test_build_via_formula_collapse_is_domain_error(capsys):
     assert "collapse" in err
 
 
+@pytest.mark.parametrize("via", ["formula", "closed"])
+@pytest.mark.parametrize("family,ordering,message", [
+    ("eight3", "third", "the third ordering of this braid matrix is the eight4 family"),
+    ("eight4", "first", "eight4 is the third-ordering family; use eight3 for the others"),
+])
+def test_build_takes_the_same_orderings_by_either_route(capsys, via, family, ordering, message):
+    code, out, err = run_cli(
+        capsys, "build", "--family", family, "--t", "1.7", "--x", "0.5", "--via", via,
+        "--ordering", ordering,
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_catalog_weights_report(capsys):
     code, out, _ = run_cli(
         capsys, "catalog", "--family", "eight2", "--t", "1.5", "--q", "1", "--weights",
