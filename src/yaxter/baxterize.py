@@ -41,7 +41,7 @@ import numpy as np
 from .catalog import (EIGHT_VERTEX_FAMILIES, THREE_EIGENVALUE_FAMILIES, DomainError, Family,
                       FamilySpec, FamilySpecs, _braid_table, build_b, eigenvalues_of,
                       reject_non_finite, z_of)
-from .linalg import WeightRows, cmat, inverse, pattern_rows, spectral_projectors
+from .linalg import WeightRows, cmat, inverse, pattern_rows, require_two_eigenvalues
 
 
 class ThetaConvention(str, enum.Enum):
@@ -114,7 +114,7 @@ def compose_u(u: complex, v: complex) -> complex:
 
 def yb_two(b: np.ndarray, lam1: complex, lam2: complex, x: complex) -> np.ndarray:
     """R(x) = b + lambda1 lambda2 x b^{-1} for a two-eigenvalue braid matrix."""
-    spectral_projectors(b, lam1, lam2)  # validates distinctness and annihilation
+    require_two_eigenvalues(b, lam1, lam2)
     return np.asarray(b, dtype=complex) + lam1 * lam2 * x * inverse(b)
 
 
@@ -192,9 +192,14 @@ def gauge(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonic
     if kind == "theta" and fam is Family.EIGHT_I:
         return np.cos(np.real(value)) / np.sqrt(2)
     if kind == "u" and fam in EIGHT_VERTEX_FAMILIES:
-        power = 2 if fam is Family.EIGHT_IV and form != "g" else 1
-        return 1 / (1 + u_to_x(value)) ** power
+        return _u_gauge(spec, u_to_x(value), form)
     return 1.0
+
+
+def _u_gauge(spec: FamilySpec | FamilySpecs, x, form: str = "canonical"):
+    """``gauge`` of an eight-vertex family's u view, at the multiplicative x of the point."""
+    power = 2 if spec.family is Family.EIGHT_IV and form != "g" else 1
+    return 1 / (1 + x) ** power
 
 
 def reference_gauge(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonical"):
@@ -348,10 +353,16 @@ def R_rows(
     scale = gauge(spec, kind, values, form)
     if form == "g" and spec.family is Family.EIGHT_IV:  # the g form is the canonical one over g1
         scale = scale / g_factors(spec, x)[0]
+    return WeightRows(_rows_at(spec, x, scale, ordering))
+
+
+def _rows_at(spec: FamilySpec | FamilySpecs, x, scale, ordering: EigOrdering | None = None):
+    """The (8, ...) weight rows of scale times the x-form at x: ``_polynomial`` on the rows
+    of ``_coefficient_rows``."""
     rows = _coefficient_rows(spec, ordering)
     if isinstance(spec, FamilySpec):  # its (k, 8) rows against every value
         rows = rows.reshape(*rows.shape, *(1,) * np.ndim(x))
-    return WeightRows(_polynomial(rows, x, scale))
+    return _polynomial(rows, x, scale)
 
 
 def x_form(spec: FamilySpec, x: complex, form: str = "canonical") -> np.ndarray:

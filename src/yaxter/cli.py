@@ -8,7 +8,8 @@ argv + seed give byte-identical output), diagnostics to stderr. Exit codes:
 
 Each check passes below its own threshold, from ``verify.TOLERANCES`` (and
 ``entangle.ENTANGLING_TOL`` for classify, where it bounds max |Det| / ||R||_F^2
-over the product grid of ``entangle.brylinski_witness``). ``check`` and
+over the product grid of ``entangle.brylinski_witness``, a kernel of eight-vertex
+matrices that takes each Det from the exact quartic in R's eight weights). ``check`` and
 ``classify`` take --tol, else the YAXTER_TOL environment variable, in place of
 that threshold; a tolerance must be finite and > 0. Each command, and each
 check of ``check``, accepts only the options it reads: ``check braid``, and

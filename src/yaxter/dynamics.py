@@ -10,7 +10,7 @@ in x for the real-x families (eight1, eight4 with imaginary t).
 ``exact_generators`` takes it exactly, at one point or a stack of them, from
 R = A + x (B + x C) times the gauge and R' = B + 2 C x, both on the weight
 rows of ``baxterize._coefficient_rows``, read once: with K = i R' R^dag / rho
-(``linalg.block_product`` on the rows), unitarity along the curve makes
+(``linalg.weight_product`` on the rows), unitarity along the curve makes
 K = H + i rho'/(2 rho) 1, so H is K, scattered to a dense matrix once, less
 i Im(tr K)/4 1. A real gauge only moves rho; the six-vertex
 dynamics gauge 1/(2 e^{i theta}) turns the phase by -theta and adds 1 to H.
@@ -39,13 +39,13 @@ from itertools import product
 import numpy as np
 
 from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, _coefficient_rows,
-                        _polynomial, build_R_stack, family_x, g_factors, gauge, reference_gauge)
+                        _polynomial, _rows_at, family_x, g_factors, gauge)
 from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix,
                       finite_rho, is_real, z_of)
 from .gates import PAULI, tensor
-from .linalg import (MAX_ENTRY, WeightRows, block_product, dagger, expm_hermitian, frobenius,
-                     identity, require_hermitian)
-from .verify import norm_factor, worst
+from .linalg import (MAX_ENTRY, WeightRows, dagger, expm_hermitian, frobenius, identity,
+                     require_hermitian, weight_product)
+from .verify import _normalization, worst
 
 I4 = identity(4)
 SIX_VERTEX = (Family.SIX_NONSTD, Family.SIX_STD)
@@ -79,11 +79,12 @@ def gauge_unitary(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
 def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values):
     """``gauge_unitary`` at a ``kind`` view value, or the (n, 4, 4) stack at an (n,) array
     of values (one per sample for FamilySpecs), with the domain check and the rho floor
-    applied to each: the ``build_R_stack`` matrices over their gauge and sqrt(rho)."""
-    fam = spec.family
+    applied to each: the ``build_R_stack`` matrices over their gauge and sqrt(rho), with
+    x, the gauges and rho evaluated once and the quotient folded into the polynomial's
+    scale, so that the one scatter to dense is the result."""
     with np.errstate(over="ignore", invalid="ignore"):  # a rho that overflows fails below
-        rho = norm_factor(spec, kind, values)
-    gauge = reference_gauge(spec, kind, values) if fam in SIX_VERTEX else 1.0
+        x, view, ref, rho = _normalization(spec, kind, values)
+    gauge = ref if spec.family in SIX_VERTEX else 1.0
     rho = rho / np.abs(gauge) ** 2
     ok = np.isfinite(rho) & (rho > RHO_FLOOR)
     if not ok.all():  # the search for the entry only on failure
@@ -91,7 +92,7 @@ def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values):
         raise DomainError(f"normalization factor rho = {np.ravel(rho)[k]:.3e} at {kind} = "
                           f"{np.broadcast_to(values, np.shape(rho)).flat[k]:.6g} "
                           "is degenerate or not finite")
-    return build_R_stack(spec, kind, values) / np.asarray(gauge * np.sqrt(rho))[..., None, None]
+    return WeightRows(_rows_at(spec, x, view / (gauge * np.sqrt(rho)))).dense()
 
 
 def _curve_failure(kind: str, value) -> str | None:
@@ -163,8 +164,7 @@ def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         fail(f"normalization factor degenerates (rho = {np.ravel(rho)[i]:.3e}) at {point(i)}", i)
-    blocks = (m.reshape(4, 2, *m.shape[1:]) for m in (1j * dr, dagger(WeightRows(r)).w))
-    k = np.array(block_product(*blocks)).reshape(r.shape) / rho  # K = i R' R^dag / rho
+    k = weight_product(1j * dr, dagger(WeightRows(r)).w) / rho  # K = i R' R^dag / rho
     omega = 1.0 if fam in SIX_VERTEX else 0.0
     h = WeightRows(k).dense()  # the one scatter
     h += np.asarray(omega - 0.25j * np.trace(h, axis1=-2, axis2=-1).imag)[..., None, None] * I4

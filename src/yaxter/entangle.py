@@ -6,9 +6,18 @@ universal (with local unitaries) iff it is entangling, i.e. maps some product
 state to a state with Det != 0. For a product input a x b, Det(R (a x b)) is a
 binary quadratic form in a and another in b, so it vanishes on every product
 state iff it vanishes on the nine states of ``GRID``,
-{|0>, |1>, |+>} x {|0>, |1>, |+>}. ``brylinski_witness`` evaluates those nine
-determinants at once; the grid state with the largest |Det| is both the
-decision and the witness.
+{|0>, |1>, |+>} x {|0>, |1>, |+>}.
+
+``brylinski_witness`` takes eight-vertex matrices: the direct sum of
+O = [[p, q], [r, s]] on |00>, |11> and I = [[p', q'], [r', s']] on |01>, |10>.
+With A = a0 b0, B = a1 b1, C = a0 b1 and D = a1 b0, the form is the quartic
+
+    Det(R (a x b)) = p r A^2 + q s B^2 - p' r' C^2 - q' s' D^2 + (p s + q r - p' s' - q' r') A B
+
+(AB = CD), which it evaluates at the nine grid states from R's eight weights on
+Python numbers; the grid state with the largest |Det| is both the decision and
+the witness. ``classify`` reads the weights once, for the witness and for its
+singularity guard det R = det O det I.
 
 Closed-form determinants after one application of an R-matrix are provided
 per family in the family's rational (u) gauge, and in the trigonometric
@@ -24,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baxterize import SpectralPoint, build_R, family_x, reference_gauge, x_to_u
+from .baxterize import SpectralPoint, _u_gauge, build_R, family_x, reference_gauge, x_form, x_to_u
 from .catalog import Family, FamilySpec
-from .linalg import require_invertible
+from .linalg import require_invertible, weights
 
 ENTANGLING_TOL = 1e-8
 
@@ -68,21 +77,32 @@ def concurrence_det(psi: np.ndarray):
     return det if det.ndim else complex(det)
 
 
-def brylinski_witness(r: np.ndarray, tol: float = ENTANGLING_TOL) -> np.ndarray | None:
+def brylinski_witness(r, tol: float = ENTANGLING_TOL) -> np.ndarray | None:
     """The ``GRID`` state whose image under r has the largest |Det|, if that
     |Det| exceeds tol ||r||_F^2; else None, and r keeps every product state a
     product. Scaling the floor with ||r||_F^2 makes the test invariant under r -> l r.
 
     Of states whose |Det| ties with the largest up to rounding (relative 1e-9),
     the first in ``GRID`` order is returned, so r and l r give the same witness.
+
+    r is an eight-vertex 4x4 matrix (``linalg.weights`` raises on an entry off the
+    pattern) or its eight weights as ``weights`` reads them; the nine determinants are
+    the quartic of the module docstring.
     """
-    r = np.asarray(r, dtype=complex)
-    out = GRID @ r.T
-    dets = np.abs(out[:, 0] * out[:, 3] - out[:, 1] * out[:, 2])
-    top = dets.max()
-    if not top > tol * np.vdot(r, r).real:
+    (w,) = weights("brylinski_witness", "r", r)
+    (p, q, r, s), (pi, qi, ri, si) = w[0::2], w[1::2]
+    a, b, c, d = p * r, q * s, -pi * ri, -qi * si  # the coefficients of A^2, B^2, C^2, D^2
+    ab = p * s + q * r - pi * si - qi * ri  # and of A B
+    # (A, B, C, D) at |00>, |01>, |0+>, |10>, |11>, |1+>, |+0>, |+1>, |++>, the GRID order, is
+    # (1, 0, 0, 0), (0, 0, 1, 0), (h, 0, h, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, h, 0, h),
+    # (h, 0, 0, h), (0, h, h, 0) and (h^2, h^2, h^2, h^2), with h^2 = 1/2
+    dets = [abs(a), abs(c), abs(a + c) / 2, abs(d), abs(b), abs(b + d) / 2, abs(a + d) / 2,
+            abs(b + c) / 2, abs(a + b + c + d + ab) / 4]
+    top = max(dets)
+    if not top > tol * sum([(v * v.conjugate()).real for v in w]):  # ||r||_F^2
         return None
-    return GRID[int(np.argmax(dets >= (1 - 1e-9) * top))].copy()
+    floor = (1 - 1e-9) * top
+    return GRID[next(k for k, det in enumerate(dets) if det >= floor)].copy()
 
 
 class Classification(str, enum.Enum):
@@ -98,11 +118,14 @@ class ClassificationResult:
 
 
 def classification_gauge_R(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
-    """The gauge in which the closed-form determinants below are stated."""
+    """The gauge in which the closed-form determinants below are stated: the trigonometric
+    one for the six-vertex families, else the x-form at the point's x times the u view's
+    gauge at that x. x = -1, where the u view does not exist, is a DomainError."""
     if spec.family in (Family.SIX_NONSTD, Family.SIX_STD):
         return build_R(spec, p) / reference_gauge(spec, p.kind, p.value)
-    u = x_to_u(family_x(spec, p.kind, p.value))
-    return build_R(spec, SpectralPoint.from_u(u))
+    x = family_x(spec, p.kind, p.value)
+    x_to_u(x)  # the DomainError at x = -1
+    return _u_gauge(spec, x) * x_form(spec, x)
 
 
 def classify(
@@ -119,11 +142,13 @@ def classify(
     invertible map. An entangling gate carries its witness and that state's
     output Det; a non-entangling one carries None and Det 0. ``probes`` and
     ``seed`` are accepted and ignored: they exist only because the ``sweep``
-    workload of ``bench/`` still passes them.
+    workload of ``bench/`` still passes them. R's eight weights are read once, for
+    the singularity guard (``linalg.require_invertible``) and for the witness.
     """
     r = classification_gauge_R(spec, p)
-    require_invertible(r, context=f"{spec.family.value}, {p.kind} = {p.value}")
-    witness = brylinski_witness(r, tol)
+    (w,) = weights("classify", "r", r)
+    require_invertible(w, context=f"{spec.family.value}, {p.kind} = {p.value}")
+    witness = brylinski_witness(w, tol)
     if witness is None:
         return ClassificationResult(Classification.NOT_ENTANGLING, None, 0j)
     return ClassificationResult(Classification.ENTANGLING, witness, concurrence_det(r @ witness))

@@ -9,18 +9,20 @@ single-matrix result. For one matrix, ``weights`` reads Python complex numbers a
 ``require_hermitian`` decides on Python floats, so a single-point check pays no numpy
 per-call cost on 0-d arrays. ``cmat`` builds one matrix under one finiteness check.
 ``require_invertible`` is the scale-aware singularity guard of ``inverse``, for a
-check that needs no inverse.
+check that needs no inverse; it also takes the eight weights of one eight-vertex matrix.
 
 Every braid matrix and R(x) here is eight-vertex: nonzero only where the row and column
 bits have equal parity, so the direct sum of a 2x2 block on |00>, |11> and one on |01>,
-|10>. Only this module knows that layout. A stack of such matrices travels as
+|10>. Only this module knows that layout; the others read the weights that ``weights``
+gives, the outer block's (p, q, r, s) at the even places and the inner block's at the odd
+ones. A stack of such matrices travels as
 ``WeightRows``, its (8, ...) weight rows in the block order of ``_WEIGHTS``: ``pattern_rows``
 assembles them from tables written as 4x4 rows, under one finiteness check, and
 ``WeightRows.dense`` scatters them to the (..., 4, 4) stack only at the API edges. The
 kernels read their operands through ``weights``, which passes weight rows through and
 gathers and checks a dense matrix once, where it enters: ``strand_gap``, the braid and
-QYBE kernel, computes only the entries the weights reach, and ``block_product`` and
-``defect`` multiply such matrices block by block.
+QYBE kernel, computes only the entries the weights reach, and ``block_product``,
+``weight_product`` and ``defect`` multiply such matrices block by block.
 
 The JSON wire format for a matrix, shared by the whole package and the CLI, is
 
@@ -83,9 +85,17 @@ def dagger(a):
 
 
 def frobenius(a: np.ndarray):
-    """||a||_F as a float for one matrix; one norm per matrix of a (..., n, n) stack."""
+    """||a||_F as a float for one matrix; one norm per matrix of a (..., n, n) stack. One
+    complex matrix runs ``np.linalg.norm``'s own arithmetic, the dot products of its real
+    and imaginary parts, without the wrapper's per-call cost: the result is bitwise equal."""
     a = np.asarray(a)
-    return float(np.linalg.norm(a)) if a.ndim == 2 else np.linalg.norm(a, axis=(-2, -1))
+    if a.ndim != 2:
+        return np.linalg.norm(a, axis=(-2, -1))
+    if a.dtype != complex:
+        return float(np.linalg.norm(a))
+    x = a.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def identity(dim: int) -> np.ndarray:
@@ -251,8 +261,8 @@ def _block_gaps(a: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
 def weights(kernel: str, names, *matrices, start: int = 0) -> list:
     """The weights of eight-vertex 4x4 matrices in the block order of ``_WEIGHTS``, one item
     per matrix: a tuple of eight Python complex numbers for a matrix, and (8, n) rows for a
-    (..., 4, 4) stack of n matrices, all stacks of one shape. ``WeightRows`` are weights
-    already: they come back as their rows, unread.
+    (..., 4, 4) stack of n matrices, all stacks of one shape. ``WeightRows``, and tuples of
+    a matrix's eight weights, are weights already: they come back as their rows, unread.
 
     Every dense matrix must be 0 off the pattern. A nonzero or NaN entry there is a
     ValueError of ``kernel`` naming the first one: the lowest stack index (counted from
@@ -260,6 +270,8 @@ def weights(kernel: str, names, *matrices, start: int = 0) -> list:
     """
     if isinstance(matrices[0], WeightRows):
         return [m.w for m in matrices]
+    if isinstance(matrices[0], tuple):
+        return list(matrices)
     stacked = matrices[0].ndim > 2
     if stacked:  # (row, col) pairs: a flat read would copy a strided stack such as a dagger
         reads = [m.reshape(-1, 4, 4).transpose(1, 2, 0)[_ROW, _COL] for m in matrices]
@@ -283,6 +295,19 @@ def block_product(x, y) -> tuple:
     p, q, r, s = x
     e, f, g, h = y
     return p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h
+
+
+#: ``weight_product``'s index tables: weight k of x y is x[_XA[k]] y[_YA[k]] + x[_XB[k]] y[_YB[k]],
+#: the (p, q, r, s) of ``block_product`` in each block of the block order of ``_WEIGHTS``
+_XA, _YA = np.array([0, 1, 0, 1, 4, 5, 4, 5]), np.array([0, 1, 2, 3, 0, 1, 2, 3])
+_XB, _YB = _XA + 2, _YA + 4
+
+
+def weight_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (8, ...) weight rows of the product x y of eight-vertex matrices given as their
+    (8, ...) weight rows, which broadcast: ``block_product`` in both blocks at once, as four
+    row gathers, two products and a sum."""
+    return x.take(_XA, 0) * y.take(_YA, 0) + x.take(_XB, 0) * y.take(_YB, 0)
 
 
 def defect(m: tuple, rho):
@@ -325,17 +350,10 @@ def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray):
     return gaps.reshape(shape)
 
 
-def spectral_projectors(
-    b: np.ndarray,
-    lam1: complex,
-    lam2: complex,
-    tol: float = DEFAULT_ATOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors of a two-eigenvalue matrix: P1 = (b - l2)/(l1 - l2), P2 = (b - l1)/(l2 - l1).
-
-    Requires (b - l1)(b - l2) = 0 within ``tol`` (scaled by the matrix size);
-    then P1 + P2 = 1, Pi^2 = Pi, P1 P2 = 0 and b = l1 P1 + l2 P2.
-    """
+def require_two_eigenvalues(b: np.ndarray, lam1: complex, lam2: complex,
+                            tol: float = DEFAULT_ATOL) -> None:
+    """DegenerateSpectrumError unless l1 and l2 are distinct, and NotTwoEigenvalueError
+    unless (b - l1)(b - l2) = 0 within ``tol`` (scaled by the matrix size)."""
     b = np.asarray(b, dtype=complex)
     scale = max(1.0, float(np.abs(b).max())) ** 2
     if not abs(lam1 - lam2) > tol * max(1.0, abs(lam1), abs(lam2)):
@@ -347,17 +365,46 @@ def spectral_projectors(
             f"(b - {lam1})(b - {lam2}) has norm {frobenius(minimal):.3e}; "
             "matrix is not annihilated by the two-eigenvalue polynomial"
         )
+
+
+def spectral_projectors(
+    b: np.ndarray,
+    lam1: complex,
+    lam2: complex,
+    tol: float = DEFAULT_ATOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projectors of a two-eigenvalue matrix: P1 = (b - l2)/(l1 - l2), P2 = (b - l1)/(l2 - l1).
+
+    Requires what ``require_two_eigenvalues`` checks; then P1 + P2 = 1, Pi^2 = Pi,
+    P1 P2 = 0 and b = l1 P1 + l2 P2.
+    """
+    require_two_eigenvalues(b, lam1, lam2, tol)
+    b = np.asarray(b, dtype=complex)
+    eye = identity(b.shape[0])
     p1 = (b - lam2 * eye) / (lam1 - lam2)
     p2 = (b - lam1 * eye) / (lam2 - lam1)
     return p1, p2
 
 
-def require_invertible(a: np.ndarray, context: str = "") -> None:
+def require_invertible(a, context: str = "") -> None:
     """SingularMatrixError, naming ``context`` when given, unless |det(a / max|a_ij|)| is at
-    least ``SINGULAR_EPS``: the scale-aware singularity guard of ``inverse``."""
-    a = np.asarray(a, dtype=complex)
-    with np.errstate(invalid="ignore"):  # a zero or non-finite a gives a NaN det, which fails below
-        det = np.linalg.det(a / np.abs(a).max())
+    least ``SINGULAR_EPS``: the scale-aware singularity guard of ``inverse``. ``a`` is a
+    matrix, or the eight weights of an eight-vertex one as ``weights`` reads them, whose det
+    is det O det I of its two 2x2 blocks, taken on Python numbers."""
+    if isinstance(a, tuple):
+        sizes = [abs(v) for v in a]
+        peak = max(sizes)
+        if math.isnan(sum(sizes)) or not peak:  # numpy's det of a / peak below is NaN here,
+            det = math.nan
+        elif peak == math.inf:  # and 0 here, where a / peak holds NaN and 0 only
+            det = 0.0
+        else:
+            p, pi, q, qi, r, ri, s, si = (v / peak for v in a)
+            det = (p * s - q * r) * (pi * si - qi * ri)
+    else:
+        a = np.asarray(a, dtype=complex)
+        with np.errstate(invalid="ignore"):  # a zero or non-finite a: a NaN or 0 det, which fails
+            det = np.linalg.det(a / np.abs(a).max())
     if not abs(det) >= SINGULAR_EPS:
         where = f" at {context}" if context else ""
         raise SingularMatrixError(

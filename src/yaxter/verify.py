@@ -221,9 +221,13 @@ def rho_formula(spec: FamilySpec | FamilySpecs, kind: str, value):
     Squares are written as products so that an overflow gives inf, not an
     OverflowError.
     """
+    return _rho_at(spec, family_x(spec, kind, value))
+
+
+def _rho_at(spec: FamilySpec | FamilySpecs, x):
+    """``rho_formula`` at the multiplicative x of the point (or of each sample)."""
     fam = spec.family
     q, t, _ = spec.parameters()
-    x = family_x(spec, kind, value)
     violation = domain_violation(fam, q, t, x)
     if violation is not None:
         raise DomainError(violation)
@@ -257,8 +261,16 @@ def matrix_norm_factor(spec: FamilySpec, p: SpectralPoint, form: str = "canonica
 def norm_factor(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonical"):
     """``matrix_norm_factor`` at a ``kind`` view value, or one per sample of FamilySpecs or
     of an array of values."""
-    g = abs(gauge(spec, kind, value, form) * reference_gauge(spec, kind, value, form))
-    return g * g * rho_formula(spec, kind, value)
+    return _normalization(spec, kind, value, form)[-1]
+
+
+def _normalization(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonical"):
+    """(x, gauge, reference gauge, rho) at a ``kind`` view value: ``family_x``, ``gauge``,
+    ``reference_gauge`` and ``norm_factor``, each evaluated once and rho from that x."""
+    x = family_x(spec, kind, value)
+    view, ref = gauge(spec, kind, value, form), reference_gauge(spec, kind, value, form)
+    g = abs(view * ref)
+    return x, view, ref, g * g * _rho_at(spec, x)
 
 
 def inverse_unitarity(builder: Callable[[complex], np.ndarray], x,

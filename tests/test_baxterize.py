@@ -24,7 +24,8 @@ from yaxter.baxterize import (
 )
 from yaxter.catalog import (DomainError, Family, FamilySpec, FamilySpecs, Sign, build_b,
                             eigenvalues_of, z_of)
-from yaxter.linalg import dagger, frobenius, identity, inverse
+from yaxter.linalg import (DegenerateSpectrumError, NotTwoEigenvalueError, cmat, dagger, frobenius,
+                           identity, inverse, spectral_projectors)
 from yaxter.verify import conjugate_partner, sample_spec, sample_specs
 
 X = SpectralPoint.from_x
@@ -99,6 +100,18 @@ def test_yb_two_eight1_display_and_x_one():
     )
     assert frobenius(got - want) < 1e-14
     assert frobenius(yb_two(b, 1 - 1j, 1 + 1j, 1.0) - 2 * identity(4)) < 1e-14
+
+
+def test_yb_two_checks_the_spectrum_as_the_projectors_do():
+    t = 2.0
+    three = cmat([[t, 0, 0, 1], [0, 1, t, 0], [0, t, 1, 0], [1, 0, 0, t]])
+    for b, lams, error in ((identity(4), (1.0, 1.0 + 1e-14), DegenerateSpectrumError),
+                           (three, (1 + t, 1 - t), NotTwoEigenvalueError)):
+        with pytest.raises(error) as formula:
+            yb_two(b, *lams, 0.5)
+        with pytest.raises(error) as projectors:
+            spectral_projectors(b, *lams)
+        assert str(formula.value) == str(projectors.value)
 
 
 def test_yb_two_affine_in_x():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from yaxter import dynamics
-from yaxter.baxterize import SpectralPoint, coefficients, family_x, gauge
+from yaxter.baxterize import (SpectralPoint, build_R_stack, coefficients, family_x, gauge,
+                              reference_gauge)
 from yaxter.catalog import DomainError, Family, FamilySpec, Sign
 from yaxter.dynamics import (
     Hamiltonian,
@@ -21,7 +22,7 @@ from yaxter.dynamics import (
 from yaxter.gates import PAULI, SIGMA_MINUS, SIGMA_PLUS, SX, SZ, sigma_xy, tensor
 from yaxter.linalg import (expm_hermitian, frobenius, hermiticity_defect, identity,
                            require_hermitian)
-from yaxter.verify import sample_spec, sample_specs, worst
+from yaxter.verify import norm_factor, sample_spec, sample_specs, worst
 
 X = SpectralPoint.from_x
 TH = SpectralPoint.from_theta
@@ -435,6 +436,35 @@ def test_a_degenerate_rho_at_one_sample_of_a_stack_names_that_sample():
     assert dynamics._gauge_unitaries(spec, "theta", np.delete(values, 3)).shape == (4, 4, 4)
     with pytest.raises(DomainError, match=r"rho = 0\.000e\+00 at theta = 0 is degenerate"):
         dynamics._gauge_unitaries(spec, "theta", values)
+
+
+def gauge_unitaries_reference(spec, kind, values):
+    """The stacked gauge unitaries as separate steps: the dense ``build_R_stack`` matrices
+    divided by the dynamics gauge times sqrt(rho), with rho from ``verify.norm_factor``."""
+    turn = reference_gauge(spec, kind, values) if spec.family in dynamics.SIX_VERTEX else 1.0
+    rho = norm_factor(spec, kind, values) / np.abs(turn) ** 2
+    return build_R_stack(spec, kind, values) / np.asarray(turn * np.sqrt(rho))[..., None, None]
+
+
+@pytest.mark.parametrize("family", [f for f in Family if f is not Family.BELL_PHI],
+                         ids=lambda f: f.value)
+def test_gauge_unitaries_are_the_stepwise_reference(family):
+    # x, the gauges and rho evaluated once and the quotient folded into the polynomial:
+    # the same matrices to rounding, for FamilySpecs and for one spec at a stencil
+    rng = np.random.default_rng(101)
+    eight1 = family is Family.EIGHT_I
+    for imaginary_t in ((False, True) if family is Family.EIGHT_IV else (False,)):
+        specs = sample_specs(family, rng, 40, imaginary_t)
+        kind = "x" if eight1 or imaginary_t else "theta"
+        values = rng.uniform(-1.2, 1.2, 40) + (1.0 if kind == "x" else 0.0)
+        cases = [(specs, values)] + [(specs[k], values[k] + np.array([0, 1e-5, -1e-5]))
+                                     for k in range(5)]
+        cases.append((specs[0], float(values[0])))
+        for spec, v in cases:
+            got, want = dynamics._gauge_unitaries(spec, kind, v), gauge_unitaries_reference(
+                spec, kind, v)
+            assert got.shape == want.shape
+            assert np.all(frobenius(got - want) <= 1e-14 * frobenius(want))
 
 
 def test_stacked_hermiticity_check_names_the_one_failing_matrix():

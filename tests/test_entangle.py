@@ -21,10 +21,13 @@ from yaxter.entangle import (
     product_state,
     state,
 )
-from yaxter.linalg import SingularMatrixError, identity
+from yaxter.linalg import SingularMatrixError, identity, require_invertible
 
 X = SpectralPoint.from_x
 TH = SpectralPoint.from_theta
+
+#: the eight-vertex pattern: the entries where the row and column bits have equal parity
+EIGHT_VERTEX = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=bool)
 
 amp = st.floats(min_value=-2, max_value=2, allow_nan=False)
 
@@ -183,8 +186,48 @@ def is_local(r: np.ndarray, tol: float = ENTANGLING_TOL) -> bool:
     return bool(np.any(s[:, 1] < tol * s[:, 0]))
 
 
+def dense_witness(r: np.ndarray, tol: float = ENTANGLING_TOL) -> np.ndarray | None:
+    """The general-gate reference of ``brylinski_witness``, for any 4x4 r: the nine grid
+    images as one dense product GRID @ r.T, the same floor and the same tie rule."""
+    r = np.asarray(r, dtype=complex)
+    out = GRID @ r.T
+    dets = np.abs(out[:, 0] * out[:, 3] - out[:, 1] * out[:, 2])
+    top = dets.max()
+    if not top > tol * np.vdot(r, r).real:
+        return None
+    return GRID[int(np.argmax(dets >= (1 - 1e-9) * top))].copy()
+
+
 def _grid_is_local(r: np.ndarray) -> bool:
-    return brylinski_witness(r) is None
+    return dense_witness(r) is None
+
+
+def _eight_vertex_gate(rng) -> np.ndarray:
+    """A random eight-vertex 4x4 matrix: standard normal weights on the pattern, 0 off it."""
+    r = np.zeros((4, 4), dtype=complex)
+    r[EIGHT_VERTEX] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    return r
+
+
+def _assert_witness_is_the_reference(r):
+    """The eight-weight kernel and the dense reference give the same verdict and witness."""
+    got, want = brylinski_witness(r), dense_witness(r)
+    assert (got is None) == (want is None)
+    assert got is None or np.array_equal(got, want)
+
+
+def _assert_classify_is_the_reference(spec, p):
+    """classify decides as the dense guard and the dense reference witness on the same R."""
+    r = classification_gauge_R(spec, p)
+    require_invertible(r)
+    result, want = classify(spec, p), dense_witness(r)
+    if want is None:
+        assert result.classification is Classification.NOT_ENTANGLING
+        assert result.witness is None and result.det == 0
+    else:
+        assert result.classification is Classification.ENTANGLING
+        assert np.array_equal(result.witness, want)
+        assert result.det == concurrence_det(r @ want)
 
 
 def test_is_local_exactly_on_products_and_swapped_products():
@@ -227,35 +270,75 @@ def _fixed_points():
 
 
 def test_grid_agrees_with_realignment_at_every_fixed_point():
+    # criterion 6's 15 points among them
     for spec, p in _fixed_points():
         r = classification_gauge_R(spec, p)
         assert _grid_is_local(r) == is_local(r), (spec, p)
+        _assert_witness_is_the_reference(r)
+        _assert_classify_is_the_reference(spec, p)
 
 
 @pytest.mark.parametrize("family", suite.R_FAMILIES, ids=lambda f: f.value)
 def test_grid_agrees_with_realignment_on_seeded_curve_points(family):
-    # sweep-style points: seeded specs, 0.1 <= |offset| <= 1.4 from the
-    # non-entangling locus (theta = 0, or x = 1 for eight1), and the locus itself
+    # the grids of 34 sweep-style ops per family, 204 in all: seeded specs, 15 points at
+    # 0.1 <= |offset| <= 1.4 from the non-entangling locus (theta = 0, or x = 1 for eight1),
+    # and the locus itself
     rng = np.random.default_rng(59)
     eight1 = family is Family.EIGHT_I
     on_locus = 1.0 if eight1 else 0.0
-    for _ in range(20):
+    for _ in range(34):
         spec = verify.sample_spec(family, rng)
-        offsets = rng.uniform(0.1, 1.4, 7) * rng.choice((-1.0, 1.0), 7)
+        offsets = rng.uniform(0.1, 1.4, 15) * rng.choice((-1.0, 1.0), 15)
         for value in (on_locus, *(on_locus + offsets)):
             p = X(value) if eight1 else TH(value)
             r = classification_gauge_R(spec, p)
             result = classify(spec, p)
             assert _grid_is_local(r) == is_local(r) == (value == on_locus)
+            _assert_classify_is_the_reference(spec, p)
             if value != on_locus:
                 _assert_grid_witness(spec, p, result)
+
+
+def test_eight_weight_witness_is_the_dense_reference_on_eight_vertex_gates():
+    rng = np.random.default_rng(71)
+    for _ in range(500):
+        r = _eight_vertex_gate(rng)
+        _assert_witness_is_the_reference(r)
+        for lam in (1e-6, 1e6, 1j):
+            _assert_witness_is_the_reference(lam * r)
+    # local eight-vertex gates (diagonal or antidiagonal factors), swapped and moved by eps
+    # along a random eight-vertex direction: the floor decides as the reference's does
+    for eps, local in ((1e-3, False), (1e-11, True)):
+        for _ in range(50):
+            a, b = (np.diag(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+                    for _ in range(2))
+            flip = np.array([[0, 1], [1, 0]])
+            for ab in (np.kron(a, b), np.kron(flip @ a, flip @ b)):
+                for r in (ab, SWAP @ ab):
+                    e = _eight_vertex_gate(rng)
+                    r = r + eps * np.linalg.norm(r) * e / np.linalg.norm(e)
+                    _assert_witness_is_the_reference(r)
+                    assert (brylinski_witness(r) is None) == local
+    # ties: O = I = [[1, 1], [-1, 1]] gives |Det| = 1 at six grid states, up to rounding in
+    # the reference, and the first of them is the witness
+    tie = np.zeros((4, 4), dtype=complex)
+    tie[EIGHT_VERTEX] = [1, 1, 1, 1, -1, 1, -1, 1]
+    assert np.array_equal(brylinski_witness(tie), GRID[0])
+    _assert_witness_is_the_reference(tie)
+
+
+def test_the_witness_takes_eight_vertex_matrices_only():
+    r = _eight_vertex_gate(np.random.default_rng(73))
+    r[0, 1] = 0.5
+    with pytest.raises(ValueError, match=r"^brylinski_witness takes eight-vertex matrices"):
+        brylinski_witness(r)
 
 
 @pytest.mark.parametrize("lam", [1e-6, 1e6])
 def test_grid_test_is_scale_invariant(lam):
     rng = np.random.default_rng(61)
     gates = [classification_gauge_R(spec, p) for spec, p in _fixed_points()]
-    gates += [_complex_matrix(rng, 4) for _ in range(50)]
+    gates += [_eight_vertex_gate(rng) for _ in range(50)]
     for r in gates:
         w, w_scaled = brylinski_witness(r), brylinski_witness(lam * r)
         assert (w is None) == (w_scaled is None)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yaxter.baxterize import SpectralPoint, build_R
+from yaxter.catalog import FamilySpec
 from yaxter.linalg import (
     _BLOCK,
     MAX_ENTRY,
@@ -21,11 +24,15 @@ from yaxter.linalg import (
     inverse,
     mat_from_json,
     mat_to_json,
+    WeightRows,
     require_hermitian,
     require_invertible,
+    require_two_eigenvalues,
     spectral_projectors,
     strand_gap,
     tensor,
+    weight_product,
+    weights,
 )
 from yaxter.verify import worst
 
@@ -354,6 +361,99 @@ def test_the_guard_split_from_inverse_keeps_its_rule_and_message():
             guard(ones, context="t = 1")
         with pytest.raises(SingularMatrixError, match=r"^matrix is singular: "):
             guard(ones)
+
+
+#: the eight-vertex pattern: the entries where the row and column bits have equal parity
+EIGHT_VERTEX = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=bool)
+
+
+def _eight_vertex(w) -> np.ndarray:
+    m = np.zeros((4, 4), dtype=complex)
+    m[EIGHT_VERTEX] = w
+    return m
+
+
+def _guard_message(a) -> str | None:
+    try:
+        require_invertible(a, context="t = 1")
+    except SingularMatrixError as err:
+        return str(err)
+    return None
+
+
+def _guard_cases():
+    rng = np.random.default_rng(83)
+    cases = [_eight_vertex(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+             for _ in range(200)]
+    cases.append(_eight_vertex([1, 2, 0.5, 0.3, 2, -0.7, 2, 4]))  # O = [[1, 2], [2, 4]]
+    cases.append(np.zeros((4, 4), dtype=complex))
+    for value in (np.nan, complex(0, np.nan), np.inf, -np.inf, complex(1, np.inf)):
+        for k in range(8):
+            w = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            w[k] = value
+            cases.append(_eight_vertex(w))
+    return cases
+
+
+def test_the_eight_weight_guard_decides_and_words_as_the_dense_one():
+    # the weights as classify reads them; NaN, zero and infinite entries give the same
+    # message, numbers included
+    verdicts = []
+    for m in _guard_cases():
+        (w,) = weights("guard", "a", m)
+        assert _guard_message(w) == _guard_message(m)
+        verdicts.append(_guard_message(m) is None)
+    assert verdicts.count(True) == 200
+
+
+def test_the_eight_weight_guard_at_a_singular_family_matrix():
+    # six-nonstd at x = q^2 = e: q - x/q = 0; the two dets differ only in rounding
+    r = build_R(FamilySpec.six_nonstd(gamma=0.5), SpectralPoint.from_x(np.e))
+    dense, eight = _guard_message(r), _guard_message(weights("guard", "a", r)[0])
+    number = r"\d\.\d{3}e-\d+$"
+    for message in (dense, eight):
+        assert re.match(r"^matrix is singular at t = 1: \|det\(a / max\|a_ij\|\)\| = " + number,
+                        message)
+    assert float(dense.rsplit(" ", 1)[1]) < 1e-30 and float(eight.rsplit(" ", 1)[1]) < 1e-30
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_frobenius_of_one_matrix_is_bitwise_numpys_norm(dtype):
+    rng = np.random.default_rng(89)
+    mats = [rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if dtype is complex
+                                           else 0) for n in (2, 4, 4, 4)]
+    mats += [m.T for m in mats] + [1e150 * mats[1], 1e-170 * mats[1]]
+    mats.append(np.where(np.eye(4, dtype=bool), np.nan, mats[2]))
+    mats.append(np.where(np.eye(4, dtype=bool), np.inf, mats[2]))
+    with np.errstate(over="ignore"):
+        for m in mats:
+            m = np.asarray(m, dtype=dtype)
+            got, want = frobenius(m), float(np.linalg.norm(m))
+            assert isinstance(got, float)
+            assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_weight_product_is_the_dense_product_of_eight_vertex_matrices():
+    rng = np.random.default_rng(97)
+    x, y = (rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5)) for _ in range(2))
+    got = WeightRows(weight_product(x, y)).dense()
+    want = WeightRows(x).dense() @ WeightRows(y).dense()
+    assert np.allclose(got, want, rtol=1e-15, atol=1e-15)
+    one = weight_product(x[:, :1], y[:, :2])  # rows broadcast
+    assert np.array_equal(one, weight_product(np.repeat(x[:, :1], 2, 1), y[:, :2]))
+
+
+def test_the_two_eigenvalue_check_is_the_projectors_check():
+    t = 2.0
+    three = cmat([[t, 0, 0, 1], [0, 1, t, 0], [0, t, 1, 0], [1, 0, 0, t]])
+    for b, lams, error in ((identity(4), (1.0, 1.0 + 1e-14), DegenerateSpectrumError),
+                           (three, (1 + t, 1 - t), NotTwoEigenvalueError)):
+        with pytest.raises(error) as check:
+            require_two_eigenvalues(b, *lams)
+        with pytest.raises(error) as projectors:
+            spectral_projectors(b, *lams)
+        assert str(check.value) == str(projectors.value)
+    assert require_two_eigenvalues(six_nonstd_b(2.0), 2.0, -0.5) is None
 
 
 def _hermitian_case(kind: str, tol: float) -> np.ndarray:

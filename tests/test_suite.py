@@ -1,11 +1,14 @@
 """Criteria 5, 6 and 8 evaluate their samples as stacks. The per-point loops they
 replaced are kept here as references: at the CI seeds each criterion passes and
-its figure agrees with its loop to rounding."""
+its figure agrees with its loop to rounding. A criterion that raises a check error
+fails in the report, which still holds every criterion."""
+
+import json
 
 import numpy as np
 import pytest
 
-from yaxter import suite
+from yaxter import baxterize, cli, dynamics, suite
 from yaxter.baxterize import SpectralPoint
 from yaxter.catalog import Family, FamilySpec, Sign
 from yaxter.dynamics import evolve, gauge_unitary, hamiltonian_closed
@@ -95,3 +98,42 @@ def test_each_family_has_its_representative_spec():
     for family in Family:
         spec = suite.representative_spec(family)
         assert spec.family is family and spec == suite.representative_spec(family)
+
+
+def test_a_wrong_table_fails_its_criteria_and_the_report_keeps_all_ten(capsys, monkeypatch):
+    # the flip of test_a_sign_flipped_in_eight2s_linear_coefficient_fails_the_qybe_scan, in
+    # eight2's rows only, seen by the builders and by the exact generators
+    exact = baxterize._coefficient_rows
+
+    def flipped(spec, ordering=None):
+        rows = exact(spec, ordering)
+        if spec.family is Family.EIGHT_II:
+            rows = rows.copy()
+            rows[1, 2] *= -1  # the -q of B at (0, 3), row 2 in the block order of _WEIGHTS
+        return rows
+
+    for module in (baxterize, dynamics):
+        monkeypatch.setattr(module, "_coefficient_rows", flipped)
+    report = suite.run_suite(42)
+    criteria = report["criteria"]
+    assert [c["id"] for c in criteria] == list(range(1, 11))
+    assert [c["name"] for c in criteria] == list(suite.NAMES)
+    assert report["all_pass"] is False
+    errors = {c["id"]: c for c in criteria if "error" in c}
+    assert sorted(errors) == [5, 7]
+    for entry in errors.values():  # no numbers beside the message
+        assert entry["pass"] is False and list(entry) == ["id", "name", "pass", "error"]
+    assert errors[5]["error"].startswith("R(x) R(1/x) is not proportional to 1")
+    assert errors[7]["error"].startswith("Hamiltonian is not Hermitian")
+    assert cli.main(["suite"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == json.loads(json.dumps(report)) and captured.err == ""
+
+
+def test_an_error_that_is_no_check_error_propagates(monkeypatch):
+    def broken(seed):
+        raise RuntimeError("not a check error")
+
+    monkeypatch.setattr(suite, "CRITERIA", [*suite.CRITERIA[:3], broken, *suite.CRITERIA[4:]])
+    with pytest.raises(RuntimeError, match="not a check error"):
+        suite.run_suite(42)
