@@ -202,22 +202,24 @@ def _u_gauge(spec: FamilySpec | FamilySpecs, x, form: str = "canonical"):
     return 1 / (1 + x) ** power
 
 
-def reference_gauge(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonical"):
+def reference_gauge(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonical",
+                    x=None):
     """The scalar the displayed x-form carries over the gauge of the closed-form rho.
 
     2 e^{i theta} for the six-vertex families (over their trigonometric form,
-    x = e^{2 i theta}), g1 for canonical eight4 (over its g view), 1 otherwise.
+    x = e^{2 i theta}), g1 for canonical eight4 (over its g view), 1 otherwise. ``x`` is
+    ``family_x`` of the value when the caller has it already; else it is derived here.
     """
     fam = spec.family
     if fam in (Family.SIX_NONSTD, Family.SIX_STD):
         if kind == "theta":
             theta = value
         else:
-            x = family_x(spec, kind, value)
+            x = family_x(spec, kind, value) if x is None else x
             theta = (np.log(x) if isinstance(x, np.ndarray) else cmath.log(x)) / (1j * 2.0)
         return 2 * np.exp(1j * theta)
     if fam is Family.EIGHT_IV and form != "g":
-        return g_factors(spec, family_x(spec, kind, value))[0]
+        return g_factors(spec, family_x(spec, kind, value) if x is None else x)[0]
     return 1.0
 
 

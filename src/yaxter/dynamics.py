@@ -123,6 +123,14 @@ def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
     i rho'/(2 rho) 1 is not Hermitian and ``require_hermitian`` raises a ValueError. An
     empty stack is ``verify.worst``'s usage error.
     """
+    h = _generators(spec, kind, s)
+    require_hermitian(h, HERM_TOL, "Hamiltonian")
+    return h
+
+
+def _generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
+    """``exact_generators`` before its Hermiticity check, which ``hamiltonian`` leaves to the
+    ``Hamiltonian`` record."""
     fam = spec.family
     stack = np.ndim(s) > 0
     values = np.ravel(s).tolist() if stack else [s]
@@ -168,15 +176,14 @@ def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
     omega = 1.0 if fam in SIX_VERTEX else 0.0
     h = WeightRows(k).dense()  # the one scatter
     h += np.asarray(omega - 0.25j * np.trace(h, axis1=-2, axis2=-1).imag)[..., None, None] * I4
-    require_hermitian(h, HERM_TOL, "Hamiltonian")
     return h
 
 
 def hamiltonian(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
     """H = i (dU/ds) U(s)^dag at a theta point of an R family or a real-x point of eight1 or
-    imaginary-t eight4, exactly: ``exact_generators`` at p, with its checks."""
-    return Hamiltonian(exact_generators(spec, p.kind, p.value), HamiltonianSource.EXACT,
-                       spec, p)
+    imaginary-t eight4, exactly: ``exact_generators`` at p, with its checks; the record's own
+    is its Hermiticity check."""
+    return Hamiltonian(_generators(spec, p.kind, p.value), HamiltonianSource.EXACT, spec, p)
 
 
 def hamiltonian_fd(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
@@ -288,13 +295,16 @@ def _eight1_generator(spec: FamilySpec | FamilySpecs) -> np.ndarray:
     return -0.5j * (b @ b)
 
 
-def six_vertex_erratum_report(spec: FamilySpec, theta: float) -> dict:
-    """Compare both six-vertex closed-form variants against the exact Hamiltonian.
+def six_vertex_erratum_report(spec: FamilySpec, theta: float,
+                              exact: np.ndarray | None = None) -> dict:
+    """Compare both six-vertex closed-form variants against the exact Hamiltonian at theta,
+    ``exact`` when the caller has it from ``exact_generators``, else ``hamiltonian``'s.
 
     The exact result is authoritative: a variant within 1e-12 of it (relative to
     max(1, ||H||)) is confirmed, one more than 1e-3 away discrepant.
     """
-    exact = hamiltonian(spec, SpectralPoint.from_theta(theta)).matrix
+    if exact is None:
+        exact = hamiltonian(spec, SpectralPoint.from_theta(theta)).matrix
     cosh_variant = hamiltonian_closed(spec, theta).matrix
     coth_variant = six_vertex_hamiltonian_coth_variant(spec, theta)
     tol = 1e-12 * max(1.0, frobenius(exact))

@@ -3,12 +3,16 @@
 Each criterion is evaluated at a fixed tolerance with seeded sampling and
 reported as one entry; the CLI serializes the result deterministically, so
 identical seeds give byte-identical output. A criterion that samples evaluates
-its samples as stacks, with one build and one kernel call per family: the
-scans of criteria 1, 2 and 4, the inverse-unitarity scalars of criterion 5,
-the closed-form determinants of criterion 6 (20 states per family from one
-draw), the exact generators of criterion 7 (three theta points per family) and the
-braiding evolution residuals of criterion 8 (50 eight1 points as one FamilySpecs). A
-criterion that raises a check error is a failing entry, and the others still run.
+its samples as stacks. Criteria 1, 2 and 4 build one seeded scan job per family
+(``verify.braid_job``, ``qybe_job``, ``unitarity_job``: the draw and the row
+build of ``scan_braid``, ``scan_qybe`` and ``scan_unitarity``) and run all their
+jobs through one kernel pass, ``verify.scan_gaps``, reduced by one ``worst`` with
+the job as the case. The others make one call per family: the inverse-unitarity
+scalars of criterion 5, the closed-form determinants of criterion 6 (20 states
+per family from one draw), the exact generators of criterion 7 (three theta
+points per family and its special point) and the braiding evolution residuals of
+criterion 8 (50 eight1 points as one FamilySpecs). A criterion that raises a check
+error is a failing entry, and the others still run.
 """
 
 from __future__ import annotations
@@ -31,12 +35,13 @@ from .linalg import dagger, expm_hermitian, frobenius, hermiticity_defect, ident
 from .verify import (
     QYBE_PARAMETRIZATIONS,
     TOLERANCES,
+    braid_job,
     family_inverse_unitarity,
+    qybe_job,
     rho_formula,
     sample_x,
-    scan_braid,
-    scan_qybe,
-    scan_unitarity,
+    scan_gaps,
+    unitarity_job,
     unitarity_residual,
     worst,
 )
@@ -91,12 +96,20 @@ def _entry(cid: int, passed: bool, **detail) -> dict:
     return out
 
 
+def _worst_job(jobs, names: list, samples: int) -> tuple:
+    """(largest gap, the name of its job) over one ``scan_gaps`` pass of ``jobs`` of
+    ``samples`` each, built as the pass reaches them: one ``worst`` with the job as the
+    case, so a NaN wins and the first job wins ties."""
+    gaps = scan_gaps(jobs)[0]
+    residual, k = worst(gaps, np.arange(gaps.size) // samples)
+    return residual, names[k]
+
+
 def criterion_braid(seed: int) -> dict:
     tol = TOLERANCES["braid"]
-    residual, worst_family = worst(
-        [scan_braid(family, samples=100, seed=seed + k, tol=tol).residual
-         for k, family in enumerate(Family)],
-        [family.value for family in Family])
+    residual, worst_family = _worst_job(
+        (braid_job(family, samples=100, seed=seed + k) for k, family in enumerate(Family)),
+        [family.value for family in Family], 100)
     return _entry(1, residual < tol, max_residual=residual, tolerance=tol,
                   worst_family=worst_family)
 
@@ -109,11 +122,10 @@ def criterion_qybe(seed: int) -> dict:
         for kind in QYBE_PARAMETRIZATIONS[family]:
             jobs.append((spec, kind, None))
     jobs.append((representative_spec(Family.EIGHT_III), "x", EigOrdering.SECOND))
-    residual, worst_case = worst(
-        [scan_qybe(spec, kind=kind, samples=50, seed=seed + 100 + k, tol=tol,
-                   ordering=ordering).residual
-         for k, (spec, kind, ordering) in enumerate(jobs)],
-        [{"family": spec.family.value, "kind": kind} for spec, kind, _ in jobs])
+    residual, worst_case = _worst_job(
+        (qybe_job(spec, kind=kind, samples=50, seed=seed + 100 + k, ordering=ordering)
+         for k, (spec, kind, ordering) in enumerate(jobs)),
+        [{"family": spec.family.value, "kind": kind} for spec, kind, _ in jobs], 50)
     return _entry(2, residual < tol, max_residual=residual, tolerance=tol,
                   worst_case=worst_case)
 
@@ -153,12 +165,12 @@ def criterion_asymptotics(seed: int) -> dict:
 
 def criterion_unitarity(seed: int) -> dict:
     tol = TOLERANCES["unitarity"]
-    reports = [scan_unitarity(family, samples=100, seed=seed + 200 + k, tol=tol)
-               for k, family in enumerate(R_FAMILIES)]
-    reports.append(scan_unitarity(Family.EIGHT_IV, samples=100, seed=seed + 250,
-                                  tol=tol, imaginary_t=True))
-    residual, worst_family = worst([r.residual for r in reports],
-                                   [f.value for f in R_FAMILIES] + ["eight4 (imaginary t)"])
+    jobs = [(family, seed + 200 + k, False) for k, family in enumerate(R_FAMILIES)]
+    jobs.append((Family.EIGHT_IV, seed + 250, True))
+    residual, worst_family = _worst_job(
+        (unitarity_job(family, samples=100, seed=job_seed, imaginary_t=imaginary_t)
+         for family, job_seed, imaginary_t in jobs),
+        [f.value for f in R_FAMILIES] + ["eight4 (imaginary t)"], 100)
     # one deliberately off-domain point per family must fail hard
     off = [
         (FamilySpec.six_nonstd(gamma=0.3), SpectralPoint.from_x(1.5)),
@@ -248,18 +260,28 @@ def criterion_universality(seed: int) -> dict:
     return _entry(6, passed, classification_ok=ok, max_det_gap=det_gap, tolerance=det_tol)
 
 
+#: each family's special point in criterion 7, evaluated in its exact-generator stack: theta = 0
+#: of eight2/3/4 against the closed form, and the erratum point of the six-vertex families
+_SPECIAL_THETA = {Family.SIX_NONSTD: 0.3, Family.SIX_STD: 0.7, Family.EIGHT_II: 0.0,
+                  Family.EIGHT_III: 0.0, Family.EIGHT_IV: 0.0}
+
+
 def criterion_hamiltonians(seed: int) -> dict:
     tol = 1e-12
     thetas = np.array([0.25, 0.8, 1.3])
-    herm, close = [], []
+    herm, close, reports, zero_gaps = [], [], [], {}
     th = SpectralPoint.from_theta
-    for family in (Family.SIX_NONSTD, Family.SIX_STD, Family.EIGHT_II,
-                   Family.EIGHT_III, Family.EIGHT_IV):
+    for family, special in _SPECIAL_THETA.items():
         spec = representative_spec(family)
-        exact = exact_generators(spec, "theta", thetas)
-        herm.append(hermiticity_defect(exact))
+        exact = exact_generators(spec, "theta", np.append(thetas, special))
+        herm.append(hermiticity_defect(exact[:3]))
         closed = np.stack([hamiltonian_closed(spec, theta).matrix for theta in thetas])
-        close.append(frobenius(exact - closed))
+        close.append(frobenius(exact[:3] - closed))
+        if family in (Family.SIX_NONSTD, Family.SIX_STD):
+            # six-vertex closed forms: confirmed-or-reported per the erratum protocol
+            reports.append(six_vertex_erratum_report(spec, special, exact=exact[3]))
+        else:
+            zero_gaps[family] = frobenius(exact[3] - hamiltonian_closed(spec, 0.0).matrix)
     # eight1: the closed form -(i/2) b(phi)^2 is the x-curve generator at x = 1;
     # the theta curve x = tan(theta) runs at twice it, theta-independently
     spec1 = representative_spec(Family.EIGHT_I)
@@ -279,18 +301,11 @@ def criterion_hamiltonians(seed: int) -> dict:
     for family in (Family.EIGHT_II, Family.EIGHT_III, Family.EIGHT_IV):
         spec_t1 = FamilySpec(family, q=q, t=1.0, sign=Sign.PLUS)
         closed_t1 = hamiltonian_closed(spec_t1, 0.9).matrix
-        spec0 = representative_spec(family)
         special += [
             frobenius(closed_t1 - v2h1),
             frobenius(hamiltonian(spec_t1, th(0.9)).matrix - closed_t1),
-            frobenius(hamiltonian(spec0, th(0.0)).matrix
-                      - hamiltonian_closed(spec0, 0.0).matrix),
+            zero_gaps[family],
         ]
-    # six-vertex closed forms: confirmed-or-reported per the erratum protocol
-    reports = [
-        six_vertex_erratum_report(representative_spec(Family.SIX_NONSTD), 0.3),
-        six_vertex_erratum_report(representative_spec(Family.SIX_STD), 0.7),
-    ]
     six_ok = all(r["cosh_variant_confirmed"] and r["coth_variant_discrepant"]
                  for r in reports)
     worst_herm, worst_close = worst(np.hstack(herm)), worst(np.hstack(close))

@@ -26,8 +26,11 @@ The closed-form rho per family (stated for each family's reference gauge,
 
 The seeded scans draw each parameter for all of their samples at once, in a
 fixed RNG order (``sample_specs``: the sign, then gamma or t with its sign,
-then phi; ``sample_x``; ``sample_spec`` is the n = 1 case), then evaluate
-every sample in one call of the same kernels. The stacks travel as weight rows,
+then phi; ``sample_x``; ``sample_spec`` is the n = 1 case), and build their rows in
+one call: a scan's job (``braid_job``, ``qybe_job``, ``unitarity_job``). ``scan_gaps``
+runs the one kernel of a list of jobs on chunks of a fixed size, packed across job
+boundaries, so a suite criterion evaluates all of its families in one
+pass; a scan is the pass over its one job, reduced by ``worst``. The stacks travel as weight rows,
 eight-vertex by construction, from the builders to the kernels, with no dense
 stack, gather or pattern check between: every stacked R(x) is
 ``baxterize.R_rows``, the gauge times the exact polynomial A + x (B + x C) on the
@@ -48,7 +51,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -93,7 +96,12 @@ def qybe_residual(builder: Callable[[complex], np.ndarray], a: complex, b: compl
     """
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return strand_gap(builder(a), builder(compose(a, b)), builder(b))
-    return strand_gap(*builder(np.stack(np.broadcast_arrays(a, compose(a, b), b))))
+    return strand_gap(*builder(_composed(a, b, compose)))
+
+
+def _composed(a, b, compose) -> np.ndarray:
+    """The (3, n) values (a, a o b, b) of n spectral pairs, one QYBE triple a column."""
+    return np.stack(np.broadcast_arrays(a, compose(a, b), b))
 
 
 def family_builder(
@@ -144,6 +152,12 @@ def _bounded(r, spec: FamilySpec, kind: str, value):
                       "products stay finite")
 
 
+#: columns per block of a stacked ``unitarity_residual``: its (8, 2, n) operand rows take
+#: 256 bytes a column, 100 KB at 400, under glibc's 128 KiB mmap threshold, and a 300-sample
+#: scan is one block
+_UNITARITY_BLOCK = 400
+
+
 def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
     """(rho_est, residual) for R(x) R^dag(xbar) = rho * 1 with rconj = R^dag(xbar): rho_est
     = tr(R rconj) / 4 and residual = ||R rconj - rho_est 1||_F + ||rconj R - rho_est 1||_F.
@@ -157,7 +171,8 @@ def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
 
     One formula, ``linalg.block_product`` and ``linalg.defect``, in two arithmetics: Python
     complex numbers block by block for one matrix, and for a stack (4, block, side, n) entry
-    rows that hold both blocks of R rconj and of rconj R at once.
+    rows that hold both blocks of R rconj and of rconj R at once, in blocks of
+    ``_UNITARITY_BLOCK`` matrices.
     """
     (r, rconj), shape = stacks(r, rconj)
     if not shape:
@@ -169,15 +184,26 @@ def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
                + math.sqrt(defect(block_product(yo, xo), rho)
                            + defect(block_product(yi, xi), rho)))
     else:
-        x = np.stack(weights("unitarity_residual", ("r", "rconj"), r, rconj), axis=1)
-        x = x.reshape(4, 2, 2, -1)  # (entry, block, side, n)
-        m = block_product(x, x[:, :, ::-1])  # side 0 is R rconj, side 1 rconj R
-        rho = (m[0][:, 0] + m[3][:, 0]).sum(axis=0).real / 4.0
-        res = np.sqrt(defect(m, rho).sum(axis=0)).sum(axis=0)
+        if len(r) <= _UNITARITY_BLOCK:
+            rho, res = _unitarity_block(r, rconj, 0)
+        else:
+            rho, res = map(np.concatenate, zip(*(
+                _unitarity_block(r[k:k + _UNITARITY_BLOCK], rconj[k:k + _UNITARITY_BLOCK], k)
+                for k in range(0, len(r), _UNITARITY_BLOCK))))
         rho, res = rho.reshape(shape), res.reshape(shape)
     if np.any(rho <= 0):
         raise DegenerateNormalizationError(f"estimated rho = {np.nanmin(rho):.3e} is not positive")
     return rho, res
+
+
+def _unitarity_block(r, rconj, start: int) -> tuple:
+    """(rho_est, residual) of ``unitarity_residual`` for one block of a stack, whose first
+    matrix is at index ``start``."""
+    x = np.stack(weights("unitarity_residual", ("r", "rconj"), r, rconj, start=start), axis=1)
+    x = x.reshape(4, 2, 2, -1)  # (entry, block, side, n)
+    m = block_product(x, x[:, :, ::-1])  # side 0 is R rconj, side 1 rconj R
+    rho = (m[0][:, 0] + m[3][:, 0]).sum(axis=0).real / 4.0
+    return rho, np.sqrt(defect(m, rho).sum(axis=0)).sum(axis=0)
 
 
 def conjugate_partner(
@@ -266,9 +292,10 @@ def norm_factor(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "c
 
 def _normalization(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonical"):
     """(x, gauge, reference gauge, rho) at a ``kind`` view value: ``family_x``, ``gauge``,
-    ``reference_gauge`` and ``norm_factor``, each evaluated once and rho from that x."""
+    ``reference_gauge`` and ``norm_factor``, each evaluated once, and the reference gauge and
+    rho from that x."""
     x = family_x(spec, kind, value)
-    view, ref = gauge(spec, kind, value, form), reference_gauge(spec, kind, value, form)
+    view, ref = gauge(spec, kind, value, form), reference_gauge(spec, kind, value, form, x)
     g = abs(view * ref)
     return x, view, ref, g * g * _rho_at(spec, x)
 
@@ -400,17 +427,6 @@ def worst(values, cases=None):
     return float(a[k]) if cases is None else (float(a[k]), cases[k])
 
 
-def scan_braid(family: Family, samples: int, seed: int,
-               tol: float = TOLERANCES["braid"]) -> ResidualReport:
-    """Max braid residual of the braid matrix over seeded parameter points."""
-    specs = sample_specs(family, np.random.default_rng(seed), samples)
-    b = braid_rows(family, specs.q, specs.t, specs.s)
-    residual, k = worst(braid_residual(b), range(len(specs)))
-    spec = specs[k]
-    return ResidualReport(residual=residual, tolerance=tol, worst_case={
-        "q": _cpair(spec.q), "t": _cpair(spec.t), "sign": spec.sign.value})
-
-
 def _pairs(n: int | None) -> tuple:
     """The shape of n spectral pairs; None is one pair."""
     return (2,) if n is None else (max(n, 0), 2)
@@ -447,6 +463,151 @@ _QYBE_LAWS = {
 }
 
 
+class ScanJob(NamedTuple):
+    """One seeded scan up to its kernel: the seeded draw and the row build, done.
+
+    ``operands`` hold the samples on their last axis; ``kernel`` maps operands to per-sample
+    arrays, the gaps first; ``chunk`` is the most samples a packed pass gives the kernel in
+    one call; ``case(k, *outputs)`` is the report's worst case at sample k, from the draw and
+    the kernel's other outputs.
+    """
+
+    kernel: Callable
+    chunk: int
+    operands: tuple
+    case: Callable
+
+    @property
+    def samples(self) -> int:
+        return self.operands[0].shape[-1]
+
+
+#: samples per chunk of a packed ``strand_gap`` pass: the kernel's temporaries take about
+#: 3 KB a sample, 300 KB at 100, what one of the suite's 100-sample braid scans takes alone.
+#: Chunks of ``linalg._BLOCK`` raise the suite's heap peak, and in some heap layouts they
+#: doubled the minor page faults of a suite run.
+_STRAND_CHUNK = 100
+
+
+def _braid_kernel(w):
+    return (braid_residual(WeightRows(w)),)
+
+
+def _qybe_kernel(w):
+    return (strand_gap(*WeightRows(w)),)
+
+
+def _unitarity_kernel(w, rho_ref):
+    return _unitarity_gaps(WeightRows(w), rho_ref)
+
+
+def braid_job(family: Family, samples: int, seed: int) -> ScanJob:
+    """The job of ``scan_braid``: seeded parameter points and their braid matrices as rows."""
+    specs = sample_specs(family, np.random.default_rng(seed), samples)
+
+    def case(k):
+        spec = specs[k]
+        return {"q": _cpair(spec.q), "t": _cpair(spec.t), "sign": spec.sign.value}
+    rows = braid_rows(family, specs.q, specs.t, specs.s)
+    return ScanJob(_braid_kernel, _STRAND_CHUNK, (rows.w,), case)
+
+
+def qybe_job(spec: FamilySpec, kind: str = "x", samples: int = 50, seed: int = 42,
+             ordering: EigOrdering | None = None) -> ScanJob:
+    """The job of ``scan_qybe``: seeded spectral pairs and R(a), R(a o b), R(b) as one (3, n)
+    stack of rows, under the entry bound. A (family, kind) pair outside
+    ``QYBE_PARAMETRIZATIONS`` is a ValueError."""
+    kinds = QYBE_PARAMETRIZATIONS.get(spec.family, ())
+    if kind not in kinds:
+        raise ValueError(f"{spec.family.value} has no QYBE composition law in the {kind!r} "
+                         f"parametrization; it has {', '.join(kinds) or 'none'}")
+    draw, compose = _QYBE_LAWS[kind]
+    pairs = np.asarray(draw(spec, np.random.default_rng(seed), samples), dtype=complex)
+    rows = _row_builder(spec, kind, ordering)(_composed(pairs[:, 0], pairs[:, 1], compose))
+
+    def case(k):
+        return {"first": _cpair(pairs[k, 0]), "second": _cpair(pairs[k, 1]), "kind": kind}
+    return ScanJob(_qybe_kernel, _STRAND_CHUNK, (rows.w,), case)
+
+
+def unitarity_job(family: Family, samples: int = 100, seed: int = 42,
+                  imaginary_t: bool = False) -> ScanJob:
+    """The job of ``scan_unitarity``: seeded domain points, R(x) as rows and the closed-form
+    rho of each (through the gauge table)."""
+    rng = np.random.default_rng(seed)
+    specs = sample_specs(family, rng, samples, imaginary_t)
+    x = sample_x(specs, rng, len(specs))
+    rho_ref = norm_factor(specs, "x", x)
+
+    def case(k, rho_est):
+        spec = specs[k]
+        return {"q": _cpair(spec.q), "t": _cpair(spec.t), "x": _cpair(x[k]),
+                "sign": spec.sign.value, "rho": float(rho_est[k])}
+    return ScanJob(_unitarity_kernel, _UNITARITY_BLOCK, (R_rows(specs, "x", x).w, rho_ref), case)
+
+
+def _runs(jobs):
+    """The kernel calls of ``scan_gaps``, each a list of (job, start, stop) pieces: the
+    samples of all jobs in order, cut at every multiple of the jobs' chunk. The whole
+    chunks that lie in one job, and the last job's tail, go as one piece; a chunk that
+    runs across jobs goes as its pieces. ``jobs`` is consumed one job ahead of the runs."""
+    jobs = iter(jobs)
+    job, window, width, ran = next(jobs), [], 0, False
+    chunk = job.chunk
+    while job is not None:
+        following = next(jobs, None)
+        n, lo = job.samples, 0
+        if width:  # the open chunk first
+            lo = min(n, chunk - width)
+            window.append((job, 0, lo))
+            width += lo
+            if width == chunk or following is None:
+                yield window
+                window, width, ran = [], 0, True
+        hi = n if following is None else lo + (n - lo) // chunk * chunk
+        if hi > lo or following is None and not ran:  # a pass over empty jobs: one empty run
+            yield [(job, lo, hi)]
+            ran = True
+        if hi < n:
+            window, width = [(job, hi, n)], n - hi
+        job = following
+
+
+def scan_gaps(jobs) -> tuple:
+    """The kernel outputs of every sample of ``jobs``, which share one kernel, in job order:
+    a tuple of arrays, the gaps first, for ``worst`` to reduce.
+
+    The kernel runs on chunks of at most the jobs' ``chunk`` samples, packed across job
+    boundaries: only a chunk that spans jobs is concatenated, from views of their operands,
+    so no operand of a whole pass is formed. Whole chunks inside one job go as one view in
+    one call, which the kernel blocks itself, so a single job is one kernel call. ``jobs``
+    may be a generator: it is consumed as the pass reaches each job, so only the jobs of
+    the open chunk are alive. The arithmetic of a sample does not depend on its chunk.
+    """
+    if isinstance(jobs, list) and len(jobs) == 1:  # a scan: its one run is the whole job
+        return jobs[0].kernel(*jobs[0].operands)
+    parts = []
+    for run in _runs(jobs):
+        pieces = [[a[..., lo:hi] for a in job.operands] for job, lo, hi in run]
+        operands = pieces[0] if len(pieces) == 1 else [np.concatenate(p, axis=-1)
+                                                       for p in zip(*pieces)]
+        parts.append(run[0][0].kernel(*operands))
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _report(job: ScanJob, tol: float) -> ResidualReport:
+    """The one-job scan: the largest gap of ``scan_gaps``, and its worst case."""
+    gaps, *outputs = scan_gaps([job])
+    residual, k = worst(gaps, range(len(gaps)))
+    return ResidualReport(residual=residual, tolerance=tol, worst_case=job.case(k, *outputs))
+
+
+def scan_braid(family: Family, samples: int, seed: int,
+               tol: float = TOLERANCES["braid"]) -> ResidualReport:
+    """Max braid residual of the braid matrix over seeded parameter points."""
+    return _report(braid_job(family, samples, seed), tol)
+
+
 def scan_qybe(
     spec: FamilySpec,
     kind: str = "x",
@@ -460,17 +621,7 @@ def scan_qybe(
 
     A (family, kind) pair outside ``QYBE_PARAMETRIZATIONS`` is a ValueError.
     """
-    kinds = QYBE_PARAMETRIZATIONS.get(spec.family, ())
-    if kind not in kinds:
-        raise ValueError(f"{spec.family.value} has no QYBE composition law in the {kind!r} "
-                         f"parametrization; it has {', '.join(kinds) or 'none'}")
-    draw, compose = _QYBE_LAWS[kind]
-    rng = np.random.default_rng(seed)
-    builder = _row_builder(spec, kind, ordering)
-    pairs = np.asarray(draw(spec, rng, samples), dtype=complex)
-    residual, (a, b) = worst(qybe_residual(builder, pairs[:, 0], pairs[:, 1], compose), pairs)
-    return ResidualReport(residual=residual, tolerance=tol, worst_case={
-        "first": _cpair(a), "second": _cpair(b), "kind": kind})
+    return _report(qybe_job(spec, kind, samples, seed, ordering), tol)
 
 
 def scan_unitarity(
@@ -485,16 +636,7 @@ def scan_unitarity(
     Also cross-checks the estimated rho against the closed formula (through
     the gauge table); the worst residual covers both gaps.
     """
-    rng = np.random.default_rng(seed)
-    specs = sample_specs(family, rng, samples, imaginary_t)
-    x = sample_x(specs, rng, len(specs))
-    rho_ref = norm_factor(specs, "x", x)
-    gaps, rho_est = _unitarity_gaps(R_rows(specs, "x", x), rho_ref)
-    residual, k = worst(gaps, range(len(specs)))
-    spec = specs[k]
-    return ResidualReport(residual=residual, tolerance=tol, worst_case={
-        "q": _cpair(spec.q), "t": _cpair(spec.t), "x": _cpair(x[k]),
-        "sign": spec.sign.value, "rho": float(rho_est[k])})
+    return _report(unitarity_job(family, samples, seed, imaginary_t), tol)
 
 
 def _cpair(z) -> list[float]:

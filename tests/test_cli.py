@@ -31,12 +31,14 @@ def test_dumps_17g_writes_non_finite_floats_as_strings():
 
 def test_suite_with_a_nan_criterion_prints_the_failing_report(capsys, monkeypatch):
     from yaxter import suite
-    from yaxter.verify import ResidualReport
 
-    def nan_scan(*args, **kwargs):
-        return ResidualReport(residual=float("nan"), tolerance=kwargs["tol"], worst_case={})
+    real = suite.braid_job
 
-    monkeypatch.setattr(suite, "scan_braid", nan_scan)
+    def nan_job(*args, **kwargs):  # every braid matrix of criterion 1 NaN
+        job = real(*args, **kwargs)
+        return job._replace(operands=(np.full_like(job.operands[0], np.nan),))
+
+    monkeypatch.setattr(suite, "braid_job", nan_job)
     code, out, err = run_cli(capsys, "suite")
     assert code == 1 and err == ""
     report = json.loads(out)

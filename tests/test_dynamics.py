@@ -579,3 +579,40 @@ def test_exact_generators_match_the_dense_matmul_reference(spec, kind, values):
         want = _dense_generator_reference(spec, kind, s)
         assert h.shape == want.shape
         assert np.all(frobenius(h - want) <= 8 * eps * np.maximum(1.0, frobenius(want)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hamiltonian(THETA_FAMILIES[2], TH(0.4)),
+    lambda: hamiltonian(FamilySpec.eight1(phi=0.9), X(1.0)),
+    lambda: hamiltonian_fd(THETA_FAMILIES[0], TH(0.4)),
+    lambda: hamiltonian_closed(THETA_FAMILIES[4], 0.4),
+], ids=["exact", "exact-x", "fd", "closed"])
+def test_every_hamiltonian_is_checked_for_hermiticity_once(monkeypatch, make):
+    real, calls = dynamics.require_hermitian, []
+
+    def counted(h, tol, what="matrix"):
+        calls.append(what)
+        return real(h, tol, what)
+
+    monkeypatch.setattr(dynamics, "require_hermitian", counted)
+    make()
+    assert calls == ["Hamiltonian"]
+
+
+def test_a_non_hermitian_exact_hamiltonian_keeps_its_error(monkeypatch):
+    # the flip of eight2's linear coefficient: the exact generator is not Hermitian
+    exact = dynamics._coefficient_rows
+
+    def flipped(spec, ordering=None):
+        rows = exact(spec, ordering).copy()
+        rows[1, 2] *= -1
+        return rows
+
+    monkeypatch.setattr(dynamics, "_coefficient_rows", flipped)
+    spec = THETA_FAMILIES[2]
+    with pytest.raises(ValueError) as stacked:
+        dynamics.exact_generators(spec, "theta", 0.4)
+    with pytest.raises(type(stacked.value)) as single:
+        hamiltonian(spec, TH(0.4))
+    assert str(single.value) == str(stacked.value)
+    assert str(single.value).startswith("Hamiltonian is not Hermitian: ||H - H^dag|| = ")

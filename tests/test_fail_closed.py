@@ -63,10 +63,10 @@ def _values(out) -> int:
 
 # (criterion, function it calls from the suite module, field that must turn NaN)
 INJECTIONS = [
-    (suite.criterion_braid, "scan_braid", "max_residual"),
-    (suite.criterion_qybe, "scan_qybe", "max_residual"),
+    (suite.criterion_braid, "scan_gaps", "max_residual"),
+    (suite.criterion_qybe, "scan_gaps", "max_residual"),
     (suite.criterion_asymptotics, "frobenius", "max_residual"),
-    (suite.criterion_unitarity, "scan_unitarity", "max_residual"),
+    (suite.criterion_unitarity, "scan_gaps", "max_residual"),
     (suite.criterion_unitarity, "unitarity_residual", "min_off_domain_residual"),
     (suite.criterion_inverse_unitarity, "family_inverse_unitarity", "max_gap_compatible"),
     (suite.criterion_universality, "det_b_closed", "max_det_gap"),

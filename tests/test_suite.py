@@ -1,21 +1,28 @@
 """Criteria 5, 6 and 8 evaluate their samples as stacks. The per-point loops they
 replaced are kept here as references: at the CI seeds each criterion passes and
-its figure agrees with its loop to rounding. A criterion that raises a check error
-fails in the report, which still holds every criterion."""
+its figure agrees with its loop to rounding. Criteria 1, 2 and 4 run their families'
+scan jobs through one kernel pass, and criterion 7 takes one exact-generator stack
+per family; the per-family formulation they replaced is kept here too, and their
+entries equal it. A criterion that raises a check error fails in the report, which
+still holds every criterion."""
 
 import json
 
 import numpy as np
 import pytest
 
-from yaxter import baxterize, cli, dynamics, suite
-from yaxter.baxterize import SpectralPoint
+from yaxter import baxterize, cli, dynamics, suite, verify
+from yaxter.baxterize import EigOrdering, SpectralPoint
 from yaxter.catalog import Family, FamilySpec, Sign
-from yaxter.dynamics import evolve, gauge_unitary, hamiltonian_closed
+from yaxter.dynamics import (evolve, exact_generators, gauge_unitary, hamiltonian,
+                             hamiltonian_closed, six_vertex_erratum_report)
 from yaxter.entangle import (classification_gauge_R, concurrence_det, det_b_closed,
                              product_state, state)
-from yaxter.linalg import frobenius
-from yaxter.verify import TOLERANCES, family_inverse_unitarity, rho_formula, sample_x, worst
+from yaxter.gates import SIGMA_MINUS, SIGMA_PLUS, tensor
+from yaxter.linalg import dagger, frobenius, hermiticity_defect, identity
+from yaxter.verify import (QYBE_PARAMETRIZATIONS, TOLERANCES, braid_job, family_inverse_unitarity,
+                           qybe_job, rho_formula, sample_x, scan_braid, scan_gaps, scan_qybe,
+                           scan_unitarity, unitarity_job, unitarity_residual, worst)
 
 SEEDS = [42, 1, 7, 123]
 
@@ -137,3 +144,256 @@ def test_an_error_that_is_no_check_error_propagates(monkeypatch):
     monkeypatch.setattr(suite, "CRITERIA", [*suite.CRITERIA[:3], broken, *suite.CRITERIA[4:]])
     with pytest.raises(RuntimeError, match="not a check error"):
         suite.run_suite(42)
+
+
+# ---------------------------------------------------------------------------
+# Criteria 1, 2, 4 and 7 against their per-family formulation: one scan or one
+# single-point Hamiltonian per call, as the suite ran them before the stacked pass.
+
+def braid_entry_loop(seed: int) -> dict:
+    tol = TOLERANCES["braid"]
+    residual, worst_family = worst(
+        [scan_braid(family, samples=100, seed=seed + k, tol=tol).residual
+         for k, family in enumerate(Family)],
+        [family.value for family in Family])
+    return suite._entry(1, residual < tol, max_residual=residual, tolerance=tol,
+                        worst_family=worst_family)
+
+
+def qybe_jobs() -> list:
+    """The (spec, kind, ordering) of criterion 2's jobs, in its order."""
+    jobs = [(suite.representative_spec(family), kind, None)
+            for family in suite.R_FAMILIES for kind in QYBE_PARAMETRIZATIONS[family]]
+    return jobs + [(suite.representative_spec(Family.EIGHT_III), "x", EigOrdering.SECOND)]
+
+
+def qybe_entry_loop(seed: int) -> dict:
+    tol = TOLERANCES["qybe"]
+    jobs = qybe_jobs()
+    residual, worst_case = worst(
+        [scan_qybe(spec, kind=kind, samples=50, seed=seed + 100 + k, tol=tol,
+                   ordering=ordering).residual
+         for k, (spec, kind, ordering) in enumerate(jobs)],
+        [{"family": spec.family.value, "kind": kind} for spec, kind, _ in jobs])
+    return suite._entry(2, residual < tol, max_residual=residual, tolerance=tol,
+                        worst_case=worst_case)
+
+
+UNITARITY_NAMES = [f.value for f in suite.R_FAMILIES] + ["eight4 (imaginary t)"]
+
+
+def unitarity_entry_loop(seed: int) -> dict:
+    tol = TOLERANCES["unitarity"]
+    reports = [scan_unitarity(family, samples=100, seed=seed + 200 + k, tol=tol)
+               for k, family in enumerate(suite.R_FAMILIES)]
+    reports.append(scan_unitarity(Family.EIGHT_IV, samples=100, seed=seed + 250,
+                                  tol=tol, imaginary_t=True))
+    residual, worst_family = worst([r.residual for r in reports], UNITARITY_NAMES)
+    off = [
+        (FamilySpec.six_nonstd(gamma=0.3), SpectralPoint.from_x(1.5)),
+        (FamilySpec.six_std(q=1.1 + 0.4j), SpectralPoint.from_x(np.exp(0.9j))),
+        (FamilySpec.eight1(phi=0.8), SpectralPoint.from_x(np.exp(0.5j))),
+        (FamilySpec.eight2(t=1.9, q=np.exp(0.33j)), SpectralPoint.from_x(0.5)),
+        (FamilySpec.eight3(t=1.9, q=np.exp(0.33j)), SpectralPoint.from_x(0.5)),
+        (FamilySpec.eight4(t=1.9, q=np.exp(0.33j)), SpectralPoint.from_x(0.5)),
+    ]
+    r = np.array([baxterize.build_R(spec, p) for spec, p in off])
+    min_off = float(np.min(unitarity_residual(r, dagger(r))[1]))
+    return suite._entry(4, residual < tol and min_off > 1e-3, max_residual=residual,
+                        tolerance=tol, worst_family=worst_family,
+                        min_off_domain_residual=min_off)
+
+
+def hamiltonians_entry_loop(seed: int) -> dict:
+    """Criterion 7 with the special points as single-point ``hamiltonian`` calls and the
+    erratum reports from ``six_vertex_erratum_report`` alone: 15 exact evaluations."""
+    tol, i4 = 1e-12, identity(4)
+    thetas = np.array([0.25, 0.8, 1.3])
+    herm, close = [], []
+    th = SpectralPoint.from_theta
+    for family in (Family.SIX_NONSTD, Family.SIX_STD, Family.EIGHT_II,
+                   Family.EIGHT_III, Family.EIGHT_IV):
+        spec = suite.representative_spec(family)
+        exact = exact_generators(spec, "theta", thetas)
+        herm.append(hermiticity_defect(exact))
+        closed = np.stack([hamiltonian_closed(spec, theta).matrix for theta in thetas])
+        close.append(frobenius(exact - closed))
+    spec1 = suite.representative_spec(Family.EIGHT_I)
+    target = hamiltonian_closed(spec1, 0.3).matrix
+    exact_x1 = hamiltonian(spec1, SpectralPoint.from_x(1.0))
+    herm.append(hermiticity_defect(exact_x1.matrix))
+    eight1_x_gap = frobenius(exact_x1.matrix - target)
+    theta_probes = exact_generators(spec1, "theta", np.array([0.2, 0.7, 1.1]))
+    theta_indep = worst(frobenius(theta_probes - theta_probes[0]))
+    theta_scale = worst(frobenius(theta_probes - 2.0 * target))
+    q = np.exp(-0.4j)
+    v2h1 = 0.5 * (-i4 + q * tensor(SIGMA_PLUS, SIGMA_PLUS)
+                  + tensor(SIGMA_MINUS, SIGMA_MINUS) / q
+                  + tensor(SIGMA_PLUS, SIGMA_MINUS) + tensor(SIGMA_MINUS, SIGMA_PLUS))
+    special = []
+    for family in (Family.EIGHT_II, Family.EIGHT_III, Family.EIGHT_IV):
+        spec_t1 = FamilySpec(family, q=q, t=1.0, sign=Sign.PLUS)
+        closed_t1 = hamiltonian_closed(spec_t1, 0.9).matrix
+        spec0 = suite.representative_spec(family)
+        special += [
+            frobenius(closed_t1 - v2h1),
+            frobenius(hamiltonian(spec_t1, th(0.9)).matrix - closed_t1),
+            frobenius(hamiltonian(spec0, th(0.0)).matrix
+                      - hamiltonian_closed(spec0, 0.0).matrix),
+        ]
+    reports = [
+        six_vertex_erratum_report(suite.representative_spec(Family.SIX_NONSTD), 0.3),
+        six_vertex_erratum_report(suite.representative_spec(Family.SIX_STD), 0.7),
+    ]
+    six_ok = all(r["cosh_variant_confirmed"] and r["coth_variant_discrepant"] for r in reports)
+    worst_herm, worst_close = worst(np.hstack(herm)), worst(np.hstack(close))
+    worst_special = worst(special)
+    passed = (worst_herm < tol and eight1_x_gap < tol and theta_indep < tol
+              and theta_scale < tol and worst_special < tol and worst_close < tol and six_ok)
+    return suite._entry(7, passed, max_hermiticity_defect=worst_herm,
+                        max_closed_vs_exact=worst_close, eight1_exact_gap=eight1_x_gap,
+                        eight1_theta_independence=theta_indep,
+                        max_special_form_gap=worst_special,
+                        six_vertex_coth_printed_deviation=reports[0]["deviation_coth_variant"],
+                        six_vertex_cosh_confirmed=six_ok)
+
+
+ENTRY_LOOPS = [
+    (suite.criterion_braid, braid_entry_loop),
+    (suite.criterion_qybe, qybe_entry_loop),
+    (suite.criterion_unitarity, unitarity_entry_loop),
+    (suite.criterion_hamiltonians, hamiltonians_entry_loop),
+]
+
+
+@pytest.mark.parametrize("seed", SEEDS + [5])
+@pytest.mark.parametrize("criterion,loop", ENTRY_LOOPS, ids=[c.__name__ for c, _ in ENTRY_LOOPS])
+def test_the_stacked_criterion_equals_its_per_family_formulation(criterion, loop, seed):
+    entry = criterion(seed)
+    assert entry["pass"]
+    assert json.dumps(entry) == json.dumps(loop(seed))  # every figure bitwise, keys in order
+
+
+def test_criterion_7_makes_one_exact_evaluation_per_family_and_special_spec(monkeypatch):
+    real, calls = dynamics._generators, []
+
+    def counted(spec, kind, s):
+        calls.append(np.size(s))
+        return real(spec, kind, s)
+
+    monkeypatch.setattr(dynamics, "_generators", counted)
+    assert suite.criterion_hamiltonians(42)["pass"]
+    # five family stacks of three theta and the special point, eight1's x = 1 and theta
+    # probes, and the three t = 1 points
+    assert sorted(calls) == [1, 1, 1, 1, 3, 4, 4, 4, 4, 4]
+
+
+# ---------------------------------------------------------------------------
+# A NaN in one sample of a job: the criterion fails and names that job.
+
+JOB_CRITERIA = {
+    "braid": (suite.criterion_braid, "braid_job", "worst_family",
+              [family.value for family in Family]),
+    "qybe": (suite.criterion_qybe, "qybe_job", "worst_case",
+             [{"family": spec.family.value, "kind": kind} for spec, kind, _ in qybe_jobs()]),
+    "unitarity": (suite.criterion_unitarity, "unitarity_job", "worst_family", UNITARITY_NAMES),
+}
+
+
+def _poison_jobs(monkeypatch, name: str, nans: dict) -> None:
+    """Make ``suite.<name>`` put a NaN into sample ``nans[k]`` of the rows of its job k."""
+    real, made = getattr(suite, name), [0]
+
+    def poisoned(*args, **kwargs):
+        job = real(*args, **kwargs)
+        k, made[0] = made[0], made[0] + 1
+        if k not in nans:
+            return job
+        rows = job.operands[0].copy()
+        rows[..., nans[k]] = np.nan
+        return job._replace(operands=(rows, *job.operands[1:]))
+
+    monkeypatch.setattr(suite, name, poisoned)
+
+
+@pytest.mark.parametrize("what", JOB_CRITERIA)
+@pytest.mark.parametrize("nans", [{0: 0}, {3: 49}, {6: 25}, {4: 10, 2: 40}, {2: 30, 6: 0}],
+                         ids=lambda n: "-".join(f"job{k}@{i}" for k, i in n.items()))
+def test_a_nan_in_one_job_fails_the_criterion_and_names_the_first_such_job(monkeypatch, what,
+                                                                          nans):
+    criterion, name, field, names = JOB_CRITERIA[what]
+    _poison_jobs(monkeypatch, name, nans)
+    entry = criterion(42)
+    assert entry["pass"] is False and np.isnan(entry["max_residual"])
+    assert entry[field] == names[min(nans)]
+
+
+# ---------------------------------------------------------------------------
+# The packed pass: job sets that straddle the chunk edges give each job's own scan.
+
+SIZES = [(37, 128, 300), (300, 37, 128), (128, 37, 300, 1)]
+PASS_JOBS = {
+    "braid": lambda n, k: braid_job(list(Family)[k % 7], n, 60 + k),
+    "qybe": lambda n, k: qybe_job(suite.representative_spec(Family.EIGHT_IV),
+                                  ("x", "theta", "u")[k % 3], n, 70 + k),
+    "unitarity": lambda n, k: unitarity_job(suite.R_FAMILIES[k % 6], n, 80 + k,
+                                            imaginary_t=k == 2),
+}
+
+
+@pytest.mark.parametrize("what", PASS_JOBS)
+@pytest.mark.parametrize("sizes", SIZES, ids=lambda s: "-".join(map(str, s)))
+def test_a_packed_pass_is_bitwise_each_jobs_own_scan(what, sizes):
+    jobs = [PASS_JOBS[what](n, k) for k, n in enumerate(sizes)]
+    packed = scan_gaps(jobs)
+    ends = np.cumsum((0,) + sizes)
+    for k, job in enumerate(jobs):
+        alone = scan_gaps([job])
+        for got, want in zip(packed, alone):
+            assert np.array_equal(got[ends[k]:ends[k + 1]], want)
+    assert len(packed[0]) == ends[-1]
+
+
+def _run_layout(sizes, block):
+    """``verify._runs`` over stand-in jobs of ``sizes`` samples, as (job index, start, stop)."""
+    jobs = [verify.ScanJob(None, block, (np.empty((1, n)),), None) for n in sizes]
+    index = {id(job.operands): k for k, job in enumerate(jobs)}
+    return [[(index[id(job.operands)], lo, hi) for job, lo, hi in run]
+            for run in verify._runs(iter(jobs))]
+
+
+def test_the_runs_cut_at_the_block_and_keep_whole_blocks_of_a_job_in_one_call():
+    assert _run_layout([37, 128, 300], 128) == [
+        [(0, 0, 37), (1, 0, 91)], [(1, 91, 128), (2, 0, 91)], [(2, 91, 300)]]
+    assert _run_layout([1000], 128) == [[(0, 0, 1000)]]
+    assert _run_layout([100] * 7, 400) == [
+        [(0, 0, 100), (1, 0, 100), (2, 0, 100), (3, 0, 100)],
+        [(4, 0, 100), (5, 0, 100), (6, 0, 100)]]
+    assert _run_layout([300, 50, 400], 128) == [
+        [(0, 0, 256)], [(0, 256, 300), (1, 0, 50), (2, 0, 34)], [(2, 34, 400)]]
+    assert _run_layout([0, 0], 128) == [[(1, 0, 0)]]
+
+
+def test_a_pass_builds_each_job_as_it_reaches_it():
+    # a generator of jobs is consumed one job ahead of the kernel calls
+    built, seen = [], []
+    real = verify._braid_kernel
+
+    def jobs():
+        for k in range(5):
+            built.append(k)
+            yield braid_job(list(Family)[k], 100, k)
+
+    def kernel(w):
+        seen.append(len(built))
+        return real(w)
+
+    gaps = scan_gaps(job._replace(kernel=kernel, chunk=128) for job in jobs())[0]
+    assert gaps.shape == (500,) and seen == [3, 4, 5, 5]
+
+
+def test_a_pass_over_empty_jobs_gives_empty_gaps_that_no_check_takes():
+    (gaps,) = scan_gaps([braid_job(Family.EIGHT_II, 0, 1)])
+    assert gaps.shape == (0,)
+    with pytest.raises(ValueError, match="at least one sample"):
+        suite._worst_job([braid_job(Family.EIGHT_II, 0, 1)] * 2, ["eight2"] * 2, 1)

@@ -384,7 +384,7 @@ def test_scan_without_samples_is_rejected(what, samples):
 
 
 @pytest.mark.parametrize("what,kernel", [("braid", "braid_residual"),
-                                         ("qybe", "qybe_residual"),
+                                         ("qybe", "strand_gap"),
                                          ("unitarity", "unitarity_residual")])
 def test_scan_with_a_nan_sample_fails(what, kernel, monkeypatch):
     import yaxter.verify as verify
@@ -920,3 +920,65 @@ def test_the_unitarity_gap_bounds_the_defect_of_the_normalized_matrix():
     for k in range(0, 200, 40):
         gap, rho = _unitarity_gaps(r[k], 3.0)
         assert frobenius(u[k] @ dagger(u[k]) - identity(4)) <= gap * (1 + 1e-14)
+
+
+def _unblocked_unitarity_residual(r, rconj):
+    """``unitarity_residual`` of a stack as one pass over all of it: the formula before the
+    kernel ran in blocks."""
+    from yaxter.linalg import block_product, defect, stacks, weights
+
+    (r, rconj), shape = stacks(r, rconj)
+    x = np.stack(weights("unitarity_residual", ("r", "rconj"), r, rconj), axis=1)
+    x = x.reshape(4, 2, 2, -1)
+    m = block_product(x, x[:, :, ::-1])
+    rho = (m[0][:, 0] + m[3][:, 0]).sum(axis=0).real / 4.0
+    res = np.sqrt(defect(m, rho).sum(axis=0)).sum(axis=0)
+    return rho.reshape(shape), res.reshape(shape)
+
+
+def test_the_blocked_unitarity_kernel_is_bitwise_the_unblocked_formula():
+    from yaxter.baxterize import R_rows
+    from yaxter.verify import _UNITARITY_BLOCK, sample_specs, sample_x
+
+    rng = np.random.default_rng(107)
+    assert 1000 > 2 * _UNITARITY_BLOCK and 1000 % _UNITARITY_BLOCK
+    r = _eight_vertex(rng.standard_normal((1000, 8)) + 1j * rng.standard_normal((1000, 8)))
+    specs = sample_specs(Family.EIGHT_IV, rng, 1000)
+    rows = R_rows(specs, "x", sample_x(specs, rng, 1000))
+    for a, b in ((r, dagger(r)), (rows, dagger(rows)), (r.reshape(10, 100, 4, 4),
+                                                       dagger(r).reshape(10, 100, 4, 4))):
+        got, want = unitarity_residual(a, b), _unblocked_unitarity_residual(a, b)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_an_off_pattern_entry_in_a_later_block_is_named_by_its_stack_index():
+    rng = np.random.default_rng(109)
+    r = _eight_vertex(rng.standard_normal((1000, 8)) + 1j * rng.standard_normal((1000, 8)))
+    r[917, 0, 1] = 2.0
+    with pytest.raises(ValueError, match=r"r at index 917 of the stack has \(2\+0j\) at entry "
+                                         r"\(0, 1\)"):
+        unitarity_residual(r, dagger(r))
+
+
+@pytest.mark.parametrize("spec,kind,value", [
+    (FamilySpec.six_nonstd(gamma=0.4), "x", np.exp(0.7j)),
+    (FamilySpec.six_std(gamma=0.4), "u", 0.3j),
+    (FamilySpec.six_std(gamma=0.4), "theta", 0.6),
+    (FamilySpec.eight4(t=1.6, q=np.exp(0.25j)), "x", np.exp(0.9j)),
+    (FamilySpec.eight4(t=1.6, q=np.exp(0.25j)), "theta", 0.8),
+    (FamilySpec.eight4(t=1.6, q=np.exp(0.25j)), "u", -0.2j),
+], ids=["six-nonstd-x", "six-std-u", "six-std-theta", "eight4-x", "eight4-theta", "eight4-u"])
+def test_the_normalization_hands_its_x_to_the_reference_gauge_bitwise(spec, kind, value):
+    from yaxter.baxterize import family_x, reference_gauge
+    from yaxter.verify import _normalization, sample_specs
+
+    rng = np.random.default_rng(113)
+    step = rng.uniform(-0.2, 0.2, 30)  # along the unitary domain of each view
+    values = {"x": value * np.exp(1j * step), "u": value + 1j * step, "theta": value + step}[kind]
+    specs = sample_specs(spec.family, rng, 30)
+    for s, v in ((spec, value), (spec, values), (specs, values)):
+        for form in ("canonical", "g"):
+            x, _, ref, _ = _normalization(s, kind, v, form)
+            assert np.array_equal(x, family_x(s, kind, v))
+            assert np.array_equal(ref, reference_gauge(s, kind, v, form))

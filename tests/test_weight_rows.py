@@ -49,7 +49,7 @@ QYBE_JOBS = [(family, kind, None) for family, kinds in QYBE_PARAMETRIZATIONS.ite
 @pytest.mark.parametrize("family,kind,ordering", QYBE_JOBS, ids=lambda v: getattr(v, "value", v))
 def test_the_qybe_scan_on_rows_is_bitwise_the_dense_kernel(monkeypatch, family, kind, ordering):
     spec = sample_spec(family, np.random.default_rng(5))
-    seen = _spy(monkeypatch, "qybe_residual")
+    seen = _spy(monkeypatch, "strand_gap")
     report = scan_qybe(spec, kind, SAMPLES, seed=6, ordering=ordering)
     draw, compose = _QYBE_LAWS[kind]
     pairs = np.asarray(draw(spec, np.random.default_rng(6), SAMPLES), dtype=complex)
