@@ -295,16 +295,13 @@ def _eight1_generator(spec: FamilySpec | FamilySpecs) -> np.ndarray:
     return -0.5j * (b @ b)
 
 
-def six_vertex_erratum_report(spec: FamilySpec, theta: float,
-                              exact: np.ndarray | None = None) -> dict:
-    """Compare both six-vertex closed-form variants against the exact Hamiltonian at theta,
-    ``exact`` when the caller has it from ``exact_generators``, else ``hamiltonian``'s.
+def six_vertex_erratum_report(spec: FamilySpec, theta: float, exact: np.ndarray) -> dict:
+    """Compare both six-vertex closed-form variants against ``exact``, the exact Hamiltonian
+    at theta (``hamiltonian`` or one matrix of ``exact_generators``).
 
     The exact result is authoritative: a variant within 1e-12 of it (relative to
     max(1, ||H||)) is confirmed, one more than 1e-3 away discrepant.
     """
-    if exact is None:
-        exact = hamiltonian(spec, SpectralPoint.from_theta(theta)).matrix
     cosh_variant = hamiltonian_closed(spec, theta).matrix
     coth_variant = six_vertex_hamiltonian_coth_variant(spec, theta)
     tol = 1e-12 * max(1.0, frobenius(exact))

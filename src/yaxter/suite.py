@@ -279,7 +279,7 @@ def criterion_hamiltonians(seed: int) -> dict:
         close.append(frobenius(exact[:3] - closed))
         if family in (Family.SIX_NONSTD, Family.SIX_STD):
             # six-vertex closed forms: confirmed-or-reported per the erratum protocol
-            reports.append(six_vertex_erratum_report(spec, special, exact=exact[3]))
+            reports.append(six_vertex_erratum_report(spec, special, exact[3]))
         else:
             zero_gaps[family] = frobenius(exact[3] - hamiltonian_closed(spec, 0.0).matrix)
     # eight1: the closed form -(i/2) b(phi)^2 is the x-curve generator at x = 1;

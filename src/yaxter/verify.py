@@ -28,8 +28,8 @@ The seeded scans draw each parameter for all of their samples at once, in a
 fixed RNG order (``sample_specs``: the sign, then gamma or t with its sign,
 then phi; ``sample_x``; ``sample_spec`` is the n = 1 case), and build their rows in
 one call: a scan's job (``braid_job``, ``qybe_job``, ``unitarity_job``). ``scan_gaps``
-runs the one kernel of a list of jobs on chunks of a fixed size, packed across job
-boundaries, so a suite criterion evaluates all of its families in one
+runs the one kernel of a list of jobs, whole jobs grouped into calls of at most a fixed
+number of samples, so a suite criterion evaluates all of its families in one
 pass; a scan is the pass over its one job, reduced by ``worst``. The stacks travel as weight rows,
 eight-vertex by construction, from the builders to the kernels, with no dense
 stack, gather or pattern check between: every stacked R(x) is
@@ -68,8 +68,8 @@ from .baxterize import (
 )
 from .catalog import (THREE_EIGENVALUE_FAMILIES, DomainError, Family, FamilySpec, FamilySpecs, Sign,
                       braid_residual, braid_rows, domain_violation, finite_rho, gamma_of, is_imag)
-from .linalg import (MAX_ENTRY, WeightRows, block_product, dagger, defect, stacks, strand_gap,
-                     weights)
+from .linalg import (_BLOCK, MAX_ENTRY, WeightRows, block_product, dagger, defect, stacks,
+                     strand_gap, weights)
 
 #: pass thresholds of the residual checks, shared by the scans, the suite and the CLI.
 TOLERANCES = {"braid": 1e-11, "qybe": 1e-9, "unitarity": 1e-10, "inverse-unitarity": 1e-9}
@@ -467,9 +467,10 @@ class ScanJob(NamedTuple):
     """One seeded scan up to its kernel: the seeded draw and the row build, done.
 
     ``operands`` hold the samples on their last axis; ``kernel`` maps operands to per-sample
-    arrays, the gaps first; ``chunk`` is the most samples a packed pass gives the kernel in
-    one call; ``case(k, *outputs)`` is the report's worst case at sample k, from the draw and
-    the kernel's other outputs.
+    arrays, the gaps first; ``chunk`` is the most samples of grouped jobs a pass gives the
+    kernel in one call, the kernel's own block (``linalg._BLOCK`` for ``strand_gap``), so a
+    group is never split again; ``case(k, *outputs)`` is the report's worst case at sample
+    k, from the draw and the kernel's other outputs.
     """
 
     kernel: Callable
@@ -480,13 +481,6 @@ class ScanJob(NamedTuple):
     @property
     def samples(self) -> int:
         return self.operands[0].shape[-1]
-
-
-#: samples per chunk of a packed ``strand_gap`` pass: the kernel's temporaries take about
-#: 3 KB a sample, 300 KB at 100, what one of the suite's 100-sample braid scans takes alone.
-#: Chunks of ``linalg._BLOCK`` raise the suite's heap peak, and in some heap layouts they
-#: doubled the minor page faults of a suite run.
-_STRAND_CHUNK = 100
 
 
 def _braid_kernel(w):
@@ -509,7 +503,7 @@ def braid_job(family: Family, samples: int, seed: int) -> ScanJob:
         spec = specs[k]
         return {"q": _cpair(spec.q), "t": _cpair(spec.t), "sign": spec.sign.value}
     rows = braid_rows(family, specs.q, specs.t, specs.s)
-    return ScanJob(_braid_kernel, _STRAND_CHUNK, (rows.w,), case)
+    return ScanJob(_braid_kernel, _BLOCK, (rows.w,), case)
 
 
 def qybe_job(spec: FamilySpec, kind: str = "x", samples: int = 50, seed: int = 42,
@@ -527,7 +521,7 @@ def qybe_job(spec: FamilySpec, kind: str = "x", samples: int = 50, seed: int = 4
 
     def case(k):
         return {"first": _cpair(pairs[k, 0]), "second": _cpair(pairs[k, 1]), "kind": kind}
-    return ScanJob(_qybe_kernel, _STRAND_CHUNK, (rows.w,), case)
+    return ScanJob(_qybe_kernel, _BLOCK, (rows.w,), case)
 
 
 def unitarity_job(family: Family, samples: int = 100, seed: int = 42,
@@ -547,51 +541,35 @@ def unitarity_job(family: Family, samples: int = 100, seed: int = 42,
 
 
 def _runs(jobs):
-    """The kernel calls of ``scan_gaps``, each a list of (job, start, stop) pieces: the
-    samples of all jobs in order, cut at every multiple of the jobs' chunk. The whole
-    chunks that lie in one job, and the last job's tail, go as one piece; a chunk that
-    runs across jobs goes as its pieces. ``jobs`` is consumed one job ahead of the runs."""
-    jobs = iter(jobs)
-    job, window, width, ran = next(jobs), [], 0, False
-    chunk = job.chunk
-    while job is not None:
-        following = next(jobs, None)
-        n, lo = job.samples, 0
-        if width:  # the open chunk first
-            lo = min(n, chunk - width)
-            window.append((job, 0, lo))
-            width += lo
-            if width == chunk or following is None:
-                yield window
-                window, width, ran = [], 0, True
-        hi = n if following is None else lo + (n - lo) // chunk * chunk
-        if hi > lo or following is None and not ran:  # a pass over empty jobs: one empty run
-            yield [(job, lo, hi)]
-            ran = True
-        if hi < n:
-            window, width = [(job, hi, n)], n - hi
-        job = following
+    """The kernel calls of ``scan_gaps``, each a list of whole jobs in order: consecutive
+    jobs while their samples total at most the jobs' ``chunk``; a larger job goes alone,
+    since the kernels block a stack themselves."""
+    run, width = [], 0
+    for job in jobs:
+        if run and width + job.samples > job.chunk:
+            yield run
+            run, width = [], 0
+        run.append(job)
+        width += job.samples
+    if run:
+        yield run
 
 
 def scan_gaps(jobs) -> tuple:
     """The kernel outputs of every sample of ``jobs``, which share one kernel, in job order:
     a tuple of arrays, the gaps first, for ``worst`` to reduce.
 
-    The kernel runs on chunks of at most the jobs' ``chunk`` samples, packed across job
-    boundaries: only a chunk that spans jobs is concatenated, from views of their operands,
-    so no operand of a whole pass is formed. Whole chunks inside one job go as one view in
-    one call, which the kernel blocks itself, so a single job is one kernel call. ``jobs``
-    may be a generator: it is consumed as the pass reaches each job, so only the jobs of
-    the open chunk are alive. The arithmetic of a sample does not depend on its chunk.
+    Whole jobs are grouped into kernel calls of at most the jobs' ``chunk`` samples (a larger
+    job is one call by itself), so a single job is one kernel call on its own operands and
+    only a group of jobs is concatenated. ``jobs`` may be a generator: it is consumed as the
+    pass reaches each job, so only the jobs of the open group are alive. The arithmetic of a
+    sample does not depend on its group.
     """
-    if isinstance(jobs, list) and len(jobs) == 1:  # a scan: its one run is the whole job
-        return jobs[0].kernel(*jobs[0].operands)
     parts = []
     for run in _runs(jobs):
-        pieces = [[a[..., lo:hi] for a in job.operands] for job, lo, hi in run]
-        operands = pieces[0] if len(pieces) == 1 else [np.concatenate(p, axis=-1)
-                                                       for p in zip(*pieces)]
-        parts.append(run[0][0].kernel(*operands))
+        operands = run[0].operands if len(run) == 1 else [
+            np.concatenate(p, axis=-1) for p in zip(*(job.operands for job in run))]
+        parts.append(run[0].kernel(*operands))
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(p) for p in zip(*parts))
 
 

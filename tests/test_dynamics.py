@@ -180,7 +180,7 @@ def test_six_std_closed_matches_fd():
 
 def test_six_vertex_coth_variant_is_discrepant():
     spec = FamilySpec.six_nonstd(gamma=0.5)
-    report = six_vertex_erratum_report(spec, 0.3)
+    report = six_vertex_erratum_report(spec, 0.3, hamiltonian(spec, TH(0.3)).matrix)
     assert report["cosh_variant_confirmed"]
     assert report["coth_variant_discrepant"]
     assert report["deviation_cosh_variant"] < 1e-14

@@ -205,8 +205,8 @@ def unitarity_entry_loop(seed: int) -> dict:
 
 
 def hamiltonians_entry_loop(seed: int) -> dict:
-    """Criterion 7 with the special points as single-point ``hamiltonian`` calls and the
-    erratum reports from ``six_vertex_erratum_report`` alone: 15 exact evaluations."""
+    """Criterion 7 with the special points as single-point ``hamiltonian`` calls, which the
+    erratum reports also take their exact H from: 15 exact evaluations."""
     tol, i4 = 1e-12, identity(4)
     thetas = np.array([0.25, 0.8, 1.3])
     herm, close = [], []
@@ -241,10 +241,11 @@ def hamiltonians_entry_loop(seed: int) -> dict:
             frobenius(hamiltonian(spec0, th(0.0)).matrix
                       - hamiltonian_closed(spec0, 0.0).matrix),
         ]
-    reports = [
-        six_vertex_erratum_report(suite.representative_spec(Family.SIX_NONSTD), 0.3),
-        six_vertex_erratum_report(suite.representative_spec(Family.SIX_STD), 0.7),
-    ]
+    reports = []
+    for family, theta in ((Family.SIX_NONSTD, 0.3), (Family.SIX_STD, 0.7)):
+        spec = suite.representative_spec(family)
+        reports.append(six_vertex_erratum_report(spec, theta,
+                                                 hamiltonian(spec, th(theta)).matrix))
     six_ok = all(r["cosh_variant_confirmed"] and r["coth_variant_discrepant"] for r in reports)
     worst_herm, worst_close = worst(np.hstack(herm)), worst(np.hstack(close))
     worst_special = worst(special)
@@ -329,7 +330,7 @@ def test_a_nan_in_one_job_fails_the_criterion_and_names_the_first_such_job(monke
 
 
 # ---------------------------------------------------------------------------
-# The packed pass: job sets that straddle the chunk edges give each job's own scan.
+# The pass over grouped jobs: job sets around the group size give each job's own scan.
 
 SIZES = [(37, 128, 300), (300, 37, 128), (128, 37, 300, 1)]
 PASS_JOBS = {
@@ -343,8 +344,9 @@ PASS_JOBS = {
 
 @pytest.mark.parametrize("what", PASS_JOBS)
 @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: "-".join(map(str, s)))
-def test_a_packed_pass_is_bitwise_each_jobs_own_scan(what, sizes):
-    jobs = [PASS_JOBS[what](n, k) for k, n in enumerate(sizes)]
+@pytest.mark.parametrize("chunk", [128, 400])
+def test_a_pass_over_several_jobs_is_bitwise_each_jobs_own_scan(what, sizes, chunk):
+    jobs = [PASS_JOBS[what](n, k)._replace(chunk=chunk) for k, n in enumerate(sizes)]
     packed = scan_gaps(jobs)
     ends = np.cumsum((0,) + sizes)
     for k, job in enumerate(jobs):
@@ -354,24 +356,24 @@ def test_a_packed_pass_is_bitwise_each_jobs_own_scan(what, sizes):
     assert len(packed[0]) == ends[-1]
 
 
-def _run_layout(sizes, block):
-    """``verify._runs`` over stand-in jobs of ``sizes`` samples, as (job index, start, stop)."""
-    jobs = [verify.ScanJob(None, block, (np.empty((1, n)),), None) for n in sizes]
-    index = {id(job.operands): k for k, job in enumerate(jobs)}
-    return [[(index[id(job.operands)], lo, hi) for job, lo, hi in run]
-            for run in verify._runs(iter(jobs))]
+def _run_layout(sizes, chunk):
+    """``verify._runs`` over stand-in jobs of ``sizes`` samples, as lists of job indices."""
+    jobs = [verify.ScanJob(None, chunk, (np.empty((1, n)),), k) for k, n in enumerate(sizes)]
+    return [[job.case for job in run] for run in verify._runs(iter(jobs))]
 
 
-def test_the_runs_cut_at_the_block_and_keep_whole_blocks_of_a_job_in_one_call():
-    assert _run_layout([37, 128, 300], 128) == [
-        [(0, 0, 37), (1, 0, 91)], [(1, 91, 128), (2, 0, 91)], [(2, 91, 300)]]
-    assert _run_layout([1000], 128) == [[(0, 0, 1000)]]
-    assert _run_layout([100] * 7, 400) == [
-        [(0, 0, 100), (1, 0, 100), (2, 0, 100), (3, 0, 100)],
-        [(4, 0, 100), (5, 0, 100), (6, 0, 100)]]
-    assert _run_layout([300, 50, 400], 128) == [
-        [(0, 0, 256)], [(0, 256, 300), (1, 0, 50), (2, 0, 34)], [(2, 34, 400)]]
-    assert _run_layout([0, 0], 128) == [[(1, 0, 0)]]
+def test_the_runs_group_whole_jobs_up_to_the_chunk_and_give_a_larger_job_alone():
+    strand = braid_job(Family.EIGHT_II, 1, 1).chunk
+    unitarity = unitarity_job(Family.EIGHT_II, 1).chunk
+    assert qybe_job(suite.representative_spec(Family.EIGHT_II), samples=1).chunk == strand
+    assert _run_layout([100] * 7, strand) == [[k] for k in range(7)]  # criterion 1
+    assert _run_layout([50] * 16, strand) == [[k, k + 1] for k in range(0, 16, 2)]  # criterion 2
+    assert _run_layout([100] * 7, unitarity) == [[0, 1, 2, 3], [4, 5, 6]]  # criterion 4
+    assert _run_layout([37, 128, 300], 128) == [[0], [1], [2]]
+    assert _run_layout([300, 50, 40, 1000, 1], 128) == [[0], [1, 2], [3], [4]]
+    assert _run_layout([1000], 128) == [[0]]
+    assert _run_layout([0, 0], 128) == [[0, 1]]
+    assert _run_layout([], 128) == []
 
 
 def test_a_pass_builds_each_job_as_it_reaches_it():
@@ -382,14 +384,14 @@ def test_a_pass_builds_each_job_as_it_reaches_it():
     def jobs():
         for k in range(5):
             built.append(k)
-            yield braid_job(list(Family)[k], 100, k)
+            yield braid_job(list(Family)[k], 50, k)
 
     def kernel(w):
-        seen.append(len(built))
+        seen.append((len(built), w.shape[-1]))
         return real(w)
 
-    gaps = scan_gaps(job._replace(kernel=kernel, chunk=128) for job in jobs())[0]
-    assert gaps.shape == (500,) and seen == [3, 4, 5, 5]
+    gaps = scan_gaps(job._replace(kernel=kernel, chunk=100) for job in jobs())[0]
+    assert gaps.shape == (250,) and seen == [(3, 100), (5, 100), (5, 50)]
 
 
 def test_a_pass_over_empty_jobs_gives_empty_gaps_that_no_check_takes():
