@@ -246,16 +246,24 @@ _ZC, _ZD, _SC, _SA, _LA0, _LA1, _LZ1, _RD0, _RD1, _RS1 = _strand_tables()
 _BLOCK = 128
 
 
-def _block_gaps(a: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``strand_gap`` of a block from the (8, n) weights of a, c and d: Z, S and the
-    difference of the sides as (32, n) arrays, one row per nonzero entry."""
+def _block_diffs(a: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The 32 nonzero entries of (a x 1)(1 x c)(d x 1) - (1 x d)(c x 1)(1 x a) from the
+    (8, ...) weights of a, c and d, with any trailing axes: a (32, ...) array in the order
+    of ``_strand_tables``. Z and S are (32, ...) arrays too; Z goes before S is formed."""
     z = c.take(_ZC, 0) * d.take(_ZD, 0)  # take: the row gather of x[idx], with less overhead
-    gap = a.take(_LA0, 0) * z
-    gap += a.take(_LA1, 0) * z.take(_LZ1, 0)
+    diff = a.take(_LA0, 0) * z
+    diff += a.take(_LA1, 0) * z.take(_LZ1, 0)
+    del z
     s = c.take(_SC, 0) * a.take(_SA, 0)
-    gap -= d.take(_RD0, 0) * s
-    gap -= d.take(_RD1, 0) * s.take(_RS1, 0)
-    return np.linalg.norm(gap, axis=0)
+    diff -= d.take(_RD0, 0) * s
+    diff -= d.take(_RD1, 0) * s.take(_RS1, 0)
+    return diff
+
+
+def _block_gaps(a: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``strand_gap`` of a block from the (8, n) weights of a, c and d: the norm of each
+    triple's ``_block_diffs``."""
+    return np.linalg.norm(_block_diffs(a, c, d), axis=0)
 
 
 def weights(kernel: str, names, *matrices, start: int = 0) -> list:

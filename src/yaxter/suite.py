@@ -3,11 +3,14 @@
 Each criterion is evaluated at a fixed tolerance with seeded sampling and
 reported as one entry; the CLI serializes the result deterministically, so
 identical seeds give byte-identical output. A criterion that samples evaluates
-its samples as stacks. Criteria 1, 2 and 4 build one seeded scan job per family
-(``verify.braid_job``, ``qybe_job``, ``unitarity_job``: the draw and the row
-build of ``scan_braid``, ``scan_qybe`` and ``scan_unitarity``) and run all their
-jobs through one kernel pass, ``verify.scan_gaps``, reduced by one ``worst`` with
-the job as the case. The others make one call per family: the inverse-unitarity
+its samples as stacks. Criteria 1 and 4 build one seeded scan job per family
+(``verify.braid_job``, ``unitarity_job``: the draw and the row build of
+``scan_braid`` and ``scan_unitarity``) and run all their jobs through one kernel
+pass, ``verify.scan_gaps``, reduced by one ``worst`` with the job as the case.
+Criterion 2 samples only the family parameters: it certifies the QYBE of the
+coefficient tables of 8 seeded parameter points per (family, ordering) pair with
+``verify.qybe_bound``, a bound over the whole polydisc |x|, |y| <= 1, one call per
+coefficient count. The others make one call per family: the inverse-unitarity
 scalars of criterion 5, the closed-form determinants of criterion 6 (20 states
 per family from one draw), the exact generators of criterion 7 (three theta
 points per family and its special point) and the braiding evolution residuals of
@@ -20,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import dynamics, entangle, gates
-from .baxterize import RZERO_EQUALS_B, EigOrdering, SpectralPoint, build_R, build_R_stack, formula_R
+from .baxterize import (RZERO_EQUALS_B, EigOrdering, SpectralPoint, _coefficient_rows, build_R,
+                        build_R_stack, formula_R)
 from .catalog import Family, FamilySpec, FamilySpecs, Sign, build_b
 from .dynamics import (
     braiding_evolution_residual,
@@ -37,8 +41,9 @@ from .verify import (
     TOLERANCES,
     braid_job,
     family_inverse_unitarity,
-    qybe_job,
+    qybe_bound,
     rho_formula,
+    sample_specs,
     sample_x,
     scan_gaps,
     unitarity_job,
@@ -78,7 +83,7 @@ def representative_spec(family: Family) -> FamilySpec:
 #: the name of each criterion, by id
 NAMES = (
     "braid relation over 7 families x 100 points",
-    "QYBE in every applicable parametrization",
+    "QYBE certified from the coefficient polynomial on |x|, |y| <= 1",
     "asymptotics R(0) = b and R(1) prop. identity",
     "unitarity of rho^{-1/2} R(x) on stated domains",
     "inverse-unitarity scalar vs rho (compatibility)",
@@ -114,20 +119,25 @@ def criterion_braid(seed: int) -> dict:
                   worst_family=worst_family)
 
 
+#: criterion 2's (family, ordering) pairs: every family with a QYBE law, then eight3's second
+#: ordering, each certified at 8 seeded parameter points
+QYBE_PAIRS = [(family, None) for family in QYBE_PARAMETRIZATIONS] + [
+    (Family.EIGHT_III, EigOrdering.SECOND)]
+
+
 def criterion_qybe(seed: int) -> dict:
     tol = TOLERANCES["qybe"]
-    jobs = []
-    for family in R_FAMILIES:
-        spec = representative_spec(family)
-        for kind in QYBE_PARAMETRIZATIONS[family]:
-            jobs.append((spec, kind, None))
-    jobs.append((representative_spec(Family.EIGHT_III), "x", EigOrdering.SECOND))
-    residual, worst_case = _worst_job(
-        (qybe_job(spec, kind=kind, samples=50, seed=seed + 100 + k, ordering=ordering)
-         for k, (spec, kind, ordering) in enumerate(jobs)),
-        [{"family": spec.family.value, "kind": kind} for spec, kind, _ in jobs], 50)
-    return _entry(2, residual < tol, max_residual=residual, tolerance=tol,
-                  worst_case=worst_case)
+    rows = [_coefficient_rows(sample_specs(family, np.random.default_rng(seed + 100 + k), 8),
+                              ordering) for k, (family, ordering) in enumerate(QYBE_PAIRS)]
+    bounds = np.empty((len(rows), 8))
+    for m in sorted({len(r) for r in rows}):  # one certificate per coefficient count
+        group = [k for k, r in enumerate(rows) if len(r) == m]
+        bounds[group] = qybe_bound(np.concatenate([rows[k] for k in group], axis=-1)).reshape(
+            len(group), -1)
+    bound, k = worst(bounds.ravel(), np.arange(bounds.size) // bounds.shape[1])
+    family, ordering = QYBE_PAIRS[k]
+    return _entry(2, bound < tol, max_bound=bound, tolerance=tol, worst_case={
+        "family": family.value, "ordering": ordering.value if ordering else None})
 
 
 def criterion_asymptotics(seed: int) -> dict:

@@ -4,8 +4,11 @@ The braid relation and the QYBE are one three-strand identity on C^8 with one
 kernel, ``linalg.strand_gap(a, c, d)``: the braid residual is (b, b, b), the
 QYBE residual R_1(x) R_2(x o y) R_1(y) - R_2(y) R_1(x o y) R_2(x) is
 (R(x), R(x o y), R(y)), where x o y is xy, theta1 + theta2 or (u + v)/(1 + uv).
-Unitarity is checked as R(x) R(x)^dag = rho * 1 with rho > 0 the family's
-normalization factor; rho^{-1/2} R(x) is the physical gate. Its kernel,
+The same kernel, before its norm (``linalg._block_diffs``), certifies the QYBE of a
+whole coefficient table: ``certify_qybe`` bounds the residual polynomial on all of
+|x|, |y| <= 1 from its coefficients (``qybe_bound``). Unitarity is checked as
+R(x) R(x)^dag = rho * 1 with rho > 0 the family's normalization factor;
+rho^{-1/2} R(x) is the physical gate. Its kernel,
 ``unitarity_residual``, and ``inverse_unitarity`` read eight-vertex matrices with
 ``linalg.weights`` and multiply them with ``linalg.block_product``, block by block.
 Every kernel takes a dense matrix from outside, read and checked once, or a stack
@@ -59,6 +62,7 @@ from .baxterize import (
     EigOrdering,
     R_rows,
     SpectralPoint,
+    _coefficient_rows,
     build_R,
     compose_u,
     family_x,
@@ -68,8 +72,8 @@ from .baxterize import (
 )
 from .catalog import (THREE_EIGENVALUE_FAMILIES, DomainError, Family, FamilySpec, FamilySpecs, Sign,
                       braid_residual, braid_rows, domain_violation, finite_rho, gamma_of, is_imag)
-from .linalg import (_BLOCK, MAX_ENTRY, WeightRows, block_product, dagger, defect, stacks,
-                     strand_gap, weights)
+from .linalg import (_BLOCK, MAX_ENTRY, WeightRows, _block_diffs, block_product, dagger, defect,
+                     stacks, strand_gap, weights)
 
 #: pass thresholds of the residual checks, shared by the scans, the suite and the CLI.
 TOLERANCES = {"braid": 1e-11, "qybe": 1e-9, "unitarity": 1e-10, "inverse-unitarity": 1e-9}
@@ -615,6 +619,69 @@ def scan_unitarity(
     the gauge table); the worst residual covers both gaps.
     """
     return _report(unitarity_job(family, samples, seed, imaginary_t), tol)
+
+
+# ---------------------------------------------------------------------------
+# The QYBE as a polynomial identity.
+
+def _qybe_triples(m: int) -> tuple:
+    """The tables of ``_qybe_coefficients`` for m coefficients: the indices (ia, ic, id) of
+    the m^3 triples (A_{i'}, A_b, A_{j'}), sorted by the monomial x^{i'+b} y^{b+j'} they
+    feed, the index of each monomial's first triple, and the (i, j) of each monomial."""
+    terms = sorted((i + b, b + j, i, b, j) for i in range(m) for b in range(m) for j in range(m))
+    xi, yj, ia, ic, id_ = np.array(terms).T
+    first = np.flatnonzero(np.diff(xi * 2 * m + yj, prepend=-1))
+    return ia, ic, id_, first, np.stack([xi[first], yj[first]], axis=1)
+
+
+_QYBE_TRIPLES = {m: _qybe_triples(m) for m in (2, 3)}
+
+
+def _qybe_coefficients(rows: np.ndarray) -> tuple:
+    """(D, powers): the coefficients of the QYBE residual of R(x) = sum_k A_k x^k,
+
+        R_1(x) R_2(xy) R_1(y) - R_2(y) R_1(xy) R_2(x) = sum_ij D_ij x^i y^j,
+        D_ij = sum_b strand difference of (A_{i-b}, A_b, A_{j-b}),
+
+    from the (m, 8, ...) weight rows of (A_0, .., A_{m-1}), m = 2 or 3, with any trailing
+    axes. D holds the 32 entries of ``linalg._block_diffs`` as (32, G, ...), one column per
+    monomial, and powers the (G, 2) exponents (i, j): all m^3 triples go through one kernel
+    call, and ``np.add.reduceat`` sums each monomial's."""
+    ia, ic, id_, first, powers = _QYBE_TRIPLES[len(rows)]
+    w = rows.swapaxes(0, 1)  # (8, m, ...)
+    diffs = _block_diffs(w.take(ia, 1), w.take(ic, 1), w.take(id_, 1))
+    return np.add.reduceat(diffs, first, axis=1), powers
+
+
+def qybe_bound(rows: np.ndarray):
+    """sum_ij ||D_ij||_F / (sum_k ||A_k||_F)^3 of ``_qybe_coefficients``, for the (m, 8, ...)
+    weight rows of a coefficient table: one bound per trailing index. For |x|, |y| <= 1 the
+    QYBE residual is at most this bound times (sum_k ||A_k||_F)^3, which bounds
+    ||R(x)||_F ||R(xy)||_F ||R(y)||_F there, so the bound certifies the identity relative to
+    the size of its factors on the whole closed polydisc; the theta and u views compose to
+    xy under a scalar gauge that cancels between the sides.
+    A NaN weight gives a NaN bound. Samples on the last axis run in blocks of at most
+    ``linalg._BLOCK`` triples, the blocks of ``strand_gap``: with larger temporaries glibc
+    returns the heap top after each call, and the next call faults its pages in again."""
+    per = max(1, _BLOCK // len(rows) ** 3)
+    if rows.ndim > 2 and rows.shape[-1] > per:
+        return np.concatenate([qybe_bound(rows[..., k:k + per])
+                               for k in range(0, rows.shape[-1], per)], axis=-1)
+    d, _ = _qybe_coefficients(rows)
+    # sums in an order that does not depend on the number of samples: over the 32 entries of
+    # D and the m coefficients along the first axis, and over the monomials and the 8 weights
+    # along the last, contiguous one, where a lone sample would be summed pairwise
+    norms = np.linalg.norm(d, axis=0)
+    total = norms.transpose(*range(1, norms.ndim), 0).copy().sum(axis=-1)
+    scale = np.linalg.norm(rows.transpose(0, *range(2, rows.ndim), 1).copy(), axis=-1).sum(axis=0)
+    return total / (scale * scale * scale)
+
+
+def certify_qybe(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = None):
+    """``qybe_bound`` of the spec's coefficient table (``baxterize._coefficient_rows``): a
+    float for a FamilySpec, one bound per sample of FamilySpecs."""
+    bound = qybe_bound(_coefficient_rows(spec, ordering))
+    return bound if bound.ndim else float(bound)
 
 
 def _cpair(z) -> list[float]:

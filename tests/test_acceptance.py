@@ -33,7 +33,7 @@ def test_criterion_01_braid_relation(suite_result):
 
 def test_criterion_02_qybe_all_parametrizations(suite_result):
     entry = _check(suite_result, 2)
-    assert entry["max_residual"] < 1e-9
+    assert entry["max_bound"] < 1e-15
 
 
 def test_criterion_03_asymptotics(suite_result):

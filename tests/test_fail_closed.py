@@ -64,7 +64,7 @@ def _values(out) -> int:
 # (criterion, function it calls from the suite module, field that must turn NaN)
 INJECTIONS = [
     (suite.criterion_braid, "scan_gaps", "max_residual"),
-    (suite.criterion_qybe, "scan_gaps", "max_residual"),
+    (suite.criterion_qybe, "qybe_bound", "max_bound"),
     (suite.criterion_asymptotics, "frobenius", "max_residual"),
     (suite.criterion_unitarity, "scan_gaps", "max_residual"),
     (suite.criterion_unitarity, "unitarity_residual", "min_off_domain_residual"),

@@ -11,6 +11,8 @@ from yaxter.baxterize import SpectralPoint, build_R
 from yaxter.catalog import FamilySpec
 from yaxter.linalg import (
     _BLOCK,
+    _block_diffs,
+    _block_gaps,
     MAX_ENTRY,
     DegenerateSpectrumError,
     NotHermitianError,
@@ -240,6 +242,38 @@ def test_an_empty_stack_gives_no_gaps_and_no_worst_case():
     assert gaps.shape == (0,)
     with pytest.raises(ValueError, match="at least one sample"):
         worst(gaps)
+
+
+#: the 32 entries of C^8 whose row and column bits have equal total parity, row-major
+STRAND_PARITY = np.equal.outer(*[np.array([bin(k).count("1") % 2 for k in range(8)])] * 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaussian_integer_matrices(3))
+def test_block_diffs_are_bitwise_the_kron_residual_at_its_32_entries(mats):
+    a, c, d = mats
+    e = np.eye(2, dtype=complex)
+    full = (np.kron(a, e) @ np.kron(e, c) @ np.kron(d, e)
+            - np.kron(e, d) @ np.kron(c, e) @ np.kron(e, a))
+    diffs = _block_diffs(*(np.array(w)[:, None] for w in weights("t", "acd", a, c, d)))
+    assert np.array_equal(diffs[:, 0], full[STRAND_PARITY]) and not full[~STRAND_PARITY].any()
+    assert _block_gaps(*(np.array(w)[:, None] for w in weights("t", "acd", a, c, d)))[0] \
+        == strand_gap(a, c, d)
+
+
+def test_a_block_holds_at_most_five_of_its_temporaries_at_once():
+    # Z goes before S is formed, and the norm runs after both are gone
+    rng = np.random.default_rng(43)
+    a, c, d = (rng.standard_normal((8, _BLOCK)) + 1j * rng.standard_normal((8, _BLOCK))
+               for _ in range(3))
+    _block_gaps(a, c, d)
+    tracemalloc.start()
+    try:
+        _block_gaps(a, c, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 32 * _BLOCK * 16  # five (32, _BLOCK) complex arrays and small change
 
 
 def test_strand_gap_memory_does_not_grow_with_the_stack():

@@ -1,10 +1,11 @@
 """Criteria 5, 6 and 8 evaluate their samples as stacks. The per-point loops they
 replaced are kept here as references: at the CI seeds each criterion passes and
-its figure agrees with its loop to rounding. Criteria 1, 2 and 4 run their families'
-scan jobs through one kernel pass, and criterion 7 takes one exact-generator stack
-per family; the per-family formulation they replaced is kept here too, and their
-entries equal it. A criterion that raises a check error fails in the report, which
-still holds every criterion."""
+its figure agrees with its loop to rounding. Criteria 1 and 4 run their families'
+scan jobs through one kernel pass, criterion 2 certifies the coefficient tables of
+all its (family, ordering) pairs in one certificate call per coefficient count, and
+criterion 7 takes one exact-generator stack per family; the per-family or per-pair
+formulation they replaced is kept here too, and their entries equal it. A criterion
+that raises a check error fails in the report, which still holds every criterion."""
 
 import json
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from yaxter import baxterize, cli, dynamics, suite, verify
-from yaxter.baxterize import EigOrdering, SpectralPoint
+from yaxter.baxterize import SpectralPoint
 from yaxter.catalog import Family, FamilySpec, Sign
 from yaxter.dynamics import (evolve, exact_generators, gauge_unitary, hamiltonian,
                              hamiltonian_closed, six_vertex_erratum_report)
@@ -20,8 +21,8 @@ from yaxter.entangle import (classification_gauge_R, concurrence_det, det_b_clos
                              product_state, state)
 from yaxter.gates import SIGMA_MINUS, SIGMA_PLUS, tensor
 from yaxter.linalg import dagger, frobenius, hermiticity_defect, identity
-from yaxter.verify import (QYBE_PARAMETRIZATIONS, TOLERANCES, braid_job, family_inverse_unitarity,
-                           qybe_job, rho_formula, sample_x, scan_braid, scan_gaps, scan_qybe,
+from yaxter.verify import (TOLERANCES, braid_job, certify_qybe, family_inverse_unitarity, qybe_job,
+                           rho_formula, sample_specs, sample_x, scan_braid, scan_gaps,
                            scan_unitarity, unitarity_job, unitarity_residual, worst)
 
 SEEDS = [42, 1, 7, 123]
@@ -109,7 +110,7 @@ def test_each_family_has_its_representative_spec():
 
 def test_a_wrong_table_fails_its_criteria_and_the_report_keeps_all_ten(capsys, monkeypatch):
     # the flip of test_a_sign_flipped_in_eight2s_linear_coefficient_fails_the_qybe_scan, in
-    # eight2's rows only, seen by the builders and by the exact generators
+    # eight2's rows only, seen by the builders, the exact generators and the QYBE certificate
     exact = baxterize._coefficient_rows
 
     def flipped(spec, ordering=None):
@@ -119,13 +120,14 @@ def test_a_wrong_table_fails_its_criteria_and_the_report_keeps_all_ten(capsys, m
             rows[1, 2] *= -1  # the -q of B at (0, 3), row 2 in the block order of _WEIGHTS
         return rows
 
-    for module in (baxterize, dynamics):
+    for module in (baxterize, dynamics, suite):
         monkeypatch.setattr(module, "_coefficient_rows", flipped)
     report = suite.run_suite(42)
     criteria = report["criteria"]
     assert [c["id"] for c in criteria] == list(range(1, 11))
     assert [c["name"] for c in criteria] == list(suite.NAMES)
     assert report["all_pass"] is False
+    assert criteria[1]["pass"] is False and criteria[1]["worst_case"]["family"] == "eight2"
     errors = {c["id"]: c for c in criteria if "error" in c}
     assert sorted(errors) == [5, 7]
     for entry in errors.values():  # no numbers beside the message
@@ -147,8 +149,8 @@ def test_an_error_that_is_no_check_error_propagates(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Criteria 1, 2, 4 and 7 against their per-family formulation: one scan or one
-# single-point Hamiltonian per call, as the suite ran them before the stacked pass.
+# Criteria 1, 2, 4 and 7 against their per-family formulation: one scan, one certificate
+# or one single-point Hamiltonian per call.
 
 def braid_entry_loop(seed: int) -> dict:
     tol = TOLERANCES["braid"]
@@ -160,23 +162,17 @@ def braid_entry_loop(seed: int) -> dict:
                         worst_family=worst_family)
 
 
-def qybe_jobs() -> list:
-    """The (spec, kind, ordering) of criterion 2's jobs, in its order."""
-    jobs = [(suite.representative_spec(family), kind, None)
-            for family in suite.R_FAMILIES for kind in QYBE_PARAMETRIZATIONS[family]]
-    return jobs + [(suite.representative_spec(Family.EIGHT_III), "x", EigOrdering.SECOND)]
+QYBE_NAMES = [{"family": family.value, "ordering": ordering.value if ordering else None}
+              for family, ordering in suite.QYBE_PAIRS]
 
 
 def qybe_entry_loop(seed: int) -> dict:
+    """Criterion 2 with one ``certify_qybe`` call per (family, ordering) pair."""
     tol = TOLERANCES["qybe"]
-    jobs = qybe_jobs()
-    residual, worst_case = worst(
-        [scan_qybe(spec, kind=kind, samples=50, seed=seed + 100 + k, tol=tol,
-                   ordering=ordering).residual
-         for k, (spec, kind, ordering) in enumerate(jobs)],
-        [{"family": spec.family.value, "kind": kind} for spec, kind, _ in jobs])
-    return suite._entry(2, residual < tol, max_residual=residual, tolerance=tol,
-                        worst_case=worst_case)
+    bounds = [certify_qybe(sample_specs(family, np.random.default_rng(seed + 100 + k), 8),
+                           ordering) for k, (family, ordering) in enumerate(suite.QYBE_PAIRS)]
+    bound, worst_case = worst(np.concatenate(bounds), np.repeat(QYBE_NAMES, 8))
+    return suite._entry(2, bound < tol, max_bound=bound, tolerance=tol, worst_case=worst_case)
 
 
 UNITARITY_NAMES = [f.value for f in suite.R_FAMILIES] + ["eight4 (imaginary t)"]
@@ -290,19 +286,21 @@ def test_criterion_7_makes_one_exact_evaluation_per_family_and_special_spec(monk
 
 
 # ---------------------------------------------------------------------------
-# A NaN in one sample of a job: the criterion fails and names that job.
+# A NaN in one sample of a job: the criterion fails and names that job. Criterion 2's jobs
+# are its pairs' coefficient rows, 8 parameter points each.
 
 JOB_CRITERIA = {
-    "braid": (suite.criterion_braid, "braid_job", "worst_family",
+    "braid": (suite.criterion_braid, "braid_job", "max_residual", "worst_family",
               [family.value for family in Family]),
-    "qybe": (suite.criterion_qybe, "qybe_job", "worst_case",
-             [{"family": spec.family.value, "kind": kind} for spec, kind, _ in qybe_jobs()]),
-    "unitarity": (suite.criterion_unitarity, "unitarity_job", "worst_family", UNITARITY_NAMES),
+    "qybe": (suite.criterion_qybe, "_coefficient_rows", "max_bound", "worst_case", QYBE_NAMES),
+    "unitarity": (suite.criterion_unitarity, "unitarity_job", "max_residual", "worst_family",
+                  UNITARITY_NAMES),
 }
 
 
 def _poison_jobs(monkeypatch, name: str, nans: dict) -> None:
-    """Make ``suite.<name>`` put a NaN into sample ``nans[k]`` of the rows of its job k."""
+    """Make ``suite.<name>`` put a NaN into sample ``nans[k]`` of the rows of its job k, a
+    ``ScanJob`` or the rows themselves; the index wraps around the job's samples."""
     real, made = getattr(suite, name), [0]
 
     def poisoned(*args, **kwargs):
@@ -310,8 +308,10 @@ def _poison_jobs(monkeypatch, name: str, nans: dict) -> None:
         k, made[0] = made[0], made[0] + 1
         if k not in nans:
             return job
-        rows = job.operands[0].copy()
-        rows[..., nans[k]] = np.nan
+        rows = (job if isinstance(job, np.ndarray) else job.operands[0]).copy()
+        rows[..., nans[k] % rows.shape[-1]] = np.nan
+        if isinstance(job, np.ndarray):
+            return rows
         return job._replace(operands=(rows, *job.operands[1:]))
 
     monkeypatch.setattr(suite, name, poisoned)
@@ -322,10 +322,10 @@ def _poison_jobs(monkeypatch, name: str, nans: dict) -> None:
                          ids=lambda n: "-".join(f"job{k}@{i}" for k, i in n.items()))
 def test_a_nan_in_one_job_fails_the_criterion_and_names_the_first_such_job(monkeypatch, what,
                                                                           nans):
-    criterion, name, field, names = JOB_CRITERIA[what]
+    criterion, name, figure, field, names = JOB_CRITERIA[what]
     _poison_jobs(monkeypatch, name, nans)
     entry = criterion(42)
-    assert entry["pass"] is False and np.isnan(entry["max_residual"])
+    assert entry["pass"] is False and np.isnan(entry[figure])
     assert entry[field] == names[min(nans)]
 
 
@@ -367,7 +367,7 @@ def test_the_runs_group_whole_jobs_up_to_the_chunk_and_give_a_larger_job_alone()
     unitarity = unitarity_job(Family.EIGHT_II, 1).chunk
     assert qybe_job(suite.representative_spec(Family.EIGHT_II), samples=1).chunk == strand
     assert _run_layout([100] * 7, strand) == [[k] for k in range(7)]  # criterion 1
-    assert _run_layout([50] * 16, strand) == [[k, k + 1] for k in range(0, 16, 2)]  # criterion 2
+    assert _run_layout([50] * 16, strand) == [[k, k + 1] for k in range(0, 16, 2)]
     assert _run_layout([100] * 7, unitarity) == [[0, 1, 2, 3], [4, 5, 6]]  # criterion 4
     assert _run_layout([37, 128, 300], 128) == [[0], [1], [2]]
     assert _run_layout([300, 50, 40, 1000, 1], 128) == [[0], [1, 2], [3], [4]]
