@@ -14,10 +14,15 @@ rows of ``baxterize._coefficient_rows``, read once: with K = i R' R^dag / rho
 K = H + i rho'/(2 rho) 1, so H is K, scattered to a dense matrix once, less
 i Im(tr K)/4 1. A real gauge only moves rho; the six-vertex
 dynamics gauge 1/(2 e^{i theta}) turns the phase by -theta and adds 1 to H.
+``generator_pass`` takes several (spec, kind, s) jobs at once: each job checks its
+values and builds its rows of R and R', and one pass over all the rows takes the rho
+floor, K, the scatter, the trace part and one Hermiticity check; ``exact_generators``
+is the pass over one job.
 Closed forms are validated against it rather than trusted:
-``hamiltonian_closed`` returns the variant it confirms. The six-vertex closed
-form also circulates in a coth-gamma variant that the derivative contradicts
-(the corner entries come out as sinh cosh / rho); both variants are kept so
+``hamiltonian_closed`` returns the variant it confirms, the single-point record of
+``closed_generators``, which broadcasts the closed form over an array of theta. The
+six-vertex closed form also circulates in a coth-gamma variant that the derivative
+contradicts (the corner entries come out as sinh cosh / rho); both variants are kept so
 the discrepancy can be measured and reported (see ``six_vertex_erratum_report``).
 ``hamiltonian_fd`` takes central differences instead, as a cross-check.
 
@@ -33,21 +38,25 @@ cos(theta) b + sin(theta) b^{-1} the generator is the constant 2 H_pm
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, _coefficient_rows,
                         _polynomial, _rows_at, family_x, g_factors, gauge)
-from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix,
-                      finite_rho, is_real, z_of)
+from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix, is_real,
+                      z_of)
 from .gates import PAULI, tensor
-from .linalg import (MAX_ENTRY, WeightRows, dagger, expm_hermitian, frobenius, identity,
-                     require_hermitian, weight_product)
+from .linalg import (_WEIGHTS, MAX_ENTRY, WeightRows, dagger, expm_hermitian, frobenius,
+                     identity, require_hermitian, weight_product)
 from .verify import _normalization, worst
 
 I4 = identity(4)
+#: the constant terms of the eight2/3 and eight4 closed forms
+HALF_SHIFT, FULL_SHIFT = -0.5 * I4, -I4
 SIX_VERTEX = (Family.SIX_NONSTD, Family.SIX_STD)
 HERM_TOL = 1e-9  # relative Hermiticity defect allowed: above the FD's rounding (~3e-10)
 RHO_FLOOR = 1e-14  # rho at or below which R vanishes and U = rho^{-1/2} R is not formed
@@ -115,7 +124,7 @@ def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
     """H = i (dU/ds) U(s)^dag along the ``kind`` curve (theta, or real x for eight1 and
     imaginary-t eight4) at s, a number or an (n,) array, exactly (module docstring): the
     (..., 4, 4) generators from one read of the coefficient rows, R by ``R_rows``' polynomial
-    and R'.
+    and R'. The pass of ``generator_pass`` over one job.
 
     Every check applies to each item, and an error names the first failing item of a stack
     by its index. Off the unitary domain, above ``linalg.MAX_ENTRY`` or where R vanishes it
@@ -128,29 +137,76 @@ def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
     return h
 
 
+def generator_pass(jobs) -> np.ndarray:
+    """The exact generators of several jobs, each a (spec, kind, s) triple of
+    ``exact_generators``' arguments, as one (N, 4, 4) stack in job order, a number s giving
+    one matrix: every job's R and R' rows (``_generator_job``) through one pass of the rho
+    floor, K, the scatter and the trace part, and one Hermiticity check. A generator does
+    not depend on the jobs beside it: each job's matrices are its ``exact_generators``.
+
+    A pass that fails raises the first failing job's own error, which
+    ``exact_generators`` of that job alone raises, naming the job by its number and family.
+    """
+    jobs = list(jobs)
+    try:
+        h = _pass([_generator_job(*job) for job in jobs], lambda i: f"item {i} of the pass")
+        require_hermitian(h, HERM_TOL, "Hamiltonian")
+    except ValueError:
+        for j, (spec, kind, s) in enumerate(jobs):  # the failing job, searched only on failure
+            try:
+                exact_generators(spec, kind, s)
+            except ValueError as err:
+                raise type(err)(f"{err}, in job {j} ({spec.family.value}) of the "
+                                "generator pass") from None
+        raise
+    return h
+
+
 def _generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
     """``exact_generators`` before its Hermiticity check, which ``hamiltonian`` leaves to the
     ``Hamiltonian`` record."""
+    job = _generator_job(spec, kind, s)
+    return _pass([job], job.name).reshape(*np.shape(s), 4, 4)
+
+
+class _GeneratorJob(NamedTuple):
+    """A job of the generator pass: R and dR/ds at the job's n curve values as (8, n) weight
+    rows, the shift omega of H in the dynamics gauge, and the name of item i in an error:
+    its spectral point and, for a stack, its index."""
+
+    r: np.ndarray
+    dr: np.ndarray
+    omega: float
+    name: Callable[[int], str]
+
+
+def _generator_job(spec: FamilySpec, kind: str, s) -> _GeneratorJob:
+    """R and dR/ds at s, a number or an array, on the weight rows of ``_coefficient_rows``,
+    read once, with every check but the rho floor run once on the whole array: the curve and
+    realness check, the domain check and the ``MAX_ENTRY`` bound."""
     fam = spec.family
     stack = np.ndim(s) > 0
-    values = np.ravel(s).tolist() if stack else [s]
-    if stack and not values:
+    values = np.ravel(s)
+    if stack and not values.size:
         worst(values)  # raises: a check needs at least one sample
-
-    def fail(message: str, i: int):
-        raise DomainError(f"{message} at index {i} of the stack" if stack else message)
 
     def point(i: int) -> SpectralPoint:
         return SpectralPoint(kind, complex(values[i]))
 
-    for i, value in enumerate(values):  # _curve's check and the domain check
-        violation = _curve_failure(kind, value) or spec.domain_violation(
-            family_x(spec, kind, float(value.real)))
-        if violation is not None:
-            fail(violation, i)
-    s = np.real(s) if stack else float(s.real)
-    x = family_x(spec, kind, s)
-    rows = _coefficient_rows(spec).reshape(-1, 8, *(1,) * np.ndim(x))  # against every s
+    def where(i: int) -> str:
+        return f" at index {i} of the stack" if stack else ""
+
+    on_curve = kind in ("theta", "x") and is_real(values).all()
+    if on_curve:
+        s = values.real
+        x = family_x(spec, kind, s)
+    if not on_curve or spec.domain_violation(x) is not None:
+        for i, value in enumerate(values.tolist()):  # the first failing value, only on failure
+            violation = _curve_failure(kind, value) or spec.domain_violation(
+                family_x(spec, kind, float(value.real)))
+            if violation is not None:
+                raise DomainError(violation + where(i))
+    rows = _coefficient_rows(spec).reshape(-1, 8, 1)  # against every s
     a, b, *c = rows
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the bound below
         r = _polynomial(rows, x, gauge(spec, kind, s))
@@ -164,19 +220,42 @@ def _generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
     ok = peak <= MAX_ENTRY
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
-        fail(f"{fam.value} at {point(i)}: an entry of R or dR/ds reaches "
-             f"{np.ravel(peak)[i]:.3g}, above the {MAX_ENTRY:.3g} up to which the products "
-             "stay finite", i)
-    rho = (r * r.conj()).real.sum(axis=0) / 4.0  # tr(R R^dag) / 4 = ||R||_F^2 / 4
+        raise DomainError(f"{fam.value} at {point(i)}: an entry of R or dR/ds reaches "
+                          f"{peak[i]:.3g}, above the {MAX_ENTRY:.3g} up to which the products "
+                          f"stay finite{where(i)}")
+    omega = 1.0 if fam in SIX_VERTEX else 0.0
+    return _GeneratorJob(r, np.broadcast_to(dr, r.shape), omega,
+                         lambda i: f"{point(i)}{where(i)}")
+
+
+def _pass(jobs: list, name: Callable[[int], str]) -> np.ndarray:
+    """The (N, 4, 4) generators of built jobs, before the Hermiticity check: with
+    rho = tr(R R^dag) / 4 under its floor, K = i R' R^dag / rho on the weight rows
+    (``weight_product``), scattered once, less i Im(tr K)/4 1, plus omega 1. An item under
+    the floor is named in the error by ``name``."""
+    r = np.concatenate([job.r for job in jobs], axis=1)
+    dr = np.concatenate([job.dr for job in jobs], axis=1)
+    omega = np.repeat([job.omega for job in jobs], [job.r.shape[1] for job in jobs])
+    rho = _pairwise((r * r.conj()).real) / 4.0  # tr(R R^dag) / 4 = ||R||_F^2 / 4
     ok = rho > RHO_FLOOR
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
-        fail(f"normalization factor degenerates (rho = {np.ravel(rho)[i]:.3e}) at {point(i)}", i)
+        raise DomainError(f"normalization factor degenerates (rho = {rho[i]:.3e}) at {name(i)}")
     k = weight_product(1j * dr, dagger(WeightRows(r)).w) / rho  # K = i R' R^dag / rho
-    omega = 1.0 if fam in SIX_VERTEX else 0.0
     h = WeightRows(k).dense()  # the one scatter
-    h += np.asarray(omega - 0.25j * np.trace(h, axis1=-2, axis2=-1).imag)[..., None, None] * I4
+    trace = _pairwise(h.diagonal(axis1=-2, axis2=-1).T.imag)  # Im tr K
+    h += (omega - 0.25j * trace)[:, None, None] * I4
     return h
+
+
+def _pairwise(rows: np.ndarray) -> np.ndarray:
+    """The sum over the first axis of 4 or 8 rows, pairwise, ((0 + 1) + (2 + 3)) +
+    ((4 + 5) + (6 + 7)), at every width: the order numpy's ``sum`` takes within one matrix's
+    8 real or 4 complex entries. Along the axis of a stack numpy sums in sequence, so a
+    generator would depend on the stack around it."""
+    while len(rows) > 1:
+        rows = rows[0::2] + rows[1::2]
+    return rows[0]
 
 
 def hamiltonian(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
@@ -203,27 +282,53 @@ def _real_t(spec: FamilySpec) -> float:
     return float(t.real)
 
 
-def _six_vertex_closed(gamma: float, theta: float, standard: bool, corner) -> np.ndarray:
-    sh, sn = float(np.sinh(gamma)), float(np.sin(theta))
-    rho = finite_rho(sh * sh + sn * sn)
-    if rho < 1e-14:
-        raise DomainError("rho = sinh^2 gamma + sin^2 theta vanishes at gamma = theta = 0")
+def _closed_rho(rho, vanishing: str = ""):
+    """The rho of a closed form, a number or an array in the shape of theta, never below 0:
+    one that overflowed, or with a ``vanishing`` message one below the floor, is a
+    DomainError, which for an array names the first such entry by its index."""
+    finite = rho < math.inf  # False at inf and NaN
+    ok = finite & (rho >= RHO_FLOOR) if vanishing else finite
+    if not np.count_nonzero(~ok):
+        return rho
+    k = int(np.argmin(ok))  # the first False
+    where = f" at index {k} of the stack" if np.ndim(rho) else ""
+    rho, finite = np.ravel(rho)[k], np.ravel(finite)[k]
+    raise DomainError((vanishing if finite else f"closed-form rho = {rho} is not finite") + where)
+
+
+def _closed_matrix(scale, table, shift=None) -> np.ndarray:
+    """shift + scale * table at every theta: the (..., 4, 4) stack in the shape of ``scale``,
+    a number or an array, of an eight-vertex ``table`` written as 4x4 rows, whose entries
+    are numbers or arrays in that shape. ``shift`` is a constant matrix, added last."""
+    scale = np.asarray(scale)
+    m = np.zeros((4, 4, *scale.shape), dtype=complex)  # entry-major: one write per entry
+    for r, c in _WEIGHTS:
+        m[r, c] = table[r][c]
+    m *= scale
+    h = m.transpose(*range(2, m.ndim), 0, 1)
+    return np.add(h, shift, order="C") if shift is not None else np.ascontiguousarray(h)
+
+
+def _six_vertex_closed(gamma: float, theta, standard: bool, corner) -> np.ndarray:
+    sh, sn = float(np.sinh(gamma)), np.sin(theta)
+    rho = _closed_rho(sh * sh + sn * sn,
+                      "rho = sinh^2 gamma + sin^2 theta vanishes at gamma = theta = 0")
     lower = corner if standard else -corner
-    return (sh / rho) * np.array(
-        [[corner, 0, 0, 0], [0, -sh, 1, 0], [0, 1, sh, 0], [0, 0, 0, lower]], dtype=complex
-    )
+    return _closed_matrix(sh / rho, [[corner, 0, 0, 0], [0, -sh, 1, 0], [0, 1, sh, 0],
+                                     [0, 0, 0, lower]])
 
 
-def six_vertex_hamiltonian_coth_variant(spec: FamilySpec, theta: float) -> np.ndarray:
+def six_vertex_hamiltonian_coth_variant(spec: FamilySpec, theta) -> np.ndarray:
     """The coth-gamma variant of the six-vertex closed form (kept for comparison;
-    the exact derivative selects the cosh variant)."""
+    the exact derivative selects the cosh variant), at a number or an array of theta."""
     g = spec.gamma
     return _six_vertex_closed(g, theta, spec.family is Family.SIX_STD, 1.0 / np.tanh(g))
 
 
 def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
-    """Closed-form H(theta), in the variant confirmed by the exact derivative; each
-    rho is a product of Python floats, so an overflow is a DomainError.
+    """Closed-form H(theta), in the variant confirmed by the exact derivative: the
+    ``closed_generators`` matrix at theta, whose check is the record's. A rho that
+    overflows is a DomainError.
 
     For eight1 this is -(i/2) b(phi)^2 at every theta: the generator of the x
     curve at x = 1. ``hamiltonian`` at a theta point differentiates the theta
@@ -231,55 +336,60 @@ def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
     does not depend on theta and dx/dtheta = 1 + x^2 is 2 at x = 1
     (theta = pi/4).
     """
-    fam = spec.family
-    q = complex(spec.q)
-    s = spec.sign.factor
     point = SpectralPoint.from_theta(theta)
-    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
+    return Hamiltonian(_closed_generators(spec, theta), HamiltonianSource.CLOSED_FORM, spec, point)
+
+
+def closed_generators(spec: FamilySpec, theta) -> np.ndarray:
+    """``hamiltonian_closed``'s matrices at theta, a number or an array: the (..., 4, 4)
+    stack in the shape of theta, from one evaluation of the closed form broadcast over
+    theta, under one Hermiticity check. An error names the first failing theta of a stack
+    by its index."""
+    h = _closed_generators(spec, theta)
+    require_hermitian(h, HERM_TOL, "Hamiltonian")
+    return h
+
+
+def _closed_generators(spec: FamilySpec, theta) -> np.ndarray:
+    """``closed_generators`` before its Hermiticity check, which ``hamiltonian_closed`` leaves
+    to the ``Hamiltonian`` record."""
+    fam = spec.family
+    if fam in SIX_VERTEX:
         g = spec.gamma
-        hmat = _six_vertex_closed(g, theta, fam is Family.SIX_STD, np.cosh(g))
-        return Hamiltonian(hmat, HamiltonianSource.CLOSED_FORM, spec, point)
+        return _six_vertex_closed(g, theta, fam is Family.SIX_STD, np.cosh(g))
     if fam is Family.EIGHT_I:
-        hmat = _eight1_generator(spec)
-        return Hamiltonian(hmat, HamiltonianSource.CLOSED_FORM, spec, point)
-    if fam is Family.EIGHT_II:
-        t = _real_t(spec)
-        sn = float(np.sin(theta / 2.0))
-        rho = finite_rho(4.0 + 4.0 * ((t - 1.0) * (t - 1.0)) * (sn * sn))
-        z = z_of(complex(spec.t))
-        core = np.array(
-            [[1 - t, 0, 0, q], [0, 0, s * z, 0], [0, s * z, 0, 0], [1 / q, 0, 0, t - 1]],
-            dtype=complex,
-        )
-        return Hamiltonian(-0.5 * I4 + (2.0 / rho) * core,
-                           HamiltonianSource.CLOSED_FORM, spec, point)
-    if fam is Family.EIGHT_III:
-        t = _real_t(spec)
-        sn = float(np.sin(theta / 2.0))
-        rho = finite_rho(4.0 + 4.0 * (t * t - 1.0) * (sn * sn))
-        core = np.array(
-            [[0, 0, 0, q], [0, 0, s, 0], [0, s, 0, 0], [1 / q, 0, 0, 0]], dtype=complex
-        )
-        return Hamiltonian(-0.5 * I4 + (2.0 * t / rho) * core,
-                           HamiltonianSource.CLOSED_FORM, spec, point)
-    if fam is Family.EIGHT_IV:
-        t = _real_t(spec)
-        if abs(t) < 1e-12:
-            raise DomainError("eight4 closed form needs real nonzero t")
-        g1, g2 = g_factors(spec, complex(np.exp(1j * theta)))
-        a1, a2 = abs(g1) * abs(g1), abs(g2) * abs(g2)
-        rho = finite_rho(a1 * a2)
-        core = np.array(
-            [
-                [a2, 0, 0, q * a1],
-                [0, a1, s * a2, 0],
-                [0, s * a2, a1, 0],
-                [a1 / q, 0, 0, a2],
-            ],
-            dtype=complex,
-        )
-        return Hamiltonian(-I4 + (2.0 * t / rho) * core,
-                           HamiltonianSource.CLOSED_FORM, spec, point)
+        h = np.empty((*np.shape(theta), 4, 4), dtype=complex)
+        h[...] = _eight1_generator(spec)
+        return h
+    q, s = complex(spec.q), spec.sign.factor
+    # a rho that overflows, or takes inf * 0 at a huge t, is not finite and fails its check
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fam is Family.EIGHT_II:
+            t = _real_t(spec)
+            sn = np.sin(theta / 2.0)
+            rho = _closed_rho(4.0 + 4.0 * ((t - 1.0) * (t - 1.0)) * (sn * sn))
+            sz = s * z_of(complex(spec.t))
+            return _closed_matrix(2.0 / rho, [[1 - t, 0, 0, q], [0, 0, sz, 0], [0, sz, 0, 0],
+                                              [1 / q, 0, 0, t - 1]], HALF_SHIFT)
+        if fam is Family.EIGHT_III:
+            t = _real_t(spec)
+            sn = np.sin(theta / 2.0)
+            rho = _closed_rho(4.0 + 4.0 * (t * t - 1.0) * (sn * sn))
+            return _closed_matrix(2.0 * t / rho, [[0, 0, 0, q], [0, 0, s, 0], [0, s, 0, 0],
+                                                  [1 / q, 0, 0, 0]], HALF_SHIFT)
+        if fam is Family.EIGHT_IV:
+            t = _real_t(spec)
+            if abs(t) < 1e-12:
+                raise DomainError("eight4 closed form needs real nonzero t")
+            g1, g2 = g_factors(spec, np.exp(1j * theta))
+            # |g|^2 from hypot, as Python's abs rounds it; numpy's complex abs rounds apart
+            h1, h2 = np.hypot(g1.real, g1.imag), np.hypot(g2.real, g2.imag)
+            a1, a2 = h1 * h1, h2 * h2
+            rho = _closed_rho(a1 * a2)
+            q = np.complex128(q)  # a numpy scalar divides by a Python complex on a slow path
+            return _closed_matrix(2.0 * t / rho, [[a2, 0, 0, q * a1], [0, a1, s * a2, 0],
+                                                  [0, s * a2, a1, 0], [a1 / q, 0, 0, a2]],
+                                  FULL_SHIFT)
     raise ValueError(f"no closed-form Hamiltonian for {fam.value}")
 
 
@@ -374,12 +484,12 @@ def braiding_evolution_residual(spec: FamilySpec | FamilySpecs, theta):
 
     FamilySpecs with an (n,) array of theta give one residual per sample, from one
     stack each of R(theta), b(phi) and the exponentials (one batched eigh); the
-    domain, rho-floor and Hermiticity checks apply to every sample.
+    domain, rho-floor and Hermiticity checks apply to every sample. The Hermiticity
+    check of H_pm is ``expm_hermitian``'s, the one check of each call.
     """
     if spec.family is not Family.EIGHT_I:
         raise ValueError("the braiding evolution identity is specific to eight1")
     r_theta = _gauge_unitaries(spec, "theta", theta)
     h = _eight1_generator(spec)
-    require_hermitian(h, HERM_TOL, "Hamiltonian")
     return frobenius(r_theta - expm_hermitian(h, -(np.pi / 2.0 - 2.0 * np.asarray(theta))))
 

@@ -10,12 +10,14 @@ pass, ``verify.scan_gaps``, reduced by one ``worst`` with the job as the case.
 Criterion 2 samples only the family parameters: it certifies the QYBE of the
 coefficient tables of 8 seeded parameter points per (family, ordering) pair with
 ``verify.qybe_bound``, a bound over the whole polydisc |x|, |y| <= 1, one call per
-coefficient count. The others make one call per family: the inverse-unitarity
-scalars of criterion 5, the closed-form determinants of criterion 6 (20 states
-per family from one draw), the exact generators of criterion 7 (three theta
-points per family and its special point) and the braiding evolution residuals of
-criterion 8 (50 eight1 points as one FamilySpecs). A criterion that raises a check
-error is a failing entry, and the others still run.
+coefficient count. Criterion 7 runs ten exact-generator jobs (three theta points
+per family and its special point, the t = 1 specs, eight1's x = 1 point and theta
+probes) through one ``dynamics.generator_pass`` and takes one closed-form stack per
+spec. The others make one call per family: the inverse-unitarity scalars of
+criterion 5, the closed-form determinants of criterion 6 (20 states per family from
+one draw) and the braiding evolution residuals of criterion 8 (50 eight1 points as
+one FamilySpecs). A criterion that raises a check error is a failing entry, and the
+others still run.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from .baxterize import (RZERO_EQUALS_B, EigOrdering, SpectralPoint, _coefficient
 from .catalog import Family, FamilySpec, FamilySpecs, Sign, build_b
 from .dynamics import (
     braiding_evolution_residual,
-    exact_generators,
-    hamiltonian,
-    hamiltonian_closed,
+    closed_generators,
+    generator_pass,
     six_vertex_erratum_report,
 )
 from .entangle import Classification, classify, concurrence_det, det_b_closed
@@ -63,21 +64,22 @@ R_FAMILIES = (
 )
 
 
+#: each family's fixed generic parameter point, built and validated once
 _REPRESENTATIVE = {
-    Family.SIX_NONSTD: lambda: FamilySpec.six_nonstd(gamma=0.3),
-    Family.SIX_STD: lambda: FamilySpec.six_std(gamma=0.45),
-    Family.EIGHT_I: lambda: FamilySpec.eight1(phi=0.9),
-    Family.EIGHT_II: lambda: FamilySpec.eight2(t=1.7, q=np.exp(-0.4j), sign=Sign.MINUS),
-    Family.EIGHT_III: lambda: FamilySpec.eight3(t=2.1, q=np.exp(0.33j)),
-    Family.EIGHT_IV: lambda: FamilySpec.eight4(t=1.6, q=np.exp(0.25j)),
-    Family.BELL_PHI: lambda: FamilySpec.bell(phi=0.9, sign=Sign.MINUS),
+    Family.SIX_NONSTD: FamilySpec.six_nonstd(gamma=0.3),
+    Family.SIX_STD: FamilySpec.six_std(gamma=0.45),
+    Family.EIGHT_I: FamilySpec.eight1(phi=0.9),
+    Family.EIGHT_II: FamilySpec.eight2(t=1.7, q=np.exp(-0.4j), sign=Sign.MINUS),
+    Family.EIGHT_III: FamilySpec.eight3(t=2.1, q=np.exp(0.33j)),
+    Family.EIGHT_IV: FamilySpec.eight4(t=1.6, q=np.exp(0.25j)),
+    Family.BELL_PHI: FamilySpec.bell(phi=0.9, sign=Sign.MINUS),
 }
 
 
 def representative_spec(family: Family) -> FamilySpec:
-    """A fixed generic parameter point per family, inside the unitary domain; only the
-    requested family's spec is built."""
-    return _REPRESENTATIVE[family]()
+    """A fixed generic parameter point per family, inside the unitary domain: the frozen
+    spec of ``_REPRESENTATIVE``, the same instance at every call."""
+    return _REPRESENTATIVE[family]
 
 
 #: the name of each criterion, by id
@@ -270,55 +272,56 @@ def criterion_universality(seed: int) -> dict:
     return _entry(6, passed, classification_ok=ok, max_det_gap=det_gap, tolerance=det_tol)
 
 
-#: each family's special point in criterion 7, evaluated in its exact-generator stack: theta = 0
+#: each family's special point in criterion 7, evaluated in its exact-generator job: theta = 0
 #: of eight2/3/4 against the closed form, and the erratum point of the six-vertex families
 _SPECIAL_THETA = {Family.SIX_NONSTD: 0.3, Family.SIX_STD: 0.7, Family.EIGHT_II: 0.0,
                   Family.EIGHT_III: 0.0, Family.EIGHT_IV: 0.0}
+
+#: criterion 7's t = 1 specs of eight2/3/4, checked at theta = 0.9 against the shared form
+#: (1/2) (-1 + q s+s+ + s-s-/q + s+s- + s-s+) that their closed forms collapse to
+_T1_Q = np.exp(-0.4j)
+_T1_SPECS = [FamilySpec(family, q=_T1_Q, t=1.0, sign=Sign.PLUS)
+             for family in (Family.EIGHT_II, Family.EIGHT_III, Family.EIGHT_IV)]
+_T1_FORM = 0.5 * (-I4 + _T1_Q * tensor(SIGMA_PLUS, SIGMA_PLUS)
+                  + tensor(SIGMA_MINUS, SIGMA_MINUS) / _T1_Q
+                  + tensor(SIGMA_PLUS, SIGMA_MINUS) + tensor(SIGMA_MINUS, SIGMA_PLUS))
 
 
 def criterion_hamiltonians(seed: int) -> dict:
     tol = 1e-12
     thetas = np.array([0.25, 0.8, 1.3])
-    herm, close, reports, zero_gaps = [], [], [], {}
-    th = SpectralPoint.from_theta
-    for family, special in _SPECIAL_THETA.items():
-        spec = representative_spec(family)
-        exact = exact_generators(spec, "theta", np.append(thetas, special))
-        herm.append(hermiticity_defect(exact[:3]))
-        closed = np.stack([hamiltonian_closed(spec, theta).matrix for theta in thetas])
-        close.append(frobenius(exact[:3] - closed))
-        if family in (Family.SIX_NONSTD, Family.SIX_STD):
-            # six-vertex closed forms: confirmed-or-reported per the erratum protocol
-            reports.append(six_vertex_erratum_report(spec, special, exact[3]))
-        else:
-            zero_gaps[family] = frobenius(exact[3] - hamiltonian_closed(spec, 0.0).matrix)
-    # eight1: the closed form -(i/2) b(phi)^2 is the x-curve generator at x = 1;
-    # the theta curve x = tan(theta) runs at twice it, theta-independently
     spec1 = representative_spec(Family.EIGHT_I)
-    target = hamiltonian_closed(spec1, 0.3).matrix
-    exact_x1 = hamiltonian(spec1, SpectralPoint.from_x(1.0))
-    herm.append(hermiticity_defect(exact_x1.matrix))
-    eight1_x_gap = frobenius(exact_x1.matrix - target)
-    theta_probes = exact_generators(spec1, "theta", np.array([0.2, 0.7, 1.1]))
-    theta_indep = worst(frobenius(theta_probes - theta_probes[0]))
-    theta_scale = worst(frobenius(theta_probes - 2.0 * target))
-    # theta = 0 and t = 1 special forms for eight2/3/4
-    q = np.exp(-0.4j)
-    v2h1 = 0.5 * (-I4 + q * tensor(SIGMA_PLUS, SIGMA_PLUS)
-                  + tensor(SIGMA_MINUS, SIGMA_MINUS) / q
-                  + tensor(SIGMA_PLUS, SIGMA_MINUS) + tensor(SIGMA_MINUS, SIGMA_PLUS))
+    # one exact pass over ten jobs: each family's three theta and its special point, the t = 1
+    # specs at theta = 0.9, and eight1's x = 1 point and theta probes
+    jobs = [(representative_spec(family), "theta", np.append(thetas, special))
+            for family, special in _SPECIAL_THETA.items()]
+    jobs += [(spec, "theta", 0.9) for spec in _T1_SPECS]
+    jobs += [(spec1, "x", 1.0), (spec1, "theta", np.array([0.2, 0.7, 1.1]))]
+    exact = generator_pass(jobs)
+    per_family, x1, probes = exact[:20].reshape(5, 4, 4, 4), exact[23], exact[24:]
+    # the closed forms aligned with it, one stack per spec. eight1's closed form
+    # -(i/2) b(phi)^2 is the x-curve generator at x = 1; the theta curve x = tan(theta)
+    # runs at twice it, theta-independently
+    closed = [closed_generators(spec, s) for spec, _, s in jobs[:8]]
+    target = closed_generators(spec1, 0.3)
+    closed = np.concatenate([*closed[:5], np.stack(closed[5:]), target[None],
+                             np.broadcast_to(2.0 * target, probes.shape)])
+    gaps = frobenius(exact - closed)
+    family_gaps = gaps[:20].reshape(5, 4)
+    herm = hermiticity_defect(np.concatenate([per_family[:, :3].reshape(-1, 4, 4), x1[None]]))
+    worst_herm, worst_close = worst(herm), worst(family_gaps[:, :3].ravel())
+    eight1_x_gap = float(gaps[23])
+    theta_indep = worst(frobenius(probes - probes[0]))
+    theta_scale = worst(gaps[24:])
+    # the t = 1 forms, and theta = 0 of eight2/3/4
     special = []
-    for family in (Family.EIGHT_II, Family.EIGHT_III, Family.EIGHT_IV):
-        spec_t1 = FamilySpec(family, q=q, t=1.0, sign=Sign.PLUS)
-        closed_t1 = hamiltonian_closed(spec_t1, 0.9).matrix
-        special += [
-            frobenius(closed_t1 - v2h1),
-            frobenius(hamiltonian(spec_t1, th(0.9)).matrix - closed_t1),
-            zero_gaps[family],
-        ]
+    for closed_t1, t1_gap, zero_gap in zip(closed[20:23], gaps[20:23], family_gaps[2:, 3]):
+        special += [frobenius(closed_t1 - _T1_FORM), t1_gap, zero_gap]
+    # six-vertex closed forms: confirmed-or-reported per the erratum protocol
+    reports = [six_vertex_erratum_report(spec, _SPECIAL_THETA[spec.family], h[3])
+               for (spec, _, _), h in zip(jobs[:2], per_family)]
     six_ok = all(r["cosh_variant_confirmed"] and r["coth_variant_discrepant"]
                  for r in reports)
-    worst_herm, worst_close = worst(np.hstack(herm)), worst(np.hstack(close))
     worst_special = worst(special)
     passed = (worst_herm < tol and eight1_x_gap < tol
               and theta_indep < tol and theta_scale < tol and worst_special < tol

@@ -529,6 +529,18 @@ def test_stacked_exact_generators_agree_with_their_single_calls(spec, kind, valu
         assert np.array_equal(single, hamiltonian(spec, SpectralPoint(kind, value)).matrix)
 
 
+@pytest.mark.parametrize("family", [spec.family for spec in THETA_FAMILIES],
+                         ids=lambda f: f.value)
+def test_a_generator_in_a_stack_is_bitwise_its_single_call(family):
+    # rho and Im tr K are summed in one order at every stack width
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        spec, thetas = sample_spec(family, rng), rng.uniform(-1.5, 1.5, 6)
+        stack = dynamics.exact_generators(spec, "theta", thetas)
+        for h, theta in zip(stack, thetas.tolist()):
+            assert h.tobytes() == dynamics.exact_generators(spec, "theta", theta).tobytes()
+
+
 @pytest.mark.parametrize("spec,kind,values,named", [
     (THETA_FAMILIES[2], "theta", (0.25, float("nan"), 1.3),
      "got theta = nan at index 1 of the stack"),
@@ -616,3 +628,140 @@ def test_a_non_hermitian_exact_hamiltonian_keeps_its_error(monkeypatch):
         hamiltonian(spec, TH(0.4))
     assert str(single.value) == str(stacked.value)
     assert str(single.value).startswith("Hamiltonian is not Hermitian: ||H - H^dag|| = ")
+
+
+# --- the generator pass and the closed-form stacks ---------------------------------
+
+# jobs of every family and curve kind, stacks and single values: eight1's theta curve is its
+# cos/sin branch of R', eight4 with imaginary t runs along real x
+PASS_JOBS = [
+    (THETA_FAMILIES[0], "theta", np.array([0.25, 0.8, 1.3, 0.3])),
+    (FamilySpec.eight1(phi=0.9), "x", 1.0),
+    (THETA_FAMILIES[1], "theta", 0.7),
+    (FamilySpec.eight1(phi=0.9), "theta", np.array([0.2, 0.7, 1.1])),
+    (THETA_FAMILIES[2], "theta", np.array([0.25, 0.0])),
+    (FamilySpec.eight4(t=1.6j, q=1.0), "x", np.array([0.5, -0.3, 1.7])),
+    (THETA_FAMILIES[3], "theta", 0.9),
+    (FamilySpec.eight1(phi=0.4, sign=Sign.MINUS), "x", np.array([-0.4, 2.5])),
+    (THETA_FAMILIES[4], "theta", np.array([0.25, 0.8, 1.3, 0.0])),
+    (FamilySpec(Family.EIGHT_IV, q=np.exp(-0.4j), t=1.0, sign=Sign.PLUS), "theta", 0.9),
+]
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_a_pass_over_mixed_jobs_is_bitwise_each_jobs_own_exact_generators(order):
+    jobs = PASS_JOBS if order == "forward" else PASS_JOBS[::-1]
+    stack = dynamics.generator_pass(jobs)
+    ends = np.cumsum([0] + [np.size(s) for _, _, s in jobs])
+    assert stack.shape == (ends[-1], 4, 4)
+    for k, (spec, kind, s) in enumerate(jobs):
+        own = dynamics.exact_generators(spec, kind, s)
+        assert np.array_equal(stack[ends[k]:ends[k + 1]], own.reshape(-1, 4, 4))
+        if not np.ndim(s):  # a single value is the single-point record's matrix too
+            assert np.array_equal(own, hamiltonian(spec, SpectralPoint(kind, s)).matrix)
+
+
+def test_one_pass_makes_one_hermiticity_check(monkeypatch):
+    real, calls = dynamics.require_hermitian, []
+
+    def counted(h, tol, what="matrix"):
+        calls.append(h.shape)
+        return real(h, tol, what)
+
+    monkeypatch.setattr(dynamics, "require_hermitian", counted)
+    dynamics.generator_pass(PASS_JOBS)
+    assert calls == [(22, 4, 4)]
+
+
+@pytest.mark.parametrize("job,named", [
+    ((THETA_FAMILIES[2], "theta", np.array([0.25, np.nan, 1.3])),
+     r"got theta = nan at index 1 of the stack, in job 2 \(eight2\)"),
+    ((FamilySpec.eight4(t=1.5, q=1.0), "x", np.array([-1.0, 0.5])),
+     r"got \|x\| = 0.5 at index 1 of the stack, in job 2 \(eight4\)"),
+    ((FamilySpec.six_nonstd(q=1.0), "theta", np.array([0.3, 0.0])),
+     r"rho = 0.000e\+00\) at SpectralPoint\(kind='theta', value=0j\) at index 1 of the stack, "
+     r"in job 2 \(six-nonstd\)"),
+    ((FamilySpec.eight3(t=2.1, q=1.0), "theta", np.nan),
+     r"got theta = nan, in job 2 \(eight3\)"),
+], ids=["nan", "off-domain", "rho-floor", "nan-single"])
+def test_a_failing_job_of_a_pass_is_named_by_its_number_family_and_index(job, named):
+    jobs = PASS_JOBS[:2] + [job] + PASS_JOBS[2:]
+    with pytest.raises(DomainError, match=named + " of the generator pass$"):
+        dynamics.generator_pass(jobs)
+
+
+def test_a_non_hermitian_job_of_a_pass_is_named(monkeypatch):
+    # the flip of eight2's linear coefficient: its generators are not Hermitian
+    exact = dynamics._coefficient_rows
+
+    def flipped(spec, ordering=None):
+        rows = exact(spec, ordering)
+        if spec.family is Family.EIGHT_II:
+            rows = rows.copy()
+            rows[1, 2] *= -1
+        return rows
+
+    monkeypatch.setattr(dynamics, "_coefficient_rows", flipped)
+    with pytest.raises(ValueError) as alone:
+        dynamics.exact_generators(*PASS_JOBS[4])
+    with pytest.raises(type(alone.value)) as passed:
+        dynamics.generator_pass(PASS_JOBS)
+    assert str(passed.value) == f"{alone.value}, in job 4 (eight2) of the generator pass"
+    assert str(passed.value).startswith("Hamiltonian is not Hermitian at index 0 of the stack")
+
+
+CLOSED_SPECS = THETA_FAMILIES + [FamilySpec.eight1(phi=0.9)] + [
+    FamilySpec(family, q=np.exp(-0.4j), t=1.0, sign=Sign.PLUS)
+    for family in (Family.EIGHT_II, Family.EIGHT_III, Family.EIGHT_IV)]
+
+
+@pytest.mark.parametrize("spec", CLOSED_SPECS,
+                         ids=lambda s: f"{s.family.value}-t{complex(s.t).real:g}")
+def test_the_closed_form_stack_is_bitwise_the_single_point_closed_form(spec):
+    thetas = np.array([0.0, 0.25, 0.8, 0.9, 1.3, -0.7, 2.9])
+    stack = dynamics.closed_generators(spec, thetas)
+    assert stack.shape == (7, 4, 4)
+    for h, theta in zip(stack, thetas.tolist()):
+        assert np.array_equal(h, hamiltonian_closed(spec, theta).matrix)
+    grid = dynamics.closed_generators(spec, thetas[:6].reshape(2, 3))
+    assert np.array_equal(grid.reshape(6, 4, 4), stack[:6])
+    assert np.array_equal(dynamics.closed_generators(spec, 0.8), stack[2])
+
+
+def test_the_six_vertex_coth_variant_broadcasts_over_theta():
+    spec = THETA_FAMILIES[0]
+    thetas = np.array([0.3, 1.1])
+    stack = six_vertex_hamiltonian_coth_variant(spec, thetas)
+    for h, theta in zip(stack, thetas.tolist()):
+        assert np.array_equal(h, six_vertex_hamiltonian_coth_variant(spec, theta))
+
+
+@pytest.mark.parametrize("spec,thetas,index,message", [
+    (FamilySpec.six_nonstd(gamma=0.0), (0.3, 0.0, 0.0), 1,
+     r"rho = sinh\^2 gamma \+ sin\^2 theta vanishes at gamma = theta = 0"),
+    (THETA_FAMILIES[2], (0.3, 0.5, np.nan), 2, "closed-form rho = nan is not finite"),
+    (THETA_FAMILIES[4], (np.inf, 0.5), 0, "closed-form rho = nan is not finite"),
+], ids=["six-vanishing", "eight2-nan", "eight4-inf"])
+def test_a_closed_form_stack_names_its_first_failing_theta(spec, thetas, index, message):
+    with np.errstate(invalid="ignore"):  # sin and exp of a non-finite theta
+        with pytest.raises(DomainError, match=f"^{message} at index {index} of the stack$"):
+            dynamics.closed_generators(spec, np.array(thetas))
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            dynamics.closed_generators(spec, thetas[index])
+
+
+def test_the_braiding_evolution_checks_its_generators_once(monkeypatch):
+    from yaxter import linalg
+
+    real, calls = linalg.require_hermitian, []
+
+    def counted(h, tol, what="matrix"):
+        calls.append(what)
+        return real(h, tol, what)
+
+    monkeypatch.setattr(linalg, "require_hermitian", counted)
+    monkeypatch.setattr(dynamics, "require_hermitian", counted)
+    specs, theta = _eight1_samples(89, 20)
+    braiding_evolution_residual(specs, theta)
+    braiding_evolution_residual(specs[0], float(theta[0]))
+    assert calls == ["matrix", "matrix"]

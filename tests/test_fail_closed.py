@@ -71,6 +71,7 @@ INJECTIONS = [
     (suite.criterion_inverse_unitarity, "family_inverse_unitarity", "max_gap_compatible"),
     (suite.criterion_universality, "det_b_closed", "max_det_gap"),
     (suite.criterion_hamiltonians, "hermiticity_defect", "max_hermiticity_defect"),
+    (suite.criterion_hamiltonians, "closed_generators", "max_closed_vs_exact"),
     (suite.criterion_evolution, "braiding_evolution_residual", "max_residual"),
     (suite.criterion_bell, "concurrence_det", "max_residual"),
 ]

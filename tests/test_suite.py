@@ -3,9 +3,10 @@ replaced are kept here as references: at the CI seeds each criterion passes and
 its figure agrees with its loop to rounding. Criteria 1 and 4 run their families'
 scan jobs through one kernel pass, criterion 2 certifies the coefficient tables of
 all its (family, ordering) pairs in one certificate call per coefficient count, and
-criterion 7 takes one exact-generator stack per family; the per-family or per-pair
-formulation they replaced is kept here too, and their entries equal it. A criterion
-that raises a check error fails in the report, which still holds every criterion."""
+criterion 7 runs ten exact-generator jobs through one pass and takes one closed-form
+stack per spec; the per-family or per-pair formulation they replaced is kept here too,
+and their entries equal it. A criterion that raises a check error fails in the report,
+which still holds every criterion."""
 
 import json
 
@@ -105,7 +106,8 @@ def test_criterion_8_agrees_with_its_loop(seed):
 def test_each_family_has_its_representative_spec():
     for family in Family:
         spec = suite.representative_spec(family)
-        assert spec.family is family and spec == suite.representative_spec(family)
+        # one frozen instance per family, built when the module loads
+        assert spec.family is family and spec is suite.representative_spec(family)
 
 
 def test_a_wrong_table_fails_its_criteria_and_the_report_keeps_all_ten(capsys, monkeypatch):
@@ -271,18 +273,41 @@ def test_the_stacked_criterion_equals_its_per_family_formulation(criterion, loop
     assert json.dumps(entry) == json.dumps(loop(seed))  # every figure bitwise, keys in order
 
 
-def test_criterion_7_makes_one_exact_evaluation_per_family_and_special_spec(monkeypatch):
-    real, calls = dynamics._generators, []
+def test_criterion_7_makes_one_exact_pass_of_ten_jobs_and_one_closed_stack_per_spec(
+        monkeypatch):
+    passes, jobs, closed, records = [], [], [], []
+    real_pass, real_job = dynamics._pass, dynamics._generator_job
+    real_closed, real_record = suite.closed_generators, dynamics.hamiltonian_closed
 
-    def counted(spec, kind, s):
-        calls.append(np.size(s))
-        return real(spec, kind, s)
+    def counted_pass(built, name):
+        passes.append(sum(job.r.shape[1] for job in built))
+        return real_pass(built, name)
 
-    monkeypatch.setattr(dynamics, "_generators", counted)
+    def counted_job(spec, kind, s):
+        jobs.append(np.size(s))
+        return real_job(spec, kind, s)
+
+    def counted_closed(spec, theta):
+        closed.append(np.size(theta))
+        return real_closed(spec, theta)
+
+    def counted_record(spec, theta):
+        records.append(spec.family)
+        return real_record(spec, theta)
+
+    monkeypatch.setattr(dynamics, "_pass", counted_pass)
+    monkeypatch.setattr(dynamics, "_generator_job", counted_job)
+    monkeypatch.setattr(suite, "closed_generators", counted_closed)
+    monkeypatch.setattr(dynamics, "hamiltonian_closed", counted_record)
     assert suite.criterion_hamiltonians(42)["pass"]
-    # five family stacks of three theta and the special point, eight1's x = 1 and theta
-    # probes, and the three t = 1 points
-    assert sorted(calls) == [1, 1, 1, 1, 3, 4, 4, 4, 4, 4]
+    # one pass of 27 generators: five family stacks of three theta and the special point, the
+    # three t = 1 points, and eight1's x = 1 point and theta probes
+    assert passes == [27]
+    assert sorted(jobs) == [1, 1, 1, 1, 3, 4, 4, 4, 4, 4]
+    # one closed-form stack per spec: the five families, the t = 1 specs and eight1; the
+    # erratum reports' closed forms are single-point records
+    assert sorted(closed) == [1, 1, 1, 1, 4, 4, 4, 4, 4]
+    assert records == [Family.SIX_NONSTD, Family.SIX_STD]
 
 
 # ---------------------------------------------------------------------------
