@@ -10,15 +10,15 @@ Three-eigenvalue formula (must be re-checked against the QYBE per output):
            + (lambda1 + lambda2 + lambda3 + lambda1 lambda3 / lambda2) x I
            - (x-1) b
 
-Each family has one displayed closed form, its x-form (``x_form``): ``formula_R``
-times 1 (two eigenvalues), 1/(1 - x) (eight3) or 1 + t (eight4). As a matrix
-polynomial it is R(x) = A + B x + C x^2, with one table of exact coefficients, written
-as weight rows (``_coefficient_rows``): A is b (times 1 + t for eight4), the two-eigenvalue
-B is lambda1 lambda2 b^{-1} = (lambda1 + lambda2) 1 - b, and C vanishes for every family
-but eight4. ``build_R`` evaluates the displayed rows at one point; ``R_rows``, the one
-evaluator of every stacked R(x), evaluates the polynomial on those rows at a stack of
-points, for one parameter point or for ``FamilySpecs``. ``coefficients`` and
-``build_R_stack`` are their dense edges.
+As a matrix polynomial every R(x) is R(x) = A + B x + C x^2, with one table of exact
+coefficients, written as weight rows (``_coefficient_rows``, kept per FamilySpec object):
+A is b (times 1 + t for eight4), the two-eigenvalue B is lambda1 lambda2 b^{-1} =
+(lambda1 + lambda2) 1 - b, and C vanishes for every family but eight4. ``R_rows``, the one
+evaluator of R(x), evaluates the polynomial on those rows at a stack of points, for one
+parameter point or for ``FamilySpecs``; ``build_R`` is its dense edge at one point. The
+paper's displayed closed form of each family, its x-form (``x_form``), is ``formula_R``
+times 1 (two eigenvalues), 1/(1 - x) (eight3) or 1 + t (eight4); no evaluation reads it,
+and criterion 3 of the suite checks it against the table.
 
 Spectral-parameter views: x (multiplicative), theta (x = e^{2 i theta} for the
 six-vertex families, x = e^{i theta} for eight2/3/4, x = tan theta for eight1),
@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import (EIGHT_VERTEX_FAMILIES, THREE_EIGENVALUE_FAMILIES, DomainError, Family,
-                      FamilySpec, FamilySpecs, _braid_table, build_b, eigenvalues_of,
-                      reject_non_finite, z_of)
+                      FamilySpec, FamilySpecs, _braid_table, _first_failure, build_b,
+                      eigenvalues_of, z_of)
 from .linalg import WeightRows, cmat, inverse, pattern_rows, require_two_eigenvalues
 
 
@@ -64,7 +65,7 @@ FAMILY_THETA_CONVENTION = {
     Family.EIGHT_IV: ThetaConvention.FULL,
 }
 
-#: families whose displayed R(x) satisfies R(0) = b exactly.
+#: families whose displayed R(x) satisfies R(0) = b exactly (the others R(0) proportional to b).
 RZERO_EQUALS_B = (Family.SIX_NONSTD, Family.SIX_STD, Family.EIGHT_I)
 
 
@@ -175,7 +176,7 @@ def g_factors(spec: FamilySpec | FamilySpecs, x):
 
 
 def gauge(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonical"):
-    """The scalar that ``build_R`` puts on the displayed x-form at a ``kind`` view value.
+    """The scalar that ``build_R`` puts on the x-form at a ``kind`` view value.
 
     The gauge table:
 
@@ -186,7 +187,7 @@ def gauge(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonic
     - 1/(1+x) for the eight1/2/3 u views (both eight3 orderings);
     - 1/(1+x)^2 for the eight4 u view, or 1/(1+x) with ``form="g"``.
 
-    The g-form itself is the canonical eight4 x-form times 1/g1.
+    The g-form itself is the canonical eight4 x-form times 1/g1, which ``R_rows`` applies.
     """
     fam = spec.family
     if kind == "theta" and fam is Family.EIGHT_I:
@@ -204,7 +205,7 @@ def _u_gauge(spec: FamilySpec | FamilySpecs, x, form: str = "canonical"):
 
 def reference_gauge(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonical",
                     x=None):
-    """The scalar the displayed x-form carries over the gauge of the closed-form rho.
+    """The scalar the x-form carries over the gauge of the closed-form rho.
 
     2 e^{i theta} for the six-vertex families (over their trigonometric form,
     x = e^{2 i theta}), g1 for canonical eight4 (over its g view), 1 otherwise. ``x`` is
@@ -236,43 +237,17 @@ def _check_ordering(fam: Family, ordering: EigOrdering | None) -> None:
         raise ValueError(f"{fam.value} has two eigenvalues; ordering does not apply")
 
 
-def build_R(
-    spec: FamilySpec,
-    p: SpectralPoint,
-    ordering: EigOrdering | None = None,
-    form: str = "canonical",
-) -> np.ndarray:
-    """The family's R-matrix at spectral point p: ``gauge`` times the displayed x-form
-    at ``family_x``.
-
-    An x point returns the x-form itself. ``ordering`` is honoured for the
-    three-eigenvalue families: eight3 takes first (default) or second, eight4
-    takes third (default). ``form="g"`` selects the eight4 view with the
-    middle block scaled by g = g2/g1.
-    """
-    fam = spec.family
-    _check_ordering(fam, ordering)
-    x = family_x(spec, p.kind, p.value)
-    if fam is Family.EIGHT_III and ordering is EigOrdering.SECOND:
-        t = complex(spec.t)
-        b = build_b(spec)
-        r = np.asarray(b) - x * (1 - t * t) * inverse(b, context=f"t = {t}")
-    else:
-        r = x_form(spec, x, form)
-    return r if p.kind == "x" else gauge(spec, p.kind, p.value, form) * r
-
-
-def coefficients(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = None) -> tuple:
-    """The x-form as a matrix polynomial R(x) = A + B x + C x^2, exactly: (A, B, C), each
-    4x4 for a FamilySpec and an (n, 4, 4) stack for FamilySpecs.
-
-    A is the braid matrix (``braid_matrix``, bitwise) for every family but canonical
-    eight4, whose A is (1 + t) b; C is exactly 0 for every family but canonical eight4.
-    eight3's second ordering b - x (1 - t^2) b^{-1} has the inverse written out. The dense
-    edge of ``_coefficient_rows``.
-    """
-    mats = [WeightRows(w).dense() for w in _coefficient_rows(spec, ordering)]
-    return (*mats, np.zeros_like(mats[0])) if len(mats) == 2 else tuple(mats)
+def build_R(spec: FamilySpec, p: SpectralPoint, ordering: EigOrdering | None = None,
+            form: str = "canonical") -> np.ndarray:
+    """The family's R-matrix at spectral point p: ``R_rows`` at the one point as a dense 4x4
+    matrix, under one finiteness check. ``ordering``: eight3 takes first (default) or
+    second, eight4 third (default). ``form="g"`` selects the eight4 view with the middle
+    block scaled by g = g2/g1."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        r = R_rows(spec, p.kind, p.value, ordering, form).dense()
+    if not np.isfinite(r).all():
+        raise ValueError("matrix entries must be finite")
+    return r
 
 
 def _coefficient_rows(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = None):
@@ -281,7 +256,24 @@ def _coefficient_rows(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | No
     two-eigenvalue B generated from b. Python's arithmetic for a FamilySpec, numpy's for
     FamilySpecs, as the braid matrix's, with eight4's 1 + t, 2 t and 1 - t on the rows;
     one assembly and finiteness check. A (3, 8, n) block is 115 KB at 300 samples, under
-    glibc's 128 KiB mmap threshold."""
+    glibc's 128 KiB mmap threshold. A FamilySpec's rows are kept, read-only (``_kept_rows``)."""
+    if ordering is not None:
+        ordering = EigOrdering(ordering)
+    if isinstance(spec, FamilySpec):  # by the object, not by ==: equal specs can differ in bits
+        return _kept_rows(id(spec), spec, ordering)
+    return _table_rows(spec, ordering)
+
+
+@functools.lru_cache(maxsize=64)
+def _kept_rows(spec_id: int, spec: FamilySpec, ordering: EigOrdering | None):
+    """The read-only rows of the 64 spec objects used last, by id, which no other object
+    takes while the cache holds the spec (t = 0.0 and -0.0 give equal specs, unequal rows)."""
+    rows = _table_rows(spec, ordering)
+    rows.flags.writeable = False
+    return rows
+
+
+def _table_rows(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None):
     fam = spec.family
     _check_ordering(fam, ordering)
     if fam is Family.BELL_PHI:
@@ -291,18 +283,19 @@ def _coefficient_rows(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | No
     if fam not in THREE_EIGENVALUE_FAMILIES:
         lam1, lam2 = eigenvalues_of(spec)  # lambda1 lambda2 b^{-1} = (lambda1 + lambda2) 1 - b
         total = lam1 + lam2
-        return pattern_rows([b, [[total - v if r == c else -v for c, v in enumerate(row)]
-                                 for r, row in enumerate(b)]])
-    # lin is B, the coefficient of x, except for eight4, whose C is (1 - t) lin
-    if fam is Family.EIGHT_III and ordering is not EigOrdering.SECOND:
-        lin = [[-t, 0, 0, q], [0, 1, -s * t, 0], [0, -s * t, 1, 0], [1 / q, 0, 0, -t]]
+        tables = [b, [[total - v if r == c else -v for c, v in enumerate(row)]
+                      for r, row in enumerate(b)]]
+    # the second table is B, the coefficient of x, except for eight4, whose C is (1 - t) B
+    elif fam is Family.EIGHT_III and ordering is not EigOrdering.SECOND:
+        tables = [b, [[-t, 0, 0, q], [0, 1, -s * t, 0], [0, -s * t, 1, 0], [1 / q, 0, 0, -t]]]
     else:  # eight3's second ordering, and eight4
-        lin = [[t, 0, 0, -q], [0, -1, s * t, 0], [0, s * t, -1, 0], [-1 / q, 0, 0, t]]
-    if fam is not Family.EIGHT_IV:
-        return pattern_rows([b, lin])
-    b_2t = [[1, 0, 0, -q], [0, 1, -s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]]  # B / (2 t)
-    rows = pattern_rows([b, b_2t, lin])
-    return np.multiply(np.array((1 + t, 2 * t, 1 - t))[:, None], rows, out=rows)
+        tables = [b, [[t, 0, 0, -q], [0, -1, s * t, 0], [0, s * t, -1, 0], [-1 / q, 0, 0, t]]]
+    if fam is Family.EIGHT_IV:  # with B / (2 t) between
+        tables.insert(1, [[1, 0, 0, -q], [0, 1, -s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]])
+    rows = pattern_rows(tables)
+    if fam is Family.EIGHT_IV:
+        np.multiply(np.array((1 + t, 2 * t, 1 - t))[:, None], rows, out=rows)
+    return rows
 
 
 def _polynomial(rows, x, scale):
@@ -318,39 +311,19 @@ def _polynomial(rows, x, scale):
     return np.multiply(scale, r, out=r)
 
 
-def build_R_stack(
-    spec: FamilySpec | FamilySpecs,
-    kind: str,
-    values,
-    ordering: EigOrdering | None = None,
-    form: str = "canonical",
-) -> np.ndarray:
-    """``build_R`` at each of ``values`` in the ``kind`` view: the gauge times
-    A + x (B + x C) of ``coefficients``, in one broadcast pass. A FamilySpec gives a
-    (..., 4, 4) stack in the shape of ``values``; FamilySpecs take one value per sample.
+def R_rows(spec: FamilySpec | FamilySpecs, kind: str, values,
+           ordering: EigOrdering | None = None, form: str = "canonical") -> WeightRows:
+    """R(x) at each of ``values`` in the ``kind`` view as weight rows, the form the stacked
+    kernels take: the gauge (over g1 for the eight4 g form) times A + x (B + x C) on the rows
+    of ``_coefficient_rows`` at ``family_x``, in one broadcast pass. A FamilySpec gives
+    (8, ...) rows in the shape of ``values``; FamilySpecs take one value per sample.
 
     A non-finite value lies in no unitary domain: a DomainError names it before any
-    arithmetic. Agrees with ``build_R`` at each value to rounding; ``build_R`` stays the
-    single-point evaluation of the displayed rows. The dense edge of ``R_rows``.
-    """
-    return R_rows(spec, kind, values, ordering, form).dense()
-
-
-def R_rows(
-    spec: FamilySpec | FamilySpecs,
-    kind: str,
-    values,
-    ordering: EigOrdering | None = None,
-    form: str = "canonical",
-) -> WeightRows:
-    """``build_R_stack`` as weight rows, the form the stacked kernels take: the gauge (over
-    g1 for the eight4 g form) times the polynomial on the rows of ``_coefficient_rows`` at
-    ``family_x``, after a DomainError for a non-finite value."""
+    arithmetic."""
     values = np.asarray(values)
-    try:
-        reject_non_finite(**{kind: values})
-    except ValueError as err:
-        raise DomainError(err) from None
+    failure = _first_failure(np.isfinite(values), f"{kind} must be finite, got {{}}", values)
+    if failure:
+        raise DomainError(failure)
     x = family_x(spec, kind, values)
     scale = gauge(spec, kind, values, form)
     if form == "g" and spec.family is Family.EIGHT_IV:  # the g form is the canonical one over g1
@@ -362,14 +335,15 @@ def _rows_at(spec: FamilySpec | FamilySpecs, x, scale, ordering: EigOrdering | N
     """The (8, ...) weight rows of scale times the x-form at x: ``_polynomial`` on the rows
     of ``_coefficient_rows``."""
     rows = _coefficient_rows(spec, ordering)
-    if isinstance(spec, FamilySpec):  # its (k, 8) rows against every value
-        rows = rows.reshape(*rows.shape, *(1,) * np.ndim(x))
+    if isinstance(spec, FamilySpec) and getattr(x, "ndim", 0):  # its rows against every value
+        rows = rows.reshape(*rows.shape, *(1,) * x.ndim)
     return _polynomial(rows, x, scale)
 
 
-def x_form(spec: FamilySpec, x: complex, form: str = "canonical") -> np.ndarray:
-    """The paper's displayed closed form R(x) at the spec's q, t and sign factor and at x.
-    eight3 is its first ordering; ``build_R`` builds the second from b."""
+def x_form(spec: FamilySpec, x: complex) -> np.ndarray:
+    """The paper's displayed closed form R(x) at the spec's q, t and sign factor and at x:
+    eight3 in its first ordering, canonical eight4. Only the display: criterion 3 of the
+    suite checks it against the table that every evaluation of R reads (``build_R``)."""
     q, t, s = spec.parameters()
     fam = spec.family
     if fam is Family.SIX_NONSTD:
@@ -407,15 +381,6 @@ def x_form(spec: FamilySpec, x: complex, form: str = "canonical") -> np.ndarray:
             [0, 1 + x, s * t * (1 - x), 0],
             [0, s * t * (1 - x), 1 + x, 0],
             [(1 + x) / q, 0, 0, t * (1 - x)],
-        ]
-    elif fam is Family.EIGHT_IV and form == "g":
-        g1, g2 = g_factors(spec, x)
-        g = g2 / g1
-        rows = [
-            [t * (1 + x), 0, 0, q * (1 - x)],
-            [0, (1 + x) * g, s * t * (1 - x) * g, 0],
-            [0, s * t * (1 - x) * g, (1 + x) * g, 0],
-            [(1 - x) / q, 0, 0, t * (1 + x)],
         ]
     elif fam is Family.EIGHT_IV:
         g1, g2 = g_factors(spec, x)

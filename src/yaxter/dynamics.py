@@ -88,7 +88,7 @@ def gauge_unitary(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
 def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values):
     """``gauge_unitary`` at a ``kind`` view value, or the (n, 4, 4) stack at an (n,) array
     of values (one per sample for FamilySpecs), with the domain check and the rho floor
-    applied to each: the ``build_R_stack`` matrices over their gauge and sqrt(rho), with
+    applied to each: the ``R_rows`` matrices over their gauge and sqrt(rho), with
     x, the gauges and rho evaluated once and the quotient folded into the polynomial's
     scale, so that the one scatter to dense is the result."""
     with np.errstate(over="ignore", invalid="ignore"):  # a rho that overflows fails below

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baxterize import SpectralPoint, _u_gauge, build_R, family_x, reference_gauge, x_form, x_to_u
+from .baxterize import SpectralPoint, _u_gauge, build_R, family_x, reference_gauge, x_to_u
 from .catalog import Family, FamilySpec
 from .linalg import require_invertible, weights
 
@@ -118,14 +118,14 @@ class ClassificationResult:
 
 
 def classification_gauge_R(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
-    """The gauge in which the closed-form determinants below are stated: the trigonometric
-    one for the six-vertex families, else the x-form at the point's x times the u view's
+    """The gauge of the closed-form determinants below: ``build_R`` over the trigonometric
+    gauge for the six-vertex families, else ``build_R`` at the point's x times the u view's
     gauge at that x. x = -1, where the u view does not exist, is a DomainError."""
     if spec.family in (Family.SIX_NONSTD, Family.SIX_STD):
         return build_R(spec, p) / reference_gauge(spec, p.kind, p.value)
     x = family_x(spec, p.kind, p.value)
     x_to_u(x)  # the DomainError at x = -1
-    return _u_gauge(spec, x) * x_form(spec, x)
+    return _u_gauge(spec, x) * build_R(spec, SpectralPoint.from_x(x))
 
 
 def classify(

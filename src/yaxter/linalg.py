@@ -7,7 +7,9 @@ numpy ``complex128`` arrays, row-major, in the computational basis order
 also take (..., n, n) stacks and work matrix by matrix; a single matrix gives the
 single-matrix result. For one matrix, ``weights`` reads Python complex numbers and
 ``require_hermitian`` decides on Python floats, so a single-point check pays no numpy
-per-call cost on 0-d arrays. ``cmat`` builds one matrix under one finiteness check.
+per-call cost on 0-d arrays: these one-matrix paths, chosen by the input's shape, stay
+because the single-point checks (the bench ``sweep`` op) pay 7-25 % more CPU time on
+stacks of one. ``cmat`` builds one matrix under one finiteness check.
 ``require_invertible`` is the scale-aware singularity guard of ``inverse``, for a
 check that needs no inverse; it also takes the eight weights of one eight-vertex matrix.
 
@@ -87,7 +89,10 @@ def dagger(a):
 def frobenius(a: np.ndarray):
     """||a||_F as a float for one matrix; one norm per matrix of a (..., n, n) stack. One
     complex matrix runs ``np.linalg.norm``'s own arithmetic, the dot products of its real
-    and imaginary parts, without the wrapper's per-call cost: the result is bitwise equal."""
+    and imaginary parts, without the wrapper's per-call cost: bitwise ``np.linalg.norm`` of
+    the matrix, but not always of the same matrix in a stack, whose norm sums the |z|^2
+    pairwise, so the two can differ in the last bit. The one-matrix path stays: without it
+    and ``require_hermitian``'s, the bench ``sweep`` op took 7-9 % more CPU time."""
     a = np.asarray(a)
     if a.ndim != 2:
         return np.linalg.norm(a, axis=(-2, -1))
@@ -180,8 +185,10 @@ def pattern_rows(tables) -> np.ndarray:
 
 def stacks(*matrices) -> tuple:
     """(matrices, shape): the operands of a kernel with one stack axis, and the shape of
-    their stack, () for single matrices. ``WeightRows`` of one shape come as (8, n) rows,
-    dense matrices broadcast against each other and, for a stack, as an (n, 4, 4) one."""
+    their stack, () for single matrices, which take the kernels' one-matrix paths when dense
+    (see the module docstring). ``WeightRows`` of one shape come as (8, n) rows, n = 1 for
+    single matrices; dense matrices broadcast against each other and, for a stack, as an
+    (n, 4, 4) one."""
     if isinstance(matrices[0], WeightRows):
         shape = matrices[0].w.shape[1:]
         return [WeightRows(m.w.reshape(8, -1)) for m in matrices], shape
@@ -268,9 +275,10 @@ def _block_gaps(a: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def weights(kernel: str, names, *matrices, start: int = 0) -> list:
     """The weights of eight-vertex 4x4 matrices in the block order of ``_WEIGHTS``, one item
-    per matrix: a tuple of eight Python complex numbers for a matrix, and (8, n) rows for a
-    (..., 4, 4) stack of n matrices, all stacks of one shape. ``WeightRows``, and tuples of
-    a matrix's eight weights, are weights already: they come back as their rows, unread.
+    per matrix: a tuple of eight Python complex numbers for a matrix, the operands of the
+    kernels' one-matrix paths (see the module docstring), and (8, n) rows for a (..., 4, 4)
+    stack of n matrices, all stacks of one shape. ``WeightRows``, and tuples of a matrix's
+    eight weights, are weights already: they come back as their rows, unread.
 
     Every dense matrix must be 0 off the pattern. A nonzero or NaN entry there is a
     ValueError of ``kernel`` naming the first one: the lowest stack index (counted from
@@ -350,7 +358,7 @@ def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray):
     """
     (a, c, d), shape = stacks(a, c, d)
     if not shape:
-        return float(_block_gaps(*np.array(weights("strand_gap", "acd", a, c, d))[..., None])[0])
+        return float(_block_gaps(*np.reshape(weights("strand_gap", "acd", a, c, d), (3, 8, 1)))[0])
     gaps = np.empty(len(a))
     for k in range(0, len(a), _BLOCK):
         gaps[k:k + _BLOCK] = _block_gaps(*weights("strand_gap", "acd", *(
@@ -434,7 +442,8 @@ def require_hermitian(h: np.ndarray, tol: float, what: str = "matrix") -> None:
     """NotHermitianError unless H, or every matrix of an (..., n, n) stack, is finite and
     Hermitian within tol relative to max(1, ||H||_F); the error names the first failing
     matrix of a stack. A NaN or infinite entry fails: its defect is NaN or its norm inf.
-    One matrix is judged on Python floats, without numpy's per-call cost on 0-d arrays."""
+    One matrix is judged on Python floats, without numpy's per-call cost on 0-d arrays, for
+    the single-point checks, as ``frobenius`` does."""
     with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf norms fail below
         defect, scale = hermiticity_defect(h), frobenius(h)
     if isinstance(defect, float):  # one matrix: ``frobenius`` gave Python floats

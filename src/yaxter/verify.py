@@ -32,21 +32,17 @@ fixed RNG order (``sample_specs``: the sign, then gamma or t with its sign,
 then phi; ``sample_x``; ``sample_spec`` is the n = 1 case), and build their rows in
 one call: a scan's job (``braid_job``, ``qybe_job``, ``unitarity_job``). ``scan_gaps``
 runs the one kernel of a list of jobs, whole jobs grouped into calls of at most a fixed
-number of samples, so a suite criterion evaluates all of its families in one
-pass; a scan is the pass over its one job, reduced by ``worst``. The stacks travel as weight rows,
-eight-vertex by construction, from the builders to the kernels, with no dense
-stack, gather or pattern check between: every stacked R(x) is
-``baxterize.R_rows``, the gauge times the exact polynomial A + x (B + x C) on the
-weight rows of the one coefficient table. ``scan_qybe`` builds R(x),
-R(x o y) and R(y) as one (3, n) stack, ``scan_unitarity`` one stack over
-``FamilySpecs`` with its closed-form rho from ``norm_factor`` and R^dag as the
-adjoint rows (``linalg.dagger``), and ``family_inverse_unitarity`` takes an array
-of x and builds R(x) and R(1/x) as two stacks; ``scan_braid`` builds one
-``catalog.braid_rows`` stack. ``family_builder`` returns the dense edge of the
-same builds. The closed forms take (spec, kind, value),
-with a FamilySpec or FamilySpecs and a number or an array; ``build_b``,
-``build_R`` and ``matrix_norm_factor`` are the single-point calls, and the
-single-point checks run the same kernels on one matrix.
+number of samples, so a suite criterion evaluates all of its families in one pass; a scan
+is the pass over its one job, reduced by ``worst``. The stacks travel as weight rows,
+eight-vertex by construction, from the builders to the kernels, with no dense stack,
+gather or pattern check between. Every R(x), stacked or single, is ``baxterize.R_rows``,
+the gauge times the exact polynomial A + x (B + x C) on the weight rows of the one
+coefficient table: ``scan_qybe`` builds R(x), R(x o y) and R(y) as one (3, n) stack,
+``scan_unitarity`` one stack over ``FamilySpecs`` with R^dag as the adjoint rows
+(``linalg.dagger``), and ``family_inverse_unitarity`` R(x) and R(1/x) as two; the
+single-point checks take ``baxterize.build_R``, its dense edge at one point, and run the
+same kernels on one matrix. The closed forms take (spec, kind, value), with a FamilySpec
+or FamilySpecs and a number or an array.
 """
 
 from __future__ import annotations
@@ -89,17 +85,15 @@ class NotProportionalError(ValueError):
 
 def qybe_residual(builder: Callable[[complex], np.ndarray], a: complex, b: complex,
                   compose: Callable[[complex, complex], complex] = operator.mul):
-    """QYBE R1(a) R2(a o b) R1(b) = R2(b) R1(a o b) R2(a), with each R built once.
+    """QYBE R1(a) R2(a o b) R1(b) = R2(b) R1(a o b) R2(a), from one builder call on the
+    stacked values (a, a o b, b), whose stack of three it splits: a float for numbers a
+    and b, one residual per pair for arrays.
 
     ``compose`` is the parametrization's composition law o: ``operator.mul``
     for x, ``operator.add`` for theta (the multiplicative law at x = e^{i k theta})
     and ``compose_u`` for u. The right-hand side carries the swapped arguments;
     the variant with a and b in display order fails by O(1) for every family here.
-    Arrays a and b give one residual per pair from one builder call on the stacked
-    values (a, a o b, b).
     """
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        return strand_gap(builder(a), builder(compose(a, b)), builder(b))
     return strand_gap(*builder(_composed(a, b, compose)))
 
 
@@ -108,52 +102,26 @@ def _composed(a, b, compose) -> np.ndarray:
     return np.stack(np.broadcast_arrays(a, compose(a, b), b))
 
 
-def family_builder(
-    spec: FamilySpec,
-    kind: str = "x",
-    ordering: EigOrdering | None = None,
-    form: str = "canonical",
-) -> Callable[[complex], np.ndarray]:
-    """R-matrix builder for one family, parametrized by x, theta or u.
-
-    A scalar value gives ``build_R`` at that point, an array of values the
-    (n, 4, 4) stack of ``build_R_stack``. An entry above ``linalg.MAX_ENTRY``,
-    where the residual products would overflow, is a DomainError.
-    """
-    build = _row_builder(spec, kind, ordering, form)
-    return lambda value: build(value) if np.ndim(value) == 0 else build(value).dense()
-
-
 def _row_builder(spec: FamilySpec, kind: str, ordering: EigOrdering | None = None,
                  form: str = "canonical") -> Callable:
-    """``family_builder`` with an array of values built as ``WeightRows``, the form the
-    stacked kernels take: the builder of the scans."""
+    """The R-matrix builder of the scans: ``R_rows`` at a ``kind`` value or an array of them,
+    or a DomainError naming the parameters of the first matrix with an entry above
+    ``MAX_ENTRY``, where the residual products would overflow."""
     def build(value):
-        if np.ndim(value) == 0:
-            r = build_R(spec, SpectralPoint(kind, complex(value)), ordering=ordering, form=form)
-        else:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail below
             r = R_rows(spec, kind, value, ordering=ordering, form=form)
-        return _bounded(r, spec, kind, value)
-    return build
-
-
-def _bounded(r, spec: FamilySpec, kind: str, value):
-    """``r``, one matrix or ``WeightRows``, if no entry exceeds ``MAX_ENTRY``; else a
-    DomainError naming the parameters of the first matrix that does."""
-    if isinstance(r, WeightRows):
         peaks = np.abs(r.w).max(axis=0, initial=0.0).ravel()
-    else:
-        peaks = np.abs(r).max(axis=(-2, -1), initial=0.0).ravel()
-    over = np.flatnonzero(~(peaks <= MAX_ENTRY))  # a NaN entry is over, too
-    if over.size == 0:
-        return r
-    k = over[0]
-    names = ("q", "t") if spec.family in (Family.EIGHT_II, *THREE_EIGENVALUE_FAMILIES) else ("q",)
-    params = [f"{name} = {_cstr(getattr(spec, name))}" for name in names]
-    params.append(f"{kind} = {_cstr(np.ravel(value)[k])}")
-    raise DomainError(f"{spec.family.value} at {', '.join(params)}: an R-matrix entry reaches "
-                      f"{peaks[k]:.3g}, above the {MAX_ENTRY:.3g} up to which the residual "
-                      "products stay finite")
+        over = np.flatnonzero(~(peaks <= MAX_ENTRY))  # a NaN entry is over, too
+        if over.size == 0:
+            return r
+        k = over[0]
+        names = "qt" if spec.family in (Family.EIGHT_II, *THREE_EIGENVALUE_FAMILIES) else "q"
+        params = [f"{name} = {_cstr(getattr(spec, name))}" for name in names]
+        params.append(f"{kind} = {_cstr(np.ravel(value)[k])}")
+        raise DomainError(f"{spec.family.value} at {', '.join(params)}: an R-matrix entry reaches "
+                          f"{peaks[k]:.3g}, above the {MAX_ENTRY:.3g} up to which the residual "
+                          "products stay finite")
+    return build
 
 
 #: columns per block of a stacked ``unitarity_residual``: its (8, 2, n) operand rows take
@@ -176,7 +144,8 @@ def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
     One formula, ``linalg.block_product`` and ``linalg.defect``, in two arithmetics: Python
     complex numbers block by block for one matrix, and for a stack (4, block, side, n) entry
     rows that hold both blocks of R rconj and of rconj R at once, in blocks of
-    ``_UNITARITY_BLOCK`` matrices.
+    ``_UNITARITY_BLOCK`` matrices. The one-matrix arithmetic stays: one matrix run as a
+    stack of one took the bench ``sweep`` op 21-25 % more CPU time.
     """
     (r, rconj), shape = stacks(r, rconj)
     if not shape:
@@ -308,10 +277,10 @@ def inverse_unitarity(builder: Callable[[complex], np.ndarray], x,
                       tol: float = TOLERANCES["inverse-unitarity"]):
     """Proportionality scalar of R(x) R(1/x), which must be a multiple of 1.
 
-    An array of x gives one scalar per x from two builder stacks, R(x) and R(1/x), dense or
+    The scalars come in the shape of x, from two builder stacks, R(x) and R(1/x), dense or
     ``WeightRows``; an x = 0, or a product not proportional to 1, at any entry is an error.
     Both must be eight-vertex (``linalg.weights``); their product is ``linalg.block_product``,
-    block by block, on Python complex numbers for one x and on (n,) entry rows for a stack.
+    block by block, on Python complex numbers for one dense matrix and on entry rows else.
     """
     x = np.asarray(x)
     if np.any(x == 0):
@@ -325,7 +294,7 @@ def inverse_unitarity(builder: Callable[[complex], np.ndarray], x,
     if not proportional.all():
         raise NotProportionalError("R(x) R(1/x) is not proportional to 1: "
                                    f"gap {np.ravel(gap)[np.argmin(proportional)]:.3e}")
-    return scalar.reshape(shape) if shape else scalar
+    return np.reshape(scalar, shape)
 
 
 def inverse_unitarity_expected(spec: FamilySpec, x: complex) -> complex:

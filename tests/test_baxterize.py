@@ -6,10 +6,10 @@ import pytest
 from yaxter import baxterize, cli
 from yaxter.baxterize import (
     EigOrdering,
+    R_rows,
     SpectralPoint,
+    _coefficient_rows,
     build_R,
-    build_R_stack,
-    coefficients,
     compose_u,
     degeneracy_note,
     family_x,
@@ -18,14 +18,15 @@ from yaxter.baxterize import (
     gauge,
     ordered_eigenvalues,
     u_to_x,
+    x_form,
     x_to_u,
     yb_three,
     yb_two,
 )
 from yaxter.catalog import (DomainError, Family, FamilySpec, FamilySpecs, Sign, build_b,
                             eigenvalues_of, z_of)
-from yaxter.linalg import (DegenerateSpectrumError, NotTwoEigenvalueError, cmat, dagger, frobenius,
-                           identity, inverse, spectral_projectors)
+from yaxter.linalg import (DegenerateSpectrumError, NotTwoEigenvalueError, WeightRows, cmat, dagger,
+                           frobenius, identity, inverse, spectral_projectors)
 from yaxter.verify import conjugate_partner, sample_spec, sample_specs
 
 X = SpectralPoint.from_x
@@ -34,6 +35,12 @@ U = SpectralPoint.from_u
 
 R_FAMILIES = [Family.SIX_NONSTD, Family.SIX_STD, Family.EIGHT_I,
               Family.EIGHT_II, Family.EIGHT_III, Family.EIGHT_IV]
+
+
+def coefficients(spec, ordering=None):
+    """(A, B, C) of ``_coefficient_rows`` as dense matrices, C = 0 where the table has none."""
+    a, b, *c = (WeightRows(w).dense() for w in _coefficient_rows(spec, ordering))
+    return a, b, c[0] if c else np.zeros_like(a)
 
 
 # --- spectral point algebra ---------------------------------------------------
@@ -298,7 +305,9 @@ def test_six_vertex_u_point_falls_back_to_the_x_form():
     spec = FamilySpec.six_nonstd(q=1.4)
     u = 0.25
     got = build_R(spec, U(u))
-    assert frobenius(got - build_R(spec, X(u_to_x(u)))) == 0.0
+    x = family_x(spec, "u", np.asarray(complex(u)))  # the point's x, as the table takes it
+    assert frobenius(got - build_R(spec, X(x))) == 0.0
+    assert frobenius(got - x_form(spec, u_to_x(u))) <= 4e-16 * frobenius(got)
 
 
 def test_formula_R_matches_closed_forms_up_to_scalar():
@@ -356,8 +365,8 @@ def test_every_view_is_a_scalar_gauge_on_the_x_form(family, ordering, form):
         )
         for p in points:
             r = build_R(spec, p, ordering=ordering, form=form)
-            x_form = build_R(spec, X(family_x(spec, p.kind, p.value)), ordering=ordering, form=form)
-            want = table_gauge(spec, p, form) * x_form
+            at_x = build_R(spec, X(family_x(spec, p.kind, p.value)), ordering=ordering, form=form)
+            want = table_gauge(spec, p, form) * at_x
             assert frobenius(r - want) <= 1e-15 * frobenius(want)
             partner = conjugate_partner(spec, p, ordering=ordering, form=form)
             assert np.array_equal(partner, dagger(r))
@@ -382,7 +391,7 @@ def test_coefficients_reproduce_the_x_form(family, ordering, form):
         if family is not Family.EIGHT_IV:  # only canonical eight4 is quadratic in x
             assert not c.any()
         xs = rng.uniform(-2.5, 2.5, 8) + 1j * rng.uniform(-2.5, 2.5, 8)
-        stack = build_R_stack(spec, "x", xs, ordering=ordering, form=form)
+        stack = R_rows(spec, "x", xs, ordering=ordering, form=form).dense()
         assert stack.shape == (8, 4, 4)
         for x, r in zip(xs, stack):
             want = build_R(spec, X(x), ordering=ordering, form=form)
@@ -402,10 +411,12 @@ def test_stack_in_every_view_matches_build_R(family, ordering, form):
         "u": rng.uniform(-0.8, 0.8, 6) + 1j * rng.uniform(-0.8, 0.8, 6),
     }
     for kind, vals in values.items():
-        stack = build_R_stack(spec, kind, vals, ordering=ordering, form=form)
+        stack = R_rows(spec, kind, vals, ordering=ordering, form=form).dense()
         for v, r in zip(vals, stack):
             want = build_R(spec, SpectralPoint(kind, complex(v)), ordering=ordering, form=form)
             assert frobenius(r - want) <= 4e-15 * frobenius(want)
+            # build_R is the dense edge of R_rows at the one point
+            assert np.array_equal(want, R_rows(spec, kind, v, ordering, form).dense())
 
 
 @pytest.mark.parametrize("family,ordering,form", VARIANTS,
@@ -428,17 +439,17 @@ def test_stack_is_bitwise_the_nested_polynomial(family, ordering, form):
                 scale = scale / g_factors(spec, x)[0]
             x, scale = x[:, None, None], np.asarray(scale)[..., None, None]
             want = scale * (a + x * (b + x * c))
-            assert np.array_equal(build_R_stack(spec, kind, vals, ordering, form), want)
+            assert np.array_equal(R_rows(spec, kind, vals, ordering, form).dense(), want)
 
 
 def test_stack_of_no_values_is_empty():
     spec = FamilySpec.eight3(t=2.1, q=np.exp(0.33j))
-    assert build_R_stack(spec, "u", []).shape == (0, 4, 4)
+    assert R_rows(spec, "u", []).dense().shape == (0, 4, 4)
 
 
 def test_stack_rejects_u_at_minus_one():
     with pytest.raises(DomainError, match="undefined at u = -1"):
-        build_R_stack(FamilySpec.eight2(t=1.5), "u", [0.2, -1.0])
+        R_rows(FamilySpec.eight2(t=1.5), "u", [0.2, -1.0])
 
 
 # --- the exact coefficient table ---------------------------------------------------
@@ -468,10 +479,12 @@ def test_eight3_second_ordering_has_no_inverse():
     _, b, _ = coefficients(spec, EigOrdering.SECOND)
     want = [[t, 0, 0, -q], [0, -1, s * t, 0], [0, s * t, -1, 0], [-1 / q, 0, 0, t]]
     assert np.array_equal(b, np.array(want, dtype=complex))
-    # b - x (1 - t^2) b^{-1}, the single-point evaluation, at points off the real line
+    # the table's R and b - x (1 - t^2) b^{-1}, at points off the real line
     for x in (0.3 + 0.4j, -1.7 + 0.2j):
         r = build_R(spec, X(x), ordering=EigOrdering.SECOND)
         assert frobenius(build_b(spec) + x * b - r) <= 4e-16 * frobenius(r)
+        want = build_b(spec) - x * (1 - t * t) * inverse(build_b(spec))
+        assert frobenius(want - r) <= 4e-16 * frobenius(r)
 
 
 @pytest.mark.parametrize("family,ordering", COEFFICIENT_VARIANTS,
@@ -575,8 +588,82 @@ def test_a_stack_over_specs_is_the_stack_of_its_items():
     specs = sample_specs(Family.EIGHT_IV, np.random.default_rng(67), 12)
     xs = np.exp(1j * np.linspace(0.2, 5.8, 12))
     for form in ("canonical", "g"):
-        stack = build_R_stack(specs, "u", xs, form=form)
+        stack = R_rows(specs, "u", xs, form=form).dense()
         for k in range(12):
-            one = build_R_stack(specs[k], "u", xs[k:k + 1], form=form)[0]
+            one = R_rows(specs[k], "u", xs[k:k + 1], form=form).dense()[0]
             assert frobenius(stack[k] - one) <= 4e-16 * frobenius(one)
-    assert build_R_stack(FamilySpecs.from_specs([specs[0]]), "x", [0.5]).shape == (1, 4, 4)
+    assert R_rows(FamilySpecs.from_specs([specs[0]]), "x", [0.5]).dense().shape == (1, 4, 4)
+
+
+# --- the kept coefficient table, and the displayed form it is checked against -----------
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_equal_specs_keep_their_own_bits_in_either_call_order(first):
+    # t = 0.0 and t = -0.0 are equal specs with equal hashes, but R(0) differs in its signed
+    # zeros: reuse keyed on == would hand the second spec the first one's matrix
+    specs = [FamilySpec.eight4(t=first), FamilySpec.eight4(t=-first)]
+    assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
+    r = [build_R(spec, X(0.0)) for spec in specs]
+    assert r[0].tobytes() != r[1].tobytes()
+    for spec, got in zip(specs, r):
+        assert np.array_equal(np.signbit(got.view(float)),
+                              np.signbit(build_R(FamilySpec.eight4(t=spec.t), X(0.0)).view(float)))
+        assert np.signbit(got[0, 0].real) == np.signbit(spec.t.real)
+
+
+def test_the_kept_coefficient_rows_are_read_only_and_bounded():
+    import weakref
+
+    spec = FamilySpec.eight4(t=1.6, q=np.exp(0.4j))
+    rows = _coefficient_rows(spec)
+    R_rows(spec, "x", [0.5, 0.7]).dense()  # an evaluation reads the kept rows as built
+    assert _coefficient_rows(spec) is rows
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        rows *= 2
+    equal = FamilySpec.eight4(t=1.6, q=np.exp(0.4j))  # another object builds its own
+    assert _coefficient_rows(equal) is not rows
+    assert np.array_equal(_coefficient_rows(equal), rows)
+    # the rows of a bounded number of spec objects are kept, however many a caller keeps
+    kept = weakref.ref(rows)
+    del rows
+    others = [FamilySpec.eight4(t=1.6, q=np.exp(0.4j))
+              for _ in range(baxterize._kept_rows.cache_info().maxsize)]
+    for other in others:
+        _coefficient_rows(other)
+    assert kept() is None and spec is not None
+
+
+def test_every_sign_mutant_of_the_display_fails_criterion_3(monkeypatch):
+    from yaxter import suite
+    from yaxter.linalg import _WEIGHTS
+
+    real = x_form
+    points = []  # the (spec, x) at which criterion 3 reads the display
+
+    def recording(spec, x):
+        points.append((spec, x))
+        return real(spec, x)
+
+    monkeypatch.setattr(baxterize, "x_form", recording)
+    assert suite.criterion_asymptotics(42)["pass"]
+    failed = 0
+    for family in R_FAMILIES:
+        shown = [real(spec, x) for spec, x in points if spec.family is family]
+        assert len(shown) >= 3
+        for r, c in _WEIGHTS:
+            def mutant(spec, x, family=family, r=r, c=c):
+                m = real(spec, x)
+                if spec.family is family:
+                    m[r, c] = -m[r, c]
+                return m
+
+            monkeypatch.setattr(baxterize, "x_form", mutant)
+            entry = suite.criterion_asymptotics(42)
+            if any(m[r, c] != 0 for m in shown):
+                assert entry["pass"] is False, (family, r, c)
+                failed += 1
+            else:  # the entry is 0 wherever the criterion reads it: the flip changes nothing
+                assert entry["pass"] is True, (family, r, c)
+    assert failed == 44  # all 48 but the six-vertex corners (0, 3) and (3, 0)

@@ -293,7 +293,7 @@ def test_pretty_output(capsys):
 
 
 # `yaxter build --x ...` output, pinned byte for byte: every R family, both
-# eight3 orderings and both eight4 forms.
+# eight3 orderings and both eight4 forms, each evaluated on the coefficient table.
 BUILD_GOLDEN = {
     '--family six-nonstd --gamma 0.3 --x-re 0.3 --x-im 0.4':
         '{"dim":4,"entries":[[[1.1276133413714877,-0.29632728827268717],[0,0],[0,0],[0,0]],[[0,0],[0.18271217606828558,0.24361623475771413],[0.69999999999999996,-0.40000000000000002],[0,0]],[[0,0],[0.69999999999999996,-0.40000000000000002],[0.60904058689428531,0],[0,0]],[[0,0],[0,0],[0,0],[-0.33586057840891692,0.53994352303040127]]]}\n',
@@ -302,19 +302,19 @@ BUILD_GOLDEN = {
     '--family eight1 --phi 0.9 --sign minus --x 0.5':
         '{"dim":4,"entries":[[[1.5,0],[0,0],[0,0],[0.3108049841353322,-0.39166345481374171]],[[0,0],[1.5,0],[-0.5,0],[0,0]],[[0,0],[0.5,0],[1.5,0],[0,0]],[[-0.31080498413533225,-0.39166345481374176],[0,0],[0,0],[1.5,0]]]}\n',
     '--family eight1 --q-re 0.6 --q-im 0.8 --x 1':
-        '{"dim":4,"entries":[[[2,0],[0,0],[0,0],[0,0]],[[0,0],[2,0],[0,0],[0,0]],[[0,0],[-0,0],[2,0],[0,0]],[[-0,0],[0,0],[0,0],[2,0]]],"degenerate":"R(1) is proportional to the identity; unitarity normalization degenerates"}\n',
+        '{"dim":4,"entries":[[[2,0],[0,0],[0,0],[0,0]],[[0,0],[2,0],[0,0],[0,0]],[[0,0],[0,0],[2,0],[0,0]],[[0,0],[0,0],[0,0],[2,0]]],"degenerate":"R(1) is proportional to the identity; unitarity normalization degenerates"}\n',
     '--family eight2 --t 1.7 --q-re 0.8 --q-im -0.6 --sign minus --x-re 0.28 --x-im 0.96':
-        '{"dim":4,"entries":[[[0.77600000000000002,1.6319999999999999],[0,0],[0,0],[0,-1.2]],[[0,0],[1.28,0.95999999999999996],[-0.87887200433282653,1.1718293391104355],[0,0]],[[0,0],[-0.87887200433282653,1.1718293391104355],[1.28,0.95999999999999996],[0,0]],[[1.1519999999999999,-0.33600000000000002],[0,0],[0,0],[1.784,0.28800000000000003]]]}\n',
+        '{"dim":4,"entries":[[[0.77600000000000002,1.6319999999999999],[0,0],[0,0],[0,-1.2]],[[0,0],[1.28,0.95999999999999996],[-0.87887200433282664,1.1718293391104355],[0,0]],[[0,0],[-0.87887200433282664,1.1718293391104355],[1.28,0.95999999999999996],[0,0]],[[1.1519999999999999,-0.33600000000000008],[0,0],[0,0],[1.784,0.28800000000000003]]]}\n',
     '--family eight3 --t 2.1 --q-re 0.6 --q-im 0.8 --x-re -0.6 --x-im 0.8':
-        '{"dim":4,"entries":[[[3.3600000000000003,-1.6800000000000002],[0,0],[0,0],[-0.40000000000000013,0.80000000000000004]],[[0,0],[0.40000000000000002,0.80000000000000004],[3.3600000000000003,-1.6800000000000002],[0,0]],[[0,0],[3.3600000000000003,-1.6800000000000002],[0.40000000000000002,0.80000000000000004],[0,0]],[[0.88000000000000012,0.15999999999999998],[0,0],[0,0],[3.3600000000000003,-1.6800000000000002]]]}\n',
+        '{"dim":4,"entries":[[[3.3600000000000003,-1.6800000000000002],[0,0],[0,0],[-0.40000000000000002,0.80000000000000004]],[[0,0],[0.40000000000000002,0.80000000000000004],[3.3600000000000003,-1.6800000000000002],[0,0]],[[0,0],[3.3600000000000003,-1.6800000000000002],[0.40000000000000002,0.80000000000000004],[0,0]],[[0.88000000000000012,0.15999999999999992],[0,0],[0,0],[3.3600000000000003,-1.6800000000000002]]]}\n',
     '--family eight3 --t 2.1 --q-re 0.6 --q-im 0.8 --x-re -0.6 --x-im 0.8 --ordering second':
-        '{"dim":4,"entries":[[[0.84000000000000052,1.6799999999999999],[0,0],[0,0],[1.6000000000000001,0.80000000000000004]],[[0,0],[1.5999999999999999,-0.79999999999999993],[0.8400000000000003,1.6799999999999999],[0,0]],[[0,0],[0.84000000000000008,1.6800000000000002],[1.5999999999999999,-0.79999999999999993],[0,0]],[[0.31999999999999973,-1.7599999999999998],[0,0],[0,0],[0.8400000000000003,1.6800000000000002]]]}\n',
+        '{"dim":4,"entries":[[[0.84000000000000008,1.6800000000000002],[0,0],[0,0],[1.6000000000000001,0.80000000000000004]],[[0,0],[1.6000000000000001,-0.80000000000000004],[0.84000000000000008,1.6800000000000002],[0,0]],[[0,0],[0.84000000000000008,1.6800000000000002],[1.6000000000000001,-0.80000000000000004],[0,0]],[[0.31999999999999967,-1.76],[0,0],[0,0],[0.84000000000000008,1.6800000000000002]]]}\n',
     '--family eight4 --t 1.6 --q-re 0.8 --q-im 0.6 --x-re 0.28 --x-im -0.96':
-        '{"dim":4,"entries":[[[5.8654720000000005,-2.555904],[0,0],[0,0],[-0.69120000000000004,2.9183999999999997]],[[0,0],[2.9900800000000003,-3.3945600000000002],[4.0734719999999998,3.5880960000000002],[0,0]],[[0,0],[4.0734719999999998,3.5880960000000002],[2.9900800000000003,-3.3945600000000002],[0,0]],[[2.6081279999999998,1.480704],[0,0],[0,0],[5.8654720000000005,-2.555904]]]}\n',
+        '{"dim":4,"entries":[[[5.8654720000000005,-2.555904],[0,0],[0,0],[-0.69120000000000026,2.9184000000000001]],[[0,0],[2.9900800000000003,-3.3945600000000002],[4.0734719999999998,3.5880960000000002],[0,0]],[[0,0],[4.0734719999999998,3.5880960000000002],[2.9900800000000003,-3.3945600000000002],[0,0]],[[2.6081279999999998,1.4807040000000002],[0,0],[0,0],[5.8654720000000005,-2.555904]]]}\n',
     '--family eight4 --t 1.6 --q-re 0.8 --q-im 0.6 --x-re 0.28 --x-im -0.96 --form g':
-        '{"dim":4,"entries":[[[2.048,-1.536],[0,0],[0,0],[0,1.2]],[[0,0],[0.85114754098360668,-1.5973770491803281],[1.9168524590163936,1.021377049180328],[0,0]],[[0,0],[1.9168524590163936,1.021377049180328],[0.85114754098360668,-1.5973770491803281],[0,0]],[[1.1519999999999999,0.33600000000000002],[0,0],[0,0],[2.048,-1.536]]]}\n',
+        '{"dim":4,"entries":[[[2.048,-1.536],[0,0],[0,0],[-2.8223689323716763e-17,1.2]],[[0,0],[0.85114754098360657,-1.5973770491803281],[1.9168524590163933,1.0213770491803278],[0,0]],[[0,0],[1.9168524590163933,1.0213770491803278],[0.85114754098360657,-1.5973770491803281],[0,0]],[[1.1519999999999999,0.33600000000000008],[0,0],[0,0],[2.048,-1.536]]]}\n',
     '--family eight4 --t-im 0.7 --q 1 --sign minus --x 1.3':
-        '{"dim":4,"entries":[[[0.3380999999999999,3.7029999999999994],[0,0],[0,0],[-0.69000000000000006,0.063]],[[0,0],[-0.69000000000000006,3.7029999999999994],[-0.33810000000000001,-0.063000000000000014],[0,0]],[[0,0],[-0.33810000000000001,-0.063000000000000014],[-0.69000000000000006,3.7029999999999994],[0,0]],[[-0.69000000000000006,0.063],[0,0],[0,0],[0.3380999999999999,3.7029999999999994]]]}\n',
+        '{"dim":4,"entries":[[[0.33810000000000001,3.7029999999999994],[0,0],[0,0],[-0.69000000000000017,0.062999999999999945]],[[0,0],[-0.69000000000000017,3.7029999999999994],[-0.33810000000000001,-0.062999999999999945],[0,0]],[[0,0],[-0.33810000000000001,-0.062999999999999945],[-0.69000000000000017,3.7029999999999994],[0,0]],[[-0.69000000000000017,0.062999999999999945],[0,0],[0,0],[0.33810000000000001,3.7029999999999994]]]}\n',
 }
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from yaxter import dynamics
-from yaxter.baxterize import (SpectralPoint, build_R_stack, coefficients, family_x, gauge,
+from yaxter.baxterize import (R_rows, SpectralPoint, _coefficient_rows, family_x, gauge,
                               reference_gauge)
 from yaxter.catalog import DomainError, Family, FamilySpec, Sign
 from yaxter.dynamics import (
@@ -20,7 +20,7 @@ from yaxter.dynamics import (
     six_vertex_hamiltonian_coth_variant,
 )
 from yaxter.gates import PAULI, SIGMA_MINUS, SIGMA_PLUS, SX, SZ, sigma_xy, tensor
-from yaxter.linalg import (expm_hermitian, frobenius, hermiticity_defect, identity,
+from yaxter.linalg import (WeightRows, expm_hermitian, frobenius, hermiticity_defect, identity,
                            require_hermitian)
 from yaxter.verify import norm_factor, sample_spec, sample_specs, worst
 
@@ -439,11 +439,11 @@ def test_a_degenerate_rho_at_one_sample_of_a_stack_names_that_sample():
 
 
 def gauge_unitaries_reference(spec, kind, values):
-    """The stacked gauge unitaries as separate steps: the dense ``build_R_stack`` matrices
+    """The stacked gauge unitaries as separate steps: the dense ``R_rows`` matrices
     divided by the dynamics gauge times sqrt(rho), with rho from ``verify.norm_factor``."""
     turn = reference_gauge(spec, kind, values) if spec.family in dynamics.SIX_VERTEX else 1.0
     rho = norm_factor(spec, kind, values) / np.abs(turn) ** 2
-    return build_R_stack(spec, kind, values) / np.asarray(turn * np.sqrt(rho))[..., None, None]
+    return R_rows(spec, kind, values).dense() / np.asarray(turn * np.sqrt(rho))[..., None, None]
 
 
 @pytest.mark.parametrize("family", [f for f in Family if f is not Family.BELL_PHI],
@@ -562,13 +562,14 @@ def test_empty_exact_generator_stack_is_a_usage_error():
 
 
 def _dense_generator_reference(spec, kind, s):
-    """The exact generator the dense way: R and R' from ``coefficients`` as 4x4 matrices,
+    """The exact generator the dense way: R and R' from ``_coefficient_rows`` as 4x4 matrices,
     K = i R' R^dag / rho with one matmul per matrix, less i Im(tr K)/4 1 (plus 1 for the
     six-vertex dynamics gauge)."""
     def col(v):  # one scalar per matrix
         return np.asarray(v)[..., None, None]
 
-    a, b, c = coefficients(spec)
+    a, b, *c = (WeightRows(w).dense() for w in _coefficient_rows(spec))
+    c = c[0] if c else np.zeros_like(a)
     six = spec.family in (Family.SIX_NONSTD, Family.SIX_STD)
     s = np.asarray(s, dtype=float)
     x = col(family_x(spec, kind, s))

@@ -147,3 +147,12 @@ UNLISTED = SimpleNamespace(family=_Unlisted(), q=1.0, t=2.0, parameters=lambda: 
 def test_a_family_is_named_by_its_value_in_errors(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_build_at_an_overflowing_x_exits_2(capsys):
+    # the table's polynomial overflows at x = 1e200; the evaluated R is checked once
+    from yaxter import cli
+
+    assert cli.main(["build", "--family", "eight4", "--t", "1.6", "--x", "1e200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be finite" in err

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from yaxter.baxterize import EigOrdering, SpectralPoint, build_R, build_R_stack, compose_u, x_to_u
+from yaxter.baxterize import EigOrdering, R_rows, SpectralPoint, build_R, compose_u, x_to_u
 from yaxter.catalog import (DomainError, Family, FamilySpec, FamilySpecs, Sign, braid_matrix,
                             braid_residual, build_b)
 from yaxter.linalg import dagger, frobenius, identity, strand_gap
@@ -13,7 +13,6 @@ from yaxter.verify import (
     DegenerateNormalizationError,
     NotProportionalError,
     conjugate_partner,
-    family_builder,
     family_inverse_unitarity,
     inverse_unitarity,
     matrix_norm_factor,
@@ -27,11 +26,17 @@ from yaxter.verify import (
     scan_unitarity,
     unitarity_gap,
     unitarity_residual,
+    _row_builder,
     worst,
 )
 
 X = SpectralPoint.from_x
 TH = SpectralPoint.from_theta
+
+
+def dense_builder(spec, kind="x", ordering=None, form="canonical"):
+    """R at a ``kind`` value, or the stack at an array of them: ``R_rows``' dense edge."""
+    return lambda value: R_rows(spec, kind, value, ordering=ordering, form=form).dense()
 
 R_FAMILIES = [Family.SIX_NONSTD, Family.SIX_STD, Family.EIGHT_I,
               Family.EIGHT_II, Family.EIGHT_III, Family.EIGHT_IV]
@@ -40,14 +45,14 @@ R_FAMILIES = [Family.SIX_NONSTD, Family.SIX_STD, Family.EIGHT_I,
 # --- QYBE ----------------------------------------------------------------------
 
 def test_qybe_identity_builder_is_exact():
-    builder = lambda x: identity(4)
+    builder = lambda x: np.broadcast_to(identity(4), (*np.shape(x), 4, 4))
     assert qybe_residual(builder, 0.3 + 0.1j, 2.0) == 0.0
 
 
 @pytest.mark.parametrize("compose", [operator.mul, operator.add, compose_u])
 def test_qybe_residual_builds_each_matrix_once(compose):
     spec = FamilySpec.eight3(t=2.1, q=np.exp(0.33j))
-    build = family_builder(spec, "u")
+    build = dense_builder(spec, "u")
     calls = []
 
     def builder(value):
@@ -56,13 +61,13 @@ def test_qybe_residual_builds_each_matrix_once(compose):
 
     a, b = 0.3 + 0.1j, -0.2 + 0.4j
     res = qybe_residual(builder, a, b, compose)
-    assert calls == [a, compose(a, b), b]
+    assert len(calls) == 1 and np.array_equal(calls[0], [a, compose(a, b), b])
     assert res == strand_gap(build(a), build(compose(a, b)), build(b))
 
 
 def test_qybe_six_nonstd_unit_circle():
     spec = FamilySpec.six_nonstd(q=np.exp(0.3))
-    builder = family_builder(spec, "x")
+    builder = dense_builder(spec, "x")
     rng = np.random.default_rng(0)
     for _ in range(50):
         x, y = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
@@ -71,7 +76,7 @@ def test_qybe_six_nonstd_unit_circle():
 
 def test_qybe_eight1_real_x():
     spec = FamilySpec.eight1(q=1j)
-    builder = family_builder(spec, "x")
+    builder = dense_builder(spec, "x")
     rng = np.random.default_rng(1)
     for _ in range(50):
         x, y = rng.uniform(0.05, 2.0, 2)
@@ -80,7 +85,7 @@ def test_qybe_eight1_real_x():
 
 def test_qybe_additive_six_nonstd():
     spec = FamilySpec.six_nonstd(gamma=0.3)
-    builder = family_builder(spec, "theta")
+    builder = dense_builder(spec, "theta")
     assert qybe_residual(builder, 0.0, 0.0, operator.add) < 1e-12
     rng = np.random.default_rng(2)
     for _ in range(50):
@@ -90,7 +95,7 @@ def test_qybe_additive_six_nonstd():
 
 def test_qybe_rational_eight1():
     spec = FamilySpec.eight1(phi=0.7)
-    builder = family_builder(spec, "u")
+    builder = dense_builder(spec, "u")
     rng = np.random.default_rng(3)
     for _ in range(50):
         u = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
@@ -103,7 +108,7 @@ def test_qybe_rational_eight1():
 @pytest.mark.parametrize("ordering", [EigOrdering.FIRST, EigOrdering.SECOND])
 def test_qybe_three_eigenvalue_orderings(ordering):
     spec = FamilySpec.eight3(t=2.1, q=np.exp(0.33j))
-    builder = family_builder(spec, "x", ordering=ordering)
+    builder = dense_builder(spec, "x", ordering=ordering)
     rng = np.random.default_rng(5)
     for _ in range(20):
         x, y = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
@@ -242,21 +247,21 @@ def test_unitarity_fails_for_nonreal_q_six_vertex():
 
 def test_inverse_unitarity_eight1_at_one():
     spec = FamilySpec.eight1(phi=0.8)
-    measured = inverse_unitarity(family_builder(spec, "x"), 1.0)
+    measured = inverse_unitarity(dense_builder(spec, "x"), 1.0)
     assert abs(measured - 4.0) < 1e-13
 
 
 def test_inverse_unitarity_six_vertex_value():
     spec = FamilySpec.six_nonstd(q=np.exp(0.3))
     x = np.exp(0.5j)
-    measured = inverse_unitarity(family_builder(spec, "x"), x)
+    measured = inverse_unitarity(dense_builder(spec, "x"), x)
     assert abs(measured - (2 * np.cosh(0.6) - 2 * np.cos(0.5))) < 1e-13
 
 
 def test_inverse_unitarity_eight3_t_one():
     spec = FamilySpec.eight3(t=1.0, q=np.exp(0.4j))
     for x in (0.3 + 0.2j, 2.0, np.exp(1.1j)):
-        assert abs(inverse_unitarity(family_builder(spec, "x"), x) - 4.0) < 1e-12
+        assert abs(inverse_unitarity(dense_builder(spec, "x"), x) - 4.0) < 1e-12
 
 
 @pytest.mark.parametrize("family", R_FAMILIES)
@@ -328,7 +333,7 @@ def test_a_stack_with_one_product_not_proportional_to_1_is_rejected():
 @pytest.mark.parametrize("sequence", [list, tuple])
 def test_inverse_unitarity_takes_a_list_or_tuple_of_x(sequence):
     spec = FamilySpec.eight3(t=2.0, q=np.exp(0.4j))
-    builder = family_builder(spec, "x")
+    builder = dense_builder(spec, "x")
     xs = np.exp(1j * np.linspace(0.3, 2.0, 5))
     assert np.array_equal(inverse_unitarity(builder, sequence(xs.tolist())),
                           inverse_unitarity(builder, xs))
@@ -428,7 +433,7 @@ def test_batched_qybe_residuals_match_the_per_sample_loop(family, kind, ordering
     draw, compose = _QYBE_LAWS[kind]
     rng = np.random.default_rng(41)
     pairs = np.array([draw(spec, rng) for _ in range(50)], dtype=complex)
-    builder = family_builder(spec, kind, ordering=ordering)
+    builder = dense_builder(spec, kind, ordering=ordering)
     batched = qybe_residual(builder, pairs[:, 0], pairs[:, 1], compose)
     assert batched.shape == (50,)
     for (a, b), got in zip(pairs, batched):
@@ -600,9 +605,9 @@ def test_stacked_kernels_name_a_non_finite_sample_before_computing():
     # the stacked evaluator takes q and t from a spec, which has checked them, and its values
     spec = FamilySpec.eight1(phi=0.3)
     with pytest.raises(ValueError, match="x must be finite, got inf"):
-        build_R_stack(spec, "x", np.array([0.5, np.inf, np.nan]))
+        R_rows(spec, "x", np.array([0.5, np.inf, np.nan]))
     with pytest.raises(ValueError, match="theta must be finite, got nan"):
-        build_R_stack(spec, "theta", np.array([0.5, np.nan]))
+        R_rows(spec, "theta", np.array([0.5, np.nan]))
 
 
 def test_stacked_unitarity_residual_agrees_with_per_item_calls():
@@ -640,7 +645,7 @@ def test_scan_qybe_rejects_a_pair_outside_the_table(spec, kind):
 
 @pytest.mark.parametrize("value", [0.5, np.array([0.5, 0.7])])
 def test_entries_beyond_the_product_bound_are_a_domain_error(value):
-    builder = family_builder(FamilySpec.eight3(t=1e60, q=1.0), "x")
+    builder = _row_builder(FamilySpec.eight3(t=1e60, q=1.0), "x")
     with pytest.raises(DomainError, match=r"t = 1e\+60, x = 0\.5: an R-matrix entry"):
         builder(value)
 
@@ -656,6 +661,8 @@ def test_entries_below_the_product_bound_give_finite_residuals():
     lambda: scan_qybe(FamilySpec.eight3(t=1e200, q=1.0), samples=3),
     lambda: family_inverse_unitarity(FamilySpec.eight3(t=1e200, q=1.0), 0.7),
     lambda: family_inverse_unitarity(FamilySpec.eight3(t=2.0, q=1.0), 1e-200),
+    lambda: family_inverse_unitarity(FamilySpec.eight4(t=2.0), 1e-200),  # C x^2 overflows
+    lambda: family_inverse_unitarity(FamilySpec.eight4(t=2.0), 1e200),
 ])
 def test_overflowing_checks_raise_before_any_product(check):
     with np.errstate(all="raise"):
@@ -667,7 +674,7 @@ def test_overflowing_checks_raise_before_any_product(check):
 
 def test_batched_qybe_residual_builds_one_stack_of_a_composed_and_b():
     spec = FamilySpec.eight2(t=1.7, q=np.exp(0.4j))
-    build = family_builder(spec, "u")
+    build = dense_builder(spec, "u")
     calls = []
 
     def builder(value):
@@ -684,7 +691,7 @@ def test_batched_qybe_residual_builds_one_stack_of_a_composed_and_b():
 
 def test_batched_qybe_bound_names_the_first_value_in_a_composed_b_order():
     # sample 0 fails only at b (x = 6), sample 1 only at a o b (x = 5): a o b comes first
-    builder = family_builder(FamilySpec.eight3(t=1e50, q=1.0), "x")
+    builder = _row_builder(FamilySpec.eight3(t=1e50, q=1.0), "x")
     with pytest.raises(DomainError, match=r"x = 5: an R-matrix entry"):
         qybe_residual(builder, np.array([0.1, 2.5]), np.array([6.0, 2.0]))
 
@@ -707,7 +714,8 @@ def test_every_braid_matrix_stack_is_eight_vertex(family):
 @pytest.mark.parametrize("family,kind,ordering", QYBE_PAIRS,
                          ids=lambda v: getattr(v, "value", v))
 def test_every_R_stack_and_coefficient_is_eight_vertex(family, kind, ordering):
-    from yaxter.baxterize import coefficients
+    from yaxter.baxterize import _coefficient_rows
+    from yaxter.linalg import WeightRows
     from yaxter.suite import representative_spec
     from yaxter.verify import _QYBE_LAWS
 
@@ -716,11 +724,11 @@ def test_every_R_stack_and_coefficient_is_eight_vertex(family, kind, ordering):
     rng = np.random.default_rng(73)
     pairs = np.asarray(draw(spec, rng, 50), dtype=complex)
     a, b = pairs[:, 0], pairs[:, 1]
-    r = build_R_stack(spec, kind, np.stack([a, compose(a, b), b]), ordering=ordering)
+    r = R_rows(spec, kind, np.stack([a, compose(a, b), b]), ordering=ordering).dense()
     assert r.shape == (3, 50, 4, 4) and np.count_nonzero(_off_pattern(r)) == 0
-    for matrices in (coefficients(spec, ordering),
-                     coefficients(sample_specs(family, rng, 50), ordering)):
-        assert all(np.count_nonzero(_off_pattern(m)) == 0 for m in matrices)
+    for rows in (_coefficient_rows(spec, ordering),
+                 _coefficient_rows(sample_specs(family, rng, 50), ordering)):
+        assert all(np.count_nonzero(_off_pattern(WeightRows(w).dense())) == 0 for w in rows)
 
 
 def test_a_sign_flipped_in_eight2s_linear_coefficient_fails_the_qybe_scan(monkeypatch):
@@ -853,7 +861,7 @@ def test_inverse_unitarity_on_gaussian_integers_is_bitwise_the_dense_reference()
 def test_inverse_unitarity_is_the_dense_reference_to_rounding(family):
     rng = np.random.default_rng(109)
     spec = sample_spec(family, rng)
-    builder = family_builder(spec, "x", form="g" if family is Family.EIGHT_IV else "canonical")
+    builder = dense_builder(spec, "x", form="g" if family is Family.EIGHT_IV else "canonical")
     xs = rng.uniform(0.3, 1.8, 40) + 1j * rng.uniform(-0.5, 0.5, 40)
     r, rinv = builder(xs), builder(1 / xs)
     scalars = inverse_unitarity(builder, xs)

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from yaxter import verify
-from yaxter.baxterize import EigOrdering, R_rows, build_R_stack
+from yaxter.baxterize import EigOrdering, R_rows
 from yaxter.catalog import (DOMAIN_TOL, DomainError, Family, FamilySpec, _finite, braid_matrix,
                             braid_residual, braid_rows, build_b, domain_violation, is_imag,
                             is_real)
 from yaxter.linalg import _BLOCK, dagger, strand_gap, weights
-from yaxter.verify import (QYBE_PARAMETRIZATIONS, _QYBE_LAWS, _cpair, family_builder,
-                           norm_factor, sample_spec, sample_specs, sample_x, scan_braid,
+from yaxter.verify import (QYBE_PARAMETRIZATIONS, _QYBE_LAWS, _cpair, norm_factor, sample_spec, sample_specs, sample_x, scan_braid,
                            scan_qybe, scan_unitarity, unitarity_residual, worst)
 
 #: several blocks of the strand kernel and a partial one
@@ -55,7 +54,7 @@ def test_the_qybe_scan_on_rows_is_bitwise_the_dense_kernel(monkeypatch, family, 
     pairs = np.asarray(draw(spec, np.random.default_rng(6), SAMPLES), dtype=complex)
     a, b = pairs.T
     values = np.stack([a, compose(a, b), b])
-    dense = build_R_stack(spec, kind, values, ordering)
+    dense = R_rows(spec, kind, values, ordering).dense()
     assert _same_weights(R_rows(spec, kind, values, ordering), dense)
     want = strand_gap(*dense)
     (got,) = seen
@@ -74,7 +73,7 @@ def test_the_unitarity_scan_on_rows_is_bitwise_the_dense_kernel(monkeypatch, fam
     rng = np.random.default_rng(8)
     specs = sample_specs(family, rng, SAMPLES, imaginary_t)
     x = sample_x(specs, rng, SAMPLES)
-    r = build_R_stack(specs, "x", x)
+    r = R_rows(specs, "x", x).dense()
     assert _same_weights(R_rows(specs, "x", x), r)
     rho, res = unitarity_residual(r, dagger(r))  # the kernel itself, not the spy
     ((got_rho, got_res),) = seen
@@ -110,8 +109,8 @@ def test_the_adjoint_rows_are_the_weights_of_the_dense_adjoint():
 def test_a_nan_value_is_the_same_domain_error_on_rows_and_on_the_dense_edge():
     spec = FamilySpec.eight2(t=1.7, q=np.exp(0.4j))
     for values in (np.array([0.5, NAN]), np.array([[0.5, 0.2], [NAN, 0.1]])):
-        for build in (lambda v: R_rows(spec, "x", v), lambda v: build_R_stack(spec, "x", v),
-                      family_builder(spec, "x"), verify._row_builder(spec, "x")):
+        for build in (lambda v: R_rows(spec, "x", v), lambda v: R_rows(spec, "x", v).dense(),
+                      verify._row_builder(spec, "x")):
             with pytest.raises(DomainError) as err:
                 build(values)
             assert str(err.value) == "x must be finite, got nan"
