@@ -15,10 +15,11 @@ coefficients, written as weight rows (``_coefficient_rows``, kept per FamilySpec
 A is b (times 1 + t for eight4), the two-eigenvalue B is lambda1 lambda2 b^{-1} =
 (lambda1 + lambda2) 1 - b, and C vanishes for every family but eight4. ``R_rows``, the one
 evaluator of R(x), evaluates the polynomial on those rows at a stack of points, for one
-parameter point or for ``FamilySpecs``; ``build_R`` is its dense edge at one point. The
-paper's displayed closed form of each family, its x-form (``x_form``), is ``formula_R``
-times 1 (two eigenvalues), 1/(1 - x) (eight3) or 1 + t (eight4); no evaluation reads it,
-and criterion 3 of the suite checks it against the table.
+parameter point or for ``FamilySpecs``; ``R_weights`` takes its rows at one point under a
+finiteness check, and ``build_R`` scatters them, the dense edge at one point. The paper's
+displayed closed form of each family, its x-form (``x_form``), is ``formula_R`` times 1
+(two eigenvalues), 1/(1 - x) (eight3) or 1 + t (eight4); no evaluation reads it, and
+criterion 3 of the suite checks it against the table.
 
 Spectral-parameter views: x (multiplicative), theta (x = e^{2 i theta} for the
 six-vertex families, x = e^{i theta} for eight2/3/4, x = tan theta for eight1),
@@ -239,15 +240,21 @@ def _check_ordering(fam: Family, ordering: EigOrdering | None) -> None:
 
 def build_R(spec: FamilySpec, p: SpectralPoint, ordering: EigOrdering | None = None,
             form: str = "canonical") -> np.ndarray:
-    """The family's R-matrix at spectral point p: ``R_rows`` at the one point as a dense 4x4
-    matrix, under one finiteness check. ``ordering``: eight3 takes first (default) or
-    second, eight4 third (default). ``form="g"`` selects the eight4 view with the middle
-    block scaled by g = g2/g1."""
+    """The family's R-matrix at spectral point p: ``R_weights`` as a dense 4x4 matrix.
+    ``ordering``: eight3 takes first (default) or second, eight4 third (default).
+    ``form="g"`` selects the eight4 view with the middle block scaled by g = g2/g1."""
+    return WeightRows(R_weights(spec, p, ordering, form)).dense()
+
+
+def R_weights(spec: FamilySpec, p: SpectralPoint, ordering: EigOrdering | None = None,
+              form: str = "canonical") -> np.ndarray:
+    """The (8,) weight rows of ``build_R``: ``R_rows`` at the one point, under one finiteness
+    check."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-        r = R_rows(spec, p.kind, p.value, ordering, form).dense()
-    if not np.isfinite(r).all():
+        w = R_rows(spec, p.kind, p.value, ordering, form).w
+    if not np.isfinite(w).all():
         raise ValueError("matrix entries must be finite")
-    return r
+    return w
 
 
 def _coefficient_rows(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = None):

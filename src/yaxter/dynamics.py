@@ -24,7 +24,9 @@ Closed forms are validated against it rather than trusted:
 six-vertex closed form also circulates in a coth-gamma variant that the derivative
 contradicts (the corner entries come out as sinh cosh / rho); both variants are kept so
 the discrepancy can be measured and reported (see ``six_vertex_erratum_report``).
-``hamiltonian_fd`` takes central differences instead, as a cross-check.
+``hamiltonian_fd`` takes central differences instead, as a cross-check: its five-point
+stencil of gauge unitaries stays weight rows, and i dU U^dag is ``weight_product`` on them,
+scattered once.
 
 For eight1 the evolution is generated by the time-independent
 
@@ -82,15 +84,14 @@ class Hamiltonian:
 def gauge_unitary(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
     """U = rho^{-1/2} R in the dynamics gauge, exactly unitary on the domain curve: the
     six-vertex families run over their trigonometric reference gauge, the others as built."""
-    return _gauge_unitaries(spec, p.kind, p.value)
+    return _gauge_unitaries(spec, p.kind, p.value).dense()
 
 
-def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values):
-    """``gauge_unitary`` at a ``kind`` view value, or the (n, 4, 4) stack at an (n,) array
-    of values (one per sample for FamilySpecs), with the domain check and the rho floor
-    applied to each: the ``R_rows`` matrices over their gauge and sqrt(rho), with
-    x, the gauges and rho evaluated once and the quotient folded into the polynomial's
-    scale, so that the one scatter to dense is the result."""
+def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values) -> WeightRows:
+    """``gauge_unitary`` at a ``kind`` view value, or the stack at an (n,) array of values
+    (one per sample for FamilySpecs), as weight rows, with the domain check and the rho floor
+    applied to each: the ``R_rows`` matrices over their gauge and sqrt(rho), with x, the
+    gauges and rho evaluated once and the quotient folded into the polynomial's scale."""
     with np.errstate(over="ignore", invalid="ignore"):  # a rho that overflows fails below
         x, view, ref, rho = _normalization(spec, kind, values)
     gauge = ref if spec.family in SIX_VERTEX else 1.0
@@ -101,7 +102,7 @@ def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values):
         raise DomainError(f"normalization factor rho = {np.ravel(rho)[k]:.3e} at {kind} = "
                           f"{np.broadcast_to(values, np.shape(rho)).flat[k]:.6g} "
                           "is degenerate or not finite")
-    return WeightRows(_rows_at(spec, x, view / (gauge * np.sqrt(rho)))).dense()
+    return WeightRows(_rows_at(spec, x, view / (gauge * np.sqrt(rho))))
 
 
 def _curve_failure(kind: str, value) -> str | None:
@@ -267,12 +268,15 @@ def hamiltonian(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
 
 def hamiltonian_fd(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
     """H = i (dU/ds) U(s)^dag at the points ``hamiltonian`` takes, by Richardson-extrapolated
-    central differences at step h = 1e-5: truncation O(h^4), rounding about 1e-10."""
+    central differences at step h = 1e-5, on weight rows: truncation O(h^4), rounding
+    about 1e-10."""
     kind, s0 = _curve(spec, p)
     h = 1e-5
-    u0, up, um, uph, umh = _gauge_unitaries(spec, kind, s0 + np.array([0.0, h, -h, h / 2, -h / 2]))
+    u = _gauge_unitaries(spec, kind, s0 + np.array([0.0, h, -h, h / 2, -h / 2]))
+    u0, up, um, uph, umh = u.w.T
     du = (4.0 * (uph - umh) / h - (up - um) / (2.0 * h)) / 3.0
-    return Hamiltonian(1j * du @ dagger(u0), HamiltonianSource.FINITE_DIFFERENCE, spec, p)
+    k = weight_product(1j * du, dagger(WeightRows(u0)).w)
+    return Hamiltonian(WeightRows(k).dense(), HamiltonianSource.FINITE_DIFFERENCE, spec, p)
 
 
 def _real_t(spec: FamilySpec) -> float:
@@ -288,7 +292,7 @@ def _closed_rho(rho, vanishing: str = ""):
     DomainError, which for an array names the first such entry by its index."""
     finite = rho < math.inf  # False at inf and NaN
     ok = finite & (rho >= RHO_FLOOR) if vanishing else finite
-    if not np.count_nonzero(~ok):
+    if ok.all() if isinstance(ok, np.ndarray) else ok:
         return rho
     k = int(np.argmin(ok))  # the first False
     where = f" at index {k} of the stack" if np.ndim(rho) else ""
@@ -300,10 +304,12 @@ def _closed_matrix(scale, table, shift=None) -> np.ndarray:
     """shift + scale * table at every theta: the (..., 4, 4) stack in the shape of ``scale``,
     a number or an array, of an eight-vertex ``table`` written as 4x4 rows, whose entries
     are numbers or arrays in that shape. ``shift`` is a constant matrix, added last."""
-    scale = np.asarray(scale)
-    m = np.zeros((4, 4, *scale.shape), dtype=complex)  # entry-major: one write per entry
-    for r, c in _WEIGHTS:
-        m[r, c] = table[r][c]
+    if isinstance(scale, np.ndarray):  # entry-major: one write per entry
+        m = np.zeros((4, 4, *scale.shape), dtype=complex)
+        for r, c in _WEIGHTS:
+            m[r, c] = table[r][c]
+    else:  # a number's table: one conversion
+        m = np.array(table, dtype=complex)
     m *= scale
     h = m.transpose(*range(2, m.ndim), 0, 1)
     return np.add(h, shift, order="C") if shift is not None else np.ascontiguousarray(h)
@@ -489,7 +495,7 @@ def braiding_evolution_residual(spec: FamilySpec | FamilySpecs, theta):
     """
     if spec.family is not Family.EIGHT_I:
         raise ValueError("the braiding evolution identity is specific to eight1")
-    r_theta = _gauge_unitaries(spec, "theta", theta)
+    r_theta = _gauge_unitaries(spec, "theta", theta).dense()
     h = _eight1_generator(spec)
     return frobenius(r_theta - expm_hermitian(h, -(np.pi / 2.0 - 2.0 * np.asarray(theta))))
 

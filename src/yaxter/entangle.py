@@ -16,8 +16,9 @@ With A = a0 b0, B = a1 b1, C = a0 b1 and D = a1 b0, the form is the quartic
 
 (AB = CD), which it evaluates at the nine grid states from R's eight weights on
 Python numbers; the grid state with the largest |Det| is both the decision and
-the witness. ``classify`` reads the weights once, for the witness and for its
-singularity guard det R = det O det I.
+the witness. ``classify`` reads R's weights once, as Python numbers from its
+rows (``baxterize.R_weights``), for the witness and for its singularity guard
+det R = det O det I; it scatters R to a dense matrix only for a witness's Det.
 
 Closed-form determinants after one application of an R-matrix are provided
 per family in the family's rational (u) gauge, and in the trigonometric
@@ -33,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baxterize import SpectralPoint, _u_gauge, build_R, family_x, reference_gauge, x_to_u
+from .baxterize import R_weights, SpectralPoint, _u_gauge, family_x, reference_gauge, x_to_u
 from .catalog import Family, FamilySpec
-from .linalg import require_invertible, weights
+from .linalg import WeightRows, require_invertible, weights
 
 ENTANGLING_TOL = 1e-8
 
@@ -121,11 +122,17 @@ def classification_gauge_R(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
     """The gauge of the closed-form determinants below: ``build_R`` over the trigonometric
     gauge for the six-vertex families, else ``build_R`` at the point's x times the u view's
     gauge at that x. x = -1, where the u view does not exist, is a DomainError."""
+    return WeightRows(_classification_weights(spec, p)).dense()
+
+
+def _classification_weights(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
+    """The (8,) weight rows of ``classification_gauge_R``: ``R_weights``, under its
+    finiteness check, times the gauge."""
     if spec.family in (Family.SIX_NONSTD, Family.SIX_STD):
-        return build_R(spec, p) / reference_gauge(spec, p.kind, p.value)
+        return R_weights(spec, p) / reference_gauge(spec, p.kind, p.value)
     x = family_x(spec, p.kind, p.value)
     x_to_u(x)  # the DomainError at x = -1
-    return _u_gauge(spec, x) * build_R(spec, SpectralPoint.from_x(x))
+    return _u_gauge(spec, x) * R_weights(spec, SpectralPoint.from_x(x))
 
 
 def classify(
@@ -142,15 +149,18 @@ def classify(
     invertible map. An entangling gate carries its witness and that state's
     output Det; a non-entangling one carries None and Det 0. ``probes`` and
     ``seed`` are accepted and ignored: they exist only because the ``sweep``
-    workload of ``bench/`` still passes them. R's eight weights are read once, for
-    the singularity guard (``linalg.require_invertible``) and for the witness.
+    workload of ``bench/`` still passes them. R's eight weights are taken once as Python
+    numbers from its rows (``_classification_weights``), for the singularity guard
+    (``linalg.require_invertible``) and for the witness; the dense R is built only for a
+    witness's det.
     """
-    r = classification_gauge_R(spec, p)
-    (w,) = weights("classify", "r", r)
+    rows = _classification_weights(spec, p)
+    w = tuple(rows.tolist())
     require_invertible(w, context=f"{spec.family.value}, {p.kind} = {p.value}")
     witness = brylinski_witness(w, tol)
     if witness is None:
         return ClassificationResult(Classification.NOT_ENTANGLING, None, 0j)
+    r = WeightRows(rows).dense()
     return ClassificationResult(Classification.ENTANGLING, witness, concurrence_det(r @ witness))
 
 

@@ -115,6 +115,31 @@ def test_exact_real_x_curves():
         assert frobenius(hamiltonian(spec4, X(x)).matrix - fd) < 1e-9
 
 
+def fd_reference(spec, kind, s0, h=1e-5):
+    """The Richardson difference of ``hamiltonian_fd`` on dense unitaries: the five-point
+    stencil as one dense stack, whose central differences and dense product with U^dag
+    ``central_difference_generator`` takes."""
+    stencil = s0 + np.array([0.0, h, -h, h / 2, -h / 2])
+    curve = dict(zip(stencil.tolist(), dynamics._gauge_unitaries(spec, kind, stencil).dense()))
+    return (4.0 * central_difference_generator(curve.__getitem__, s0, h / 2)
+            - central_difference_generator(curve.__getitem__, s0, h)) / 3.0
+
+
+@pytest.mark.parametrize("family", R_FAMILIES, ids=lambda f: f.value)
+def test_fd_on_weight_rows_is_the_dense_difference(family):
+    # the theta curve of every family, eight1's x curve and imaginary-t eight4's x curve
+    rng = np.random.default_rng(103)
+    curves = [("theta", False)] + {Family.EIGHT_I: [("x", False)],
+                                   Family.EIGHT_IV: [("x", True)]}.get(family, [])
+    for kind, imaginary_t in curves:
+        specs = sample_specs(family, rng, 20, imaginary_t)
+        values = rng.uniform(-1.4, 1.4, 20) + (1.0 if kind == "x" else 0.0)
+        for spec, s0 in zip(specs, values.tolist()):
+            got = hamiltonian_fd(spec, SpectralPoint(kind, s0)).matrix
+            want = fd_reference(spec, kind, s0)
+            assert frobenius(got - want) <= 1e-14 * frobenius(want)
+
+
 @pytest.mark.parametrize("family", R_FAMILIES, ids=lambda f: f.value)
 def test_exact_matches_the_fd_cross_check(family):
     rng = np.random.default_rng(99)
@@ -433,7 +458,8 @@ def test_a_degenerate_rho_at_one_sample_of_a_stack_names_that_sample():
     # gamma = 0 makes rho = sin^2 theta, which vanishes at theta = 0 only
     spec = FamilySpec.six_nonstd(gamma=0.0)
     values = np.array([0.3, 0.5, 0.7, 0.0, 0.9])
-    assert dynamics._gauge_unitaries(spec, "theta", np.delete(values, 3)).shape == (4, 4, 4)
+    kept = dynamics._gauge_unitaries(spec, "theta", np.delete(values, 3))
+    assert kept.dense().shape == (4, 4, 4)
     with pytest.raises(DomainError, match=r"rho = 0\.000e\+00 at theta = 0 is degenerate"):
         dynamics._gauge_unitaries(spec, "theta", values)
 
@@ -461,8 +487,8 @@ def test_gauge_unitaries_are_the_stepwise_reference(family):
                                      for k in range(5)]
         cases.append((specs[0], float(values[0])))
         for spec, v in cases:
-            got, want = dynamics._gauge_unitaries(spec, kind, v), gauge_unitaries_reference(
-                spec, kind, v)
+            got = dynamics._gauge_unitaries(spec, kind, v).dense()
+            want = gauge_unitaries_reference(spec, kind, v)
             assert got.shape == want.shape
             assert np.all(frobenius(got - want) <= 1e-14 * frobenius(want))
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yaxter import suite, verify
-from yaxter.baxterize import SpectralPoint
+from yaxter.baxterize import SpectralPoint, _u_gauge, build_R, family_x, reference_gauge
 from yaxter.catalog import Family, FamilySpec, Sign, build_b
 from yaxter.entangle import (
     ENTANGLING_TOL,
@@ -21,7 +21,7 @@ from yaxter.entangle import (
     product_state,
     state,
 )
-from yaxter.linalg import SingularMatrixError, identity, require_invertible
+from yaxter.linalg import SingularMatrixError, identity, require_invertible, weights
 
 X = SpectralPoint.from_x
 TH = SpectralPoint.from_theta
@@ -361,6 +361,63 @@ def test_classify_guards_with_the_singularity_rule_of_inverse():
             r"\|det\(a / max\|a_ij\|\)\| = \d\.\d{3}e-\d+$")
     with pytest.raises(SingularMatrixError, match=want):
         classify(spec, X(np.e))
+
+
+def test_classify_of_a_non_finite_R_is_the_finiteness_error():
+    # eight4 at t = -5 and x = 1.3e154: C x^2 overflows to inf in the R(x) entries
+    spec, p = FamilySpec.eight4(t=-5.0, q=1.0), X(1.3e154)
+    for call in (classify, classification_gauge_R):
+        with pytest.raises(ValueError, match=r"^matrix entries must be finite$"):
+            call(spec, p)
+
+
+def dense_classify(spec, p):
+    """``classify`` on the dense classification-gauge matrix: its weights read back from
+    ``classification_gauge_R``, the guard, the witness and the det of R times it."""
+    r = classification_gauge_R(spec, p)
+    (w,) = weights("classify", "r", r)
+    require_invertible(w)
+    witness = brylinski_witness(w)
+    return (Classification.NOT_ENTANGLING, None, 0j) if witness is None else (
+        Classification.ENTANGLING, witness, concurrence_det(r @ witness))
+
+
+def _sweep_grids():
+    """16-point sweep-style grids, one seeded spec per family: 15 points at
+    0.1 <= |offset| <= 1.4 from the non-entangling locus, and the locus itself."""
+    rng = np.random.default_rng(89)
+    for family in suite.R_FAMILIES:
+        eight1 = family is Family.EIGHT_I
+        on_locus = 1.0 if eight1 else 0.0
+        spec = verify.sample_spec(family, rng)
+        offsets = rng.uniform(0.1, 1.4, 15) * rng.choice((-1.0, 1.0), 15)
+        for value in (on_locus, *(on_locus + offsets)):
+            yield spec, X(value) if eight1 else TH(value)
+
+
+def test_classify_is_bitwise_the_dense_route():
+    # classify reads R's weights as rows and scatters R only for a witness's det
+    for spec, p in [*_fixed_points(), *_sweep_grids()]:
+        result = classify(spec, p)
+        label, witness, det = dense_classify(spec, p)
+        assert result.classification is label
+        assert (result.witness is None) == (witness is None)
+        assert witness is None or np.array_equal(result.witness, witness)
+        assert result.det == det and repr(result.det) == repr(det)
+
+
+def test_classification_gauge_R_is_the_gauge_times_build_R():
+    # the six-vertex trigonometric gauge, else the u view's gauge times R at the point's x
+    for spec, p in [*_fixed_points(), *_sweep_grids()]:
+        if spec.family in (Family.SIX_NONSTD, Family.SIX_STD):
+            want = build_R(spec, p) / reference_gauge(spec, p.kind, p.value)
+        else:
+            x = family_x(spec, p.kind, p.value)
+            want = _u_gauge(spec, x) * build_R(spec, X(x))
+        got = classification_gauge_R(spec, p)
+        assert np.array_equal(got[EIGHT_VERTEX], want[EIGHT_VERTEX])
+        assert got[EIGHT_VERTEX].tobytes() == want[EIGHT_VERTEX].tobytes()
+        assert not got[~EIGHT_VERTEX].any() and not want[~EIGHT_VERTEX].any()
 
 
 @pytest.mark.parametrize("spec,p", CLOSED_FORM_CASES)

@@ -507,8 +507,16 @@ def _hermitian_case(kind: str, tol: float) -> np.ndarray:
         h[1, 1] = np.inf
     elif kind == "inf-offdiag":
         h[0, 3] = h[3, 0] = np.inf
+    elif kind == "minus-inf-diag":
+        h[3, 3] = -np.inf
+    elif kind == "imaginary-inf-offdiag":  # Hermitian in form: -i inf above, i inf below
+        h[1, 2], h[2, 1] = complex(0, -np.inf), complex(0, np.inf)
     elif kind == "huge":  # Hermitian, but its norm overflows
         h = np.full((4, 4), 1e200, dtype=complex)
+    elif kind == "huge-anti-hermitian":  # finite entries, an overflowing norm and defect
+        h = 1e200j * np.full((4, 4), 1.0)
+    elif kind == "anti-hermitian":
+        h = a - dagger(a)
     return h
 
 
@@ -516,7 +524,8 @@ def _hermitian_case(kind: str, tol: float) -> np.ndarray:
     ("hermitian", True), ("small", True),
     ("large-below", True), ("large-above", False), ("small-below", True), ("small-above", False),
     ("nan-offdiag", False), ("nan-diag", False), ("inf-diag", False), ("inf-offdiag", False),
-    ("huge", False),
+    ("minus-inf-diag", False), ("imaginary-inf-offdiag", False), ("huge", False),
+    ("huge-anti-hermitian", False), ("anti-hermitian", False),
 ])
 def test_one_matrix_hermiticity_verdict_is_the_stack_verdict(kind, passes):
     tol = 1e-9

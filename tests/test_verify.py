@@ -622,6 +622,18 @@ def test_stacked_unitarity_residual_agrees_with_per_item_calls():
         assert abs(res[k] - res_k) <= 1e-14 * rho_k
 
 
+def test_one_matrix_decides_a_degenerate_rho_as_a_stack_of_one_does():
+    # a negative rho fails both; a NaN rho is no verdict of the guard: a NaN residual
+    r, nan = identity(4), identity(4)
+    nan[0, 0] = np.nan
+    for a, b in ((r, -r), (r[None], -r[None])):
+        with pytest.raises(DegenerateNormalizationError,
+                           match=r"^estimated rho = -1\.000e\+00 is not positive$"):
+            unitarity_residual(a, b)
+    for a in (nan, nan[None]):
+        assert np.isnan(unitarity_residual(a, dagger(a))).all()
+
+
 def test_stacked_unitarity_residual_rejects_a_degenerate_matrix():
     r = np.array([identity(4), np.zeros((4, 4), dtype=complex)])
     with pytest.raises(DegenerateNormalizationError):
