@@ -58,7 +58,6 @@ from .verify import (
     ResidualReport,
     conjugate_partner,
     inverse_unitarity,
-    qybe_residual,
     rho_formula,
     unitarity_residual,
 )

@@ -357,8 +357,9 @@ def eigenvalues_of(spec: FamilySpec | FamilySpecs) -> list:
     raise ValueError(f"unknown family {fam.value}")
 
 
-def braid_residual(b: np.ndarray) -> float:
-    """Frobenius norm of (b x I)(I x b)(b x I) - (I x b)(b x I)(I x b) on C^8."""
+def braid_residual(b: np.ndarray):
+    """Frobenius norm of (b x I)(I x b)(b x I) - (I x b)(b x I)(I x b) on C^8: a float for
+    one matrix, one per matrix for a stack or ``WeightRows``."""
     return strand_gap(b, b, b)
 
 

@@ -56,7 +56,7 @@ from .suite import run_suite
 from .verify import (
     TOLERANCES,
     family_inverse_unitarity,
-    rho_formula,
+    matrix_norm_factor,
     scan_braid,
     scan_qybe,
     scan_unitarity,
@@ -323,7 +323,7 @@ def _cmd_check(args) -> int:
     if kind == "unitarity":
         gap, rho_est = unitarity_gap(spec, point)
         return _verdict(args, gap, tol, rho=float(rho_est),
-                        rho_formula=float(rho_formula(spec, point.kind, point.value)))
+                        rho_formula=matrix_norm_factor(spec, point))
     if point is None:
         raise DomainError("inverse-unitarity needs a spectral point (--x)")
     measured, expected = family_inverse_unitarity(spec, family_x(spec, point.kind, point.value))

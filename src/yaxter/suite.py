@@ -5,8 +5,9 @@ reported as one entry; the CLI serializes the result deterministically, so
 identical seeds give byte-identical output. A criterion that samples evaluates
 its samples as stacks. Criteria 1 and 4 build one seeded scan job per family
 (``verify.braid_job``, ``unitarity_job``: the draw and the row build of
-``scan_braid`` and ``scan_unitarity``) and run all their jobs through one kernel
-pass, ``verify.scan_gaps``, reduced by one ``worst`` with the job as the case.
+``scan_braid`` and ``scan_unitarity``), join the rows of all their jobs into one stack
+and make one kernel call, ``catalog.braid_residual`` or the unitarity gaps, reduced by
+one ``worst`` with the job as the case.
 Criterion 2 samples only the family parameters: it certifies the QYBE of the
 coefficient tables of 8 seeded parameter points per (family, ordering) pair with
 ``verify.qybe_bound``, a bound over the whole polydisc |x|, |y| <= 1, one call per
@@ -29,7 +30,7 @@ import numpy as np
 from . import baxterize, dynamics, entangle, gates
 from .baxterize import (RZERO_EQUALS_B, EigOrdering, R_rows, SpectralPoint, _coefficient_rows,
                         build_R, formula_R)
-from .catalog import Family, FamilySpec, FamilySpecs, Sign, build_b
+from .catalog import Family, FamilySpec, FamilySpecs, Sign, braid_residual, build_b
 from .dynamics import (
     braiding_evolution_residual,
     closed_generators,
@@ -38,17 +39,17 @@ from .dynamics import (
 )
 from .entangle import Classification, classify, concurrence_det, det_b_closed
 from .gates import SIGMA_MINUS, SIGMA_PLUS, SX, SY, tensor
-from .linalg import dagger, expm_hermitian, frobenius, hermiticity_defect, identity
+from .linalg import WeightRows, dagger, expm_hermitian, frobenius, hermiticity_defect, identity
 from .verify import (
     QYBE_PARAMETRIZATIONS,
     TOLERANCES,
+    _unitarity_gaps,
     braid_job,
     family_inverse_unitarity,
     qybe_bound,
     rho_formula,
     sample_specs,
     sample_x,
-    scan_gaps,
     unitarity_job,
     unitarity_residual,
     worst,
@@ -105,20 +106,25 @@ def _entry(cid: int, passed: bool, **detail) -> dict:
     return out
 
 
-def _worst_job(jobs, names: list, samples: int) -> tuple:
-    """(largest gap, the name of its job) over one ``scan_gaps`` pass of ``jobs`` of
-    ``samples`` each, built as the pass reaches them: one ``worst`` with the job as the
-    case, so a NaN wins and the first job wins ties."""
-    gaps = scan_gaps(jobs)[0]
+def _joined(rows) -> WeightRows:
+    """One stack of the jobs' weight rows, in job order."""
+    return WeightRows(np.concatenate([r.w for r in rows], axis=-1))
+
+
+def _worst_job(gaps, names: list, samples: int) -> tuple:
+    """(largest gap, the name of its job) over the joined ``gaps`` of jobs of ``samples``
+    each: one ``worst`` with the job as the case, so a NaN wins and the first job wins
+    ties."""
     residual, k = worst(gaps, np.arange(gaps.size) // samples)
     return residual, names[k]
 
 
 def criterion_braid(seed: int) -> dict:
     tol = TOLERANCES["braid"]
-    residual, worst_family = _worst_job(
-        (braid_job(family, samples=100, seed=seed + k) for k, family in enumerate(Family)),
-        [family.value for family in Family], 100)
+    rows = _joined(braid_job(family, samples=100, seed=seed + k)[0]
+                   for k, family in enumerate(Family))
+    residual, worst_family = _worst_job(braid_residual(rows),
+                                        [family.value for family in Family], 100)
     return _entry(1, residual < tol, max_residual=residual, tolerance=tol,
                   worst_family=worst_family)
 
@@ -196,10 +202,12 @@ def criterion_unitarity(seed: int) -> dict:
     tol = TOLERANCES["unitarity"]
     jobs = [(family, seed + 200 + k, False) for k, family in enumerate(R_FAMILIES)]
     jobs.append((Family.EIGHT_IV, seed + 250, True))
+    rows, rho_ref, _ = zip(*(unitarity_job(family, samples=100, seed=job_seed,
+                                           imaginary_t=imaginary_t)
+                             for family, job_seed, imaginary_t in jobs))
+    gaps, _ = _unitarity_gaps(_joined(rows), np.concatenate(rho_ref))
     residual, worst_family = _worst_job(
-        (unitarity_job(family, samples=100, seed=job_seed, imaginary_t=imaginary_t)
-         for family, job_seed, imaginary_t in jobs),
-        [f.value for f in R_FAMILIES] + ["eight4 (imaginary t)"], 100)
+        gaps, [f.value for f in R_FAMILIES] + ["eight4 (imaginary t)"], 100)
     # np.min propagates a NaN, as worst does
     r = np.array([build_R(spec, p) for spec, p in _OFF_DOMAIN])
     min_off = float(np.min(unitarity_residual(r, dagger(r))[1]))

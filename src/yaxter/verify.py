@@ -8,9 +8,10 @@ The same kernel, before its norm (``linalg._block_diffs``), certifies the QYBE o
 whole coefficient table: ``certify_qybe`` bounds the residual polynomial on all of
 |x|, |y| <= 1 from its coefficients (``qybe_bound``). Unitarity is checked as
 R(x) R(x)^dag = rho * 1 with rho > 0 the family's normalization factor;
-rho^{-1/2} R(x) is the physical gate. Its kernel,
-``unitarity_residual``, and ``inverse_unitarity`` read eight-vertex matrices with
-``linalg.weights`` and multiply them with ``linalg.block_product``, block by block.
+rho^{-1/2} R(x) is the physical gate. Its kernel, ``unitarity_residual(r, rconj)``,
+and ``inverse_unitarity(r, rinv)`` read eight-vertex matrices with ``linalg.weights`` and
+multiply them with ``linalg.block_product``, block by block: one formula body each, on
+Python complex numbers for one matrix and on entry rows for a whole stack.
 Every kernel takes a dense matrix from outside, read and checked once, or a stack
 as ``linalg.WeightRows``.
 The closed-form rho per family (stated for each family's reference gauge,
@@ -30,10 +31,10 @@ The closed-form rho per family (stated for each family's reference gauge,
 The seeded scans draw each parameter for all of their samples at once, in a
 fixed RNG order (``sample_specs``: the sign, then gamma or t with its sign,
 then phi; ``sample_x``; ``sample_spec`` is the n = 1 case), and build their rows in
-one call: a scan's job (``braid_job``, ``qybe_job``, ``unitarity_job``). ``scan_gaps``
-runs the one kernel of a list of jobs, whole jobs grouped into calls of at most a fixed
-number of samples, so a suite criterion evaluates all of its families in one pass; a scan
-is the pass over its one job, reduced by ``worst``. The stacks travel as weight rows,
+one call: a scan's job (``braid_job``, ``qybe_job``, ``unitarity_job``) returns the weight
+rows, ``rho_ref`` for unitarity, and the reader of the report's worst case. A scan is one
+kernel call on its job's rows, reduced by ``worst``; a suite criterion joins the rows of
+its jobs into one stack and makes one call. The stacks travel as weight rows,
 eight-vertex by construction, from the builders to the kernels, with no dense stack,
 gather or pattern check between. Every R(x), stacked or single, is ``baxterize.R_rows``,
 the gauge times the exact polynomial A + x (B + x C) on the weight rows of the one
@@ -50,7 +51,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,51 +83,24 @@ class NotProportionalError(ValueError):
     """A product expected to be a multiple of the identity is not."""
 
 
-def qybe_residual(builder: Callable[[complex], np.ndarray], a: complex, b: complex,
-                  compose: Callable[[complex, complex], complex] = operator.mul):
-    """QYBE R1(a) R2(a o b) R1(b) = R2(b) R1(a o b) R2(a), from one builder call on the
-    stacked values (a, a o b, b), whose stack of three it splits: a float for numbers a
-    and b, one residual per pair for arrays.
-
-    ``compose`` is the parametrization's composition law o: ``operator.mul``
-    for x, ``operator.add`` for theta (the multiplicative law at x = e^{i k theta})
-    and ``compose_u`` for u. The right-hand side carries the swapped arguments;
-    the variant with a and b in display order fails by O(1) for every family here.
-    """
-    return strand_gap(*builder(_composed(a, b, compose)))
-
-
-def _composed(a, b, compose) -> np.ndarray:
-    """The (3, n) values (a, a o b, b) of n spectral pairs, one QYBE triple a column."""
-    return np.stack(np.broadcast_arrays(a, compose(a, b), b))
-
-
-def _row_builder(spec: FamilySpec, kind: str, ordering: EigOrdering | None = None,
-                 form: str = "canonical") -> Callable:
-    """The R-matrix builder of the scans: ``R_rows`` at a ``kind`` value or an array of them,
-    or a DomainError naming the parameters of the first matrix with an entry above
-    ``MAX_ENTRY``, where the residual products would overflow."""
-    def build(value):
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail below
-            r = R_rows(spec, kind, value, ordering=ordering, form=form)
-        peaks = np.abs(r.w).max(axis=0, initial=0.0).ravel()
-        over = np.flatnonzero(~(peaks <= MAX_ENTRY))  # a NaN entry is over, too
-        if over.size == 0:
-            return r
-        k = over[0]
-        names = "qt" if spec.family in (Family.EIGHT_II, *THREE_EIGENVALUE_FAMILIES) else "q"
-        params = [f"{name} = {_cstr(getattr(spec, name))}" for name in names]
-        params.append(f"{kind} = {_cstr(np.ravel(value)[k])}")
-        raise DomainError(f"{spec.family.value} at {', '.join(params)}: an R-matrix entry reaches "
-                          f"{peaks[k]:.3g}, above the {MAX_ENTRY:.3g} up to which the residual "
-                          "products stay finite")
-    return build
-
-
-#: columns per block of a stacked ``unitarity_residual``: its (8, 2, n) operand rows take
-#: 256 bytes a column, 100 KB at 400, under glibc's 128 KiB mmap threshold, and a 300-sample
-#: scan is one block
-_UNITARITY_BLOCK = 400
+def _bounded_rows(spec: FamilySpec, kind: str, value, ordering: EigOrdering | None = None,
+                  form: str = "canonical") -> WeightRows:
+    """The rows of the scans and of ``family_inverse_unitarity``: ``R_rows`` at a ``kind``
+    value or an array of them, or a DomainError naming the parameters of the first matrix
+    with an entry above ``MAX_ENTRY``, where the residual products would overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail below
+        r = R_rows(spec, kind, value, ordering=ordering, form=form)
+    peaks = np.abs(r.w).max(axis=0, initial=0.0).ravel()
+    over = np.flatnonzero(~(peaks <= MAX_ENTRY))  # a NaN entry is over, too
+    if over.size == 0:
+        return r
+    k = over[0]
+    names = "qt" if spec.family in (Family.EIGHT_II, *THREE_EIGENVALUE_FAMILIES) else "q"
+    params = [f"{name} = {_cstr(getattr(spec, name))}" for name in names]
+    params.append(f"{kind} = {_cstr(np.ravel(value)[k])}")
+    raise DomainError(f"{spec.family.value} at {', '.join(params)}: an R-matrix entry reaches "
+                      f"{peaks[k]:.3g}, above the {MAX_ENTRY:.3g} up to which the residual "
+                      "products stay finite")
 
 
 def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
@@ -142,41 +115,24 @@ def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
     positive is a DegenerateNormalizationError.
 
     One formula, ``linalg.block_product`` and ``linalg.defect``, in two arithmetics: Python
-    complex numbers block by block for one matrix, and for a stack (4, block, side, n) entry
-    rows that hold both blocks of R rconj and of rconj R at once, in blocks of
-    ``_UNITARITY_BLOCK`` matrices. The one-matrix arithmetic stays: one matrix run as a
-    stack of one took the bench ``sweep`` op 28-33 % more CPU time.
+    complex numbers for one dense matrix, and (n,) entry rows of each block for a stack. The
+    one-matrix arithmetic stays: one matrix run as a stack of one took the bench ``sweep`` op
+    28-33 % more CPU time.
     """
     (r, rconj), shape = stacks(r, rconj)
-    if not shape:
-        (xo, xi), (yo, yi) = ((m[0::2], m[1::2]) for m in weights(
-            "unitarity_residual", ("r", "rconj"), r, rconj))
-        mo, mi = block_product(xo, yo), block_product(xi, yi)
-        rho = ((mo[0] + mo[3]) + (mi[0] + mi[3])).real / 4.0
-        res = (math.sqrt(defect(mo, rho) + defect(mi, rho))
-               + math.sqrt(defect(block_product(yo, xo), rho)
-                           + defect(block_product(yi, xi), rho)))
+    (xo, xi), (yo, yi) = ((m[0::2], m[1::2]) for m in weights(
+        "unitarity_residual", ("r", "rconj"), r, rconj))
+    mo, mi = block_product(xo, yo), block_product(xi, yi)
+    rho = ((mo[0] + mo[3]) + (mi[0] + mi[3])).real / 4.0
+    left = defect(mo, rho) + defect(mi, rho)
+    right = defect(block_product(yo, xo), rho) + defect(block_product(yi, xi), rho)
+    if isinstance(rho, float):  # one dense matrix: Python numbers throughout
+        res = math.sqrt(left) + math.sqrt(right)
     else:
-        if len(r) <= _UNITARITY_BLOCK:
-            rho, res = _unitarity_block(r, rconj, 0)
-        else:
-            rho, res = map(np.concatenate, zip(*(
-                _unitarity_block(r[k:k + _UNITARITY_BLOCK], rconj[k:k + _UNITARITY_BLOCK], k)
-                for k in range(0, len(r), _UNITARITY_BLOCK))))
-        rho, res = rho.reshape(shape), res.reshape(shape)
-    if (rho <= 0).any() if shape else rho <= 0:  # one matrix's rho is a Python float
+        rho, res = rho.reshape(shape), (np.sqrt(left) + np.sqrt(right)).reshape(shape)
+    if (rho <= 0).any() if shape else rho <= 0:
         raise DegenerateNormalizationError(f"estimated rho = {np.nanmin(rho):.3e} is not positive")
     return rho, res
-
-
-def _unitarity_block(r, rconj, start: int) -> tuple:
-    """(rho_est, residual) of ``unitarity_residual`` for one block of a stack, whose first
-    matrix is at index ``start``."""
-    x = np.stack(weights("unitarity_residual", ("r", "rconj"), r, rconj, start=start), axis=1)
-    x = x.reshape(4, 2, 2, -1)  # (entry, block, side, n)
-    m = block_product(x, x[:, :, ::-1])  # side 0 is R rconj, side 1 rconj R
-    rho = (m[0][:, 0] + m[3][:, 0]).sum(axis=0).real / 4.0
-    return rho, np.sqrt(defect(m, rho).sum(axis=0)).sum(axis=0)
 
 
 def conjugate_partner(
@@ -273,19 +229,17 @@ def _normalization(spec: FamilySpec | FamilySpecs, kind: str, value, form: str =
     return x, view, ref, g * g * _rho_at(spec, x)
 
 
-def inverse_unitarity(builder: Callable[[complex], np.ndarray], x,
+def inverse_unitarity(r: np.ndarray, rinv: np.ndarray,
                       tol: float = TOLERANCES["inverse-unitarity"]):
-    """Proportionality scalar of R(x) R(1/x), which must be a multiple of 1.
+    """Proportionality scalar of R(x) R(1/x), which must be a multiple of 1, from r = R(x) and
+    rinv = R(1/x): two matrices or two stacks, dense or ``WeightRows``.
 
-    The scalars come in the shape of x, from two builder stacks, R(x) and R(1/x), dense or
-    ``WeightRows``; an x = 0, or a product not proportional to 1, at any entry is an error.
-    Both must be eight-vertex (``linalg.weights``); their product is ``linalg.block_product``,
-    block by block, on Python complex numbers for one dense matrix and on entry rows else.
+    The scalars come in the shape of the stack; a product not proportional to 1 at any item
+    is a NotProportionalError. Both must be eight-vertex (``linalg.weights``); their product
+    is ``linalg.block_product``, block by block, on Python complex numbers for one dense
+    matrix and on entry rows else.
     """
-    x = np.asarray(x)
-    if np.any(x == 0):
-        raise DomainError("inverse unitarity needs x != 0")
-    (r, rinv), shape = stacks(builder(x), builder(1 / x))
+    (r, rinv), shape = stacks(r, rinv)
     wr, wi = weights("inverse_unitarity", ("R(x)", "R(1/x)"), r, rinv)
     mo, mi = block_product(wr[0::2], wi[0::2]), block_product(wr[1::2], wi[1::2])
     scalar = ((mo[0] + mo[3]) + (mi[0] + mi[3])) / 4.0
@@ -318,10 +272,15 @@ def inverse_unitarity_expected(spec: FamilySpec, x: complex) -> complex:
 
 def family_inverse_unitarity(spec: FamilySpec, x) -> tuple:
     """(measured, expected) inverse-unitarity scalar in the family's reference view; an
-    array of x gives a pair of arrays, measured from one stack each of R(x) and R(1/x)."""
+    array of x gives a pair of arrays, measured from one stack each of R(x) and R(1/x). An
+    x = 0 at any entry is a DomainError."""
+    xs = np.asarray(x)
+    if np.any(xs == 0):
+        raise DomainError("inverse unitarity needs x != 0")
     form = "g" if spec.family is Family.EIGHT_IV else "canonical"
-    measured = inverse_unitarity(_row_builder(spec, "x", form=form), x)
-    return measured, inverse_unitarity_expected(spec, np.asarray(x) if np.ndim(x) else x)
+    measured = inverse_unitarity(_bounded_rows(spec, "x", xs, form=form),
+                                 _bounded_rows(spec, "x", 1 / xs, form=form))
+    return measured, inverse_unitarity_expected(spec, xs if xs.ndim else x)
 
 
 @dataclass
@@ -436,127 +395,63 @@ _QYBE_LAWS = {
 }
 
 
-class ScanJob(NamedTuple):
-    """One seeded scan up to its kernel: the seeded draw and the row build, done.
-
-    ``operands`` hold the samples on their last axis; ``kernel`` maps operands to per-sample
-    arrays, the gaps first; ``chunk`` is the most samples of grouped jobs a pass gives the
-    kernel in one call, the kernel's own block (``linalg._BLOCK`` for ``strand_gap``), so a
-    group is never split again; ``case(k, *outputs)`` is the report's worst case at sample
-    k, from the draw and the kernel's other outputs.
-    """
-
-    kernel: Callable
-    chunk: int
-    operands: tuple
-    case: Callable
-
-    @property
-    def samples(self) -> int:
-        return self.operands[0].shape[-1]
-
-
-def _braid_kernel(w):
-    return (braid_residual(WeightRows(w)),)
-
-
-def _qybe_kernel(w):
-    return (strand_gap(*WeightRows(w)),)
-
-
-def _unitarity_kernel(w, rho_ref):
-    return _unitarity_gaps(WeightRows(w), rho_ref)
-
-
-def braid_job(family: Family, samples: int, seed: int) -> ScanJob:
-    """The job of ``scan_braid``: seeded parameter points and their braid matrices as rows."""
+def braid_job(family: Family, samples: int, seed: int) -> tuple:
+    """(rows, case) of ``scan_braid``: the braid matrices at seeded parameter points as weight
+    rows, and the report's worst case at sample k."""
     specs = sample_specs(family, np.random.default_rng(seed), samples)
 
     def case(k):
         spec = specs[k]
         return {"q": _cpair(spec.q), "t": _cpair(spec.t), "sign": spec.sign.value}
-    rows = braid_rows(family, specs.q, specs.t, specs.s)
-    return ScanJob(_braid_kernel, _BLOCK, (rows.w,), case)
+    return braid_rows(family, specs.q, specs.t, specs.s), case
 
 
 def qybe_job(spec: FamilySpec, kind: str = "x", samples: int = 50, seed: int = 42,
-             ordering: EigOrdering | None = None) -> ScanJob:
-    """The job of ``scan_qybe``: seeded spectral pairs and R(a), R(a o b), R(b) as one (3, n)
-    stack of rows, under the entry bound. A (family, kind) pair outside
-    ``QYBE_PARAMETRIZATIONS`` is a ValueError."""
+             ordering: EigOrdering | None = None) -> tuple:
+    """(rows, case) of ``scan_qybe``: R(a), R(a o b) and R(b) at seeded spectral pairs as one
+    (3, n) stack of rows, under the entry bound, and the report's worst case at pair k. A
+    (family, kind) pair outside ``QYBE_PARAMETRIZATIONS`` is a ValueError."""
     kinds = QYBE_PARAMETRIZATIONS.get(spec.family, ())
     if kind not in kinds:
         raise ValueError(f"{spec.family.value} has no QYBE composition law in the {kind!r} "
                          f"parametrization; it has {', '.join(kinds) or 'none'}")
     draw, compose = _QYBE_LAWS[kind]
     pairs = np.asarray(draw(spec, np.random.default_rng(seed), samples), dtype=complex)
-    rows = _row_builder(spec, kind, ordering)(_composed(pairs[:, 0], pairs[:, 1], compose))
+    a, b = pairs[:, 0], pairs[:, 1]
 
     def case(k):
-        return {"first": _cpair(pairs[k, 0]), "second": _cpair(pairs[k, 1]), "kind": kind}
-    return ScanJob(_qybe_kernel, _BLOCK, (rows.w,), case)
+        return {"first": _cpair(a[k]), "second": _cpair(b[k]), "kind": kind}
+    return _bounded_rows(spec, kind, np.stack([a, compose(a, b), b]), ordering), case
 
 
 def unitarity_job(family: Family, samples: int = 100, seed: int = 42,
-                  imaginary_t: bool = False) -> ScanJob:
-    """The job of ``scan_unitarity``: seeded domain points, R(x) as rows and the closed-form
-    rho of each (through the gauge table)."""
+                  imaginary_t: bool = False) -> tuple:
+    """(rows, rho_ref, case) of ``scan_unitarity``: R(x) at seeded domain points as rows, the
+    closed-form rho of each (through the gauge table), and the report's worst case at sample
+    k, given the estimated rhos."""
     rng = np.random.default_rng(seed)
     specs = sample_specs(family, rng, samples, imaginary_t)
     x = sample_x(specs, rng, len(specs))
-    rho_ref = norm_factor(specs, "x", x)
+    rho_ref = norm_factor(specs, "x", x)  # first: its domain check names an off-domain x
 
     def case(k, rho_est):
         spec = specs[k]
         return {"q": _cpair(spec.q), "t": _cpair(spec.t), "x": _cpair(x[k]),
                 "sign": spec.sign.value, "rho": float(rho_est[k])}
-    return ScanJob(_unitarity_kernel, _UNITARITY_BLOCK, (R_rows(specs, "x", x).w, rho_ref), case)
+    return R_rows(specs, "x", x), rho_ref, case
 
 
-def _runs(jobs):
-    """The kernel calls of ``scan_gaps``, each a list of whole jobs in order: consecutive
-    jobs while their samples total at most the jobs' ``chunk``; a larger job goes alone,
-    since the kernels block a stack themselves."""
-    run, width = [], 0
-    for job in jobs:
-        if run and width + job.samples > job.chunk:
-            yield run
-            run, width = [], 0
-        run.append(job)
-        width += job.samples
-    if run:
-        yield run
-
-
-def scan_gaps(jobs) -> tuple:
-    """The kernel outputs of every sample of ``jobs``, which share one kernel, in job order:
-    a tuple of arrays, the gaps first, for ``worst`` to reduce.
-
-    Whole jobs are grouped into kernel calls of at most the jobs' ``chunk`` samples (a larger
-    job is one call by itself), so a single job is one kernel call on its own operands and
-    only a group of jobs is concatenated. ``jobs`` may be a generator: it is consumed as the
-    pass reaches each job, so only the jobs of the open group are alive. The arithmetic of a
-    sample does not depend on its group.
-    """
-    parts = []
-    for run in _runs(jobs):
-        operands = run[0].operands if len(run) == 1 else [
-            np.concatenate(p, axis=-1) for p in zip(*(job.operands for job in run))]
-        parts.append(run[0].kernel(*operands))
-    return parts[0] if len(parts) == 1 else tuple(np.concatenate(p) for p in zip(*parts))
-
-
-def _report(job: ScanJob, tol: float) -> ResidualReport:
-    """The one-job scan: the largest gap of ``scan_gaps``, and its worst case."""
-    gaps, *outputs = scan_gaps([job])
+def _report(gaps, tol: float, case, *outputs) -> ResidualReport:
+    """A scan's report: the largest of its ``gaps``, and its worst case from ``case``."""
     residual, k = worst(gaps, range(len(gaps)))
-    return ResidualReport(residual=residual, tolerance=tol, worst_case=job.case(k, *outputs))
+    return ResidualReport(residual=residual, tolerance=tol, worst_case=case(k, *outputs))
 
 
 def scan_braid(family: Family, samples: int, seed: int,
                tol: float = TOLERANCES["braid"]) -> ResidualReport:
     """Max braid residual of the braid matrix over seeded parameter points."""
-    return _report(braid_job(family, samples, seed), tol)
+    rows, case = braid_job(family, samples, seed)
+    return _report(braid_residual(rows), tol, case)
 
 
 def scan_qybe(
@@ -572,7 +467,8 @@ def scan_qybe(
 
     A (family, kind) pair outside ``QYBE_PARAMETRIZATIONS`` is a ValueError.
     """
-    return _report(qybe_job(spec, kind, samples, seed, ordering), tol)
+    rows, case = qybe_job(spec, kind, samples, seed, ordering)
+    return _report(strand_gap(*rows), tol, case)
 
 
 def scan_unitarity(
@@ -587,7 +483,9 @@ def scan_unitarity(
     Also cross-checks the estimated rho against the closed formula (through
     the gauge table); the worst residual covers both gaps.
     """
-    return _report(unitarity_job(family, samples, seed, imaginary_t), tol)
+    rows, rho_ref, case = unitarity_job(family, samples, seed, imaginary_t)
+    gaps, rho_est = _unitarity_gaps(rows, rho_ref)
+    return _report(gaps, tol, case, rho_est)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from yaxter.catalog import FamilySpec
 from yaxter.cli import COMMANDS, build_parser, dumps_17g, main
 from yaxter.dynamics import hamiltonian_closed
-from yaxter.linalg import mat_from_json
+from yaxter.linalg import WeightRows, mat_from_json
 from yaxter.verify import TOLERANCES
 
 
@@ -35,8 +35,8 @@ def test_suite_with_a_nan_criterion_prints_the_failing_report(capsys, monkeypatc
     real = suite.braid_job
 
     def nan_job(*args, **kwargs):  # every braid matrix of criterion 1 NaN
-        job = real(*args, **kwargs)
-        return job._replace(operands=(np.full_like(job.operands[0], np.nan),))
+        rows, case = real(*args, **kwargs)
+        return WeightRows(np.full_like(rows.w, np.nan)), case
 
     monkeypatch.setattr(suite, "braid_job", nan_job)
     code, out, err = run_cli(capsys, "suite")
@@ -98,6 +98,35 @@ def test_check_unitarity_single_point(capsys):
     report = json.loads(out)
     assert report["pass"] and report["residual"] < 1e-10
     assert report["rho"] == pytest.approx(4 * (np.sinh(0.3) ** 2 + np.sin(0.6) ** 2))
+
+
+#: each R family's parameters, and a point of each of its views inside its unitary domain
+UNITARITY_VIEWS = [
+    (("six-nonstd", "--gamma", "0.3"), ("--x-re", "0.6", "--x-im", "0.8"), ("--theta", "0.6"),
+     ("--u-im", "0.3")),
+    (("six-std", "--gamma", "0.45"), ("--x-re", "0.6", "--x-im", "0.8"), ("--theta", "0.6"),
+     ("--u-im", "0.3")),
+    (("eight1", "--phi", "0.2"), ("--x", "0.5"), ("--theta", "0.785"), ("--u", "0.3")),
+    (("eight2", "--t", "1.7", "--phi", "0.4"), ("--x-re", "0.6", "--x-im", "0.8"),
+     ("--theta", "0.8"), ("--u-im", "0.3")),
+    (("eight3", "--t", "2.1", "--phi", "0.33"), ("--x-re", "0.6", "--x-im", "-0.8"),
+     ("--theta", "0.8"), ("--u-im", "0.3")),
+    (("eight4", "--t", "1.6", "--q", "1"), ("--x-re", "0.28", "--x-im", "-0.96"),
+     ("--theta", "0.4"), ("--u-im", "0.3")),
+    (("eight4", "--t-im", "1.5", "--q", "1"), ("--x", "0.3"), ("--u", "0.3")),
+]
+
+
+@pytest.mark.parametrize("family,view", [(family, view) for family, *views in UNITARITY_VIEWS
+                                         for view in views],
+                         ids=lambda v: "-".join(v).replace("--", ""))
+def test_check_unitarity_prints_the_rho_its_gap_compares_against(capsys, family, view):
+    # rho_formula is the closed form in the gauge of the checked matrix, the one rho_est meets
+    code, out, _ = run_cli(capsys, "check", "unitarity", "--family", *family, *view)
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"]
+    assert report["rho_formula"] == pytest.approx(report["rho"], rel=1e-12, abs=0)
 
 
 def test_check_braid_scan(capsys):

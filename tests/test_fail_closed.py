@@ -63,10 +63,10 @@ def _values(out) -> int:
 
 # (criterion, function it calls from the suite module, field that must turn NaN)
 INJECTIONS = [
-    (suite.criterion_braid, "scan_gaps", "max_residual"),
+    (suite.criterion_braid, "braid_residual", "max_residual"),
     (suite.criterion_qybe, "qybe_bound", "max_bound"),
     (suite.criterion_asymptotics, "frobenius", "max_residual"),
-    (suite.criterion_unitarity, "scan_gaps", "max_residual"),
+    (suite.criterion_unitarity, "_unitarity_gaps", "max_residual"),
     (suite.criterion_unitarity, "unitarity_residual", "min_off_domain_residual"),
     (suite.criterion_inverse_unitarity, "family_inverse_unitarity", "max_gap_compatible"),
     (suite.criterion_universality, "det_b_closed", "max_det_gap"),
@@ -107,7 +107,7 @@ NAN4 = np.full((4, 4), NAN, dtype=complex)
 GUARDS = {
     "spectral_projectors": lambda: spectral_projectors(NAN4, 1.0, -1.0),
     "inverse": lambda: inverse(NAN4),
-    "inverse_unitarity": lambda: inverse_unitarity(lambda x: NAN4, 0.5),
+    "inverse_unitarity": lambda: inverse_unitarity(NAN4, NAN4),
     "Hamiltonian": lambda: Hamiltonian(NAN4, HamiltonianSource.CLOSED_FORM,
                                        FamilySpec.eight1(phi=0.0), SpectralPoint.from_theta(0.1)),
     "OneQubitGate": lambda: OneQubitGate(np.full((2, 2), NAN, dtype=complex), "nan"),

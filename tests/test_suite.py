@@ -1,7 +1,7 @@
 """Criteria 5, 6 and 8 evaluate their samples as stacks. The per-point loops they
 replaced are kept here as references: at the CI seeds each criterion passes and
-its figure agrees with its loop to rounding. Criteria 1 and 4 run their families'
-scan jobs through one kernel pass, criterion 2 certifies the coefficient tables of
+its figure agrees with its loop to rounding. Criteria 1 and 4 join their families'
+scan jobs into one kernel call, criterion 2 certifies the coefficient tables of
 all its (family, ordering) pairs in one certificate call per coefficient count, and
 criterion 7 runs ten exact-generator jobs through one pass and takes one closed-form
 stack per spec; the per-family or per-pair formulation they replaced is kept here too,
@@ -13,18 +13,18 @@ import json
 import numpy as np
 import pytest
 
-from yaxter import baxterize, cli, dynamics, suite, verify
+from yaxter import baxterize, cli, dynamics, suite
 from yaxter.baxterize import SpectralPoint
-from yaxter.catalog import Family, FamilySpec, Sign
+from yaxter.catalog import Family, FamilySpec, Sign, braid_residual
 from yaxter.dynamics import (evolve, exact_generators, gauge_unitary, hamiltonian,
                              hamiltonian_closed, six_vertex_erratum_report)
 from yaxter.entangle import (classification_gauge_R, concurrence_det, det_b_closed,
                              product_state, state)
 from yaxter.gates import SIGMA_MINUS, SIGMA_PLUS, tensor
-from yaxter.linalg import dagger, frobenius, hermiticity_defect, identity
-from yaxter.verify import (TOLERANCES, braid_job, certify_qybe, family_inverse_unitarity, qybe_job,
-                           rho_formula, sample_specs, sample_x, scan_braid, scan_gaps,
-                           scan_unitarity, unitarity_job, unitarity_residual, worst)
+from yaxter.linalg import WeightRows, dagger, frobenius, hermiticity_defect, identity
+from yaxter.verify import (TOLERANCES, _unitarity_gaps, braid_job, certify_qybe,
+                           family_inverse_unitarity, rho_formula, sample_specs, sample_x,
+                           scan_braid, scan_unitarity, unitarity_job, unitarity_residual, worst)
 
 SEEDS = [42, 1, 7, 123]
 
@@ -325,7 +325,8 @@ JOB_CRITERIA = {
 
 def _poison_jobs(monkeypatch, name: str, nans: dict) -> None:
     """Make ``suite.<name>`` put a NaN into sample ``nans[k]`` of the rows of its job k, a
-    ``ScanJob`` or the rows themselves; the index wraps around the job's samples."""
+    tuple with the weight rows first or the rows themselves; the index wraps around the
+    job's samples."""
     real, made = getattr(suite, name), [0]
 
     def poisoned(*args, **kwargs):
@@ -333,11 +334,11 @@ def _poison_jobs(monkeypatch, name: str, nans: dict) -> None:
         k, made[0] = made[0], made[0] + 1
         if k not in nans:
             return job
-        rows = (job if isinstance(job, np.ndarray) else job.operands[0]).copy()
+        rows = (job if isinstance(job, np.ndarray) else job[0].w).copy()
         rows[..., nans[k] % rows.shape[-1]] = np.nan
         if isinstance(job, np.ndarray):
             return rows
-        return job._replace(operands=(rows, *job.operands[1:]))
+        return (WeightRows(rows), *job[1:])
 
     monkeypatch.setattr(suite, name, poisoned)
 
@@ -355,72 +356,41 @@ def test_a_nan_in_one_job_fails_the_criterion_and_names_the_first_such_job(monke
 
 
 # ---------------------------------------------------------------------------
-# The pass over grouped jobs: job sets around the group size give each job's own scan.
+# Criteria 1 and 4 join their jobs' rows into one kernel call: job sets around the strand
+# kernel's block of 128 triples give each job's own scan gaps.
 
-SIZES = [(37, 128, 300), (300, 37, 128), (128, 37, 300, 1)]
-PASS_JOBS = {
-    "braid": lambda n, k: braid_job(list(Family)[k % 7], n, 60 + k),
-    "qybe": lambda n, k: qybe_job(suite.representative_spec(Family.EIGHT_IV),
-                                  ("x", "theta", "u")[k % 3], n, 70 + k),
-    "unitarity": lambda n, k: unitarity_job(suite.R_FAMILIES[k % 6], n, 80 + k,
-                                            imaginary_t=k == 2),
-}
+SIZES = [(100,) * 7, (37, 128, 300), (300, 37, 128), (128, 37, 300, 1)]
 
 
-@pytest.mark.parametrize("what", PASS_JOBS)
+def _joined_braid(sizes) -> tuple:
+    """(outputs of the joined call, outputs of each job's own call) for braid jobs."""
+    rows = [braid_job(list(Family)[k % 7], n, 60 + k)[0] for k, n in enumerate(sizes)]
+    return (braid_residual(suite._joined(rows)),), [(braid_residual(r),) for r in rows]
+
+
+def _joined_unitarity(sizes) -> tuple:
+    """(outputs of the joined call, outputs of each job's own call) for unitarity jobs."""
+    jobs = [unitarity_job(suite.R_FAMILIES[k % 6], n, 80 + k, imaginary_t=k == 2)[:2]
+            for k, n in enumerate(sizes)]
+    rows, rho_ref = zip(*jobs)
+    return (_unitarity_gaps(suite._joined(rows), np.concatenate(rho_ref)),
+            [_unitarity_gaps(*job) for job in jobs])
+
+
+@pytest.mark.parametrize("join", [_joined_braid, _joined_unitarity], ids=["braid", "unitarity"])
 @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: "-".join(map(str, s)))
-@pytest.mark.parametrize("chunk", [128, 400])
-def test_a_pass_over_several_jobs_is_bitwise_each_jobs_own_scan(what, sizes, chunk):
-    jobs = [PASS_JOBS[what](n, k)._replace(chunk=chunk) for k, n in enumerate(sizes)]
-    packed = scan_gaps(jobs)
+def test_a_joined_stack_is_bitwise_each_jobs_own_scan(join, sizes):
+    joined, alone = join(sizes)
     ends = np.cumsum((0,) + sizes)
-    for k, job in enumerate(jobs):
-        alone = scan_gaps([job])
-        for got, want in zip(packed, alone):
+    for k, outputs in enumerate(alone):
+        for got, want in zip(joined, outputs):
             assert np.array_equal(got[ends[k]:ends[k + 1]], want)
-    assert len(packed[0]) == ends[-1]
+    assert len(joined[0]) == ends[-1]
 
 
-def _run_layout(sizes, chunk):
-    """``verify._runs`` over stand-in jobs of ``sizes`` samples, as lists of job indices."""
-    jobs = [verify.ScanJob(None, chunk, (np.empty((1, n)),), k) for k, n in enumerate(sizes)]
-    return [[job.case for job in run] for run in verify._runs(iter(jobs))]
-
-
-def test_the_runs_group_whole_jobs_up_to_the_chunk_and_give_a_larger_job_alone():
-    strand = braid_job(Family.EIGHT_II, 1, 1).chunk
-    unitarity = unitarity_job(Family.EIGHT_II, 1).chunk
-    assert qybe_job(suite.representative_spec(Family.EIGHT_II), samples=1).chunk == strand
-    assert _run_layout([100] * 7, strand) == [[k] for k in range(7)]  # criterion 1
-    assert _run_layout([50] * 16, strand) == [[k, k + 1] for k in range(0, 16, 2)]
-    assert _run_layout([100] * 7, unitarity) == [[0, 1, 2, 3], [4, 5, 6]]  # criterion 4
-    assert _run_layout([37, 128, 300], 128) == [[0], [1], [2]]
-    assert _run_layout([300, 50, 40, 1000, 1], 128) == [[0], [1, 2], [3], [4]]
-    assert _run_layout([1000], 128) == [[0]]
-    assert _run_layout([0, 0], 128) == [[0, 1]]
-    assert _run_layout([], 128) == []
-
-
-def test_a_pass_builds_each_job_as_it_reaches_it():
-    # a generator of jobs is consumed one job ahead of the kernel calls
-    built, seen = [], []
-    real = verify._braid_kernel
-
-    def jobs():
-        for k in range(5):
-            built.append(k)
-            yield braid_job(list(Family)[k], 50, k)
-
-    def kernel(w):
-        seen.append((len(built), w.shape[-1]))
-        return real(w)
-
-    gaps = scan_gaps(job._replace(kernel=kernel, chunk=100) for job in jobs())[0]
-    assert gaps.shape == (250,) and seen == [(3, 100), (5, 100), (5, 50)]
-
-
-def test_a_pass_over_empty_jobs_gives_empty_gaps_that_no_check_takes():
-    (gaps,) = scan_gaps([braid_job(Family.EIGHT_II, 0, 1)])
+def test_empty_jobs_give_empty_gaps_that_no_check_takes():
+    rows, _ = braid_job(Family.EIGHT_II, 0, 1)
+    gaps = braid_residual(suite._joined([rows, rows]))
     assert gaps.shape == (0,)
     with pytest.raises(ValueError, match="at least one sample"):
-        suite._worst_job([braid_job(Family.EIGHT_II, 0, 1)] * 2, ["eight2"] * 2, 1)
+        suite._worst_job(gaps, ["eight2"] * 2, 1)

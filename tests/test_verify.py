@@ -16,7 +16,7 @@ from yaxter.verify import (
     family_inverse_unitarity,
     inverse_unitarity,
     matrix_norm_factor,
-    qybe_residual,
+    qybe_job,
     rho_formula,
     sample_spec,
     sample_specs,
@@ -26,8 +26,9 @@ from yaxter.verify import (
     scan_unitarity,
     unitarity_gap,
     unitarity_residual,
-    _row_builder,
     worst,
+    _bounded_rows,
+    _QYBE_LAWS,
 )
 
 X = SpectralPoint.from_x
@@ -44,75 +45,54 @@ R_FAMILIES = [Family.SIX_NONSTD, Family.SIX_STD, Family.EIGHT_I,
 
 # --- QYBE ----------------------------------------------------------------------
 
-def test_qybe_identity_builder_is_exact():
-    builder = lambda x: np.broadcast_to(identity(4), (*np.shape(x), 4, 4))
-    assert qybe_residual(builder, 0.3 + 0.1j, 2.0) == 0.0
+def qybe_rows(spec, kind, a, b, ordering=None):
+    """R(a), R(a o b) and R(b) under the ``kind`` law as one (3, ...) stack of bounded rows:
+    the rows ``qybe_job`` builds from its draw, here at given pairs."""
+    values = np.broadcast_arrays(a, _QYBE_LAWS[kind][1](a, b), b)
+    return _bounded_rows(spec, kind, np.stack(values), ordering)
 
 
-@pytest.mark.parametrize("compose", [operator.mul, operator.add, compose_u])
-def test_qybe_residual_builds_each_matrix_once(compose):
+def test_qybe_identity_is_exact():
+    assert strand_gap(identity(4), identity(4), identity(4)) == 0.0
+
+
+@pytest.mark.parametrize("kind,compose", [("x", operator.mul), ("theta", operator.add),
+                                          ("u", compose_u)])
+@pytest.mark.parametrize("samples", [1, 40])
+def test_a_qybe_job_builds_one_stack_of_a_composed_and_b(kind, compose, samples):
     spec = FamilySpec.eight3(t=2.1, q=np.exp(0.33j))
-    build = dense_builder(spec, "u")
-    calls = []
-
-    def builder(value):
-        calls.append(value)
-        return build(value)
-
-    a, b = 0.3 + 0.1j, -0.2 + 0.4j
-    res = qybe_residual(builder, a, b, compose)
-    assert len(calls) == 1 and np.array_equal(calls[0], [a, compose(a, b), b])
-    assert res == strand_gap(build(a), build(compose(a, b)), build(b))
+    rows, case = qybe_job(spec, kind, samples, seed=67)
+    pairs = np.asarray(_QYBE_LAWS[kind][0](spec, np.random.default_rng(67), samples))
+    a, b = pairs[:, 0], pairs[:, 1]
+    build = dense_builder(spec, kind)
+    assert np.array_equal(rows.dense(), build(np.stack([a, compose(a, b), b])))
+    assert np.array_equal(strand_gap(*rows), strand_gap(build(a), build(compose(a, b)), build(b)))
+    assert case(samples - 1)["second"] == [b[-1].real, b[-1].imag]
 
 
 def test_qybe_six_nonstd_unit_circle():
-    spec = FamilySpec.six_nonstd(q=np.exp(0.3))
-    builder = dense_builder(spec, "x")
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        x, y = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
-        assert qybe_residual(builder, x, y) < 1e-10
+    assert scan_qybe(FamilySpec.six_nonstd(q=np.exp(0.3)), "x", samples=50, seed=0,
+                     tol=1e-10).passed
 
 
 def test_qybe_eight1_real_x():
-    spec = FamilySpec.eight1(q=1j)
-    builder = dense_builder(spec, "x")
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        x, y = rng.uniform(0.05, 2.0, 2)
-        assert qybe_residual(builder, x, y) < 1e-10
+    assert scan_qybe(FamilySpec.eight1(q=1j), "x", samples=50, seed=1, tol=1e-10).passed
 
 
 def test_qybe_additive_six_nonstd():
     spec = FamilySpec.six_nonstd(gamma=0.3)
-    builder = dense_builder(spec, "theta")
-    assert qybe_residual(builder, 0.0, 0.0, operator.add) < 1e-12
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        t1, t2 = rng.uniform(-1.2, 1.2, 2)
-        assert qybe_residual(builder, t1, t2, operator.add) < 1e-10
+    assert strand_gap(*qybe_rows(spec, "theta", 0.0, 0.0)) < 1e-12
+    assert scan_qybe(spec, "theta", samples=50, seed=2, tol=1e-10).passed
 
 
 def test_qybe_rational_eight1():
-    spec = FamilySpec.eight1(phi=0.7)
-    builder = dense_builder(spec, "u")
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        u = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-        v = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-        if abs(1 + u * v) < 0.3:
-            continue
-        assert qybe_residual(builder, u, v, compose_u) < 1e-10
+    assert scan_qybe(FamilySpec.eight1(phi=0.7), "u", samples=50, seed=3, tol=1e-10).passed
 
 
 @pytest.mark.parametrize("ordering", [EigOrdering.FIRST, EigOrdering.SECOND])
 def test_qybe_three_eigenvalue_orderings(ordering):
     spec = FamilySpec.eight3(t=2.1, q=np.exp(0.33j))
-    builder = dense_builder(spec, "x", ordering=ordering)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        x, y = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
-        assert qybe_residual(builder, x, y) < 1e-9
+    assert scan_qybe(spec, "x", samples=20, seed=5, ordering=ordering).passed
 
 
 # --- unitarity ------------------------------------------------------------------
@@ -245,23 +225,29 @@ def test_unitarity_fails_for_nonreal_q_six_vertex():
 
 # --- inverse unitarity ------------------------------------------------------------
 
+def dense_pair(spec, x, form="canonical"):
+    """R(x) and R(1/x) on ``R_rows``' dense edge: the operands of ``inverse_unitarity``."""
+    build, x = dense_builder(spec, "x", form=form), np.asarray(x)
+    return build(x), build(1 / x)
+
+
 def test_inverse_unitarity_eight1_at_one():
     spec = FamilySpec.eight1(phi=0.8)
-    measured = inverse_unitarity(dense_builder(spec, "x"), 1.0)
+    measured = inverse_unitarity(*dense_pair(spec, 1.0))
     assert abs(measured - 4.0) < 1e-13
 
 
 def test_inverse_unitarity_six_vertex_value():
     spec = FamilySpec.six_nonstd(q=np.exp(0.3))
     x = np.exp(0.5j)
-    measured = inverse_unitarity(dense_builder(spec, "x"), x)
+    measured = inverse_unitarity(*dense_pair(spec, x))
     assert abs(measured - (2 * np.cosh(0.6) - 2 * np.cos(0.5))) < 1e-13
 
 
 def test_inverse_unitarity_eight3_t_one():
     spec = FamilySpec.eight3(t=1.0, q=np.exp(0.4j))
     for x in (0.3 + 0.2j, 2.0, np.exp(1.1j)):
-        assert abs(inverse_unitarity(dense_builder(spec, "x"), x) - 4.0) < 1e-12
+        assert abs(inverse_unitarity(*dense_pair(spec, x)) - 4.0) < 1e-12
 
 
 @pytest.mark.parametrize("family", R_FAMILIES)
@@ -276,7 +262,7 @@ def test_inverse_unitarity_matches_expected(family):
 
 def test_inverse_unitarity_rejects_non_proportional():
     with pytest.raises(NotProportionalError):
-        inverse_unitarity(lambda x: np.diag([1, 2, 3, 4]).astype(complex), 0.5)
+        inverse_unitarity(np.diag([1, 2, 3, 4]).astype(complex), np.diag([1, 2, 3, 4]))
 
 
 def test_compatibility_split():
@@ -322,25 +308,18 @@ def test_a_bad_x_in_an_inverse_unitarity_stack_raises(bad, error):
 
 
 def test_a_stack_with_one_product_not_proportional_to_1_is_rejected():
-    def builder(x):
-        r = np.broadcast_to(identity(4), (len(x), 4, 4)).copy()
-        r[1] = np.diag([1, 2, 3, 4])
-        return r
+    r = np.broadcast_to(identity(4), (3, 4, 4)).copy()
+    r[1] = np.diag([1, 2, 3, 4])
     with pytest.raises(NotProportionalError):
-        inverse_unitarity(builder, np.array([0.5, 0.7, 0.9]))
+        inverse_unitarity(r, r)
 
 
 @pytest.mark.parametrize("sequence", [list, tuple])
 def test_inverse_unitarity_takes_a_list_or_tuple_of_x(sequence):
     spec = FamilySpec.eight3(t=2.0, q=np.exp(0.4j))
-    builder = dense_builder(spec, "x")
     xs = np.exp(1j * np.linspace(0.3, 2.0, 5))
-    assert np.array_equal(inverse_unitarity(builder, sequence(xs.tolist())),
-                          inverse_unitarity(builder, xs))
     got = family_inverse_unitarity(spec, sequence(xs.tolist()))
     assert all(map(np.array_equal, got, family_inverse_unitarity(spec, xs)))
-    with pytest.raises(DomainError, match="x != 0"):
-        inverse_unitarity(builder, sequence([0.5, 0.0]))
     with pytest.raises(DomainError, match="x != 0"):
         family_inverse_unitarity(spec, sequence([0.5, 0.0]))
 
@@ -427,14 +406,13 @@ QYBE_PAIRS = [(family, kind, None) for family, kinds in QYBE_PARAMETRIZATIONS.it
                          ids=lambda v: getattr(v, "value", v))
 def test_batched_qybe_residuals_match_the_per_sample_loop(family, kind, ordering):
     from yaxter.suite import representative_spec
-    from yaxter.verify import _QYBE_LAWS
 
     spec = representative_spec(family)
     draw, compose = _QYBE_LAWS[kind]
     rng = np.random.default_rng(41)
     pairs = np.array([draw(spec, rng) for _ in range(50)], dtype=complex)
     builder = dense_builder(spec, kind, ordering=ordering)
-    batched = qybe_residual(builder, pairs[:, 0], pairs[:, 1], compose)
+    batched = strand_gap(*qybe_job(spec, kind, 50, 41, ordering)[0])
     assert batched.shape == (50,)
     for (a, b), got in zip(pairs, batched):
         mats = (builder(a), builder(compose(a, b)), builder(b))
@@ -657,9 +635,8 @@ def test_scan_qybe_rejects_a_pair_outside_the_table(spec, kind):
 
 @pytest.mark.parametrize("value", [0.5, np.array([0.5, 0.7])])
 def test_entries_beyond_the_product_bound_are_a_domain_error(value):
-    builder = _row_builder(FamilySpec.eight3(t=1e60, q=1.0), "x")
     with pytest.raises(DomainError, match=r"t = 1e\+60, x = 0\.5: an R-matrix entry"):
-        builder(value)
+        _bounded_rows(FamilySpec.eight3(t=1e60, q=1.0), "x", value)
 
 
 def test_entries_below_the_product_bound_give_finite_residuals():
@@ -684,28 +661,10 @@ def test_overflowing_checks_raise_before_any_product(check):
 
 # --- the eight-vertex contract of the three-strand kernel ----------------------------
 
-def test_batched_qybe_residual_builds_one_stack_of_a_composed_and_b():
-    spec = FamilySpec.eight2(t=1.7, q=np.exp(0.4j))
-    build = dense_builder(spec, "u")
-    calls = []
-
-    def builder(value):
-        calls.append(value)
-        return build(value)
-
-    rng = np.random.default_rng(67)
-    a, b = (rng.uniform(-0.5, 0.5, (2, 40)) + 1j * rng.uniform(-0.5, 0.5, (2, 40)))
-    res = qybe_residual(builder, a, b, compose_u)
-    assert len(calls) == 1
-    assert np.array_equal(calls[0], [a, compose_u(a, b), b])
-    assert np.array_equal(res, strand_gap(build(a), build(compose_u(a, b)), build(b)))
-
-
 def test_batched_qybe_bound_names_the_first_value_in_a_composed_b_order():
     # sample 0 fails only at b (x = 6), sample 1 only at a o b (x = 5): a o b comes first
-    builder = _row_builder(FamilySpec.eight3(t=1e50, q=1.0), "x")
     with pytest.raises(DomainError, match=r"x = 5: an R-matrix entry"):
-        qybe_residual(builder, np.array([0.1, 2.5]), np.array([6.0, 2.0]))
+        qybe_rows(FamilySpec.eight3(t=1e50, q=1.0), "x", np.array([0.1, 2.5]), np.array([6.0, 2.0]))
 
 
 #: the entries an eight-vertex matrix may have nonzero: row and column bits of equal parity
@@ -793,10 +752,12 @@ def _pairs(rng, n, draw):
     return r[keep[:n]], rconj[keep[:n]]
 
 
-def test_unitarity_residual_on_gaussian_integers_is_bitwise_the_dense_reference():
-    # weights in {-3..3} + i{-3..3}: every product, rho and sum of squares is exact
+@pytest.mark.parametrize("n", [300, 700, 1000])
+def test_unitarity_residual_on_gaussian_integers_is_bitwise_the_dense_reference(n):
+    # weights in {-3..3} + i{-3..3}: every product, rho and sum of squares is exact, so a
+    # stack and its single matrices agree bitwise
     rng = np.random.default_rng(79)
-    r, rconj = _pairs(rng, 300, lambda s: rng.integers(-3, 4, s) + 1j * rng.integers(-3, 4, s))
+    r, rconj = _pairs(rng, n, lambda s: rng.integers(-3, 4, s) + 1j * rng.integers(-3, 4, s))
     rho, res = unitarity_residual(r, rconj)
     for k in range(len(r)):
         want = unitarity_residual_reference(r[k], rconj[k])
@@ -844,27 +805,22 @@ def inverse_unitarity_reference(r, rinv):
     return complex(scalar), float(np.linalg.norm(prod - scalar * identity(4)))
 
 
-def _inverse_unitarity_of(r, rinv, tol=np.inf):
-    """``inverse_unitarity`` with R(x) = r and R(1/x) = rinv, two matrices or two stacks: the
-    builder gives r at x = 2 and rinv at 1/2."""
-    return inverse_unitarity(lambda x: r if np.all(x == 2) else rinv,
-                             np.full(r.shape[:-2], 2.0), tol)
-
-
-def test_inverse_unitarity_on_gaussian_integers_is_bitwise_the_dense_reference():
-    # weights in {-2..2} + i{-2..2}: every product, scalar and sum of squares is exact
+@pytest.mark.parametrize("n", [600, 700, 1000])
+def test_inverse_unitarity_on_gaussian_integers_is_bitwise_the_dense_reference(n):
+    # weights in {-2..2} + i{-2..2}: every product, scalar and sum of squares is exact, so a
+    # stack and its single matrices agree bitwise
     rng = np.random.default_rng(107)
-    r, rinv = (_eight_vertex(rng.integers(-2, 3, (600, 8)) + 1j * rng.integers(-2, 3, (600, 8)))
+    r, rinv = (_eight_vertex(rng.integers(-2, 3, (n, 8)) + 1j * rng.integers(-2, 3, (n, 8)))
                for _ in range(2))
-    scalars = _inverse_unitarity_of(r, rinv)
+    scalars = inverse_unitarity(r, rinv, np.inf)
     pinned = 0
     for k in range(len(r)):
         want, gap = inverse_unitarity_reference(r[k], rinv[k])
-        assert scalars[k] == want and _inverse_unitarity_of(r[k], rinv[k]) == want
+        assert scalars[k] == want and inverse_unitarity(r[k], rinv[k], np.inf) == want
         if abs(want) <= 1 and gap > 0:  # the bound tol * max(1, |scalar|) is tol itself
-            _inverse_unitarity_of(r[k], rinv[k], tol=gap)  # so the gap is exactly the reference
+            inverse_unitarity(r[k], rinv[k], tol=gap)  # so the gap is exactly the reference
             with pytest.raises(NotProportionalError):
-                _inverse_unitarity_of(r[k], rinv[k], tol=np.nextafter(gap, 0))
+                inverse_unitarity(r[k], rinv[k], tol=np.nextafter(gap, 0))
             pinned += 1
     assert pinned >= 20
 
@@ -873,23 +829,24 @@ def test_inverse_unitarity_on_gaussian_integers_is_bitwise_the_dense_reference()
 def test_inverse_unitarity_is_the_dense_reference_to_rounding(family):
     rng = np.random.default_rng(109)
     spec = sample_spec(family, rng)
-    builder = dense_builder(spec, "x", form="g" if family is Family.EIGHT_IV else "canonical")
+    form = "g" if family is Family.EIGHT_IV else "canonical"
     xs = rng.uniform(0.3, 1.8, 40) + 1j * rng.uniform(-0.5, 0.5, 40)
-    r, rinv = builder(xs), builder(1 / xs)
-    scalars = inverse_unitarity(builder, xs)
+    r, rinv = dense_pair(spec, xs, form)
+    scalars = inverse_unitarity(r, rinv)
     for k, x in enumerate(xs):
         want, gap = inverse_unitarity_reference(r[k], rinv[k])
         scale = frobenius(r[k]) * frobenius(rinv[k])
-        for got in (scalars[k], inverse_unitarity(builder, x)):
+        one = dense_pair(spec, x, form)
+        for got in (scalars[k], inverse_unitarity(*one)):
             assert abs(got - want) <= 4 * EPS * scale
         # the kernel's gap is at most the reference gap plus rounding
-        inverse_unitarity(builder, x, tol=(gap + 8 * EPS * scale) / max(1.0, abs(want)))
+        inverse_unitarity(*one, tol=(gap + 8 * EPS * scale) / max(1.0, abs(want)))
 
 
 #: the kernels that read two eight-vertex matrices, or two stacks, and their names for the two
 PAIR_KERNELS = [(unitarity_residual, "unitarity_residual", ("r", "rconj")),
                 (lambda a, c: strand_gap(a, c, a), "strand_gap", ("a", "c")),
-                (_inverse_unitarity_of, "inverse_unitarity", ("R(x)", "R(1/x)"))]
+                (inverse_unitarity, "inverse_unitarity", ("R(x)", "R(1/x)"))]
 
 
 @pytest.mark.parametrize("entry", OFF_PATTERN_ENTRIES)
@@ -942,37 +899,7 @@ def test_the_unitarity_gap_bounds_the_defect_of_the_normalized_matrix():
         assert frobenius(u[k] @ dagger(u[k]) - identity(4)) <= gap * (1 + 1e-14)
 
 
-def _unblocked_unitarity_residual(r, rconj):
-    """``unitarity_residual`` of a stack as one pass over all of it: the formula before the
-    kernel ran in blocks."""
-    from yaxter.linalg import block_product, defect, stacks, weights
-
-    (r, rconj), shape = stacks(r, rconj)
-    x = np.stack(weights("unitarity_residual", ("r", "rconj"), r, rconj), axis=1)
-    x = x.reshape(4, 2, 2, -1)
-    m = block_product(x, x[:, :, ::-1])
-    rho = (m[0][:, 0] + m[3][:, 0]).sum(axis=0).real / 4.0
-    res = np.sqrt(defect(m, rho).sum(axis=0)).sum(axis=0)
-    return rho.reshape(shape), res.reshape(shape)
-
-
-def test_the_blocked_unitarity_kernel_is_bitwise_the_unblocked_formula():
-    from yaxter.baxterize import R_rows
-    from yaxter.verify import _UNITARITY_BLOCK, sample_specs, sample_x
-
-    rng = np.random.default_rng(107)
-    assert 1000 > 2 * _UNITARITY_BLOCK and 1000 % _UNITARITY_BLOCK
-    r = _eight_vertex(rng.standard_normal((1000, 8)) + 1j * rng.standard_normal((1000, 8)))
-    specs = sample_specs(Family.EIGHT_IV, rng, 1000)
-    rows = R_rows(specs, "x", sample_x(specs, rng, 1000))
-    for a, b in ((r, dagger(r)), (rows, dagger(rows)), (r.reshape(10, 100, 4, 4),
-                                                       dagger(r).reshape(10, 100, 4, 4))):
-        got, want = unitarity_residual(a, b), _unblocked_unitarity_residual(a, b)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and np.array_equal(g, w)
-
-
-def test_an_off_pattern_entry_in_a_later_block_is_named_by_its_stack_index():
+def test_an_off_pattern_entry_deep_in_a_stack_is_named_by_its_stack_index():
     rng = np.random.default_rng(109)
     r = _eight_vertex(rng.standard_normal((1000, 8)) + 1j * rng.standard_normal((1000, 8)))
     r[917, 0, 1] = 2.0

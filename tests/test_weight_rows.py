@@ -110,7 +110,7 @@ def test_a_nan_value_is_the_same_domain_error_on_rows_and_on_the_dense_edge():
     spec = FamilySpec.eight2(t=1.7, q=np.exp(0.4j))
     for values in (np.array([0.5, NAN]), np.array([[0.5, 0.2], [NAN, 0.1]])):
         for build in (lambda v: R_rows(spec, "x", v), lambda v: R_rows(spec, "x", v).dense(),
-                      verify._row_builder(spec, "x")):
+                      lambda v: verify._bounded_rows(spec, "x", v)):
             with pytest.raises(DomainError) as err:
                 build(values)
             assert str(err.value) == "x must be finite, got nan"
