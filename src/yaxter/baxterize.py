@@ -23,12 +23,12 @@ criterion 3 of the suite checks it against the table.
 
 Spectral-parameter views: x (multiplicative), theta (x = e^{2 i theta} for the
 six-vertex families, x = e^{i theta} for eight2/3/4, x = tan theta for eight1),
-and the rational u = (1 - x)/(1 + x) with composition law
-u(xy) = (u + v)/(1 + u v). Every view is the x-form at the point's x
-(``family_x``) times a scalar gauge (``gauge``); ``reference_gauge`` is the
-scalar the x-form carries over the gauge in which the closed-form
-normalizations are stated. These closed forms take (spec, kind, value): a
-FamilySpec or FamilySpecs, the view, and a number or an array.
+and the rational u = (1 - x)/(1 + x) with composition law u(xy) = (u + v)/(1 + u v).
+Every view is the x-form at the point's x (``family_x``) times a scalar gauge
+(``gauge``); ``reference_gauge`` is the scalar the x-form carries over the gauge in which
+the closed-form normalizations are stated. These closed forms take (spec, kind, value): a
+FamilySpec or FamilySpecs, the view, and a number or an array. eight4's g form (the
+canonical matrix over g1) is an argument of the R builders only.
 """
 
 from __future__ import annotations
@@ -204,12 +204,11 @@ def _u_gauge(spec: FamilySpec | FamilySpecs, x, form: str = "canonical"):
     return 1 / (1 + x) ** power
 
 
-def reference_gauge(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonical",
-                    x=None):
+def reference_gauge(spec: FamilySpec | FamilySpecs, kind: str, value, x=None):
     """The scalar the x-form carries over the gauge of the closed-form rho.
 
     2 e^{i theta} for the six-vertex families (over their trigonometric form,
-    x = e^{2 i theta}), g1 for canonical eight4 (over its g view), 1 otherwise. ``x`` is
+    x = e^{2 i theta}), g1 for eight4 (over its g view), 1 otherwise. ``x`` is
     ``family_x`` of the value when the caller has it already; else it is derived here.
     """
     fam = spec.family
@@ -220,7 +219,7 @@ def reference_gauge(spec: FamilySpec | FamilySpecs, kind: str, value, form: str 
             x = family_x(spec, kind, value) if x is None else x
             theta = (np.log(x) if isinstance(x, np.ndarray) else cmath.log(x)) / (1j * 2.0)
         return 2 * np.exp(1j * theta)
-    if fam is Family.EIGHT_IV and form != "g":
+    if fam is Family.EIGHT_IV:
         return g_factors(spec, family_x(spec, kind, value) if x is None else x)[0]
     return 1.0
 

@@ -400,14 +400,14 @@ class BoltzmannWeights:
         return cls(**{f"w{i}": v for i, v in zip(k, w)})
 
 
-def eight_vertex_residuals(w: BoltzmannWeights, branch_tol: float = 1e-9) -> np.ndarray:
+def eight_vertex_residuals(w: BoltzmannWeights) -> np.ndarray:
     """Residual vector of the eight-vertex braid constraint system.
 
     Always includes the three branch-selection products
 
         (w5 - w6) w7 w8,  (w3 - w4)(w1 - w5) w8,  (w3 - w4)(w2 - w5) w7,
 
-    then the constraints of the branch selected by w3 vs w4:
+    then the constraints of the branch that w3 vs w4 (to 1e-9 of the largest weight) selects:
 
         w3 != w4:  w5 = w1 = w2 = w6,  w1^2 = w3^2 = w4^2,  w3^2 + w7 w8 = 0
         w3 == w4:  w5 = w6,  w5^2 = w7 w8,
@@ -429,7 +429,7 @@ def eight_vertex_residuals(w: BoltzmannWeights, branch_tol: float = 1e-9) -> np.
         (w3 - w4) * (w1 - w5) * w8,
         (w3 - w4) * (w2 - w5) * w7,
     ]
-    if abs(w3 - w4) > branch_tol * scale:
+    if abs(w3 - w4) > 1e-9 * scale:
         out += [
             w1 - w5, w2 - w5, w6 - w5,
             w1 * w1 - w3 * w3,

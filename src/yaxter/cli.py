@@ -7,15 +7,17 @@ argv + seed give byte-identical output), diagnostics to stderr. Exit codes:
 0 all checks pass, 1 a residual check failed, 2 usage or domain error.
 
 Each check passes below its own threshold, from ``verify.TOLERANCES`` (and
-``entangle.ENTANGLING_TOL`` for classify, where it bounds max |Det| / ||R||_F^2
-over the product grid of ``entangle.brylinski_witness``, a kernel of eight-vertex
-matrices that takes each Det from the exact quartic in R's eight weights). ``check`` and
-``classify`` take --tol, else the YAXTER_TOL environment variable, in place of
-that threshold; a tolerance must be finite and > 0. Each command, and each
-check of ``check``, accepts only the options it reads: ``check braid``, and
-``check unitarity`` without a spectral point, scan seeded points of --family
-and read no other family option (``check unitarity`` rejects one as a usage
-error). ``catalog --weights`` rejects a weight above ``linalg.MAX_ENTRY``.
+``entangle.ENTANGLING_TOL`` for classify, where it bounds max |Det| / ||R||_F^2 over the
+product grid of ``entangle.brylinski_witness``, which takes each Det from the exact quartic
+in R's eight weights). ``check`` and ``classify`` take --tol, else the YAXTER_TOL
+environment variable, in place of that threshold; a tolerance must be finite and > 0.
+``classify --locus`` tests at ENTANGLING_TOL and reads neither. Each command, and each
+check of ``check``, accepts only the options it reads; a given option that it does not
+read is a usage error (``_unread``): ``check braid``, and ``check unitarity`` without a
+spectral point, scan seeded points of --family and read no other family option;
+``check unitarity`` at a point reads no --samples or --seed; the six-vertex families read
+no --t or --sign, eight1 and bell-phi no --t; only eight4 --via closed reads
+``build --form``. ``catalog --weights`` rejects a weight above ``linalg.MAX_ENTRY``.
 
 The parser is built per command: ``main`` reads the command from argv and
 ``build_parser`` adds only its subparser, from the one table ``COMMANDS``; with no
@@ -35,6 +37,7 @@ import numpy as np
 
 from .baxterize import EigOrdering, SpectralPoint, build_R, degeneracy_note, family_x, formula_R
 from .catalog import (
+    EIGHT_VERTEX_FAMILIES,
     BoltzmannWeights,
     DomainError,
     Family,
@@ -138,6 +141,12 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
 #: the options of ``_add_family_args`` after --family, as argparse dests.
 _FAMILY_OPTIONS = ("q", "q_re", "q_im", "gamma", "t", "t_re", "t_im", "phi", "sign")
 
+#: the family options that no matrix, closed form or domain check of the family reads
+_UNREAD_FAMILY_OPTIONS = {Family.SIX_NONSTD: ("t", "t_re", "t_im", "sign"),
+                          Family.SIX_STD: ("t", "t_re", "t_im", "sign"),
+                          Family.EIGHT_I: ("t", "t_re", "t_im"),
+                          Family.BELL_PHI: ("t", "t_re", "t_im")}
+
 
 def _add_point_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", type=float, default=None, help="real spectral parameter")
@@ -173,9 +182,9 @@ def _add_run_args(p: argparse.ArgumentParser, *reads: str) -> None:
     if "tol" in reads:
         p.add_argument("--tol", type=_tolerance, default=None)
     if "samples" in reads:
-        p.add_argument("--samples", type=_count_at_least(1), default=50)
-    if "seed" in reads:
-        p.add_argument("--seed", type=_count_at_least(0), default=42)
+        p.add_argument("--samples", type=_count_at_least(1), default=None, help="default 50")
+    if "seed" in reads:  # both None when not given, so that a check can refuse one it ignores
+        p.add_argument("--seed", type=_count_at_least(0), default=None, help="default 42")
     p.add_argument("--output", choices=["json", "pretty"], default="json")
 
 
@@ -192,8 +201,16 @@ def _complex_arg(args, name: str):
     return complex(re or 0.0, im or 0.0)
 
 
+def _unread(args, names, reader: str, hint: str = "") -> None:
+    """A usage error that names each given option of ``names`` (dests) as unread by ``reader``."""
+    given = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n, None) is not None]
+    if given:
+        raise DomainError(f"{reader} reads no {', '.join(given)}{hint}")
+
+
 def _spec_from_args(args) -> FamilySpec:
     family = Family(args.family)
+    _unread(args, _UNREAD_FAMILY_OPTIONS.get(family, ()), f"--family {family.value}")
     q = _complex_arg(args, "q")
     t = _complex_arg(args, "t")
     if args.gamma is not None:
@@ -259,8 +276,7 @@ def _cmd_catalog(args) -> int:
     spec = _spec_from_args(args)
     b = build_b(spec)
     if args.weights:
-        if spec.family not in (Family.EIGHT_I, Family.EIGHT_II,
-                               Family.EIGHT_III, Family.EIGHT_IV):
+        if spec.family not in EIGHT_VERTEX_FAMILIES:
             raise DomainError("--weights reads the eight-vertex ansatz entries")
         w = BoltzmannWeights.from_matrix(b)
         res = eight_vertex_residuals(w)
@@ -281,10 +297,12 @@ def _cmd_build(args) -> int:
     spec = _spec_from_args(args)
     point = _point_from_args(args)
     ordering = EigOrdering(args.ordering) if args.ordering else None
+    if args.via == "formula" or spec.family is not Family.EIGHT_IV:
+        _unread(args, ("form",), f"build --family {spec.family.value} --via {args.via}")
     if args.via == "formula":
         r = formula_R(spec, family_x(spec, point.kind, point.value), ordering=ordering)
     else:
-        r = build_R(spec, point, ordering=ordering, form=args.form)
+        r = build_R(spec, point, ordering=ordering, form=args.form or "canonical")
     payload = mat_to_json(r)
     note = degeneracy_note(spec, point)
     if note:
@@ -293,16 +311,9 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _scanned_family(args) -> Family:
-    """--family of a check that scans seeded parameter points of the family; a family
-    option, which the scan would not read, is a usage error."""
-    given = [f"--{name.replace('_', '-')}" for name in _FAMILY_OPTIONS
-             if getattr(args, name, None) is not None]
-    if given:
-        raise DomainError(f"check {args.what} without a spectral point scans seeded parameter "
-                          f"points of --family and reads no {', '.join(given)}; give --x, "
-                          "--theta or --u to check one point")
-    return Family(args.family)
+def _draws(args) -> tuple[int, int]:
+    """(samples, seed) of a scan: --samples and --seed, else 50 and 42."""
+    return 50 if args.samples is None else args.samples, 42 if args.seed is None else args.seed
 
 
 def _cmd_check(args) -> int:
@@ -310,17 +321,19 @@ def _cmd_check(args) -> int:
     tol = _tol(args, kind)
     point = None if kind in ("braid", "qybe") else _point_from_args(args, required=False)
     if kind == "braid" or (kind == "unitarity" and point is None):
+        _unread(args, _FAMILY_OPTIONS, f"check {kind} without a spectral point scans seeded "
+                "parameter points of --family and", "; give --x, --theta or --u to check one point")
         scan = scan_braid if kind == "braid" else scan_unitarity
-        report = scan(_scanned_family(args), samples=args.samples, seed=args.seed, tol=tol)
+        report = scan(Family(args.family), *_draws(args), tol=tol)
         return _verdict(args, report.residual, tol, rho=report.worst_case.get("rho"),
                         worst_case=report.worst_case)
     spec = _spec_from_args(args)
     if kind == "qybe":
         ordering = EigOrdering(args.ordering) if args.ordering else None
-        report = scan_qybe(spec, kind=args.parametrization, samples=args.samples,
-                           seed=args.seed, tol=tol, ordering=ordering)
+        report = scan_qybe(spec, args.parametrization, *_draws(args), tol=tol, ordering=ordering)
         return _verdict(args, report.residual, tol, worst_case=report.worst_case)
     if kind == "unitarity":
+        _unread(args, ("samples", "seed"), "check unitarity at a spectral point")
         gap, rho_est = unitarity_gap(spec, point)
         return _verdict(args, gap, tol, rho=float(rho_est),
                         rho_formula=matrix_norm_factor(spec, point))
@@ -334,6 +347,7 @@ def _cmd_classify(args) -> int:
     spec = _spec_from_args(args)
     point = _point_from_args(args)
     if args.locus is not None:
+        _unread(args, ("tol",), "classify --locus tests at entangle.ENTANGLING_TOL and")
         vals = [float(v) for v in args.locus.split(",")]
         if len(vals) != 8:
             raise DomainError("--locus takes 8 comma-separated floats: re,im per factor")
@@ -400,7 +414,7 @@ def _cmd_cnot(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    result = run_suite(seed=args.seed)
+    result = run_suite(seed=42 if args.seed is None else args.seed)
     _emit(args, result)
     return 0 if result["all_pass"] else 1
 
@@ -416,7 +430,7 @@ def _build_args(p: argparse.ArgumentParser) -> None:
     _add_family_args(p)
     _add_point_args(p)
     p.add_argument("--ordering", choices=[o.value for o in EigOrdering], default=None)
-    p.add_argument("--form", choices=["canonical", "g"], default="canonical")
+    p.add_argument("--form", choices=["canonical", "g"], help="eight4 --via closed only")
     _add_run_args(p)
     p.add_argument("--via", choices=["closed", "formula"], default="closed",
                    help="conventional closed form or the raw eigenvalue formula")

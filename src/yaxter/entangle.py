@@ -220,16 +220,12 @@ def nonentangling_locus(spec: FamilySpec, a: complex, b: complex, c: complex, d:
                      f"not {spec.family.value}")
 
 
-def nonentangling_locus_check(
-    spec: FamilySpec,
-    p: SpectralPoint,
-    factors: tuple[complex, complex, complex, complex],
-    tol: float = ENTANGLING_TOL,
-) -> bool:
+def nonentangling_locus_check(spec: FamilySpec, p: SpectralPoint,
+                              factors: tuple[complex, complex, complex, complex]) -> bool:
     """True iff the factors sit on the non-entangling locus.
 
     The locus value and the actual output determinant must agree on whether
-    they vanish (the factorization is exact); disagreement raises.
+    they vanish at ``ENTANGLING_TOL`` (the factorization is exact); disagreement raises.
     """
     a, b, c, d = (complex(z) for z in factors)
     na = float(np.hypot(abs(a), abs(b)))
@@ -237,14 +233,14 @@ def nonentangling_locus_check(
     if na == 0 or nc == 0:
         raise ValueError("factors must describe a nonzero product state")
     a, b, c, d = a / na, b / na, c / nc, d / nc
-    on_locus = abs(nonentangling_locus(spec, a, b, c, d)) < tol
+    on_locus = abs(nonentangling_locus(spec, a, b, c, d)) < ENTANGLING_TOL
     r = classification_gauge_R(spec, p)
     det = concurrence_det(apply(r, product_state(a, b, c, d)))
     u = x_to_u(family_x(spec, p.kind, p.value))
     prefactor = u if spec.family is Family.EIGHT_I else u * complex(spec.t)
-    det_zero = abs(det) < tol * max(abs(prefactor), 1e-30)
-    if abs(prefactor) > tol and on_locus != det_zero:
+    det_zero = abs(det) < ENTANGLING_TOL * max(abs(prefactor), 1e-30)
+    if abs(prefactor) > ENTANGLING_TOL and on_locus != det_zero:
         raise RuntimeError(
             f"locus and determinant disagree: on_locus={on_locus}, |det|={abs(det):.3e}"
         )
-    return on_locus and det_zero if abs(prefactor) > tol else on_locus
+    return on_locus and det_zero if abs(prefactor) > ENTANGLING_TOL else on_locus

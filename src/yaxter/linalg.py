@@ -457,16 +457,16 @@ def require_hermitian(h: np.ndarray, tol: float, what: str = "matrix") -> None:
     raise NotHermitianError(f"{what} is not Hermitian{where}: ||H - H^dag|| = {defect:.3e}")
 
 
-def expm_hermitian(h: np.ndarray, theta, tol: float = DEFAULT_ATOL) -> np.ndarray:
+def expm_hermitian(h: np.ndarray, theta) -> np.ndarray:
     """U = exp(-i H theta) for Hermitian H, via eigendecomposition.
 
     An (..., n, n) stack of H, with theta a scalar or an array that broadcasts against
     the stack, gives the stack of U from one batched eigh. Every H must pass
-    ``require_hermitian`` at tol, so a non-finite H raises NotHermitianError before eigh
-    sees it, and a non-finite theta raises a ValueError.
+    ``require_hermitian`` at ``DEFAULT_ATOL``, so a non-finite H raises NotHermitianError
+    before eigh sees it, and a non-finite theta raises a ValueError.
     """
     h = np.asarray(h, dtype=complex)
-    require_hermitian(h, tol)
+    require_hermitian(h, DEFAULT_ATOL)
     if not np.isfinite(theta).all():
         raise ValueError("exp(-i H theta) needs a finite theta (the evolution time), "
                          f"got {theta}")

@@ -25,8 +25,8 @@ The closed-form rho per family (stated for each family's reference gauge,
     eight3        t^2 (2 - x - xbar) + 2 + x + xbar
     eight4        |g2|^2 = 2(1+t^2) - (1-t^2)(x + xbar)   for real t, |x| = 1
                   |g2|^2 = (1-x)^2 + |t|^2 (1+x)^2        for imaginary t, real x
-                  (stated for the g-normalized view; the canonical matrix
-                   carries the extra factor |g1|^2)
+                  (stated for the g view; the canonical matrix carries the extra
+                   factor |g1|^2. The g form is an argument of the R builders only)
 
 The seeded scans draw each parameter for all of their samples at once, in a
 fixed RNG order (``sample_specs``: the sign, then gamma or t with its sign,
@@ -135,14 +135,9 @@ def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
     return rho, res
 
 
-def conjugate_partner(
-    spec: FamilySpec,
-    p: SpectralPoint,
-    ordering: EigOrdering | None = None,
-    form: str = "canonical",
-) -> np.ndarray:
+def conjugate_partner(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
     """R^dag(xbar), the Hermitian adjoint of the built matrix R(x)."""
-    return dagger(build_R(spec, p, ordering=ordering, form=form))
+    return dagger(build_R(spec, p))
 
 
 def unitarity_gap(spec: FamilySpec, p: SpectralPoint) -> tuple[float, float]:
@@ -207,24 +202,19 @@ def _rho_at(spec: FamilySpec | FamilySpecs, x):
     raise ValueError(f"unknown family {fam.value}")
 
 
-def matrix_norm_factor(spec: FamilySpec, p: SpectralPoint, form: str = "canonical") -> float:
-    """rho of the matrix ``build_R(spec, p, form=form)`` emits: the closed-form
-    rho times |gauge * reference_gauge|^2 from the gauge table (``norm_factor``)."""
-    return float(norm_factor(spec, p.kind, p.value, form))
+def matrix_norm_factor(spec: FamilySpec, p: SpectralPoint) -> float:
+    """rho of the matrix ``build_R(spec, p)`` emits: the closed-form rho times
+    |gauge * reference_gauge|^2 from the gauge table (``_normalization``)."""
+    return float(_normalization(spec, p.kind, p.value)[-1])
 
 
-def norm_factor(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonical"):
-    """``matrix_norm_factor`` at a ``kind`` view value, or one per sample of FamilySpecs or
-    of an array of values."""
-    return _normalization(spec, kind, value, form)[-1]
-
-
-def _normalization(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonical"):
+def _normalization(spec: FamilySpec | FamilySpecs, kind: str, value):
     """(x, gauge, reference gauge, rho) at a ``kind`` view value: ``family_x``, ``gauge``,
-    ``reference_gauge`` and ``norm_factor``, each evaluated once, and the reference gauge and
-    rho from that x."""
+    ``reference_gauge`` and the rho of ``matrix_norm_factor``, each evaluated once, and the
+    reference gauge and rho from that x; FamilySpecs or an array of values give one of each
+    per sample."""
     x = family_x(spec, kind, value)
-    view, ref = gauge(spec, kind, value, form), reference_gauge(spec, kind, value, form, x)
+    view, ref = gauge(spec, kind, value), reference_gauge(spec, kind, value, x)
     g = abs(view * ref)
     return x, view, ref, g * g * _rho_at(spec, x)
 
@@ -432,7 +422,7 @@ def unitarity_job(family: Family, samples: int = 100, seed: int = 42,
     rng = np.random.default_rng(seed)
     specs = sample_specs(family, rng, samples, imaginary_t)
     x = sample_x(specs, rng, len(specs))
-    rho_ref = norm_factor(specs, "x", x)  # first: its domain check names an off-domain x
+    rho_ref = _normalization(specs, "x", x)[-1]  # first: its domain check names an off-domain x
 
     def case(k, rho_est):
         spec = specs[k]

@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from yaxter.catalog import FamilySpec
+from yaxter.catalog import Family, FamilySpec
 from yaxter.cli import COMMANDS, build_parser, dumps_17g, main
 from yaxter.dynamics import hamiltonian_closed
 from yaxter.linalg import WeightRows, mat_from_json
-from yaxter.verify import TOLERANCES
+from yaxter.verify import TOLERANCES, scan_braid
 
 
 def run_cli(capsys, *argv):
@@ -584,6 +584,54 @@ def test_unitarity_at_a_point_still_reads_the_family_options(capsys):
     code, out, _ = run_cli(capsys, "check", "unitarity", "--family", "eight3", "--t", "1.5",
                            "--q", "1", "--sign", "minus", "--theta", "0.3")
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+# Given options that the command parses and does not read: each a usage error.
+UNREAD = [
+    (("classify", "--family", "eight1", "--phi", "0.9", "--x", "0.5",
+      "--locus", "1,0,0,0,1,0,0,0", "--tol", "10"), "--tol"),
+    (("build", "--family", "eight1", "--phi", "0.3", "--x", "0.5", "--form", "g"), "--form"),
+    (("build", "--family", "eight3", "--t", "2.1", "--q", "1", "--x", "0.5", "--form", "g"),
+     "--form"),
+    (("build", "--family", "eight4", "--t", "1.6", "--q", "1", "--x", "0.5", "--via", "formula",
+      "--form", "g"), "--form"),
+    (("build", "--family", "six-std", "--gamma", "0.45", "--theta", "0.7",
+      "--form", "canonical"), "--form"),
+    (("check", "unitarity", "--family", "six-nonstd", "--gamma", "0.3", "--theta", "0.6",
+      "--samples", "5"), "--samples"),
+    (("check", "unitarity", "--family", "eight1", "--phi", "0.2", "--theta", "0.785",
+      "--seed", "0"), "--seed"),
+    (("check", "unitarity", "--family", "eight4", "--t-im", "1.5", "--q", "1", "--u", "0.3",
+      "--samples", "5", "--seed", "7"), "--samples, --seed"),
+    (("catalog", "--family", "six-nonstd", "--gamma", "0.3", "--t", "1.7"), "--t"),
+    (("build", "--family", "six-std", "--gamma", "0.45", "--theta", "0.7", "--sign", "minus"),
+     "--sign"),
+    (("check", "qybe", "--family", "eight1", "--phi", "0.9", "--t-re", "1.3", "--samples", "3"),
+     "--t-re"),
+    (("check", "inverse-unitarity", "--family", "six-std", "--gamma", "0.3", "--theta", "0.4",
+      "--t-im", "0.2"), "--t-im"),
+    (("catalog", "--family", "bell-phi", "--phi", "0.4", "--t", "1.7"), "--t"),
+    (("hamiltonian", "--family", "six-nonstd", "--gamma", "0.3", "--theta", "0.6",
+      "--t", "2", "--sign", "plus"), "--t, --sign"),
+    (("evolve", "--family", "eight1", "--phi", "0", "--t", "1", "--time", "1"), "--t"),
+]
+
+
+@pytest.mark.parametrize("argv,named", UNREAD, ids=lambda v: v if isinstance(v, str) else None)
+def test_a_given_option_the_command_does_not_read_is_a_usage_error(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"reads no {named}" in err
+
+
+@pytest.mark.parametrize("options,samples,seed", [((), 50, 42), (("--seed", "0"), 50, 0),
+                                                   (("--samples", "3", "--seed", "0"), 3, 0)])
+def test_a_scan_draws_50_samples_at_seed_42_unless_given(capsys, options, samples, seed):
+    code, out, _ = run_cli(capsys, "check", "braid", "--family", "eight2", *options)
+    want = scan_braid(Family.EIGHT_II, samples, seed)
+    assert code == 0 and json.loads(out)["residual"] == want.residual
+    assert json.loads(out)["worst_case"] == json.loads(dumps_17g(want.worst_case))
 
 
 def test_overflowing_weights_are_one_error_line(capsys):

@@ -22,7 +22,7 @@ from yaxter.dynamics import (
 from yaxter.gates import PAULI, SIGMA_MINUS, SIGMA_PLUS, SX, SZ, sigma_xy, tensor
 from yaxter.linalg import (WeightRows, expm_hermitian, frobenius, hermiticity_defect, identity,
                            require_hermitian)
-from yaxter.verify import norm_factor, sample_spec, sample_specs, worst
+from yaxter.verify import _normalization, sample_spec, sample_specs, worst
 
 X = SpectralPoint.from_x
 TH = SpectralPoint.from_theta
@@ -466,9 +466,9 @@ def test_a_degenerate_rho_at_one_sample_of_a_stack_names_that_sample():
 
 def gauge_unitaries_reference(spec, kind, values):
     """The stacked gauge unitaries as separate steps: the dense ``R_rows`` matrices
-    divided by the dynamics gauge times sqrt(rho), with rho from ``verify.norm_factor``."""
+    divided by the dynamics gauge times sqrt(rho), with rho from ``verify._normalization``."""
     turn = reference_gauge(spec, kind, values) if spec.family in dynamics.SIX_VERTEX else 1.0
-    rho = norm_factor(spec, kind, values) / np.abs(turn) ** 2
+    rho = _normalization(spec, kind, values)[-1] / np.abs(turn) ** 2
     return R_rows(spec, kind, values).dense() / np.asarray(turn * np.sqrt(rho))[..., None, None]
 
 

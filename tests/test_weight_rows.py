@@ -12,7 +12,7 @@ from yaxter.catalog import (DOMAIN_TOL, DomainError, Family, FamilySpec, _finite
                             braid_residual, braid_rows, build_b, domain_violation, is_imag,
                             is_real)
 from yaxter.linalg import _BLOCK, dagger, strand_gap, weights
-from yaxter.verify import (QYBE_PARAMETRIZATIONS, _QYBE_LAWS, _cpair, norm_factor, sample_spec, sample_specs, sample_x, scan_braid,
+from yaxter.verify import (QYBE_PARAMETRIZATIONS, _QYBE_LAWS, _cpair, _normalization, sample_spec, sample_specs, sample_x, scan_braid,
                            scan_qybe, scan_unitarity, unitarity_residual, worst)
 
 #: several blocks of the strand kernel and a partial one
@@ -78,7 +78,7 @@ def test_the_unitarity_scan_on_rows_is_bitwise_the_dense_kernel(monkeypatch, fam
     rho, res = unitarity_residual(r, dagger(r))  # the kernel itself, not the spy
     ((got_rho, got_res),) = seen
     assert np.array_equal(got_rho, rho) and np.array_equal(got_res, res)
-    rho_ref = norm_factor(specs, "x", x)
+    rho_ref = _normalization(specs, "x", x)[-1]
     residual, k = worst(res / rho + abs(rho - rho_ref) / rho_ref, range(SAMPLES))
     assert report.residual == residual and report.worst_case["rho"] == float(rho[k])
     assert report.worst_case["x"] == _cpair(x[k])
