@@ -68,6 +68,7 @@ FAMILY_THETA_CONVENTION = {
 
 #: families whose displayed R(x) satisfies R(0) = b exactly (the others R(0) proportional to b).
 RZERO_EQUALS_B = (Family.SIX_NONSTD, Family.SIX_STD, Family.EIGHT_I)
+_X_POLE = "u = (1-x)/(1+x) is undefined at x = -1"  # the u view's pole
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class SpectralPoint:
 
 def x_to_u(x: complex) -> complex:
     if x == -1:
-        raise DomainError("u = (1-x)/(1+x) is undefined at x = -1")
+        raise DomainError(_X_POLE)
     return (1 - x) / (1 + x)
 
 
@@ -199,9 +200,17 @@ def gauge(spec: FamilySpec | FamilySpecs, kind: str, value, form: str = "canonic
 
 
 def _u_gauge(spec: FamilySpec | FamilySpecs, x, form: str = "canonical"):
-    """``gauge`` of an eight-vertex family's u view, at the multiplicative x of the point."""
+    """``gauge`` of an eight-vertex family's u view at the multiplicative x, a number or an
+    array: ``x_to_u``'s DomainError at x = -1, and a DomainError where a number's power
+    leaves the float range (an array's overflows to inf, so its gauge there is 0)."""
+    if (x == -1).any() if isinstance(x, np.ndarray) else x == -1:
+        raise DomainError(_X_POLE)
     power = 2 if spec.family is Family.EIGHT_IV and form != "g" else 1
-    return 1 / (1 + x) ** power
+    try:
+        return 1 / (1 + x) ** power
+    except OverflowError:  # a Python complex power
+        raise DomainError(f"the u view's gauge 1/(1+x)^{power} is out of float range "
+                          f"at x = {x}") from None
 
 
 def reference_gauge(spec: FamilySpec | FamilySpecs, kind: str, value, x=None):

@@ -16,7 +16,8 @@ allowed (the braid relation is an algebraic identity) but flagged. The
 kernels (``braid_matrix``, the predicates, ``domain_violation``) take their
 parameters as scalars or as arrays that broadcast, one entry per sample;
 ``FamilySpecs`` holds n samples of one family as arrays, and ``braid_rows``
-builds their braid matrices as the weight rows the stacked kernels take.
+builds their braid matrices as the weight rows the stacked kernels take. ``q_from`` turns
+q, gamma or phi into the deformation parameter q, for the ``FamilySpec`` constructors and the CLI.
 """
 
 from __future__ import annotations
@@ -176,9 +177,9 @@ class FamilySpec:
 
     q is the deformation parameter (nonzero). For the six-vertex families the
     unitary domain takes q = e^gamma real; for the eight-vertex families q
-    lives on the unit circle, q = e^{-i phi}; q is the only stored value and
-    ``phi`` is derived from it. t parametrizes eight2/3/4, sign selects the +-
-    branch.
+    lives on the unit circle, q = e^{-i phi}; q is the only stored value (``q_from``
+    resolves gamma or phi) and ``phi`` is derived from it. t parametrizes eight2/3/4, sign
+    selects the +- branch.
     """
 
     family: Family
@@ -193,21 +194,15 @@ class FamilySpec:
 
     @classmethod
     def six_nonstd(cls, q: complex = None, gamma: float = None) -> "FamilySpec":
-        return cls(Family.SIX_NONSTD, q=_q_from(q, gamma))
+        return cls(Family.SIX_NONSTD, q=q_from(q=q, gamma=gamma))
 
     @classmethod
     def six_std(cls, q: complex = None, gamma: float = None) -> "FamilySpec":
-        return cls(Family.SIX_STD, q=_q_from(q, gamma))
+        return cls(Family.SIX_STD, q=q_from(q=q, gamma=gamma))
 
     @classmethod
     def eight1(cls, q: complex = None, phi: float = None, sign: Sign = Sign.PLUS) -> "FamilySpec":
-        if phi is not None:
-            if q is not None:
-                raise ValueError("give q or phi, not both")
-            q = np.exp(-1j * phi)
-        if q is None:
-            raise ValueError("give q or phi")
-        return cls(Family.EIGHT_I, q=complex(q), sign=sign)
+        return cls(Family.EIGHT_I, q=q_from(q=q, phi=phi), sign=sign)
 
     @classmethod
     def eight2(cls, t: complex, q: complex = 1.0, sign: Sign = Sign.PLUS) -> "FamilySpec":
@@ -223,7 +218,7 @@ class FamilySpec:
 
     @classmethod
     def bell(cls, phi: float = 0.0, sign: Sign = Sign.PLUS) -> "FamilySpec":
-        return cls(Family.BELL_PHI, q=np.exp(-1j * phi), sign=sign)
+        return cls(Family.BELL_PHI, q=q_from(phi=phi), sign=sign)
 
     @property
     def phi(self) -> float:
@@ -284,14 +279,29 @@ class FamilySpecs:
                           sign=Sign.PLUS if self.s[k] > 0 else Sign.MINUS)
 
 
-def _q_from(q, gamma):
+def q_from(**given) -> complex:
+    """The deformation parameter from exactly one given value that is not None: q, gamma
+    (q = e^gamma) or phi (q = e^{-i phi}). More than one, or none, is a ValueError that names
+    them, and so is a gamma or phi that puts q off the finite nonzero numbers, before any
+    exponential of it."""
+    named = [name for name, value in given.items() if value is not None]
+    if len(named) != 1:
+        tail = {0: "", 2: ", not both"}.get(len(named), ", not all three")
+        raise ValueError(f"give {' or '.join(named or given)}{tail}")
+    gamma, phi = given.get("gamma"), given.get("phi")
     if gamma is not None:
-        if q is not None:
-            raise ValueError("give q or gamma, not both")
-        return math.exp(gamma)
-    if q is None:
-        raise ValueError("give q or gamma")
-    return complex(q)
+        try:
+            q = math.exp(gamma)
+        except OverflowError:  # above gamma ~ 709.8; below ~ -745.1, q underflows to 0
+            q = math.inf
+        if not 0.0 < q < math.inf:
+            raise ValueError(f"gamma = {gamma} puts q = e^gamma at {q}, not finite and nonzero")
+        return q
+    if phi is None:
+        return complex(given["q"])
+    if not cmath.isfinite(phi):  # numpy warns on exp(-1j * inf)
+        raise ValueError(f"phi must be finite, got {phi}")
+    return complex(np.exp(-1j * phi))
 
 
 def build_b(spec: FamilySpec) -> np.ndarray:

@@ -18,6 +18,7 @@ spectral point, scan seeded points of --family and read no other family option;
 ``check unitarity`` at a point reads no --samples or --seed; the six-vertex families read
 no --t or --sign, eight1 and bell-phi no --t; only eight4 --via closed reads
 ``build --form``. ``catalog --weights`` rejects a weight above ``linalg.MAX_ENTRY``.
+``catalog.q_from`` turns one of --q (--q-re/--q-im), --gamma and --phi into q, else q = 1.
 
 The parser is built per command: ``main`` reads the command from argv and
 ``build_parser`` adds only its subparser, from the one table ``COMMANDS``; with no
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -45,6 +45,7 @@ from .catalog import (
     Sign,
     build_b,
     eight_vertex_residuals,
+    q_from,
 )
 from .dynamics import (
     evolve,
@@ -211,28 +212,10 @@ def _unread(args, names, reader: str, hint: str = "") -> None:
 def _spec_from_args(args) -> FamilySpec:
     family = Family(args.family)
     _unread(args, _UNREAD_FAMILY_OPTIONS.get(family, ()), f"--family {family.value}")
-    q = _complex_arg(args, "q")
-    t = _complex_arg(args, "t")
-    if args.gamma is not None:
-        if q is not None:
-            raise DomainError("give --q or --gamma, not both")
-        try:
-            q = math.exp(args.gamma)
-        except OverflowError:
-            q = math.inf
-        if not 0.0 < q < math.inf:  # exp overflows above gamma ~ 709.8, underflows to 0
-            raise DomainError(f"--gamma {args.gamma} puts q = exp(gamma) at {q}; "
-                              "q must be finite and nonzero")
-    if args.phi is not None:
-        if q is not None:
-            raise DomainError("give --q or --phi, not both")
-        q = complex(np.exp(-1j * args.phi))
-    return FamilySpec(
-        family,
-        q=q if q is not None else 1.0,
-        t=t if t is not None else 2.0,
-        sign=Sign(args.sign or "plus"),
-    )
+    q = {"q": _complex_arg(args, "q"), "gamma": args.gamma, "phi": args.phi}
+    given = {"t": _complex_arg(args, "t"), "sign": args.sign and Sign(args.sign),
+             "q": q_from(**q) if any(v is not None for v in q.values()) else None}
+    return FamilySpec(family, **{name: v for name, v in given.items() if v is not None})
 
 
 def _point_from_args(args, required: bool = True) -> SpectralPoint | None:
@@ -397,8 +380,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_cnot(args) -> int:
     if args.route == "theorem1":
-        if args.phi is not None:
-            raise DomainError("--phi is read only by --route evolution")
+        _unread(args, ("phi",), "cnot --route theorem1")
         dec = theorem1_decomposition()
     else:
         dec = cnot_via_evolution(0.0 if args.phi is None else args.phi)

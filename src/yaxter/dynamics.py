@@ -52,8 +52,8 @@ from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention,
 from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix, is_real,
                       z_of)
 from .gates import PAULI, tensor
-from .linalg import (_WEIGHTS, MAX_ENTRY, WeightRows, dagger, expm_hermitian, frobenius,
-                     identity, require_hermitian, weight_product)
+from .linalg import (MAX_ENTRY, WeightRows, dagger, expm_hermitian, frobenius, identity,
+                     pattern_stack, require_hermitian, weight_product)
 from .verify import _normalization, worst
 
 I4 = identity(4)
@@ -300,28 +300,13 @@ def _closed_rho(rho, vanishing: str = ""):
     raise DomainError((vanishing if finite else f"closed-form rho = {rho} is not finite") + where)
 
 
-def _closed_matrix(scale, table, shift=None) -> np.ndarray:
-    """shift + scale * table at every theta: the (..., 4, 4) stack in the shape of ``scale``,
-    a number or an array, of an eight-vertex ``table`` written as 4x4 rows, whose entries
-    are numbers or arrays in that shape. ``shift`` is a constant matrix, added last."""
-    if isinstance(scale, np.ndarray):  # entry-major: one write per entry
-        m = np.zeros((4, 4, *scale.shape), dtype=complex)
-        for r, c in _WEIGHTS:
-            m[r, c] = table[r][c]
-    else:  # a number's table: one conversion
-        m = np.array(table, dtype=complex)
-    m *= scale
-    h = m.transpose(*range(2, m.ndim), 0, 1)
-    return np.add(h, shift, order="C") if shift is not None else np.ascontiguousarray(h)
-
-
 def _six_vertex_closed(gamma: float, theta, standard: bool, corner) -> np.ndarray:
     sh, sn = float(np.sinh(gamma)), np.sin(theta)
     rho = _closed_rho(sh * sh + sn * sn,
                       "rho = sinh^2 gamma + sin^2 theta vanishes at gamma = theta = 0")
     lower = corner if standard else -corner
-    return _closed_matrix(sh / rho, [[corner, 0, 0, 0], [0, -sh, 1, 0], [0, 1, sh, 0],
-                                     [0, 0, 0, lower]])
+    return pattern_stack(sh / rho, [[corner, 0, 0, 0], [0, -sh, 1, 0], [0, 1, sh, 0],
+                                    [0, 0, 0, lower]])
 
 
 def six_vertex_hamiltonian_coth_variant(spec: FamilySpec, theta) -> np.ndarray:
@@ -375,14 +360,14 @@ def _closed_generators(spec: FamilySpec, theta) -> np.ndarray:
             sn = np.sin(theta / 2.0)
             rho = _closed_rho(4.0 + 4.0 * ((t - 1.0) * (t - 1.0)) * (sn * sn))
             sz = s * z_of(complex(spec.t))
-            return _closed_matrix(2.0 / rho, [[1 - t, 0, 0, q], [0, 0, sz, 0], [0, sz, 0, 0],
-                                              [1 / q, 0, 0, t - 1]], HALF_SHIFT)
+            return pattern_stack(2.0 / rho, [[1 - t, 0, 0, q], [0, 0, sz, 0], [0, sz, 0, 0],
+                                             [1 / q, 0, 0, t - 1]], HALF_SHIFT)
         if fam is Family.EIGHT_III:
             t = _real_t(spec)
             sn = np.sin(theta / 2.0)
             rho = _closed_rho(4.0 + 4.0 * (t * t - 1.0) * (sn * sn))
-            return _closed_matrix(2.0 * t / rho, [[0, 0, 0, q], [0, 0, s, 0], [0, s, 0, 0],
-                                                  [1 / q, 0, 0, 0]], HALF_SHIFT)
+            return pattern_stack(2.0 * t / rho, [[0, 0, 0, q], [0, 0, s, 0], [0, s, 0, 0],
+                                                 [1 / q, 0, 0, 0]], HALF_SHIFT)
         if fam is Family.EIGHT_IV:
             t = _real_t(spec)
             if abs(t) < 1e-12:
@@ -393,9 +378,9 @@ def _closed_generators(spec: FamilySpec, theta) -> np.ndarray:
             a1, a2 = h1 * h1, h2 * h2
             rho = _closed_rho(a1 * a2)
             q = np.complex128(q)  # a numpy scalar divides by a Python complex on a slow path
-            return _closed_matrix(2.0 * t / rho, [[a2, 0, 0, q * a1], [0, a1, s * a2, 0],
-                                                  [0, s * a2, a1, 0], [a1 / q, 0, 0, a2]],
-                                  FULL_SHIFT)
+            return pattern_stack(2.0 * t / rho, [[a2, 0, 0, q * a1], [0, a1, s * a2, 0],
+                                                 [0, s * a2, a1, 0], [a1 / q, 0, 0, a2]],
+                                 FULL_SHIFT)
     raise ValueError(f"no closed-form Hamiltonian for {fam.value}")
 
 

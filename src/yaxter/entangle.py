@@ -131,7 +131,6 @@ def _classification_weights(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
     if spec.family in (Family.SIX_NONSTD, Family.SIX_STD):
         return R_weights(spec, p) / reference_gauge(spec, p.kind, p.value)
     x = family_x(spec, p.kind, p.value)
-    x_to_u(x)  # the DomainError at x = -1
     return _u_gauge(spec, x) * R_weights(spec, SpectralPoint.from_x(x))
 
 

@@ -17,14 +17,14 @@ Every braid matrix and R(x) here is eight-vertex: nonzero only where the row and
 bits have equal parity, so the direct sum of a 2x2 block on |00>, |11> and one on |01>,
 |10>. Only this module knows that layout; the others read the weights that ``weights``
 gives, the outer block's (p, q, r, s) at the even places and the inner block's at the odd
-ones. A stack of such matrices travels as
-``WeightRows``, its (8, ...) weight rows in the block order of ``_WEIGHTS``: ``pattern_rows``
-assembles them from tables written as 4x4 rows, under one finiteness check, and
-``WeightRows.dense`` scatters them to the (..., 4, 4) stack only at the API edges. The
-kernels read their operands through ``weights``, which passes weight rows through and
-gathers and checks a dense matrix once, where it enters: ``strand_gap``, the braid and
-QYBE kernel, computes only the entries the weights reach, and ``block_product``,
-``weight_product`` and ``defect`` multiply such matrices block by block.
+ones, and write tables as 4x4 rows. A stack of such matrices travels as ``WeightRows``,
+its (8, ...) weight rows in the block order of ``_WEIGHTS``: ``pattern_rows`` assembles
+them from tables under one finiteness check (``pattern_stack`` writes one, scaled, straight
+to dense matrices), and ``WeightRows.dense`` scatters them to the (..., 4, 4) stack only at
+the API edges. The kernels read their operands through ``weights``, which passes weight
+rows through and gathers and checks a dense matrix once, where it enters: ``strand_gap``,
+the braid and QYBE kernel, computes only the entries the weights reach, and
+``block_product``, ``weight_product`` and ``defect`` multiply such matrices block by block.
 
 The JSON wire format for a matrix, shared by the whole package and the CLI, is
 
@@ -172,6 +172,21 @@ def pattern_rows(tables) -> np.ndarray:
     if not np.isfinite(rows).all():
         raise ValueError("matrix entries must be finite")
     return rows.reshape(len(tables), 8, *rows.shape[1:])
+
+
+def pattern_stack(scale, table, shift=None) -> np.ndarray:
+    """shift + scale * table: the (..., 4, 4) stack in the shape of ``scale``, a number or an
+    array, of an eight-vertex ``table`` written as 4x4 rows, whose entries are numbers or
+    arrays in that shape. ``shift`` is a constant matrix, added last."""
+    if isinstance(scale, np.ndarray):  # entry-major: one write per entry
+        m = np.zeros((4, 4, *scale.shape), dtype=complex)
+        for r, c in _WEIGHTS:
+            m[r, c] = table[r][c]
+    else:  # a number's table: one conversion
+        m = np.array(table, dtype=complex)
+    m *= scale
+    h = m.transpose(*range(2, m.ndim), 0, 1)
+    return np.add(h, shift, order="C") if shift is not None else np.ascontiguousarray(h)
 
 
 def stacks(*matrices) -> tuple:

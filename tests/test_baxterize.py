@@ -25,6 +25,7 @@ from yaxter.baxterize import (
 )
 from yaxter.catalog import (DomainError, Family, FamilySpec, FamilySpecs, Sign, build_b,
                             eigenvalues_of, z_of)
+from yaxter.entangle import classify
 from yaxter.linalg import (DegenerateSpectrumError, NotTwoEigenvalueError, WeightRows, cmat, dagger,
                            frobenius, identity, inverse, spectral_projectors)
 from yaxter.verify import conjugate_partner, sample_spec, sample_specs
@@ -47,6 +48,30 @@ def coefficients(spec, ordering=None):
 
 def test_u_at_x_one_is_zero():
     assert x_to_u(1.0) == 0
+
+
+@pytest.mark.parametrize("family", [Family.EIGHT_I, Family.EIGHT_II, Family.EIGHT_IV])
+def test_u_gauge_has_one_pole_guard_for_numbers_and_arrays(family):
+    spec = sample_spec(family, np.random.default_rng(3))
+    specs = FamilySpecs.from_specs([spec, spec])
+    # |u| = 1e20 rounds x = (1 - u)/(1 + u) to -1: the u view's DomainError, not a
+    # ZeroDivisionError or numpy's divide-by-zero warning
+    for s, u in ((spec, 1e20), (specs, np.array([0.3, 1e20], dtype=complex))):
+        with pytest.raises(DomainError, match="undefined at x = -1"):
+            gauge(s, "u", u)
+
+
+@pytest.mark.parametrize("t, x", [(1.6, 1e308), (0.999, 1.4e154)])
+def test_u_gauge_power_past_the_float_range_is_a_domain_error(t, x):
+    # eight4's (1 + x)^2 overflows a Python complex: a DomainError naming the gauge, not an
+    # OverflowError, nor a zero gauge, which at t = 0.999 would make R(x) finite and all zero
+    spec = FamilySpec.eight4(t=t)
+    with pytest.raises(DomainError, match=r"gauge 1/\(1\+x\)\^2 is out of float range"):
+        baxterize._u_gauge(spec, x + 0j)
+    with pytest.raises(DomainError, match="gauge"):  # classify's gauge is the u view's
+        classify(spec, X(x))
+    with np.errstate(over="ignore"):  # an array's power overflows to inf
+        assert baxterize._u_gauge(FamilySpecs.from_specs([spec]), np.array([x + 0j]))[0] == 0
 
 
 def test_u_on_unit_circle_is_minus_i_tan_half():

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from yaxter.catalog import (
     is_imag,
     is_real,
     on_unit_circle,
+    q_from,
 )
 from yaxter.linalg import frobenius, identity, strand_gap
 from yaxter.verify import sample_spec, sample_specs
@@ -161,6 +165,43 @@ def test_q_is_the_only_stored_parameter():
     spec = FamilySpec.eight1(phi=0.9)
     assert spec.q == np.exp(-0.9j) and spec.phi == pytest.approx(0.9)
     assert FamilySpec.bell(phi=0.9).q == spec.q
+
+
+@pytest.mark.parametrize("make, name, value", [
+    *[(ctor, "gamma", g) for ctor in (FamilySpec.six_nonstd, FamilySpec.six_std)
+      for g in (712.0, -800.0, float("nan"))],
+    *[(ctor, "phi", p) for ctor in (FamilySpec.eight1, FamilySpec.bell)
+      for p in (float("inf"), -float("inf"), float("nan"))],
+])
+def test_gamma_or_phi_off_the_finite_nonzero_q_is_a_value_error_naming_it(make, name, value):
+    # exp(712) overflows, exp(-800) underflows to q = 0 and exp(-1j * inf) warns; each is
+    # refused before the arithmetic, by the one resolver q_from, naming the parameter given
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            make(**{name: value})
+
+
+def test_q_from_names_the_values_given_more_than_once_or_not_at_all():
+    for first, second in (("q", "gamma"), ("q", "phi"), ("gamma", "phi")):
+        with pytest.raises(ValueError, match=f"^give {first} or {second}, not both$"):
+            q_from(**{first: 1.0, second: 0.3})
+    with pytest.raises(ValueError, match="^give q or gamma or phi, not all three$"):
+        q_from(q=1.0, gamma=0.3, phi=0.2)
+    with pytest.raises(ValueError, match="^give q or gamma$"):
+        FamilySpec.six_std()
+
+
+@pytest.mark.parametrize("value", [0.0, 0.3, -2.5, 709.0, -700.0, 1e-300])
+def test_q_from_gamma_or_phi_is_bitwise_the_exponential(value):
+    for q in (q_from(gamma=value), FamilySpec.six_nonstd(gamma=value).q,
+              FamilySpec.six_std(gamma=value).q):
+        assert type(q) is float and q == math.exp(value)
+    want = complex(np.exp(-1j * value))
+    for q in (q_from(phi=value), FamilySpec.eight1(phi=value).q, FamilySpec.bell(phi=value).q):
+        assert type(q) is complex
+        assert (q.real, q.imag) == (want.real, want.imag)
+        assert math.copysign(1, q.imag) == math.copysign(1, want.imag)
 
 
 # --- eight-vertex constraint system ------------------------------------------

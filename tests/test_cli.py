@@ -487,7 +487,7 @@ def test_gamma_outside_the_exp_range_is_one_error_line(capsys, gamma):
     code, out, err = run_cli(capsys, "hamiltonian", "--family", "six-std", "--gamma", gamma,
                              "--theta", "0.3")
     assert code == 2 and out == ""
-    assert err.startswith("error: --gamma ") and err.count("\n") == 1
+    assert err.startswith("error: gamma ") and err.count("\n") == 1
 
 
 def test_build_with_huge_entries_is_not_called_singular(capsys):
@@ -730,7 +730,36 @@ def test_non_finite_evolution_input_is_one_error_line(capsys, argv):
 def test_theorem1_route_reads_no_phi(capsys):
     code, out, err = run_cli(capsys, "cnot", "--route", "theorem1", "--phi", "0.4")
     assert code == 2 and out == ""
-    assert err == "error: --phi is read only by --route evolution\n"
+    assert err == "error: cnot --route theorem1 reads no --phi\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--family", "eight1", "--phi", "inf"),
+    ("catalog", "--family", "eight1", "--phi=-inf"),
+    ("catalog", "--family", "bell-phi", "--phi", "nan"),
+    ("catalog", "--family", "eight1", "--gamma", "0.3", "--phi", "0.2"),
+    ("check", "unitarity", "--family", "eight2", "--t", "1.7", "--u", "1e20"),
+    ("check", "unitarity", "--family", "eight1", "--phi", "0.3", "--u", "1e20"),
+    ("check", "unitarity", "--family", "eight4", "--t", "1.6", "--u", "1e20"),
+    ("build", "--family", "eight2", "--t", "1.7", "--u", "1e20"),
+    ("classify", "--family", "eight2", "--t", "1.7", "--u", "1e20"),
+    ("classify", "--family", "eight4", "--t", "1.6", "--x", "1e308"),
+    ("classify", "--family", "eight4", "--t", "0.999", "--x", "1.4e154"),
+    ("cnot", "--route", "theorem1", "--phi", "0.4"),
+], ids=lambda argv: "-".join(argv))
+def test_bad_parameter_or_point_is_one_error_line_without_warnings(capsys, argv):
+    # refused before any arithmetic that would raise or warn, naming only what was given
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Warning" not in err
+    if argv[0] == "catalog" and any(a.startswith("--phi") for a in argv):
+        assert "phi" in err and "--q" not in err and " q " not in err
+    if "--u" in argv:
+        assert err == "error: u = (1-x)/(1+x) is undefined at x = -1\n"
+    if "--x" in argv:  # R(x) is finite at t = 0.999; only its u-view gauge is not
+        assert "gauge 1/(1+x)^2 is out of float range" in err
 
 
 @pytest.mark.parametrize("argv", [("suite", "--seed", "-1"),
