@@ -24,9 +24,11 @@ Closed forms are validated against it rather than trusted:
 six-vertex closed form also circulates in a coth-gamma variant that the derivative
 contradicts (the corner entries come out as sinh cosh / rho); both variants are kept so
 the discrepancy can be measured and reported (see ``six_vertex_erratum_report``).
-``hamiltonian_fd`` takes central differences instead, as a cross-check: its five-point
-stencil of gauge unitaries stays weight rows, and i dU U^dag is ``weight_product`` on them,
-scattered once.
+``hamiltonian_fd`` takes central differences instead, as a cross-check, and decides its
+point as ``hamiltonian`` does: the curve and domain checks at the point alone, and the
+curve's unitarity left to the Hermiticity check. Its five-point stencil of gauge unitaries,
+R in the dynamics gauge over sqrt(rho) with rho = tr(R R^dag)/4 measured as the pass
+measures it, stays weight rows, and i dU U^dag is ``weight_product`` on them, scattered once.
 
 For eight1 the evolution is generated by the time-independent
 
@@ -48,13 +50,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, _coefficient_rows,
-                        _polynomial, _rows_at, family_x, g_factors, gauge)
-from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix, is_real,
-                      z_of)
+                        _polynomial, _rows_at, family_x, g_factors, gauge, reference_gauge)
+from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix,
+                      domain_violation, is_real, z_of)
 from .gates import PAULI, tensor
 from .linalg import (MAX_ENTRY, WeightRows, dagger, expm_hermitian, frobenius, identity,
                      pattern_stack, require_hermitian, weight_product)
-from .verify import _normalization, worst
+from .verify import worst
 
 I4 = identity(4)
 #: the constant terms of the eight2/3 and eight4 closed forms
@@ -82,27 +84,41 @@ class Hamiltonian:
 
 
 def gauge_unitary(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
-    """U = rho^{-1/2} R in the dynamics gauge, exactly unitary on the domain curve: the
-    six-vertex families run over their trigonometric reference gauge, the others as built."""
+    """U = rho^{-1/2} R in the dynamics gauge, unitary to rounding on the domain curve, rho
+    measured: the six-vertex families run over their trigonometric reference gauge, the others
+    as built."""
     return _gauge_unitaries(spec, p.kind, p.value).dense()
 
 
 def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values) -> WeightRows:
     """``gauge_unitary`` at a ``kind`` view value, or the stack at an (n,) array of values
-    (one per sample for FamilySpecs), as weight rows, with the domain check and the rho floor
-    applied to each: the ``R_rows`` matrices over their gauge and sqrt(rho), with x, the
-    gauges and rho evaluated once and the quotient folded into the polynomial's scale."""
+    (one per sample for FamilySpecs), as weight rows: the domain check of each value, which
+    names the first violating one, then ``_unitaries``."""
+    x = family_x(spec, kind, values)
+    violation = domain_violation(spec.family, *spec.parameters()[:2], x)
+    if violation is not None:
+        raise DomainError(violation)
+    return _unitaries(spec, kind, values, x)
+
+
+def _unitaries(spec: FamilySpec | FamilySpecs, kind: str, values, x) -> WeightRows:
+    """U = rho^{-1/2} R at ``kind`` view values of multiplicative x, as weight rows, with no
+    domain check: the ``_rows_at`` rows in the dynamics gauge, divided by sqrt(rho) for
+    rho = tr(R R^dag) / 4 measured on them as ``_pass`` measures it. A rho that is not
+    finite or at or below the floor is a DomainError that names the first such value."""
+    scale = gauge(spec, kind, values)
+    if spec.family in SIX_VERTEX:
+        scale = scale / reference_gauge(spec, kind, values, x)
     with np.errstate(over="ignore", invalid="ignore"):  # a rho that overflows fails below
-        x, view, ref, rho = _normalization(spec, kind, values)
-    gauge = ref if spec.family in SIX_VERTEX else 1.0
-    rho = rho / np.abs(gauge) ** 2
+        r = _rows_at(spec, x, scale)
+        rho = _pairwise((r * r.conj()).real) / 4.0
     ok = np.isfinite(rho) & (rho > RHO_FLOOR)
     if not ok.all():  # the search for the entry only on failure
         k = np.argmin(ok)  # the first False
         raise DomainError(f"normalization factor rho = {np.ravel(rho)[k]:.3e} at {kind} = "
                           f"{np.broadcast_to(values, np.shape(rho)).flat[k]:.6g} "
                           "is degenerate or not finite")
-    return WeightRows(_rows_at(spec, x, view / (gauge * np.sqrt(rho))))
+    return WeightRows(r / np.sqrt(rho))
 
 
 def _curve_failure(kind: str, value) -> str | None:
@@ -269,10 +285,16 @@ def hamiltonian(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
 def hamiltonian_fd(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
     """H = i (dU/ds) U(s)^dag at the points ``hamiltonian`` takes, by Richardson-extrapolated
     central differences at step h = 1e-5, on weight rows: truncation O(h^4), rounding
-    about 1e-10."""
+    about 1e-10. The point is decided as ``hamiltonian`` decides it: the curve and domain
+    checks at p alone, the five-point stencil through ``_unitaries``, and the curve's
+    unitarity left to the record's Hermiticity check."""
     kind, s0 = _curve(spec, p)
+    violation = spec.domain_violation(family_x(spec, kind, s0))
+    if violation is not None:
+        raise DomainError(violation)
     h = 1e-5
-    u = _gauge_unitaries(spec, kind, s0 + np.array([0.0, h, -h, h / 2, -h / 2]))
+    stencil = s0 + np.array([0.0, h, -h, h / 2, -h / 2])
+    u = _unitaries(spec, kind, stencil, family_x(spec, kind, stencil))
     u0, up, um, uph, umh = u.w.T
     du = (4.0 * (uph - umh) / h - (up - um) / (2.0 * h)) / 3.0
     k = weight_product(1j * du, dagger(WeightRows(u0)).w)

@@ -20,8 +20,8 @@ from yaxter.dynamics import (
     six_vertex_hamiltonian_coth_variant,
 )
 from yaxter.gates import PAULI, SIGMA_MINUS, SIGMA_PLUS, SX, SZ, sigma_xy, tensor
-from yaxter.linalg import (WeightRows, expm_hermitian, frobenius, hermiticity_defect, identity,
-                           require_hermitian)
+from yaxter.linalg import (NotHermitianError, WeightRows, expm_hermitian, frobenius,
+                           hermiticity_defect, identity, require_hermitian)
 from yaxter.verify import _normalization, sample_spec, sample_specs, worst
 
 X = SpectralPoint.from_x
@@ -169,6 +169,23 @@ def test_exact_matches_the_fd_cross_check(family):
 def test_exact_rejects_points_off_the_unitary_curves(spec, p, error):
     with pytest.raises(error):
         hamiltonian(spec, p)
+
+
+@pytest.mark.parametrize("spec,p", [
+    (FamilySpec.eight4(t=1.5, q=1.0), X(1.0)),
+    (FamilySpec.eight4(t=1.5j, q=1.0), TH(0.0)),
+    (FamilySpec.eight2(t=1.5, q=1.0), X(-1.0)),
+    (FamilySpec.six_std(gamma=0.3), X(1.0)),
+], ids=["eight4-real-t-x", "eight4-imag-t-theta", "eight2-x", "six-std-x"])
+def test_fd_fails_at_an_isolated_domain_point_as_the_exact_generator_does(spec, p):
+    # the curve meets the unitary domain at p alone: both extractors pass the domain check
+    # at p, and U is not unitary along the curve, so both records fail their Hermiticity check
+    messages = []
+    for extract in (hamiltonian, hamiltonian_fd):
+        with pytest.raises(NotHermitianError) as err:
+            extract(spec, p)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_exact_fails_closed_where_r_is_not_unitary_along_the_curve(monkeypatch):
