@@ -23,15 +23,18 @@ no --t or --sign, eight1 and bell-phi no --t; only eight4 --via closed reads
 The parser is built per command: ``main`` reads the command from argv and
 ``build_parser`` adds only its subparser, from the one table ``COMMANDS``; with no
 command, -h first or an unknown name it adds them all. Help and usage errors are
-the same either way.
+the same either way. Each parser is built on its first use and kept, one per command
+per process: it depends on ``COMMANDS`` alone, and a parse leaves it unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -76,20 +79,24 @@ def dumps_17g(obj) -> str:
 
 
 def _write_json(obj, out: list[str]) -> None:
-    if obj is None or isinstance(obj, bool):
-        out.append(json.dumps(obj))
+    """Append the pieces of ``obj`` to ``out``: strings quoted by ``json.dumps``'s own
+    ASCII quoting function, non-finite floats as strings."""
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(f"{obj:.17g}" if np.isfinite(obj) else json.dumps(str(obj)))
+        out.append(f"{obj:.17g}" if math.isfinite(obj) else _quote(str(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quote(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(k)) + ":")
+            out.append(_quote(str(k)) + ":")
             _write_json(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
@@ -492,12 +499,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with only ``command``'s subparser when it names one, else with all of
     them. Help and usage errors read the same either way: a lone subparser's usage line
     lists every command through the metavar, which the full parser leaves unset so that
-    its errors name the argument ``command``."""
+    its errors name the argument ``command``. Built on first use and then shared: every
+    name outside ``COMMANDS`` gets the one full parser."""
+    return _parser(command if command in COMMANDS else None)
+
+
+@functools.lru_cache(maxsize=None)
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """``build_parser`` of a name in ``COMMANDS`` or None, built once."""
     parser = argparse.ArgumentParser(
         prog="yaxter",
         description="Braid matrices, Yang-Baxterized R(x) families, and their gate theory.",
     )
-    if command in COMMANDS:
+    if command is not None:
         names = [command]
         metavar = "{" + ",".join(COMMANDS) + "}"
     else:

@@ -360,15 +360,17 @@ def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray):
     96 additions a triple, against the 768 multiply-adds of the general 4x4 contraction,
     and a norm over 32 differences instead of 64. Stacks run in blocks of ``_BLOCK``
     triples on (8, n) weight rows, so the temporaries stay 64 KB each; a dense stack is
-    read block by block.
+    read block by block. Each block's rows are made contiguous once: a block of wider
+    ``WeightRows``, or a strided view such as the middle matrix of a (3, n) stack, would
+    otherwise be copied by each of the ten row gathers of ``_block_diffs``.
     """
     (a, c, d), shape = stacks(a, c, d)
     if not shape:
         return float(_block_gaps(*np.reshape(weights("strand_gap", "acd", a, c, d), (3, 8, 1)))[0])
     gaps = np.empty(len(a))
-    for k in range(0, len(a), _BLOCK):
-        gaps[k:k + _BLOCK] = _block_gaps(*weights("strand_gap", "acd", *(
-            m[k:k + _BLOCK] for m in (a, c, d)), start=k))
+    for k in range(0, len(a), _BLOCK):  # contiguous blocks: take copies a strided source first
+        gaps[k:k + _BLOCK] = _block_gaps(*map(np.ascontiguousarray, weights(
+            "strand_gap", "acd", *(m[k:k + _BLOCK] for m in (a, c, d)), start=k)))
     return gaps.reshape(shape)
 
 

@@ -17,7 +17,9 @@ probes) through one ``dynamics.generator_pass`` and takes one closed-form stack 
 spec. The others make one call per family: the inverse-unitarity scalars of
 criterion 5, the closed-form determinants of criterion 6 (20 states per family from
 one draw) and the braiding evolution residuals of criterion 8 (50 eight1 points as
-one FamilySpecs). A criterion that raises a check error is a failing entry, and the
+one FamilySpecs, drawn parameter by parameter in three calls, as ``verify._draw_spec``
+draws). Criterion 10 checks each of its four Bell bases with one stacked norm and one
+Gram product. A criterion that raises a check error is a failing entry, and the
 others still run.
 """
 
@@ -355,12 +357,12 @@ def criterion_hamiltonians(seed: int) -> dict:
 def criterion_evolution(seed: int) -> dict:
     tol = 1e-10
     rng = np.random.default_rng(seed + 500)
-    # (phi, theta, sign bit) per sample, drawn in that order
-    phi, theta, bit = np.array([(rng.uniform(0, 2 * np.pi), rng.uniform(-1.2, 1.2),
-                                 rng.integers(2)) for _ in range(50)]).T
+    # all 50 phi, then all 50 theta, then all 50 sign bits, one call each, as the scans draw
+    phi, theta, bit = (rng.uniform(0, 2 * np.pi, 50), rng.uniform(-1.2, 1.2, 50),
+                       rng.integers(2, size=50))
     # q = e^{-i phi}, the default t and the sign factor, as FamilySpec.eight1 sets them
     specs = FamilySpecs(Family.EIGHT_I, np.exp(-1j * phi), np.full(50, 2.0 + 0j),
-                        1 - 2 * bit.astype(int))
+                        1 - 2 * bit)
     residual = worst(braiding_evolution_residual(specs, theta))
     spec0 = FamilySpec.eight1(phi=0.0, sign=Sign.MINUS)
     r0 = dynamics.gauge_unitary(spec0, SpectralPoint.from_theta(0.0))
@@ -394,9 +396,9 @@ def criterion_bell(seed: int) -> dict:
                 np.array([0, s, 1, 0], dtype=complex) / np.sqrt(2),
                 np.array([e_m, 0, 0, 1], dtype=complex) / np.sqrt(2),
             ]
-            gaps += [float(np.linalg.norm(got - want)) for got, want in zip(states, expected)]
-            gram = np.array([[np.vdot(u, v) for v in states] for u in states])
-            gaps.append(frobenius(gram - I4))
+            states = np.array(states)
+            gaps += list(np.linalg.norm(states - expected, axis=1))
+            gaps.append(frobenius(states.conj() @ states.T - I4))  # the Gram matrix
             if phi == 0.0:
                 gaps += [abs(abs(concurrence_det(psi)) - 0.5) for psi in states]
     residual = worst(gaps)

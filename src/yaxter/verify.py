@@ -10,8 +10,9 @@ whole coefficient table: ``certify_qybe`` bounds the residual polynomial on all 
 R(x) R(x)^dag = rho * 1 with rho > 0 the family's normalization factor;
 rho^{-1/2} R(x) is the physical gate. Its kernel, ``unitarity_residual(r, rconj)``,
 and ``inverse_unitarity(r, rinv)`` read eight-vertex matrices with ``linalg.weights`` and
-multiply them with ``linalg.block_product``, block by block: one formula body each, on
-Python complex numbers for one matrix and on entry rows for a whole stack.
+multiply them with ``linalg.block_product``: one formula body each, on Python complex
+numbers block by block for one matrix, and for a whole stack on entry rows that hold both
+blocks on one axis.
 Every kernel takes a dense matrix from outside, read and checked once, or a stack
 as ``linalg.WeightRows``.
 The closed-form rho per family (stated for each family's reference gauge,
@@ -115,24 +116,37 @@ def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
     positive is a DegenerateNormalizationError.
 
     One formula, ``linalg.block_product`` and ``linalg.defect``, in two arithmetics: Python
-    complex numbers for one dense matrix, and (n,) entry rows of each block for a stack. The
-    one-matrix arithmetic stays: one matrix run as a stack of one took the bench ``sweep`` op
-    28-33 % more CPU time.
+    complex numbers for one dense matrix, one block at a time, and for a stack both blocks
+    on one axis, as (4, 2, n) entry rows (``_both_blocks``), so that each product and each
+    defect is one pass over the stack. The one-matrix arithmetic stays: one matrix run as a
+    stack of one took the bench ``sweep`` op 28-33 % more CPU time.
     """
     (r, rconj), shape = stacks(r, rconj)
-    (xo, xi), (yo, yi) = ((m[0::2], m[1::2]) for m in weights(
-        "unitarity_residual", ("r", "rconj"), r, rconj))
-    mo, mi = block_product(xo, yo), block_product(xi, yi)
-    rho = ((mo[0] + mo[3]) + (mi[0] + mi[3])).real / 4.0
-    left = defect(mo, rho) + defect(mi, rho)
-    right = defect(block_product(yo, xo), rho) + defect(block_product(yi, xi), rho)
-    if isinstance(rho, float):  # one dense matrix: Python numbers throughout
-        res = math.sqrt(left) + math.sqrt(right)
+    x, y = weights("unitarity_residual", ("r", "rconj"), r, rconj)
+    if isinstance(x, tuple):  # one dense matrix: Python numbers throughout
+        (xo, xi), (yo, yi) = (x[0::2], x[1::2]), (y[0::2], y[1::2])
+        mo, mi = block_product(xo, yo), block_product(xi, yi)
+        rho = ((mo[0] + mo[3]) + (mi[0] + mi[3])).real / 4.0
+        res = math.sqrt(defect(mo, rho) + defect(mi, rho)) + math.sqrt(
+            defect(block_product(yo, xo), rho) + defect(block_product(yi, xi), rho))
     else:
-        rho, res = rho.reshape(shape), (np.sqrt(left) + np.sqrt(right)).reshape(shape)
+        x, y = _both_blocks(x), _both_blocks(y)
+        m = block_product(x, y)
+        trace = m[0] + m[3]
+        rho = (trace[0] + trace[1]).real / 4.0
+        left, right = defect(m, rho), defect(block_product(y, x), rho)
+        rho, res = rho.reshape(shape), (np.sqrt(left[0] + left[1])
+                                         + np.sqrt(right[0] + right[1])).reshape(shape)
     if (rho <= 0).any() if shape else rho <= 0:
         raise DegenerateNormalizationError(f"estimated rho = {np.nanmin(rho):.3e} is not positive")
     return rho, res
+
+
+def _both_blocks(w: np.ndarray) -> np.ndarray:
+    """The (4, 2, n) entry rows of the (8, n) weight rows of n eight-vertex matrices: the
+    (p, q, r, s) of ``linalg.block_product``, each an (outer, inner) pair of block rows.
+    A view, as the weights alternate between the blocks."""
+    return w.reshape(4, 2, -1)
 
 
 def conjugate_partner(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
@@ -226,14 +240,21 @@ def inverse_unitarity(r: np.ndarray, rinv: np.ndarray,
 
     The scalars come in the shape of the stack; a product not proportional to 1 at any item
     is a NotProportionalError. Both must be eight-vertex (``linalg.weights``); their product
-    is ``linalg.block_product``, block by block, on Python complex numbers for one dense
-    matrix and on entry rows else.
+    is ``linalg.block_product``, on Python complex numbers block by block for one dense
+    matrix, and else on both blocks at once as the (4, 2, n) entry rows of ``_both_blocks``.
     """
     (r, rinv), shape = stacks(r, rinv)
     wr, wi = weights("inverse_unitarity", ("R(x)", "R(1/x)"), r, rinv)
-    mo, mi = block_product(wr[0::2], wi[0::2]), block_product(wr[1::2], wi[1::2])
-    scalar = ((mo[0] + mo[3]) + (mi[0] + mi[3])) / 4.0
-    gap = np.sqrt(defect(mo, scalar) + defect(mi, scalar))
+    if isinstance(wr, tuple):  # one dense matrix: Python numbers, block by block
+        mo, mi = block_product(wr[0::2], wi[0::2]), block_product(wr[1::2], wi[1::2])
+        scalar = ((mo[0] + mo[3]) + (mi[0] + mi[3])) / 4.0
+        gap = np.sqrt(defect(mo, scalar) + defect(mi, scalar))
+    else:
+        m = block_product(_both_blocks(wr), _both_blocks(wi))
+        trace = m[0] + m[3]
+        scalar = (trace[0] + trace[1]) / 4.0
+        squares = defect(m, scalar)
+        gap = np.sqrt(squares[0] + squares[1])
     proportional = gap <= tol * np.maximum(1.0, abs(scalar))
     if not proportional.all():
         raise NotProportionalError("R(x) R(1/x) is not proportional to 1: "

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import yaxter
 from yaxter.catalog import Family, FamilySpec
 from yaxter.cli import COMMANDS, build_parser, dumps_17g, main
 from yaxter.dynamics import hamiltonian_closed
@@ -27,6 +34,16 @@ def test_dumps_17g_is_round_trip_exact():
 def test_dumps_17g_writes_non_finite_floats_as_strings():
     got = dumps_17g([float("nan"), float("inf"), -float("inf"), np.float64("nan")])
     assert got == '["nan","inf","-inf","nan"]'
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+@example('"\\')
+@example("\x00\x1f\x7f\n\t")
+@example("é∑😀\ud800")  # non-ASCII, and a lone surrogate
+def test_dumps_17g_quotes_text_as_json_does(text):
+    assert dumps_17g(text) == json.dumps(text)
+    assert dumps_17g({text: [text, 0.5]}) == json.dumps({text: [text, 0.5]}, separators=(",", ":"))
 
 
 def test_suite_with_a_nan_criterion_prints_the_failing_report(capsys, monkeypatch):
@@ -668,6 +685,40 @@ def test_the_parser_of_one_command_reads_as_the_full_parser(capsys, monkeypatch,
         assert one[0] == (0 if "--help" in argv else 2)
     assert list(build_parser(path[0])._subparsers._group_actions[0].choices) == [path[0]]
     assert list(build_parser()._subparsers._group_actions[0].choices) == list(COMMANDS)
+
+
+def test_a_parser_is_built_once_per_command_and_shared_by_unknown_names():
+    assert build_parser("suite") is build_parser("suite")
+    assert build_parser("check") is not build_parser("suite")
+    full = build_parser()
+    assert build_parser("bogus") is full and build_parser("--help") is full
+    assert build_parser(None) is full
+
+
+#: argvs run in turn by one process: a seed and then none, an unread option, a help exit
+REUSE_ARGVS = [
+    ("check", "braid", "--family", "eight2", "--samples", "5", "--seed", "3"),
+    ("check", "braid", "--family", "eight2", "--samples", "5"),
+    ("cnot", "--route", "theorem1", "--phi", "0.4"),
+    ("suite", "--help"),
+    ("suite", "--seed", "42"),
+]
+
+
+def test_the_shared_parsers_keep_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("YAXTER_TOL", raising=False)
+    env = {**os.environ, "PYTHONPATH": str(Path(yaxter.__file__).parents[1])}
+    for argv in REUSE_ARGVS:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "yaxter.cli", *argv], env=env,
+                               capture_output=True, text=True, check=False)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout,
+                                                      fresh.stderr), argv
 
 
 USAGE = ("usage: yaxter [-h]\n"

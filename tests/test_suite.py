@@ -62,20 +62,20 @@ def det_gap_loop(seed: int) -> tuple[float, float]:
     return worst(gaps), max(dets)
 
 
-def evolution_loop(seed: int) -> float:
-    """Max residual of criterion 8, one sample per call, from the single-matrix gauge
-    unitary, closed-form Hamiltonian and exponential."""
+def evolution_loop(seed: int) -> tuple:
+    """(residuals, samples) of criterion 8, one sample per call, from the single-matrix
+    gauge unitary, closed-form Hamiltonian and exponential, at the criterion's samples:
+    its three draws, of 50 phi, 50 theta and 50 sign bits."""
     rng = np.random.default_rng(seed + 500)
+    samples = (rng.uniform(0, 2 * np.pi, 50), rng.uniform(-1.2, 1.2, 50),
+               rng.integers(2, size=50))
     residuals = []
-    for _ in range(50):
-        phi = float(rng.uniform(0, 2 * np.pi))
-        theta = float(rng.uniform(-1.2, 1.2))
-        sign = Sign.PLUS if rng.integers(2) == 0 else Sign.MINUS
-        spec = FamilySpec.eight1(phi=phi, sign=sign)
+    for phi, theta, bit in zip(*(a.tolist() for a in samples)):
+        spec = FamilySpec.eight1(phi=phi, sign=Sign.PLUS if bit == 0 else Sign.MINUS)
         r = gauge_unitary(spec, SpectralPoint.from_theta(theta))
         u = evolve(hamiltonian_closed(spec, theta), -(np.pi / 2.0 - 2.0 * theta))
         residuals.append(frobenius(r - u))
-    return worst(residuals)
+    return np.array(residuals), samples
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -95,12 +95,26 @@ def test_criterion_6_agrees_with_its_loop(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_criterion_8_agrees_with_its_loop(seed):
+def test_criterion_8_agrees_with_its_loop(seed, monkeypatch):
+    calls = []
+
+    def recorded(specs, theta):  # the criterion's samples and its residual per sample
+        calls.append((specs, theta, dynamics.braiding_evolution_residual(specs, theta)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(suite, "braiding_evolution_residual", recorded)
     entry = suite.criterion_evolution(seed)
-    residual = evolution_loop(seed)
-    assert entry["pass"] and residual < entry["tolerance"]
-    # R and the exponential are unitary, ||.||_F = 2: agreement relative to that norm
-    assert abs(entry["max_residual"] - residual) <= 2e-14
+    (specs, theta, stacked), = calls
+    residuals, (phi, loop_theta, bit) = evolution_loop(seed)
+    # the loop runs the criterion's samples, not just as many of its own
+    assert np.array_equal(theta, loop_theta) and np.array_equal(specs.s, 1 - 2 * bit)
+    assert np.array_equal(specs.q, np.exp(-1j * phi))
+    assert entry["pass"] and worst(residuals) < entry["tolerance"]
+    assert entry["max_residual"] == worst(stacked)
+    # R and the exponential are unitary, ||.||_F = 2: agreement relative to that norm, per
+    # sample. Every residual is rounding noise, so the two worst samples can differ.
+    assert np.abs(residuals - stacked).max() <= 2e-14
+    assert abs(entry["max_residual"] - worst(residuals)) <= 2e-14
 
 
 def test_each_family_has_its_representative_spec():

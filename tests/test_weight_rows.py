@@ -11,9 +11,11 @@ from yaxter.baxterize import EigOrdering, R_rows
 from yaxter.catalog import (DOMAIN_TOL, DomainError, Family, FamilySpec, _finite, braid_matrix,
                             braid_residual, braid_rows, build_b, domain_violation, is_imag,
                             is_real)
-from yaxter.linalg import _BLOCK, dagger, strand_gap, weights
-from yaxter.verify import (QYBE_PARAMETRIZATIONS, _QYBE_LAWS, _cpair, _normalization, sample_spec, sample_specs, sample_x, scan_braid,
-                           scan_qybe, scan_unitarity, unitarity_residual, worst)
+from yaxter.linalg import _BLOCK, WeightRows, block_product, dagger, defect, strand_gap, weights
+from yaxter.verify import (QYBE_PARAMETRIZATIONS, _QYBE_LAWS, _bounded_rows, _cpair,
+                           _normalization, inverse_unitarity, qybe_job, sample_spec, sample_specs,
+                           sample_x, scan_braid, scan_qybe, scan_unitarity, unitarity_job,
+                           unitarity_residual, worst)
 
 #: several blocks of the strand kernel and a partial one
 SAMPLES = 1000
@@ -98,6 +100,54 @@ def test_the_braid_scan_on_rows_is_bitwise_the_dense_kernel(monkeypatch, family)
     assert got.shape == (SAMPLES,) and np.array_equal(got, want)
     residual, k = worst(want, range(SAMPLES))
     assert report.residual == residual and report.worst_case["q"] == _cpair(specs.q[k])
+
+def test_strand_gap_on_strided_rows_is_bitwise_its_contiguous_copy():
+    spec = sample_spec(Family.EIGHT_III, np.random.default_rng(5))
+    rows, _ = qybe_job(spec, "x", SAMPLES, seed=6)
+    a, c, d = rows  # c: the middle slice of the (8, 3, n) stack, a strided view
+    assert not c.w.flags.c_contiguous
+    for triple in ((a, c, d), [WeightRows(m.w[:, ::2]) for m in (a, c, d)]):
+        copies = [WeightRows(np.ascontiguousarray(m.w)) for m in triple]
+        got, want = strand_gap(*triple), strand_gap(*copies)
+        assert got.shape == (len(triple[0]),) and np.array_equal(got, want)
+
+
+def _unitarity_per_block(x, y):
+    """The stacked ``unitarity_residual`` as it was written before the blocks shared an axis:
+    each block's (n,) entry rows through ``block_product`` and ``defect`` on their own."""
+    (xo, xi), (yo, yi) = (x[0::2], x[1::2]), (y[0::2], y[1::2])
+    mo, mi = block_product(xo, yo), block_product(xi, yi)
+    rho = ((mo[0] + mo[3]) + (mi[0] + mi[3])).real / 4.0
+    left = defect(mo, rho) + defect(mi, rho)
+    right = defect(block_product(yo, xo), rho) + defect(block_product(yi, xi), rho)
+    return rho, np.sqrt(left) + np.sqrt(right)
+
+
+def _inverse_unitarity_per_block(wr, wi):
+    """The stacked ``inverse_unitarity`` scalars, one block at a time, as in
+    ``_unitarity_per_block``."""
+    mo, mi = block_product(wr[0::2], wi[0::2]), block_product(wr[1::2], wi[1::2])
+    return ((mo[0] + mo[3]) + (mi[0] + mi[3])) / 4.0
+
+
+R_FAMILIES = [family for family in Family if family is not Family.BELL_PHI]
+
+
+@pytest.mark.parametrize("family", R_FAMILIES, ids=lambda f: f.value)
+def test_the_stacked_unitarity_kernels_are_bitwise_their_per_block_bodies(family):
+    rows, _, _ = unitarity_job(family, samples=700, seed=11)
+    rho, res = unitarity_residual(rows, dagger(rows))
+    want_rho, want_res = _unitarity_per_block(rows.w, dagger(rows).w)
+    assert rho.shape == (700,) and np.array_equal(rho, want_rho) and np.array_equal(res, want_res)
+    rng = np.random.default_rng(12)
+    spec = sample_spec(family, rng)
+    x = sample_x(spec, rng, 700)
+    form = "g" if family is Family.EIGHT_IV else "canonical"
+    r, rinv = (_bounded_rows(spec, "x", v, form=form) for v in (x, 1 / x))
+    scalar = inverse_unitarity(r, rinv)
+    assert scalar.shape == (700,)
+    assert np.array_equal(scalar, _inverse_unitarity_per_block(r.w, rinv.w))
+
 
 
 def test_the_adjoint_rows_are_the_weights_of_the_dense_adjoint():
