@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (EIGHT_VERTEX_FAMILIES, THREE_EIGENVALUE_FAMILIES, DomainError, Family,
-                      FamilySpec, FamilySpecs, _braid_table, _first_failure, build_b,
-                      eigenvalues_of, z_of)
+                      FamilySpec, FamilySpecs, _braid_table, _eigenvalues, _first_failure,
+                      build_b, eigenvalues_of, z_of)
 from .linalg import WeightRows, cmat, inverse, pattern_rows, require_two_eigenvalues
 
 
@@ -268,9 +268,9 @@ def R_weights(spec: FamilySpec, p: SpectralPoint, ordering: EigOrdering | None =
 def _coefficient_rows(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None = None):
     """The weight rows of (A, B, C), (3, 8) for a FamilySpec and (3, 8, n) for FamilySpecs,
     or of (A, B), (2, 8, ...), where C is 0: the one place that writes the table, with the
-    two-eigenvalue B generated from b. Python's arithmetic for a FamilySpec, numpy's for
-    FamilySpecs, as the braid matrix's, with eight4's 1 + t, 2 t and 1 - t on the rows;
-    one assembly and finiteness check. A (3, 8, n) block is 115 KB at 300 samples, under
+    two-eigenvalue B generated from b's rows (``_table_rows``). Python's arithmetic for a
+    FamilySpec's entries, numpy's for FamilySpecs, as the braid matrix's, with eight4's
+    1 + t, 2 t and 1 - t on the rows; one assembly and finiteness check. A (3, 8, n) block is 115 KB at 300 samples, under
     glibc's 128 KiB mmap threshold. A FamilySpec's rows are kept, read-only (``_kept_rows``)."""
     if ordering is not None:
         ordering = EigOrdering(ordering)
@@ -289,19 +289,25 @@ def _kept_rows(spec_id: int, spec: FamilySpec, ordering: EigOrdering | None):
 
 
 def _table_rows(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | None):
+    """The rows of ``_coefficient_rows``, built: b's entries (eight2's z computed once, for b
+    and for its eigenvalues 1 +- z); for two eigenvalues, ``linalg.pattern_rows`` writes
+    A = b and forms B = (lambda1 + lambda2) 1 - b from A's rows in one array operation
+    (0 - w off the diagonal), so B costs one pass, not eight entry writes; for three, the
+    tables are written entry by entry, and eight4's factors 1 + t, 2 t and 1 - t multiply
+    the block in one operation. Each pattern_rows block takes one finiteness check."""
     fam = spec.family
     _check_ordering(fam, ordering)
     if fam is Family.BELL_PHI:
         raise ValueError("bell-phi is a braid-matrix family; use eight1 for its R(theta)")
     q, t, s = spec.parameters()
-    b = _braid_table(fam, q, t, s)
+    z = z_of(t) if fam is Family.EIGHT_II else None  # one z for b and its eigenvalues 1 +- z
+    b = _braid_table(fam, q, t, s, z)
     if fam not in THREE_EIGENVALUE_FAMILIES:
-        lam1, lam2 = eigenvalues_of(spec)  # lambda1 lambda2 b^{-1} = (lambda1 + lambda2) 1 - b
-        total = lam1 + lam2
-        tables = [b, [[total - v if r == c else -v for c, v in enumerate(row)]
-                      for r, row in enumerate(b)]]
+        # B = lambda1 lambda2 b^{-1} = (lambda1 + lambda2) 1 - b, from A's rows
+        lam1, lam2 = _eigenvalues(fam, q, t, z)
+        return pattern_rows([b], shift=lam1 + lam2)
     # the second table is B, the coefficient of x, except for eight4, whose C is (1 - t) B
-    elif fam is Family.EIGHT_III and ordering is not EigOrdering.SECOND:
+    if fam is Family.EIGHT_III and ordering is not EigOrdering.SECOND:
         tables = [b, [[-t, 0, 0, q], [0, 1, -s * t, 0], [0, -s * t, 1, 0], [1 / q, 0, 0, -t]]]
     else:  # eight3's second ordering, and eight4
         tables = [b, [[t, 0, 0, -q], [0, -1, s * t, 0], [0, s * t, -1, 0], [-1 / q, 0, 0, t]]]

@@ -89,7 +89,7 @@ def _first_failure(holds, message: str, value, **names) -> str | None:
     at the first entry where it is false (and with ``names``)."""
     if not isinstance(holds, np.ndarray):
         return None if holds else message.format(value, **names)
-    if holds.all():  # one pass; the search for the entry only on failure
+    if np.count_nonzero(holds) == holds.size:  # one pass; the search only on failure
         return None
     k = np.argmin(holds)  # the first False
     return message.format(np.broadcast_to(value, holds.shape).flat[k].item(), **names)
@@ -97,11 +97,13 @@ def _first_failure(holds, message: str, value, **names) -> str | None:
 
 def reject_non_finite(**params) -> None:
     """A ValueError naming the first entry that is not finite of the first such parameter
-    (a scalar or an array) in the order given."""
+    (a number or an array) in the order given: a number decided by ``cmath``, an array by
+    one numpy pass."""
     for name, value in params.items():
-        if not np.isfinite(value).all():  # one pass; the search for the entry only on failure
-            raise ValueError(_first_failure(_finite(value), f"{name} must be finite, got {{}}",
-                                            value))
+        failure = _first_failure(_finite(value), "{name} must be finite, got {}", value,
+                                 name=name)
+        if failure:
+            raise ValueError(failure)
 
 
 def finite_rho(rho: float, where: str = "") -> float:
@@ -245,7 +247,9 @@ class FamilySpecs:
     """n parameter points of one family: q, t and the sign factor s (+1 or -1) as (n,)
     arrays, which the kernels (``braid_matrix`` and the R-matrix and rho closed forms)
     take as they are; ``specs[k]`` is the k-th point as a FamilySpec. A non-finite q or
-    t, or q = 0, is a ValueError that names the first such sample."""
+    t, or q = 0, is a ValueError that names the first such sample: one verdict from three
+    counts (finite q, finite t, nonzero q), and the ordered search for the sample, q's
+    finiteness, then t's, then q != 0, only when it fails."""
 
     family: Family
     q: np.ndarray
@@ -253,10 +257,12 @@ class FamilySpecs:
     s: np.ndarray
 
     def __post_init__(self):
-        reject_non_finite(q=self.q, t=self.t)
-        failure = _first_failure(self.q != 0, "deformation parameter q must be nonzero", self.q)
-        if failure:
-            raise ValueError(failure)
+        q, t = self.q, self.t
+        counts = np.count_nonzero(np.isfinite(q)) + np.count_nonzero(np.isfinite(t))
+        if counts + np.count_nonzero(q) == 2 * q.size + t.size:  # one verdict on all three
+            return
+        reject_non_finite(q=q, t=t)  # the first failing sample, in the order of the checks
+        raise ValueError(_first_failure(q != 0, "deformation parameter q must be nonzero", q))
 
     @classmethod
     def from_specs(cls, specs) -> "FamilySpecs":
@@ -327,9 +333,10 @@ def braid_rows(family: Family, q, t, s) -> WeightRows:
     return WeightRows(w / np.sqrt(2) if family is Family.BELL_PHI else w)
 
 
-def _braid_table(fam: Family, q, t, s) -> list:
+def _braid_table(fam: Family, q, t, s, z=None) -> list:
     """The rows of ``braid_matrix`` before its checks (and bell-phi's 1/sqrt(2)): Python
-    numbers for scalar parameters, arrays where they are arrays."""
+    numbers for scalar parameters, arrays where they are arrays. ``z`` is eight2's
+    ``z_of(t)`` when the caller has it already."""
     if fam is Family.SIX_NONSTD:
         return [[q, 0, 0, 0], [0, 0, 1, 0], [0, 1, q - 1 / q, 0], [0, 0, 0, -1 / q]]
     if fam is Family.SIX_STD:
@@ -337,7 +344,7 @@ def _braid_table(fam: Family, q, t, s) -> list:
     if fam in (Family.EIGHT_I, Family.BELL_PHI):
         return [[1, 0, 0, q], [0, 1, s, 0], [0, -s, 1, 0], [-1 / q, 0, 0, 1]]
     if fam is Family.EIGHT_II:
-        z = z_of(t)
+        z = z_of(t) if z is None else z
         return [[2 - t, 0, 0, q], [0, 1, s * z, 0], [0, s * z, 1, 0], [1 / q, 0, 0, t]]
     if fam in (Family.EIGHT_III, Family.EIGHT_IV):
         return [[t, 0, 0, q], [0, 1, s * t, 0], [0, s * t, 1, 0], [1 / q, 0, 0, t]]
@@ -351,14 +358,19 @@ def eigenvalues_of(spec: FamilySpec | FamilySpecs) -> list:
     collapse points t in {0, +-1}, where repeats appear; the annihilation
     property still holds there.
     """
-    fam = spec.family
     q, t, _ = spec.parameters()
+    return _eigenvalues(spec.family, q, t)
+
+
+def _eigenvalues(fam: Family, q, t, z=None) -> list:
+    """``eigenvalues_of`` at q and t; ``z`` is eight2's ``z_of(t)`` when the caller has it
+    already."""
     if fam in (Family.SIX_NONSTD, Family.SIX_STD):
         return [q, -1 / q]
     if fam is Family.EIGHT_I:
         return [1 - 1j, 1 + 1j]
     if fam is Family.EIGHT_II:
-        z = z_of(t)
+        z = z_of(t) if z is None else z
         return [1 + z, 1 - z]
     if fam in THREE_EIGENVALUE_FAMILIES:
         return [1 + t, 1 - t, -1 + t]

@@ -157,21 +157,37 @@ class WeightRows:
         return m.transpose(*range(1, w.ndim), 0).reshape(*w.shape[1:], 4, 4)
 
 
-def pattern_rows(tables) -> np.ndarray:
+#: which weights of ``_WEIGHTS`` lie on the diagonal
+_ON_DIAGONAL = np.array([r == c for r, c in _WEIGHTS])
+
+
+def pattern_rows(tables, shift=None) -> np.ndarray:
     """The (k, 8, ...) weight rows of k eight-vertex 4x4 tables written as rows of entries,
     which are numbers or arrays that broadcast against each other: the entries on the
-    pattern in the block order of ``_WEIGHTS``, under one finiteness check. The tables'
-    other entries must be 0; they are not read."""
+    pattern in the block order of ``_WEIGHTS``. The tables' other entries must be 0; they
+    are not read.
+
+    Three passes: one write per entry into one (k, 8, ...) block (one conversion for
+    numbers only); with ``shift``, a number or an array of the entries' shape, the rows of
+    shift * 1 - (the last table) as one more table, in one array operation on that table's
+    rows, shift - w on the diagonal and 0 - w off it (so a zero weight gives +0, not -0);
+    and one finiteness check over the whole block."""
     entries = [table[r][c] for table in tables for r, c in _WEIGHTS]
-    if np.ndarray in map(type, entries):
-        rows = np.empty((len(entries), *np.broadcast(*entries).shape), dtype=complex)
-        for k, v in enumerate(entries):  # weight-major: each entry is one contiguous write
-            rows[k] = v
+    shape = np.broadcast(*entries).shape if np.ndarray in map(type, entries) else ()
+    k = len(tables) + (shift is not None)
+    flat = np.empty((8 * k, *shape), dtype=complex)
+    rows = flat.reshape(k, 8, *shape)  # a view
+    if shape:
+        for i, v in enumerate(entries):  # weight-major: each entry is one contiguous write
+            flat[i] = v
     else:  # numbers only: one conversion
-        rows = np.array(entries, dtype=complex)
-    if not np.isfinite(rows).all():
+        flat[:len(entries)] = entries
+    if shift is not None:
+        on_diagonal = _ON_DIAGONAL.reshape(8, *(1,) * len(shape))
+        np.subtract(np.where(on_diagonal, shift, 0), rows[-2], out=rows[-1])
+    if np.count_nonzero(np.isfinite(rows)) < rows.size:
         raise ValueError("matrix entries must be finite")
-    return rows.reshape(len(tables), 8, *rows.shape[1:])
+    return rows
 
 
 def pattern_stack(scale, table, shift=None) -> np.ndarray:

@@ -311,13 +311,16 @@ class ResidualReport:
 def _draw_spec(family: Family, rng: np.random.Generator, size):
     """(q, t, sign factor) of random parameter points inside the family's unitary domain,
     each parameter drawn in one call of numpy's ``size``: the sign, then gamma or t with
-    its sign, then phi. size None gives scalars, with the stream of size 1."""
+    its sign, then phi. All three come in that size, so the default t = 2 and sign +1 of
+    the families that draw none are arrays too; size None gives scalars (0-d arrays for
+    those defaults), with the stream of size 1."""
     sign = 1 - 2 * rng.integers(2, size=size)
-    if family in (Family.SIX_NONSTD, Family.SIX_STD):  # no sign, the default t
+    if family in (Family.SIX_NONSTD, Family.SIX_STD):  # the sign drawn keeps the stream
         gamma = rng.uniform(0.2, 1.5, size=size) * (1 - 2 * rng.integers(2, size=size))
-        return np.exp(gamma), 2.0, 1
+        return np.exp(gamma), np.full(np.shape(sign), 2.0), np.ones_like(sign)
     if family in (Family.EIGHT_I, Family.BELL_PHI):
-        return np.exp(-1j * rng.uniform(0.0, 2 * np.pi, size=size)), 2.0, sign
+        q = np.exp(-1j * rng.uniform(0.0, 2 * np.pi, size=size))
+        return q, np.full(np.shape(sign), 2.0), sign
     # eight2/3/4: real t clear of the eigenvalue-collapse points {0, +-1}
     t = rng.uniform(1.2, 2.8, size=size) * (1 - 2 * rng.integers(2, size=size))
     return np.exp(-1j * rng.uniform(0.0, 2 * np.pi, size=size)), t, sign
@@ -325,15 +328,17 @@ def _draw_spec(family: Family, rng: np.random.Generator, size):
 
 def sample_specs(family: Family, rng: np.random.Generator, n: int,
                  imaginary_t: bool = False) -> FamilySpecs:
-    """n random parameter points inside the family's unitary domain (``_draw_spec``).
+    """n random parameter points inside the family's unitary domain: the arrays of
+    ``_draw_spec``, each drawn in one RNG call and already in the shape of the points,
+    checked once by ``FamilySpecs``.
 
-    ``imaginary_t`` turns eight4's t = +-(1.2 .. 2.8) into i t. A count below
-    one gives no points.
+    ``imaginary_t`` turns eight4's t = +-(1.2 .. 2.8) into i t; for any other family it is
+    a ValueError, before any draw. A count below one gives no points.
     """
+    if imaginary_t and family is not Family.EIGHT_IV:
+        raise ValueError(f"imaginary t is an eight4 draw; {family.value} takes no imaginary t")
     q, t, sign = _draw_spec(family, rng, max(n, 0))
-    if imaginary_t and family is Family.EIGHT_IV:
-        t = 1j * t
-    return FamilySpecs(family, q, np.broadcast_to(t, q.shape), np.broadcast_to(sign, q.shape))
+    return FamilySpecs(family, q, 1j * t if imaginary_t else t, sign)
 
 
 def sample_x(spec: FamilySpec | FamilySpecs, rng: np.random.Generator, size=None):

@@ -383,9 +383,10 @@ def _joined_braid(sizes) -> tuple:
 
 
 def _joined_unitarity(sizes) -> tuple:
-    """(outputs of the joined call, outputs of each job's own call) for unitarity jobs."""
-    jobs = [unitarity_job(suite.R_FAMILIES[k % 6], n, 80 + k, imaginary_t=k == 2)[:2]
-            for k, n in enumerate(sizes)]
+    """(outputs of the joined call, outputs of each job's own call) for unitarity jobs; the
+    third job is imaginary-t eight4."""
+    jobs = [unitarity_job(Family.EIGHT_IV if k == 2 else suite.R_FAMILIES[k % 6], n, 80 + k,
+                          imaginary_t=k == 2)[:2] for k, n in enumerate(sizes)]
     rows, rho_ref = zip(*jobs)
     return (_unitarity_gaps(suite._joined(rows), np.concatenate(rho_ref)),
             [_unitarity_gaps(*job) for job in jobs])
