@@ -285,15 +285,15 @@ class FamilySpecs:
                           sign=Sign.PLUS if self.s[k] > 0 else Sign.MINUS)
 
 
-def q_from(**given) -> complex:
+def q_from(prefix: str = "", **given) -> complex:
     """The deformation parameter from exactly one given value that is not None: q, gamma
     (q = e^gamma) or phi (q = e^{-i phi}). More than one, or none, is a ValueError that names
     them, and so is a gamma or phi that puts q off the finite nonzero numbers, before any
-    exponential of it."""
-    named = [name for name, value in given.items() if value is not None]
+    exponential of it. The errors put ``prefix`` before each name ("--" in the CLI)."""
+    named = [prefix + name for name, value in given.items() if value is not None]
     if len(named) != 1:
         tail = {0: "", 2: ", not both"}.get(len(named), ", not all three")
-        raise ValueError(f"give {' or '.join(named or given)}{tail}")
+        raise ValueError(f"give {' or '.join(named or (prefix + name for name in given))}{tail}")
     gamma, phi = given.get("gamma"), given.get("phi")
     if gamma is not None:
         try:
@@ -301,12 +301,13 @@ def q_from(**given) -> complex:
         except OverflowError:  # above gamma ~ 709.8; below ~ -745.1, q underflows to 0
             q = math.inf
         if not 0.0 < q < math.inf:
-            raise ValueError(f"gamma = {gamma} puts q = e^gamma at {q}, not finite and nonzero")
+            raise ValueError(f"{prefix}gamma = {gamma} puts q = e^gamma at {q}, "
+                             "not finite and nonzero")
         return q
     if phi is None:
         return complex(given["q"])
     if not cmath.isfinite(phi):  # numpy warns on exp(-1j * inf)
-        raise ValueError(f"phi must be finite, got {phi}")
+        raise ValueError(f"{prefix}phi must be finite, got {phi}")
     return complex(np.exp(-1j * phi))
 
 
@@ -381,12 +382,14 @@ def _eigenvalues(fam: Family, q, t, z=None) -> list:
 
 def braid_residual(b: np.ndarray):
     """Frobenius norm of (b x I)(I x b)(b x I) - (I x b)(b x I)(I x b) on C^8: a float for
-    one matrix, one per matrix for a stack or ``WeightRows``."""
+    one dense 4x4 matrix, one per matrix for ``WeightRows`` (``linalg.strand_gap``)."""
     return strand_gap(b, b, b)
 
 
 #: the eight-vertex ansatz: entry (r, c) is w_k for k = _ANSATZ[r, c] >= 1, and 0 where k = 0
 _ANSATZ = np.array([[1, 0, 0, 7], [0, 5, 3, 0], [0, 4, 6, 0], [8, 0, 0, 2]])
+#: the names of the weights in the order that ``linalg.weights`` reads them
+_ANSATZ_KEYS = [f"w{k.real:g}" for k in weights("BoltzmannWeights", ("ansatz",), _ANSATZ)[0]]
 
 
 @dataclass(frozen=True)
@@ -415,11 +418,9 @@ class BoltzmannWeights:
 
     @classmethod
     def from_matrix(cls, b: np.ndarray) -> "BoltzmannWeights":
-        """The weights of b, read by ``linalg.weights``: an entry of b off the ansatz is a
-        ValueError that names it, so no weight is dropped."""
-        w, k = weights("BoltzmannWeights.from_matrix", ("b", "ansatz"),
-                       np.asarray(b, dtype=complex), _ANSATZ)
-        return cls(**{f"w{i}": v for i, v in zip(k, w)})
+        """The weights of b, read by ``linalg.weights``: b must be one 4x4 matrix, and an
+        entry of b off the ansatz is a ValueError that names it, so no weight is dropped."""
+        return cls(**dict(zip(_ANSATZ_KEYS, *weights("BoltzmannWeights.from_matrix", "b", b))))
 
 
 def eight_vertex_residuals(w: BoltzmannWeights) -> np.ndarray:

@@ -18,7 +18,8 @@ spectral point, scan seeded points of --family and read no other family option;
 ``check unitarity`` at a point reads no --samples or --seed; the six-vertex families read
 no --t or --sign, eight1 and bell-phi no --t; only eight4 --via closed reads
 ``build --form``. ``catalog --weights`` rejects a weight above ``linalg.MAX_ENTRY``.
-``catalog.q_from`` turns one of --q (--q-re/--q-im), --gamma and --phi into q, else q = 1.
+``catalog.q_from`` turns one of --q (--q-re/--q-im), --gamma and --phi into q, else q = 1;
+its errors name those options.
 
 The parser is built per command: ``main`` reads the command from argv and
 ``build_parser`` adds only its subparser, from the one table ``COMMANDS``; with no
@@ -221,7 +222,7 @@ def _spec_from_args(args) -> FamilySpec:
     _unread(args, _UNREAD_FAMILY_OPTIONS.get(family, ()), f"--family {family.value}")
     q = {"q": _complex_arg(args, "q"), "gamma": args.gamma, "phi": args.phi}
     given = {"t": _complex_arg(args, "t"), "sign": args.sign and Sign(args.sign),
-             "q": q_from(**q) if any(v is not None for v in q.values()) else None}
+             "q": q_from("--", **q) if any(v is not None for v in q.values()) else None}
     return FamilySpec(family, **{name: v for name, v in given.items() if v is not None})
 
 

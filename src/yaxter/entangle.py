@@ -86,8 +86,8 @@ def brylinski_witness(r, tol: float = ENTANGLING_TOL) -> np.ndarray | None:
     Of states whose |Det| ties with the largest up to rounding (relative 1e-9),
     the first in ``GRID`` order is returned, so r and l r give the same witness.
 
-    r is an eight-vertex 4x4 matrix (``linalg.weights`` raises on an entry off the
-    pattern) or its eight weights as ``weights`` reads them; the nine determinants are
+    r is one eight-vertex 4x4 matrix (``linalg.weights`` raises on any other shape and on an
+    entry off the pattern) or its eight weights as ``weights`` reads them; the nine determinants are
     the quartic of the module docstring.
     """
     (w,) = weights("brylinski_witness", "r", r)

@@ -3,13 +3,10 @@
 Everything in this package lives on 2x2 or 4x4 complex matrices stored as
 numpy ``complex128`` arrays, row-major, in the computational basis order
 |00>, |01>, |10>, |11| (first tensor factor = control/left strand).
-``dagger``, ``frobenius``, ``strand_gap``, ``require_hermitian`` and ``expm_hermitian``
-also take (..., n, n) stacks and work matrix by matrix; a single matrix gives the
-single-matrix result. For one matrix, ``weights`` reads Python complex numbers and
-``require_hermitian`` decides on Python floats, so a single-point check pays no numpy
-per-call cost on 0-d arrays: these one-matrix paths, chosen by the input's shape, stay
-because the single-point checks (the bench ``sweep`` op) pay 12-33 % more CPU time on
-stacks of one. ``cmat`` builds one matrix under one finiteness check.
+``dagger``, ``frobenius``, ``require_hermitian`` and ``expm_hermitian`` also take
+(..., n, n) stacks and work matrix by matrix; ``require_hermitian`` decides one matrix on
+Python floats (the bench ``sweep`` op pays 12-19 % more CPU time on stacks of one).
+``cmat`` builds one matrix under one finiteness check.
 ``require_invertible`` is the scale-aware singularity guard of ``inverse``, for a
 check that needs no inverse; it also takes the eight weights of one eight-vertex matrix.
 
@@ -20,11 +17,12 @@ gives, the outer block's (p, q, r, s) at the even places and the inner block's a
 ones, and write tables as 4x4 rows. A stack of such matrices travels as ``WeightRows``,
 its (8, ...) weight rows in the block order of ``_WEIGHTS``: ``pattern_rows`` assembles
 them from tables under one finiteness check (``pattern_stack`` writes one, scaled, straight
-to dense matrices), and ``WeightRows.dense`` scatters them to the (..., 4, 4) stack only at
-the API edges. The kernels read their operands through ``weights``, which passes weight
-rows through and gathers and checks a dense matrix once, where it enters: ``strand_gap``,
-the braid and QYBE kernel, computes only the entries the weights reach, and
-``block_product``, ``weight_product`` and ``defect`` multiply such matrices block by block.
+to dense matrices); at the API edges ``WeightRows.of`` reads a dense stack and ``dense``
+writes one. The kernels take one dense 4x4 matrix, gathered and checked by ``weights`` into
+eight Python numbers (the ``sweep`` op pays 25-33 % more for a stack of one), or
+``WeightRows``: ``strand_gap``, the braid and QYBE kernel, computes only the entries the
+weights reach, and ``block_product``, ``weight_product`` and ``defect`` multiply such
+matrices block by block.
 
 The JSON wire format for a matrix, shared by the whole package and the CLI, is
 
@@ -124,6 +122,9 @@ _ROW, _COL = np.array(_WEIGHTS + _OFF_PATTERN).T
 _read = operator.itemgetter(*(4 * _ROW + _COL).tolist())
 #: the row-major places of the weights, where ``WeightRows.dense`` writes them
 _PLACES = 4 * _ROW[:8] + _COL[:8]
+#: the error of ``weights`` and ``WeightRows.of``: the kernel, the matrix, the value, the entry
+_OFF_PATTERN_ERROR = ("{} takes eight-vertex matrices, nonzero only where the row and column "
+                      "bits have equal parity: {} has {} at entry {}")
 #: the weight order of the adjoint: (p, q, r, s) -> (p, r, q, s) in each block
 _ADJOINT = np.array([0, 1, 4, 5, 2, 3, 6, 7])
 
@@ -132,10 +133,10 @@ class WeightRows:
     """A stack of eight-vertex 4x4 matrices as its weights: ``w`` holds (8, ...) rows in the
     block order of ``_WEIGHTS``, one axis after the first per axis of the stack.
 
-    The internal form of a stack, eight-vertex by construction: ``weights`` passes it to
-    the kernels unread and ``dense`` scatters it to the (..., 4, 4) stack at the API edges.
-    Indexing and ``len``, and so iteration, run over the first axis of the stack, as on the
-    dense stack: ``strand_gap(*rows)`` takes the three matrices of a (3, n) stack.
+    The one stacked operand form of the eight-vertex kernels, eight-vertex by construction:
+    ``of`` reads it from a dense (..., 4, 4) stack and ``dense`` scatters it back, at the API
+    edges. Indexing and ``len``, and so iteration, run over the first axis of the stack:
+    ``strand_gap(*rows)`` takes the three matrices of a (3, n) stack.
     """
 
     __slots__ = ("w",)
@@ -148,6 +149,22 @@ class WeightRows:
 
     def __getitem__(self, k) -> "WeightRows":
         return WeightRows(self.w[:, k])
+
+    @classmethod
+    def of(cls, stack) -> "WeightRows":
+        """The rows of a dense (..., 4, 4) stack of eight-vertex matrices, read by (row, col)
+        pairs, so that a strided stack such as a dagger is not copied. One pattern check: an
+        entry off it is a ValueError naming the first such matrix's flat stack index and entry."""
+        m = np.asarray(stack, dtype=complex)
+        if m.shape[-2:] != (4, 4):
+            raise ValueError(f"WeightRows.of takes a (..., 4, 4) stack, got shape {m.shape}")
+        reads = m.reshape(-1, 4, 4).transpose(1, 2, 0)[_ROW, _COL]  # (entry, matrix)
+        if reads[8:].any():  # a NaN is nonzero
+            k, entry = np.argwhere(reads[8:].T != 0)[0]
+            matrix = f"the matrix at index {k} of the stack"
+            raise ValueError(_OFF_PATTERN_ERROR.format("WeightRows.of", matrix,
+                                                       reads[8 + entry, k], _OFF_PATTERN[entry]))
+        return cls(reads[:8].reshape(8, *m.shape[:-2]))
 
     def dense(self) -> np.ndarray:
         """The (..., 4, 4) stack: the weights at their places, 0 at the other eight."""
@@ -203,22 +220,6 @@ def pattern_stack(scale, table, shift=None) -> np.ndarray:
     m *= scale
     h = m.transpose(*range(2, m.ndim), 0, 1)
     return np.add(h, shift, order="C") if shift is not None else np.ascontiguousarray(h)
-
-
-def stacks(*matrices) -> tuple:
-    """(matrices, shape): the operands of a kernel with one stack axis, and the shape of
-    their stack, () for single matrices, which take the kernels' one-matrix paths when dense
-    (see the module docstring). ``WeightRows`` of one shape come as (8, n) rows, n = 1 for
-    single matrices; dense matrices broadcast against each other and, for a stack, as an
-    (n, 4, 4) one."""
-    if isinstance(matrices[0], WeightRows):
-        shape = matrices[0].w.shape[1:]
-        return [WeightRows(m.w.reshape(8, -1)) for m in matrices], shape
-    matrices = [np.asarray(m, dtype=complex) for m in matrices]
-    if all(m.ndim == 2 for m in matrices):  # broadcast_arrays costs a one-matrix check 4 us
-        return matrices, ()
-    matrices = np.broadcast_arrays(*matrices)
-    return [m.reshape(-1, 4, 4) for m in matrices], matrices[0].shape[:-2]
 
 
 def _strand_tables() -> tuple:
@@ -295,36 +296,35 @@ def _block_gaps(a: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.linalg.norm(_block_diffs(a, c, d), axis=0)
 
 
-def weights(kernel: str, names, *matrices, start: int = 0) -> list:
-    """The weights of eight-vertex 4x4 matrices in the block order of ``_WEIGHTS``, one item
-    per matrix: a tuple of eight Python complex numbers for a matrix, the operands of the
-    kernels' one-matrix paths (see the module docstring), and (8, n) rows for a (..., 4, 4)
-    stack of n matrices, all stacks of one shape. ``WeightRows``, and tuples of a matrix's
-    eight weights, are weights already: they come back as their rows, unread.
+def weights(kernel: str, names, *matrices) -> list:
+    """The weights of a kernel's operands in the block order of ``_WEIGHTS``: a dense 4x4
+    matrix becomes a tuple of eight Python complex numbers, for the one-matrix paths;
+    ``WeightRows`` (as their rows) and tuples of eight weights pass through unread.
 
-    Every dense matrix must be 0 off the pattern. A nonzero or NaN entry there is a
-    ValueError of ``kernel`` naming the first one: the lowest stack index (counted from
-    ``start``), then the matrix, by its name in ``names``, then the entry in row-major order.
+    Operands of mixed forms, or a dense one that is not one 4x4 matrix (a stack among them,
+    which ``WeightRows.of`` reads), are a ValueError of ``kernel``; so is a nonzero or NaN
+    entry off the pattern, naming the first: the matrix (by ``names``), then the entry.
     """
-    if isinstance(matrices[0], WeightRows):
-        return [m.w for m in matrices]
-    if isinstance(matrices[0], tuple):
-        return list(matrices)
-    stacked = matrices[0].ndim > 2
-    if stacked:  # (row, col) pairs: a flat read would copy a strided stack such as a dagger
-        reads = [m.reshape(-1, 4, 4).transpose(1, 2, 0)[_ROW, _COL] for m in matrices]
-        clean = not any(m[8:].any() for m in reads)
-    else:
-        reads = [_read(m.ravel().tolist()) for m in matrices]
-        clean = not any(any(m[8:]) for m in reads)  # a NaN is nonzero
-    if clean:
-        return [m[:8] for m in reads]
-    reads = np.array(reads).reshape(len(reads), 16, -1)  # (matrix, entry, n)
-    k, name, entry = np.argwhere(reads[:, 8:].transpose(2, 0, 1) != 0)[0]
-    where = f" at index {start + k} of the stack" if stacked else ""
-    raise ValueError(f"{kernel} takes eight-vertex matrices, nonzero only where the row and "
-                     f"column bits have equal parity: {names[name]}{where} has "
-                     f"{reads[name, 8 + entry, k]} at entry {_OFF_PATTERN[entry]}")
+    if isinstance(matrices[0], (WeightRows, tuple)):
+        if any(type(m) is not type(matrices[0]) for m in matrices):
+            raise ValueError(f"{kernel} takes dense 4x4 matrices or WeightRows, not both")
+        return [getattr(m, "w", m) for m in matrices]
+    reads = []
+    for name, m in zip(names, matrices):
+        try:
+            m = np.asarray(m, dtype=complex)
+        except (TypeError, ValueError):  # a ragged sequence, or no numbers
+            m = None
+        if m is None or m.shape != (4, 4):
+            what = "not an array of numbers" if m is None else f"of shape {m.shape}"
+            raise ValueError(f"{kernel} takes one dense 4x4 matrix or WeightRows: {name} is "
+                             f"{what}; read a dense stack with WeightRows.of")
+        w = _read(m.ravel().tolist())
+        if any(w[8:]):  # a NaN is nonzero
+            k = next(k for k, v in enumerate(w[8:]) if v)
+            raise ValueError(_OFF_PATTERN_ERROR.format(kernel, name, w[8 + k], _OFF_PATTERN[k]))
+        reads.append(w[:8])
+    return reads
 
 
 def block_product(x, y) -> tuple:
@@ -360,10 +360,8 @@ def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray):
     """||(a x 1)(1 x c)(d x 1) - (1 x d)(c x 1)(1 x a)||_F on C^8 for eight-vertex 4x4 a, c,
     d: the braid relation at (b, b, b), the QYBE at (R(x), R(x o y), R(y)).
 
-    (..., 4, 4) stacks broadcast and give one gap per triple; three matrices give a float;
-    ``WeightRows`` of one shape give one gap per triple. Every dense matrix must be
-    eight-vertex: ``weights`` reads it, and raises on an entry off the pattern before any gap
-    is returned.
+    Three dense 4x4 matrices give a float, ``WeightRows`` of one shape a gap per triple in
+    their shape; ``weights`` refuses any other operand and an entry off the pattern.
 
     With C^8 indices ijk, one bit per strand, and 4x4 indices as bit pairs, the two sides are
     (a x 1) Z and (1 x d) S with Z = (1 x c)(d x 1) and S = (c x 1)(1 x a):
@@ -375,18 +373,18 @@ def strand_gap(a: np.ndarray, c: np.ndarray, d: np.ndarray):
     product and each side has 32 nonzero entries of two terms: 192 complex multiplies and
     96 additions a triple, against the 768 multiply-adds of the general 4x4 contraction,
     and a norm over 32 differences instead of 64. Stacks run in blocks of ``_BLOCK``
-    triples on (8, n) weight rows, so the temporaries stay 64 KB each; a dense stack is
-    read block by block. Each block's rows are made contiguous once: a block of wider
-    ``WeightRows``, or a strided view such as the middle matrix of a (3, n) stack, would
-    otherwise be copied by each of the ten row gathers of ``_block_diffs``.
+    triples on (8, n) weight rows, so the temporaries stay 64 KB each. Each block's rows are
+    made contiguous once: a block of wider ``WeightRows``, or a strided view such as the
+    middle matrix of a (3, n) stack, would otherwise be copied by each of the ten row
+    gathers of ``_block_diffs``.
     """
-    (a, c, d), shape = stacks(a, c, d)
-    if not shape:
-        return float(_block_gaps(*np.reshape(weights("strand_gap", "acd", a, c, d), (3, 8, 1)))[0])
-    gaps = np.empty(len(a))
-    for k in range(0, len(a), _BLOCK):  # contiguous blocks: take copies a strided source first
-        gaps[k:k + _BLOCK] = _block_gaps(*map(np.ascontiguousarray, weights(
-            "strand_gap", "acd", *(m[k:k + _BLOCK] for m in (a, c, d)), start=k)))
+    w = weights("strand_gap", "acd", a, c, d)
+    if isinstance(w[0], tuple):  # three matrices
+        return float(_block_gaps(*np.reshape(w, (3, 8, 1)))[0])
+    shape, w = w[0].shape[1:], [m.reshape(8, -1) for m in w]
+    gaps = np.empty(w[0].shape[1])
+    for k in range(0, len(gaps), _BLOCK):  # contiguous blocks: take copies a strided source first
+        gaps[k:k + _BLOCK] = _block_gaps(*[np.ascontiguousarray(m[:, k:k + _BLOCK]) for m in w])
     return gaps.reshape(shape)
 
 

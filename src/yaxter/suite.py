@@ -30,8 +30,8 @@ import functools
 import numpy as np
 
 from . import baxterize, dynamics, entangle, gates
-from .baxterize import (RZERO_EQUALS_B, EigOrdering, R_rows, SpectralPoint, _coefficient_rows,
-                        build_R, formula_R)
+from .baxterize import (RZERO_EQUALS_B, EigOrdering, R_rows, R_weights, SpectralPoint,
+                        _coefficient_rows, formula_R)
 from .catalog import Family, FamilySpec, FamilySpecs, Sign, braid_residual, build_b
 from .dynamics import (
     braiding_evolution_residual,
@@ -211,7 +211,7 @@ def criterion_unitarity(seed: int) -> dict:
     residual, worst_family = _worst_job(
         gaps, [f.value for f in R_FAMILIES] + ["eight4 (imaginary t)"], 100)
     # np.min propagates a NaN, as worst does
-    r = np.array([build_R(spec, p) for spec, p in _OFF_DOMAIN])
+    r = WeightRows(np.stack([R_weights(spec, p) for spec, p in _OFF_DOMAIN], axis=1))
     min_off = float(np.min(unitarity_residual(r, dagger(r))[1]))
     passed = residual < tol and min_off > 1e-3
     return _entry(4, passed, max_residual=residual, tolerance=tol, worst_family=worst_family,

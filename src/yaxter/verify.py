@@ -12,9 +12,9 @@ rho^{-1/2} R(x) is the physical gate. Its kernel, ``unitarity_residual(r, rconj)
 and ``inverse_unitarity(r, rinv)`` read eight-vertex matrices with ``linalg.weights`` and
 multiply them with ``linalg.block_product``: one formula body each, on Python complex
 numbers block by block for one matrix, and for a whole stack on entry rows that hold both
-blocks on one axis.
-Every kernel takes a dense matrix from outside, read and checked once, or a stack
-as ``linalg.WeightRows``.
+blocks on one axis. Every kernel takes one dense 4x4 matrix, read and checked once where it
+enters, or a stack as ``linalg.WeightRows``, which ``WeightRows.of`` reads from a dense
+stack at the edge.
 The closed-form rho per family (stated for each family's reference gauge,
 ``baxterize.reference_gauge``) is:
 
@@ -70,7 +70,7 @@ from .baxterize import (
 from .catalog import (THREE_EIGENVALUE_FAMILIES, DomainError, Family, FamilySpec, FamilySpecs, Sign,
                       braid_residual, braid_rows, domain_violation, finite_rho, gamma_of, is_imag)
 from .linalg import (_BLOCK, MAX_ENTRY, WeightRows, _block_diffs, block_product, dagger, defect,
-                     stacks, strand_gap, weights)
+                     strand_gap, weights)
 
 #: pass thresholds of the residual checks, shared by the scans, the suite and the CLI.
 TOLERANCES = {"braid": 1e-11, "qybe": 1e-9, "unitarity": 1e-10, "inverse-unitarity": 1e-9}
@@ -107,12 +107,11 @@ def _bounded_rows(spec: FamilySpec, kind: str, value, ordering: EigOrdering | No
 def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
     """(rho_est, residual) for R(x) R^dag(xbar) = rho * 1 with rconj = R^dag(xbar): rho_est
     = tr(R rconj) / 4 and residual = ||R rconj - rho_est 1||_F + ||rconj R - rho_est 1||_F.
-    Two matrices give two floats; (..., 4, 4) stacks broadcast and give two arrays, and so
-    do ``WeightRows`` of one shape.
+    Two dense 4x4 matrices give two floats, ``WeightRows`` of one shape two arrays in theirs.
 
-    A dense R and rconj must be eight-vertex (``linalg.weights`` raises on an entry off the
-    pattern), and so is each product: 8 complex multiplies a 2x2 block, and a norm over the
-    8 entries inside the blocks. A NaN weight gives a NaN residual. A rho_est that is not
+    A dense R and rconj must be one 4x4 each and eight-vertex (``linalg.weights`` raises
+    otherwise), and so is each product: 8 complex multiplies a 2x2 block, and a norm over
+    the 8 entries inside the blocks. A NaN weight gives a NaN residual. A rho_est that is not
     positive is a DegenerateNormalizationError.
 
     One formula, ``linalg.block_product`` and ``linalg.defect``, in two arithmetics: Python
@@ -121,8 +120,8 @@ def unitarity_residual(r: np.ndarray, rconj: np.ndarray):
     defect is one pass over the stack. The one-matrix arithmetic stays: one matrix run as a
     stack of one took the bench ``sweep`` op 28-33 % more CPU time.
     """
-    (r, rconj), shape = stacks(r, rconj)
     x, y = weights("unitarity_residual", ("r", "rconj"), r, rconj)
+    shape = r.w.shape[1:] if isinstance(r, WeightRows) else ()
     if isinstance(x, tuple):  # one dense matrix: Python numbers throughout
         (xo, xi), (yo, yi) = (x[0::2], x[1::2]), (y[0::2], y[1::2])
         mo, mi = block_product(xo, yo), block_product(xi, yi)
@@ -170,9 +169,9 @@ def unitarity_gap(spec: FamilySpec, p: SpectralPoint) -> tuple[float, float]:
 
 
 def _unitarity_gaps(r: np.ndarray, rho_ref):
-    """(gap, rho_est) of ``unitarity_gap`` for one matrix, or arrays of them for an
-    (n, 4, 4) stack or ``WeightRows``, with ``rho_ref`` the closed-form rho of each matrix;
-    a non-finite ``rho_ref`` gives a NaN gap."""
+    """(gap, rho_est) of ``unitarity_gap`` for one matrix, or arrays of them for
+    ``WeightRows``, with ``rho_ref`` the closed-form rho of each matrix; a non-finite
+    ``rho_ref`` gives a NaN gap."""
     rho_est, res = unitarity_residual(r, dagger(r))
     return res / rho_est + abs(rho_est - rho_ref) / rho_ref, rho_est
 
@@ -236,15 +235,15 @@ def _normalization(spec: FamilySpec | FamilySpecs, kind: str, value):
 def inverse_unitarity(r: np.ndarray, rinv: np.ndarray,
                       tol: float = TOLERANCES["inverse-unitarity"]):
     """Proportionality scalar of R(x) R(1/x), which must be a multiple of 1, from r = R(x) and
-    rinv = R(1/x): two matrices or two stacks, dense or ``WeightRows``.
+    rinv = R(1/x): two dense 4x4 matrices or two ``WeightRows`` of one shape.
 
     The scalars come in the shape of the stack; a product not proportional to 1 at any item
     is a NotProportionalError. Both must be eight-vertex (``linalg.weights``); their product
     is ``linalg.block_product``, on Python complex numbers block by block for one dense
     matrix, and else on both blocks at once as the (4, 2, n) entry rows of ``_both_blocks``.
     """
-    (r, rinv), shape = stacks(r, rinv)
     wr, wi = weights("inverse_unitarity", ("R(x)", "R(1/x)"), r, rinv)
+    shape = r.w.shape[1:] if isinstance(r, WeightRows) else ()
     if isinstance(wr, tuple):  # one dense matrix: Python numbers, block by block
         mo, mi = block_product(wr[0::2], wi[0::2]), block_product(wr[1::2], wi[1::2])
         scalar = ((mo[0] + mo[3]) + (mi[0] + mi[3])) / 4.0

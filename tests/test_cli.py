@@ -504,7 +504,20 @@ def test_gamma_outside_the_exp_range_is_one_error_line(capsys, gamma):
     code, out, err = run_cli(capsys, "hamiltonian", "--family", "six-std", "--gamma", gamma,
                              "--theta", "0.3")
     assert code == 2 and out == ""
-    assert err.startswith("error: gamma ") and err.count("\n") == 1
+    assert err.startswith("error: --gamma ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,line", [
+    (("--family", "eight1", "--gamma", "0.3", "--phi", "0.2"), "give --gamma or --phi, not both"),
+    (("--family", "six-std", "--gamma", "712"),
+     "--gamma = 712.0 puts q = e^gamma at inf, not finite and nonzero"),
+    (("--family", "eight1", "--phi", "inf"), "--phi must be finite, got inf"),
+], ids=["both", "gamma-overflow", "phi-inf"])
+def test_the_deformation_parameter_errors_name_the_options(capsys, argv, line):
+    # catalog.q_from's own errors, with the names spelt as the CLI's options
+    code, out, err = run_cli(capsys, "catalog", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {line}\n"
 
 
 def test_build_with_huge_entries_is_not_called_singular(capsys):

@@ -1,20 +1,22 @@
 """No check passes vacuously: NaN wins every reduction and trips every guard."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from yaxter import suite
+from yaxter import linalg, suite, verify
 from yaxter.baxterize import SpectralPoint
-from yaxter.catalog import FamilySpec, braid_matrix, eigenvalues_of
+from yaxter.catalog import (BoltzmannWeights, FamilySpec, braid_matrix, braid_residual,
+                            eigenvalues_of)
 from yaxter.dynamics import Hamiltonian, HamiltonianSource
-from yaxter.entangle import det_b_closed
+from yaxter.entangle import brylinski_witness, det_b_closed
 from yaxter.gates import OneQubitGate, rotation
-from yaxter.linalg import expm_hermitian, inverse, spectral_projectors
+from yaxter.linalg import WeightRows, expm_hermitian, inverse, spectral_projectors, strand_gap
 from yaxter.verify import (ResidualReport, inverse_unitarity, inverse_unitarity_expected,
-                           rho_formula, worst)
+                           rho_formula, unitarity_residual, worst)
 
 NAN = float("nan")
 
@@ -123,6 +125,69 @@ def test_guard_rejects_nan_input(guard):
         GUARDS[guard]()
     # the guard's own error, not numpy's failure on the NaN it let through
     assert not isinstance(err.value, np.linalg.LinAlgError)
+
+
+# ---------------------------------------------------------------------------
+# Operand forms: an eight-vertex kernel takes one dense 4x4 matrix or WeightRows. Any other
+# dense operand is refused, naming the kernel and the operand, before any arithmetic: read
+# as one matrix, the stack below would pass as its first matrix.
+
+I4 = np.eye(4, dtype=complex)
+
+#: each kernel with the bad operand in one place, the kernel's name and that operand's name
+SHAPE_KERNELS = {
+    "strand_gap": (lambda m: strand_gap(I4, m, I4), "strand_gap", "c"),
+    "braid_residual": (braid_residual, "strand_gap", "a"),
+    "unitarity_residual": (lambda m: unitarity_residual(I4, m), "unitarity_residual", "rconj"),
+    "inverse_unitarity": (lambda m: inverse_unitarity(m, I4), "inverse_unitarity", "R(x)"),
+    "brylinski_witness": (brylinski_witness, "brylinski_witness", "r"),
+    "BoltzmannWeights.from_matrix": (BoltzmannWeights.from_matrix,
+                                     "BoltzmannWeights.from_matrix", "b"),
+}
+
+BAD_OPERANDS = {
+    "stack": (np.stack([I4, 2 * I4]), r"of shape \(2, 4, 4\)"),
+    "2x2": (np.eye(2), r"of shape \(2, 2\)"),
+    "flat": (np.ones(16), r"of shape \(16,\)"),
+    "ragged": ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1], [0, 0, 0, 1]], "not an array of numbers"),
+}
+
+
+@pytest.mark.parametrize("operand", BAD_OPERANDS)
+@pytest.mark.parametrize("kernel", SHAPE_KERNELS)
+def test_a_dense_operand_that_is_not_one_4x4_matrix_is_refused(kernel, operand, monkeypatch):
+    def arithmetic(*args):
+        raise AssertionError("arithmetic ran on a refused operand")
+
+    monkeypatch.setattr(linalg, "_block_gaps", arithmetic)
+    monkeypatch.setattr(verify, "block_product", arithmetic)
+    call, name, what = SHAPE_KERNELS[kernel]
+    m, shape = BAD_OPERANDS[operand]
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} takes one dense 4x4 matrix or "
+                                         rf"WeightRows: {re.escape(what)} is {shape}; read a "
+                                         r"dense stack with WeightRows.of$"):
+        call(m)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rows: strand_gap(rows, I4, I4),
+    lambda rows: strand_gap(I4, rows, I4),
+    lambda rows: unitarity_residual(rows, I4),
+    lambda rows: inverse_unitarity(I4, rows),
+], ids=["strand_gap-rows-first", "strand_gap-dense-first", "unitarity_residual",
+        "inverse_unitarity"])
+def test_operands_of_mixed_forms_are_refused(call):
+    # a dense matrix among rows would otherwise be reshaped as rows of its own
+    rows = WeightRows.of(np.stack([I4, 2 * I4]))
+    with pytest.raises(ValueError, match=r"^\w+ takes (dense 4x4 matrices or WeightRows, not "
+                                         r"both|one dense 4x4 matrix or WeightRows: .* is not)"):
+        call(rows)
+
+
+def test_weight_rows_of_refuses_a_stack_of_other_matrices():
+    for m in (np.eye(2), np.ones((3, 4, 2))):
+        with pytest.raises(ValueError, match=r"^WeightRows.of takes a \(\.\.\., 4, 4\) stack"):
+            WeightRows.of(m)
 
 
 class _Unlisted:

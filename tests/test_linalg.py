@@ -168,13 +168,10 @@ def random_eight_vertex(rng, *shape):
 def test_stacked_strand_gap_agrees_with_per_item_calls():
     rng = np.random.default_rng(31)
     a, c, d = (random_eight_vertex(rng, 5) for _ in range(3))
-    gaps = strand_gap(a, c, d)
+    gaps = strand_gap(*map(WeightRows.of, (a, c, d)))
     assert gaps.shape == (5,)
     for k in range(5):
         assert gaps[k] == pytest.approx(strand_gap(a[k], c[k], d[k]), rel=1e-14)
-    # a single matrix broadcasts against a stack
-    assert np.allclose(strand_gap(a[0], c, d[0]),
-                       [strand_gap(a[0], ck, d[0]) for ck in c], rtol=1e-14, atol=0)
 
 
 # sizes inside one block (63, 64, 65), at its edges, and over several blocks with a partial tail
@@ -183,40 +180,42 @@ def test_stacked_strand_gap_agrees_with_per_item_calls():
 def test_strand_gap_blocks_agree_with_per_item_calls(n):
     rng = np.random.default_rng(n)
     a, c, d = (random_eight_vertex(rng, n) for _ in range(3))
-    gaps = strand_gap(a, c, d)
+    gaps = strand_gap(*map(WeightRows.of, (a, c, d)))
     assert gaps.shape == (n,)
     assert np.allclose(gaps, [strand_gap(*abc) for abc in zip(a, c, d)], rtol=1e-14, atol=0)
 
 
-def test_strand_gap_broadcasts_leading_axes_and_single_matrices_across_blocks():
+def test_strand_gap_on_rows_with_leading_axes_agrees_with_per_item_calls():
+    # (8, 2, 3) rows give a (2, 3) result
     rng = np.random.default_rng(41)
     a, c, d = (random_eight_vertex(rng, 2, 3) for _ in range(3))
-    gaps = strand_gap(a, c, d)
+    gaps = strand_gap(*map(WeightRows.of, (a, c, d)))
     assert gaps.shape == (2, 3)
     assert np.allclose(gaps, [[strand_gap(a[i, j], c[i, j], d[i, j]) for j in range(3)]
                               for i in range(2)], rtol=1e-14, atol=0)
-    a1, c = random_eight_vertex(rng), random_eight_vertex(rng, 2 * _BLOCK + 5)
-    d1 = random_eight_vertex(rng)
-    assert np.allclose(strand_gap(a1, c, d1), [strand_gap(a1, ck, d1) for ck in c],
-                       rtol=1e-14, atol=0)
 
 
 def test_a_nan_in_one_triple_is_nan_in_that_gap_only():
     rng = np.random.default_rng(43)
     a, c, d = (random_eight_vertex(rng, _BLOCK + 3) for _ in range(3))
-    want = strand_gap(a, c, d)
+    want = strand_gap(*map(WeightRows.of, (a, c, d)))
     c[_BLOCK + 1, 2, 1] = np.nan  # a weight, inside the pattern
-    gaps = strand_gap(a, c, d)
+    gaps = strand_gap(*map(WeightRows.of, (a, c, d)))
     assert np.isnan(gaps[_BLOCK + 1])
     assert np.array_equal(np.delete(gaps, _BLOCK + 1), np.delete(want, _BLOCK + 1))
 
 
 def test_a_nan_off_the_pattern_is_a_value_error():
     rng = np.random.default_rng(43)
-    a, c, d = (random_eight_vertex(rng, _BLOCK + 3) for _ in range(3))
+    c = random_eight_vertex(rng, _BLOCK + 3)
     c[_BLOCK + 1, 2, 3] = np.nan
-    with pytest.raises(ValueError, match=rf"c at index {_BLOCK + 1} of the stack .*\(2, 3\)"):
-        strand_gap(a, c, d)
+    with pytest.raises(ValueError, match=rf"^WeightRows.of takes eight-vertex matrices.*: the "
+                                         rf"matrix at index {_BLOCK + 1} of the stack has "
+                                         r"\(nan\+0j\) at entry \(2, 3\)$"):
+        WeightRows.of(c)
+    with pytest.raises(ValueError, match=r"^strand_gap takes .*: c has \(nan\+0j\) at entry "
+                                         r"\(2, 3\)$"):
+        strand_gap(c[0], c[_BLOCK + 1], c[0])
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)])
@@ -224,12 +223,14 @@ def test_a_nonzero_entry_off_the_pattern_names_its_matrix_index_and_entry(entry)
     rng = np.random.default_rng(59)
     a, c, d = (random_eight_vertex(rng, 2 * _BLOCK + 9) for _ in range(3))
     d[_BLOCK + 4][entry] = 1e-300  # any nonzero value, however small
-    a[2 * _BLOCK + 1][entry] = 1.0  # a later index: the first one is reported
-    with pytest.raises(ValueError, match=rf"d at index {_BLOCK + 4} of the stack .*"
-                                         rf"at entry \({entry[0]}, {entry[1]}\)"):
-        strand_gap(a, c, d)
-    with pytest.raises(ValueError, match=rf"a has .* at entry \({entry[0]}, {entry[1]}\)"):
-        strand_gap(a[2 * _BLOCK + 1], c[0], d[0])  # three matrices: no stack index
+    d[2 * _BLOCK + 1][entry] = 1.0  # a later index: the first one is reported
+    with pytest.raises(ValueError, match=rf"^WeightRows.of .*: the matrix at index {_BLOCK + 4} "
+                                         rf"of the stack has \(1e-300\+0j\) "
+                                         rf"at entry \({entry[0]}, {entry[1]}\)$"):
+        WeightRows.of(d)
+    with pytest.raises(ValueError, match=rf"^strand_gap .*: d has \(1\+0j\) "
+                                         rf"at entry \({entry[0]}, {entry[1]}\)$"):
+        strand_gap(a[0], c[0], d[2 * _BLOCK + 1])  # three matrices: no stack index
     b = identity(4)
     b[entry] = 0.5
     with pytest.raises(ValueError, match="eight-vertex"):
@@ -237,7 +238,7 @@ def test_a_nonzero_entry_off_the_pattern_names_its_matrix_index_and_entry(entry)
 
 
 def test_an_empty_stack_gives_no_gaps_and_no_worst_case():
-    a = np.zeros((0, 4, 4), dtype=complex)
+    a = WeightRows.of(np.zeros((0, 4, 4), dtype=complex))
     gaps = strand_gap(a, a, a)
     assert gaps.shape == (0,)
     with pytest.raises(ValueError, match="at least one sample"):
@@ -278,14 +279,30 @@ def test_a_block_holds_at_most_five_of_its_temporaries_at_once():
 
 def test_strand_gap_memory_does_not_grow_with_the_stack():
     rng = np.random.default_rng(47)
-    a, c, d = (random_eight_vertex(rng, 3000) for _ in range(3))
+    a, c, d = (WeightRows.of(random_eight_vertex(rng, 3000)) for _ in range(3))
     tracemalloc.start()
-    try:
+    try:  # the kernel call only: the rows are read before
         strand_gap(a, c, d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_weight_rows_of_reads_a_strided_stack_without_copying_it():
+    # the dagger of a stack is a strided view: read entry by entry, it costs one (16, n)
+    # gather, the size of the stack, and no contiguous copy of the stack besides
+    r = random_eight_vertex(np.random.default_rng(61), 3000)
+    view = dagger(r)
+    assert not view.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        rows = WeightRows.of(view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * r.nbytes
+    assert np.array_equal(rows.w, dagger(WeightRows.of(r)).w)
 
 
 def test_entries_at_the_product_bound_give_finite_gaps():
@@ -295,6 +312,7 @@ def test_entries_at_the_product_bound_give_finite_gaps():
                for _ in range(3))
     a[0] = c[0] = MAX_ENTRY * PATTERN
     d[0] = -MAX_ENTRY * PATTERN
+    a, c, d = map(WeightRows.of, (a, c, d))
     with np.errstate(all="raise"):
         gaps = strand_gap(a, c, d)
     assert np.isfinite(gaps).all()

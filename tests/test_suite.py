@@ -209,7 +209,7 @@ def unitarity_entry_loop(seed: int) -> dict:
         (FamilySpec.eight3(t=1.9, q=np.exp(0.33j)), SpectralPoint.from_x(0.5)),
         (FamilySpec.eight4(t=1.9, q=np.exp(0.33j)), SpectralPoint.from_x(0.5)),
     ]
-    r = np.array([baxterize.build_R(spec, p) for spec, p in off])
+    r = WeightRows.of([baxterize.build_R(spec, p) for spec, p in off])
     min_off = float(np.min(unitarity_residual(r, dagger(r))[1]))
     return suite._entry(4, residual < tol and min_off > 1e-3, max_residual=residual,
                         tolerance=tol, worst_family=worst_family,

@@ -7,7 +7,7 @@ import pytest
 from yaxter.baxterize import EigOrdering, R_rows, SpectralPoint, build_R, compose_u, x_to_u
 from yaxter.catalog import (DomainError, Family, FamilySpec, FamilySpecs, Sign, braid_matrix,
                             braid_residual, build_b)
-from yaxter.linalg import dagger, frobenius, identity, strand_gap
+from yaxter.linalg import WeightRows, dagger, frobenius, identity, strand_gap
 from yaxter.verify import (
     QYBE_PARAMETRIZATIONS,
     DegenerateNormalizationError,
@@ -66,7 +66,8 @@ def test_a_qybe_job_builds_one_stack_of_a_composed_and_b(kind, compose, samples)
     a, b = pairs[:, 0], pairs[:, 1]
     build = dense_builder(spec, kind)
     assert np.array_equal(rows.dense(), build(np.stack([a, compose(a, b), b])))
-    assert np.array_equal(strand_gap(*rows), strand_gap(build(a), build(compose(a, b)), build(b)))
+    dense = (build(a), build(compose(a, b)), build(b))
+    assert np.array_equal(strand_gap(*rows), strand_gap(*map(WeightRows.of, dense)))
     assert case(samples - 1)["second"] == [b[-1].real, b[-1].imag]
 
 
@@ -310,6 +311,7 @@ def test_a_bad_x_in_an_inverse_unitarity_stack_raises(bad, error):
 def test_a_stack_with_one_product_not_proportional_to_1_is_rejected():
     r = np.broadcast_to(identity(4), (3, 4, 4)).copy()
     r[1] = np.diag([1, 2, 3, 4])
+    r = WeightRows.of(r)
     with pytest.raises(NotProportionalError):
         inverse_unitarity(r, r)
 
@@ -592,7 +594,8 @@ def test_stacked_unitarity_residual_agrees_with_per_item_calls():
     rng = np.random.default_rng(53)
     specs = [sample_spec(Family.EIGHT_II, rng) for _ in range(6)]
     r = np.array([build_R(s, X(sample_x(s, rng))) for s in specs])
-    rho, res = unitarity_residual(r, dagger(r))
+    rows = WeightRows.of(r)
+    rho, res = unitarity_residual(rows, dagger(rows))
     assert rho.shape == res.shape == (6,)
     for k in range(6):
         rho_k, res_k = unitarity_residual(r[k], dagger(r[k]))
@@ -604,16 +607,16 @@ def test_one_matrix_decides_a_degenerate_rho_as_a_stack_of_one_does():
     # a negative rho fails both; a NaN rho is no verdict of the guard: a NaN residual
     r, nan = identity(4), identity(4)
     nan[0, 0] = np.nan
-    for a, b in ((r, -r), (r[None], -r[None])):
+    for a, b in ((r, -r), (WeightRows.of(r[None]), WeightRows.of(-r[None]))):
         with pytest.raises(DegenerateNormalizationError,
                            match=r"^estimated rho = -1\.000e\+00 is not positive$"):
             unitarity_residual(a, b)
-    for a in (nan, nan[None]):
+    for a in (nan, WeightRows.of(nan[None])):
         assert np.isnan(unitarity_residual(a, dagger(a))).all()
 
 
 def test_stacked_unitarity_residual_rejects_a_degenerate_matrix():
-    r = np.array([identity(4), np.zeros((4, 4), dtype=complex)])
+    r = WeightRows.of([identity(4), np.zeros((4, 4), dtype=complex)])
     with pytest.raises(DegenerateNormalizationError):
         unitarity_residual(r, dagger(r))
 
@@ -758,7 +761,7 @@ def test_unitarity_residual_on_gaussian_integers_is_bitwise_the_dense_reference(
     # stack and its single matrices agree bitwise
     rng = np.random.default_rng(79)
     r, rconj = _pairs(rng, n, lambda s: rng.integers(-3, 4, s) + 1j * rng.integers(-3, 4, s))
-    rho, res = unitarity_residual(r, rconj)
+    rho, res = unitarity_residual(WeightRows.of(r), WeightRows.of(rconj))
     for k in range(len(r)):
         want = unitarity_residual_reference(r[k], rconj[k])
         assert unitarity_residual(r[k], rconj[k]) == want
@@ -768,7 +771,7 @@ def test_unitarity_residual_on_gaussian_integers_is_bitwise_the_dense_reference(
 def test_unitarity_residual_is_the_dense_reference_to_rounding():
     rng = np.random.default_rng(83)
     r, rconj = _pairs(rng, 300, lambda s: rng.standard_normal(s) + 1j * rng.standard_normal(s))
-    rho, res = unitarity_residual(r, rconj)
+    rho, res = unitarity_residual(WeightRows.of(r), WeightRows.of(rconj))
     for k in range(len(r)):
         want_rho, want_res = unitarity_residual_reference(r[k], rconj[k])
         scale = frobenius(r[k]) * frobenius(rconj[k])
@@ -782,19 +785,17 @@ def test_unitarity_residual_is_the_dense_reference_to_rounding():
         assert abs(one_res - res[k]) <= 8 * EPS * scale
 
 
-def test_stacked_unitarity_residual_broadcasts_a_single_matrix_and_leading_axes():
-    # positive weights, so that rho is positive for any pairing
+def test_unitarity_residual_on_rows_with_leading_axes_agrees_with_per_item_calls():
+    # (8, 2, 3) rows give (2, 3) results; positive weights, so that rho is positive
     r = _eight_vertex(np.random.default_rng(89).uniform(0.5, 1.5, (2, 3, 8)))
-    rho, res = unitarity_residual(r, dagger(r))
+    rows = WeightRows.of(r)
+    rho, res = unitarity_residual(rows, dagger(rows))
     assert rho.shape == res.shape == (2, 3)
-    one = r[1, 2]
-    rho1, res1 = unitarity_residual(one, dagger(r))  # one r against a stack of rconj
-    assert rho1.shape == (2, 3)
     for i in range(2):
         for j in range(3):
-            want = unitarity_residual(one, dagger(r[i, j]))
-            assert rho1[i, j] == pytest.approx(want[0], rel=1e-14)
-            assert res1[i, j] == pytest.approx(want[1], rel=1e-14)
+            want = unitarity_residual(r[i, j], dagger(r[i, j]))
+            assert rho[i, j] == pytest.approx(want[0], rel=1e-14)
+            assert res[i, j] == pytest.approx(want[1], rel=1e-14)
 
 
 def inverse_unitarity_reference(r, rinv):
@@ -812,7 +813,7 @@ def test_inverse_unitarity_on_gaussian_integers_is_bitwise_the_dense_reference(n
     rng = np.random.default_rng(107)
     r, rinv = (_eight_vertex(rng.integers(-2, 3, (n, 8)) + 1j * rng.integers(-2, 3, (n, 8)))
                for _ in range(2))
-    scalars = inverse_unitarity(r, rinv, np.inf)
+    scalars = inverse_unitarity(WeightRows.of(r), WeightRows.of(rinv), np.inf)
     pinned = 0
     for k in range(len(r)):
         want, gap = inverse_unitarity_reference(r[k], rinv[k])
@@ -832,7 +833,7 @@ def test_inverse_unitarity_is_the_dense_reference_to_rounding(family):
     form = "g" if family is Family.EIGHT_IV else "canonical"
     xs = rng.uniform(0.3, 1.8, 40) + 1j * rng.uniform(-0.5, 0.5, 40)
     r, rinv = dense_pair(spec, xs, form)
-    scalars = inverse_unitarity(r, rinv)
+    scalars = inverse_unitarity(WeightRows.of(r), WeightRows.of(rinv))
     for k, x in enumerate(xs):
         want, gap = inverse_unitarity_reference(r[k], rinv[k])
         scale = frobenius(r[k]) * frobenius(rinv[k])
@@ -843,7 +844,7 @@ def test_inverse_unitarity_is_the_dense_reference_to_rounding(family):
         inverse_unitarity(*one, tol=(gap + 8 * EPS * scale) / max(1.0, abs(want)))
 
 
-#: the kernels that read two eight-vertex matrices, or two stacks, and their names for the two
+#: the kernels that read two eight-vertex matrices, and their names for the two
 PAIR_KERNELS = [(unitarity_residual, "unitarity_residual", ("r", "rconj")),
                 (lambda a, c: strand_gap(a, c, a), "strand_gap", ("a", "c")),
                 (inverse_unitarity, "inverse_unitarity", ("R(x)", "R(1/x)"))]
@@ -851,7 +852,8 @@ PAIR_KERNELS = [(unitarity_residual, "unitarity_residual", ("r", "rconj")),
 
 @pytest.mark.parametrize("entry", OFF_PATTERN_ENTRIES)
 def test_unitarity_residual_off_the_pattern_names_the_matrix_index_and_entry(entry):
-    # every kernel names the same matrix, stack index and entry of the same bad stacks
+    # WeightRows.of names the stack index and entry of a bad stack, and every kernel the
+    # same matrix and entry of two bad matrices
     rng = np.random.default_rng(97)
     r = _eight_vertex(rng.standard_normal((9, 8)) + 1j * rng.standard_normal((9, 8)))
     rconj = dagger(r).copy()
@@ -860,23 +862,29 @@ def test_unitarity_residual_off_the_pattern_names_the_matrix_index_and_entry(ent
     nan = rconj.copy()
     nan[4][entry] = np.nan  # a NaN off the pattern is no weight either
     at = rf"at entry \({entry[0]}, {entry[1]}\)$"
+    stack = "the matrix at index 4 of the stack"
+    with pytest.raises(ValueError, match=rf"^WeightRows.of takes eight-vertex matrices.*"
+                                         rf": {stack} has \(1e-300\+0j\) {at}"):
+        WeightRows.of(rconj)
+    with pytest.raises(ValueError, match=rf": {stack} has \(nan\+0j\) {at}"):
+        WeightRows.of(nan)
     for kernel, name, (first, second) in PAIR_KERNELS:
         first, second = re.escape(first), re.escape(second)
         with pytest.raises(ValueError, match=rf"^{name} takes eight-vertex matrices.*"
-                                             rf": {second} at index 4 of the stack has .* {at}"):
-            kernel(r, rconj)
-        with pytest.raises(ValueError, match=rf": {first} has .* {at}"):
+                                             rf": {first} has \(1\+0j\) {at}"):
             kernel(r[7], rconj[7])  # two matrices: no stack index
-        with pytest.raises(ValueError, match=rf"{second} at index 4 of the stack has \(nan\+0j\)"):
-            kernel(r, nan)
+        with pytest.raises(ValueError, match=rf": {second} has \(nan\+0j\) {at}"):
+            kernel(r[4], nan[4])
 
 
 def test_a_nan_weight_gives_a_nan_residual_in_that_item_only():
     rng = np.random.default_rng(101)
     r = _eight_vertex(rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8)))
-    want_rho, want_res = unitarity_residual(r, dagger(r))
+    rows = WeightRows.of(r)
+    want_rho, want_res = unitarity_residual(rows, dagger(rows))
     r[2, 2, 1] = np.nan  # a weight, inside the pattern
-    rho, res = unitarity_residual(r, dagger(r))
+    rows = WeightRows.of(r)
+    rho, res = unitarity_residual(rows, dagger(rows))
     assert np.isnan(res[2]) and np.isnan(rho[2])
     assert np.array_equal(np.delete(res, 2), np.delete(want_res, 2))
     assert np.array_equal(np.delete(rho, 2), np.delete(want_rho, 2))
@@ -890,7 +898,7 @@ def test_the_unitarity_gap_bounds_the_defect_of_the_normalized_matrix():
 
     rng = np.random.default_rng(103)
     r = _eight_vertex(rng.standard_normal((200, 8)) + 1j * rng.standard_normal((200, 8)))
-    gaps, rho_est = _unitarity_gaps(r, rng.uniform(0.5, 20.0, 200))
+    gaps, rho_est = _unitarity_gaps(WeightRows.of(r), rng.uniform(0.5, 20.0, 200))
     u = r / np.sqrt(rho_est)[:, None, None]
     defect = frobenius(u @ dagger(u) - identity(4))
     assert np.all(defect <= gaps * (1 + 1e-14))
@@ -903,9 +911,9 @@ def test_an_off_pattern_entry_deep_in_a_stack_is_named_by_its_stack_index():
     rng = np.random.default_rng(109)
     r = _eight_vertex(rng.standard_normal((1000, 8)) + 1j * rng.standard_normal((1000, 8)))
     r[917, 0, 1] = 2.0
-    with pytest.raises(ValueError, match=r"r at index 917 of the stack has \(2\+0j\) at entry "
-                                         r"\(0, 1\)"):
-        unitarity_residual(r, dagger(r))
+    with pytest.raises(ValueError, match=r"^WeightRows.of .*: the matrix at index 917 of the stack "
+                                         r"has \(2\+0j\) at entry \(0, 1\)$"):
+        WeightRows.of(r)
 
 
 @pytest.mark.parametrize("spec,kind,value", [

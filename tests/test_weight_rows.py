@@ -1,5 +1,5 @@
-"""The weight-row path of the stacked scans against the public dense kernels, bitwise, and
-the domain predicates against their defining expressions."""
+"""The weight-row path of the stacked scans against the kernels on the dense reference, read
+by ``WeightRows.of``, bitwise, and the domain predicates against their defining expressions."""
 
 import math
 
@@ -11,7 +11,7 @@ from yaxter.baxterize import EigOrdering, R_rows
 from yaxter.catalog import (DOMAIN_TOL, DomainError, Family, FamilySpec, _finite, braid_matrix,
                             braid_residual, braid_rows, build_b, domain_violation, is_imag,
                             is_real)
-from yaxter.linalg import _BLOCK, WeightRows, block_product, dagger, defect, strand_gap, weights
+from yaxter.linalg import _BLOCK, WeightRows, block_product, dagger, defect, strand_gap
 from yaxter.verify import (QYBE_PARAMETRIZATIONS, _QYBE_LAWS, _bounded_rows, _cpair,
                            _normalization, inverse_unitarity, qybe_job, sample_spec, sample_specs,
                            sample_x, scan_braid, scan_qybe, scan_unitarity, unitarity_job,
@@ -39,8 +39,7 @@ def _spy(monkeypatch, name: str) -> list:
 
 def _same_weights(rows, dense) -> bool:
     """The (8, ...) rows are bitwise the weights of the dense (..., 4, 4) stack."""
-    (want,) = weights("test", ("dense",), dense)
-    return np.array_equal(rows.w.reshape(8, -1), want)
+    return np.array_equal(rows.w, WeightRows.of(dense).w)
 
 
 QYBE_JOBS = [(family, kind, None) for family, kinds in QYBE_PARAMETRIZATIONS.items()
@@ -58,7 +57,7 @@ def test_the_qybe_scan_on_rows_is_bitwise_the_dense_kernel(monkeypatch, family, 
     values = np.stack([a, compose(a, b), b])
     dense = R_rows(spec, kind, values, ordering).dense()
     assert _same_weights(R_rows(spec, kind, values, ordering), dense)
-    want = strand_gap(*dense)
+    want = strand_gap(*WeightRows.of(dense))
     (got,) = seen
     assert got.shape == (SAMPLES,) and np.array_equal(got, want)
     residual, (wa, wb) = worst(want, pairs)
@@ -77,7 +76,8 @@ def test_the_unitarity_scan_on_rows_is_bitwise_the_dense_kernel(monkeypatch, fam
     x = sample_x(specs, rng, SAMPLES)
     r = R_rows(specs, "x", x).dense()
     assert _same_weights(R_rows(specs, "x", x), r)
-    rho, res = unitarity_residual(r, dagger(r))  # the kernel itself, not the spy
+    # the kernel itself, not the spy, on the dense stack and its strided adjoint, read
+    rho, res = unitarity_residual(WeightRows.of(r), WeightRows.of(dagger(r)))
     ((got_rho, got_res),) = seen
     assert np.array_equal(got_rho, rho) and np.array_equal(got_res, res)
     rho_ref = _normalization(specs, "x", x)[-1]
@@ -95,7 +95,7 @@ def test_the_braid_scan_on_rows_is_bitwise_the_dense_kernel(monkeypatch, family)
     assert _same_weights(braid_rows(family, specs.q, specs.t, specs.s), b)
     for k in range(0, SAMPLES, 97):  # the single-point arithmetic, to rounding
         assert np.allclose(b[k], build_b(specs[k]), rtol=1e-15, atol=0)
-    want = braid_residual(b)
+    want = braid_residual(WeightRows.of(b))
     (got,) = seen
     assert got.shape == (SAMPLES,) and np.array_equal(got, want)
     residual, k = worst(want, range(SAMPLES))
