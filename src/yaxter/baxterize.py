@@ -11,7 +11,7 @@ Three-eigenvalue formula (must be re-checked against the QYBE per output):
            - (x-1) b
 
 As a matrix polynomial every R(x) is R(x) = A + B x + C x^2, with one table of exact
-coefficients, written as weight rows (``_coefficient_rows``, kept per FamilySpec object):
+coefficients, written as weight rows (``_coefficient_rows``, kept in a FamilySpec's record):
 A is b (times 1 + t for eight4), the two-eigenvalue B is lambda1 lambda2 b^{-1} =
 (lambda1 + lambda2) 1 - b, and C vanishes for every family but eight4. ``R_rows``, the one
 evaluator of R(x), evaluates the polynomial on those rows at a stack of points, for one
@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import cmath
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import (EIGHT_VERTEX_FAMILIES, THREE_EIGENVALUE_FAMILIES, DomainError, Family,
                       FamilySpec, FamilySpecs, _braid_table, _eigenvalues, _first_failure,
-                      build_b, eigenvalues_of, z_of)
+                      build_b, eigenvalues_of, kept, z_of)
 from .linalg import WeightRows, cmat, inverse, pattern_rows, require_two_eigenvalues
 
 
@@ -257,10 +256,13 @@ def build_R(spec: FamilySpec, p: SpectralPoint, ordering: EigOrdering | None = N
 def R_weights(spec: FamilySpec, p: SpectralPoint, ordering: EigOrdering | None = None,
               form: str = "canonical") -> np.ndarray:
     """The (8,) weight rows of ``build_R``: ``R_rows`` at the one point, under one finiteness
-    check."""
+    check of its eight weights, decided on Python numbers (``cmath.isfinite``), which for
+    eight numbers costs a third of one numpy pass. The point's value is finite, as every
+    SpectralPoint's is, so ``R_rows``' check of it is not repeated; it enters as R_rows
+    takes it, a 0-d array."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-        w = R_rows(spec, p.kind, p.value, ordering, form).w
-    if not np.isfinite(w).all():
+        w = _finite_rows(spec, p.kind, np.asarray(p.value), ordering, form)
+    if not all(map(cmath.isfinite, w.tolist())):
         raise ValueError("matrix entries must be finite")
     return w
 
@@ -270,21 +272,21 @@ def _coefficient_rows(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | No
     or of (A, B), (2, 8, ...), where C is 0: the one place that writes the table, with the
     two-eigenvalue B generated from b's rows (``_table_rows``). Python's arithmetic for a
     FamilySpec's entries, numpy's for FamilySpecs, as the braid matrix's, with eight4's
-    1 + t, 2 t and 1 - t on the rows; one assembly and finiteness check. A (3, 8, n) block is 115 KB at 300 samples, under
-    glibc's 128 KiB mmap threshold. A FamilySpec's rows are kept, read-only (``_kept_rows``)."""
+    1 + t, 2 t and 1 - t on the rows; one assembly and finiteness check. A (3, 8, n) block is
+    115 KB at 300 samples, under glibc's 128 KiB mmap threshold.
+
+    A FamilySpec's rows are built once per ordering and kept, read-only, in the spec
+    object's record (``catalog.kept``), beside its other parameter-only values."""
     if ordering is not None:
         ordering = EigOrdering(ordering)
-    if isinstance(spec, FamilySpec):  # by the object, not by ==: equal specs can differ in bits
-        return _kept_rows(id(spec), spec, ordering)
-    return _table_rows(spec, ordering)
-
-
-@functools.lru_cache(maxsize=64)
-def _kept_rows(spec_id: int, spec: FamilySpec, ordering: EigOrdering | None):
-    """The read-only rows of the 64 spec objects used last, by id, which no other object
-    takes while the cache holds the spec (t = 0.0 and -0.0 give equal specs, unequal rows)."""
-    rows = _table_rows(spec, ordering)
-    rows.flags.writeable = False
+    if not isinstance(spec, FamilySpec):
+        return _table_rows(spec, ordering)
+    kept_rows = kept(spec).rows
+    rows = kept_rows.get(ordering)
+    if rows is None:
+        rows = _table_rows(spec, ordering)
+        rows.flags.writeable = False
+        kept_rows[ordering] = rows
     return rows
 
 
@@ -345,11 +347,17 @@ def R_rows(spec: FamilySpec | FamilySpecs, kind: str, values,
     failure = _first_failure(np.isfinite(values), f"{kind} must be finite, got {{}}", values)
     if failure:
         raise DomainError(failure)
+    return WeightRows(_finite_rows(spec, kind, values, ordering, form))
+
+
+def _finite_rows(spec: FamilySpec | FamilySpecs, kind: str, values: np.ndarray,
+                 ordering: EigOrdering | None = None, form: str = "canonical") -> np.ndarray:
+    """The weight rows of ``R_rows`` at an array of values known to be finite."""
     x = family_x(spec, kind, values)
     scale = gauge(spec, kind, values, form)
     if form == "g" and spec.family is Family.EIGHT_IV:  # the g form is the canonical one over g1
         scale = scale / g_factors(spec, x)[0]
-    return WeightRows(_rows_at(spec, x, scale, ordering))
+    return _rows_at(spec, x, scale, ordering)
 
 
 def _rows_at(spec: FamilySpec | FamilySpecs, x, scale, ordering: EigOrdering | None = None):

@@ -18,6 +18,11 @@ parameters as scalars or as arrays that broadcast, one entry per sample;
 ``FamilySpecs`` holds n samples of one family as arrays, and ``braid_rows``
 builds their braid matrices as the weight rows the stacked kernels take. ``q_from`` turns
 q, gamma or phi into the deformation parameter q, for the ``FamilySpec`` constructors and the CLI.
+
+``kept`` holds one record per FamilySpec object, for the ``KEPT_SPECS`` objects that took
+one last, of what its evaluations derive from its parameters alone: the (q, t) part of its
+domain verdict here, its coefficient rows (``baxterize``) and its closed-form constants
+(``dynamics``).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import threading
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -137,40 +143,59 @@ def domain_violation(family: Family, q, t, x=None) -> str | None:
     either (real t, |x| = 1) or (imaginary t, real x). For arrays the message
     names the first sample that violates the first failing constraint.
     """
-    for holds, message, value in _domain_constraints(family, q, t, x):
+    return _first_violation(family, _domain_constraints(family, q, t, x))
+
+
+def _first_violation(fam: Family, constraints) -> str | None:
+    """The message of the first constraint of ``constraints`` that fails, or None."""
+    for holds, message, value in constraints:
         if not (holds.all() if isinstance(holds, np.ndarray) else holds):
-            return _first_failure(holds, message, value(), family=family.value)
+            return _first_failure(holds, message, value(), family=fam.value)
     return None
 
 
 def _domain_constraints(fam: Family, q, t, x):
     """(holds, message, value) per constraint of ``domain_violation``, in the order checked,
     with the message's value as a function, called only when the constraint fails; lazy, so
-    a scalar check stops at its first failure."""
+    a scalar check stops at its first failure. The (q, t) constraints come first and those on
+    x (``_x_constraints``) after, which lets ``FamilySpec.domain_violation`` keep the verdict
+    of the first."""
+    real_t = _eight4_real_t(fam, t)
     if fam in (Family.SIX_NONSTD, Family.SIX_STD):
         yield is_real(q), "six-vertex unitarity needs real q, got q = {}", lambda: q
-        if x is not None:
-            yield (on_unit_circle(x), "six-vertex unitarity needs |x| = 1, got |x| = {:.6g}",
-                   lambda: abs(x))
-        return
-    yield on_unit_circle(q), "{family} unitarity needs |q| = 1, got |q| = {:.6g}", lambda: abs(q)
-    if fam is Family.EIGHT_I:
-        if x is not None:
-            yield is_real(x), "eight1 unitarity needs real x, got x = {}", lambda: x
-    elif fam is Family.EIGHT_IV:
-        real_t = is_real(t)
-        yield (real_t | is_imag(t), "eight4 unitarity needs t real or pure imaginary, got t = {}",
-               lambda: t)
-        if x is not None:  # every t here is real or imaginary; b ^ True is "not b"
-            yield (on_unit_circle(x) | (real_t ^ True),
-                   "eight4 with real t needs |x| = 1, got |x| = {:.6g}", lambda: abs(x))
-            yield (is_real(x) | real_t, "eight4 with imaginary t needs real x, got x = {}",
-                   lambda: x)
+    else:
+        yield (on_unit_circle(q), "{family} unitarity needs |q| = 1, got |q| = {:.6g}",
+               lambda: abs(q))
+        if fam is Family.EIGHT_IV:
+            yield (real_t | is_imag(t), "eight4 unitarity needs t real or pure imaginary, "
+                   "got t = {}", lambda: t)
+        elif fam not in (Family.EIGHT_I, Family.BELL_PHI):  # eight2, eight3
+            yield is_real(t), "{family} unitarity needs real t, got t = {}", lambda: t
+    if x is not None:
+        yield from _x_constraints(fam, x, real_t)
+
+
+def _eight4_real_t(fam: Family, t):
+    """is_real(t) for eight4, whose (q, t) and x constraints both read it; None otherwise."""
+    return is_real(t) if fam is Family.EIGHT_IV else None
+
+
+def _x_constraints(fam: Family, x, real_t):
+    """The constraints of ``_domain_constraints`` on x, which for eight4 depend on whether t
+    is real (``real_t``); they are tested once (q, t) holds."""
+    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
+        yield (on_unit_circle(x), "six-vertex unitarity needs |x| = 1, got |x| = {:.6g}",
+               lambda: abs(x))
+    elif fam is Family.EIGHT_I:
+        yield is_real(x), "eight1 unitarity needs real x, got x = {}", lambda: x
+    elif fam is Family.EIGHT_IV:  # every t here is real or imaginary; b ^ True is "not b"
+        yield (on_unit_circle(x) | (real_t ^ True),
+               "eight4 with real t needs |x| = 1, got |x| = {:.6g}", lambda: abs(x))
+        yield (is_real(x) | real_t, "eight4 with imaginary t needs real x, got x = {}",
+               lambda: x)
     elif fam is not Family.BELL_PHI:  # eight2, eight3
-        yield is_real(t), "{family} unitarity needs real t, got t = {}", lambda: t
-        if x is not None:
-            yield (on_unit_circle(x), "{family} unitarity needs |x| = 1, got |x| = {:.6g}",
-                   lambda: abs(x))
+        yield (on_unit_circle(x), "{family} unitarity needs |x| = 1, got |x| = {:.6g}",
+               lambda: abs(x))
 
 
 @dataclass(frozen=True)
@@ -234,12 +259,63 @@ class FamilySpec:
 
     def domain_violation(self, x: complex = None) -> str | None:
         """The violated unitary-domain constraint (see ``domain_violation``), or None if
-        inside; x is checked when given, family parameters always."""
-        return domain_violation(self.family, complex(self.q), complex(self.t), x)
+        inside; x is checked when given, family parameters always. The (q, t) verdict is
+        taken once per spec object and kept (``kept``): a violation there is the answer,
+        whatever x; else only the x constraints are tested, in the order of
+        ``domain_violation``, so the first violation found and its message are the same."""
+        record = kept(self)
+        verdict = record.verdict
+        if verdict is _UNSET:
+            verdict = record.verdict = domain_violation(self.family, complex(self.q),
+                                                        complex(self.t))
+        if verdict is not None or x is None:
+            return verdict
+        real_t = _eight4_real_t(self.family, complex(self.t))
+        return _first_violation(self.family, _x_constraints(self.family, x, real_t))
 
     def parameters(self) -> tuple[complex, complex, int]:
         """(q, t, sign factor), the arguments of the closed-form kernels."""
         return complex(self.q), complex(self.t), self.sign.factor
+
+
+#: how many FamilySpec objects keep their records (``kept``)
+KEPT_SPECS = 64
+_UNSET = object()  # a record's verdict before it is taken; None is the verdict "inside"
+_KEPT: dict = {}  # id(spec) -> its Kept, in the order taken
+_KEPT_LOCK = threading.Lock()
+
+
+class Kept:
+    """What the evaluations of one FamilySpec object derive from its parameters alone, each
+    field filled on first use by the code that reads it: the (q, t) ``verdict`` of
+    ``FamilySpec.domain_violation``; the coefficient ``rows`` of each eigenvalue ordering
+    (``baxterize._coefficient_rows``); eight1's ``generator`` H_pm and the ``closed``
+    constants of the six-vertex, eight2 and eight3 closed-form Hamiltonians (``dynamics``).
+    The arrays are read-only: every caller gets the same one."""
+
+    __slots__ = ("spec", "verdict", "rows", "generator", "closed", "__weakref__")
+
+    def __init__(self, spec: FamilySpec):
+        self.spec = spec  # held, so that no other object takes its id while it is kept
+        self.verdict = _UNSET
+        self.rows = {}
+        self.generator = None
+        self.closed = None
+
+
+def kept(spec: FamilySpec) -> Kept:
+    """The record of the spec object, found by its id, not by ==, for equal specs can differ
+    in bits (t = 0.0 and -0.0). The records of the ``KEPT_SPECS`` objects that took one last
+    are kept, and the oldest is dropped first; a lookup hashes no field."""
+    record = _KEPT.get(id(spec))
+    if record is None:
+        with _KEPT_LOCK:
+            record = _KEPT.get(id(spec))
+            if record is None:
+                if len(_KEPT) >= KEPT_SPECS:
+                    del _KEPT[next(iter(_KEPT))]
+                record = _KEPT[id(spec)] = Kept(spec)
+    return record
 
 
 @dataclass(frozen=True)

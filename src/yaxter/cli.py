@@ -391,7 +391,10 @@ def _cmd_cnot(args) -> int:
         _unread(args, ("phi",), "cnot --route theorem1")
         dec = theorem1_decomposition()
     else:
-        dec = cnot_via_evolution(0.0 if args.phi is None else args.phi)
+        phi = 0.0 if args.phi is None else args.phi
+        if not math.isfinite(phi):  # cnot_via_evolution's own error, spelt as the option
+            raise ValueError(f"--phi must be finite, got {phi}")
+        dec = cnot_via_evolution(phi)
     payload = {
         "route": args.route,
         "residual": float(dec.residual),

@@ -24,6 +24,11 @@ Closed forms are validated against it rather than trusted:
 six-vertex closed form also circulates in a coth-gamma variant that the derivative
 contradicts (the corner entries come out as sinh cosh / rho); both variants are kept so
 the discrepancy can be measured and reported (see ``six_vertex_erratum_report``).
+The closed forms' constants that depend on the spec alone are built once per FamilySpec
+object and kept, read-only, in its record (``catalog.kept``) beside its coefficient rows:
+eight1's H_pm (``_eight1_generator``), and the 4x4 tables of the six-vertex, eight2 and
+eight3 forms with their sinh and cosh of gamma, z_of(t) and real t (``_closed_constants``).
+A point then pays for its theta alone: rho, the scale, and ``pattern_stack`` on the table.
 ``hamiltonian_fd`` takes central differences instead, as a cross-check, and decides its
 point as ``hamiltonian`` does: the curve and domain checks at the point alone, and the
 curve's unitarity left to the Hermiticity check. Its five-point stencil of gauge unitaries,
@@ -52,7 +57,7 @@ import numpy as np
 from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, _coefficient_rows,
                         _polynomial, _rows_at, family_x, g_factors, gauge, reference_gauge)
 from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix,
-                      domain_violation, is_real, z_of)
+                      domain_violation, is_real, kept, z_of)
 from .gates import PAULI, tensor
 from .linalg import (MAX_ENTRY, WeightRows, dagger, expm_hermitian, frobenius, identity,
                      pattern_stack, require_hermitian, weight_product)
@@ -64,6 +69,10 @@ HALF_SHIFT, FULL_SHIFT = -0.5 * I4, -I4
 SIX_VERTEX = (Family.SIX_NONSTD, Family.SIX_STD)
 HERM_TOL = 1e-9  # relative Hermiticity defect allowed: above the FD's rounding (~3e-10)
 RHO_FLOOR = 1e-14  # rho at or below which R vanishes and U = rho^{-1/2} R is not formed
+#: ``hamiltonian_fd``'s step and its five-point stencil s0 + (0, h, -h, h/2, -h/2)
+FD_STEP = 1e-5
+FD_STENCIL = np.array([0.0, FD_STEP, -FD_STEP, FD_STEP / 2, -FD_STEP / 2])
+FD_STENCIL.flags.writeable = False
 
 
 class HamiltonianSource(str, enum.Enum):
@@ -95,7 +104,8 @@ def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values) -> Weigh
     (one per sample for FamilySpecs), as weight rows: the domain check of each value, which
     names the first violating one, then ``_unitaries``."""
     x = family_x(spec, kind, values)
-    violation = domain_violation(spec.family, *spec.parameters()[:2], x)
+    violation = (spec.domain_violation(x) if isinstance(spec, FamilySpec)
+                 else domain_violation(spec.family, *spec.parameters()[:2], x))
     if violation is not None:
         raise DomainError(violation)
     return _unitaries(spec, kind, values, x)
@@ -289,14 +299,13 @@ def hamiltonian_fd(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
     checks at p alone, the five-point stencil through ``_unitaries``, and the curve's
     unitarity left to the record's Hermiticity check."""
     kind, s0 = _curve(spec, p)
-    violation = spec.domain_violation(family_x(spec, kind, s0))
+    stencil = s0 + FD_STENCIL
+    x = family_x(spec, kind, stencil)
+    violation = spec.domain_violation(complex(x[0]))  # the point's own x
     if violation is not None:
         raise DomainError(violation)
-    h = 1e-5
-    stencil = s0 + np.array([0.0, h, -h, h / 2, -h / 2])
-    u = _unitaries(spec, kind, stencil, family_x(spec, kind, stencil))
-    u0, up, um, uph, umh = u.w.T
-    du = (4.0 * (uph - umh) / h - (up - um) / (2.0 * h)) / 3.0
+    u0, up, um, uph, umh = _unitaries(spec, kind, stencil, x).w.T
+    du = (4.0 * (uph - umh) / FD_STEP - (up - um) / (2.0 * FD_STEP)) / 3.0
     k = weight_product(1j * du, dagger(WeightRows(u0)).w)
     return Hamiltonian(WeightRows(k).dense(), HamiltonianSource.FINITE_DIFFERENCE, spec, p)
 
@@ -322,20 +331,27 @@ def _closed_rho(rho, vanishing: str = ""):
     raise DomainError((vanishing if finite else f"closed-form rho = {rho} is not finite") + where)
 
 
-def _six_vertex_closed(gamma: float, theta, standard: bool, corner) -> np.ndarray:
-    sh, sn = float(np.sinh(gamma)), np.sin(theta)
+def _six_vertex_table(gamma: float, standard: bool, corner):
+    """(sinh gamma, the read-only table) of a six-vertex closed form with ``corner`` in the
+    corners: cosh gamma, or 1/tanh gamma for the coth variant."""
+    sh = float(np.sinh(gamma))
+    lower = corner if standard else -corner
+    return sh, _read_only([[corner, 0, 0, 0], [0, -sh, 1, 0], [0, 1, sh, 0], [0, 0, 0, lower]])
+
+
+def _six_vertex_closed(sh: float, table: np.ndarray, theta) -> np.ndarray:
+    sn = np.sin(theta)
     rho = _closed_rho(sh * sh + sn * sn,
                       "rho = sinh^2 gamma + sin^2 theta vanishes at gamma = theta = 0")
-    lower = corner if standard else -corner
-    return pattern_stack(sh / rho, [[corner, 0, 0, 0], [0, -sh, 1, 0], [0, 1, sh, 0],
-                                    [0, 0, 0, lower]])
+    return pattern_stack(sh / rho, table)
 
 
 def six_vertex_hamiltonian_coth_variant(spec: FamilySpec, theta) -> np.ndarray:
     """The coth-gamma variant of the six-vertex closed form (kept for comparison;
     the exact derivative selects the cosh variant), at a number or an array of theta."""
     g = spec.gamma
-    return _six_vertex_closed(g, theta, spec.family is Family.SIX_STD, 1.0 / np.tanh(g))
+    return _six_vertex_closed(*_six_vertex_table(g, spec.family is Family.SIX_STD,
+                                                 1.0 / np.tanh(g)), theta)
 
 
 def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
@@ -365,35 +381,32 @@ def closed_generators(spec: FamilySpec, theta) -> np.ndarray:
 
 def _closed_generators(spec: FamilySpec, theta) -> np.ndarray:
     """``closed_generators`` before its Hermiticity check, which ``hamiltonian_closed`` leaves
-    to the ``Hamiltonian`` record."""
+    to the ``Hamiltonian`` record: the point's part of the closed form on the spec's kept
+    constants (``_closed_constants``), and all of eight4's."""
     fam = spec.family
     if fam in SIX_VERTEX:
-        g = spec.gamma
-        return _six_vertex_closed(g, theta, fam is Family.SIX_STD, np.cosh(g))
+        return _six_vertex_closed(*_closed_constants(spec), theta)
     if fam is Family.EIGHT_I:
         h = np.empty((*np.shape(theta), 4, 4), dtype=complex)
         h[...] = _eight1_generator(spec)
         return h
-    q, s = complex(spec.q), spec.sign.factor
     # a rho that overflows, or takes inf * 0 at a huge t, is not finite and fails its check
     with np.errstate(over="ignore", invalid="ignore"):
         if fam is Family.EIGHT_II:
-            t = _real_t(spec)
+            t, table = _closed_constants(spec)
             sn = np.sin(theta / 2.0)
             rho = _closed_rho(4.0 + 4.0 * ((t - 1.0) * (t - 1.0)) * (sn * sn))
-            sz = s * z_of(complex(spec.t))
-            return pattern_stack(2.0 / rho, [[1 - t, 0, 0, q], [0, 0, sz, 0], [0, sz, 0, 0],
-                                             [1 / q, 0, 0, t - 1]], HALF_SHIFT)
+            return pattern_stack(2.0 / rho, table, HALF_SHIFT)
         if fam is Family.EIGHT_III:
-            t = _real_t(spec)
+            t, table = _closed_constants(spec)
             sn = np.sin(theta / 2.0)
             rho = _closed_rho(4.0 + 4.0 * (t * t - 1.0) * (sn * sn))
-            return pattern_stack(2.0 * t / rho, [[0, 0, 0, q], [0, 0, s, 0], [0, s, 0, 0],
-                                                 [1 / q, 0, 0, 0]], HALF_SHIFT)
+            return pattern_stack(2.0 * t / rho, table, HALF_SHIFT)
         if fam is Family.EIGHT_IV:
             t = _real_t(spec)
             if abs(t) < 1e-12:
                 raise DomainError("eight4 closed form needs real nonzero t")
+            q, s = complex(spec.q), spec.sign.factor
             g1, g2 = g_factors(spec, np.exp(1j * theta))
             # |g|^2 from hypot, as Python's abs rounds it; numpy's complex abs rounds apart
             h1, h2 = np.hypot(g1.real, g1.imag), np.hypot(g2.real, g2.imag)
@@ -406,14 +419,56 @@ def _closed_generators(spec: FamilySpec, theta) -> np.ndarray:
     raise ValueError(f"no closed-form Hamiltonian for {fam.value}")
 
 
+def _closed_constants(spec: FamilySpec):
+    """The part of a six-vertex, eight2 or eight3 closed-form Hamiltonian that depends on the
+    spec alone, built on first use and kept, read-only, in the spec object's record
+    (``catalog.kept``): (sinh gamma, the table over cosh gamma) for the six-vertex families,
+    (t, the table) for eight2, with s z_of(t) in its middle block, and eight3. A spec off the
+    form's domain (q not real and positive, t not real) raises each time."""
+    record = kept(spec)
+    if record.closed is None:
+        fam = spec.family
+        if fam in SIX_VERTEX:
+            g = spec.gamma
+            closed = _six_vertex_table(g, fam is Family.SIX_STD, np.cosh(g))
+        else:
+            t, q, s = _real_t(spec), complex(spec.q), spec.sign.factor
+            if fam is Family.EIGHT_II:
+                sz = s * z_of(complex(spec.t))
+                table = [[1 - t, 0, 0, q], [0, 0, sz, 0], [0, sz, 0, 0], [1 / q, 0, 0, t - 1]]
+            else:  # eight3
+                table = [[0, 0, 0, q], [0, 0, s, 0], [0, s, 0, 0], [1 / q, 0, 0, 0]]
+            closed = t, _read_only(table)
+        record.closed = closed
+    return record.closed
+
+
+def _read_only(table) -> np.ndarray:
+    """A complex array of ``table``, not writeable, for a spec's record."""
+    a = np.array(table, dtype=complex)
+    a.flags.writeable = False
+    return a
+
+
 def eight1_x_hamiltonian(spec: FamilySpec, x: float) -> np.ndarray:
     """H(x) = -i b(phi)^2 / (1 + x^2): the eight1 generator along the real-x curve."""
     return 2.0 / (1.0 + x * x) * _eight1_generator(spec)
 
 
 def _eight1_generator(spec: FamilySpec | FamilySpecs) -> np.ndarray:
-    """H_pm = -(i/2) b_pm(phi)^2, the eight1 generator of the x curve at x = 1; FamilySpecs
+    """H_pm = -(i/2) b_pm(phi)^2, the eight1 generator of the x curve at x = 1: a FamilySpec's
+    is built on first use and kept, read-only, in its record (``catalog.kept``); FamilySpecs
     give the (n, 4, 4) stack."""
+    if not isinstance(spec, FamilySpec):
+        return _bell_square(spec)
+    record = kept(spec)
+    if record.generator is None:
+        record.generator = _read_only(_bell_square(spec))
+    return record.generator
+
+
+def _bell_square(spec: FamilySpec | FamilySpecs) -> np.ndarray:
+    """-(i/2) b^2 for the bell-phi braid matrix b at the spec's q and sign."""
     b = braid_matrix(Family.BELL_PHI, *spec.parameters())
     return -0.5j * (b @ b)
 

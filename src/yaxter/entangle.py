@@ -36,7 +36,7 @@ import numpy as np
 
 from .baxterize import R_weights, SpectralPoint, _u_gauge, family_x, reference_gauge, x_to_u
 from .catalog import Family, FamilySpec
-from .linalg import WeightRows, require_invertible, weights
+from .linalg import SingularMatrixError, WeightRows, require_invertible, weights
 
 ENTANGLING_TOL = 1e-8
 
@@ -131,7 +131,7 @@ def _classification_weights(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
     if spec.family in (Family.SIX_NONSTD, Family.SIX_STD):
         return R_weights(spec, p) / reference_gauge(spec, p.kind, p.value)
     x = family_x(spec, p.kind, p.value)
-    return _u_gauge(spec, x) * R_weights(spec, SpectralPoint.from_x(x))
+    return _u_gauge(spec, x) * R_weights(spec, p if p.kind == "x" else SpectralPoint.from_x(x))
 
 
 def classify(
@@ -155,7 +155,11 @@ def classify(
     """
     rows = _classification_weights(spec, p)
     w = tuple(rows.tolist())
-    require_invertible(w, context=f"{spec.family.value}, {p.kind} = {p.value}")
+    try:
+        require_invertible(w)
+    except SingularMatrixError:  # the error again, naming the point, only on failure
+        require_invertible(w, context=f"{spec.family.value}, {p.kind} = {p.value}")
+        raise
     witness = brylinski_witness(w, tol)
     if witness is None:
         return ClassificationResult(Classification.NOT_ENTANGLING, None, 0j)

@@ -188,10 +188,12 @@ def rho_formula(spec: FamilySpec | FamilySpecs, kind: str, value):
 
 
 def _rho_at(spec: FamilySpec | FamilySpecs, x):
-    """``rho_formula`` at the multiplicative x of the point (or of each sample)."""
+    """``rho_formula`` at the multiplicative x of the point (or of each sample), after the
+    domain check, on the kept (q, t) verdict of a FamilySpec."""
     fam = spec.family
     q, t, _ = spec.parameters()
-    violation = domain_violation(fam, q, t, x)
+    violation = (spec.domain_violation(x) if isinstance(spec, FamilySpec)
+                 else domain_violation(fam, q, t, x))
     if violation is not None:
         raise DomainError(violation)
     rex = x.real

@@ -637,12 +637,15 @@ def test_equal_specs_keep_their_own_bits_in_either_call_order(first):
 
 
 def test_the_kept_coefficient_rows_are_read_only_and_bounded():
+    # every parameter-only value is kept in one record per spec object (catalog.kept)
     import weakref
+
+    from yaxter import catalog, dynamics
 
     spec = FamilySpec.eight4(t=1.6, q=np.exp(0.4j))
     rows = _coefficient_rows(spec)
     R_rows(spec, "x", [0.5, 0.7]).dense()  # an evaluation reads the kept rows as built
-    assert _coefficient_rows(spec) is rows
+    assert _coefficient_rows(spec) is rows and catalog.kept(spec).rows[None] is rows
     with pytest.raises(ValueError, match="read-only"):
         rows[0, 0] = 0
     with pytest.raises(ValueError, match="read-only"):
@@ -650,14 +653,36 @@ def test_the_kept_coefficient_rows_are_read_only_and_bounded():
     equal = FamilySpec.eight4(t=1.6, q=np.exp(0.4j))  # another object builds its own
     assert _coefficient_rows(equal) is not rows
     assert np.array_equal(_coefficient_rows(equal), rows)
-    # the rows of a bounded number of spec objects are kept, however many a caller keeps
-    kept = weakref.ref(rows)
+    assert spec.domain_violation() is None and catalog.kept(spec).verdict is None
+    # eight1's H_pm and the closed forms' tables sit beside the rows, read-only as well
+    for other, theta in ((FamilySpec.eight1(phi=0.3), 0.2), (FamilySpec.six_std(gamma=0.4), 0.3),
+                         (FamilySpec.eight2(t=1.7, q=np.exp(0.2j)), 0.4),
+                         (FamilySpec.eight3(t=-2.1, q=np.exp(-0.9j)), 0.5)):
+        h = dynamics.hamiltonian_closed(other, theta).matrix
+        record = catalog.kept(other)
+        if other.family is Family.EIGHT_I:
+            table = record.generator
+            assert dynamics._eight1_generator(other) is table and record.closed is None
+        else:
+            table = record.closed[1]
+            assert dynamics._closed_constants(other) is record.closed and record.generator is None
+        assert table.shape == (4, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+        h[0, 0] = 0  # what a caller gets is its own
+        assert dynamics.hamiltonian_closed(other, theta).matrix[0, 0] != 0
+    # t = 0.0 and -0.0 give equal specs, but each object keeps its own record and bits
+    zero, negative_zero = FamilySpec.eight4(t=0.0), FamilySpec.eight4(t=-0.0)
+    assert zero == negative_zero and catalog.kept(zero) is not catalog.kept(negative_zero)
+    assert (_coefficient_rows(zero).tobytes() != _coefficient_rows(negative_zero).tobytes())
+    # the records of a bounded number of spec objects are kept, however many a caller keeps
+    record, kept_rows = weakref.ref(catalog.kept(spec)), weakref.ref(rows)
     del rows
-    others = [FamilySpec.eight4(t=1.6, q=np.exp(0.4j))
-              for _ in range(baxterize._kept_rows.cache_info().maxsize)]
+    others = [FamilySpec.eight4(t=1.6, q=np.exp(0.4j)) for _ in range(catalog.KEPT_SPECS)]
     for other in others:
         _coefficient_rows(other)
-    assert kept() is None and spec is not None
+    assert record() is None and kept_rows() is None and spec is not None
+    assert len(catalog._KEPT) == catalog.KEPT_SPECS
 
 
 def test_every_sign_mutant_of_the_display_fails_criterion_3(monkeypatch):

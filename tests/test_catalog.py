@@ -327,3 +327,71 @@ def test_family_specs_from_specs_round_trips_each_point():
         FamilySpecs.from_specs(points + [FamilySpec.eight1(phi=0.3)])
     with pytest.raises(ValueError, match="one family, got 0 families"):
         FamilySpecs.from_specs([])
+
+
+# --- the (q, t) verdict a FamilySpec keeps, and the x constraints tested beside it ---------
+
+#: per family, parameter points (q, t) inside the domain, then points off it
+VERDICT_PARAMETERS = {
+    Family.SIX_NONSTD: ([(1.3, 2.0)], [(1.3 + 0.2j, 2.0)]),
+    Family.SIX_STD: ([(0.7, 2.0)], [(-0.7 + 0.1j, 2.0)]),
+    Family.EIGHT_I: ([(np.exp(0.4j), 2.0)], [(1.2, 2.0)]),
+    Family.EIGHT_II: ([(np.exp(0.4j), 1.7)], [(np.exp(0.4j), 1.7 + 0.3j), (1.2, 1.7)]),
+    Family.EIGHT_III: ([(np.exp(-0.9j), -2.1)], [(np.exp(-0.9j), 2.1j), (0.8, -2.1)]),
+    Family.EIGHT_IV: ([(np.exp(0.4j), 1.6), (np.exp(0.4j), 1.6j)],
+                      [(np.exp(0.4j), 1.5 + 0.2j), (1.2, 1.6j)]),
+    Family.BELL_PHI: ([(np.exp(0.4j), 2.0)], [(2.0, 2.0)]),
+}
+#: x on and off every domain, NaN, and arrays whose first failing sample is not the first
+VERDICT_XS = [
+    None, np.exp(0.6j), 0.5, 0.5 + 0.3j, 2.0, complex("nan"), float("nan"),
+    np.exp(1j * np.array([0.1, 0.2, 0.3])), np.array([0.5, -0.25, 0.75]),
+    np.array([np.exp(0.1j), np.exp(0.2j), 1.5, 0.5 + 0.5j]),
+    np.array([0.5, 1.5, 0.5j, 2.0, 3j]), np.array([np.exp(0.1j), np.nan, 0.3]),
+]
+
+
+@pytest.mark.parametrize("family", list(VERDICT_PARAMETERS), ids=lambda f: f.value)
+def test_the_kept_verdict_changes_no_domain_answer(family):
+    from yaxter.verify import _rho_at
+
+    inside, off = VERDICT_PARAMETERS[family]
+    for q, t in inside + off:
+        spec = FamilySpec(family, q=q, t=t)
+        verdict = domain_violation(family, complex(q), complex(t))
+        assert (verdict is None) == ((q, t) in inside)
+        for repeat in range(2):  # the verdict taken with the first x, then kept
+            for x in VERDICT_XS:
+                want = domain_violation(family, complex(q), complex(t), x)
+                assert spec.domain_violation(x) == want, (q, t, x)
+                if verdict is not None:  # a parameter off the domain wins over any x
+                    assert want == verdict
+                if x is None or repeat:
+                    continue
+                specs = FamilySpecs.from_specs([spec])  # one sample: today's path
+                for rho_spec in (spec, specs):
+                    if want is None:
+                        _rho_at(rho_spec, x)
+                    else:
+                        with pytest.raises(DomainError) as err:
+                            _rho_at(rho_spec, x)
+                        assert str(err.value) == want, (rho_spec, x)
+
+
+@pytest.mark.parametrize("spec,x,message", [
+    (FamilySpec.six_std(q=0.7), np.array([np.exp(0.1j), np.exp(0.2j), 1.5, 0.5 + 0.5j]),
+     "six-vertex unitarity needs |x| = 1, got |x| = 1.5"),
+    (FamilySpec.eight1(phi=0.4), np.array([0.5, 1.5, 0.5j, 2.0, 3j]),
+     "eight1 unitarity needs real x, got x = 0.5j"),
+    (FamilySpec.eight4(t=1.6j, q=np.exp(0.4j)), np.array([0.5, 1.5, 0.5j, 2.0, 3j]),
+     "eight4 with imaginary t needs real x, got x = 0.5j"),
+    (FamilySpec.eight3(t=-2.1, q=np.exp(-0.9j)), np.array([np.exp(0.1j), np.nan, 0.3]),
+     "eight3 unitarity needs |x| = 1, got |x| = nan"),
+    (FamilySpec.eight2(t=1.7 + 0.3j, q=np.exp(0.4j)), np.array([np.nan, 2.0]),
+     "eight2 unitarity needs real t, got t = (1.7+0.3j)"),
+    (FamilySpec.eight1(q=1.2), complex("nan"), "eight1 unitarity needs |q| = 1, got |q| = 1.2"),
+    (FamilySpec.eight1(phi=0.4), float("nan"), "eight1 unitarity needs real x, got x = nan"),
+])
+def test_the_kept_verdict_keeps_each_message(spec, x, message):
+    spec.domain_violation()  # the verdict is kept before x is tested
+    assert spec.domain_violation(x) == message

@@ -14,6 +14,7 @@ import yaxter
 from yaxter.catalog import Family, FamilySpec
 from yaxter.cli import COMMANDS, build_parser, dumps_17g, main
 from yaxter.dynamics import hamiltonian_closed
+from yaxter.gates import cnot_via_evolution
 from yaxter.linalg import WeightRows, mat_from_json
 from yaxter.verify import TOLERANCES, scan_braid
 
@@ -518,6 +519,16 @@ def test_the_deformation_parameter_errors_name_the_options(capsys, argv, line):
     code, out, err = run_cli(capsys, "catalog", *argv)
     assert code == 2 and out == ""
     assert err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("phi", ["inf", "-inf", "nan"])
+def test_the_evolution_route_names_the_phi_option(capsys, phi):
+    # as q_from's errors read in the CLI; gates.cnot_via_evolution's own message names phi
+    code, out, err = run_cli(capsys, "cnot", "--route", "evolution", f"--phi={phi}")
+    assert code == 2 and out == ""
+    assert err == f"error: --phi must be finite, got {float(phi)}\n"
+    with pytest.raises(ValueError, match=f"^phi must be finite, got {float(phi)}$"):
+        cnot_via_evolution(float(phi))
 
 
 def test_build_with_huge_entries_is_not_called_singular(capsys):
