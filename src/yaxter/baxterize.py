@@ -39,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (EIGHT_VERTEX_FAMILIES, THREE_EIGENVALUE_FAMILIES, DomainError, Family,
-                      FamilySpec, FamilySpecs, _braid_table, _eigenvalues, _first_failure,
-                      build_b, eigenvalues_of, kept, z_of)
+from .catalog import (EIGHT_VERTEX_FAMILIES, SIX_VERTEX_FAMILIES, THREE_EIGENVALUE_FAMILIES,
+                      DomainError, Family, FamilySpec, FamilySpecs, _braid_table, _eigenvalues,
+                      _first_failure, build_b, eigenvalues_of, kept, z_of)
 from .linalg import WeightRows, cmat, inverse, pattern_rows, require_two_eigenvalues
 
 
@@ -220,7 +220,7 @@ def reference_gauge(spec: FamilySpec | FamilySpecs, kind: str, value, x=None):
     ``family_x`` of the value when the caller has it already; else it is derived here.
     """
     fam = spec.family
-    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
+    if fam in SIX_VERTEX_FAMILIES:
         if kind == "theta":
             theta = value
         else:

@@ -10,9 +10,10 @@ Seven families of 4x4 braid matrices b, each satisfying
     eight3/4     corners t; middle +-t (shared b, two baxterizations) eigenvalues 1+t, 1-t, t-1
     bell-phi     eight1 with q = e^{-i phi}, rescaled by 1/sqrt(2)   eigenvalues e^{+-i pi/4}
 
-Unitary-domain conventions per family are exposed by ``domain_violation``
-(and ``FamilySpec.domain_violation``); construction outside the domain is
-allowed (the braid relation is an algebraic identity) but flagged. The
+Unitary-domain conventions per family are exposed by ``domain_violation`` (and the
+``domain_violation`` of FamilySpec and FamilySpecs); construction outside the domain is
+allowed (the braid relation is an algebraic identity) but flagged; realness is ``is_real``'s,
+``gamma_of``'s too, and ``finite_rho`` guards every closed-form rho. The
 kernels (``braid_matrix``, the predicates, ``domain_violation``) take their
 parameters as scalars or as arrays that broadcast, one entry per sample;
 ``FamilySpecs`` holds n samples of one family as arrays, and ``braid_rows``
@@ -57,6 +58,7 @@ class Sign(str, enum.Enum):
         return 1 if self is Sign.PLUS else -1
 
 
+SIX_VERTEX_FAMILIES = Family.SIX_NONSTD, Family.SIX_STD
 EIGHT_VERTEX_FAMILIES = (Family.EIGHT_I, Family.EIGHT_II, Family.EIGHT_III, Family.EIGHT_IV)
 THREE_EIGENVALUE_FAMILIES = (Family.EIGHT_III, Family.EIGHT_IV)
 
@@ -112,17 +114,28 @@ def reject_non_finite(**params) -> None:
             raise ValueError(failure)
 
 
-def finite_rho(rho: float, where: str = "") -> float:
-    """A closed-form rho; one that overflowed to inf or NaN is a DomainError."""
-    if not math.isfinite(rho):
-        raise DomainError(f"closed-form rho = {rho} is not finite{where}")
-    return rho
+#: rho at or below which R vanishes and U = rho^{-1/2} R is not formed
+RHO_FLOOR = 1e-14
+
+
+def finite_rho(rho, vanishing: str = "", where: str = ""):
+    """A closed-form rho, a number or an array, never below 0: one that overflowed to inf or
+    NaN, or with a ``vanishing`` message one below ``RHO_FLOOR``, is a DomainError, which
+    names an array's first such entry by its index and ends in ``where`` for a number."""
+    finite = rho < math.inf  # False at inf and NaN
+    ok = finite & (rho >= RHO_FLOOR) if vanishing else finite
+    if ok.all() if isinstance(ok, np.ndarray) else ok:
+        return rho
+    k = int(np.argmin(ok))  # the first False
+    where = f" at index {k} of the stack" if np.ndim(rho) else where
+    rho, finite = np.ravel(rho)[k], np.ravel(finite)[k]
+    raise DomainError((vanishing if finite else f"closed-form rho = {rho} is not finite") + where)
 
 
 def gamma_of(q):
-    """gamma = log q for real positive q, the six-vertex domain; else a DomainError."""
-    real = (abs(q.imag) <= 1e-14) | (abs(q.imag) <= 1e-14 * abs(q.real))
-    failure = _first_failure(real & (q.real > 0),
+    """gamma = log q for real positive q (``is_real``), the six-vertex domain; else a
+    DomainError."""
+    failure = _first_failure(is_real(q) & (q.real > 0),
                              "gamma = log q needs real positive q, got q = {}", q)
     if failure:
         raise DomainError(failure)
@@ -161,7 +174,7 @@ def _domain_constraints(fam: Family, q, t, x):
     x (``_x_constraints``) after, which lets ``FamilySpec.domain_violation`` keep the verdict
     of the first."""
     real_t = _eight4_real_t(fam, t)
-    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
+    if fam in SIX_VERTEX_FAMILIES:
         yield is_real(q), "six-vertex unitarity needs real q, got q = {}", lambda: q
     else:
         yield (on_unit_circle(q), "{family} unitarity needs |q| = 1, got |q| = {:.6g}",
@@ -183,7 +196,7 @@ def _eight4_real_t(fam: Family, t):
 def _x_constraints(fam: Family, x, real_t):
     """The constraints of ``_domain_constraints`` on x, which for eight4 depend on whether t
     is real (``real_t``); they are tested once (q, t) holds."""
-    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
+    if fam in SIX_VERTEX_FAMILIES:
         yield (on_unit_circle(x), "six-vertex unitarity needs |x| = 1, got |x| = {:.6g}",
                lambda: abs(x))
     elif fam is Family.EIGHT_I:
@@ -356,6 +369,11 @@ class FamilySpecs:
         """(q, t, s), the arguments of the closed-form kernels, as ``FamilySpec.parameters``."""
         return self.q, self.t, self.s
 
+    def domain_violation(self, x) -> str | None:
+        """``domain_violation`` of every sample, as ``FamilySpec.domain_violation`` of one:
+        the message names the first sample that violates the first failing constraint."""
+        return domain_violation(self.family, self.q, self.t, x)
+
     def __getitem__(self, k: int) -> FamilySpec:
         return FamilySpec(self.family, q=self.q[k].item(), t=self.t[k].item(),
                           sign=Sign.PLUS if self.s[k] > 0 else Sign.MINUS)
@@ -442,7 +460,7 @@ def eigenvalues_of(spec: FamilySpec | FamilySpecs) -> list:
 def _eigenvalues(fam: Family, q, t, z=None) -> list:
     """``eigenvalues_of`` at q and t; ``z`` is eight2's ``z_of(t)`` when the caller has it
     already."""
-    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
+    if fam in SIX_VERTEX_FAMILIES:
         return [q, -1 / q]
     if fam is Family.EIGHT_I:
         return [1 - 1j, 1 + 1j]

@@ -28,7 +28,8 @@ The closed forms' constants that depend on the spec alone are built once per Fam
 object and kept, read-only, in its record (``catalog.kept``) beside its coefficient rows:
 eight1's H_pm (``_eight1_generator``), and the 4x4 tables of the six-vertex, eight2 and
 eight3 forms with their sinh and cosh of gamma, z_of(t) and real t (``_closed_constants``).
-A point then pays for its theta alone: rho, the scale, and ``pattern_stack`` on the table.
+A point then pays for its theta alone: rho under ``catalog.finite_rho``, the scale, and
+``pattern_stack`` on the table. A ``Hamiltonian`` record holds the matrix and its source alone.
 ``hamiltonian_fd`` takes central differences instead, as a cross-check, and decides its
 point as ``hamiltonian`` does: the curve and domain checks at the point alone, and the
 curve's unitarity left to the Hermiticity check. Its five-point stencil of gauge unitaries,
@@ -47,7 +48,6 @@ cos(theta) b + sin(theta) b^{-1} the generator is the constant 2 H_pm
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, NamedTuple
@@ -56,8 +56,8 @@ import numpy as np
 
 from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention, _coefficient_rows,
                         _polynomial, _rows_at, family_x, g_factors, gauge, reference_gauge)
-from .catalog import (DomainError, Family, FamilySpec, FamilySpecs, braid_matrix,
-                      domain_violation, is_real, kept, z_of)
+from .catalog import (RHO_FLOOR, SIX_VERTEX_FAMILIES, DomainError, Family, FamilySpec,
+                      FamilySpecs, braid_matrix, finite_rho, is_real, kept, z_of)
 from .gates import PAULI, tensor
 from .linalg import (MAX_ENTRY, WeightRows, dagger, expm_hermitian, frobenius, identity,
                      pattern_stack, require_hermitian, weight_product)
@@ -66,9 +66,7 @@ from .verify import worst
 I4 = identity(4)
 #: the constant terms of the eight2/3 and eight4 closed forms
 HALF_SHIFT, FULL_SHIFT = -0.5 * I4, -I4
-SIX_VERTEX = (Family.SIX_NONSTD, Family.SIX_STD)
 HERM_TOL = 1e-9  # relative Hermiticity defect allowed: above the FD's rounding (~3e-10)
-RHO_FLOOR = 1e-14  # rho at or below which R vanishes and U = rho^{-1/2} R is not formed
 #: ``hamiltonian_fd``'s step and its five-point stencil s0 + (0, h, -h, h/2, -h/2)
 FD_STEP = 1e-5
 FD_STENCIL = np.array([0.0, FD_STEP, -FD_STEP, FD_STEP / 2, -FD_STEP / 2])
@@ -85,8 +83,6 @@ class HamiltonianSource(str, enum.Enum):
 class Hamiltonian:
     matrix: np.ndarray
     source: HamiltonianSource
-    spec: FamilySpec
-    point: SpectralPoint
 
     def __post_init__(self):
         require_hermitian(self.matrix, HERM_TOL, "Hamiltonian")
@@ -104,8 +100,7 @@ def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values) -> Weigh
     (one per sample for FamilySpecs), as weight rows: the domain check of each value, which
     names the first violating one, then ``_unitaries``."""
     x = family_x(spec, kind, values)
-    violation = (spec.domain_violation(x) if isinstance(spec, FamilySpec)
-                 else domain_violation(spec.family, *spec.parameters()[:2], x))
+    violation = spec.domain_violation(x)
     if violation is not None:
         raise DomainError(violation)
     return _unitaries(spec, kind, values, x)
@@ -117,7 +112,7 @@ def _unitaries(spec: FamilySpec | FamilySpecs, kind: str, values, x) -> WeightRo
     rho = tr(R R^dag) / 4 measured on them as ``_pass`` measures it. A rho that is not
     finite or at or below the floor is a DomainError that names the first such value."""
     scale = gauge(spec, kind, values)
-    if spec.family in SIX_VERTEX:
+    if spec.family in SIX_VERTEX_FAMILIES:
         scale = scale / reference_gauge(spec, kind, values, x)
     with np.errstate(over="ignore", invalid="ignore"):  # a rho that overflows fails below
         r = _rows_at(spec, x, scale)
@@ -136,15 +131,6 @@ def _curve_failure(kind: str, value) -> str | None:
     if kind not in ("theta", "x") or not is_real(value):
         return f"dynamics runs along real theta or real x, got {kind} = {value}"
     return None
-
-
-def _curve(spec: FamilySpec, p: SpectralPoint) -> tuple[str, float]:
-    """(kind, s0): p sits at s = s0 on the curve s -> SpectralPoint(kind, s). Whether that
-    curve lies in the family's unitary domain is left to the domain check of the callers."""
-    failure = _curve_failure(p.kind, p.value)
-    if failure:
-        raise DomainError(failure)
-    return p.kind, float(p.value.real)
 
 
 def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
@@ -250,7 +236,7 @@ def _generator_job(spec: FamilySpec, kind: str, s) -> _GeneratorJob:
         raise DomainError(f"{fam.value} at {point(i)}: an entry of R or dR/ds reaches "
                           f"{peak[i]:.3g}, above the {MAX_ENTRY:.3g} up to which the products "
                           f"stay finite{where(i)}")
-    omega = 1.0 if fam in SIX_VERTEX else 0.0
+    omega = 1.0 if fam in SIX_VERTEX_FAMILIES else 0.0
     return _GeneratorJob(r, np.broadcast_to(dr, r.shape), omega,
                          lambda i: f"{point(i)}{where(i)}")
 
@@ -289,7 +275,7 @@ def hamiltonian(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
     """H = i (dU/ds) U(s)^dag at a theta point of an R family or a real-x point of eight1 or
     imaginary-t eight4, exactly: ``exact_generators`` at p, with its checks; the record's own
     is its Hermiticity check."""
-    return Hamiltonian(_generators(spec, p.kind, p.value), HamiltonianSource.EXACT, spec, p)
+    return Hamiltonian(_generators(spec, p.kind, p.value), HamiltonianSource.EXACT)
 
 
 def hamiltonian_fd(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
@@ -298,8 +284,11 @@ def hamiltonian_fd(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
     about 1e-10. The point is decided as ``hamiltonian`` decides it: the curve and domain
     checks at p alone, the five-point stencil through ``_unitaries``, and the curve's
     unitarity left to the record's Hermiticity check."""
-    kind, s0 = _curve(spec, p)
-    stencil = s0 + FD_STENCIL
+    kind = p.kind
+    failure = _curve_failure(kind, p.value)
+    if failure:
+        raise DomainError(failure)
+    stencil = p.value.real + FD_STENCIL  # about p's s0 on the curve s -> (kind, s)
     x = family_x(spec, kind, stencil)
     violation = spec.domain_violation(complex(x[0]))  # the point's own x
     if violation is not None:
@@ -307,7 +296,7 @@ def hamiltonian_fd(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
     u0, up, um, uph, umh = _unitaries(spec, kind, stencil, x).w.T
     du = (4.0 * (uph - umh) / FD_STEP - (up - um) / (2.0 * FD_STEP)) / 3.0
     k = weight_product(1j * du, dagger(WeightRows(u0)).w)
-    return Hamiltonian(WeightRows(k).dense(), HamiltonianSource.FINITE_DIFFERENCE, spec, p)
+    return Hamiltonian(WeightRows(k).dense(), HamiltonianSource.FINITE_DIFFERENCE)
 
 
 def _real_t(spec: FamilySpec) -> float:
@@ -315,20 +304,6 @@ def _real_t(spec: FamilySpec) -> float:
     if not is_real(t):
         raise DomainError(f"{spec.family.value} closed-form Hamiltonian needs real t, got {t}")
     return float(t.real)
-
-
-def _closed_rho(rho, vanishing: str = ""):
-    """The rho of a closed form, a number or an array in the shape of theta, never below 0:
-    one that overflowed, or with a ``vanishing`` message one below the floor, is a
-    DomainError, which for an array names the first such entry by its index."""
-    finite = rho < math.inf  # False at inf and NaN
-    ok = finite & (rho >= RHO_FLOOR) if vanishing else finite
-    if ok.all() if isinstance(ok, np.ndarray) else ok:
-        return rho
-    k = int(np.argmin(ok))  # the first False
-    where = f" at index {k} of the stack" if np.ndim(rho) else ""
-    rho, finite = np.ravel(rho)[k], np.ravel(finite)[k]
-    raise DomainError((vanishing if finite else f"closed-form rho = {rho} is not finite") + where)
 
 
 def _six_vertex_table(gamma: float, standard: bool, corner):
@@ -341,8 +316,8 @@ def _six_vertex_table(gamma: float, standard: bool, corner):
 
 def _six_vertex_closed(sh: float, table: np.ndarray, theta) -> np.ndarray:
     sn = np.sin(theta)
-    rho = _closed_rho(sh * sh + sn * sn,
-                      "rho = sinh^2 gamma + sin^2 theta vanishes at gamma = theta = 0")
+    rho = finite_rho(sh * sh + sn * sn,
+                     "rho = sinh^2 gamma + sin^2 theta vanishes at gamma = theta = 0")
     return pattern_stack(sh / rho, table)
 
 
@@ -365,8 +340,7 @@ def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
     does not depend on theta and dx/dtheta = 1 + x^2 is 2 at x = 1
     (theta = pi/4).
     """
-    point = SpectralPoint.from_theta(theta)
-    return Hamiltonian(_closed_generators(spec, theta), HamiltonianSource.CLOSED_FORM, spec, point)
+    return Hamiltonian(_closed_generators(spec, theta), HamiltonianSource.CLOSED_FORM)
 
 
 def closed_generators(spec: FamilySpec, theta) -> np.ndarray:
@@ -384,7 +358,7 @@ def _closed_generators(spec: FamilySpec, theta) -> np.ndarray:
     to the ``Hamiltonian`` record: the point's part of the closed form on the spec's kept
     constants (``_closed_constants``), and all of eight4's."""
     fam = spec.family
-    if fam in SIX_VERTEX:
+    if fam in SIX_VERTEX_FAMILIES:
         return _six_vertex_closed(*_closed_constants(spec), theta)
     if fam is Family.EIGHT_I:
         h = np.empty((*np.shape(theta), 4, 4), dtype=complex)
@@ -395,12 +369,12 @@ def _closed_generators(spec: FamilySpec, theta) -> np.ndarray:
         if fam is Family.EIGHT_II:
             t, table = _closed_constants(spec)
             sn = np.sin(theta / 2.0)
-            rho = _closed_rho(4.0 + 4.0 * ((t - 1.0) * (t - 1.0)) * (sn * sn))
+            rho = finite_rho(4.0 + 4.0 * ((t - 1.0) * (t - 1.0)) * (sn * sn))
             return pattern_stack(2.0 / rho, table, HALF_SHIFT)
         if fam is Family.EIGHT_III:
             t, table = _closed_constants(spec)
             sn = np.sin(theta / 2.0)
-            rho = _closed_rho(4.0 + 4.0 * (t * t - 1.0) * (sn * sn))
+            rho = finite_rho(4.0 + 4.0 * (t * t - 1.0) * (sn * sn))
             return pattern_stack(2.0 * t / rho, table, HALF_SHIFT)
         if fam is Family.EIGHT_IV:
             t = _real_t(spec)
@@ -411,7 +385,7 @@ def _closed_generators(spec: FamilySpec, theta) -> np.ndarray:
             # |g|^2 from hypot, as Python's abs rounds it; numpy's complex abs rounds apart
             h1, h2 = np.hypot(g1.real, g1.imag), np.hypot(g2.real, g2.imag)
             a1, a2 = h1 * h1, h2 * h2
-            rho = _closed_rho(a1 * a2)
+            rho = finite_rho(a1 * a2)
             q = np.complex128(q)  # a numpy scalar divides by a Python complex on a slow path
             return pattern_stack(2.0 * t / rho, [[a2, 0, 0, q * a1], [0, a1, s * a2, 0],
                                                  [0, s * a2, a1, 0], [a1 / q, 0, 0, a2]],
@@ -428,7 +402,7 @@ def _closed_constants(spec: FamilySpec):
     record = kept(spec)
     if record.closed is None:
         fam = spec.family
-        if fam in SIX_VERTEX:
+        if fam in SIX_VERTEX_FAMILIES:
             g = spec.gamma
             closed = _six_vertex_table(g, fam is Family.SIX_STD, np.cosh(g))
         else:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baxterize import R_weights, SpectralPoint, _u_gauge, family_x, reference_gauge, x_to_u
-from .catalog import Family, FamilySpec
+from .catalog import SIX_VERTEX_FAMILIES, Family, FamilySpec
 from .linalg import SingularMatrixError, WeightRows, require_invertible, weights
 
 ENTANGLING_TOL = 1e-8
@@ -128,7 +128,7 @@ def classification_gauge_R(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
 def _classification_weights(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
     """The (8,) weight rows of ``classification_gauge_R``: ``R_weights``, under its
     finiteness check, times the gauge."""
-    if spec.family in (Family.SIX_NONSTD, Family.SIX_STD):
+    if spec.family in SIX_VERTEX_FAMILIES:
         return R_weights(spec, p) / reference_gauge(spec, p.kind, p.value)
     x = family_x(spec, p.kind, p.value)
     return _u_gauge(spec, x) * R_weights(spec, p if p.kind == "x" else SpectralPoint.from_x(x))
@@ -173,7 +173,7 @@ def det_b_closed(spec: FamilySpec, p: SpectralPoint, psi: np.ndarray):
     a0, a1, a2, a3 = np.moveaxis(np.asarray(psi, dtype=complex), -1, 0)
     q, t, s = spec.parameters()
     fam = spec.family
-    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
+    if fam in SIX_VERTEX_FAMILIES:
         g = spec.gamma
         theta = (p.value.real if p.kind == "theta"  # else x = e^{2 i theta}
                  else cmath.phase(family_x(spec, p.kind, p.value)) / 2)

@@ -25,8 +25,6 @@ others still run.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from . import baxterize, dynamics, entangle, gates
@@ -189,7 +187,7 @@ def criterion_asymptotics(seed: int) -> dict:
 
 
 #: one deliberately off-domain point per family, which must fail hard: fixed spec objects, as
-#: the cached points below, so that their coefficient tables are built once
+#: criterion 6's points below, so that their coefficient tables are built once
 _OFF_DOMAIN = [
     (FamilySpec.six_nonstd(gamma=0.3), SpectralPoint.from_x(1.5)),
     (FamilySpec.six_std(q=1.1 + 0.4j), SpectralPoint.from_x(np.exp(0.9j))),
@@ -236,42 +234,35 @@ def criterion_inverse_unitarity(seed: int) -> dict:
                   eight1_gap_at_x2=float(gap_eight1), tolerance=tol)
 
 
-@functools.cache
-def _universality_points():
-    th = SpectralPoint.from_theta
-    return [
-        (representative_spec(Family.SIX_NONSTD), th(0.6)),
-        (FamilySpec.six_nonstd(q=1.0), th(0.6)),
-        (representative_spec(Family.SIX_STD), th(0.6)),
-        (representative_spec(Family.EIGHT_I), SpectralPoint.from_x(0.5)),
-        (representative_spec(Family.EIGHT_II), th(0.8)),
-        (representative_spec(Family.EIGHT_III), th(0.8)),
-        (representative_spec(Family.EIGHT_IV), th(0.8)),
-    ]
-
-
-@functools.cache
-def _excluded_points():
-    th = SpectralPoint.from_theta
-    return [
-        (representative_spec(Family.SIX_NONSTD), th(0.0)),
-        (representative_spec(Family.SIX_STD), th(0.0)),
-        (FamilySpec.six_std(q=1.0), th(0.6)),
-        (representative_spec(Family.EIGHT_I), SpectralPoint.from_x(1.0)),
-        (representative_spec(Family.EIGHT_II), th(0.0)),
-        (FamilySpec.eight3(t=0.0, q=np.exp(0.33j)), th(0.8)),
-        (representative_spec(Family.EIGHT_III), th(0.0)),
-        (representative_spec(Family.EIGHT_IV), th(0.0)),
-    ]
+#: criterion 6's entangling points, then its excluded ones, which are not entangling
+_UNIVERSALITY_POINTS = [
+    (representative_spec(Family.SIX_NONSTD), SpectralPoint.from_theta(0.6)),
+    (FamilySpec.six_nonstd(q=1.0), SpectralPoint.from_theta(0.6)),
+    (representative_spec(Family.SIX_STD), SpectralPoint.from_theta(0.6)),
+    (representative_spec(Family.EIGHT_I), SpectralPoint.from_x(0.5)),
+    (representative_spec(Family.EIGHT_II), SpectralPoint.from_theta(0.8)),
+    (representative_spec(Family.EIGHT_III), SpectralPoint.from_theta(0.8)),
+    (representative_spec(Family.EIGHT_IV), SpectralPoint.from_theta(0.8)),
+]
+_EXCLUDED_POINTS = [
+    (representative_spec(Family.SIX_NONSTD), SpectralPoint.from_theta(0.0)),
+    (representative_spec(Family.SIX_STD), SpectralPoint.from_theta(0.0)),
+    (FamilySpec.six_std(q=1.0), SpectralPoint.from_theta(0.6)),
+    (representative_spec(Family.EIGHT_I), SpectralPoint.from_x(1.0)),
+    (representative_spec(Family.EIGHT_II), SpectralPoint.from_theta(0.0)),
+    (FamilySpec.eight3(t=0.0, q=np.exp(0.33j)), SpectralPoint.from_theta(0.8)),
+    (representative_spec(Family.EIGHT_III), SpectralPoint.from_theta(0.0)),
+    (representative_spec(Family.EIGHT_IV), SpectralPoint.from_theta(0.0)),
+]
 
 
 def criterion_universality(seed: int) -> dict:
     det_tol = 1e-12
     ok = True
-    for spec, p in _universality_points():
+    for spec, p in _UNIVERSALITY_POINTS:
         result = classify(spec, p)
         ok = ok and result.classification is Classification.ENTANGLING
-    for spec, p in _excluded_points():
+    for spec, p in _EXCLUDED_POINTS:
         result = classify(spec, p)
         ok = ok and result.classification is Classification.NOT_ENTANGLING
     rng = np.random.default_rng(seed + 402)

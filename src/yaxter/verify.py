@@ -10,11 +10,11 @@ whole coefficient table: ``certify_qybe`` bounds the residual polynomial on all 
 R(x) R(x)^dag = rho * 1 with rho > 0 the family's normalization factor;
 rho^{-1/2} R(x) is the physical gate. Its kernel, ``unitarity_residual(r, rconj)``,
 and ``inverse_unitarity(r, rinv)`` read eight-vertex matrices with ``linalg.weights`` and
-multiply them with ``linalg.block_product``: one formula body each, on Python complex
-numbers block by block for one matrix, and for a whole stack on entry rows that hold both
-blocks on one axis. Every kernel takes one dense 4x4 matrix, read and checked once where it
-enters, or a stack as ``linalg.WeightRows``, which ``WeightRows.of`` reads from a dense
-stack at the edge.
+multiply them with ``linalg.block_product`` on entry rows that hold both blocks on one
+axis; ``unitarity_residual`` alone keeps a second arithmetic for one matrix, Python complex
+numbers block by block, which the single-point ``sweep`` takes. Every kernel takes one dense
+4x4 matrix, read and checked once where it enters, or a stack as ``linalg.WeightRows``,
+which ``WeightRows.of`` reads from a dense stack at the edge.
 The closed-form rho per family (stated for each family's reference gauge,
 ``baxterize.reference_gauge``) is:
 
@@ -67,8 +67,9 @@ from .baxterize import (
     gauge,
     reference_gauge,
 )
-from .catalog import (THREE_EIGENVALUE_FAMILIES, DomainError, Family, FamilySpec, FamilySpecs, Sign,
-                      braid_residual, braid_rows, domain_violation, finite_rho, gamma_of, is_imag)
+from .catalog import (SIX_VERTEX_FAMILIES, THREE_EIGENVALUE_FAMILIES, DomainError, Family,
+                      FamilySpec, FamilySpecs, Sign, braid_residual, braid_rows, finite_rho,
+                      gamma_of, is_imag)
 from .linalg import (_BLOCK, MAX_ENTRY, WeightRows, _block_diffs, block_product, dagger, defect,
                      strand_gap, weights)
 
@@ -163,7 +164,8 @@ def unitarity_gap(spec: FamilySpec, p: SpectralPoint) -> tuple[float, float]:
     violated constraint, and a closed-form rho that overflows raises a
     DomainError before R is built; a non-finite residual gives a non-finite gap.
     """
-    rho_ref = finite_rho(matrix_norm_factor(spec, p), f" at x = {family_x(spec, p.kind, p.value)}")
+    rho_ref = finite_rho(matrix_norm_factor(spec, p),
+                         where=f" at x = {family_x(spec, p.kind, p.value)}")
     gap, rho_est = _unitarity_gaps(build_R(spec, p), rho_ref)
     return float(gap), float(rho_est)
 
@@ -189,15 +191,14 @@ def rho_formula(spec: FamilySpec | FamilySpecs, kind: str, value):
 
 def _rho_at(spec: FamilySpec | FamilySpecs, x):
     """``rho_formula`` at the multiplicative x of the point (or of each sample), after the
-    domain check, on the kept (q, t) verdict of a FamilySpec."""
+    spec's domain check (on the kept (q, t) verdict of a FamilySpec)."""
     fam = spec.family
     q, t, _ = spec.parameters()
-    violation = (spec.domain_violation(x) if isinstance(spec, FamilySpec)
-                 else domain_violation(fam, q, t, x))
+    violation = spec.domain_violation(x)
     if violation is not None:
         raise DomainError(violation)
     rex = x.real
-    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
+    if fam in SIX_VERTEX_FAMILIES:
         sh = np.sinh(gamma_of(q))
         sh = sh if sh.ndim else float(sh)  # a float square overflows to inf without a warning
         return sh * sh + (2.0 - 2.0 * rex) / 4.0  # sin^2 theta for x = e^{2 i theta}
@@ -239,23 +240,18 @@ def inverse_unitarity(r: np.ndarray, rinv: np.ndarray,
     """Proportionality scalar of R(x) R(1/x), which must be a multiple of 1, from r = R(x) and
     rinv = R(1/x): two dense 4x4 matrices or two ``WeightRows`` of one shape.
 
-    The scalars come in the shape of the stack; a product not proportional to 1 at any item
-    is a NotProportionalError. Both must be eight-vertex (``linalg.weights``); their product
-    is ``linalg.block_product``, on Python complex numbers block by block for one dense
-    matrix, and else on both blocks at once as the (4, 2, n) entry rows of ``_both_blocks``.
+    The scalars come in the shape of the stack, a dense pair's as a 0-d array; a product not
+    proportional to 1 at any item is a NotProportionalError. Both must be eight-vertex
+    (``linalg.weights``); their product is ``linalg.block_product`` on both blocks at once,
+    as the (4, 2, n) entry rows of ``_both_blocks``, and a dense pair runs as a stack of one.
     """
     wr, wi = weights("inverse_unitarity", ("R(x)", "R(1/x)"), r, rinv)
-    shape = r.w.shape[1:] if isinstance(r, WeightRows) else ()
-    if isinstance(wr, tuple):  # one dense matrix: Python numbers, block by block
-        mo, mi = block_product(wr[0::2], wi[0::2]), block_product(wr[1::2], wi[1::2])
-        scalar = ((mo[0] + mo[3]) + (mi[0] + mi[3])) / 4.0
-        gap = np.sqrt(defect(mo, scalar) + defect(mi, scalar))
-    else:
-        m = block_product(_both_blocks(wr), _both_blocks(wi))
-        trace = m[0] + m[3]
-        scalar = (trace[0] + trace[1]) / 4.0
-        squares = defect(m, scalar)
-        gap = np.sqrt(squares[0] + squares[1])
+    shape = np.shape(wr)[1:]  # () for a dense pair's eight numbers
+    m = block_product(_both_blocks(np.asarray(wr)), _both_blocks(np.asarray(wi)))
+    trace = m[0] + m[3]
+    scalar = (trace[0] + trace[1]) / 4.0
+    squares = defect(m, scalar)
+    gap = np.sqrt(squares[0] + squares[1])
     proportional = gap <= tol * np.maximum(1.0, abs(scalar))
     if not proportional.all():
         raise NotProportionalError("R(x) R(1/x) is not proportional to 1: "
@@ -268,7 +264,7 @@ def inverse_unitarity_expected(spec: FamilySpec, x: complex) -> complex:
     q, t = complex(spec.q), complex(spec.t)
     fam = spec.family
     s = x + 1 / x
-    if fam in (Family.SIX_NONSTD, Family.SIX_STD):
+    if fam in SIX_VERTEX_FAMILIES:
         return q * q + 1 / (q * q) - s
     if fam is Family.EIGHT_I:
         return 2 * s
@@ -316,7 +312,7 @@ def _draw_spec(family: Family, rng: np.random.Generator, size):
     the families that draw none are arrays too; size None gives scalars (0-d arrays for
     those defaults), with the stream of size 1."""
     sign = 1 - 2 * rng.integers(2, size=size)
-    if family in (Family.SIX_NONSTD, Family.SIX_STD):  # the sign drawn keeps the stream
+    if family in SIX_VERTEX_FAMILIES:  # the sign drawn keeps the stream
         gamma = rng.uniform(0.2, 1.5, size=size) * (1 - 2 * rng.integers(2, size=size))
         return np.exp(gamma), np.full(np.shape(sign), 2.0), np.ones_like(sign)
     if family in (Family.EIGHT_I, Family.BELL_PHI):
@@ -346,7 +342,7 @@ def sample_x(spec: FamilySpec | FamilySpecs, rng: np.random.Generator, size=None
     """Random x inside the unitary domain of the spec's family, in numpy's ``size`` (None:
     one scalar). eight4 with imaginary t (every t of FamilySpecs) takes its real-x branch."""
     family = spec.family
-    if family in (Family.SIX_NONSTD, Family.SIX_STD):
+    if family in SIX_VERTEX_FAMILIES:
         return np.exp(2j * rng.uniform(0.1, np.pi - 0.1, size=size))
     if family is Family.EIGHT_I or (family is Family.EIGHT_IV
                                     and np.all(is_imag(spec.parameters()[1]))):

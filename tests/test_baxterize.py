@@ -358,6 +358,11 @@ def test_degeneracy_note_at_x_one():
     assert degeneracy_note(spec, X(0.5)) is None
 
 
+def test_degeneracy_note_names_the_u_pole():
+    note = degeneracy_note(FamilySpec.eight2(t=1.7), SpectralPoint.from_u(-1.0))
+    assert note == "x = (1-u)/(1+u) is undefined at u = -1"
+
+
 # --- the gauge table -------------------------------------------------------------
 
 def table_gauge(spec, p, form):

@@ -22,8 +22,11 @@ from yaxter.catalog import (
     on_unit_circle,
     q_from,
 )
+from yaxter.baxterize import SpectralPoint, family_x
+from yaxter.dynamics import hamiltonian_closed
+from yaxter.entangle import det_b_closed
 from yaxter.linalg import frobenius, identity, strand_gap
-from yaxter.verify import sample_spec, sample_specs
+from yaxter.verify import rho_formula, sample_spec, sample_specs, unitarity_gap
 
 
 def test_six_nonstd_at_q1_display():
@@ -131,6 +134,27 @@ def test_gamma_requires_real_positive_q():
     with pytest.raises(DomainError):
         FamilySpec(Family.SIX_NONSTD, q=1 + 1j).gamma
     assert np.isclose(FamilySpec.six_nonstd(gamma=0.4).gamma, 0.4)
+
+
+@pytest.mark.parametrize("family", [Family.SIX_NONSTD, Family.SIX_STD], ids=lambda f: f.value)
+def test_gamma_takes_the_real_q_of_the_domain_check(family):
+    # gamma_of decides realness as the domain check does (is_real at DOMAIN_TOL), so every
+    # call that reaches it takes the q that the domain takes, and refuses the q it refuses
+    p = SpectralPoint.from_theta(0.3)
+    x = family_x(FamilySpec(family, q=1.5), p.kind, p.value)
+    calls = [lambda spec: unitarity_gap(spec, p), lambda spec: rho_formula(spec, "theta", 0.3),
+             lambda spec: hamiltonian_closed(spec, 0.3),
+             lambda spec: det_b_closed(spec, p, np.eye(4)[1])]
+    for q in (1.5 + 5e-13j, 1.5 - 5e-13j):
+        spec = FamilySpec(family, q=q)
+        assert spec.domain_violation(x) is None and spec.gamma == math.log(1.5)
+        for call in calls:
+            call(spec)
+    spec = FamilySpec(family, q=1.5 + 1e-9j)
+    assert spec.domain_violation(x) == "six-vertex unitarity needs real q, got q = (1.5+1e-09j)"
+    for call in calls:
+        with pytest.raises(DomainError, match="needs real"):
+            call(spec)
 
 
 def test_domain_violations_are_named():

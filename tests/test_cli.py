@@ -847,6 +847,22 @@ def test_negative_seed_is_a_usage_error_naming_the_option(capsys, argv):
     assert err.endswith(f"error: argument --seed: must be at least 0, got {argv[-1]}\n")
 
 
+@pytest.mark.parametrize("argv,line", [
+    (("catalog", "--family", "six-std", "--q", "1.5", "--q-re", "1.5"),
+     "give --q or --q-re/--q-im, not both"),
+    (("catalog", "--family", "six-std", "--q", "1.5", "--weights"),
+     "--weights reads the eight-vertex ansatz entries"),
+    (("check", "inverse-unitarity", "--family", "six-std", "--q", "1.5"),
+     "inverse-unitarity needs a spectral point (--x)"),
+    (("classify", "--family", "eight1", "--phi", "0.9", "--x", "0.5", "--locus", "1,0,0"),
+     "--locus takes 8 comma-separated floats: re,im per factor"),
+], ids=["q-and-q-re", "six-vertex-weights", "inverse-unitarity-no-point", "three-locus-numbers"])
+def test_a_refused_combination_of_options_is_its_error_line(capsys, argv, line):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {line}\n"
+
+
 def test_locus_of_an_uncatalogued_family_names_it_by_value(capsys):
     code, out, err = run_cli(capsys, "classify", "--family", "eight2", "--t", "1.5", "--q", "1",
                              "--theta", "0.3", "--locus", "1,0,0,0,0,0,1,0")

@@ -4,7 +4,7 @@ import pytest
 from yaxter import dynamics
 from yaxter.baxterize import (R_rows, SpectralPoint, _coefficient_rows, family_x, gauge,
                               reference_gauge)
-from yaxter.catalog import DomainError, Family, FamilySpec, Sign
+from yaxter.catalog import SIX_VERTEX_FAMILIES, DomainError, Family, FamilySpec, Sign
 from yaxter.dynamics import (
     Hamiltonian,
     HamiltonianSource,
@@ -169,6 +169,22 @@ def test_exact_matches_the_fd_cross_check(family):
 def test_exact_rejects_points_off_the_unitary_curves(spec, p, error):
     with pytest.raises(error):
         hamiltonian(spec, p)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: hamiltonian_fd(FamilySpec.eight2(t=1.7), SpectralPoint.from_u(0.3)),
+     "dynamics runs along real theta or real x, got u = (0.3+0j)"),
+    (lambda: hamiltonian_fd(FamilySpec.eight2(t=1.7, q=1.2), TH(0.3)),
+     "eight2 unitarity needs |q| = 1, got |q| = 1.2"),
+    (lambda: hamiltonian_closed(FamilySpec.eight2(t=1.7 + 0.5j), 0.3),
+     "eight2 closed-form Hamiltonian needs real t, got (1.7+0.5j)"),
+    (lambda: hamiltonian_closed(FamilySpec.eight4(t=0.0), 0.3),
+     "eight4 closed form needs real nonzero t"),
+], ids=["fd-u-point", "fd-eight2-q-off-circle", "closed-eight2-complex-t", "closed-eight4-t-zero"])
+def test_the_fd_and_closed_refusals_name_their_constraint(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("spec,p", [
@@ -484,7 +500,7 @@ def test_a_degenerate_rho_at_one_sample_of_a_stack_names_that_sample():
 def gauge_unitaries_reference(spec, kind, values):
     """The stacked gauge unitaries as separate steps: the dense ``R_rows`` matrices
     divided by the dynamics gauge times sqrt(rho), with rho from ``verify._normalization``."""
-    turn = reference_gauge(spec, kind, values) if spec.family in dynamics.SIX_VERTEX else 1.0
+    turn = reference_gauge(spec, kind, values) if spec.family in SIX_VERTEX_FAMILIES else 1.0
     rho = _normalization(spec, kind, values)[-1] / np.abs(turn) ** 2
     return R_rows(spec, kind, values).dense() / np.asarray(turn * np.sqrt(rho))[..., None, None]
 
@@ -523,8 +539,7 @@ def test_hamiltonian_rejects_a_non_finite_off_diagonal_entry(value):
     h = I4.copy()
     h[0, 3] = h[3, 0] = value
     with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
-        Hamiltonian(h, HamiltonianSource.EXACT, FamilySpec.eight1(phi=0.0),
-                    SpectralPoint.from_theta(0.0))
+        Hamiltonian(h, HamiltonianSource.EXACT)
 
 
 @pytest.mark.parametrize(

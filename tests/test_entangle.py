@@ -266,7 +266,7 @@ def test_grid_agrees_with_realignment_near_local_gates(eps, local):
 
 def _fixed_points():
     cases = ENTANGLING_CASES + EXCLUDED_CASES + CLOSED_FORM_CASES
-    return cases + suite._universality_points() + suite._excluded_points()
+    return cases + suite._UNIVERSALITY_POINTS + suite._EXCLUDED_POINTS
 
 
 def test_grid_agrees_with_realignment_at_every_fixed_point():
@@ -535,6 +535,12 @@ def test_locus_generic_factors_are_off_locus():
 def test_locus_unsupported_family():
     with pytest.raises(ValueError, match="eight1/eight3"):
         nonentangling_locus_check(FamilySpec.eight2(t=1.5), X(0.5), (1, 0, 0, 1))
+
+
+@pytest.mark.parametrize("factors", [(0, 0, 1, 0), (1, 0, 0, 0)])
+def test_locus_refuses_a_zero_factor(factors):
+    with pytest.raises(ValueError, match="^factors must describe a nonzero product state$"):
+        nonentangling_locus_check(FamilySpec.eight1(phi=0.7), X(0.5), factors)
 
 
 def test_locus_minus_branch():

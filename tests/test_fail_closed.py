@@ -110,8 +110,7 @@ GUARDS = {
     "spectral_projectors": lambda: spectral_projectors(NAN4, 1.0, -1.0),
     "inverse": lambda: inverse(NAN4),
     "inverse_unitarity": lambda: inverse_unitarity(NAN4, NAN4),
-    "Hamiltonian": lambda: Hamiltonian(NAN4, HamiltonianSource.CLOSED_FORM,
-                                       FamilySpec.eight1(phi=0.0), SpectralPoint.from_theta(0.1)),
+    "Hamiltonian": lambda: Hamiltonian(NAN4, HamiltonianSource.CLOSED_FORM),
     "OneQubitGate": lambda: OneQubitGate(np.full((2, 2), NAN, dtype=complex), "nan"),
     "rotation": lambda: rotation((NAN, 0.0, 0.0), 1.0),
     "expm_hermitian": lambda: expm_hermitian(NAN4, 0.5),
@@ -196,7 +195,8 @@ class _Unlisted:
     value = "unlisted"
 
 
-UNLISTED = SimpleNamespace(family=_Unlisted(), q=1.0, t=2.0, parameters=lambda: (1j, 2.0, 1))
+UNLISTED = SimpleNamespace(family=_Unlisted(), q=1.0, t=2.0, parameters=lambda: (1j, 2.0, 1),
+                           domain_violation=lambda x: None)
 
 
 @pytest.mark.parametrize("call,message", [

@@ -645,6 +645,12 @@ def test_json_round_trip():
     assert blob["dim"] == 4 and len(blob["entries"]) == 4
 
 
+@pytest.mark.parametrize("entries", [[[[1, 0], [0, 0]], [[0, 0]]], [[[1, 0], [0, 0]]]])
+def test_mat_from_json_refuses_a_grid_off_dim(entries):
+    with pytest.raises(ValueError, match="^entry grid does not match dim$"):
+        mat_from_json({"dim": 2, "entries": entries})
+
+
 def test_cmat_validation():
     with pytest.raises(ValueError):
         cmat(np.zeros((3, 3)))

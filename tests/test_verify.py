@@ -262,8 +262,23 @@ def test_inverse_unitarity_matches_expected(family):
 
 
 def test_inverse_unitarity_rejects_non_proportional():
-    with pytest.raises(NotProportionalError):
+    # diag(1, 4, 9, 16) less 7.5 * 1 has norm sqrt(129)
+    with pytest.raises(NotProportionalError,
+                       match=r"^R\(x\) R\(1/x\) is not proportional to 1: gap 1\.136e\+01$"):
         inverse_unitarity(np.diag([1, 2, 3, 4]).astype(complex), np.diag([1, 2, 3, 4]))
+
+
+@pytest.mark.parametrize("family", R_FAMILIES)
+def test_a_dense_inverse_unitarity_pair_is_its_stack_of_one(family):
+    # one body: a dense pair gives, bitwise, the scalar of the same pair as WeightRows of one
+    rng = np.random.default_rng(113)
+    spec = sample_spec(family, rng)
+    form = "g" if family is Family.EIGHT_IV else "canonical"
+    for x in (0.7, complex(rng.uniform(0.3, 1.8), rng.uniform(-0.5, 0.5))):
+        r, rinv = dense_pair(spec, x, form)
+        got = inverse_unitarity(r, rinv)
+        stack = inverse_unitarity(WeightRows.of(r[None]), WeightRows.of(rinv[None]))
+        assert got.shape == () and stack.shape == (1,) and got == stack[0]
 
 
 def test_compatibility_split():
