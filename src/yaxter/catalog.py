@@ -173,7 +173,7 @@ def _domain_constraints(fam: Family, q, t, x):
     a scalar check stops at its first failure. The (q, t) constraints come first and those on
     x (``_x_constraints``) after, which lets ``FamilySpec.domain_violation`` keep the verdict
     of the first."""
-    real_t = _eight4_real_t(fam, t)
+    real_t = _eight4_t_is_real(fam, t)
     if fam in SIX_VERTEX_FAMILIES:
         yield is_real(q), "six-vertex unitarity needs real q, got q = {}", lambda: q
     else:
@@ -188,7 +188,7 @@ def _domain_constraints(fam: Family, q, t, x):
         yield from _x_constraints(fam, x, real_t)
 
 
-def _eight4_real_t(fam: Family, t):
+def _eight4_t_is_real(fam: Family, t):
     """is_real(t) for eight4, whose (q, t) and x constraints both read it; None otherwise."""
     return is_real(t) if fam is Family.EIGHT_IV else None
 
@@ -283,7 +283,7 @@ class FamilySpec:
                                                         complex(self.t))
         if verdict is not None or x is None:
             return verdict
-        real_t = _eight4_real_t(self.family, complex(self.t))
+        real_t = _eight4_t_is_real(self.family, complex(self.t))
         return _first_violation(self.family, _x_constraints(self.family, x, real_t))
 
     def parameters(self) -> tuple[complex, complex, int]:

@@ -369,7 +369,7 @@ def _cmd_hamiltonian(args) -> int:
     decomp = pauli_decompose(ham.matrix)
     payload = {
         "family": spec.family.value,
-        "source": ham.source.value,
+        "source": args.method,
         "matrix": mat_to_json(ham.matrix),
         "pauli": decomp.to_json(),
         "hermiticity_defect": float(hermiticity_defect(ham.matrix)),

@@ -16,20 +16,19 @@ i Im(tr K)/4 1. A real gauge only moves rho; the six-vertex
 dynamics gauge 1/(2 e^{i theta}) turns the phase by -theta and adds 1 to H.
 ``generator_pass`` takes several (spec, kind, s) jobs at once: each job checks its
 values and builds its rows of R and R', and one pass over all the rows takes the rho
-floor, K, the scatter, the trace part and one Hermiticity check; ``exact_generators``
-is the pass over one job.
-Closed forms are validated against it rather than trusted:
-``hamiltonian_closed`` returns the variant it confirms, the single-point record of
-``closed_generators``, which broadcasts the closed form over an array of theta. The
-six-vertex closed form also circulates in a coth-gamma variant that the derivative
-contradicts (the corner entries come out as sinh cosh / rho); both variants are kept so
-the discrepancy can be measured and reported (see ``six_vertex_erratum_report``).
+floor, K, the scatter and the trace part; ``exact_generators`` is the pass over one job.
+Closed forms are validated against it rather than trusted: ``hamiltonian_closed`` returns
+the variant it confirms, at a number or an array of theta, behind the exact route's checks
+of theta and the spec's (q, t) domain. The six-vertex form also circulates in a coth-gamma
+variant that the derivative contradicts (its corners come out as sinh cosh / rho); both are
+kept so the discrepancy can be measured and reported (``six_vertex_erratum_report``).
 The closed forms' constants that depend on the spec alone are built once per FamilySpec
 object and kept, read-only, in its record (``catalog.kept``) beside its coefficient rows:
 eight1's H_pm (``_eight1_generator``), and the 4x4 tables of the six-vertex, eight2 and
 eight3 forms with their sinh and cosh of gamma, z_of(t) and real t (``_closed_constants``).
 A point then pays for its theta alone: rho under ``catalog.finite_rho``, the scale, and
-``pattern_stack`` on the table. A ``Hamiltonian`` record holds the matrix and its source alone.
+``pattern_stack`` on the table. A ``Hamiltonian`` record, one matrix or a stack, holds the
+matrix alone; its check at ``linalg.HERM_TOL`` is every route's one Hermiticity check.
 ``hamiltonian_fd`` takes central differences instead, as a cross-check, and decides its
 point as ``hamiltonian`` does: the curve and domain checks at the point alone, and the
 curve's unitarity left to the Hermiticity check. Its five-point stencil of gauge unitaries,
@@ -47,7 +46,6 @@ cos(theta) b + sin(theta) b^{-1} the generator is the constant 2 H_pm
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, NamedTuple
@@ -59,30 +57,24 @@ from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention,
 from .catalog import (RHO_FLOOR, SIX_VERTEX_FAMILIES, DomainError, Family, FamilySpec,
                       FamilySpecs, braid_matrix, finite_rho, is_real, kept, z_of)
 from .gates import PAULI, tensor
-from .linalg import (MAX_ENTRY, WeightRows, dagger, expm_hermitian, frobenius, identity,
-                     pattern_stack, require_hermitian, weight_product)
+from .linalg import (HERM_TOL, MAX_ENTRY, WeightRows, dagger, expm_hermitian, frobenius,
+                     identity, pattern_stack, require_hermitian, weight_product)
 from .verify import worst
 
 I4 = identity(4)
 #: the constant terms of the eight2/3 and eight4 closed forms
 HALF_SHIFT, FULL_SHIFT = -0.5 * I4, -I4
-HERM_TOL = 1e-9  # relative Hermiticity defect allowed: above the FD's rounding (~3e-10)
 #: ``hamiltonian_fd``'s step and its five-point stencil s0 + (0, h, -h, h/2, -h/2)
 FD_STEP = 1e-5
 FD_STENCIL = np.array([0.0, FD_STEP, -FD_STEP, FD_STEP / 2, -FD_STEP / 2])
 FD_STENCIL.flags.writeable = False
 
 
-class HamiltonianSource(str, enum.Enum):
-    EXACT = "exact"
-    FINITE_DIFFERENCE = "fd"
-    CLOSED_FORM = "closed"
-
-
 @dataclass(frozen=True)
 class Hamiltonian:
+    """H, one 4x4 matrix or an (..., 4, 4) stack: every route's one Hermiticity check."""
+
     matrix: np.ndarray
-    source: HamiltonianSource
 
     def __post_init__(self):
         require_hermitian(self.matrix, HERM_TOL, "Hamiltonian")
@@ -109,21 +101,26 @@ def _gauge_unitaries(spec: FamilySpec | FamilySpecs, kind: str, values) -> Weigh
 def _unitaries(spec: FamilySpec | FamilySpecs, kind: str, values, x) -> WeightRows:
     """U = rho^{-1/2} R at ``kind`` view values of multiplicative x, as weight rows, with no
     domain check: the ``_rows_at`` rows in the dynamics gauge, divided by sqrt(rho) for
-    rho = tr(R R^dag) / 4 measured on them as ``_pass`` measures it. A rho that is not
-    finite or at or below the floor is a DomainError that names the first such value."""
+    rho measured on them, and refused, as ``_pass`` does it (``_rho``)."""
     scale = gauge(spec, kind, values)
     if spec.family in SIX_VERTEX_FAMILIES:
         scale = scale / reference_gauge(spec, kind, values, x)
-    with np.errstate(over="ignore", invalid="ignore"):  # a rho that overflows fails below
+    with np.errstate(over="ignore", invalid="ignore"):  # a rho that overflows fails in _rho
         r = _rows_at(spec, x, scale)
-        rho = _pairwise((r * r.conj()).real) / 4.0
-    ok = np.isfinite(rho) & (rho > RHO_FLOOR)
-    if not ok.all():  # the search for the entry only on failure
-        k = np.argmin(ok)  # the first False
-        raise DomainError(f"normalization factor rho = {np.ravel(rho)[k]:.3e} at {kind} = "
-                          f"{np.broadcast_to(values, np.shape(rho)).flat[k]:.6g} "
-                          "is degenerate or not finite")
+        rho = _rho(r, lambda k: f"{kind} = {np.broadcast_to(values, r.shape[1:]).flat[k]:.6g}")
     return WeightRows(r / np.sqrt(rho))
+
+
+def _rho(r: np.ndarray, name: Callable[[int], str]):
+    """rho = tr(R R^dag) / 4 = ||R||_F^2 / 4 of (8, ...) weight rows, summed pairwise; one not
+    finite or at or below ``RHO_FLOOR`` is a DomainError naming its item by ``name`` of k."""
+    rho = _pairwise((r * r.conj()).real) / 4.0
+    ok = (rho > RHO_FLOOR) & (rho < np.inf)  # False at NaN too
+    if not ok.all():  # the search for the item only on failure
+        k = int(np.argmin(ok))  # the first False
+        raise DomainError(f"normalization factor rho = {np.ravel(rho)[k]:.3e} at {name(k)} "
+                          "is degenerate or not finite")
+    return rho
 
 
 def _curve_failure(kind: str, value) -> str | None:
@@ -131,6 +128,18 @@ def _curve_failure(kind: str, value) -> str | None:
     if kind not in ("theta", "x") or not is_real(value):
         return f"dynamics runs along real theta or real x, got {kind} = {value}"
     return None
+
+
+def _raise_first_off(spec: FamilySpec, kind: str, s, at_x: bool) -> None:
+    """Raise the DomainError of the first value of s, a number or an array, off the ``kind``
+    curve (``_curve_failure``) or off the spec's domain, at its x with ``at_x``, naming a
+    stack's by its index: run value by value once a check of the whole of s has failed."""
+    stack = np.ndim(s) > 0
+    for i, value in enumerate(np.ravel(s).tolist()):
+        violation = _curve_failure(kind, value) or spec.domain_violation(
+            family_x(spec, kind, float(value.real)) if at_x else None)
+        if violation is not None:
+            raise DomainError(violation + (f" at index {i} of the stack" if stack else ""))
 
 
 def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
@@ -142,19 +151,17 @@ def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
     Every check applies to each item, and an error names the first failing item of a stack
     by its index. Off the unitary domain, above ``linalg.MAX_ENTRY`` or where R vanishes it
     raises a DomainError; where U is not unitary along the curve, K less its trace part
-    i rho'/(2 rho) 1 is not Hermitian and ``require_hermitian`` raises a ValueError. An
+    i rho'/(2 rho) 1 is not Hermitian and the ``Hamiltonian`` record raises a ValueError. An
     empty stack is ``verify.worst``'s usage error.
     """
-    h = _generators(spec, kind, s)
-    require_hermitian(h, HERM_TOL, "Hamiltonian")
-    return h
+    return _exact(spec, kind, s).matrix
 
 
 def generator_pass(jobs) -> np.ndarray:
     """The exact generators of several jobs, each a (spec, kind, s) triple of
     ``exact_generators``' arguments, as one (N, 4, 4) stack in job order, a number s giving
     one matrix: every job's R and R' rows (``_generator_job``) through one pass of the rho
-    floor, K, the scatter and the trace part, and one Hermiticity check. A generator does
+    floor, K, the scatter and the trace part, and one ``Hamiltonian`` record. A generator does
     not depend on the jobs beside it: each job's matrices are its ``exact_generators``.
 
     A pass that fails raises the first failing job's own error, which
@@ -162,8 +169,8 @@ def generator_pass(jobs) -> np.ndarray:
     """
     jobs = list(jobs)
     try:
-        h = _pass([_generator_job(*job) for job in jobs], lambda i: f"item {i} of the pass")
-        require_hermitian(h, HERM_TOL, "Hamiltonian")
+        return Hamiltonian(_pass([_generator_job(*job) for job in jobs],
+                                 lambda i: f"item {i} of the pass")).matrix
     except ValueError:
         for j, (spec, kind, s) in enumerate(jobs):  # the failing job, searched only on failure
             try:
@@ -172,14 +179,12 @@ def generator_pass(jobs) -> np.ndarray:
                 raise type(err)(f"{err}, in job {j} ({spec.family.value}) of the "
                                 "generator pass") from None
         raise
-    return h
 
 
-def _generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
-    """``exact_generators`` before its Hermiticity check, which ``hamiltonian`` leaves to the
-    ``Hamiltonian`` record."""
+def _exact(spec: FamilySpec, kind: str, s) -> Hamiltonian:
+    """The record of ``exact_generators`` and ``hamiltonian``: the pass over the job of s."""
     job = _generator_job(spec, kind, s)
-    return _pass([job], job.name).reshape(*np.shape(s), 4, 4)
+    return Hamiltonian(_pass([job], job.name).reshape(*np.shape(s), 4, 4))
 
 
 class _GeneratorJob(NamedTuple):
@@ -211,14 +216,10 @@ def _generator_job(spec: FamilySpec, kind: str, s) -> _GeneratorJob:
 
     on_curve = kind in ("theta", "x") and is_real(values).all()
     if on_curve:
-        s = values.real
-        x = family_x(spec, kind, s)
+        x = family_x(spec, kind, values.real)
     if not on_curve or spec.domain_violation(x) is not None:
-        for i, value in enumerate(values.tolist()):  # the first failing value, only on failure
-            violation = _curve_failure(kind, value) or spec.domain_violation(
-                family_x(spec, kind, float(value.real)))
-            if violation is not None:
-                raise DomainError(violation + where(i))
+        _raise_first_off(spec, kind, s, at_x=True)
+    s = values.real
     rows = _coefficient_rows(spec).reshape(-1, 8, 1)  # against every s
     a, b, *c = rows
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the bound below
@@ -242,18 +243,13 @@ def _generator_job(spec: FamilySpec, kind: str, s) -> _GeneratorJob:
 
 
 def _pass(jobs: list, name: Callable[[int], str]) -> np.ndarray:
-    """The (N, 4, 4) generators of built jobs, before the Hermiticity check: with
-    rho = tr(R R^dag) / 4 under its floor, K = i R' R^dag / rho on the weight rows
-    (``weight_product``), scattered once, less i Im(tr K)/4 1, plus omega 1. An item under
-    the floor is named in the error by ``name``."""
+    """The (N, 4, 4) generators of built jobs, before the Hermiticity check: with ``_rho``'s
+    rho, its items named by ``name``, K = i R' R^dag / rho on the weight rows
+    (``weight_product``), scattered once, less i Im(tr K)/4 1, plus omega 1."""
     r = np.concatenate([job.r for job in jobs], axis=1)
     dr = np.concatenate([job.dr for job in jobs], axis=1)
     omega = np.repeat([job.omega for job in jobs], [job.r.shape[1] for job in jobs])
-    rho = _pairwise((r * r.conj()).real) / 4.0  # tr(R R^dag) / 4 = ||R||_F^2 / 4
-    ok = rho > RHO_FLOOR
-    if not ok.all():
-        i = int(np.flatnonzero(~ok)[0])
-        raise DomainError(f"normalization factor degenerates (rho = {rho[i]:.3e}) at {name(i)}")
+    rho = _rho(r, name)
     k = weight_product(1j * dr, dagger(WeightRows(r)).w) / rho  # K = i R' R^dag / rho
     h = WeightRows(k).dense()  # the one scatter
     trace = _pairwise(h.diagonal(axis1=-2, axis2=-1).T.imag)  # Im tr K
@@ -273,9 +269,8 @@ def _pairwise(rows: np.ndarray) -> np.ndarray:
 
 def hamiltonian(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
     """H = i (dU/ds) U(s)^dag at a theta point of an R family or a real-x point of eight1 or
-    imaginary-t eight4, exactly: ``exact_generators`` at p, with its checks; the record's own
-    is its Hermiticity check."""
-    return Hamiltonian(_generators(spec, p.kind, p.value), HamiltonianSource.EXACT)
+    imaginary-t eight4, exactly: ``exact_generators`` at p, with its checks."""
+    return _exact(spec, p.kind, p.value)
 
 
 def hamiltonian_fd(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
@@ -296,14 +291,7 @@ def hamiltonian_fd(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
     u0, up, um, uph, umh = _unitaries(spec, kind, stencil, x).w.T
     du = (4.0 * (uph - umh) / FD_STEP - (up - um) / (2.0 * FD_STEP)) / 3.0
     k = weight_product(1j * du, dagger(WeightRows(u0)).w)
-    return Hamiltonian(WeightRows(k).dense(), HamiltonianSource.FINITE_DIFFERENCE)
-
-
-def _real_t(spec: FamilySpec) -> float:
-    t = complex(spec.t)
-    if not is_real(t):
-        raise DomainError(f"{spec.family.value} closed-form Hamiltonian needs real t, got {t}")
-    return float(t.real)
+    return Hamiltonian(WeightRows(k).dense())
 
 
 def _six_vertex_table(gamma: float, standard: bool, corner):
@@ -329,10 +317,11 @@ def six_vertex_hamiltonian_coth_variant(spec: FamilySpec, theta) -> np.ndarray:
                                                  1.0 / np.tanh(g)), theta)
 
 
-def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
-    """Closed-form H(theta), in the variant confirmed by the exact derivative: the
-    ``closed_generators`` matrix at theta, whose check is the record's. A rho that
-    overflows is a DomainError.
+def hamiltonian_closed(spec: FamilySpec, theta) -> Hamiltonian:
+    """Closed-form H(theta), in the variant confirmed by the exact derivative, at a number or
+    an array of theta (a stack in its shape, one evaluation broadcast over it), after the
+    exact route's checks of theta and the spec (``_closed_gate``). A rho that overflows is a
+    DomainError; a stack's error names its first failing theta by its index.
 
     For eight1 this is -(i/2) b(phi)^2 at every theta: the generator of the x
     curve at x = 1. ``hamiltonian`` at a theta point differentiates the theta
@@ -340,23 +329,21 @@ def hamiltonian_closed(spec: FamilySpec, theta: float) -> Hamiltonian:
     does not depend on theta and dx/dtheta = 1 + x^2 is 2 at x = 1
     (theta = pi/4).
     """
-    return Hamiltonian(_closed_generators(spec, theta), HamiltonianSource.CLOSED_FORM)
+    _closed_gate(spec, "theta", theta)
+    return Hamiltonian(_closed_form(spec, theta))
 
 
-def closed_generators(spec: FamilySpec, theta) -> np.ndarray:
-    """``hamiltonian_closed``'s matrices at theta, a number or an array: the (..., 4, 4)
-    stack in the shape of theta, from one evaluation of the closed form broadcast over
-    theta, under one Hermiticity check. An error names the first failing theta of a stack
-    by its index."""
-    h = _closed_generators(spec, theta)
-    require_hermitian(h, HERM_TOL, "Hamiltonian")
-    return h
+def _closed_gate(spec: FamilySpec, kind: str, s) -> None:
+    """The closed forms' gate, before any arithmetic: ``_raise_first_off`` without x, run once
+    a check of all of s, real and finite, and the spec's kept (q, t) verdict has failed."""
+    real = is_real(s)
+    if not (real.all() if isinstance(real, np.ndarray) else real) or spec.domain_violation():
+        _raise_first_off(spec, kind, s, at_x=False)
 
 
-def _closed_generators(spec: FamilySpec, theta) -> np.ndarray:
-    """``closed_generators`` before its Hermiticity check, which ``hamiltonian_closed`` leaves
-    to the ``Hamiltonian`` record: the point's part of the closed form on the spec's kept
-    constants (``_closed_constants``), and all of eight4's."""
+def _closed_form(spec: FamilySpec, theta) -> np.ndarray:
+    """``hamiltonian_closed``'s matrices after its gate: the point's part of the closed form
+    on the spec's kept constants (``_closed_constants``), and all of eight4's."""
     fam = spec.family
     if fam in SIX_VERTEX_FAMILIES:
         return _six_vertex_closed(*_closed_constants(spec), theta)
@@ -377,9 +364,10 @@ def _closed_generators(spec: FamilySpec, theta) -> np.ndarray:
             rho = finite_rho(4.0 + 4.0 * (t * t - 1.0) * (sn * sn))
             return pattern_stack(2.0 * t / rho, table, HALF_SHIFT)
         if fam is Family.EIGHT_IV:
-            t = _real_t(spec)
-            if abs(t) < 1e-12:
+            t = complex(spec.t)  # the domain allows imaginary t, the closed form does not
+            if not is_real(t) or abs(t.real) < 1e-12:
                 raise DomainError("eight4 closed form needs real nonzero t")
+            t = t.real
             q, s = complex(spec.q), spec.sign.factor
             g1, g2 = g_factors(spec, np.exp(1j * theta))
             # |g|^2 from hypot, as Python's abs rounds it; numpy's complex abs rounds apart
@@ -397,8 +385,8 @@ def _closed_constants(spec: FamilySpec):
     """The part of a six-vertex, eight2 or eight3 closed-form Hamiltonian that depends on the
     spec alone, built on first use and kept, read-only, in the spec object's record
     (``catalog.kept``): (sinh gamma, the table over cosh gamma) for the six-vertex families,
-    (t, the table) for eight2, with s z_of(t) in its middle block, and eight3. A spec off the
-    form's domain (q not real and positive, t not real) raises each time."""
+    (t, the table) for eight2, with s z_of(t) in its middle block, and eight3, for a spec
+    past ``_closed_gate``. A six-vertex q at or below 0 raises each time (``gamma_of``)."""
     record = kept(spec)
     if record.closed is None:
         fam = spec.family
@@ -406,7 +394,7 @@ def _closed_constants(spec: FamilySpec):
             g = spec.gamma
             closed = _six_vertex_table(g, fam is Family.SIX_STD, np.cosh(g))
         else:
-            t, q, s = _real_t(spec), complex(spec.q), spec.sign.factor
+            t, q, s = complex(spec.t).real, complex(spec.q), spec.sign.factor
             if fam is Family.EIGHT_II:
                 sz = s * z_of(complex(spec.t))
                 table = [[1 - t, 0, 0, q], [0, 0, sz, 0], [0, sz, 0, 0], [1 / q, 0, 0, t - 1]]
@@ -425,7 +413,9 @@ def _read_only(table) -> np.ndarray:
 
 
 def eight1_x_hamiltonian(spec: FamilySpec, x: float) -> np.ndarray:
-    """H(x) = -i b(phi)^2 / (1 + x^2): the eight1 generator along the real-x curve."""
+    """H(x) = -i b(phi)^2 / (1 + x^2): the eight1 generator along the real-x curve, after the
+    checks of ``hamiltonian_closed``'s gate at x."""
+    _closed_gate(spec, "x", x)
     return 2.0 / (1.0 + x * x) * _eight1_generator(spec)
 
 

@@ -6,6 +6,7 @@ numpy ``complex128`` arrays, row-major, in the computational basis order
 ``dagger``, ``frobenius``, ``require_hermitian`` and ``expm_hermitian`` also take
 (..., n, n) stacks and work matrix by matrix; ``require_hermitian`` decides one matrix on
 Python floats (the bench ``sweep`` op pays 12-19 % more CPU time on stacks of one).
+``HERM_TOL`` is the one Hermiticity tolerance, of ``expm_hermitian`` and ``dynamics.Hamiltonian``.
 ``cmat`` builds one matrix under one finiteness check.
 ``require_invertible`` is the scale-aware singularity guard of ``inverse``, for a
 check that needs no inverse; it also takes the eight weights of one eight-vertex matrix.
@@ -37,6 +38,7 @@ import operator
 import numpy as np
 
 DEFAULT_ATOL = 1e-10
+HERM_TOL = 1e-9  # relative Hermiticity defect allowed: above an FD generator's rounding (~3e-10)
 
 # Scale-aware singularity threshold: |det(A / max|A_ij|)| < SINGULAR_EPS.
 SINGULAR_EPS = 1e-12
@@ -493,11 +495,11 @@ def expm_hermitian(h: np.ndarray, theta) -> np.ndarray:
 
     An (..., n, n) stack of H, with theta a scalar or an array that broadcasts against
     the stack, gives the stack of U from one batched eigh. Every H must pass
-    ``require_hermitian`` at ``DEFAULT_ATOL``, so a non-finite H raises NotHermitianError
+    ``require_hermitian`` at ``HERM_TOL``, so a non-finite H raises NotHermitianError
     before eigh sees it, and a non-finite theta raises a ValueError.
     """
     h = np.asarray(h, dtype=complex)
-    require_hermitian(h, DEFAULT_ATOL)
+    require_hermitian(h, HERM_TOL)
     if not np.isfinite(theta).all():
         raise ValueError("exp(-i H theta) needs a finite theta (the evolution time), "
                          f"got {theta}")

@@ -33,8 +33,8 @@ from .baxterize import (RZERO_EQUALS_B, EigOrdering, R_rows, R_weights, Spectral
 from .catalog import Family, FamilySpec, FamilySpecs, Sign, braid_residual, build_b
 from .dynamics import (
     braiding_evolution_residual,
-    closed_generators,
     generator_pass,
+    hamiltonian_closed,
     six_vertex_erratum_report,
 )
 from .entangle import Classification, classify, concurrence_det, det_b_closed
@@ -313,8 +313,8 @@ def criterion_hamiltonians(seed: int) -> dict:
     # the closed forms aligned with it, one stack per spec. eight1's closed form
     # -(i/2) b(phi)^2 is the x-curve generator at x = 1; the theta curve x = tan(theta)
     # runs at twice it, theta-independently
-    closed = [closed_generators(spec, s) for spec, _, s in jobs[:8]]
-    target = closed_generators(spec1, 0.3)
+    closed = [hamiltonian_closed(spec, s).matrix for spec, _, s in jobs[:8]]
+    target = hamiltonian_closed(spec1, 0.3).matrix
     closed = np.concatenate([*closed[:5], np.stack(closed[5:]), target[None],
                              np.broadcast_to(2.0 * target, probes.shape)])
     gaps = frobenius(exact - closed)

@@ -221,18 +221,16 @@ def _rho_at(spec: FamilySpec | FamilySpecs, x):
 def matrix_norm_factor(spec: FamilySpec, p: SpectralPoint) -> float:
     """rho of the matrix ``build_R(spec, p)`` emits: the closed-form rho times
     |gauge * reference_gauge|^2 from the gauge table (``_normalization``)."""
-    return float(_normalization(spec, p.kind, p.value)[-1])
+    return float(_normalization(spec, p.kind, p.value))
 
 
 def _normalization(spec: FamilySpec | FamilySpecs, kind: str, value):
-    """(x, gauge, reference gauge, rho) at a ``kind`` view value: ``family_x``, ``gauge``,
-    ``reference_gauge`` and the rho of ``matrix_norm_factor``, each evaluated once, and the
-    reference gauge and rho from that x; FamilySpecs or an array of values give one of each
-    per sample."""
+    """The rho of ``matrix_norm_factor`` at a ``kind`` view value, |gauge * reference gauge|^2
+    times the closed-form rho, with x (``family_x``) evaluated once for the reference gauge
+    and rho; FamilySpecs or an array of values give one per sample."""
     x = family_x(spec, kind, value)
-    view, ref = gauge(spec, kind, value), reference_gauge(spec, kind, value, x)
-    g = abs(view * ref)
-    return x, view, ref, g * g * _rho_at(spec, x)
+    g = abs(gauge(spec, kind, value) * reference_gauge(spec, kind, value, x))
+    return g * g * _rho_at(spec, x)
 
 
 def inverse_unitarity(r: np.ndarray, rinv: np.ndarray,
@@ -445,7 +443,7 @@ def unitarity_job(family: Family, samples: int = 100, seed: int = 42,
     rng = np.random.default_rng(seed)
     specs = sample_specs(family, rng, samples, imaginary_t)
     x = sample_x(specs, rng, len(specs))
-    rho_ref = _normalization(specs, "x", x)[-1]  # first: its domain check names an off-domain x
+    rho_ref = _normalization(specs, "x", x)  # first: its domain check names an off-domain x
 
     def case(k, rho_est):
         spec = specs[k]

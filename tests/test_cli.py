@@ -225,6 +225,27 @@ def test_closed_hamiltonian_takes_theta_and_no_other_point(capsys, point):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["evolve", "hamiltonian"])
+@pytest.mark.parametrize("family,params", [
+    ("eight1", ()), ("eight2", ("--t", "1.7")), ("eight3", ("--t", "2.1")),
+    ("eight4", ("--t", "1.6")),
+])
+def test_closed_form_routes_refuse_q_off_the_circle_with_the_domain_error(
+        capsys, command, family, params):
+    tail = ("--time", "1") if command == "evolve" else ("--method", "closed")
+    code, out, err = run_cli(capsys, command, "--family", family, *params, "--q", "1.2",
+                             "--theta", "0.3", *tail)
+    assert (code, out) == (2, "")
+    assert err == f"error: {family} unitarity needs |q| = 1, got |q| = 1.2\n"
+
+
+def test_evolve_refuses_a_non_finite_theta(capsys):
+    code, out, err = run_cli(capsys, "evolve", "--family", "eight1", "--phi", "0.3",
+                             "--theta", "inf", "--time", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: dynamics runs along real theta or real x, got theta = inf\n"
+
+
 def test_exact_hamiltonian_along_real_x(capsys):
     code, out, _ = run_cli(capsys, "hamiltonian", "--family", "eight1", "--phi", "0.9",
                            "--x", "1", "--method", "exact")

@@ -7,7 +7,6 @@ from yaxter.baxterize import (R_rows, SpectralPoint, _coefficient_rows, family_x
 from yaxter.catalog import SIX_VERTEX_FAMILIES, DomainError, Family, FamilySpec, Sign
 from yaxter.dynamics import (
     Hamiltonian,
-    HamiltonianSource,
     braiding_evolution_residual,
     eight1_x_hamiltonian,
     evolve,
@@ -91,7 +90,6 @@ def test_exact_matches_the_closed_forms_over_seeded_specs(family):
         theta = float(rng.uniform(-1.5, 1.5))
         want = scale * hamiltonian_closed(spec, theta).matrix
         got = hamiltonian(spec, TH(theta))
-        assert got.source is HamiltonianSource.EXACT
         assert frobenius(got.matrix - want) <= 1e-14 * max(1.0, frobenius(want))
 
 
@@ -177,7 +175,7 @@ def test_exact_rejects_points_off_the_unitary_curves(spec, p, error):
     (lambda: hamiltonian_fd(FamilySpec.eight2(t=1.7, q=1.2), TH(0.3)),
      "eight2 unitarity needs |q| = 1, got |q| = 1.2"),
     (lambda: hamiltonian_closed(FamilySpec.eight2(t=1.7 + 0.5j), 0.3),
-     "eight2 closed-form Hamiltonian needs real t, got (1.7+0.5j)"),
+     "eight2 unitarity needs real t, got t = (1.7+0.5j)"),
     (lambda: hamiltonian_closed(FamilySpec.eight4(t=0.0), 0.3),
      "eight4 closed form needs real nonzero t"),
 ], ids=["fd-u-point", "fd-eight2-q-off-circle", "closed-eight2-complex-t", "closed-eight4-t-zero"])
@@ -185,6 +183,66 @@ def test_the_fd_and_closed_refusals_name_their_constraint(call, message):
     with pytest.raises(DomainError) as err:
         call()
     assert str(err.value) == message
+
+
+OFF_CIRCLE = [FamilySpec.eight1(q=1.2), FamilySpec.eight2(t=1.7, q=1.2),
+              FamilySpec.eight3(t=2.1, q=1.2), FamilySpec.eight4(t=1.6, q=1.2)]
+
+
+@pytest.mark.parametrize("spec", OFF_CIRCLE, ids=lambda s: s.family.value)
+def test_the_closed_forms_refuse_q_off_the_circle_as_the_exact_route_does(spec):
+    # before any arithmetic: not a Hermiticity defect of a closed form run off its domain
+    message = f"{spec.family.value} unitarity needs |q| = 1, got |q| = 1.2"
+    calls = [lambda: hamiltonian(spec, TH(0.3)), lambda: hamiltonian_closed(spec, 0.3)]
+    if spec.family is Family.EIGHT_I:
+        calls.append(lambda: eight1_x_hamiltonian(spec, 0.5))
+    for call in calls:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
+    with pytest.raises(DomainError) as err:
+        hamiltonian_closed(spec, np.array([0.3, 0.5]))
+    assert str(err.value) == f"{message} at index 0 of the stack"
+
+
+@pytest.mark.parametrize("x", [np.inf, np.nan, 0.5 + 0.5j])
+def test_the_eight1_x_generator_refuses_a_value_off_the_real_line(x):
+    with pytest.raises(DomainError, match="^dynamics runs along real theta or real x, got x = "):
+        eight1_x_hamiltonian(FamilySpec.eight1(phi=0.9), x)
+
+
+def test_evolve_accepts_every_fd_record_of_a_seeded_draw():
+    # the record and expm_hermitian check at one tolerance, HERM_TOL, so what the record
+    # accepts evolves: the FD records' rounding defects reach 1.6e-10 of their norm here
+    rng = np.random.default_rng(0)
+    for family in (spec.family for spec in THETA_FAMILIES):
+        for _ in range(300):
+            spec, theta = sample_spec(family, rng), float(rng.uniform(-1.4, 1.4))
+            u = evolve(hamiltonian_fd(spec, TH(theta)), 0.7)
+            assert frobenius(u @ u.conj().T - I4) < 1e-12
+
+
+def test_every_route_checks_its_generators_once(monkeypatch):
+    real, calls = dynamics.require_hermitian, []
+
+    def counted(h, tol, what="matrix"):
+        calls.append(np.shape(h))
+        return real(h, tol, what)
+
+    monkeypatch.setattr(dynamics, "require_hermitian", counted)
+    spec = THETA_FAMILIES[2]
+    routes = [
+        (lambda: hamiltonian(spec, TH(0.3)), (4, 4)),
+        (lambda: hamiltonian_fd(spec, TH(0.3)), (4, 4)),
+        (lambda: hamiltonian_closed(spec, 0.3), (4, 4)),
+        (lambda: hamiltonian_closed(spec, np.array([0.3, 0.5, 0.9])), (3, 4, 4)),
+        (lambda: dynamics.exact_generators(spec, "theta", np.array([0.3, 0.5])), (2, 4, 4)),
+        (lambda: dynamics.generator_pass(PASS_JOBS), (22, 4, 4)),
+    ]
+    for route, shape in routes:
+        calls.clear()
+        route()
+        assert calls == [shape]
 
 
 @pytest.mark.parametrize("spec,p", [
@@ -501,7 +559,7 @@ def gauge_unitaries_reference(spec, kind, values):
     """The stacked gauge unitaries as separate steps: the dense ``R_rows`` matrices
     divided by the dynamics gauge times sqrt(rho), with rho from ``verify._normalization``."""
     turn = reference_gauge(spec, kind, values) if spec.family in SIX_VERTEX_FAMILIES else 1.0
-    rho = _normalization(spec, kind, values)[-1] / np.abs(turn) ** 2
+    rho = _normalization(spec, kind, values) / np.abs(turn) ** 2
     return R_rows(spec, kind, values).dense() / np.asarray(turn * np.sqrt(rho))[..., None, None]
 
 
@@ -539,7 +597,7 @@ def test_hamiltonian_rejects_a_non_finite_off_diagonal_entry(value):
     h = I4.copy()
     h[0, 3] = h[3, 0] = value
     with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
-        Hamiltonian(h, HamiltonianSource.EXACT)
+        Hamiltonian(h)
 
 
 @pytest.mark.parametrize(
@@ -556,15 +614,6 @@ def test_schroedinger_consistency(spec):
         psi0 /= np.linalg.norm(psi0)
         dpsi = (up @ psi0 - um @ psi0) / (2 * h)
         assert np.linalg.norm(1j * dpsi - hmat @ (u0 @ psi0)) < 1e-6
-
-
-def test_closed_form_source_tags():
-    ham = hamiltonian_closed(FamilySpec.eight2(t=1.3, q=1.0), 0.2)
-    assert ham.source is HamiltonianSource.CLOSED_FORM
-    ham = hamiltonian_fd(FamilySpec.eight2(t=1.3, q=1.0), TH(0.2))
-    assert ham.source is HamiltonianSource.FINITE_DIFFERENCE
-    ham = hamiltonian(FamilySpec.eight2(t=1.3, q=1.0), TH(0.2))
-    assert ham.source is HamiltonianSource.EXACT
 
 
 # --- the stacked exact generator --------------------------------------------------
@@ -607,7 +656,8 @@ def test_a_generator_in_a_stack_is_bitwise_its_single_call(family):
     (FamilySpec.eight4(t=1.5, q=1.0), "x", (-1.0, 0.5),  # real t: |x| = 1 only
      r"needs \|x\| = 1, got \|x\| = 0.5 at index 1 of the stack"),
     (FamilySpec.six_nonstd(q=1.0), "theta", (0.3, 0.0, 0.0),  # R vanishes at theta = 0
-     r"rho = 0.000e\+00\) at SpectralPoint\(kind='theta', value=0j\) at index 1 of the stack"),
+     r"rho = 0.000e\+00 at SpectralPoint\(kind='theta', value=0j\) at index 1 of the stack "
+     "is degenerate or not finite"),
 ], ids=["nan", "complex", "off-domain", "rho-floor"])
 def test_stacked_exact_generators_name_the_first_failing_index(spec, kind, values, named):
     with pytest.raises(DomainError, match=named):
@@ -738,8 +788,8 @@ def test_one_pass_makes_one_hermiticity_check(monkeypatch):
     ((FamilySpec.eight4(t=1.5, q=1.0), "x", np.array([-1.0, 0.5])),
      r"got \|x\| = 0.5 at index 1 of the stack, in job 2 \(eight4\)"),
     ((FamilySpec.six_nonstd(q=1.0), "theta", np.array([0.3, 0.0])),
-     r"rho = 0.000e\+00\) at SpectralPoint\(kind='theta', value=0j\) at index 1 of the stack, "
-     r"in job 2 \(six-nonstd\)"),
+     r"rho = 0.000e\+00 at SpectralPoint\(kind='theta', value=0j\) at index 1 of the stack "
+     r"is degenerate or not finite, in job 2 \(six-nonstd\)"),
     ((FamilySpec.eight3(t=2.1, q=1.0), "theta", np.nan),
      r"got theta = nan, in job 2 \(eight3\)"),
 ], ids=["nan", "off-domain", "rho-floor", "nan-single"])
@@ -778,13 +828,12 @@ CLOSED_SPECS = THETA_FAMILIES + [FamilySpec.eight1(phi=0.9)] + [
                          ids=lambda s: f"{s.family.value}-t{complex(s.t).real:g}")
 def test_the_closed_form_stack_is_bitwise_the_single_point_closed_form(spec):
     thetas = np.array([0.0, 0.25, 0.8, 0.9, 1.3, -0.7, 2.9])
-    stack = dynamics.closed_generators(spec, thetas)
+    stack = hamiltonian_closed(spec, thetas).matrix
     assert stack.shape == (7, 4, 4)
     for h, theta in zip(stack, thetas.tolist()):
         assert np.array_equal(h, hamiltonian_closed(spec, theta).matrix)
-    grid = dynamics.closed_generators(spec, thetas[:6].reshape(2, 3))
+    grid = hamiltonian_closed(spec, thetas[:6].reshape(2, 3)).matrix
     assert np.array_equal(grid.reshape(6, 4, 4), stack[:6])
-    assert np.array_equal(dynamics.closed_generators(spec, 0.8), stack[2])
 
 
 def test_the_six_vertex_coth_variant_broadcasts_over_theta():
@@ -798,15 +847,21 @@ def test_the_six_vertex_coth_variant_broadcasts_over_theta():
 @pytest.mark.parametrize("spec,thetas,index,message", [
     (FamilySpec.six_nonstd(gamma=0.0), (0.3, 0.0, 0.0), 1,
      r"rho = sinh\^2 gamma \+ sin\^2 theta vanishes at gamma = theta = 0"),
-    (THETA_FAMILIES[2], (0.3, 0.5, np.nan), 2, "closed-form rho = nan is not finite"),
-    (THETA_FAMILIES[4], (np.inf, 0.5), 0, "closed-form rho = nan is not finite"),
-], ids=["six-vanishing", "eight2-nan", "eight4-inf"])
+    (THETA_FAMILIES[2], (0.3, 0.5, np.nan), 2,
+     "dynamics runs along real theta or real x, got theta = nan"),
+    (THETA_FAMILIES[4], (np.inf, 0.5), 0,
+     "dynamics runs along real theta or real x, got theta = inf"),
+    (FamilySpec.eight1(phi=0.9), (0.3, 0.5, np.inf, np.nan), 2,
+     "dynamics runs along real theta or real x, got theta = inf"),
+    (FamilySpec.six_std(gamma=0.4), (0.3, 1 + 0.5j), 1,
+     r"dynamics runs along real theta or real x, got theta = \(1\+0\.5j\)"),
+], ids=["six-vanishing", "eight2-nan", "eight4-inf", "eight1-inf", "six-complex"])
 def test_a_closed_form_stack_names_its_first_failing_theta(spec, thetas, index, message):
-    with np.errstate(invalid="ignore"):  # sin and exp of a non-finite theta
-        with pytest.raises(DomainError, match=f"^{message} at index {index} of the stack$"):
-            dynamics.closed_generators(spec, np.array(thetas))
-        with pytest.raises(DomainError, match=f"^{message}$"):
-            dynamics.closed_generators(spec, thetas[index])
+    # theta is refused before any arithmetic, so no numpy warning
+    with pytest.raises(DomainError, match=f"^{message} at index {index} of the stack$"):
+        hamiltonian_closed(spec, np.array(thetas))
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        hamiltonian_closed(spec, thetas[index])
 
 
 def test_the_braiding_evolution_checks_its_generators_once(monkeypatch):

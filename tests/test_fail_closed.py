@@ -11,7 +11,7 @@ from yaxter import linalg, suite, verify
 from yaxter.baxterize import SpectralPoint
 from yaxter.catalog import (BoltzmannWeights, FamilySpec, braid_matrix, braid_residual,
                             eigenvalues_of)
-from yaxter.dynamics import Hamiltonian, HamiltonianSource
+from yaxter.dynamics import Hamiltonian
 from yaxter.entangle import brylinski_witness, det_b_closed
 from yaxter.gates import OneQubitGate, rotation
 from yaxter.linalg import WeightRows, expm_hermitian, inverse, spectral_projectors, strand_gap
@@ -51,6 +51,8 @@ def _nan_like(out, k=None):
         return ResidualReport(residual=NAN, tolerance=out.tolerance, worst_case=out.worst_case)
     if isinstance(out, tuple):
         return tuple(_nan_like(part, k) for part in out)
+    if isinstance(out, Hamiltonian):  # no record holds a NaN: a stand-in that reads as one
+        return SimpleNamespace(matrix=_nan_like(out.matrix, k))
     if isinstance(out, np.ndarray):
         out = out.astype(np.result_type(out, float))
         out.flat[slice(None) if k is None else k] = NAN
@@ -59,7 +61,10 @@ def _nan_like(out, k=None):
 
 
 def _values(out) -> int:
-    """How many values a call evaluated: the entries of an array, else one."""
+    """How many values a call evaluated: the entries of an array or a Hamiltonian record's
+    matrix, else one."""
+    if isinstance(out, Hamiltonian):
+        return np.size(out.matrix)
     return _values(out[0]) if isinstance(out, tuple) else np.size(out)
 
 
@@ -73,7 +78,7 @@ INJECTIONS = [
     (suite.criterion_inverse_unitarity, "family_inverse_unitarity", "max_gap_compatible"),
     (suite.criterion_universality, "det_b_closed", "max_det_gap"),
     (suite.criterion_hamiltonians, "hermiticity_defect", "max_hermiticity_defect"),
-    (suite.criterion_hamiltonians, "closed_generators", "max_closed_vs_exact"),
+    (suite.criterion_hamiltonians, "hamiltonian_closed", "max_closed_vs_exact"),
     (suite.criterion_evolution, "braiding_evolution_residual", "max_residual"),
     (suite.criterion_bell, "concurrence_det", "max_residual"),
 ]
@@ -110,7 +115,7 @@ GUARDS = {
     "spectral_projectors": lambda: spectral_projectors(NAN4, 1.0, -1.0),
     "inverse": lambda: inverse(NAN4),
     "inverse_unitarity": lambda: inverse_unitarity(NAN4, NAN4),
-    "Hamiltonian": lambda: Hamiltonian(NAN4, HamiltonianSource.CLOSED_FORM),
+    "Hamiltonian": lambda: Hamiltonian(NAN4),
     "OneQubitGate": lambda: OneQubitGate(np.full((2, 2), NAN, dtype=complex), "nan"),
     "rotation": lambda: rotation((NAN, 0.0, 0.0), 1.0),
     "expm_hermitian": lambda: expm_hermitian(NAN4, 0.5),

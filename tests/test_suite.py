@@ -291,7 +291,7 @@ def test_criterion_7_makes_one_exact_pass_of_ten_jobs_and_one_closed_stack_per_s
         monkeypatch):
     passes, jobs, closed, records = [], [], [], []
     real_pass, real_job = dynamics._pass, dynamics._generator_job
-    real_closed, real_record = suite.closed_generators, dynamics.hamiltonian_closed
+    real_closed, real_record = suite.hamiltonian_closed, dynamics.hamiltonian_closed
 
     def counted_pass(built, name):
         passes.append(sum(job.r.shape[1] for job in built))
@@ -311,7 +311,7 @@ def test_criterion_7_makes_one_exact_pass_of_ten_jobs_and_one_closed_stack_per_s
 
     monkeypatch.setattr(dynamics, "_pass", counted_pass)
     monkeypatch.setattr(dynamics, "_generator_job", counted_job)
-    monkeypatch.setattr(suite, "closed_generators", counted_closed)
+    monkeypatch.setattr(suite, "hamiltonian_closed", counted_closed)
     monkeypatch.setattr(dynamics, "hamiltonian_closed", counted_record)
     assert suite.criterion_hamiltonians(42)["pass"]
     # one pass of 27 generators: five family stacks of three theta and the special point, the

@@ -940,14 +940,14 @@ def test_an_off_pattern_entry_deep_in_a_stack_is_named_by_its_stack_index():
     (FamilySpec.eight4(t=1.6, q=np.exp(0.25j)), "u", -0.2j),
 ], ids=["six-nonstd-x", "six-std-u", "six-std-theta", "eight4-x", "eight4-theta", "eight4-u"])
 def test_the_normalization_hands_its_x_to_the_reference_gauge_bitwise(spec, kind, value):
-    from yaxter.baxterize import family_x, reference_gauge
-    from yaxter.verify import _normalization, sample_specs
+    from yaxter.baxterize import family_x, gauge, reference_gauge
+    from yaxter.verify import _normalization, _rho_at, sample_specs
 
     rng = np.random.default_rng(113)
     step = rng.uniform(-0.2, 0.2, 30)  # along the unitary domain of each view
     values = {"x": value * np.exp(1j * step), "u": value + 1j * step, "theta": value + step}[kind]
     specs = sample_specs(spec.family, rng, 30)
     for s, v in ((spec, value), (spec, values), (specs, values)):
-        x, _, ref, _ = _normalization(s, kind, v)
-        assert np.array_equal(x, family_x(s, kind, v))
-        assert np.array_equal(ref, reference_gauge(s, kind, v))
+        # the reference gauge that finds its own x: the x handed in changes no bit of rho
+        g = abs(gauge(s, kind, v) * reference_gauge(s, kind, v))
+        assert np.array_equal(_normalization(s, kind, v), g * g * _rho_at(s, family_x(s, kind, v)))

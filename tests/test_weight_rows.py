@@ -80,7 +80,7 @@ def test_the_unitarity_scan_on_rows_is_bitwise_the_dense_kernel(monkeypatch, fam
     rho, res = unitarity_residual(WeightRows.of(r), WeightRows.of(dagger(r)))
     ((got_rho, got_res),) = seen
     assert np.array_equal(got_rho, rho) and np.array_equal(got_res, res)
-    rho_ref = _normalization(specs, "x", x)[-1]
+    rho_ref = _normalization(specs, "x", x)
     residual, k = worst(res / rho + abs(rho - rho_ref) / rho_ref, range(SAMPLES))
     assert report.residual == residual and report.worst_case["rho"] == float(rho[k])
     assert report.worst_case["x"] == _cpair(x[k])
