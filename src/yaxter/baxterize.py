@@ -281,12 +281,12 @@ def _coefficient_rows(spec: FamilySpec | FamilySpecs, ordering: EigOrdering | No
         ordering = EigOrdering(ordering)
     if not isinstance(spec, FamilySpec):
         return _table_rows(spec, ordering)
-    kept_rows = kept(spec).rows
-    rows = kept_rows.get(ordering)
+    record = kept(spec)
+    rows = record.get(("rows", ordering))
     if rows is None:
         rows = _table_rows(spec, ordering)
         rows.flags.writeable = False
-        kept_rows[ordering] = rows
+        record["rows", ordering] = rows
     return rows
 
 

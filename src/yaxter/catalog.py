@@ -20,9 +20,9 @@ parameters as scalars or as arrays that broadcast, one entry per sample;
 builds their braid matrices as the weight rows the stacked kernels take. ``q_from`` turns
 q, gamma or phi into the deformation parameter q, for the ``FamilySpec`` constructors and the CLI.
 
-``kept`` holds one record per FamilySpec object, for the ``KEPT_SPECS`` objects that took
-one last, of what its evaluations derive from its parameters alone: the (q, t) part of its
-domain verdict here, its coefficient rows (``baxterize``) and its closed-form constants
+``kept`` holds one record per FamilySpec object, for the ``KEPT_SPECS`` objects used last,
+of what its evaluations derive from its parameters alone: the (q, t) part of its domain
+verdict here, its coefficient rows (``baxterize``) and its closed-form constants
 (``dynamics``).
 """
 
@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
-import threading
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -277,10 +277,9 @@ class FamilySpec:
         whatever x; else only the x constraints are tested, in the order of
         ``domain_violation``, so the first violation found and its message are the same."""
         record = kept(self)
-        verdict = record.verdict
-        if verdict is _UNSET:
-            verdict = record.verdict = domain_violation(self.family, complex(self.q),
-                                                        complex(self.t))
+        if "verdict" not in record:
+            record["verdict"] = domain_violation(self.family, complex(self.q), complex(self.t))
+        verdict = record["verdict"]
         if verdict is not None or x is None:
             return verdict
         real_t = _eight4_t_is_real(self.family, complex(self.t))
@@ -293,42 +292,28 @@ class FamilySpec:
 
 #: how many FamilySpec objects keep their records (``kept``)
 KEPT_SPECS = 64
-_UNSET = object()  # a record's verdict before it is taken; None is the verdict "inside"
-_KEPT: dict = {}  # id(spec) -> its Kept, in the order taken
-_KEPT_LOCK = threading.Lock()
 
 
-class Kept:
-    """What the evaluations of one FamilySpec object derive from its parameters alone, each
-    field filled on first use by the code that reads it: the (q, t) ``verdict`` of
-    ``FamilySpec.domain_violation``; the coefficient ``rows`` of each eigenvalue ordering
-    (``baxterize._coefficient_rows``); eight1's ``generator`` H_pm and the ``closed``
-    constants of the six-vertex, eight2 and eight3 closed-form Hamiltonians (``dynamics``).
-    The arrays are read-only: every caller gets the same one."""
-
-    __slots__ = ("spec", "verdict", "rows", "generator", "closed", "__weakref__")
-
-    def __init__(self, spec: FamilySpec):
-        self.spec = spec  # held, so that no other object takes its id while it is kept
-        self.verdict = _UNSET
-        self.rows = {}
-        self.generator = None
-        self.closed = None
-
-
-def kept(spec: FamilySpec) -> Kept:
-    """The record of the spec object, found by its id, not by ==, for equal specs can differ
-    in bits (t = 0.0 and -0.0). The records of the ``KEPT_SPECS`` objects that took one last
-    are kept, and the oldest is dropped first; a lookup hashes no field."""
-    record = _KEPT.get(id(spec))
-    if record is None:
-        with _KEPT_LOCK:
-            record = _KEPT.get(id(spec))
-            if record is None:
-                if len(_KEPT) >= KEPT_SPECS:
-                    del _KEPT[next(iter(_KEPT))]
-                record = _KEPT[id(spec)] = Kept(spec)
+def kept(spec: FamilySpec) -> dict:
+    """The record of the spec object: a dict in which each reader keeps, under its own key and
+    filled on first use, what the evaluations of the spec derive from its parameters alone:
+    the (q, t) ``"verdict"`` of ``FamilySpec.domain_violation``, the coefficient rows of each
+    eigenvalue ordering under ``("rows", ordering)`` (``baxterize._coefficient_rows``) and
+    the ``"closed"`` constants of its closed-form Hamiltonian (``dynamics``). The arrays are
+    read-only: every caller gets the same one (two threads that take a spec's first record
+    at once may each fill their own, with equal values). The record is found by the object's
+    id, not by ==, for equal specs can differ in bits (t = 0.0 and -0.0), and holds its spec,
+    so that no other object takes the id while it is kept. The records of the ``KEPT_SPECS``
+    objects used last are kept; a lookup hashes no field."""
+    record = _record(id(spec))
+    record.setdefault("spec", spec)
     return record
+
+
+@functools.lru_cache(maxsize=KEPT_SPECS)
+def _record(key: int) -> dict:
+    """A new record, kept under the id ``key`` (``kept``)."""
+    return {}
 
 
 @dataclass(frozen=True)

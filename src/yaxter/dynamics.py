@@ -17,23 +17,26 @@ dynamics gauge 1/(2 e^{i theta}) turns the phase by -theta and adds 1 to H.
 ``generator_pass`` takes several (spec, kind, s) jobs at once: each job checks its
 values and builds its rows of R and R', and one pass over all the rows takes the rho
 floor, K, the scatter and the trace part; ``exact_generators`` is the pass over one job.
+Every route passes one gate (``_gate``) before any arithmetic: its values real and finite
+along the theta or x curve, the spec's kept (q, t) verdict and, for the exact and
+finite-difference routes, the x constraints, tested on the whole array at once.
 Closed forms are validated against it rather than trusted: ``hamiltonian_closed`` returns
-the variant it confirms, at a number or an array of theta, behind the exact route's checks
-of theta and the spec's (q, t) domain. The six-vertex form also circulates in a coth-gamma
-variant that the derivative contradicts (its corners come out as sinh cosh / rho); both are
-kept so the discrepancy can be measured and reported (``six_vertex_erratum_report``).
+the variant it confirms, at a number or an array of theta, behind that gate. The six-vertex
+form also circulates in a coth-gamma variant that the derivative contradicts (its corners
+come out as sinh cosh / rho); both are kept so the discrepancy can be measured and
+reported (``six_vertex_erratum_report``).
 The closed forms' constants that depend on the spec alone are built once per FamilySpec
 object and kept, read-only, in its record (``catalog.kept``) beside its coefficient rows:
-eight1's H_pm (``_eight1_generator``), and the 4x4 tables of the six-vertex, eight2 and
-eight3 forms with their sinh and cosh of gamma, z_of(t) and real t (``_closed_constants``).
+eight1's H_pm, and the 4x4 tables of the six-vertex, eight2 and eight3 forms with their
+sinh and cosh of gamma, z_of(t) and real t (``_closed_constants``).
 A point then pays for its theta alone: rho under ``catalog.finite_rho``, the scale, and
 ``pattern_stack`` on the table. A ``Hamiltonian`` record, one matrix or a stack, holds the
 matrix alone; its check at ``linalg.HERM_TOL`` is every route's one Hermiticity check.
 ``hamiltonian_fd`` takes central differences instead, as a cross-check, and decides its
-point as ``hamiltonian`` does: the curve and domain checks at the point alone, and the
-curve's unitarity left to the Hermiticity check. Its five-point stencil of gauge unitaries,
-R in the dynamics gauge over sqrt(rho) with rho = tr(R R^dag)/4 measured as the pass
-measures it, stays weight rows, and i dU U^dag is ``weight_product`` on them, scattered once.
+point as ``hamiltonian`` does: the gate at the point alone, and the curve's unitarity left
+to the Hermiticity check. Its five-point stencil of gauge unitaries, R in the dynamics
+gauge over sqrt(rho) with rho = tr(R R^dag)/4 measured as the pass measures it, stays
+weight rows, and i dU U^dag is ``weight_product`` on them, scattered once.
 
 For eight1 the evolution is generated by the time-independent
 
@@ -123,23 +126,28 @@ def _rho(r: np.ndarray, name: Callable[[int], str]):
     return rho
 
 
-def _curve_failure(kind: str, value) -> str | None:
-    """Why the dynamics cannot run along the ``kind`` curve at value, or None."""
-    if kind not in ("theta", "x") or not is_real(value):
-        return f"dynamics runs along real theta or real x, got {kind} = {value}"
-    return None
-
-
-def _raise_first_off(spec: FamilySpec, kind: str, s, at_x: bool) -> None:
-    """Raise the DomainError of the first value of s, a number or an array, off the ``kind``
-    curve (``_curve_failure``) or off the spec's domain, at its x with ``at_x``, naming a
-    stack's by its index: run value by value once a check of the whole of s has failed."""
+def _gate(spec: FamilySpec, kind: str, s, at_x: bool):
+    """The one gate of every route, before any arithmetic: s, a number or an array, is real
+    and finite along the theta or x curve, the spec passes its kept (q, t) verdict and, with
+    ``at_x``, the x constraints at the x of s, which it returns (None without ``at_x``). The
+    whole of s is checked at once; only when that fails does the search value by value raise
+    the DomainError of the first failing value, naming a stack's by its index."""
+    real = kind in ("theta", "x") and is_real(s)
+    x = None
+    if real.all() if isinstance(real, np.ndarray) else real:
+        x = family_x(spec, kind, s.real) if at_x else None
+        if spec.domain_violation(x) is None:
+            return x
     stack = np.ndim(s) > 0
     for i, value in enumerate(np.ravel(s).tolist()):
-        violation = _curve_failure(kind, value) or spec.domain_violation(
-            family_x(spec, kind, float(value.real)) if at_x else None)
+        if kind not in ("theta", "x") or not is_real(value):
+            violation = f"dynamics runs along real theta or real x, got {kind} = {value}"
+        else:
+            violation = spec.domain_violation(
+                family_x(spec, kind, float(value.real)) if at_x else None)
         if violation is not None:
             raise DomainError(violation + (f" at index {i} of the stack" if stack else ""))
+    return x
 
 
 def exact_generators(spec: FamilySpec, kind: str, s) -> np.ndarray:
@@ -200,8 +208,8 @@ class _GeneratorJob(NamedTuple):
 
 def _generator_job(spec: FamilySpec, kind: str, s) -> _GeneratorJob:
     """R and dR/ds at s, a number or an array, on the weight rows of ``_coefficient_rows``,
-    read once, with every check but the rho floor run once on the whole array: the curve and
-    realness check, the domain check and the ``MAX_ENTRY`` bound."""
+    read once, with every check but the rho floor run once on the whole array: the gate
+    (``_gate``) and the ``MAX_ENTRY`` bound."""
     fam = spec.family
     stack = np.ndim(s) > 0
     values = np.ravel(s)
@@ -214,11 +222,7 @@ def _generator_job(spec: FamilySpec, kind: str, s) -> _GeneratorJob:
     def where(i: int) -> str:
         return f" at index {i} of the stack" if stack else ""
 
-    on_curve = kind in ("theta", "x") and is_real(values).all()
-    if on_curve:
-        x = family_x(spec, kind, values.real)
-    if not on_curve or spec.domain_violation(x) is not None:
-        _raise_first_off(spec, kind, s, at_x=True)
+    x = np.ravel(_gate(spec, kind, values if stack else s, at_x=True))  # a stack raveled
     s = values.real
     rows = _coefficient_rows(spec).reshape(-1, 8, 1)  # against every s
     a, b, *c = rows
@@ -276,19 +280,13 @@ def hamiltonian(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
 def hamiltonian_fd(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
     """H = i (dU/ds) U(s)^dag at the points ``hamiltonian`` takes, by Richardson-extrapolated
     central differences at step h = 1e-5, on weight rows: truncation O(h^4), rounding
-    about 1e-10. The point is decided as ``hamiltonian`` decides it: the curve and domain
-    checks at p alone, the five-point stencil through ``_unitaries``, and the curve's
-    unitarity left to the record's Hermiticity check."""
+    about 1e-10. The point is decided as ``hamiltonian`` decides it: the gate at p alone, the
+    five-point stencil through ``_unitaries``, and the curve's unitarity left to the
+    record's Hermiticity check."""
     kind = p.kind
-    failure = _curve_failure(kind, p.value)
-    if failure:
-        raise DomainError(failure)
+    _gate(spec, kind, p.value, at_x=True)
     stencil = p.value.real + FD_STENCIL  # about p's s0 on the curve s -> (kind, s)
-    x = family_x(spec, kind, stencil)
-    violation = spec.domain_violation(complex(x[0]))  # the point's own x
-    if violation is not None:
-        raise DomainError(violation)
-    u0, up, um, uph, umh = _unitaries(spec, kind, stencil, x).w.T
+    u0, up, um, uph, umh = _unitaries(spec, kind, stencil, family_x(spec, kind, stencil)).w.T
     du = (4.0 * (uph - umh) / FD_STEP - (up - um) / (2.0 * FD_STEP)) / 3.0
     k = weight_product(1j * du, dagger(WeightRows(u0)).w)
     return Hamiltonian(WeightRows(k).dense())
@@ -320,7 +318,7 @@ def six_vertex_hamiltonian_coth_variant(spec: FamilySpec, theta) -> np.ndarray:
 def hamiltonian_closed(spec: FamilySpec, theta) -> Hamiltonian:
     """Closed-form H(theta), in the variant confirmed by the exact derivative, at a number or
     an array of theta (a stack in its shape, one evaluation broadcast over it), after the
-    exact route's checks of theta and the spec (``_closed_gate``). A rho that overflows is a
+    gate of every route (``_gate``). A rho that overflows is a
     DomainError; a stack's error names its first failing theta by its index.
 
     For eight1 this is -(i/2) b(phi)^2 at every theta: the generator of the x
@@ -329,16 +327,8 @@ def hamiltonian_closed(spec: FamilySpec, theta) -> Hamiltonian:
     does not depend on theta and dx/dtheta = 1 + x^2 is 2 at x = 1
     (theta = pi/4).
     """
-    _closed_gate(spec, "theta", theta)
+    _gate(spec, "theta", theta, at_x=False)
     return Hamiltonian(_closed_form(spec, theta))
-
-
-def _closed_gate(spec: FamilySpec, kind: str, s) -> None:
-    """The closed forms' gate, before any arithmetic: ``_raise_first_off`` without x, run once
-    a check of all of s, real and finite, and the spec's kept (q, t) verdict has failed."""
-    real = is_real(s)
-    if not (real.all() if isinstance(real, np.ndarray) else real) or spec.domain_violation():
-        _raise_first_off(spec, kind, s, at_x=False)
 
 
 def _closed_form(spec: FamilySpec, theta) -> np.ndarray:
@@ -349,7 +339,7 @@ def _closed_form(spec: FamilySpec, theta) -> np.ndarray:
         return _six_vertex_closed(*_closed_constants(spec), theta)
     if fam is Family.EIGHT_I:
         h = np.empty((*np.shape(theta), 4, 4), dtype=complex)
-        h[...] = _eight1_generator(spec)
+        h[...] = _closed_constants(spec)
         return h
     # a rho that overflows, or takes inf * 0 at a huge t, is not finite and fails its check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -382,15 +372,19 @@ def _closed_form(spec: FamilySpec, theta) -> np.ndarray:
 
 
 def _closed_constants(spec: FamilySpec):
-    """The part of a six-vertex, eight2 or eight3 closed-form Hamiltonian that depends on the
-    spec alone, built on first use and kept, read-only, in the spec object's record
-    (``catalog.kept``): (sinh gamma, the table over cosh gamma) for the six-vertex families,
-    (t, the table) for eight2, with s z_of(t) in its middle block, and eight3, for a spec
-    past ``_closed_gate``. A six-vertex q at or below 0 raises each time (``gamma_of``)."""
+    """The part of an eight1, six-vertex, eight2 or eight3 closed-form Hamiltonian that
+    depends on the spec alone, built on first use and kept, read-only, in the spec object's
+    record (``catalog.kept``) under ``"closed"``: eight1's H_pm (``_bell_square``),
+    (sinh gamma, the table over cosh gamma) for the six-vertex families, and (t, the table)
+    for eight2, with s z_of(t) in its middle block, and eight3, for a spec past ``_gate``.
+    A six-vertex q at or below 0 raises each time (``gamma_of``)."""
     record = kept(spec)
-    if record.closed is None:
+    closed = record.get("closed")
+    if closed is None:
         fam = spec.family
-        if fam in SIX_VERTEX_FAMILIES:
+        if fam is Family.EIGHT_I:
+            closed = _read_only(_bell_square(spec))
+        elif fam in SIX_VERTEX_FAMILIES:
             g = spec.gamma
             closed = _six_vertex_table(g, fam is Family.SIX_STD, np.cosh(g))
         else:
@@ -401,8 +395,8 @@ def _closed_constants(spec: FamilySpec):
             else:  # eight3
                 table = [[0, 0, 0, q], [0, 0, s, 0], [0, s, 0, 0], [1 / q, 0, 0, 0]]
             closed = t, _read_only(table)
-        record.closed = closed
-    return record.closed
+        record["closed"] = closed
+    return closed
 
 
 def _read_only(table) -> np.ndarray:
@@ -414,21 +408,11 @@ def _read_only(table) -> np.ndarray:
 
 def eight1_x_hamiltonian(spec: FamilySpec, x: float) -> np.ndarray:
     """H(x) = -i b(phi)^2 / (1 + x^2): the eight1 generator along the real-x curve, after the
-    checks of ``hamiltonian_closed``'s gate at x."""
-    _closed_gate(spec, "x", x)
-    return 2.0 / (1.0 + x * x) * _eight1_generator(spec)
-
-
-def _eight1_generator(spec: FamilySpec | FamilySpecs) -> np.ndarray:
-    """H_pm = -(i/2) b_pm(phi)^2, the eight1 generator of the x curve at x = 1: a FamilySpec's
-    is built on first use and kept, read-only, in its record (``catalog.kept``); FamilySpecs
-    give the (n, 4, 4) stack."""
-    if not isinstance(spec, FamilySpec):
-        return _bell_square(spec)
-    record = kept(spec)
-    if record.generator is None:
-        record.generator = _read_only(_bell_square(spec))
-    return record.generator
+    checks of ``hamiltonian_closed``'s gate at x; another family's spec is a ValueError."""
+    if spec.family is not Family.EIGHT_I:
+        raise ValueError(f"the real-x Hamiltonian is specific to eight1, got {spec.family.value}")
+    _gate(spec, "x", x, at_x=False)
+    return 2.0 / (1.0 + x * x) * _closed_constants(spec)
 
 
 def _bell_square(spec: FamilySpec | FamilySpecs) -> np.ndarray:
@@ -462,6 +446,10 @@ def six_vertex_erratum_report(spec: FamilySpec, theta: float, exact: np.ndarray)
 
 
 PAULI_LABELS = "ixyz"
+#: the keys of the 16 Pauli products sigma_mu x sigma_nu in (mu, nu) order, and the products
+_PAULI_KEYS = [a + b for a, b in product(PAULI_LABELS, repeat=2)]
+_PAULI_BASIS = np.array([tensor(PAULI[a], PAULI[b]) for a, b in _PAULI_KEYS])
+_PAULI_BASIS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -476,32 +464,22 @@ class PauliDecomp:
 
     def reconstruct(self) -> np.ndarray:
         out = np.zeros((4, 4), dtype=complex)
-        for (mu, a), (nu, b) in product(enumerate(PAULI_LABELS), repeat=2):
-            out += self.coeffs[mu, nu] * tensor(PAULI[a], PAULI[b])
+        for c, p in zip(self.coeffs.ravel(), _PAULI_BASIS):
+            out += c * p
         return out
 
     def nonzero_keys(self, tol: float = 1e-12) -> list[str]:
-        keys = []
-        for (mu, a), (nu, b) in product(enumerate(PAULI_LABELS), repeat=2):
-            if abs(self.coeffs[mu, nu]) > tol:
-                keys.append(a + b)
-        return keys
+        return [key for key, c in zip(_PAULI_KEYS, self.coeffs.ravel()) if abs(c) > tol]
 
     def to_json(self) -> dict:
-        coeffs = {}
-        for (mu, a), (nu, b) in product(enumerate(PAULI_LABELS), repeat=2):
-            z = complex(self.coeffs[mu, nu])
-            coeffs[a + b] = [float(z.real), float(z.imag)]
-        return {"coeffs": coeffs}
+        return {"coeffs": {key: [float(z.real), float(z.imag)]
+                           for key, z in zip(_PAULI_KEYS, self.coeffs.ravel().tolist())}}
 
 
 def pauli_decompose(h: np.ndarray) -> PauliDecomp:
     """c_{mu nu} = Tr(H (sigma_mu x sigma_nu)) / 4; real for Hermitian H."""
     h = np.asarray(h, dtype=complex)
-    c = np.zeros((4, 4), dtype=complex)
-    for (mu, a), (nu, b) in product(enumerate(PAULI_LABELS), repeat=2):
-        c[mu, nu] = np.trace(h @ tensor(PAULI[a], PAULI[b])) / 4.0
-    return PauliDecomp(c)
+    return PauliDecomp(np.array([np.trace(h @ p) / 4.0 for p in _PAULI_BASIS]).reshape(4, 4))
 
 
 def evolve(h: Hamiltonian | np.ndarray, theta: float) -> np.ndarray:
@@ -522,6 +500,6 @@ def braiding_evolution_residual(spec: FamilySpec | FamilySpecs, theta):
     if spec.family is not Family.EIGHT_I:
         raise ValueError("the braiding evolution identity is specific to eight1")
     r_theta = _gauge_unitaries(spec, "theta", theta).dense()
-    h = _eight1_generator(spec)
+    h = _bell_square(spec)
     return frobenius(r_theta - expm_hermitian(h, -(np.pi / 2.0 - 2.0 * np.asarray(theta))))
 

@@ -650,7 +650,7 @@ def test_the_kept_coefficient_rows_are_read_only_and_bounded():
     spec = FamilySpec.eight4(t=1.6, q=np.exp(0.4j))
     rows = _coefficient_rows(spec)
     R_rows(spec, "x", [0.5, 0.7]).dense()  # an evaluation reads the kept rows as built
-    assert _coefficient_rows(spec) is rows and catalog.kept(spec).rows[None] is rows
+    assert _coefficient_rows(spec) is rows and catalog.kept(spec)["rows", None] is rows
     with pytest.raises(ValueError, match="read-only"):
         rows[0, 0] = 0
     with pytest.raises(ValueError, match="read-only"):
@@ -658,19 +658,15 @@ def test_the_kept_coefficient_rows_are_read_only_and_bounded():
     equal = FamilySpec.eight4(t=1.6, q=np.exp(0.4j))  # another object builds its own
     assert _coefficient_rows(equal) is not rows
     assert np.array_equal(_coefficient_rows(equal), rows)
-    assert spec.domain_violation() is None and catalog.kept(spec).verdict is None
+    assert spec.domain_violation() is None and catalog.kept(spec)["verdict"] is None
     # eight1's H_pm and the closed forms' tables sit beside the rows, read-only as well
     for other, theta in ((FamilySpec.eight1(phi=0.3), 0.2), (FamilySpec.six_std(gamma=0.4), 0.3),
                          (FamilySpec.eight2(t=1.7, q=np.exp(0.2j)), 0.4),
                          (FamilySpec.eight3(t=-2.1, q=np.exp(-0.9j)), 0.5)):
         h = dynamics.hamiltonian_closed(other, theta).matrix
-        record = catalog.kept(other)
-        if other.family is Family.EIGHT_I:
-            table = record.generator
-            assert dynamics._eight1_generator(other) is table and record.closed is None
-        else:
-            table = record.closed[1]
-            assert dynamics._closed_constants(other) is record.closed and record.generator is None
+        closed = catalog.kept(other)["closed"]
+        assert dynamics._closed_constants(other) is closed
+        table = closed if other.family is Family.EIGHT_I else closed[1]
         assert table.shape == (4, 4)
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0
@@ -680,14 +676,19 @@ def test_the_kept_coefficient_rows_are_read_only_and_bounded():
     zero, negative_zero = FamilySpec.eight4(t=0.0), FamilySpec.eight4(t=-0.0)
     assert zero == negative_zero and catalog.kept(zero) is not catalog.kept(negative_zero)
     assert (_coefficient_rows(zero).tobytes() != _coefficient_rows(negative_zero).tobytes())
-    # the records of a bounded number of spec objects are kept, however many a caller keeps
-    record, kept_rows = weakref.ref(catalog.kept(spec)), weakref.ref(rows)
+    # the records of a bounded number of spec objects are kept, however many a caller keeps,
+    # and those used last stay: a spec read again after each newer one keeps its rows
+    kept_rows = weakref.ref(rows)
     del rows
+    read = FamilySpec.six_std(gamma=0.4)
+    read_rows = _coefficient_rows(read)
     others = [FamilySpec.eight4(t=1.6, q=np.exp(0.4j)) for _ in range(catalog.KEPT_SPECS)]
     for other in others:
         _coefficient_rows(other)
-    assert record() is None and kept_rows() is None and spec is not None
-    assert len(catalog._KEPT) == catalog.KEPT_SPECS
+        assert _coefficient_rows(read) is read_rows
+    assert kept_rows() is None and spec is not None
+    info = catalog._record.cache_info()
+    assert info.currsize == info.maxsize == catalog.KEPT_SPECS
 
 
 def test_every_sign_mutant_of_the_display_fails_criterion_3(monkeypatch):

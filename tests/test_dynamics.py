@@ -211,6 +211,76 @@ def test_the_eight1_x_generator_refuses_a_value_off_the_real_line(x):
         eight1_x_hamiltonian(FamilySpec.eight1(phi=0.9), x)
 
 
+@pytest.mark.parametrize("spec", [FamilySpec.six_std(gamma=0.3), THETA_FAMILIES[2],
+                                  FamilySpec.bell(phi=0.3)], ids=lambda s: s.family.value)
+def test_the_eight1_x_generator_refuses_another_family(spec):
+    # eight1's formula at another family's q is no generator of that family: a six-std spec
+    # at x = 0.5 would give a matrix that is not Hermitian, with no error
+    with pytest.raises(ValueError) as err:
+        eight1_x_hamiltonian(spec, 0.5)
+    assert str(err.value) == ("the real-x Hamiltonian is specific to eight1, "
+                              f"got {spec.family.value}")
+
+
+_ON, _OFF = THETA_FAMILIES[2], FamilySpec.eight2(t=1.7, q=1.2, sign=Sign.MINUS)
+_E1, _E1_OFF = FamilySpec.eight1(phi=0.9), FamilySpec.eight1(q=1.2)
+_BAD = np.array([0.3, 0.5, np.nan, 0.2 + 0.1j])  # the first failing value is at index 2
+_CURVE = "dynamics runs along real theta or real x, got "
+_Q = "unitarity needs |q| = 1, got |q| = 1.2"
+_STACK, _JOB = " at index {} of the stack", ", in job {} (eight2) of the generator pass"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: hamiltonian(_ON, SpectralPoint.from_u(0.3)), _CURVE + "u = (0.3+0j)"),
+    (lambda: hamiltonian(_ON, SpectralPoint("theta", 0.3 + 0.1j)), _CURVE + "theta = (0.3+0.1j)"),
+    (lambda: hamiltonian(_OFF, TH(0.3)), "eight2 " + _Q),
+    (lambda: hamiltonian_fd(_ON, SpectralPoint.from_u(0.3)), _CURVE + "u = (0.3+0j)"),
+    (lambda: hamiltonian_fd(_ON, SpectralPoint("theta", 0.3 + 0.1j)),
+     _CURVE + "theta = (0.3+0.1j)"),
+    (lambda: hamiltonian_fd(_OFF, TH(0.3)), "eight2 " + _Q),
+    (lambda: dynamics.exact_generators(_ON, "u", 0.3), _CURVE + "u = 0.3"),
+    (lambda: dynamics.exact_generators(_ON, "theta", 0.3 + 0.1j), _CURVE + "theta = (0.3+0.1j)"),
+    (lambda: dynamics.exact_generators(_ON, "theta", np.nan), _CURVE + "theta = nan"),
+    (lambda: dynamics.exact_generators(_OFF, "theta", 0.3), "eight2 " + _Q),
+    (lambda: dynamics.exact_generators(_ON, "theta", _BAD),
+     _CURVE + "theta = (nan+0j)" + _STACK.format(2)),
+    (lambda: dynamics.exact_generators(_OFF, "theta", np.array([0.3, 0.5])),
+     "eight2 " + _Q + _STACK.format(0)),
+    (lambda: dynamics.exact_generators(_ON, "x", np.array([1.0, 0.5])),
+     "eight2 unitarity needs |x| = 1, got |x| = 0.5" + _STACK.format(1)),
+    (lambda: dynamics.generator_pass([(_ON, "theta", 0.3), (_ON, "u", 0.3)]),
+     _CURVE + "u = 0.3" + _JOB.format(1)),
+    (lambda: dynamics.generator_pass([(_ON, "theta", 0.3 + 0.1j)]),
+     _CURVE + "theta = (0.3+0.1j)" + _JOB.format(0)),
+    (lambda: dynamics.generator_pass([(_E1, "x", 1.0), (_ON, "theta", np.nan)]),
+     _CURVE + "theta = nan" + _JOB.format(1)),
+    (lambda: dynamics.generator_pass([(_OFF, "theta", 0.3)]), "eight2 " + _Q + _JOB.format(0)),
+    (lambda: dynamics.generator_pass([(_E1, "x", 1.0), (_ON, "theta", _BAD)]),
+     _CURVE + "theta = (nan+0j)" + _STACK.format(2) + _JOB.format(1)),
+    (lambda: hamiltonian_closed(_ON, 0.3 + 0.1j), _CURVE + "theta = (0.3+0.1j)"),
+    (lambda: hamiltonian_closed(_ON, np.nan), _CURVE + "theta = nan"),
+    (lambda: hamiltonian_closed(_OFF, 0.3), "eight2 " + _Q),
+    (lambda: hamiltonian_closed(_ON, _BAD), _CURVE + "theta = (nan+0j)" + _STACK.format(2)),
+    (lambda: hamiltonian_closed(_OFF, np.array([0.3, 0.5])), "eight2 " + _Q + _STACK.format(0)),
+    (lambda: eight1_x_hamiltonian(_E1, 0.5 + 0.1j), _CURVE + "x = (0.5+0.1j)"),
+    (lambda: eight1_x_hamiltonian(_E1, np.nan), _CURVE + "x = nan"),
+    (lambda: eight1_x_hamiltonian(_E1_OFF, 0.5), "eight1 " + _Q),
+    (lambda: eight1_x_hamiltonian(_E1, np.array([0.5, np.inf])),
+     _CURVE + "x = inf" + _STACK.format(1)),
+], ids=["hamiltonian-u", "hamiltonian-complex", "hamiltonian-q", "fd-u", "fd-complex", "fd-q",
+        "exact-u", "exact-complex", "exact-nan", "exact-q", "exact-stack", "exact-stack-q",
+        "exact-stack-x", "pass-u", "pass-complex", "pass-nan", "pass-q", "pass-stack",
+        "closed-complex", "closed-nan", "closed-q", "closed-stack", "closed-stack-q",
+        "x-complex", "x-nan", "x-q", "x-stack"])
+def test_every_route_gives_each_refusal_its_message(call, message):
+    # one gate for every route: the same value or spec is refused in the same words, a stack
+    # naming its first failing value by index and a pass its failing job (a NaN point is
+    # refused by SpectralPoint before any route sees it)
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_evolve_accepts_every_fd_record_of_a_seeded_draw():
     # the record and expm_hermitian check at one tolerance, HERM_TOL, so what the record
     # accepts evolves: the FD records' rounding defects reach 1.6e-10 of their norm here
