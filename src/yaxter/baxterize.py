@@ -42,7 +42,7 @@ import numpy as np
 from .catalog import (EIGHT_VERTEX_FAMILIES, SIX_VERTEX_FAMILIES, THREE_EIGENVALUE_FAMILIES,
                       DomainError, Family, FamilySpec, FamilySpecs, _braid_table, _eigenvalues,
                       _first_failure, build_b, eigenvalues_of, kept, z_of)
-from .linalg import WeightRows, cmat, inverse, pattern_rows, require_two_eigenvalues
+from .linalg import WeightRows, cmat, inverse, pattern_rows, require_two_eigenvalues, scatter
 
 
 class ThetaConvention(str, enum.Enum):
@@ -247,21 +247,29 @@ def _check_ordering(fam: Family, ordering: EigOrdering | None) -> None:
 
 def build_R(spec: FamilySpec, p: SpectralPoint, ordering: EigOrdering | None = None,
             form: str = "canonical") -> np.ndarray:
-    """The family's R-matrix at spectral point p: ``R_weights`` as a dense 4x4 matrix.
-    ``ordering``: eight3 takes first (default) or second, eight4 third (default).
-    ``form="g"`` selects the eight4 view with the middle block scaled by g = g2/g1."""
-    return WeightRows(R_weights(spec, p, ordering, form)).dense()
+    """The family's R-matrix at spectral point p: ``R_weights`` as a dense 4x4 matrix
+    (``linalg.scatter``). ``ordering``: eight3 takes first (default) or second, eight4
+    third (default). ``form="g"`` selects the eight4 view with the middle block scaled by
+    g = g2/g1."""
+    return scatter(R_weights(spec, p, ordering, form))
 
 
 def R_weights(spec: FamilySpec, p: SpectralPoint, ordering: EigOrdering | None = None,
               form: str = "canonical") -> np.ndarray:
-    """The (8,) weight rows of ``build_R``: ``R_rows`` at the one point, under one finiteness
-    check of its eight weights, decided on Python numbers (``cmath.isfinite``), which for
-    eight numbers costs a third of one numpy pass. The point's value is finite, as every
-    SpectralPoint's is, so ``R_rows``' check of it is not repeated; it enters as R_rows
-    takes it, a 0-d array."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-        w = _finite_rows(spec, p.kind, np.asarray(p.value), ordering, form)
+    """The (8,) weight rows of ``build_R``: ``_point_weights`` at p's view and value."""
+    return _point_weights(spec, p.kind, p.value, ordering, form)
+
+
+def _point_weights(spec: FamilySpec, kind: str, value: complex,
+                   ordering: EigOrdering | None = None, form: str = "canonical") -> np.ndarray:
+    """The one read of R at one point, of ``R_weights`` and of ``entangle.classify`` at a
+    point's x: ``R_rows`` at the finite ``kind`` value, under one finiteness check of its
+    eight weights, decided on Python numbers (``cmath.isfinite``), which for eight numbers
+    costs a third of one numpy pass. The value is taken as finite, as every SpectralPoint's
+    is, so ``R_rows``' check of it is not repeated; it enters as R_rows takes it, a 0-d
+    array. An infinite x, which classify's can be at a u next to the pole u = -1, gives
+    weights that are not finite, and the check refuses them."""
+    w = _overflowing_rows(spec, kind, np.asarray(value), ordering, form)
     if not all(map(cmath.isfinite, w.tolist())):
         raise ValueError("matrix entries must be finite")
     return w
@@ -358,6 +366,11 @@ def _finite_rows(spec: FamilySpec | FamilySpecs, kind: str, values: np.ndarray,
     if form == "g" and spec.family is Family.EIGHT_IV:  # the g form is the canonical one over g1
         scale = scale / g_factors(spec, x)[0]
     return _rows_at(spec, x, scale, ordering)
+
+
+#: ``_finite_rows`` with overflow and invalid values unreported: they fail the finiteness
+#: check of ``_point_weights``
+_overflowing_rows = np.errstate(over="ignore", invalid="ignore")(_finite_rows)
 
 
 def _rows_at(spec: FamilySpec | FamilySpecs, x, scale, ordering: EigOrdering | None = None):

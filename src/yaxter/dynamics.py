@@ -35,8 +35,14 @@ matrix alone; its check at ``linalg.HERM_TOL`` is every route's one Hermiticity 
 ``hamiltonian_fd`` takes central differences instead, as a cross-check, and decides its
 point as ``hamiltonian`` does: the gate at the point alone, and the curve's unitarity left
 to the Hermiticity check. Its five-point stencil of gauge unitaries, R in the dynamics
-gauge over sqrt(rho) with rho = tr(R R^dag)/4 measured as the pass measures it, stays
-weight rows, and i dU U^dag is ``weight_product`` on them, scattered once.
+gauge over sqrt(rho) with rho = tr(R R^dag)/4 measured as the pass measures it, is built
+as weight rows; the Richardson difference and i dU U^dag then run on its eight weights as
+Python numbers, block by block, and ``linalg.scatter`` writes H once.
+Where an overflow must reach the check that refuses it, ``np.errstate`` decorates the
+function whose body it covers (``_measured_rows``, ``_curve_rows``, ``_eight_vertex_closed``).
+``evolve`` takes a ``Hamiltonian`` record straight to the eigendecomposition
+(``linalg.expm_checked``), for the record passed its check when it was made; a raw matrix
+is checked there.
 
 For eight1 the evolution is generated by the time-independent
 
@@ -60,8 +66,9 @@ from .baxterize import (FAMILY_THETA_CONVENTION, SpectralPoint, ThetaConvention,
 from .catalog import (RHO_FLOOR, SIX_VERTEX_FAMILIES, DomainError, Family, FamilySpec,
                       FamilySpecs, braid_matrix, finite_rho, is_real, kept, z_of)
 from .gates import PAULI, tensor
-from .linalg import (HERM_TOL, MAX_ENTRY, WeightRows, dagger, expm_hermitian, frobenius,
-                     identity, pattern_stack, require_hermitian, weight_product)
+from .linalg import (HERM_TOL, MAX_ENTRY, WeightRows, block_product, dagger, expm_checked,
+                     expm_hermitian, frobenius, identity, pattern_stack, require_hermitian,
+                     scatter, weight_product)
 from .verify import worst
 
 I4 = identity(4)
@@ -71,6 +78,9 @@ HALF_SHIFT, FULL_SHIFT = -0.5 * I4, -I4
 FD_STEP = 1e-5
 FD_STENCIL = np.array([0.0, FD_STEP, -FD_STEP, FD_STEP / 2, -FD_STEP / 2])
 FD_STENCIL.flags.writeable = False
+#: i dU/ds = (4 D(h/2) - D(h)) / 3 for D(h) = (U(s0 + h) - U(s0 - h)) / 2h, times i: the
+#: factors of the differences over the inner and the outer pair of the stencil
+_RICHARDSON = 4j / (3.0 * FD_STEP), 1j / (6.0 * FD_STEP)
 
 
 @dataclass(frozen=True)
@@ -108,10 +118,15 @@ def _unitaries(spec: FamilySpec | FamilySpecs, kind: str, values, x) -> WeightRo
     scale = gauge(spec, kind, values)
     if spec.family in SIX_VERTEX_FAMILIES:
         scale = scale / reference_gauge(spec, kind, values, x)
-    with np.errstate(over="ignore", invalid="ignore"):  # a rho that overflows fails in _rho
-        r = _rows_at(spec, x, scale)
-        rho = _rho(r, lambda k: f"{kind} = {np.broadcast_to(values, r.shape[1:]).flat[k]:.6g}")
+    r, rho = _measured_rows(spec, kind, values, x, scale)
     return WeightRows(r / np.sqrt(rho))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a rho that overflows fails in _rho
+def _measured_rows(spec: FamilySpec | FamilySpecs, kind: str, values, x, scale):
+    """The rows of ``_unitaries`` before the division, and their rho (``_rho``)."""
+    r = _rows_at(spec, x, scale)
+    return r, _rho(r, lambda k: f"{kind} = {np.broadcast_to(values, r.shape[1:]).flat[k]:.6g}")
 
 
 def _rho(r: np.ndarray, name: Callable[[int], str]):
@@ -223,17 +238,8 @@ def _generator_job(spec: FamilySpec, kind: str, s) -> _GeneratorJob:
         return f" at index {i} of the stack" if stack else ""
 
     x = np.ravel(_gate(spec, kind, values if stack else s, at_x=True))  # a stack raveled
-    s = values.real
     rows = _coefficient_rows(spec).reshape(-1, 8, 1)  # against every s
-    a, b, *c = rows
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the bound below
-        r = _polynomial(rows, x, gauge(spec, kind, s))
-        if kind == "theta" and fam is Family.EIGHT_I:  # R = cos(s) (A + B tan(s)) / sqrt(2)
-            dr = (b * np.cos(s) - a * np.sin(s)) / np.sqrt(2)
-        else:
-            half = FAMILY_THETA_CONVENTION.get(fam) is ThetaConvention.HALF
-            dxds = 1.0 if kind == "x" else (2j if half else 1j) * x
-            dr = (b + 2.0 * c[0] * x if c else b) * dxds
+    r, dr = _curve_rows(spec, kind, values.real, x, rows)
     peak = np.maximum(abs(r).max(axis=0), abs(dr).max(axis=0))  # dR may be one row against all s
     ok = peak <= MAX_ENTRY
     if not ok.all():
@@ -244,6 +250,22 @@ def _generator_job(spec: FamilySpec, kind: str, s) -> _GeneratorJob:
     omega = 1.0 if fam in SIX_VERTEX_FAMILIES else 0.0
     return _GeneratorJob(r, np.broadcast_to(dr, r.shape), omega,
                          lambda i: f"{point(i)}{where(i)}")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails _generator_job's bound
+def _curve_rows(spec: FamilySpec, kind: str, s: np.ndarray, x: np.ndarray, rows: np.ndarray):
+    """R and dR/ds at the (n,) real curve values s, with x at each, as (8, n) weight rows
+    (dR/ds may be one row against every s), from the (k, 8, 1) coefficient rows."""
+    fam = spec.family
+    a, b, *c = rows
+    r = _polynomial(rows, x, gauge(spec, kind, s))
+    if kind == "theta" and fam is Family.EIGHT_I:  # R = cos(s) (A + B tan(s)) / sqrt(2)
+        dr = (b * np.cos(s) - a * np.sin(s)) / np.sqrt(2)
+    else:
+        half = FAMILY_THETA_CONVENTION.get(fam) is ThetaConvention.HALF
+        dxds = 1.0 if kind == "x" else (2j if half else 1j) * x
+        dr = (b + 2.0 * c[0] * x if c else b) * dxds
+    return r, dr
 
 
 def _pass(jobs: list, name: Callable[[int], str]) -> np.ndarray:
@@ -279,17 +301,23 @@ def hamiltonian(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
 
 def hamiltonian_fd(spec: FamilySpec, p: SpectralPoint) -> Hamiltonian:
     """H = i (dU/ds) U(s)^dag at the points ``hamiltonian`` takes, by Richardson-extrapolated
-    central differences at step h = 1e-5, on weight rows: truncation O(h^4), rounding
-    about 1e-10. The point is decided as ``hamiltonian`` decides it: the gate at p alone, the
-    five-point stencil through ``_unitaries``, and the curve's unitarity left to the
-    record's Hermiticity check."""
+    central differences at step h = 1e-5: truncation O(h^4), rounding about 1e-10. The point
+    is decided as ``hamiltonian`` decides it: the gate at p alone, the five-point stencil
+    through ``_unitaries``, and the curve's unitarity left to the record's Hermiticity check.
+    The difference and i dU U^dag run on the stencil's eight weights as Python numbers,
+    block by block (``linalg.block_product``), and ``linalg.scatter`` writes H once."""
     kind = p.kind
     _gate(spec, kind, p.value, at_x=True)
     stencil = p.value.real + FD_STENCIL  # about p's s0 on the curve s -> (kind, s)
-    u0, up, um, uph, umh = _unitaries(spec, kind, stencil, family_x(spec, kind, stencil)).w.T
-    du = (4.0 * (uph - umh) / FD_STEP - (up - um) / (2.0 * FD_STEP)) / 3.0
-    k = weight_product(1j * du, dagger(WeightRows(u0)).w)
-    return Hamiltonian(WeightRows(k).dense())
+    rows = _unitaries(spec, kind, stencil, family_x(spec, kind, stencil)).w.tolist()
+    inner, outer = _RICHARDSON
+    idu = [(uph - umh) * inner - (up - um) * outer for _, up, um, uph, umh in rows]
+    u0 = [row[0].conjugate() for row in rows]
+    k = [0j] * 8
+    for block in (0, 1):  # the outer block at the even places, the inner at the odd
+        e, f, g, h = u0[block::2]
+        k[block::2] = block_product(idu[block::2], (e, g, f, h))  # i dU U0^dag
+    return Hamiltonian(scatter(k))
 
 
 def _six_vertex_table(gamma: float, standard: bool, corner):
@@ -317,9 +345,9 @@ def six_vertex_hamiltonian_coth_variant(spec: FamilySpec, theta) -> np.ndarray:
 
 def hamiltonian_closed(spec: FamilySpec, theta) -> Hamiltonian:
     """Closed-form H(theta), in the variant confirmed by the exact derivative, at a number or
-    an array of theta (a stack in its shape, one evaluation broadcast over it), after the
-    gate of every route (``_gate``). A rho that overflows is a
-    DomainError; a stack's error names its first failing theta by its index.
+    an array of theta (a stack in its shape, one evaluation broadcast over it; a list or a
+    tuple is the array it holds), after the gate of every route (``_gate``). A rho that
+    overflows is a DomainError; a stack's error names its first failing theta by its index.
 
     For eight1 this is -(i/2) b(phi)^2 at every theta: the generator of the x
     curve at x = 1. ``hamiltonian`` at a theta point differentiates the theta
@@ -327,8 +355,15 @@ def hamiltonian_closed(spec: FamilySpec, theta) -> Hamiltonian:
     does not depend on theta and dx/dtheta = 1 + x^2 is 2 at x = 1
     (theta = pi/4).
     """
+    theta = _values(theta)
     _gate(spec, "theta", theta, at_x=False)
     return Hamiltonian(_closed_form(spec, theta))
+
+
+def _values(s):
+    """s as the closed forms take it: a list or a tuple as the array it holds, a number or an
+    array as it is."""
+    return np.asarray(s) if isinstance(s, (list, tuple)) else s
 
 
 def _closed_form(spec: FamilySpec, theta) -> np.ndarray:
@@ -341,34 +376,38 @@ def _closed_form(spec: FamilySpec, theta) -> np.ndarray:
         h = np.empty((*np.shape(theta), 4, 4), dtype=complex)
         h[...] = _closed_constants(spec)
         return h
-    # a rho that overflows, or takes inf * 0 at a huge t, is not finite and fails its check
-    with np.errstate(over="ignore", invalid="ignore"):
-        if fam is Family.EIGHT_II:
-            t, table = _closed_constants(spec)
-            sn = np.sin(theta / 2.0)
-            rho = finite_rho(4.0 + 4.0 * ((t - 1.0) * (t - 1.0)) * (sn * sn))
-            return pattern_stack(2.0 / rho, table, HALF_SHIFT)
-        if fam is Family.EIGHT_III:
-            t, table = _closed_constants(spec)
-            sn = np.sin(theta / 2.0)
-            rho = finite_rho(4.0 + 4.0 * (t * t - 1.0) * (sn * sn))
-            return pattern_stack(2.0 * t / rho, table, HALF_SHIFT)
-        if fam is Family.EIGHT_IV:
-            t = complex(spec.t)  # the domain allows imaginary t, the closed form does not
-            if not is_real(t) or abs(t.real) < 1e-12:
-                raise DomainError("eight4 closed form needs real nonzero t")
-            t = t.real
-            q, s = complex(spec.q), spec.sign.factor
-            g1, g2 = g_factors(spec, np.exp(1j * theta))
-            # |g|^2 from hypot, as Python's abs rounds it; numpy's complex abs rounds apart
-            h1, h2 = np.hypot(g1.real, g1.imag), np.hypot(g2.real, g2.imag)
-            a1, a2 = h1 * h1, h2 * h2
-            rho = finite_rho(a1 * a2)
-            q = np.complex128(q)  # a numpy scalar divides by a Python complex on a slow path
-            return pattern_stack(2.0 * t / rho, [[a2, 0, 0, q * a1], [0, a1, s * a2, 0],
-                                                 [0, s * a2, a1, 0], [a1 / q, 0, 0, a2]],
-                                 FULL_SHIFT)
+    if fam in (Family.EIGHT_II, Family.EIGHT_III, Family.EIGHT_IV):
+        return _eight_vertex_closed(spec, theta)
     raise ValueError(f"no closed-form Hamiltonian for {fam.value}")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a rho at inf, or inf * 0, fails finite_rho
+def _eight_vertex_closed(spec: FamilySpec, theta) -> np.ndarray:
+    """``_closed_form`` of eight2, eight3 and eight4."""
+    fam = spec.family
+    if fam is Family.EIGHT_II:
+        t, table = _closed_constants(spec)
+        sn = np.sin(theta / 2.0)
+        rho = finite_rho(4.0 + 4.0 * ((t - 1.0) * (t - 1.0)) * (sn * sn))
+        return pattern_stack(2.0 / rho, table, HALF_SHIFT)
+    if fam is Family.EIGHT_III:
+        t, table = _closed_constants(spec)
+        sn = np.sin(theta / 2.0)
+        rho = finite_rho(4.0 + 4.0 * (t * t - 1.0) * (sn * sn))
+        return pattern_stack(2.0 * t / rho, table, HALF_SHIFT)
+    t = complex(spec.t)  # eight4: the domain allows imaginary t, the closed form does not
+    if not is_real(t) or abs(t.real) < 1e-12:
+        raise DomainError("eight4 closed form needs real nonzero t")
+    t = t.real
+    q, s = complex(spec.q), spec.sign.factor
+    g1, g2 = g_factors(spec, np.exp(1j * theta))
+    # |g|^2 from hypot, as Python's abs rounds it; numpy's complex abs rounds apart
+    h1, h2 = np.hypot(g1.real, g1.imag), np.hypot(g2.real, g2.imag)
+    a1, a2 = h1 * h1, h2 * h2
+    rho = finite_rho(a1 * a2)
+    q = np.complex128(q)  # a numpy scalar divides by a Python complex on a slow path
+    return pattern_stack(2.0 * t / rho, [[a2, 0, 0, q * a1], [0, a1, s * a2, 0],
+                                         [0, s * a2, a1, 0], [a1 / q, 0, 0, a2]], FULL_SHIFT)
 
 
 def _closed_constants(spec: FamilySpec):
@@ -406,13 +445,18 @@ def _read_only(table) -> np.ndarray:
     return a
 
 
-def eight1_x_hamiltonian(spec: FamilySpec, x: float) -> np.ndarray:
-    """H(x) = -i b(phi)^2 / (1 + x^2): the eight1 generator along the real-x curve, after the
-    checks of ``hamiltonian_closed``'s gate at x; another family's spec is a ValueError."""
+def eight1_x_hamiltonian(spec: FamilySpec, x) -> np.ndarray:
+    """H(x) = -i b(phi)^2 / (1 + x^2): the eight1 generator along the real-x curve at a number
+    or an array of x (a stack in its shape), after the checks of ``hamiltonian_closed``'s gate
+    at x; another family's spec is a ValueError."""
     if spec.family is not Family.EIGHT_I:
         raise ValueError(f"the real-x Hamiltonian is specific to eight1, got {spec.family.value}")
+    x = _values(x)
     _gate(spec, "x", x, at_x=False)
-    return 2.0 / (1.0 + x * x) * _closed_constants(spec)
+    scale = 2.0 / (1.0 + x * x)
+    if isinstance(scale, np.ndarray):  # one scale per x, against the 4x4 constant
+        scale = scale[..., None, None]
+    return scale * _closed_constants(spec)
 
 
 def _bell_square(spec: FamilySpec | FamilySpecs) -> np.ndarray:
@@ -483,9 +527,12 @@ def pauli_decompose(h: np.ndarray) -> PauliDecomp:
 
 
 def evolve(h: Hamiltonian | np.ndarray, theta: float) -> np.ndarray:
-    """U(theta) = exp(-i H theta)."""
-    hmat = h.matrix if isinstance(h, Hamiltonian) else np.asarray(h, dtype=complex)
-    return expm_hermitian(hmat, theta)
+    """U(theta) = exp(-i H theta). A ``Hamiltonian`` record passed its Hermiticity check when
+    it was made, so it goes straight to ``expm_checked``; a raw matrix is checked by
+    ``expm_hermitian``."""
+    if isinstance(h, Hamiltonian):
+        return expm_checked(h.matrix, theta)
+    return expm_hermitian(h, theta)
 
 
 def braiding_evolution_residual(spec: FamilySpec | FamilySpecs, theta):

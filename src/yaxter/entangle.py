@@ -17,8 +17,9 @@ With A = a0 b0, B = a1 b1, C = a0 b1 and D = a1 b0, the form is the quartic
 (AB = CD), which it evaluates at the nine grid states from R's eight weights on
 Python numbers; the grid state with the largest |Det| is both the decision and
 the witness. ``classify`` reads R's weights once, as Python numbers from its
-rows (``baxterize.R_weights``), for the witness and for its singularity guard
-det R = det O det I; it scatters R to a dense matrix only for a witness's Det.
+rows (``baxterize.R_weights``, or at the point's x its shared reader), for the witness and
+for its singularity guard det R = det O det I; it scatters R to a dense matrix
+(``linalg.scatter``) only for a witness's Det.
 
 Closed-form determinants after one application of an R-matrix are provided
 per family in the family's rational (u) gauge, and in the trigonometric
@@ -34,9 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baxterize import R_weights, SpectralPoint, _u_gauge, family_x, reference_gauge, x_to_u
+from .baxterize import (R_weights, SpectralPoint, _point_weights, _u_gauge, family_x,
+                        reference_gauge, x_to_u)
 from .catalog import SIX_VERTEX_FAMILIES, Family, FamilySpec
-from .linalg import SingularMatrixError, WeightRows, require_invertible, weights
+from .linalg import SingularMatrixError, require_invertible, scatter, weights
 
 ENTANGLING_TOL = 1e-8
 
@@ -70,12 +72,17 @@ def apply(r: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.asarray(r, dtype=complex) @ np.asarray(psi, dtype=complex)
 
 
+#: the amplitudes of Det's two products: (a00, a01) times (a11, a10)
+_DET_LEFT, _DET_RIGHT = np.array([0, 1]), np.array([3, 2])
+
+
 def concurrence_det(psi: np.ndarray):
     """Det(A) = a00 a11 - a01 a10; scale-covariant: Det(l psi) = l^2 Det(psi). A (..., 4)
-    stack of states gives one Det per state."""
+    stack of states gives one Det per state, one state a complex: one body, two gathers and
+    one product."""
     psi = np.asarray(psi)
-    det = psi[..., 0] * psi[..., 3] - psi[..., 1] * psi[..., 2]
-    return det if det.ndim else complex(det)
+    products = psi.take(_DET_LEFT, -1) * psi.take(_DET_RIGHT, -1)
+    return products[..., 0] - products[..., 1]
 
 
 def brylinski_witness(r, tol: float = ENTANGLING_TOL) -> np.ndarray | None:
@@ -122,16 +129,17 @@ def classification_gauge_R(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
     """The gauge of the closed-form determinants below: ``build_R`` over the trigonometric
     gauge for the six-vertex families, else ``build_R`` at the point's x times the u view's
     gauge at that x. x = -1, where the u view does not exist, is a DomainError."""
-    return WeightRows(_classification_weights(spec, p)).dense()
+    return scatter(_classification_weights(spec, p))
 
 
 def _classification_weights(spec: FamilySpec, p: SpectralPoint) -> np.ndarray:
     """The (8,) weight rows of ``classification_gauge_R``: ``R_weights``, under its
-    finiteness check, times the gauge."""
+    finiteness check, times the gauge; off the six-vertex families R at the point's x, read
+    by R_weights' reader (``baxterize._point_weights``) with no second SpectralPoint."""
     if spec.family in SIX_VERTEX_FAMILIES:
         return R_weights(spec, p) / reference_gauge(spec, p.kind, p.value)
     x = family_x(spec, p.kind, p.value)
-    return _u_gauge(spec, x) * R_weights(spec, p if p.kind == "x" else SpectralPoint.from_x(x))
+    return _u_gauge(spec, x) * _point_weights(spec, "x", x)
 
 
 def classify(
@@ -163,8 +171,8 @@ def classify(
     witness = brylinski_witness(w, tol)
     if witness is None:
         return ClassificationResult(Classification.NOT_ENTANGLING, None, 0j)
-    r = WeightRows(rows).dense()
-    return ClassificationResult(Classification.ENTANGLING, witness, concurrence_det(r @ witness))
+    return ClassificationResult(Classification.ENTANGLING, witness,
+                                concurrence_det(scatter(rows) @ witness))
 
 
 def det_b_closed(spec: FamilySpec, p: SpectralPoint, psi: np.ndarray):

@@ -5,8 +5,10 @@ numpy ``complex128`` arrays, row-major, in the computational basis order
 |00>, |01>, |10>, |11| (first tensor factor = control/left strand).
 ``dagger``, ``frobenius``, ``require_hermitian`` and ``expm_hermitian`` also take
 (..., n, n) stacks and work matrix by matrix; ``require_hermitian`` decides one matrix on
-Python floats (the bench ``sweep`` op pays 12-19 % more CPU time on stacks of one).
-``HERM_TOL`` is the one Hermiticity tolerance, of ``expm_hermitian`` and ``dynamics.Hamiltonian``.
+Python floats and returns on a pass right after its two ``vdot`` (the bench ``sweep`` op
+pays 12-19 % more CPU time on stacks of one), with the stack's verdict and error text.
+``HERM_TOL`` is the one Hermiticity tolerance, of ``expm_hermitian`` and ``dynamics.Hamiltonian``;
+``expm_checked`` is ``expm_hermitian`` after its check, for an H that passed it already.
 ``cmat`` builds one matrix under one finiteness check.
 ``require_invertible`` is the scale-aware singularity guard of ``inverse``, for a
 check that needs no inverse; it also takes the eight weights of one eight-vertex matrix.
@@ -23,7 +25,8 @@ writes one. The kernels take one dense 4x4 matrix, gathered and checked by ``wei
 eight Python numbers (the ``sweep`` op pays 25-33 % more for a stack of one), or
 ``WeightRows``: ``strand_gap``, the braid and QYBE kernel, computes only the entries the
 weights reach, and ``block_product``, ``weight_product`` and ``defect`` multiply such
-matrices block by block.
+matrices block by block. ``scatter`` writes one matrix's eight weights, an (8,) row or
+Python numbers, to a dense 4x4 matrix, as ``dense`` writes a stack.
 
 The JSON wire format for a matrix, shared by the whole package and the CLI, is
 
@@ -329,6 +332,21 @@ def weights(kernel: str, names, *matrices) -> list:
     return reads
 
 
+#: the zero 4x4 matrix, flat, into a copy of which ``scatter`` writes
+_ZERO = np.zeros(16, dtype=complex)
+_ZERO.flags.writeable = False
+
+
+def scatter(w) -> np.ndarray:
+    """The dense 4x4 matrix of one eight-vertex matrix's eight weights in the block order of
+    ``_WEIGHTS``, a sequence of numbers as ``weights`` reads them or an (8,) row: the
+    inverse of that gather, one write into a copy of the zero matrix. ``WeightRows.dense``
+    scatters a stack."""
+    m = _ZERO.copy()
+    m[_PLACES] = w
+    return m.reshape(4, 4)
+
+
 def block_product(x, y) -> tuple:
     """The entry rows (p, q, r, s) of the 2x2 block product x y, with x and y given as their
     entry rows: Python complex numbers for one block, or arrays that hold many blocks."""
@@ -466,14 +484,17 @@ def require_hermitian(h: np.ndarray, tol: float, what: str = "matrix") -> None:
     """NotHermitianError unless H, or every matrix of an (..., n, n) stack, is finite and
     Hermitian within tol relative to max(1, ||H||_F); the error names the first failing
     matrix of a stack. A NaN or infinite entry fails: its defect is NaN or its norm inf.
-    One matrix is judged on Python floats, a finite one in one pass: its |entries| stay below
-    sqrt(max float), so H - H^dag cannot overflow and needs no ``np.errstate``. Judged as a
-    stack of one, it took the bench ``sweep`` op 12-19 % more CPU time."""
+    One matrix is judged on Python floats, a finite one in one pass that returns on a pass
+    right after its two ``vdot``: its |entries| stay below sqrt(max float), so H - H^dag
+    cannot overflow and needs no ``np.errstate``. Judged as a stack of one, it took the bench
+    ``sweep`` op 12-19 % more CPU time; the verdict and the error text are the stack's."""
     h = np.asarray(h)
     scale = math.sqrt(np.vdot(h, h).real) if h.ndim == 2 else math.inf
     if scale < math.inf:  # one matrix of finite norm: NaN and inf take the route below
-        d = h - dagger(h)
+        d = h - h.conj().T
         defect = math.sqrt(np.vdot(d, d).real)
+        if defect <= tol * max(1.0, scale):
+            return
     else:
         with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf norms fail below
             defect, scale = hermiticity_defect(h), frobenius(h)
@@ -496,10 +517,18 @@ def expm_hermitian(h: np.ndarray, theta) -> np.ndarray:
     An (..., n, n) stack of H, with theta a scalar or an array that broadcasts against
     the stack, gives the stack of U from one batched eigh. Every H must pass
     ``require_hermitian`` at ``HERM_TOL``, so a non-finite H raises NotHermitianError
-    before eigh sees it, and a non-finite theta raises a ValueError.
+    before eigh sees it; then ``expm_checked``, so a non-finite theta raises a ValueError.
     """
     h = np.asarray(h, dtype=complex)
     require_hermitian(h, HERM_TOL)
+    return expm_checked(h, theta)
+
+
+def expm_checked(h: np.ndarray, theta) -> np.ndarray:
+    """The body of ``expm_hermitian`` after its Hermiticity check, for an H that passed it
+    already (a ``dynamics.Hamiltonian`` record's matrix): a ValueError for a non-finite
+    theta, then one (batched) eigh of H's Hermitian part."""
+    h = np.asarray(h, dtype=complex)
     if not np.isfinite(theta).all():
         raise ValueError("exp(-i H theta) needs a finite theta (the evolution time), "
                          f"got {theta}")

@@ -85,13 +85,17 @@ class NotProportionalError(ValueError):
     """A product expected to be a multiple of the identity is not."""
 
 
+#: ``R_rows`` with overflow and invalid values unreported: inf and NaN fail the bound of
+#: ``_bounded_rows``
+_overflowing_rows = np.errstate(over="ignore", invalid="ignore")(R_rows)
+
+
 def _bounded_rows(spec: FamilySpec, kind: str, value, ordering: EigOrdering | None = None,
                   form: str = "canonical") -> WeightRows:
     """The rows of the scans and of ``family_inverse_unitarity``: ``R_rows`` at a ``kind``
     value or an array of them, or a DomainError naming the parameters of the first matrix
     with an entry above ``MAX_ENTRY``, where the residual products would overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail below
-        r = R_rows(spec, kind, value, ordering=ordering, form=form)
+    r = _overflowing_rows(spec, kind, value, ordering=ordering, form=form)
     peaks = np.abs(r.w).max(axis=0, initial=0.0).ravel()
     over = np.flatnonzero(~(peaks <= MAX_ENTRY))  # a NaN entry is over, too
     if over.size == 0:

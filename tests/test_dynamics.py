@@ -949,3 +949,47 @@ def test_the_braiding_evolution_checks_its_generators_once(monkeypatch):
     braiding_evolution_residual(specs, theta)
     braiding_evolution_residual(specs[0], float(theta[0]))
     assert calls == ["matrix", "matrix"]
+
+
+def test_evolving_a_record_runs_only_the_check_the_record_made(monkeypatch):
+    from yaxter import linalg
+
+    real, calls = linalg.require_hermitian, []
+
+    def counted(h, tol, what="matrix"):
+        calls.append(what)
+        return real(h, tol, what)
+
+    monkeypatch.setattr(linalg, "require_hermitian", counted)
+    monkeypatch.setattr(dynamics, "require_hermitian", counted)
+    record = hamiltonian_closed(THETA_FAMILIES[4], 0.4)
+    assert calls == ["Hamiltonian"]
+    u = evolve(record, 0.7)
+    assert calls == ["Hamiltonian"]  # the record's own check, not a second one
+    calls.clear()
+    assert np.array_equal(evolve(record.matrix, 0.7), u)  # a raw matrix is checked
+    assert calls == ["matrix"]
+    calls.clear()
+    with pytest.raises(NotHermitianError, match="^matrix is not Hermitian"):
+        evolve(record.matrix + 1e-3 * tensor(SX, SZ) * 1j, 0.7)
+    with pytest.raises(ValueError, match="needs a finite theta"):
+        evolve(record, np.inf)
+
+
+@pytest.mark.parametrize("make", [list, tuple])
+def test_the_closed_forms_take_a_list_as_the_array_it_holds(make):
+    thetas = [0.3, 0.5, 1.1, -0.7]
+    for spec in CLOSED_SPECS:
+        want = hamiltonian_closed(spec, np.array(thetas)).matrix
+        assert np.array_equal(hamiltonian_closed(spec, make(thetas)).matrix, want)
+    spec = FamilySpec.eight1(phi=0.9)
+    xs = [0.3, 0.5, 2.0, -1.0]  # four: a row of four scales would broadcast against 4x4 H_pm
+    stack = eight1_x_hamiltonian(spec, make(xs))
+    assert stack.shape == (4, 4, 4)
+    assert np.array_equal(eight1_x_hamiltonian(spec, np.array(xs)), stack)
+    for h, x in zip(stack, xs):
+        assert np.array_equal(h, eight1_x_hamiltonian(spec, x))
+    with pytest.raises(DomainError, match="got theta = nan at index 1 of the stack$"):
+        hamiltonian_closed(THETA_FAMILIES[2], make([0.3, np.nan]))
+    with pytest.raises(DomainError, match=r"got x = 1j at index 1 of the stack$"):
+        eight1_x_hamiltonian(spec, make([0.3, 1j]))

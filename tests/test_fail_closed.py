@@ -2,21 +2,23 @@
 
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from yaxter import linalg, suite, verify
-from yaxter.baxterize import SpectralPoint
+from yaxter.baxterize import SpectralPoint, build_R
 from yaxter.catalog import (BoltzmannWeights, FamilySpec, braid_matrix, braid_residual,
                             eigenvalues_of)
-from yaxter.dynamics import Hamiltonian
+from yaxter.dynamics import Hamiltonian, hamiltonian, hamiltonian_closed, hamiltonian_fd
 from yaxter.entangle import brylinski_witness, det_b_closed
 from yaxter.gates import OneQubitGate, rotation
 from yaxter.linalg import WeightRows, expm_hermitian, inverse, spectral_projectors, strand_gap
-from yaxter.verify import (ResidualReport, inverse_unitarity, inverse_unitarity_expected,
-                           rho_formula, unitarity_residual, worst)
+from yaxter.verify import (ResidualReport, family_inverse_unitarity, inverse_unitarity,
+                           inverse_unitarity_expected, rho_formula, unitarity_residual,
+                           worst)
 
 NAN = float("nan")
 
@@ -217,6 +219,30 @@ UNLISTED = SimpleNamespace(family=_Unlisted(), q=1.0, t=2.0, parameters=lambda: 
 def test_a_family_is_named_by_its_value_in_errors(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+_E4_T16, _E4_IMAGINARY_T = FamilySpec.eight4(t=1.6, q=1.0), FamilySpec.eight4(t=1.5j, q=1.0)
+_HUGE_X = SpectralPoint.from_x(1e200)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: build_R(_E4_T16, _HUGE_X), "matrix entries must be finite"),
+    (lambda: family_inverse_unitarity(_E4_T16, 1e200), "an R-matrix entry reaches inf"),
+    (lambda: hamiltonian(_E4_IMAGINARY_T, _HUGE_X), "an entry of R or dR/ds reaches nan"),
+    (lambda: hamiltonian_fd(_E4_IMAGINARY_T, _HUGE_X), "rho = nan at x = 1e[+]200 is degenerate"),
+    (lambda: hamiltonian_closed(FamilySpec.eight2(t=1e200, q=1.0), 0.0),
+     "closed-form rho = nan is not finite"),
+    (lambda: hamiltonian_closed(FamilySpec.eight4(t=1e200, q=1.0), 0.3),
+     "closed-form rho = inf is not finite"),
+], ids=["R_weights", "bounded_rows", "generator_job", "unitaries", "closed-inf-times-0",
+        "closed-overflow"])
+def test_each_overflow_guard_keeps_its_warnings_in_and_its_check_refuses(call, message):
+    # the arithmetic overflows (or takes inf * 0) under np.errstate, and the check after it
+    # refuses the result: an error, and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_build_at_an_overflowing_x_exits_2(capsys):

@@ -13,6 +13,7 @@ from yaxter.linalg import (
     _BLOCK,
     _block_diffs,
     _block_gaps,
+    HERM_TOL,
     MAX_ENTRY,
     DegenerateSpectrumError,
     NotHermitianError,
@@ -563,6 +564,42 @@ def test_one_matrix_hermiticity_verdict_is_the_stack_verdict(kind, passes):
         one, stack = messages
         assert stack == one.replace("H is not Hermitian", "H is not Hermitian at index 0 of "
                                     "the stack")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_seeded_one_matrix_hermiticity_verdicts_are_the_stack_of_one_verdicts(seed):
+    # Hermitian matrices at scales 1e-3 to 1e3 with an anti-Hermitian defect at 0.5 and 2
+    # times HERM_TOL of their scale, and with a NaN or an infinite entry: one matrix (which
+    # returns on a pass right after its two vdot) and the same matrix as a stack of one give
+    # one verdict and one error text
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (a + dagger(a)) * 10.0 ** rng.uniform(-3, 3)
+    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    k = (b - dagger(b)) / (2 * frobenius(b - dagger(b)))  # ||k - k^dag|| = 1
+    i, j = rng.integers(4, size=2)
+    cases = []
+    for factor in (0.5, 2.0):
+        m = h + factor * HERM_TOL * max(1.0, frobenius(h)) * k
+        cases.append((m, factor < 1))
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        m = h.copy()
+        m[i, j] = bad
+        cases.append((m, False))
+    for m, passes in cases:
+        messages = []
+        for operand in (m, m[None]):
+            try:
+                require_hermitian(operand, HERM_TOL, "H")
+            except NotHermitianError as err:
+                messages.append(str(err))
+        assert len(messages) == (0 if passes else 2)
+        if not passes:
+            one, stack = messages
+            assert stack == one.replace("Hermitian:", "Hermitian at index 0 of the stack:")
+            with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+                defect = np.linalg.norm(m - dagger(m))
+            assert one == f"H is not Hermitian: ||H - H^dag|| = {defect:.3e}"
 
 
 def test_expm_zero_is_identity():

@@ -11,7 +11,8 @@ from yaxter.baxterize import EigOrdering, R_rows
 from yaxter.catalog import (DOMAIN_TOL, DomainError, Family, FamilySpec, _finite, braid_matrix,
                             braid_residual, braid_rows, build_b, domain_violation, is_imag,
                             is_real)
-from yaxter.linalg import _BLOCK, WeightRows, block_product, dagger, defect, strand_gap
+from yaxter.linalg import (_BLOCK, WeightRows, block_product, dagger, defect, scatter,
+                           strand_gap)
 from yaxter.verify import (QYBE_PARAMETRIZATIONS, _QYBE_LAWS, _bounded_rows, _cpair,
                            _normalization, inverse_unitarity, qybe_job, sample_spec, sample_specs,
                            sample_x, scan_braid, scan_qybe, scan_unitarity, unitarity_job,
@@ -154,6 +155,16 @@ def test_the_adjoint_rows_are_the_weights_of_the_dense_adjoint():
     specs = sample_specs(Family.EIGHT_IV, np.random.default_rng(10), 50)
     rows = R_rows(specs, "x", sample_x(specs, np.random.default_rng(11), 50))
     assert _same_weights(dagger(rows), dagger(rows.dense()))
+
+
+def test_one_matrix_scatter_is_the_stacked_scatter_of_its_row():
+    specs = sample_specs(Family.EIGHT_III, np.random.default_rng(12), 20)
+    rows = R_rows(specs, "x", sample_x(specs, np.random.default_rng(13), 20))
+    for w, want in zip(rows.w.T, rows.dense()):
+        for weights_of_one in (w, w.tolist(), tuple(w.tolist())):
+            m = scatter(weights_of_one)
+            assert m.shape == (4, 4) and m.flags.c_contiguous and m.flags.writeable
+            assert np.array_equal(m, want) and np.array_equal(m, WeightRows(w).dense())
 
 
 def test_a_nan_value_is_the_same_domain_error_on_rows_and_on_the_dense_edge():
